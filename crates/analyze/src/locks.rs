@@ -27,6 +27,14 @@
 //! A cursor binding dies at its block's end, at `drop(name)`, or when it
 //! is consumed by `name.collect_up_to(`.
 //!
+//! The disk store's read path (PR 13) keeps its buffer-pool latch off the
+//! device, which is one more rule:
+//!
+//! 6. calling a backend's `.read_at(` while a **pool latch** guard
+//!    (`pool.lock()`) is live — a page miss fetches and CRC-checks with the
+//!    latch released, or every reader queues behind every other reader's
+//!    I/O again.
+//!
 //! The tracker is lexical, not a borrow checker: `let`-bound guards live to
 //! the end of their block (or an explicit `drop(name)`), scrutinee
 //! temporaries of `match`/`if let`/`while let`/`for` live to the end of the
@@ -58,6 +66,8 @@ enum Class {
     Shard,
     /// The single-index server lock.
     Index,
+    /// The disk store's buffer-pool latch.
+    Pool,
     /// Anything else (stats counters, buffer-pool latches, ...).
     Other,
     /// Not a lock at all: a live candidate cursor (`.knn_cursor(` /
@@ -312,6 +322,27 @@ fn check_events(
         }
         return;
     }
+    // A page miss does its I/O with the pool latch released (the leading
+    // dot excludes the `fn read_at(` definitions themselves).
+    if stmt.ends_with(".read_at(") {
+        let latch = guards
+            .iter()
+            .chain(pending.iter())
+            .find(|g| g.class == Class::Pool);
+        if let Some(g) = latch {
+            out.push(LockViolation {
+                path: path.to_owned(),
+                line: line + 1,
+                function: fn_name.to_owned(),
+                message: format!(
+                    "backend read_at called while the pool latch (line {}) is held; \
+                     fetch the page with the latch released, then install it",
+                    g.line + 1
+                ),
+            });
+        }
+        return;
+    }
     if (stmt.ends_with("stage_candidates(") && !stmt.trim_start().starts_with("fn "))
         || stmt.ends_with(".stage(")
     {
@@ -369,6 +400,8 @@ fn classify(before: &str) -> Class {
         Class::Shard
     } else if has("index") {
         Class::Index
+    } else if has("pool") {
+        Class::Pool
     } else {
         Class::Other
     }

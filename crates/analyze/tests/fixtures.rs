@@ -382,6 +382,73 @@ fn drain(&self, mut cursor: CandidateCursor) {
     );
 }
 
+/// Seeded violation: a backend read issued while the disk store's pool
+/// latch is held — every other reader would queue behind this one's I/O.
+#[test]
+fn seeded_backend_read_under_pool_latch_is_found() {
+    let bad = SourceFile::from_source(
+        "crates/storage/src/fixture.rs",
+        r#"
+fn read_page(&self, page: u32, buf: &mut PageBuf) -> Result<(), StorageError> {
+    let mut pool = self.pool.lock();
+    if pool.lookup(page).is_none() {
+        self.env.pages_shared().read_at(offset(page), buf)?;
+        pool.install_clean(page, buf, false);
+    }
+    Ok(())
+}
+"#,
+    );
+    assert!(
+        lock_violations(&bad)
+            .iter()
+            .any(|v| v.message.contains("pool latch")),
+        "read-under-latch not caught: {:?}",
+        lock_violations(&bad)
+    );
+
+    // Same through a temporary guard in an `if let` scrutinee.
+    let scrutinee = SourceFile::from_source(
+        "crates/storage/src/fixture.rs",
+        r#"
+fn read_page(&self, page: u32, buf: &mut PageBuf) -> Result<(), StorageError> {
+    if let None = self.pool.lock().lookup(page) {
+        self.env.pages_shared().read_at(offset(page), buf)?;
+    }
+    Ok(())
+}
+"#,
+    );
+    assert!(
+        !lock_violations(&scrutinee).is_empty(),
+        "read under a scrutinee-lived latch not caught"
+    );
+
+    // Compliant twin: look up under the latch, fetch with it released,
+    // re-take it to install.
+    let good = SourceFile::from_source(
+        "crates/storage/src/fixture.rs",
+        r#"
+fn read_page(&self, page: u32, buf: &mut PageBuf) -> Result<(), StorageError> {
+    {
+        let mut pool = self.pool.lock();
+        if pool.lookup(page).is_some() {
+            return Ok(());
+        }
+    }
+    self.env.pages_shared().read_at(offset(page), buf)?;
+    self.pool.lock().install_clean(page, buf, false);
+    Ok(())
+}
+"#,
+    );
+    assert!(
+        lock_violations(&good).is_empty(),
+        "false positive: {:?}",
+        lock_violations(&good)
+    );
+}
+
 // ---- wire-conformance pass ----------------------------------------------
 
 const FIXTURE_PROTOCOL: &str = r#"

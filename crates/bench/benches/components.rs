@@ -1,6 +1,7 @@
 //! Component micro-benchmarks: the algorithmic primitives inside the
 //! M-Index hot paths (permutation computation, promise ranking, pivot
-//! filtering, cell-tree routing).
+//! filtering, cell-tree routing) and the paged store's read path (page
+//! CRC, buffer-pool hit, buffer-pool miss).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -8,6 +9,7 @@ use rand::{Rng, SeedableRng};
 use simcloud_metric::{permutation_from_distances, Metric, Vector, L1};
 use simcloud_mindex::pruning::{pivot_filter_keep, pivot_filter_lower_bound};
 use simcloud_mindex::PromiseEvaluator;
+use simcloud_storage::{pagefmt, BucketId, BucketStore, DiskStore, FileEnv, Record};
 
 fn bench_permutation(c: &mut Criterion) {
     let mut g = c.benchmark_group("pivot_permutation");
@@ -76,9 +78,63 @@ fn bench_metric_eval(c: &mut Criterion) {
     });
 }
 
+/// The three costs a `DiskStore` page access is made of, in ns per 4 KiB
+/// page: the checksum every miss re-verifies, a read served from a pool
+/// frame, and a miss served from the OS page cache (`pread` + CRC +
+/// install). One-page buckets read through `read_matching(.., none)` keep
+/// record decoding out of the number.
+fn bench_disk_pool(c: &mut Criterion) {
+    let page: Vec<u8> = (0..pagefmt::PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+    c.bench_function("crc32/4KiB", |b| {
+        b.iter(|| std::hint::black_box(pagefmt::crc32(std::hint::black_box(&page))));
+    });
+
+    // `buckets` one-page buckets behind the default 1024-frame pool, read
+    // round-robin: all hits when they fit, all misses (LRU's worst case)
+    // when the data is 8x the pool.
+    let mut g = c.benchmark_group("disk_pool");
+    for (row, buckets) in [("hit", 256u64), ("miss", 8192)] {
+        let path = std::env::temp_dir().join(format!(
+            "simcloud-components-{row}-{}.db",
+            std::process::id()
+        ));
+        let mut store = DiskStore::create(&path).expect("create");
+        for b in 0..buckets {
+            let payload = vec![(b % 256) as u8; pagefmt::PAGE_CAP - 64];
+            store
+                .append(BucketId(b), Record::new(b, payload))
+                .expect("append");
+            if b % 256 == 255 {
+                store.flush().expect("flush");
+            }
+        }
+        store.flush().expect("flush");
+        let mut next = 0u64;
+        g.bench_function(row, |b| {
+            b.iter(|| {
+                next = (next + 1) % buckets;
+                store
+                    .read_matching(BucketId(next), &|_| false)
+                    .expect("read")
+                    .len()
+            });
+        });
+        let io = store.stats();
+        println!(
+            "disk_pool/{row}: {} page reads, {} pool hits over the run",
+            io.page_reads, io.pool_hits
+        );
+        drop(store);
+        FileEnv::remove_sidecars(&path);
+        let _ = std::fs::remove_file(&path);
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_permutation, bench_promise, bench_pivot_filter, bench_metric_eval
+    targets = bench_permutation, bench_promise, bench_pivot_filter, bench_metric_eval,
+        bench_disk_pool
 }
 criterion_main!(benches);

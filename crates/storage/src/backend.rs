@@ -14,7 +14,8 @@
 //! Like the rest of the recovery path, this module is enforced at zero
 //! panic sites by `simcloud-analyze`.
 
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -27,10 +28,14 @@ use crate::StorageError;
 /// zero-extends. Implementations map failures to [`StorageError`] — the
 /// engine never touches `std::fs` directly, so every fault the harness can
 /// inject flows through the same error path a real disk fault would.
+///
+/// Reads are positional and take `&self`: they carry no cursor, so any
+/// number of query threads can read one artefact at once while mutation
+/// stays exclusive.
 #[allow(clippy::len_without_is_empty)] // `len` is a file size, not a collection
-pub trait Backend: Send {
+pub trait Backend: Send + Sync {
     /// Fills `buf` from the file at `off`; errors if the range is absent.
-    fn read_at(&mut self, off: u64, buf: &mut [u8]) -> Result<(), StorageError>;
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), StorageError>;
     /// Writes `data` at `off`, zero-extending the file if needed.
     fn write_at(&mut self, off: u64, data: &[u8]) -> Result<(), StorageError>;
     /// Current file length in bytes.
@@ -48,9 +53,12 @@ pub trait Backend: Send {
 /// mix — and must be durable when it returns ([`FileEnv`] implements it as
 /// temp-file + fsync + rename + parent-directory fsync, the QuiverDB
 /// recipe quoted in SNIPPETS.md).
-pub trait StorageEnv: Send {
+pub trait StorageEnv: Send + Sync {
     /// The page file.
     fn pages(&mut self) -> &mut dyn Backend;
+    /// The page file for shared positional reads — the query path, which
+    /// holds only `&self`.
+    fn pages_shared(&self) -> &dyn Backend;
     /// The write-ahead log.
     fn wal(&mut self) -> &mut dyn Backend;
     /// Both artefacts at once — recovery interleaves WAL reads with page
@@ -71,15 +79,14 @@ struct FileBackend {
 }
 
 impl Backend for FileBackend {
-    fn read_at(&mut self, off: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(buf)?;
+    // One `pread` / `pwrite` per call: no seek, no shared cursor.
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.file.read_exact_at(buf, off)?;
         Ok(())
     }
 
     fn write_at(&mut self, off: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(data)?;
+        self.file.write_all_at(data, off)?;
         Ok(())
     }
 
@@ -147,6 +154,10 @@ impl FileEnv {
 impl StorageEnv for FileEnv {
     fn pages(&mut self) -> &mut dyn Backend {
         &mut self.pages
+    }
+
+    fn pages_shared(&self) -> &dyn Backend {
+        &self.pages
     }
 
     fn wal(&mut self) -> &mut dyn Backend {
@@ -337,7 +348,7 @@ pub struct FaultPort {
 }
 
 impl Backend for FaultPort {
-    fn read_at(&mut self, off: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), StorageError> {
         let inner = self.state.lock();
         inner.check_alive()?;
         let file = match self.sel {
@@ -475,6 +486,10 @@ impl FaultEnv {
 impl StorageEnv for FaultEnv {
     fn pages(&mut self) -> &mut dyn Backend {
         &mut self.pages_port
+    }
+
+    fn pages_shared(&self) -> &dyn Backend {
+        &self.pages_port
     }
 
     fn wal(&mut self) -> &mut dyn Backend {

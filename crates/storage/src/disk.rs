@@ -21,26 +21,52 @@
 //!   seals every dirty page (LSN + CRC), appends them plus a commit frame
 //!   (carrying the new meta) to the WAL, fsyncs the WAL — *that sync is
 //!   the commit* — then checkpoints the pages in place, fsyncs them,
-//!   atomically replaces the meta (`clean = 1`) and truncates the WAL.
+//!   atomically replaces the meta (`clean = 1`), truncates the WAL and
+//!   trims the pool back to its capacity.
 //! * **`open()` recovers automatically** when the meta is unclean or the
 //!   WAL is non-empty: committed WAL batches are replayed LSN-gated,
 //!   torn tails discarded, and the result is reported via
 //!   [`IoStats::pages_recovered`] / [`DiskStore::recovered_on_open`].
 //!
-//! A small LRU buffer pool fronts the file; every pool miss re-verifies
-//! the page CRC. Concurrency model: the file, directory and buffer pool
-//! live behind one [`parking_lot::Mutex`] — the disk model's latch.
-//! `&self` reads from many query threads are therefore *safe* but
-//! serialized at the device, exactly like a single spindle/buffer pool.
+//! A fixed-size LRU buffer pool (`pool.rs`) fronts the file; every
+//! pool miss re-verifies the page CRC.
+//!
+//! # Concurrency model
+//!
+//! Writers (`append`, `delete_bucket`, `flush`) take `&mut self`; readers
+//! (`read_bucket`, `read_matching`, the metadata calls, `verify`) take
+//! `&self` and run concurrently with each other. The borrow checker is
+//! the reader/writer lock: no read can overlap a write, so everything a
+//! writer owns — bucket directory, page count, free list, LSN — is plain
+//! data that readers consult with no lock at all, and the [`IoStats`]
+//! counters are atomics.
+//!
+//! The only latch is the pool's, and it covers only pool bookkeeping: a
+//! reader takes it to look a page up (a hit copies the page's payload out
+//! under it) and again to install a page it fetched. The fetch itself —
+//! one positional `pread` through [`Backend::read_at`] and the CRC check,
+//! which together are nearly all of a miss — runs **outside the latch**
+//! into the reader's own scratch page, so misses on different pages
+//! proceed in parallel and `simcloud-analyze` rejects a backend read under
+//! a live pool guard. Two readers that miss on the same page both fetch
+//! it; that race is benign because the page is clean — its bytes in the
+//! file cannot change while any reader exists — so both hold the same
+//! image and the second install is dropped. Dirty frames are pinned and
+//! never re-read: for them the pool *is* the truth until `flush()`.
+//!
+//! None of this touches the format: the same pages, CRC values, WAL
+//! frames and meta that PR 8 wrote.
 //!
 //! This module is part of the storage recovery path enforced at zero
 //! panic sites by `simcloud-analyze`.
 //!
 //! [`Meta`]: crate::meta::Meta
 //! [`wal`]: crate::wal
+//! [`Backend::read_at`]: crate::backend::Backend::read_at
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use simcloud_telemetry::Registry;
@@ -50,6 +76,7 @@ use crate::meta::Meta;
 use crate::pagefmt::{
     self, get_bytes, read_u16, read_u32, read_u64, PAGE_CAP, PAGE_HDR, PAGE_SIZE,
 };
+use crate::pool::{PageBuf, Pool};
 use crate::telemetry::StorageTiming;
 use crate::wal;
 use crate::{BucketId, BucketStore, IoStats, Record, StorageError};
@@ -81,13 +108,6 @@ impl Default for DiskStoreOptions {
     }
 }
 
-#[derive(Clone)]
-struct CachedPage {
-    data: Vec<u8>,
-    dirty: bool,
-    last_used: u64,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct BucketMeta {
     head: u32,
@@ -95,6 +115,9 @@ struct BucketMeta {
     /// bytes used in the tail page (cached to avoid a read on append)
     tail_used: u16,
     records: u64,
+    /// Pages this process linked into the chain — not persisted, so a
+    /// lower bound after a reopen. Sizes the read buffer up front.
+    pages: u32,
 }
 
 const EMPTY_BUCKET: BucketMeta = BucketMeta {
@@ -102,11 +125,45 @@ const EMPTY_BUCKET: BucketMeta = BucketMeta {
     tail: NIL,
     tail_used: 0,
     records: 0,
+    pages: 0,
 };
 
-/// The mutable paged state: environment, directory, buffer pool,
-/// statistics. One mutex guards all of it (see the module docs).
-struct Inner {
+/// [`IoStats`] as atomics, so `&self` readers count without a lock.
+#[derive(Debug, Default)]
+struct IoCounters {
+    page_reads: AtomicU64,
+    page_writes: AtomicU64,
+    pool_hits: AtomicU64,
+    records_appended: AtomicU64,
+    records_read: AtomicU64,
+    wal_appends: AtomicU64,
+    pages_recovered: AtomicU64,
+    crc_failures: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+impl IoCounters {
+    fn snapshot(&self) -> IoStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        IoStats {
+            page_reads: get(&self.page_reads),
+            page_writes: get(&self.page_writes),
+            pool_hits: get(&self.pool_hits),
+            records_appended: get(&self.records_appended),
+            records_read: get(&self.records_read),
+            wal_appends: get(&self.wal_appends),
+            pages_recovered: get(&self.pages_recovered),
+            crc_failures: get(&self.crc_failures),
+        }
+    }
+}
+
+/// Paged single-file bucket store with WAL-backed crash safety and an LRU
+/// buffer pool. See the module docs for the concurrency model.
+pub struct DiskStore {
     env: Box<dyn StorageEnv>,
     page_count: u32,
     free_head: u32,
@@ -115,10 +172,9 @@ struct Inner {
     lsn: u64,
     wal_enabled: bool,
     directory: HashMap<BucketId, BucketMeta>,
-    pool: HashMap<u32, CachedPage>,
-    pool_capacity: usize,
-    tick: u64,
-    stats: IoStats,
+    /// The one latch: pool bookkeeping only, never held across I/O.
+    pool: Mutex<Pool>,
+    stats: IoCounters,
     recovered: bool,
     /// Optional flush timing (see [`StorageTiming`]); bound by the server
     /// front end so WAL appends, fsyncs and checkpoints land in its
@@ -126,20 +182,13 @@ struct Inner {
     telemetry: Option<StorageTiming>,
 }
 
-/// Paged single-file bucket store with WAL-backed crash safety and an LRU
-/// buffer pool.
-pub struct DiskStore {
-    inner: Mutex<Inner>,
-}
-
 impl std::fmt::Debug for DiskStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("DiskStore")
-            .field("pages", &inner.page_count)
-            .field("buckets", &inner.directory.len())
-            .field("pool", &inner.pool.len())
-            .field("lsn", &inner.lsn)
+            .field("pages", &self.page_count)
+            .field("buckets", &self.directory.len())
+            .field("pool", &self.resident_pages())
+            .field("lsn", &self.lsn)
             .finish()
     }
 }
@@ -201,6 +250,22 @@ impl DiskStore {
         Self::open_in(Box::new(FileEnv::open(path.as_ref())?), opts)
     }
 
+    fn over(env: Box<dyn StorageEnv>, meta: Meta, opts: DiskStoreOptions) -> Self {
+        DiskStore {
+            env,
+            page_count: meta.page_count,
+            free_head: meta.free_head,
+            dir_head: meta.dir_head,
+            lsn: meta.lsn,
+            wal_enabled: opts.wal,
+            directory: HashMap::new(),
+            pool: Mutex::new(Pool::new(opts.pool_pages.max(2))),
+            stats: IoCounters::default(),
+            recovered: false,
+            telemetry: None,
+        }
+    }
+
     /// Creates a fresh store over an arbitrary [`StorageEnv`] — the entry
     /// point of the fault-injection harness.
     pub fn create_in(
@@ -213,26 +278,11 @@ impl DiskStore {
         env.wal().set_len(0)?;
         env.wal().sync()?;
         // clean = false: a writer is live from the moment of creation.
-        env.store_meta(&Meta::initial().encode())?;
-        let mut stats = IoStats::default();
-        stats.page_writes += 1;
-        Ok(Self {
-            inner: Mutex::new(Inner {
-                env,
-                page_count: 1,
-                free_head: NIL,
-                dir_head: NIL,
-                lsn: 0,
-                wal_enabled: opts.wal,
-                directory: HashMap::new(),
-                pool: HashMap::new(),
-                pool_capacity: opts.pool_pages.max(2),
-                tick: 0,
-                stats,
-                recovered: false,
-                telemetry: None,
-            }),
-        })
+        let meta = Meta::initial();
+        env.store_meta(&meta.encode())?;
+        let store = Self::over(env, meta, opts);
+        bump(&store.stats.page_writes, 1);
+        Ok(store)
     }
 
     /// Opens a store over an arbitrary [`StorageEnv`], recovering if the
@@ -245,18 +295,17 @@ impl DiskStore {
             StorageError::Corrupt("no meta document — not a crash-safe (v2) store".into())
         })?;
         let disk_meta = Meta::decode(&meta_bytes)?;
-        let mut stats = IoStats::default();
         let mut stamp = vec![0u8; PAGE_SIZE];
         env.pages()
             .read_at(0, &mut stamp)
             .map_err(|_| StorageError::Corrupt("page file too short for its stamp page".into()))?;
-        stats.page_reads += 1;
         if !pagefmt::is_stamp(&stamp) {
             return Err(StorageError::Corrupt("bad stamp page".into()));
         }
         let wal_len = env.wal().len()?;
         let mut adopted = disk_meta;
         let mut recovered = false;
+        let mut pages_recovered = 0;
         if !disk_meta.clean || wal_len > 0 {
             let (pages, wal_backend) = env.pages_and_wal();
             let outcome = wal::recover(pages, wal_backend)?;
@@ -267,7 +316,7 @@ impl DiskStore {
                     adopted = committed;
                 }
             }
-            stats.pages_recovered += outcome.pages_applied;
+            pages_recovered = outcome.pages_applied;
             recovered = true;
             env.wal().set_len(0)?;
             env.wal().sync()?;
@@ -275,43 +324,36 @@ impl DiskStore {
         // Mark a writer live; flush() restores clean = true.
         adopted.clean = false;
         env.store_meta(&adopted.encode())?;
-        let mut inner = Inner {
-            env,
-            page_count: adopted.page_count,
-            free_head: adopted.free_head,
-            dir_head: adopted.dir_head,
-            lsn: adopted.lsn,
-            wal_enabled: opts.wal,
-            directory: HashMap::new(),
-            pool: HashMap::new(),
-            pool_capacity: opts.pool_pages.max(2),
-            tick: 0,
-            stats,
-            recovered,
-            telemetry: None,
-        };
-        inner.load_directory()?;
-        Ok(Self {
-            inner: Mutex::new(inner),
-        })
+        let mut store = Self::over(env, adopted, opts);
+        store.recovered = recovered;
+        bump(&store.stats.page_reads, 1);
+        bump(&store.stats.pages_recovered, pages_recovered);
+        store.load_directory()?;
+        Ok(store)
     }
 
     /// Pages currently allocated in the backing file (stamp included).
     pub fn page_count(&self) -> u32 {
-        self.inner.lock().page_count
+        self.page_count
+    }
+
+    /// Pages currently held by the buffer pool. At most `pool_pages` after
+    /// a `flush()`; above it only while unflushed (pinned) pages overflow.
+    pub fn resident_pages(&self) -> usize {
+        self.pool.lock().resident()
     }
 
     /// Whether `open()` found an unclean store and ran recovery (even a
     /// recovery that had nothing to replay).
     pub fn recovered_on_open(&self) -> bool {
-        self.inner.lock().recovered
+        self.recovered
     }
 
     /// Binds flush timing (`wal.append` / `wal.fsync` / `wal.checkpoint`
     /// histograms) into `registry`. Timing follows the registry's enabled
     /// switch; an unbound store reads no clocks.
-    pub fn bind_telemetry(&self, registry: &Registry) {
-        self.inner.lock().telemetry = Some(StorageTiming::bind(registry));
+    pub fn bind_telemetry(&mut self, registry: &Registry) {
+        self.telemetry = Some(StorageTiming::bind(registry));
     }
 
     /// Full offline-style verification: every committed page re-read from
@@ -319,97 +361,101 @@ impl DiskStore {
     /// counted against the directory. `Err` means corruption; failures
     /// also bump [`IoStats::crc_failures`].
     pub fn verify(&self) -> Result<(), StorageError> {
-        self.inner.lock().verify()
-    }
-}
-
-impl Inner {
-    // ---- buffer pool ----------------------------------------------------
-
-    fn touch(&mut self, page: u32) {
-        self.tick += 1;
-        if let Some(p) = self.pool.get_mut(&page) {
-            p.last_used = self.tick;
+        let mut buf = [0u8; PAGE_SIZE];
+        let pages = self.env.pages_shared();
+        pages.read_at(0, &mut buf)?;
+        if !pagefmt::is_stamp(&buf) {
+            bump(&self.stats.crc_failures, 1);
+            return Err(StorageError::Corrupt("bad stamp page".into()));
         }
-    }
-
-    /// Evicts least-recently-used *clean* pages down to capacity. Dirty
-    /// pages are pinned — they exist nowhere else until the next flush —
-    /// so a pool full of dirty pages simply grows past capacity.
-    fn evict_if_full(&mut self) {
-        while self.pool.len() >= self.pool_capacity {
-            let victim = self
-                .pool
-                .iter()
-                .filter(|(_, p)| !p.dirty)
-                .min_by_key(|(_, p)| p.last_used)
-                .map(|(&n, _)| n);
-            match victim {
-                Some(n) => {
-                    self.pool.remove(&n);
-                }
-                None => break,
+        for page in 1..self.page_count {
+            pages.read_at(page_offset(page), &mut buf)?;
+            if let Err(e) = pagefmt::parse_page(&buf, Some(page)) {
+                bump(&self.stats.crc_failures, 1);
+                return Err(e);
             }
         }
+        for (&bucket, meta) in &self.directory {
+            let bytes = self.chain_read(meta.head, meta.pages)?;
+            scan_records(bucket, &bytes, meta.records, |_, _| ())?;
+        }
+        Ok(())
     }
 
-    fn read_page(&mut self, page: u32) -> Result<&mut CachedPage, StorageError> {
+    // ---- page access -----------------------------------------------------
+
+    fn check_page(&self, page: u32) -> Result<(), StorageError> {
         if page == NIL || page >= self.page_count {
             return Err(StorageError::Corrupt(format!(
                 "reference to page {page} outside file of {} pages",
                 self.page_count
             )));
         }
-        if self.pool.contains_key(&page) {
-            self.stats.pool_hits += 1;
-            self.touch(page);
-            return self
-                .pool
-                .get_mut(&page)
-                .ok_or_else(|| StorageError::Corrupt(format!("page {page} vanished from pool")));
-        }
-        self.evict_if_full();
-        let mut data = vec![0u8; PAGE_SIZE];
-        self.env
-            .pages()
-            .read_at(u64::from(page) * PAGE_SIZE as u64, &mut data)?;
-        if let Err(e) = pagefmt::parse_page(&data, Some(page)) {
-            self.stats.crc_failures += 1;
+        Ok(())
+    }
+
+    /// The miss path's I/O: one positional read plus the CRC / slot check,
+    /// into the caller's buffer. Runs under no latch.
+    fn fetch(&self, page: u32, buf: &mut PageBuf) -> Result<(), StorageError> {
+        self.env.pages_shared().read_at(page_offset(page), buf)?;
+        if let Err(e) = pagefmt::parse_page(buf, Some(page)) {
+            bump(&self.stats.crc_failures, 1);
             return Err(e);
         }
-        self.stats.page_reads += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        self.pool.insert(
-            page,
-            CachedPage {
-                data,
-                dirty: false,
-                last_used: tick,
-            },
-        );
+        bump(&self.stats.page_reads, 1);
+        Ok(())
+    }
+
+    /// Reader path: appends the payload of `page` to `out` and returns the
+    /// chain link. A hit copies out of the frame under the latch; a miss
+    /// fetches into `scratch` with the latch released, then offers the
+    /// image to the pool.
+    fn read_page_into(
+        &self,
+        page: u32,
+        scratch: &mut PageBuf,
+        out: &mut Vec<u8>,
+    ) -> Result<u32, StorageError> {
+        self.check_page(page)?;
+        {
+            let mut pool = self.pool.lock();
+            if let Some(image) = pool.lookup(page) {
+                bump(&self.stats.pool_hits, 1);
+                return copy_payload(page, image, out);
+            }
+        }
+        self.fetch(page, scratch)?;
+        let next = copy_payload(page, scratch, out)?;
+        self.pool.lock().install_clean(page, scratch, false);
+        Ok(next)
+    }
+
+    /// Writer path: the pool-resident image of `page` for mutation,
+    /// fetched first if absent. The frame is dirty from here on.
+    fn page_mut(&mut self, page: u32) -> Result<&mut PageBuf, StorageError> {
+        self.check_page(page)?;
+        if self.pool.get_mut().peek(page).is_some() {
+            bump(&self.stats.pool_hits, 1);
+        } else {
+            let mut scratch = [0u8; PAGE_SIZE];
+            self.fetch(page, &mut scratch)?;
+            self.pool.get_mut().install_clean(page, &scratch, true);
+        }
         self.pool
-            .get_mut(&page)
-            .ok_or_else(|| StorageError::Corrupt(format!("page {page} vanished from pool")))
+            .get_mut()
+            .lookup_mut(page)
+            .ok_or_else(|| vanished(page))
     }
 
     /// Installs a fresh initialized page into the pool marked dirty (no
     /// disk read, no disk write — the page materializes at flush).
     fn fresh_page(&mut self, page: u32) -> Result<(), StorageError> {
-        self.evict_if_full();
-        let mut data = vec![0u8; PAGE_SIZE];
-        pagefmt::init_page(&mut data, page)?;
-        self.tick += 1;
-        let tick = self.tick;
-        self.pool.insert(
-            page,
-            CachedPage {
-                data,
-                dirty: true,
-                last_used: tick,
-            },
-        );
-        Ok(())
+        let frame = self
+            .pool
+            .get_mut()
+            .install_fresh(page)
+            .ok_or_else(|| vanished(page))?;
+        pagefmt::init_page(frame, page)
     }
 
     // ---- page allocation -------------------------------------------------
@@ -417,11 +463,7 @@ impl Inner {
     fn alloc_page(&mut self) -> Result<u32, StorageError> {
         if self.free_head != NIL {
             let page = self.free_head;
-            let next = {
-                let p = self.read_page(page)?;
-                pagefmt::get_next(&p.data)?
-            };
-            self.free_head = next;
+            self.free_head = pagefmt::get_next(self.page_mut(page)?)?;
             self.fresh_page(page)?;
             Ok(page)
         } else {
@@ -445,16 +487,12 @@ impl Inner {
                     "page chain longer than the file — cycle".into(),
                 ));
             }
-            let next = {
-                let p = self.read_page(page)?;
-                pagefmt::get_next(&p.data)?
-            };
             // link into free list through the same next-pointer slot
             let free_head = self.free_head;
-            let p = self.read_page(page)?;
-            pagefmt::set_next(&mut p.data, free_head)?;
-            pagefmt::set_used(&mut p.data, 0)?;
-            p.dirty = true;
+            let p = self.page_mut(page)?;
+            let next = pagefmt::get_next(p)?;
+            pagefmt::set_next(p, free_head)?;
+            pagefmt::set_used(p, 0)?;
             self.free_head = page;
             page = next;
         }
@@ -472,17 +510,16 @@ impl Inner {
             meta.head = page;
             meta.tail = page;
             meta.tail_used = 0;
+            meta.pages = 1;
         }
         while !remaining.is_empty() {
             let space = PAGE_CAP - usize::from(meta.tail_used);
             if space == 0 {
                 let new_page = self.alloc_page()?;
-                let tail = meta.tail;
-                let p = self.read_page(tail)?;
-                pagefmt::set_next(&mut p.data, new_page)?;
-                p.dirty = true;
+                pagefmt::set_next(self.page_mut(meta.tail)?, new_page)?;
                 meta.tail = new_page;
                 meta.tail_used = 0;
+                meta.pages = meta.pages.saturating_add(1);
                 continue;
             }
             let take = space.min(remaining.len());
@@ -490,21 +527,22 @@ impl Inner {
             let used = usize::from(meta.tail_used);
             let new_used = u16::try_from(used + take)
                 .map_err(|_| StorageError::Corrupt("page used-bytes overflow".into()))?;
-            let tail = meta.tail;
-            let p = self.read_page(tail)?;
-            pagefmt::put_bytes(&mut p.data, PAGE_HDR + used, chunk)?;
-            pagefmt::set_used(&mut p.data, new_used)?;
-            p.dirty = true;
+            let p = self.page_mut(meta.tail)?;
+            pagefmt::put_bytes(p, PAGE_HDR + used, chunk)?;
+            pagefmt::set_used(p, new_used)?;
             meta.tail_used = new_used;
             remaining = rest;
         }
         Ok(())
     }
 
-    /// Reads the full byte stream of a chain. The hop guard turns cycles
-    /// (including self-links) into typed corruption.
-    fn chain_read(&mut self, head: u32) -> Result<Vec<u8>, StorageError> {
-        let mut out = Vec::new();
+    /// Reads the full byte stream of the chain at `head`: each page's
+    /// payload is copied once, straight into an output sized for
+    /// `pages_hint` pages (see [`BucketMeta::pages`]; 0 = unknown). The hop
+    /// guard turns cycles (including self-links) into typed corruption.
+    fn chain_read(&self, head: u32, pages_hint: u32) -> Result<Vec<u8>, StorageError> {
+        let mut out = Vec::with_capacity(pages_hint as usize * PAGE_CAP);
+        let mut scratch = [0u8; PAGE_SIZE];
         let mut page = head;
         let mut hops = 0u64;
         while page != NIL {
@@ -514,19 +552,7 @@ impl Inner {
                     "page chain longer than the file — cycle".into(),
                 ));
             }
-            let (next, chunk) = {
-                let p = self.read_page(page)?;
-                let next = pagefmt::get_next(&p.data)?;
-                let used = usize::from(pagefmt::get_used(&p.data)?);
-                if used > PAGE_CAP {
-                    return Err(StorageError::Corrupt(format!(
-                        "page {page} claims {used} used bytes"
-                    )));
-                }
-                (next, get_bytes(&p.data, PAGE_HDR, used)?.to_vec())
-            };
-            out.extend_from_slice(&chunk);
-            page = next;
+            page = self.read_page_into(page, &mut scratch, &mut out)?;
         }
         Ok(out)
     }
@@ -538,7 +564,7 @@ impl Inner {
         if self.dir_head == NIL {
             return Ok(());
         }
-        let bytes = self.chain_read(self.dir_head)?;
+        let bytes = self.chain_read(self.dir_head, 0)?;
         if bytes.len() < 4 {
             return Err(StorageError::Corrupt("directory truncated".into()));
         }
@@ -565,6 +591,7 @@ impl Inner {
                     tail,
                     tail_used,
                     records,
+                    pages: 0,
                 },
             );
             off += DIR_ENTRY;
@@ -602,9 +629,57 @@ impl Inner {
         self.dir_head = dir_meta.head;
         Ok(())
     }
+}
 
-    // ---- operations ------------------------------------------------------
+fn page_offset(page: u32) -> u64 {
+    u64::from(page) * PAGE_SIZE as u64
+}
 
+fn vanished(page: u32) -> StorageError {
+    StorageError::Corrupt(format!("page {page} vanished from pool"))
+}
+
+/// Appends the used payload bytes of a verified page image to `out`;
+/// returns the page's chain link.
+fn copy_payload(page: u32, image: &PageBuf, out: &mut Vec<u8>) -> Result<u32, StorageError> {
+    let used = usize::from(pagefmt::get_used(image)?);
+    if used > PAGE_CAP {
+        return Err(StorageError::Corrupt(format!(
+            "page {page} claims {used} used bytes"
+        )));
+    }
+    out.extend_from_slice(get_bytes(image, PAGE_HDR, used)?);
+    pagefmt::get_next(image)
+}
+
+/// Walks a bucket's record stream, handing each record's id and payload
+/// to `visit`; the stream must hold exactly `expected` whole records.
+fn scan_records<'a>(
+    bucket: BucketId,
+    bytes: &'a [u8],
+    expected: u64,
+    mut visit: impl FnMut(u64, &'a [u8]),
+) -> Result<(), StorageError> {
+    let mut seen = 0u64;
+    let mut off = 0;
+    while off < bytes.len() {
+        let tail = bytes.get(off..).unwrap_or(&[]);
+        let (id, payload_off, used) = Record::peek(tail).ok_or_else(|| {
+            StorageError::Corrupt(format!("bucket {bucket} record stream truncated"))
+        })?;
+        visit(id, get_bytes(tail, payload_off, used - payload_off)?);
+        seen += 1;
+        off += used;
+    }
+    if seen != expected {
+        return Err(StorageError::Corrupt(format!(
+            "bucket {bucket}: directory claims {expected} records, found {seen}"
+        )));
+    }
+    Ok(())
+}
+
+impl BucketStore for DiskStore {
     fn append(&mut self, bucket: BucketId, record: Record) -> Result<(), StorageError> {
         if record.payload.len() > crate::record::MAX_PAYLOAD {
             return Err(StorageError::RecordTooLarge(record.payload.len()));
@@ -615,38 +690,43 @@ impl Inner {
         self.chain_append(&mut meta, &bytes)?;
         meta.records += 1;
         self.directory.insert(bucket, meta);
-        self.stats.records_appended += 1;
+        bump(&self.stats.records_appended, 1);
         Ok(())
     }
 
-    fn read_bucket(&mut self, bucket: BucketId) -> Result<Vec<Record>, StorageError> {
-        let meta = *self
+    fn read_bucket(&self, bucket: BucketId) -> Result<Vec<Record>, StorageError> {
+        self.read_matching(bucket, &|_| true)
+    }
+
+    fn read_matching(
+        &self,
+        bucket: BucketId,
+        wanted: &dyn Fn(u64) -> bool,
+    ) -> Result<Vec<Record>, StorageError> {
+        // Filter on the raw chain bytes and materialize only the wanted
+        // records: the trait's default path would clone every unwanted
+        // payload in the bucket (via `read_bucket`) just to drop it.
+        let meta = self
             .directory
             .get(&bucket)
             .ok_or(StorageError::UnknownBucket(bucket))?;
-        let bytes = self.chain_read(meta.head)?;
-        // Capacity clamped by what the chain can physically hold (a record
-        // is at least 12 bytes) — a corrupt count must not pre-allocate.
-        let cap = (meta.records as usize).min(bytes.len() / 12 + 1);
-        let mut records = Vec::with_capacity(cap);
-        let mut off = 0;
-        while off < bytes.len() {
-            let tail = bytes.get(off..).unwrap_or(&[]);
-            let (r, used) = Record::decode(tail).ok_or_else(|| {
-                StorageError::Corrupt(format!("bucket {bucket} record stream truncated"))
-            })?;
-            records.push(r);
-            off += used;
-        }
-        if records.len() as u64 != meta.records {
-            return Err(StorageError::Corrupt(format!(
-                "bucket {bucket}: directory claims {} records, found {}",
-                meta.records,
-                records.len()
-            )));
-        }
-        self.stats.records_read += records.len() as u64;
-        Ok(records)
+        let bytes = self.chain_read(meta.head, meta.pages)?;
+        let mut out = Vec::new();
+        scan_records(bucket, &bytes, meta.records, |id, payload| {
+            if wanted(id) {
+                out.push(Record::new(id, payload.to_vec()));
+            }
+        })?;
+        // Consistent with MemoryStore: only materialized records count as
+        // read back (the id scan never touches the other payloads).
+        bump(&self.stats.records_read, out.len() as u64);
+        Ok(out)
+    }
+
+    fn bucket_len(&self, bucket: BucketId) -> usize {
+        self.directory
+            .get(&bucket)
+            .map_or(0, |m| m.records as usize)
     }
 
     fn delete_bucket(&mut self, bucket: BucketId) -> Result<(), StorageError> {
@@ -658,6 +738,14 @@ impl Inner {
         Ok(())
     }
 
+    fn bucket_ids(&self) -> Vec<BucketId> {
+        self.directory.keys().copied().collect()
+    }
+
+    fn total_records(&self) -> u64 {
+        self.directory.values().map(|m| m.records).sum()
+    }
+
     /// The commit protocol (see the module docs for the crash analysis of
     /// each window):
     ///
@@ -667,23 +755,18 @@ impl Inner {
     ///    carrying the new meta, then fsync — **the commit point**;
     /// 4. checkpoint the sealed pages in place, fsync the page file;
     /// 5. atomically replace the meta with `clean = 1`;
-    /// 6. truncate + fsync the WAL.
+    /// 6. truncate + fsync the WAL;
+    /// 7. unpin the pool's frames and trim it back to capacity.
     fn flush(&mut self) -> Result<(), StorageError> {
         self.persist_directory()?;
         let next_lsn = self.lsn + 1;
-        let mut dirty: Vec<u32> = self
-            .pool
-            .iter()
-            .filter(|(_, p)| p.dirty)
-            .map(|(&n, _)| n)
-            .collect();
-        dirty.sort_unstable();
+        let pool = self.pool.get_mut();
+        let dirty = pool.dirty_pages();
         for &page in &dirty {
-            let p = self
-                .pool
-                .get_mut(&page)
-                .ok_or_else(|| StorageError::Corrupt(format!("page {page} vanished from pool")))?;
-            pagefmt::seal_page(&mut p.data, next_lsn)?;
+            pagefmt::seal_page(
+                pool.lookup_mut(page).ok_or_else(|| vanished(page))?,
+                next_lsn,
+            )?;
         }
         let new_meta = Meta {
             lsn: next_lsn,
@@ -692,43 +775,31 @@ impl Inner {
             dir_head: self.dir_head,
             clean: false,
         };
+        let timing = self.telemetry.as_ref();
         if self.wal_enabled {
-            let timing = self.telemetry.clone();
             {
-                let _append = timing.as_ref().map(StorageTiming::wal_append_timer);
+                let _append = timing.map(StorageTiming::wal_append_timer);
                 let wal_backend = self.env.wal();
                 let mut off = 0u64;
                 for &page in &dirty {
-                    let image = self.pool.get(&page).ok_or_else(|| {
-                        StorageError::Corrupt(format!("page {page} vanished from pool"))
-                    })?;
-                    off = wal::append_page_frame(
-                        &mut *wal_backend,
-                        off,
-                        next_lsn,
-                        page,
-                        &image.data,
-                    )?;
-                    self.stats.wal_appends += 1;
+                    let image = pool.peek(page).ok_or_else(|| vanished(page))?;
+                    off = wal::append_page_frame(&mut *wal_backend, off, next_lsn, page, image)?;
                 }
                 wal::append_commit_frame(&mut *wal_backend, off, next_lsn, &new_meta.encode())?;
-                self.stats.wal_appends += 1;
+                bump(&self.stats.wal_appends, dirty.len() as u64 + 1);
             }
             // The batch is durable from here: any later crash replays it.
-            let _fsync = timing.as_ref().map(StorageTiming::wal_fsync_timer);
+            let _fsync = timing.map(StorageTiming::wal_fsync_timer);
             self.env.wal().sync()?;
         }
         {
-            let timing = self.telemetry.clone();
-            let _checkpoint = timing.as_ref().map(StorageTiming::checkpoint_timer);
+            let _checkpoint = timing.map(StorageTiming::checkpoint_timer);
             {
                 let pages_backend = self.env.pages();
                 for &page in &dirty {
-                    let image = self.pool.get(&page).ok_or_else(|| {
-                        StorageError::Corrupt(format!("page {page} vanished from pool"))
-                    })?;
-                    pages_backend.write_at(u64::from(page) * PAGE_SIZE as u64, &image.data)?;
-                    self.stats.page_writes += 1;
+                    let image = pool.peek(page).ok_or_else(|| vanished(page))?;
+                    pages_backend.write_at(page_offset(page), image)?;
+                    bump(&self.stats.page_writes, 1);
                 }
                 // Data pages reach the platter before any pointer to them is
                 // published — the pre-WAL flush-ordering hazard is gone.
@@ -746,142 +817,13 @@ impl Inner {
                 self.env.wal().sync()?;
             }
         }
-        for &page in &dirty {
-            if let Some(p) = self.pool.get_mut(&page) {
-                p.dirty = false;
-            }
-        }
+        pool.commit();
         self.lsn = next_lsn;
         Ok(())
     }
 
-    fn verify(&mut self) -> Result<(), StorageError> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.env.pages().read_at(0, &mut buf)?;
-        if !pagefmt::is_stamp(&buf) {
-            self.stats.crc_failures += 1;
-            return Err(StorageError::Corrupt("bad stamp page".into()));
-        }
-        for page in 1..self.page_count {
-            self.env
-                .pages()
-                .read_at(u64::from(page) * PAGE_SIZE as u64, &mut buf)?;
-            if let Err(e) = pagefmt::parse_page(&buf, Some(page)) {
-                self.stats.crc_failures += 1;
-                return Err(e);
-            }
-        }
-        let buckets: Vec<(BucketId, BucketMeta)> =
-            self.directory.iter().map(|(k, v)| (*k, *v)).collect();
-        for (bucket, meta) in buckets {
-            let bytes = self.chain_read(meta.head)?;
-            let mut off = 0;
-            let mut seen = 0u64;
-            while off < bytes.len() {
-                let tail = bytes.get(off..).unwrap_or(&[]);
-                let Some((_, _, used)) = Record::peek(tail) else {
-                    return Err(StorageError::Corrupt(format!(
-                        "bucket {bucket} record stream truncated"
-                    )));
-                };
-                seen += 1;
-                off += used;
-            }
-            if seen != meta.records {
-                return Err(StorageError::Corrupt(format!(
-                    "bucket {bucket}: directory claims {} records, found {seen}",
-                    meta.records
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl BucketStore for DiskStore {
-    fn append(&mut self, bucket: BucketId, record: Record) -> Result<(), StorageError> {
-        self.inner.get_mut().append(bucket, record)
-    }
-
-    fn read_bucket(&self, bucket: BucketId) -> Result<Vec<Record>, StorageError> {
-        self.inner.lock().read_bucket(bucket)
-    }
-
-    fn read_matching(
-        &self,
-        bucket: BucketId,
-        wanted: &dyn Fn(u64) -> bool,
-    ) -> Result<Vec<Record>, StorageError> {
-        // Pull the raw chain bytes under the latch, then filter and decode
-        // *outside* it: record parsing and the payload copies for wanted
-        // records are pure CPU work on a private buffer, and the trait's
-        // default path would additionally clone every unwanted payload in
-        // the bucket (via `read_bucket`) while holding nothing back.
-        let (bytes, expected) = {
-            let mut inner = self.inner.lock();
-            let meta = *inner
-                .directory
-                .get(&bucket)
-                .ok_or(StorageError::UnknownBucket(bucket))?;
-            (inner.chain_read(meta.head)?, meta.records)
-        };
-        let mut out = Vec::new();
-        let mut seen = 0u64;
-        let mut off = 0;
-        while off < bytes.len() {
-            let tail = bytes.get(off..).unwrap_or(&[]);
-            let (id, payload_off, used) = Record::peek(tail).ok_or_else(|| {
-                StorageError::Corrupt(format!("bucket {bucket} record stream truncated"))
-            })?;
-            if wanted(id) {
-                let payload = get_bytes(tail, payload_off, used - payload_off)?.to_vec();
-                out.push(Record::new(id, payload));
-            }
-            seen += 1;
-            off += used;
-        }
-        if seen != expected {
-            return Err(StorageError::Corrupt(format!(
-                "bucket {bucket}: directory claims {expected} records, found {seen}"
-            )));
-        }
-        // Consistent with MemoryStore: only materialized records count as
-        // read back (the id scan never touches the other payloads).
-        self.inner.lock().stats.records_read += out.len() as u64;
-        Ok(out)
-    }
-
-    fn bucket_len(&self, bucket: BucketId) -> usize {
-        self.inner
-            .lock()
-            .directory
-            .get(&bucket)
-            .map_or(0, |m| m.records as usize)
-    }
-
-    fn delete_bucket(&mut self, bucket: BucketId) -> Result<(), StorageError> {
-        self.inner.get_mut().delete_bucket(bucket)
-    }
-
-    fn bucket_ids(&self) -> Vec<BucketId> {
-        self.inner.lock().directory.keys().copied().collect()
-    }
-
-    fn total_records(&self) -> u64 {
-        self.inner
-            .lock()
-            .directory
-            .values()
-            .map(|m| m.records)
-            .sum()
-    }
-
-    fn flush(&mut self) -> Result<(), StorageError> {
-        self.inner.get_mut().flush()
-    }
-
     fn stats(&self) -> IoStats {
-        self.inner.lock().stats
+        self.stats.snapshot()
     }
 
     fn backend_name(&self) -> &'static str {
@@ -1053,6 +995,60 @@ mod tests {
         let st = s.stats();
         assert!(st.page_reads > 0, "tiny pool must miss");
         assert!(st.page_writes > 0);
+        cleanup(&path);
+    }
+
+    /// Dirty pages overflow the pool between flushes; the flush that
+    /// unpins them must also hand the overshoot back instead of keeping
+    /// the whole collection resident behind a "32 KiB pool".
+    #[test]
+    fn flush_trims_the_pool_back_to_capacity() {
+        let path = tmp("trim");
+        let mut s = DiskStore::create_with_pool(&path, 8).unwrap();
+        for b in 0..6u64 {
+            for i in 0..20u64 {
+                s.append(BucketId(b), rec(b * 100 + i, 3500)).unwrap();
+            }
+        }
+        assert!(s.page_count() > 100, "only {} pages", s.page_count());
+        assert!(
+            s.resident_pages() > 100,
+            "unflushed pages are pinned, so the pool overflows"
+        );
+        s.flush().unwrap();
+        assert!(
+            s.resident_pages() <= 8,
+            "{} frames resident after flush",
+            s.resident_pages()
+        );
+        for b in 0..6u64 {
+            let recs = s.read_bucket(BucketId(b)).unwrap();
+            assert_eq!(recs.len(), 20);
+            for (i, r) in recs.iter().enumerate() {
+                assert_eq!(*r, rec(b * 100 + i as u64, 3500));
+            }
+            assert!(s.resident_pages() <= 8);
+        }
+        s.verify().unwrap();
+        cleanup(&path);
+    }
+
+    /// The metadata calls answer from the directory and the atomic
+    /// counters: they return while the pool latch is held elsewhere.
+    #[test]
+    fn metadata_calls_do_not_take_the_pool_latch() {
+        let path = tmp("nolatch");
+        let mut s = DiskStore::create(&path).unwrap();
+        s.append(BucketId(1), rec(1, 10)).unwrap();
+        s.append(BucketId(2), rec(2, 10)).unwrap();
+        let latch = s.pool.lock();
+        assert_eq!(s.bucket_len(BucketId(1)), 1);
+        assert_eq!(s.total_records(), 2);
+        assert_eq!(s.bucket_ids().len(), 2);
+        assert_eq!(s.stats().records_appended, 2);
+        assert_eq!(s.page_count(), 3);
+        assert!(!s.recovered_on_open());
+        drop(latch);
         cleanup(&path);
     }
 

@@ -22,6 +22,7 @@ pub mod disk;
 pub mod memory;
 pub mod meta;
 pub mod pagefmt;
+mod pool;
 pub mod record;
 pub mod telemetry;
 pub mod wal;

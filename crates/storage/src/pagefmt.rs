@@ -58,13 +58,19 @@ pub struct PageHeader {
 }
 
 // ---- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ---------------------
+//
+// Slice-by-16: sixteen 256-entry tables let the kernel fold sixteen input
+// bytes per step instead of one (table `k` holds the CRC of a byte followed
+// by `k` zero bytes). Same polynomial, same values as the bytewise loop it
+// replaced — pages and WAL frames are bit-for-bit what PR 8 wrote; the
+// bytewise loop survives as the test-only reference `crc32_ref`.
 
-static CRC_TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+static CRC_TABLES: std::sync::OnceLock<[[u32; 256]; 16]> = std::sync::OnceLock::new();
 
-fn crc_table() -> &'static [u32; 256] {
-    CRC_TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (slot, i) in table.iter_mut().zip(0u32..) {
+fn crc_tables() -> &'static [[u32; 256]; 16] {
+    CRC_TABLES.get_or_init(|| {
+        let mut first = [0u32; 256];
+        for (slot, i) in first.iter_mut().zip(0u32..) {
             let mut c = i;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -75,17 +81,58 @@ fn crc_table() -> &'static [u32; 256] {
             }
             *slot = c;
         }
-        table
+        let mut tables = [first; 16];
+        let mut prev = first;
+        for table in tables.iter_mut().skip(1) {
+            for (slot, p) in table.iter_mut().zip(prev) {
+                *slot = (p >> 8) ^ lookup(&first, p);
+            }
+            prev = *table;
+        }
+        tables
     })
 }
 
+/// `table[low byte of x]`. The mask keeps the index below 256, so the
+/// fallback is unreachable and the bounds check compiles away.
+#[inline(always)]
+fn lookup(table: &[u32; 256], x: u32) -> u32 {
+    table.get((x & 0xFF) as usize).copied().unwrap_or(0)
+}
+
 fn crc_update(state: u32, bytes: &[u8]) -> u32 {
-    let table = crc_table();
+    let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = crc_tables();
     let mut c = state;
-    for &b in bytes {
-        let idx = ((c ^ u32::from(b)) & 0xFF) as usize;
-        // idx < 256 by the mask above; the fallback is unreachable.
-        c = (c >> 8) ^ table.get(idx).copied().unwrap_or(0);
+    let mut chunks = bytes.chunks_exact(16);
+    for chunk in &mut chunks {
+        let Ok([a0, a1, a2, a3, b0, b1, b2, b3, d0, d1, d2, d3, e0, e1, e2, e3]) =
+            <[u8; 16]>::try_from(chunk)
+        else {
+            continue; // chunks_exact(16) yields 16 bytes; unreachable.
+        };
+        let a = c ^ u32::from_le_bytes([a0, a1, a2, a3]);
+        let b = u32::from_le_bytes([b0, b1, b2, b3]);
+        let d = u32::from_le_bytes([d0, d1, d2, d3]);
+        let e = u32::from_le_bytes([e0, e1, e2, e3]);
+        c = lookup(t15, a)
+            ^ lookup(t14, a >> 8)
+            ^ lookup(t13, a >> 16)
+            ^ lookup(t12, a >> 24)
+            ^ lookup(t11, b)
+            ^ lookup(t10, b >> 8)
+            ^ lookup(t9, b >> 16)
+            ^ lookup(t8, b >> 24)
+            ^ lookup(t7, d)
+            ^ lookup(t6, d >> 8)
+            ^ lookup(t5, d >> 16)
+            ^ lookup(t4, d >> 24)
+            ^ lookup(t3, e)
+            ^ lookup(t2, e >> 8)
+            ^ lookup(t1, e >> 16)
+            ^ lookup(t0, e >> 24);
+    }
+    for &b in chunks.remainder() {
+        c = (c >> 8) ^ lookup(t0, c ^ u32::from(b));
     }
     c
 }
@@ -93,6 +140,16 @@ fn crc_update(state: u32, bytes: &[u8]) -> u32 {
 /// CRC32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc_update(0xFFFF_FFFF, bytes)
+}
+
+/// CRC32 by the bytewise table loop the slice-by-16 kernel replaced, kept
+/// as the differential-test reference and to seal golden pre-PR-13 images.
+#[cfg(test)]
+pub(crate) fn crc32_ref(bytes: &[u8]) -> u32 {
+    let [table, ..] = crc_tables();
+    !bytes.iter().fold(0xFFFF_FFFF, |c, &b| {
+        (c >> 8) ^ lookup(table, c ^ u32::from(b))
+    })
 }
 
 /// CRC32 of a page image with its 4-byte crc field treated as zero —
@@ -261,6 +318,91 @@ mod tests {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_ref(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_ref(b""), 0);
+        // Long enough to run the 16-byte steps and a remainder.
+        let text = b"The quick brown fox jumps over the lazy dog";
+        assert_eq!(crc32(text), 0x414F_A339);
+        assert_eq!(crc32_ref(text), 0x414F_A339);
+    }
+
+    /// Every length from empty to past a WAL page frame, walking the start
+    /// alignment with it.
+    #[test]
+    fn crc32_fast_matches_reference_at_every_length() {
+        let backing: Vec<u8> = (0..4208u32).map(|i| (i * 7 + i / 256) as u8).collect();
+        for len in 0..=4200usize {
+            let bytes = &backing[len % 8..len % 8 + len];
+            assert_eq!(crc32(bytes), crc32_ref(bytes), "len {len}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The sliced kernel equals the bytewise reference at every length
+        /// that can occur (0 ..= a page and a WAL frame header), at all
+        /// eight start alignments, and however a stream is split across
+        /// chained `crc_update` calls.
+        #[test]
+        fn crc32_fast_matches_reference(
+            len in 0usize..4201,
+            seed in proptest::any::<u64>(),
+            cuts in proptest::collection::vec(0usize..4201, 0..4),
+        ) {
+            let mut x = seed | 1;
+            let backing: Vec<u8> = (0..len + 8)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x.to_le_bytes()[0]
+                })
+                .collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
+            cuts.sort_unstable();
+            for align in 0..8 {
+                let bytes = &backing[align..align + len];
+                let want = crc32_ref(bytes);
+                proptest::prop_assert_eq!(crc32(bytes), want);
+                let mut state = 0xFFFF_FFFF;
+                let mut from = 0;
+                for &cut in cuts.iter().chain([&len]) {
+                    state = crc_update(state, &bytes[from..cut]);
+                    from = cut;
+                }
+                proptest::prop_assert_eq!(!state, want);
+            }
+        }
+    }
+
+    /// Format pin: a page sealed the way the pre-PR-13 code sealed it (lsn,
+    /// then the bytewise CRC over the image with a zeroed crc field)
+    /// verifies under the sliced kernel, `seal_page` produces the very
+    /// same bytes, and one flipped bit anywhere is still caught.
+    #[test]
+    fn reference_sealed_page_parses_under_the_new_kernel() {
+        let mut page = vec![0u8; PAGE_SIZE];
+        init_page(&mut page, 11).unwrap();
+        set_next(&mut page, 12).unwrap();
+        set_used(&mut page, 4000).unwrap();
+        for (i, b) in page[PAGE_HDR..PAGE_HDR + 4000].iter_mut().enumerate() {
+            *b = (i * 31 % 251) as u8;
+        }
+        let mut golden = page.clone();
+        golden[OFF_LSN..OFF_LSN + 8].copy_from_slice(&9u64.to_le_bytes());
+        let crc = crc32_ref(&golden);
+        golden[OFF_CRC..OFF_CRC + 4].copy_from_slice(&crc.to_le_bytes());
+
+        let hdr = parse_page(&golden, Some(11)).unwrap();
+        assert_eq!((hdr.lsn, hdr.next, hdr.used), (9, 12, 4000));
+        seal_page(&mut page, 9).unwrap();
+        assert_eq!(page, golden, "seal_page bytes changed");
+        for bit in [0usize, 37, 8 * PAGE_HDR + 5, 8 * PAGE_SIZE - 1] {
+            let mut bad = golden.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(parse_page(&bad, Some(11)).is_err(), "bit {bit} undetected");
+        }
     }
 
     #[test]

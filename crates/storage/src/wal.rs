@@ -319,7 +319,7 @@ mod tests {
     // fault machinery.
     struct VecBackend(Vec<u8>);
     impl Backend for VecBackend {
-        fn read_at(&mut self, off: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+        fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), StorageError> {
             let start = off as usize;
             let src = self
                 .0
@@ -367,6 +367,52 @@ mod tests {
         let mut slot = vec![0u8; PAGE_SIZE];
         pages.read_at(PAGE_SIZE as u64, &mut slot).unwrap();
         assert_eq!(pagefmt::parse_page(&slot, Some(1)).unwrap().lsn, 1);
+    }
+
+    /// Format pin: a batch framed the way the pre-PR-13 code framed it —
+    /// every CRC (page image and frame) from the bytewise reference loop —
+    /// is byte-for-byte what `append_*_frame` writes today, and replays.
+    #[test]
+    fn reference_crc_frames_replay_under_the_new_kernel() {
+        fn frame(magic: [u8; 4], lsn: u64, arg: u32, payload: &[u8]) -> Vec<u8> {
+            let mut f = Vec::new();
+            f.extend_from_slice(&magic);
+            f.extend_from_slice(&[0; 4]);
+            f.extend_from_slice(&lsn.to_le_bytes());
+            f.extend_from_slice(&arg.to_le_bytes());
+            f.extend_from_slice(payload);
+            let crc = pagefmt::crc32_ref(&f[OFF_LSN..]);
+            f[OFF_CRC..OFF_CRC + 4].copy_from_slice(&crc.to_le_bytes());
+            f
+        }
+        // Page image sealed by hand: lsn stamped, crc field zero, bytewise crc.
+        let mut image = vec![0u8; PAGE_SIZE];
+        pagefmt::init_page(&mut image, 1).unwrap();
+        pagefmt::set_used(&mut image, 300).unwrap();
+        image[40..340].fill(0xA5);
+        image[12..20].copy_from_slice(&3u64.to_le_bytes());
+        let crc = pagefmt::crc32_ref(&image);
+        image[..4].copy_from_slice(&crc.to_le_bytes());
+        let meta = meta_with(3, 2).encode();
+        let mut golden = frame(PAGE_FRAME_MAGIC, 3, 1, &image);
+        golden.extend(frame(COMMIT_FRAME_MAGIC, 3, meta.len() as u32, &meta));
+
+        let mut wal = VecBackend(Vec::new());
+        let off = append_page_frame(&mut wal, 0, 3, 1, &image).unwrap();
+        append_commit_frame(&mut wal, off, 3, &meta).unwrap();
+        assert_eq!(wal.0, golden, "wal frame bytes changed");
+
+        let mut pages = VecBackend(pagefmt::stamp_page());
+        let r = recover(&mut pages, &mut VecBackend(golden.clone())).unwrap();
+        assert_eq!((r.pages_applied, r.frames_scanned), (1, 2));
+        assert_eq!(r.meta.unwrap(), meta_with(3, 2));
+        assert_eq!(pages.0[PAGE_SIZE..], image[..]);
+
+        // One flipped bit in the page frame ends the scan before the commit.
+        golden[FRAME_HDR + 77] ^= 0x10;
+        let mut pages = VecBackend(pagefmt::stamp_page());
+        let r = recover(&mut pages, &mut VecBackend(golden)).unwrap();
+        assert_eq!((r.meta, r.pages_applied), (None, 0));
     }
 
     #[test]

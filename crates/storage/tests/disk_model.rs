@@ -1,6 +1,8 @@
 //! Model-based property test of the paged disk store: an arbitrary
 //! sequence of appends/reads/deletes/flush/reopen must behave exactly like
-//! a hash-map model, under an adversarially small buffer pool.
+//! a hash-map model, under an adversarially small buffer pool (2–7 frames:
+//! every read evicts) and under a roomy one (64: the slab still has free
+//! frames, nothing is ever evicted).
 
 use std::collections::HashMap;
 
@@ -30,7 +32,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn disk_store_matches_model(ops in proptest::collection::vec(arb_op(), 1..60), pool in 2usize..8) {
+    fn disk_store_matches_model(
+        ops in proptest::collection::vec(arb_op(), 1..60),
+        pool in prop_oneof![2usize..8, Just(64usize)],
+    ) {
         let path = std::env::temp_dir().join(format!(
             "simcloud-model-{}-{}.db",
             std::process::id(),
@@ -67,7 +72,10 @@ proptest! {
                     store.delete_bucket(b).unwrap();
                     model.remove(&b);
                 }
-                Op::Flush => store.flush().unwrap(),
+                Op::Flush => {
+                    store.flush().unwrap();
+                    prop_assert!(store.resident_pages() <= pool, "flush trims the pool");
+                }
                 Op::Reopen => {
                     store.flush().unwrap();
                     drop(store);
