@@ -1,14 +1,21 @@
 //! Component micro-benchmarks: the algorithmic primitives inside the
 //! M-Index hot paths (permutation computation, promise ranking, pivot
-//! filtering, cell-tree routing) and the paged store's read path (page
+//! filtering, cell-tree routing), the distance kernels on both sides of
+//! the wire (per pair, one object against a pivot table, the server's
+//! bound from stored routing bytes) and the paged store's read path (page
 //! CRC, buffer-pool hit, buffer-pool miss).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simcloud_metric::{permutation_from_distances, Metric, Vector, L1};
-use simcloud_mindex::pruning::{pivot_filter_keep, pivot_filter_lower_bound};
-use simcloud_mindex::PromiseEvaluator;
+use simcloud_metric::{
+    permutation_from_distances, CombinedMetric, Metric, PivotTable, TableScratch, Vector, L1,
+};
+use simcloud_mindex::entry::RoutingView;
+use simcloud_mindex::pruning::{
+    pivot_filter_keep, pivot_filter_lower_bound, pivot_filter_safe_lower_bound,
+};
+use simcloud_mindex::{IndexEntry, PromiseEvaluator, Routing};
 use simcloud_storage::{pagefmt, BucketId, BucketStore, DiskStore, FileEnv, Record};
 
 fn bench_permutation(c: &mut Criterion) {
@@ -58,6 +65,41 @@ fn bench_pivot_filter(c: &mut Criterion) {
     c.bench_function("pivot_filter_lower_bound", |b| {
         b.iter(|| std::hint::black_box(pivot_filter_lower_bound(&q, &objects[0])));
     });
+    // The variant the request path calls: every scanned record is ranked by
+    // its wire-safe bound over the index's 100 pivots.
+    c.bench_function("pivot_filter_safe_lower_bound/100", |b| {
+        b.iter(|| {
+            std::hint::black_box(pivot_filter_safe_lower_bound(
+                std::hint::black_box(&q),
+                &objects[0],
+            ))
+        });
+    });
+
+    // What a kNN cursor open does to the ~1300 records it scans for 1000
+    // candidates: validate the routing header and compute the bound from
+    // the record's own little-endian bytes. The 1.2 KB payload behind each
+    // header is never touched, so the records here carry none.
+    let records: Vec<Vec<u8>> = objects
+        .iter()
+        .cycle()
+        .take(1300)
+        .map(|o| {
+            let ds: Vec<f64> = o.iter().map(|&x| f64::from(x)).collect();
+            IndexEntry::new(0, Routing::from_distances(&ds), Vec::new()).encode_payload()
+        })
+        .collect();
+    c.bench_function("cursor_open/1300_records", |b| {
+        b.iter(|| {
+            let mut sum = 0.0f64;
+            for raw in &records {
+                if let Some((RoutingView::Distances(le), _)) = RoutingView::decode(raw) {
+                    sum += pivot_filter_safe_lower_bound(&q, le);
+                }
+            }
+            std::hint::black_box(sum)
+        });
+    });
 }
 
 fn bench_metric_eval(c: &mut Criterion) {
@@ -70,12 +112,31 @@ fn bench_metric_eval(c: &mut Criterion) {
     c.bench_function("l1_17d", |b| {
         b.iter(|| std::hint::black_box(L1.distance(&a17, &b17)));
     });
-    let comb = simcloud_metric::CombinedMetric::cophir_default();
+    let comb = CombinedMetric::cophir_default();
     let a282 = mk(282);
     let b282 = mk(282);
     c.bench_function("combined_282d", |b| {
         b.iter(|| std::hint::black_box(comb.distance(&a282, &b282)));
     });
+
+    // One object against a 100-pivot table through the batch entry — the
+    // client's set-up cost of every insert and query. Integer-grid
+    // components, like MPEG-7 descriptors. One iteration is 100 distances:
+    // ns per distance = time / 100.
+    let mut grid =
+        |dim: usize| Vector::new((0..dim).map(|_| rng.gen_range(0..256) as f32).collect());
+    let object = grid(282);
+    let table = PivotTable::new((0..100).map(|_| grid(282)).collect());
+    let mut scratch = TableScratch::default();
+    let mut g = c.benchmark_group("combined_282d");
+    g.throughput(Throughput::Elements(100));
+    g.bench_function("x100_pivots", |b| {
+        b.iter(|| {
+            comb.distances_to_table(std::hint::black_box(&object), &table, &mut scratch);
+            scratch.distances().iter().sum::<f64>()
+        });
+    });
+    g.finish();
 }
 
 /// The three costs a `DiskStore` page access is made of, in ns per 4 KiB

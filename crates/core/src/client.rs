@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simcloud_crypto::SealError;
-use simcloud_metric::{CountingMetric, Metric, ObjectId, Vector};
+use simcloud_metric::{CountingMetric, Metric, ObjectId, TableScratch, Vector};
 use simcloud_mindex::{IndexEntry, Routing, RoutingStrategy};
 use simcloud_transport::{RequestClass, Stopwatch, Transport, TransportError};
 
@@ -456,11 +456,15 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         let before_dc = self.metric.count();
 
         let mut entries = Vec::with_capacity(objects.len());
+        let mut scratch = TableScratch::default();
         for (id, o) in objects {
             // Alg. 1 line 1: distances to all pivots.
-            let ds = dist.time(|| self.key.pivot_distances(self.metric.as_ref(), o));
+            dist.time(|| {
+                self.key
+                    .pivot_distances_into(self.metric.as_ref(), o, &mut scratch);
+            });
             // Alg. 1 lines 3-7: routing info per strategy.
-            let routing = self.routing_for(&ds);
+            let routing = self.routing_for(scratch.distances());
             // Alg. 1 line 8: encrypt the object, MAC-bound to its id so an
             // untrusted server cannot later answer a fetch for one id with
             // another id's (individually valid) sealed payload.
@@ -1101,13 +1105,17 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         let before_dc = self.metric.count();
         let mut results = Vec::with_capacity(queries.len());
 
+        let mut scratch = TableScratch::default();
         for chunk in queries.chunks(u16::MAX as usize).filter(|c| !c.is_empty()) {
             let batch: Vec<crate::protocol::KnnQuery> = chunk
                 .iter()
                 .map(|q| {
-                    let ds = dist.time(|| self.key.pivot_distances(self.metric.as_ref(), q));
+                    dist.time(|| {
+                        self.key
+                            .pivot_distances_into(self.metric.as_ref(), q, &mut scratch);
+                    });
                     crate::protocol::KnnQuery {
-                        routing: self.routing_for(&ds),
+                        routing: self.routing_for(scratch.distances()),
                         cand_size: cand_size as u32,
                     }
                 })

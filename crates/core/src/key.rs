@@ -5,18 +5,27 @@
 //! struct to a client is what *authorizes* it: without the pivots a party
 //! cannot form meaningful queries, and without the cipher key it cannot read
 //! candidate objects.
+//!
+//! The key holds its pivots as a [`PivotTable`] — the pivot objects plus a
+//! contiguous widened copy — because the one thing a client does with them
+//! is Alg. 1 / Alg. 2 line 1: the distances from an object to *all* pivots.
+//! [`SecretKey::pivot_distances_into`] hands that to the metric's batch
+//! entry ([`Metric::distances_to_table`]) as one pass per object with a
+//! caller-owned [`TableScratch`], so a bulk of objects allocates nothing
+//! per object; a metric that only defines `distance` is evaluated pair by
+//! pair by the trait's provided body, with identical results.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use simcloud_crypto::envelope::EnvelopeMode;
 use simcloud_crypto::CipherKey;
-use simcloud_metric::{select_pivots, Metric, PivotSelection, Vector};
+use simcloud_metric::{select_pivots, Metric, PivotSelection, PivotTable, TableScratch, Vector};
 
 /// Secret key: pivot set + symmetric cipher key (+ the envelope mode).
 #[derive(Clone)]
 pub struct SecretKey {
-    pivots: Vec<Vector>,
+    table: PivotTable,
     cipher: CipherKey,
     mode: EnvelopeMode,
 }
@@ -27,7 +36,7 @@ impl std::fmt::Debug for SecretKey {
         write!(
             f,
             "SecretKey{{{} pivots, cipher {:?}}}",
-            self.pivots.len(),
+            self.table.len(),
             self.cipher
         )
     }
@@ -38,7 +47,7 @@ impl SecretKey {
     pub fn new(pivots: Vec<Vector>, cipher: CipherKey, mode: EnvelopeMode) -> Self {
         assert!(!pivots.is_empty(), "secret key needs at least one pivot");
         Self {
-            pivots,
+            table: PivotTable::new(pivots),
             cipher,
             mode,
         }
@@ -62,20 +71,13 @@ impl SecretKey {
         let mut master = [0u8; 32];
         rng.fill_bytes(&mut master);
         let cipher = CipherKey::derive_from_master(&master);
-        (
-            Self {
-                pivots,
-                cipher,
-                mode: EnvelopeMode::Ctr,
-            },
-            master,
-        )
+        (Self::new(pivots, cipher, EnvelopeMode::Ctr), master)
     }
 
     /// Reconstructs the key on an authorized client from distributed parts.
     pub fn from_master(pivots: Vec<Vector>, master: &[u8]) -> Self {
         Self {
-            pivots,
+            table: PivotTable::new(pivots),
             cipher: CipherKey::derive_from_master(master),
             mode: EnvelopeMode::Ctr,
         }
@@ -83,12 +85,12 @@ impl SecretKey {
 
     /// The pivot set.
     pub fn pivots(&self) -> &[Vector] {
-        &self.pivots
+        self.table.pivots()
     }
 
     /// Number of pivots `n`.
     pub fn num_pivots(&self) -> usize {
-        self.pivots.len()
+        self.table.len()
     }
 
     /// The envelope (cipher + MAC) key.
@@ -110,7 +112,21 @@ impl SecretKey {
     /// Computes the object–pivot distances `d(o, p_i)` — the client-side
     /// step of Alg. 1 line 1 / Alg. 2 line 1.
     pub fn pivot_distances<M: Metric<Vector>>(&self, metric: &M, o: &Vector) -> Vec<f64> {
-        self.pivots.iter().map(|p| metric.distance(o, p)).collect()
+        let mut scratch = TableScratch::default();
+        self.pivot_distances_into(metric, o, &mut scratch);
+        scratch.into_distances()
+    }
+
+    /// [`SecretKey::pivot_distances`] into a reusable `scratch` (read them
+    /// back with [`TableScratch::distances`]): one scratch per bulk keeps
+    /// the per-object pass allocation-free.
+    pub fn pivot_distances_into<M: Metric<Vector>>(
+        &self,
+        metric: &M,
+        o: &Vector,
+        scratch: &mut TableScratch,
+    ) {
+        metric.distances_to_table(o, &self.table, scratch);
     }
 }
 

@@ -33,7 +33,7 @@ pub use generators::{cophir_like, human_like, yeast_like, GeneExpressionSpec};
 pub use ground_truth::{parallel_knn_ground_truth, GroundTruth};
 pub use workload::QueryWorkload;
 
-use simcloud_metric::{CombinedMetric, Metric, Vector, L1};
+use simcloud_metric::{CombinedMetric, Metric, PivotTable, TableScratch, Vector, L1};
 
 /// Which metric a dataset is searched with.
 #[derive(Debug, Clone)]
@@ -70,6 +70,10 @@ impl Metric<Vector> for DatasetMetric {
             DatasetMetric::L1 => L1.distance(a, b),
             DatasetMetric::Combined(m) => m.distance(a, b),
         }
+    }
+
+    fn distances_to_table(&self, o: &Vector, table: &PivotTable, scratch: &mut TableScratch) {
+        self.as_metric().distances_to_table(o, table, scratch);
     }
 
     fn name(&self) -> String {

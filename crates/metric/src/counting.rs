@@ -8,9 +8,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::metrics::Metric;
+use std::borrow::Borrow;
 
-/// Wraps a metric and counts every `distance` call.
+use crate::metrics::Metric;
+use crate::table::{PivotTable, TableScratch};
+use crate::vector::Vector;
+
+/// Wraps a metric and counts every distance it evaluates, pair by pair or
+/// through a table pass.
 ///
 /// Cloning is intentionally not provided: share via `Arc` to keep a single
 /// counter, or create separate wrappers for separate phases.
@@ -51,6 +56,15 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for CountingMetric<M> {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.inner.distance(a, b)
     }
+    /// Forwards the wrapped metric's table pass and counts one distance
+    /// per pivot.
+    fn distances_to_table(&self, o: &T, table: &PivotTable, scratch: &mut TableScratch)
+    where
+        Vector: Borrow<T>,
+    {
+        self.count.fetch_add(table.len() as u64, Ordering::Relaxed);
+        self.inner.distances_to_table(o, table, scratch);
+    }
     fn max_distance(&self) -> Option<f64> {
         self.inner.max_distance()
     }
@@ -63,7 +77,6 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for CountingMetric<M> {
 mod tests {
     use super::*;
     use crate::metrics::L1;
-    use crate::vector::Vector;
 
     #[test]
     fn counts_and_resets() {
@@ -77,6 +90,20 @@ mod tests {
         assert_eq!(m.reset(), 2);
         assert_eq!(m.count(), 0);
         assert_eq!(m.name(), "L1");
+    }
+
+    #[test]
+    fn table_pass_counts_one_distance_per_pivot() {
+        let m = CountingMetric::new(L1);
+        let table = PivotTable::new(vec![
+            Vector::from(&[0.0f32, 0.0][..]),
+            Vector::from(&[1.0f32, 5.0][..]),
+            Vector::from(&[2.0f32, 2.0][..]),
+        ]);
+        let mut scratch = TableScratch::default();
+        m.distances_to_table(&Vector::from(&[1.0f32, 2.0][..]), &table, &mut scratch);
+        assert_eq!(scratch.distances(), &[3.0, 3.0, 1.0]);
+        assert_eq!(m.count(), 3);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! * the [`Metric`] trait with the distance functions used by the paper's
 //!   datasets: [`L1`], [`L2`], [`Lp`], [`Linf`] and the CoPhIR-style
 //!   [`CombinedMetric`] that aggregates per-descriptor-block `Lp` distances
-//!   with weights;
+//!   with weights — all on one lane-parallel `f64` block kernel;
+//! * [`PivotTable`] — a pivot set laid out contiguously so one object is
+//!   evaluated against all pivots in one pass
+//!   ([`Metric::distances_to_table`]);
 //! * [`CountingMetric`], a wrapper that counts distance computations — the
 //!   paper reports "distance computation time" as a first-class cost;
 //! * pivot machinery: [`select_pivots`] (random / farthest-first /
@@ -28,9 +31,11 @@
 pub mod analysis;
 pub mod counting;
 pub mod extra;
+mod kernel;
 pub mod metrics;
 pub mod permutation;
 pub mod pivots;
+pub mod table;
 pub mod vector;
 
 pub use counting::CountingMetric;
@@ -38,6 +43,7 @@ pub use extra::{Angular, Hamming, Scaled};
 pub use metrics::{CombinedMetric, DescriptorBlock, EditDistance, Linf, Lp, Metric, L1, L2};
 pub use permutation::{permutation_from_distances, PivotPermutation};
 pub use pivots::{select_pivots, PivotSelection};
+pub use table::{PivotTable, TableScratch};
 pub use vector::Vector;
 
 /// Identifier of an indexed object. The similarity cloud returns IDs of

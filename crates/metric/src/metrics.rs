@@ -12,6 +12,10 @@
 //! specific to vectors (the paper stresses generality of the metric
 //! approach: "gene sequences or other biomedical data").
 
+use std::borrow::Borrow;
+
+use crate::kernel;
+use crate::table::{PivotTable, TableScratch};
 use crate::vector::Vector;
 
 /// A metric distance function over objects of type `T`.
@@ -22,6 +26,27 @@ use crate::vector::Vector;
 pub trait Metric<T: ?Sized>: Send + Sync {
     /// Distance between `a` and `b`. Must be finite and `>= 0`.
     fn distance(&self, a: &T, b: &T) -> f64;
+
+    /// Distances from `o` to every pivot of `table`, in pivot order, left
+    /// in `scratch` ([`TableScratch::distances`]) — the batch entry every
+    /// insert and query set-up goes through.
+    ///
+    /// The provided body evaluates pair by pair through
+    /// [`Metric::distance`], so an implementor that defines only
+    /// `distance` (a counting or tracing wrapper, say) still observes
+    /// every pair. The crate's Lp metrics override it with one pass over
+    /// the table's contiguous rows — dimension check, dispatch and the
+    /// object's `f32 → f64` widening paid once per object instead of once
+    /// per pivot — through the same kernel as `distance`, so both entries
+    /// return bit-identical values. Wrappers that override must forward
+    /// it to keep the wrapped metric's pass.
+    fn distances_to_table(&self, o: &T, table: &PivotTable, scratch: &mut TableScratch)
+    where
+        Vector: Borrow<T>,
+    {
+        let out = scratch.start();
+        out.extend(table.pivots().iter().map(|p| self.distance(o, p.borrow())));
+    }
 
     /// An upper bound on any distance this metric can produce over its
     /// intended domain, if one is known.
@@ -42,6 +67,12 @@ impl<T: ?Sized, M: Metric<T> + ?Sized> Metric<T> for &M {
     fn distance(&self, a: &T, b: &T) -> f64 {
         (**self).distance(a, b)
     }
+    fn distances_to_table(&self, o: &T, table: &PivotTable, scratch: &mut TableScratch)
+    where
+        Vector: Borrow<T>,
+    {
+        (**self).distances_to_table(o, table, scratch);
+    }
     fn max_distance(&self) -> Option<f64> {
         (**self).max_distance()
     }
@@ -54,6 +85,12 @@ impl<T: ?Sized, M: Metric<T> + ?Sized> Metric<T> for std::sync::Arc<M> {
     fn distance(&self, a: &T, b: &T) -> f64 {
         (**self).distance(a, b)
     }
+    fn distances_to_table(&self, o: &T, table: &PivotTable, scratch: &mut TableScratch)
+    where
+        Vector: Borrow<T>,
+    {
+        (**self).distances_to_table(o, table, scratch);
+    }
     fn max_distance(&self) -> Option<f64> {
         (**self).max_distance()
     }
@@ -62,14 +99,26 @@ impl<T: ?Sized, M: Metric<T> + ?Sized> Metric<T> for std::sync::Arc<M> {
     }
 }
 
-fn check_dims(a: &Vector, b: &Vector) {
+fn check_dims(a: usize, b: usize) {
     assert_eq!(
-        a.dim(),
-        b.dim(),
-        "metric applied to vectors of different dimensionality ({} vs {})",
-        a.dim(),
-        b.dim()
+        a, b,
+        "metric applied to vectors of different dimensionality ({a} vs {b})"
     );
+}
+
+/// One pass of `o` over `table`: `o` is widened once, then
+/// `row_distance(widened o, row)` is evaluated per pivot into `scratch`.
+fn table_pass(
+    o: &Vector,
+    table: &PivotTable,
+    scratch: &mut TableScratch,
+    row_distance: impl Fn(&[f64], &[f64]) -> f64,
+) {
+    let (wide, out) = scratch.start_widened(o.as_slice());
+    out.extend(table.rows().map(|row| {
+        check_dims(wide.len(), row.len());
+        row_distance(wide, row)
+    }));
 }
 
 /// Manhattan distance `Σ |a_i − b_i|` — the metric of the YEAST and HUMAN
@@ -80,12 +129,11 @@ pub struct L1;
 impl Metric<Vector> for L1 {
     #[inline]
     fn distance(&self, a: &Vector, b: &Vector) -> f64 {
-        check_dims(a, b);
-        let mut sum = 0.0f64;
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            sum += (*x as f64 - *y as f64).abs();
-        }
-        sum
+        check_dims(a.dim(), b.dim());
+        kernel::sum_abs(a.as_slice(), b.as_slice())
+    }
+    fn distances_to_table(&self, o: &Vector, table: &PivotTable, scratch: &mut TableScratch) {
+        table_pass(o, table, scratch, kernel::sum_abs);
     }
     fn name(&self) -> String {
         "L1".into()
@@ -99,13 +147,11 @@ pub struct L2;
 impl Metric<Vector> for L2 {
     #[inline]
     fn distance(&self, a: &Vector, b: &Vector) -> f64 {
-        check_dims(a, b);
-        let mut sum = 0.0f64;
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            let d = *x as f64 - *y as f64;
-            sum += d * d;
-        }
-        sum.sqrt()
+        check_dims(a.dim(), b.dim());
+        kernel::sum_sq(a.as_slice(), b.as_slice()).sqrt()
+    }
+    fn distances_to_table(&self, o: &Vector, table: &PivotTable, scratch: &mut TableScratch) {
+        table_pass(o, table, scratch, |x, y| kernel::sum_sq(x, y).sqrt());
     }
     fn name(&self) -> String {
         "L2".into()
@@ -119,12 +165,11 @@ pub struct Linf;
 impl Metric<Vector> for Linf {
     #[inline]
     fn distance(&self, a: &Vector, b: &Vector) -> f64 {
-        check_dims(a, b);
-        let mut m = 0.0f64;
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            m = m.max((*x as f64 - *y as f64).abs());
-        }
-        m
+        check_dims(a.dim(), b.dim());
+        kernel::max_abs(a.as_slice(), b.as_slice())
+    }
+    fn distances_to_table(&self, o: &Vector, table: &PivotTable, scratch: &mut TableScratch) {
+        table_pass(o, table, scratch, kernel::max_abs);
     }
     fn name(&self) -> String {
         "Linf".into()
@@ -155,18 +200,11 @@ impl Lp {
 impl Metric<Vector> for Lp {
     #[inline]
     fn distance(&self, a: &Vector, b: &Vector) -> f64 {
-        check_dims(a, b);
-        if self.p == 1.0 {
-            return L1.distance(a, b);
-        }
-        if self.p == 2.0 {
-            return L2.distance(a, b);
-        }
-        let mut sum = 0.0f64;
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            sum += (*x as f64 - *y as f64).abs().powf(self.p);
-        }
-        sum.powf(1.0 / self.p)
+        check_dims(a.dim(), b.dim());
+        kernel::lp(a.as_slice(), b.as_slice(), self.p)
+    }
+    fn distances_to_table(&self, o: &Vector, table: &PivotTable, scratch: &mut TableScratch) {
+        table_pass(o, table, scratch, |x, y| kernel::lp(x, y, self.p));
     }
     fn name(&self) -> String {
         format!("L{}", self.p)
@@ -261,45 +299,45 @@ impl CombinedMetric {
     pub fn blocks(&self) -> &[DescriptorBlock] {
         &self.blocks
     }
+
+    fn check_layout(&self, v: &Vector) {
+        assert_eq!(
+            v.dim(),
+            self.total_dim,
+            "vector does not match metric layout"
+        );
+    }
+
+    /// The weighted sum of per-block Lp distances over two component
+    /// ranges of `total_dim` elements each (checked by the callers). The
+    /// blocks tile the range in order, so they are peeled off the front.
+    fn blocks_distance<A, B>(&self, xs: &[A], ys: &[B]) -> f64
+    where
+        A: Copy + Into<f64>,
+        B: Copy + Into<f64>,
+    {
+        let (mut xs, mut ys) = (xs, ys);
+        let mut total = 0.0f64;
+        for blk in &self.blocks {
+            let (xr, x_rest) = xs.split_at(blk.len);
+            let (yr, y_rest) = ys.split_at(blk.len);
+            total += blk.weight * kernel::lp(xr, yr, blk.p);
+            (xs, ys) = (x_rest, y_rest);
+        }
+        total
+    }
 }
 
 impl Metric<Vector> for CombinedMetric {
     fn distance(&self, a: &Vector, b: &Vector) -> f64 {
-        assert_eq!(
-            a.dim(),
-            self.total_dim,
-            "vector does not match metric layout"
-        );
-        check_dims(a, b);
-        let xs = a.as_slice();
-        let ys = b.as_slice();
-        let mut total = 0.0f64;
-        for blk in &self.blocks {
-            let xr = &xs[blk.start..blk.start + blk.len];
-            let yr = &ys[blk.start..blk.start + blk.len];
-            let d = if blk.p == 1.0 {
-                let mut s = 0.0f64;
-                for (x, y) in xr.iter().zip(yr) {
-                    s += (*x as f64 - *y as f64).abs();
-                }
-                s
-            } else if blk.p == 2.0 {
-                let mut s = 0.0f64;
-                for (x, y) in xr.iter().zip(yr) {
-                    let d = *x as f64 - *y as f64;
-                    s += d * d;
-                }
-                s.sqrt()
-            } else {
-                let mut s = 0.0f64;
-                for (x, y) in xr.iter().zip(yr) {
-                    s += (*x as f64 - *y as f64).abs().powf(blk.p);
-                }
-                s.powf(1.0 / blk.p)
-            };
-            total += blk.weight * d;
-        }
-        total
+        self.check_layout(a);
+        check_dims(a.dim(), b.dim());
+        self.blocks_distance(a.as_slice(), b.as_slice())
+    }
+
+    fn distances_to_table(&self, o: &Vector, table: &PivotTable, scratch: &mut TableScratch) {
+        self.check_layout(o);
+        table_pass(o, table, scratch, |x, y| self.blocks_distance(x, y));
     }
 
     fn name(&self) -> String {
@@ -353,9 +391,70 @@ impl Metric<String> for EditDistance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::reference;
+    use crate::kernel::tests::finite_f32;
+    use proptest::prelude::*;
 
     fn v(c: &[f32]) -> Vector {
         Vector::from(c)
+    }
+
+    /// The serial block loop `CombinedMetric::distance` used to be.
+    fn reference_combined(m: &CombinedMetric, a: &Vector, b: &Vector) -> f64 {
+        let mut total = 0.0f64;
+        for blk in m.blocks() {
+            let xr = &a.as_slice()[blk.start..blk.start + blk.len];
+            let yr = &b.as_slice()[blk.start..blk.start + blk.len];
+            total += blk.weight * reference::lp(xr, yr, blk.p);
+        }
+        total
+    }
+
+    #[test]
+    fn every_length_matches_the_serial_reference_through_the_metrics() {
+        for len in 0..=300usize {
+            let a = Vector::new((0..len).map(|i| ((i * 37 + 11) % 256) as f32).collect());
+            let b = Vector::new((0..len).map(|i| ((i * 101 + 3) % 256) as f32).collect());
+            let (xs, ys) = (a.as_slice(), b.as_slice());
+            assert_eq!(L1.distance(&a, &b), reference::sum_abs(xs, ys));
+            assert_eq!(L2.distance(&a, &b), reference::sum_sq(xs, ys).sqrt());
+            assert_eq!(Linf.distance(&a, &b), reference::max_abs(xs, ys));
+            for p in [1.0, 2.0] {
+                assert_eq!(Lp::new(p).distance(&a, &b), reference::lp(xs, ys, p));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The CoPhIR layout on integer-grid descriptors (what
+        /// `cophir_like` generates): bit-identical to the serial loop, so
+        /// recall, wire bytes and every stored routing byte are unchanged.
+        #[test]
+        fn cophir_layout_is_bit_identical_on_the_integer_grid(
+            a in proptest::collection::vec(0u32..256, 282),
+            b in proptest::collection::vec(0u32..256, 282),
+        ) {
+            let m = CombinedMetric::cophir_default();
+            let a = Vector::new(a.iter().map(|&x| x as f32).collect());
+            let b = Vector::new(b.iter().map(|&x| x as f32).collect());
+            prop_assert_eq!(
+                m.distance(&a, &b).to_bits(),
+                reference_combined(&m, &a, &b).to_bits()
+            );
+        }
+
+        #[test]
+        fn cophir_layout_is_within_rounding_on_finite_input(
+            a in proptest::collection::vec(finite_f32(), 282),
+            b in proptest::collection::vec(finite_f32(), 282),
+        ) {
+            let m = CombinedMetric::cophir_default();
+            let (a, b) = (Vector::new(a), Vector::new(b));
+            let (new, old) = (m.distance(&a, &b), reference_combined(&m, &a, &b));
+            prop_assert!((new - old).abs() <= 1e-12 * old.abs(), "{} vs {}", new, old);
+        }
     }
 
     #[test]

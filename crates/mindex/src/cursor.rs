@@ -14,13 +14,17 @@
 //! * **Open** — walk exactly the cells the eager function walks (same
 //!   promise order, same pruning, same stop condition, same
 //!   [`SearchStats`] counters), but *stage* each surviving record as raw
-//!   bytes: parse and validate its routing header, compute its wire
-//!   bound, and keep the payload bytes unsliced. A stable index sort by
-//!   bound then fixes the yield order without materializing anything.
-//! * **Yield** — [`CandidateCursor::next_candidate`] decodes entries in
-//!   ascending bound order, a small chunk at a time. Entries never
-//!   pulled are never decoded; [`SearchStats::candidates_generated`]
-//!   counts the ones that were.
+//!   bytes: validate its encoding, compute its wire bound straight from
+//!   the stored little-endian `f32` distance bytes
+//!   ([`crate::entry::RoutingView`]), and keep the record's buffer as the
+//!   store returned it. A scanned record costs no allocation here. A
+//!   stable index sort by bound then fixes the yield order without
+//!   materializing anything.
+//! * **Yield** — [`CandidateCursor::next_candidate`] builds entries in
+//!   ascending bound order, a small chunk at a time: the routing is
+//!   decoded and the payload shifted to the front of the record's own
+//!   buffer (no second payload copy) only for entries actually pulled;
+//!   [`SearchStats::candidates_generated`] counts them.
 //!
 //! The yield order is byte-identical to the eager lists: staging order
 //! equals the eager push order, the bound values are computed by the
@@ -32,7 +36,7 @@
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 
-use crate::entry::{IndexEntry, Routing};
+use crate::entry::{IndexEntry, Routing, RoutingView};
 use crate::index::MIndexError;
 use crate::stats::SearchStats;
 
@@ -41,15 +45,15 @@ use crate::stats::SearchStats;
 /// chunk per shard.
 const DECODE_CHUNK: usize = 32;
 
-/// One staged record: routing parsed (and the whole encoding validated),
-/// payload still raw bytes. `bound` is the wire lower bound the entry
-/// will ship with.
+/// One staged record: the whole encoding validated, nothing materialised.
+/// `bound` is the wire lower bound the entry will ship with.
 pub(crate) struct StagedEntry {
     pub(crate) id: u64,
-    /// Parsed routing; taken (once) when the entry is materialized.
-    pub(crate) routing: Option<Routing>,
-    /// The full encoded record body, kept unsliced until yield.
+    /// The full encoded record body; becomes the payload buffer at yield.
     raw: Vec<u8>,
+    /// Byte range of the stored little-endian `f32` distances inside
+    /// `raw`; `None` under permutation routing.
+    distances: Option<(usize, usize)>,
     body_start: usize,
     body_len: usize,
     /// Wire lower bound; set by the open phase after parsing.
@@ -57,13 +61,17 @@ pub(crate) struct StagedEntry {
 }
 
 impl StagedEntry {
-    /// Parses and validates a stored record body without copying the
-    /// payload. Accepts exactly the encodings [`IndexEntry::decode_payload`]
+    /// Validates a stored record body without copying or decoding any of
+    /// it. Accepts exactly the encodings [`IndexEntry::decode_payload`]
     /// accepts (routing header, `u32` payload length, payload in range),
     /// so open-time corruption errors fire on the same records the eager
     /// scan errored on.
     pub(crate) fn parse(id: u64, raw: Vec<u8>) -> Option<Self> {
-        let (routing, used) = Routing::decode(&raw)?;
+        let (view, used) = RoutingView::decode(&raw)?;
+        let distances = match view {
+            RoutingView::Distances(le) => Some((used.checked_sub(4 * le.len())?, used)),
+            RoutingView::Permutation(_) => None,
+        };
         let len_bytes: [u8; 4] = raw.get(used..used + 4)?.try_into().ok()?;
         let body_len = u32::from_le_bytes(len_bytes) as usize;
         let body_start = used + 4;
@@ -72,12 +80,30 @@ impl StagedEntry {
         }
         Some(Self {
             id,
-            routing: Some(routing),
             raw,
+            distances,
             body_start,
             body_len,
             bound: 0.0,
         })
+    }
+
+    /// The record's stored object–pivot distances, still as the bytes the
+    /// store returned — what the open phase computes the bound from.
+    pub(crate) fn stored_distances(&self) -> Option<&[[u8; 4]]> {
+        let (start, end) = self.distances?;
+        Some(self.raw.get(start..end)?.as_chunks::<4>().0)
+    }
+
+    /// Builds the entry. The routing is decoded only now, and the payload
+    /// is moved to the front of the record's own buffer rather than copied
+    /// into a new one.
+    fn materialize(&mut self) -> Option<IndexEntry> {
+        let mut raw = std::mem::take(&mut self.raw);
+        let (routing, _) = Routing::decode(&raw)?;
+        raw.truncate(self.body_start.checked_add(self.body_len)?);
+        raw.drain(..self.body_start);
+        Some(IndexEntry::new(self.id, routing, raw))
     }
 }
 
@@ -156,16 +182,10 @@ impl CandidateCursor {
             let slot = self.order[self.pos] as usize;
             self.pos += 1;
             let e = &mut self.staged[slot];
-            let routing = e.routing.take().ok_or_else(|| {
-                MIndexError::Corrupt(format!("record {} materialized twice", e.id))
-            })?;
-            let raw = std::mem::take(&mut e.raw);
-            let payload = raw
-                .get(e.body_start..e.body_start + e.body_len)
-                .ok_or_else(|| MIndexError::Corrupt(format!("record {} undecodable", e.id)))?
-                .to_vec();
-            self.decoded
-                .push_back((IndexEntry::new(e.id, routing, payload), e.bound));
+            let entry = e
+                .materialize()
+                .ok_or_else(|| MIndexError::Corrupt(format!("record {} undecodable", e.id)))?;
+            self.decoded.push_back((entry, e.bound));
             self.stats.candidates_generated += 1;
         }
         Ok(())
@@ -272,6 +292,33 @@ mod tests {
                 "cursor parse and eager decode must agree at cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn materialize_decodes_late_and_reuses_the_record_buffer() {
+        let entry = IndexEntry::new(9, Routing::from_distances(&[1.0, 2.5]), vec![7; 64]);
+        let raw = entry.encode_payload();
+        let buffer = raw.as_ptr();
+        let mut staged = StagedEntry::parse(9, raw).unwrap();
+        let stored: Vec<f32> = staged
+            .stored_distances()
+            .unwrap()
+            .iter()
+            .map(|c| f32::from_le_bytes(*c))
+            .collect();
+        assert_eq!(
+            stored,
+            vec![1.0, 2.5],
+            "bounds are computed from these bytes"
+        );
+        let built = staged.materialize().unwrap();
+        assert_eq!(built, entry);
+        assert_eq!(
+            built.payload.as_ptr(),
+            buffer,
+            "the payload is the store's buffer, not a copy of it"
+        );
+        assert!(staged.materialize().is_none(), "an entry is built once");
     }
 
     #[test]

@@ -78,22 +78,45 @@ impl Routing {
 
     /// Decodes a routing; returns it and bytes consumed.
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
+        let (view, used) = RoutingView::decode(buf)?;
+        let routing = match view {
+            RoutingView::Distances(le) => {
+                Routing::Distances(le.iter().map(|c| f32::from_le_bytes(*c)).collect())
+            }
+            RoutingView::Permutation(p) => Routing::Permutation(p),
+        };
+        Some((routing, used))
+    }
+}
+
+/// An encoded routing header, validated but not materialised: distance
+/// routing stays the record's own little-endian `f32` bytes. This is what
+/// a cursor's open phase bounds a scanned record from — a [`Routing`]
+/// (one `Vec<f32>` per record) is built only for entries actually pulled.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RoutingView<'a> {
+    /// Object–pivot distances, four little-endian bytes each.
+    Distances(&'a [[u8; 4]]),
+    /// Pivot-permutation prefix.
+    Permutation(PivotPermutation),
+}
+
+impl<'a> RoutingView<'a> {
+    /// Validates the routing header at the front of `buf`; returns the
+    /// view and bytes consumed. Accepts exactly what [`Routing::decode`]
+    /// accepts (that function is built on this one).
+    pub fn decode(buf: &'a [u8]) -> Option<(Self, usize)> {
         let (tag, rest) = buf.split_first()?;
         match tag {
             1 => {
                 let (len_bytes, rest) = rest.split_first_chunk::<2>()?;
                 let n = u16::from_le_bytes(*len_bytes) as usize;
-                let mut body = rest.get(..4 * n)?;
-                let mut d = Vec::with_capacity(n);
-                while let Some((c, tail)) = body.split_first_chunk::<4>() {
-                    d.push(f32::from_le_bytes(*c));
-                    body = tail;
-                }
-                Some((Routing::Distances(d), 3 + 4 * n))
+                let (le, _) = rest.get(..4 * n)?.as_chunks::<4>();
+                Some((RoutingView::Distances(le), 3 + 4 * n))
             }
             2 => {
                 let (p, used) = PivotPermutation::decode(rest)?;
-                Some((Routing::Permutation(p), 1 + used))
+                Some((RoutingView::Permutation(p), 1 + used))
             }
             _ => None,
         }
@@ -207,6 +230,22 @@ mod tests {
         for cut in [0, 1, 3, bytes.len() - 1] {
             assert!(IndexEntry::decode_payload(1, &bytes[..cut]).is_none());
         }
+    }
+
+    #[test]
+    fn view_exposes_the_stored_distance_bytes() {
+        let r = Routing::from_distances(&[1.5, -2.25, 0.0]);
+        let mut buf = Vec::new();
+        r.encode(&mut buf);
+        buf.extend_from_slice(&[0xAA; 5]); // the rest of a record
+        let (view, used) = RoutingView::decode(&buf).unwrap();
+        assert_eq!(used, r.encoded_len());
+        let RoutingView::Distances(le) = view else {
+            panic!("distance routing expected");
+        };
+        let back: Vec<f32> = le.iter().map(|c| f32::from_le_bytes(*c)).collect();
+        assert_eq!(back, vec![1.5, -2.25, 0.0]);
+        assert!(RoutingView::decode(&buf[..used - 1]).is_none());
     }
 
     #[test]

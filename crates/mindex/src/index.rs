@@ -16,7 +16,10 @@ use crate::config::{MIndexConfig, RoutingStrategy};
 use crate::cursor::{CandidateCursor, StagedEntry};
 use crate::entry::{IndexEntry, Routing};
 use crate::promise::PromiseEvaluator;
-use crate::pruning::{hyperplane_may_intersect, pivot_filter_keep, range_pivot_may_intersect};
+use crate::pruning::{
+    hyperplane_may_intersect, pivot_filter_keep, pivot_filter_safe_lower_bound,
+    range_pivot_may_intersect,
+};
 use crate::stats::SearchStats;
 use crate::tree::{CellTree, Node, TreeShape};
 
@@ -303,8 +306,9 @@ impl<S: BucketStore> MIndex<S> {
     /// The open phase runs the full Alg. 3 tree pruning and per-object
     /// pivot filtering — the returned [`SearchStats`] carry the same
     /// counters the eager function reports — but survivors are only
-    /// *staged* (routing parsed, payload bytes kept raw); payload decoding
-    /// happens lazily as the cursor is pulled. The cursor owns its data
+    /// *staged* (filtered and bounded from their stored distance bytes,
+    /// the record kept raw); entries are built lazily as the cursor is
+    /// pulled. The cursor owns its data
     /// and borrows nothing from the index.
     pub fn range_cursor(
         &self,
@@ -388,15 +392,12 @@ impl<S: BucketStore> MIndex<S> {
                             StagedEntry::parse(rec.id, rec.payload).ok_or_else(|| {
                                 MIndexError::Corrupt(format!("record {} undecodable", rec.id))
                             })?;
-                        match entry.routing.as_ref().and_then(Routing::distances) {
+                        match entry.stored_distances() {
                             Some(ds) if !pivot_filter_keep(query_distances, ds, radius) => {
                                 stats.entries_filtered += 1;
                             }
                             Some(ds) => {
-                                entry.bound = crate::pruning::pivot_filter_safe_lower_bound(
-                                    query_distances,
-                                    ds,
-                                );
+                                entry.bound = pivot_filter_safe_lower_bound(query_distances, ds);
                                 staged.push(entry);
                             }
                             None => staged.push(entry),
@@ -542,11 +543,10 @@ impl<S: BucketStore> MIndex<S> {
                         // Rank = wire-safe pivot-filter lower bound when
                         // distances are available on both sides; the cell
                         // penalty (heuristic) otherwise.
-                        entry.bound = match (entry.routing.as_ref(), evaluator) {
-                            (
-                                Some(Routing::Distances(ds)),
-                                PromiseEvaluator::Distances { distances, .. },
-                            ) => crate::pruning::pivot_filter_safe_lower_bound(distances, ds),
+                        entry.bound = match (entry.stored_distances(), evaluator) {
+                            (Some(ds), PromiseEvaluator::Distances { distances, .. }) => {
+                                pivot_filter_safe_lower_bound(distances, ds)
+                            }
                             _ => item.penalty,
                         };
                         staged.push(entry);

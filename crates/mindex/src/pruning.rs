@@ -60,18 +60,69 @@ pub fn range_pivot_may_intersect(ds: &[f64], bounds: &[(f64, f64)], radius: f64)
     true
 }
 
+/// A stored object–pivot distance as the filters read it: an `f32`, or the
+/// four little-endian bytes of one inside an encoded record — so a scan
+/// can bound a record straight from its routing bytes, without
+/// materialising a `Vec<f32>` first.
+pub trait StoredDistance: Copy {
+    /// The stored value, widened (exactly) to `f64`.
+    fn widen(self) -> f64;
+}
+
+impl StoredDistance for f32 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+impl StoredDistance for [u8; 4] {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        f64::from(f32::from_le_bytes(self))
+    }
+}
+
+/// Independent accumulators per reduction (see [`max_lanes`]).
+const LANES: usize = 8;
+
+/// `max(0, max_i term(q_i, o_i))` over the first `min(len)` coordinates,
+/// as [`LANES`] independent running maxima over `chunks_exact(LANES)`
+/// joined at the end. A serial running maximum is one dependent
+/// compare-select per coordinate; the lanes overlap and vectorise. `max`
+/// is order-free, so the value is bit-identical to the serial loop's
+/// (a NaN term is skipped by either, and no term is `-0.0`).
+#[inline(always)]
+fn max_lanes<O: StoredDistance>(
+    query_ds: &[f64],
+    object_ds: &[O],
+    term: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    let n = query_ds.len().min(object_ds.len());
+    let (Some(qs), Some(os)) = (query_ds.get(..n), object_ds.get(..n)) else {
+        return 0.0;
+    };
+    let keep_max = |m: f64, t: f64| if t > m { t } else { m };
+    let mut acc = [0.0f64; LANES];
+    let mut qc = qs.chunks_exact(LANES);
+    let mut oc = os.chunks_exact(LANES);
+    for (q, o) in (&mut qc).zip(&mut oc) {
+        for ((a, q), o) in acc.iter_mut().zip(q).zip(o) {
+            *a = keep_max(*a, term(*q, o.widen()));
+        }
+    }
+    let mut lb = 0.0f64;
+    for (q, o) in qc.remainder().iter().zip(oc.remainder()) {
+        lb = keep_max(lb, term(*q, o.widen()));
+    }
+    acc.iter().fold(lb, |m, a| keep_max(m, *a))
+}
+
 /// Object pivot filtering: lower bound on `d(q, o)` from the shared pivot
 /// distances. Only the first `min(len)` coordinates participate.
 #[inline]
-pub fn pivot_filter_lower_bound(query_ds: &[f64], object_ds: &[f32]) -> f64 {
-    let mut lb = 0.0f64;
-    for (q, o) in query_ds.iter().zip(object_ds) {
-        let diff = (q - *o as f64).abs();
-        if diff > lb {
-            lb = diff;
-        }
-    }
-    lb
+pub fn pivot_filter_lower_bound<O: StoredDistance>(query_ds: &[f64], object_ds: &[O]) -> f64 {
+    max_lanes(query_ds, object_ds, |q, o| (q - o).abs())
 }
 
 /// Wire-safe variant of [`pivot_filter_lower_bound`]: each coordinate's
@@ -82,16 +133,10 @@ pub fn pivot_filter_lower_bound(query_ds: &[f64], object_ds: &[f32]) -> f64 {
 /// enter the result (lazy decrypt-on-demand refinement): an unsafe bound
 /// there would not merely cost recall, it would *change answers*.
 #[inline]
-pub fn pivot_filter_safe_lower_bound(query_ds: &[f64], object_ds: &[f32]) -> f64 {
-    let mut lb = 0.0f64;
-    for (q, o) in query_ds.iter().zip(object_ds) {
-        let o = *o as f64;
-        let diff = (q - o).abs() - f32_slack(q.abs().max(o.abs()));
-        if diff > lb {
-            lb = diff;
-        }
-    }
-    lb
+pub fn pivot_filter_safe_lower_bound<O: StoredDistance>(query_ds: &[f64], object_ds: &[O]) -> f64 {
+    max_lanes(query_ds, object_ds, |q, o| {
+        (q - o).abs() - f32_slack(q.abs().max(o.abs()))
+    })
 }
 
 /// Convenience: should the object be kept (lower bound within radius)?
@@ -101,20 +146,161 @@ pub fn pivot_filter_safe_lower_bound(query_ds: &[f64], object_ds: &[f32]) -> f64
 /// not with `lb` or `radius`, which can both be ~0 (a zero-radius query at
 /// an indexed point) while the stored values, and hence their rounding
 /// error, are large.
+///
+/// This is an early-exit test, not a reduction: an object that is going to
+/// be filtered usually fails within the first few pivots, so the first
+/// [`LANES`] coordinates are tested one by one; one that survives them is
+/// usually kept, so the rest is tested [`LANES`] at a time with the exit
+/// between chunks. The answer is the serial loop's either way.
 #[inline]
-pub fn pivot_filter_keep(query_ds: &[f64], object_ds: &[f32], radius: f64) -> bool {
-    for (q, o) in query_ds.iter().zip(object_ds) {
-        let o = *o as f64;
-        if (q - o).abs() > radius + f32_slack(q.abs().max(o.abs())) {
+pub fn pivot_filter_keep<O: StoredDistance>(
+    query_ds: &[f64],
+    object_ds: &[O],
+    radius: f64,
+) -> bool {
+    let n = query_ds.len().min(object_ds.len());
+    let (Some(qs), Some(os)) = (query_ds.get(..n), object_ds.get(..n)) else {
+        return true;
+    };
+    let beyond = |q: f64, o: f64| (q - o).abs() > radius + f32_slack(q.abs().max(o.abs()));
+    let (q_head, q_rest) = qs.split_at(LANES.min(n));
+    let (o_head, o_rest) = os.split_at(LANES.min(n));
+    if q_head
+        .iter()
+        .zip(o_head)
+        .any(|(q, o)| beyond(*q, o.widen()))
+    {
+        return false;
+    }
+    let mut qc = q_rest.chunks_exact(LANES);
+    let mut oc = o_rest.chunks_exact(LANES);
+    for (q, o) in (&mut qc).zip(&mut oc) {
+        let mut any = false;
+        for (q, o) in q.iter().zip(o) {
+            any |= beyond(*q, o.widen());
+        }
+        if any {
             return false;
         }
     }
-    true
+    !qc.remainder()
+        .iter()
+        .zip(oc.remainder())
+        .any(|(q, o)| beyond(*q, o.widen()))
+}
+
+/// The serial loops the lane reductions replaced, kept as the references
+/// the bit-identity tests compare against.
+#[cfg(test)]
+mod reference {
+    use super::f32_slack;
+
+    pub(super) fn lower_bound(query_ds: &[f64], object_ds: &[f32]) -> f64 {
+        let mut lb = 0.0f64;
+        for (q, o) in query_ds.iter().zip(object_ds) {
+            let diff = (q - *o as f64).abs();
+            if diff > lb {
+                lb = diff;
+            }
+        }
+        lb
+    }
+
+    pub(super) fn safe_lower_bound(query_ds: &[f64], object_ds: &[f32]) -> f64 {
+        let mut lb = 0.0f64;
+        for (q, o) in query_ds.iter().zip(object_ds) {
+            let o = *o as f64;
+            let diff = (q - o).abs() - f32_slack(q.abs().max(o.abs()));
+            if diff > lb {
+                lb = diff;
+            }
+        }
+        lb
+    }
+
+    pub(super) fn keep(query_ds: &[f64], object_ds: &[f32], radius: f64) -> bool {
+        for (q, o) in query_ds.iter().zip(object_ds) {
+            let o = *o as f64;
+            if (q - o).abs() > radius + f32_slack(q.abs().max(o.abs())) {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn le_bytes(ds: &[f32]) -> Vec<[u8; 4]> {
+        ds.iter().map(|d| d.to_le_bytes()).collect()
+    }
+
+    /// All three filters, both stored representations, against the serial
+    /// references — bit for bit.
+    fn assert_matches_reference(q: &[f64], o: &[f32], radius: f64) {
+        let bytes = le_bytes(o);
+        let lb = reference::lower_bound(q, o).to_bits();
+        assert_eq!(pivot_filter_lower_bound(q, o).to_bits(), lb);
+        assert_eq!(pivot_filter_lower_bound(q, &bytes).to_bits(), lb);
+        let safe = reference::safe_lower_bound(q, o).to_bits();
+        assert_eq!(pivot_filter_safe_lower_bound(q, o).to_bits(), safe);
+        assert_eq!(pivot_filter_safe_lower_bound(q, &bytes).to_bits(), safe);
+        let keep = reference::keep(q, o, radius);
+        assert_eq!(pivot_filter_keep(q, o, radius), keep);
+        assert_eq!(pivot_filter_keep(q, &bytes, radius), keep);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every length (all lane remainders), either side shorter
+        /// (truncation to the common prefix), stored values both near the
+        /// query's and far from them, radii from zero up.
+        #[test]
+        fn lanes_and_bytes_are_bit_identical_to_the_serial_filters(
+            q in proptest::collection::vec(0.0f64..500.0, 120),
+            noise in proptest::collection::vec(-1.0f64..1.0, 120),
+            q_len in 0usize..121,
+            o_len in 0usize..121,
+            spread in prop_oneof![Just(0.0f64), Just(1e-5f64), Just(3.0f64), Just(400.0f64)],
+            radius in prop_oneof![Just(0.0f64), Just(2.0f64), Just(250.0f64)],
+        ) {
+            let o: Vec<f32> = q
+                .iter()
+                .zip(&noise)
+                .take(o_len)
+                .map(|(q, n)| (q + n * spread) as f32)
+                .collect();
+            assert_matches_reference(&q[..q_len], &o, radius);
+        }
+    }
+
+    /// Zero radius at an indexed point: the query's distances are the
+    /// `f64` values whose `f32` roundings were stored. Kept, bound 0 — from
+    /// floats and from bytes alike.
+    #[test]
+    fn zero_radius_at_an_indexed_point_from_bytes() {
+        let q: Vec<f64> = (0..100).map(|i| 1234.5678 * (i as f64 + 0.37)).collect();
+        let o: Vec<f32> = q.iter().map(|&d| d as f32).collect();
+        assert_matches_reference(&q, &o, 0.0);
+        let bytes = le_bytes(&o);
+        assert!(pivot_filter_keep(&q, &bytes, 0.0));
+        assert_eq!(pivot_filter_safe_lower_bound(&q, &bytes), 0.0);
+    }
+
+    /// A non-finite query coordinate (a hostile request) is skipped by the
+    /// lanes exactly as the serial loop skipped it.
+    #[test]
+    fn nan_query_coordinates_are_skipped_like_the_serial_loop() {
+        let mut q: Vec<f64> = (0..40).map(f64::from).collect();
+        q[3] = f64::NAN;
+        q[17] = f64::NAN;
+        let o: Vec<f32> = (0..40).map(|i| (i as f32) * 1.5).collect();
+        assert_matches_reference(&q, &o, 5.0);
+    }
 
     #[test]
     fn hyperplane_prunes_far_cells() {

@@ -206,8 +206,41 @@ fn write_frame_deadline<S: DeadlineStream>(
     deadline: Option<Instant>,
     stall: Option<Duration>,
 ) -> Result<(), TransportError> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| TransportError::BadFrame("frame exceeds u32::MAX bytes".into()))?;
+    let len = frame_len(payload.len())?;
+    write_parts_deadline(stream, &len.to_le_bytes(), payload, deadline, stall)
+}
+
+/// Writes one response frame, `u32 LE length ‖ server_ns ‖ response`, as
+/// its 12-byte prefix and then `response` itself — the same two socket
+/// writes and the same byte stream as framing a concatenated
+/// `server_ns ‖ response` buffer, without building that buffer.
+fn write_response_deadline<S: DeadlineStream>(
+    stream: &mut S,
+    server_ns: u64,
+    response: &[u8],
+    stall: Option<Duration>,
+) -> Result<(), TransportError> {
+    let len = frame_len(response.len().saturating_add(8))?;
+    let mut prefix = [0u8; 12];
+    let (len_bytes, ns_bytes) = prefix.split_at_mut(4);
+    len_bytes.copy_from_slice(&len.to_le_bytes());
+    ns_bytes.copy_from_slice(&server_ns.to_le_bytes());
+    write_parts_deadline(stream, &prefix, response, None, stall)
+}
+
+fn frame_len(bytes: usize) -> Result<u32, TransportError> {
+    u32::try_from(bytes)
+        .map_err(|_| TransportError::BadFrame("frame exceeds u32::MAX bytes".into()))
+}
+
+/// Writes a frame already split into its `prefix` and `body`.
+fn write_parts_deadline<S: DeadlineStream>(
+    stream: &mut S,
+    prefix: &[u8],
+    body: &[u8],
+    deadline: Option<Instant>,
+    stall: Option<Duration>,
+) -> Result<(), TransportError> {
     let timeout = min_timeout(remaining(deadline)?, stall);
     stream
         .set_write_deadline(timeout)
@@ -219,8 +252,8 @@ fn write_frame_deadline<S: DeadlineStream>(
             TransportError::Io(e)
         }
     };
-    stream.write_all(&len.to_le_bytes()).map_err(io)?;
-    stream.write_all(payload).map_err(io)?;
+    stream.write_all(prefix).map_err(io)?;
+    stream.write_all(body).map_err(io)?;
     stream.flush().map_err(io)
 }
 
@@ -423,7 +456,8 @@ impl TcpTransport {
         };
         let start = Instant::now();
         write_frame_deadline(stream, request, deadline, write_stall).map_err(|e| (e, true))?;
-        let framed = read_frame_deadline(stream, deadline, read_stall, 8).map_err(|e| (e, true))?;
+        let mut framed =
+            read_frame_deadline(stream, deadline, read_stall, 8).map_err(|e| (e, true))?;
         let elapsed = start.elapsed();
         let Some((ns_bytes, rest)) = framed.split_first_chunk::<8>() else {
             return Err((
@@ -441,7 +475,9 @@ impl TcpTransport {
             ));
         }
         let server_time = Duration::from_nanos(server_ns);
-        let response = rest.to_vec();
+        // Strip the header in place: the frame buffer becomes the response.
+        framed.drain(..8);
+        let response = framed;
         self.stats.requests += 1;
         self.stats.bytes_sent += (request.len() + FRAME_HEADER) as u64;
         // The 8-byte server-time header is measurement apparatus, not
@@ -845,10 +881,9 @@ fn serve_connection<S: DeadlineStream>(
         let server_ns = u64::try_from(start.elapsed().as_nanos())
             .unwrap_or(CONTROL_FRAME)
             .min(CONTROL_FRAME - 1); // u64::MAX is reserved for control frames
-        let mut framed = Vec::with_capacity(8 + response.len());
-        framed.extend_from_slice(&server_ns.to_le_bytes());
-        framed.extend_from_slice(&response);
-        if write_frame_deadline(&mut stream, &framed, None, state.opts.write_timeout).is_err() {
+        if write_response_deadline(&mut stream, server_ns, &response, state.opts.write_timeout)
+            .is_err()
+        {
             break;
         }
     }
