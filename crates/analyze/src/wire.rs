@@ -11,7 +11,11 @@
 //!   some `0xNN =>` arm), with matching tags;
 //! * every variant appears in the README wire table with its tag;
 //! * every variant is named in the fuzz suite, so adding an opcode without
-//!   fuzz coverage fails CI.
+//!   fuzz coverage fails CI;
+//! * every **borrowed parser** the codec declares (a `pub struct`/`pub enum`
+//!   whose name ends in `View` — the in-place readers a client parses
+//!   hostile response frames through) is named in the fuzz suite too: a
+//!   second way into the same bytes needs the same coverage.
 
 use std::collections::BTreeMap;
 
@@ -51,6 +55,7 @@ pub fn wire_issues(protocol: &SourceFile, readme: &str, fuzz: &str) -> Vec<WireI
     check_readme(readme, &req, &resp, &mut out);
     check_fuzz(fuzz, &req, "Request", &mut out);
     check_fuzz(fuzz, &resp, "Response", &mut out);
+    check_view_fuzz(fuzz, &view_parsers(&joined), &mut out);
     out
 }
 
@@ -385,6 +390,47 @@ fn backticked(cell: &str) -> Option<String> {
     let (_, rest) = cell.split_once('`')?;
     let (name, _) = rest.split_once('`')?;
     Some(name.to_owned())
+}
+
+/// Names of the borrowed parsers: `pub struct <Name>View` / `pub enum
+/// <Name>View` declarations.
+pub fn view_parsers(joined: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for decl in ["pub struct ", "pub enum "] {
+        for (pos, _) in joined.match_indices(decl) {
+            let name: String = joined
+                .get(pos + decl.len()..)
+                .unwrap_or_default()
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if name.ends_with("View") && !names.contains(&name) {
+                names.push(name);
+            }
+        }
+    }
+    names
+}
+
+fn names_ident(text: &str, ident: &str) -> bool {
+    let boundary = |c: Option<char>| c.is_none_or(|c| !c.is_alphanumeric() && c != '_');
+    text.match_indices(ident).any(|(pos, m)| {
+        boundary(text.get(..pos).and_then(|s| s.chars().next_back()))
+            && boundary(text.get(pos + m.len()..).and_then(|s| s.chars().next()))
+    })
+}
+
+fn check_view_fuzz(fuzz: &str, views: &[String], out: &mut Vec<WireIssue>) {
+    for name in views {
+        if !names_ident(fuzz, name) {
+            issue(
+                out,
+                format!(
+                    "protocol_fuzz.rs: borrowed parser {name} is never exercised by the fuzz suite"
+                ),
+            );
+        }
+    }
 }
 
 fn check_fuzz(fuzz: &str, wire: &EnumWire, dir: &str, out: &mut Vec<WireIssue>) {

@@ -566,6 +566,32 @@ fn seeded_opcode_gap_is_found() {
     );
 }
 
+/// A borrowed (in-place) parser declared by the codec must be named in the
+/// fuzz suite like any opcode: a second reader of the same hostile bytes
+/// without fuzz coverage is flagged, naming it in code clears the flag,
+/// and naming it only inside a longer identifier does not.
+#[test]
+fn seeded_unfuzzed_view_parser_is_found() {
+    let with_view = format!(
+        "{FIXTURE_PROTOCOL}\npub struct EchoView<'a> {{\n    body: &'a [u8],\n}}\n\
+         pub struct Preview;\n"
+    );
+    let src = SourceFile::from_source("crates/core/src/protocol.rs", &with_view);
+    let view_issues = |fuzz: &str| -> Vec<String> {
+        wire_issues(&src, FIXTURE_README, fuzz)
+            .into_iter()
+            .map(|i| i.message)
+            .filter(|m| m.contains("borrowed parser"))
+            .collect()
+    };
+    let unfuzzed = "fn t() { let _ = (Request::Ping, Request::Echo(vec![]), MyEchoViewer); }";
+    let issues = view_issues(unfuzzed);
+    assert_eq!(issues.len(), 1, "{issues:?}");
+    assert!(issues[0].contains("EchoView"), "{issues:?}");
+    let fuzzed = "fn t() { let _ = EchoView::parse(&[]); }";
+    assert!(view_issues(fuzzed).is_empty(), "{:?}", view_issues(fuzzed));
+}
+
 // ---- fault-tolerance code stays inside the zero-panic gate ---------------
 
 /// The retry state machine and the fault-injection wrappers live in

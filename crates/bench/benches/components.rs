@@ -2,12 +2,16 @@
 //! M-Index hot paths (permutation computation, promise ranking, pivot
 //! filtering, cell-tree routing), the distance kernels on both sides of
 //! the wire (per pair, one object against a pivot table, the server's
-//! bound from stored routing bytes) and the paged store's read path (page
-//! CRC, buffer-pool hit, buffer-pool miss).
+//! bound from stored routing bytes), the paged store's read path (page
+//! CRC, buffer-pool hit, buffer-pool miss) and the query data path a
+//! candidate's sealed bytes travel (bucket scan, request → finished
+//! response frame, the client's in-place frame parse).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use simcloud_core::protocol::{Request, Response, SearchAnswerView};
+use simcloud_core::CloudServer;
 use simcloud_metric::{
     permutation_from_distances, CombinedMetric, Metric, PivotTable, TableScratch, Vector, L1,
 };
@@ -15,8 +19,9 @@ use simcloud_mindex::entry::RoutingView;
 use simcloud_mindex::pruning::{
     pivot_filter_keep, pivot_filter_lower_bound, pivot_filter_safe_lower_bound,
 };
-use simcloud_mindex::{IndexEntry, PromiseEvaluator, Routing};
-use simcloud_storage::{pagefmt, BucketId, BucketStore, DiskStore, FileEnv, Record};
+use simcloud_mindex::{IndexEntry, MIndexConfig, PromiseEvaluator, Routing};
+use simcloud_storage::{pagefmt, BucketId, BucketStore, DiskStore, FileEnv, MemoryStore, Record};
+use simcloud_transport::SharedRequestHandler;
 
 fn bench_permutation(c: &mut Criterion) {
     let mut g = c.benchmark_group("pivot_permutation");
@@ -192,10 +197,132 @@ fn bench_disk_pool(c: &mut Criterion) {
     g.finish();
 }
 
+/// A stored record of the paper-scale benchmark: 100 `f32` pivot
+/// distances of routing and a 1.2 KB sealed object.
+fn cophir_sized_entry(id: u64, closest: usize, rng: &mut StdRng) -> IndexEntry {
+    let mut ds: Vec<f64> = (0..100).map(|_| rng.gen_range(50.0..100.0)).collect();
+    ds[closest] = rng.gen_range(0.0..10.0);
+    let payload = (0..1200).map(|_| rng.gen()).collect();
+    IndexEntry::new(id, Routing::from_distances(&ds), payload)
+}
+
+/// Reading one 650-record cell (≈1 MB of records) out of a bucket store:
+/// `read_bucket` hands back an owned `Vec<Record>`, `scan_bucket` lends
+/// each record to a visitor. The visitor touches every byte it is lent
+/// (as the cursor's arena copy does), so the rows differ by the
+/// per-record allocation and copy alone.
+fn bench_bucket_scan(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(21);
+    let records: Vec<Record> = (0..650)
+        .map(|id| Record::new(id, cophir_sized_entry(id, 0, &mut rng).encode_payload()))
+        .collect();
+    let mut memory = MemoryStore::new();
+    let path = std::env::temp_dir().join(format!(
+        "simcloud-components-scan-{}.db",
+        std::process::id()
+    ));
+    let mut disk = DiskStore::create(&path).expect("create");
+    for r in &records {
+        memory.append(BucketId(1), r.clone()).expect("append");
+        disk.append(BucketId(1), r.clone()).expect("append");
+    }
+    disk.flush().expect("flush");
+    let stores: [(&str, &dyn BucketStore); 2] = [("memory", &memory), ("disk", &disk)];
+    for (row, store) in stores {
+        c.bench_function(&format!("read_bucket/{row}"), |b| {
+            b.iter(|| {
+                let owned = store.read_bucket(BucketId(1)).expect("read");
+                owned.iter().map(|r| r.payload.len()).sum::<usize>()
+            });
+        });
+        let mut arena: Vec<u8> = Vec::new();
+        c.bench_function(&format!("scan_bucket/{row}"), |b| {
+            b.iter(|| {
+                arena.clear();
+                store
+                    .scan_bucket(BucketId(1), &mut |_, payload| {
+                        arena.extend_from_slice(payload);
+                    })
+                    .expect("scan");
+                arena.len()
+            });
+        });
+    }
+    drop(disk);
+    FileEnv::remove_sidecars(&path);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// One encrypted-kNN answer at the benchmark's operating point, server
+/// side and client side: request bytes → finished response frame through
+/// `handle_shared` (1300 records scanned in two cells, 1000 candidates
+/// with their 1.2 KB payloads inlined), and the 1.2 MB frame parsed the
+/// way a refining client reads it (in place) next to the owned decode.
+/// The index holds 48 cells (≈50 MB of records) and the requests rotate
+/// over them, so — as on a real collection — the records a query scans
+/// are not in the cache when it arrives.
+fn bench_query_frame(c: &mut Criterion) {
+    const CELLS: u64 = 48;
+    let mut rng = StdRng::seed_from_u64(23);
+    let server = CloudServer::new(MIndexConfig::cophir(), MemoryStore::new()).expect("server");
+    // 650-record cells, one per closest pivot.
+    let entries: Vec<IndexEntry> = (0..CELLS * 650)
+        .map(|id| cophir_sized_entry(id, (id % CELLS) as usize, &mut rng))
+        .collect();
+    for bulk in entries.chunks(1000) {
+        match server.process(Request::Insert(bulk.to_vec())) {
+            Response::Inserted(_) => {}
+            other => panic!("insert failed: {other:?}"),
+        }
+    }
+    drop(entries);
+    let requests: Vec<Vec<u8>> = (0..CELLS)
+        .map(|cell| {
+            Request::ApproxKnn {
+                routing: cophir_sized_entry(0, cell as usize, &mut rng).routing,
+                cand_size: 1000,
+            }
+            .encode()
+        })
+        .collect();
+    let frame = server.handle_shared(&requests[0]);
+    let stats = server.last_search_stats();
+    println!(
+        "knn_frame: {} records scanned in {} cells, {} candidates, {} byte frame",
+        stats.entries_scanned,
+        stats.cells_visited,
+        stats.candidates,
+        frame.len()
+    );
+    let mut next = 0usize;
+    c.bench_function("knn_frame/1000x1.2KB", |b| {
+        b.iter(|| {
+            next = (next + 1) % requests.len();
+            server
+                .handle_shared(std::hint::black_box(&requests[next]))
+                .len()
+        });
+    });
+    c.bench_function("resp_decode_owned/1.2MB", |b| {
+        b.iter(|| match Response::decode(std::hint::black_box(&frame)) {
+            Ok(Response::CandidateList(list)) => list.payloads.len(),
+            other => panic!("unexpected {other:?}"),
+        });
+    });
+    c.bench_function("resp_view_parse/1.2MB", |b| {
+        b.iter(
+            || match SearchAnswerView::parse(std::hint::black_box(&frame)) {
+                Ok(SearchAnswerView::List(list)) => list.payloads().len(),
+                other => panic!("unexpected {other:?}"),
+            },
+        );
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_permutation, bench_promise, bench_pivot_filter, bench_metric_eval,
-        bench_disk_pool
+        bench_disk_pool, bench_bucket_scan, bench_query_frame
 }
 criterion_main!(benches);

@@ -16,7 +16,7 @@ use simcloud_transport::{RequestClass, Stopwatch, Transport, TransportError};
 
 use crate::costs::CostReport;
 use crate::key::SecretKey;
-use crate::protocol::{CandidateHeader, CandidateList, Request, Response};
+use crate::protocol::{CandidateHeader, CandidateListView, Request, Response, SearchAnswerView};
 use crate::transform::DistanceTransform;
 
 /// A search answer: object id and true distance to the query.
@@ -275,14 +275,15 @@ impl Ord for WorstNeighbor {
 /// stall's fetch should reach; the driver performs the phase-2 fetch — a
 /// solo query immediately, the batch driver after **coalescing every
 /// stalled sibling's plan into one [`Request::FetchObjects`] round trip**
-/// — and resumes. The task borrows only the query vector, never the
-/// client, so any number of tasks can be suspended while the client's
-/// transport is busy fetching for all of them.
+/// — and resumes. The task borrows the query vector and the response
+/// frame its candidate list was parsed from, never the client, so any
+/// number of tasks can be suspended while the client's transport is busy
+/// fetching for all of them.
 struct RefineTask<'a> {
     q: &'a Vector,
     goal: RefineGoal,
     headers: Vec<CandidateHeader>,
-    payloads: Vec<Option<Vec<u8>>>,
+    payloads: Vec<Slot<'a>>,
     /// Minimum lower bound over `headers[i..]` (lazy mode only).
     suffix_min: Vec<f64>,
     lazy: bool,
@@ -301,13 +302,33 @@ struct RefineTask<'a> {
     loop_time: std::time::Duration,
 }
 
+/// Where a candidate's sealed payload is, one slot per header. The inlined
+/// phase-1 prefix stays **in the response frame** — the task borrows it,
+/// the loop unseals straight from it, and a payload the early exit never
+/// reaches is never copied.
+#[derive(Debug)]
+enum Slot<'a> {
+    /// Inlined by phase 1: a slice of the response frame.
+    Inline(&'a [u8]),
+    /// Pulled by a phase-2 fetch.
+    Fetched(Vec<u8>),
+    /// Not on the client (yet, or already consumed).
+    Missing,
+}
+
+impl Slot<'_> {
+    fn is_missing(&self) -> bool {
+        matches!(self, Slot::Missing)
+    }
+}
+
 /// Which still-missing payload slots a stall's fetch should cover: up to
 /// `limit` missing positions starting at `from`, as (ids, positions).
 /// Shared by the solo fetch path and the batch coalescer so both request
 /// exactly the same ids for the same stall.
 fn plan_fetch(
     headers: &[CandidateHeader],
-    payloads: &[Option<Vec<u8>>],
+    payloads: &[Slot<'_>],
     from: usize,
     limit: usize,
 ) -> (Vec<u64>, Vec<usize>) {
@@ -315,7 +336,7 @@ fn plan_fetch(
     let mut ids = Vec::with_capacity(limit);
     let mut positions = Vec::with_capacity(limit);
     for (i, p) in payloads.iter().enumerate().skip(from) {
-        if p.is_none() {
+        if p.is_missing() {
             ids.push(headers[i].id);
             positions.push(i);
             if ids.len() == limit {
@@ -324,6 +345,28 @@ fn plan_fetch(
         }
     }
     (ids, positions)
+}
+
+/// Turns the server's typed failure answers into client errors.
+fn accepted(resp: Response) -> Result<Response, ClientError> {
+    match resp {
+        Response::Error(msg) => Err(ClientError::Server(msg)),
+        Response::InsertError { inserted, message } => {
+            Err(ClientError::PartialInsert { inserted, message })
+        }
+        other => Ok(other),
+    }
+}
+
+/// Parses a search's response frame in place: candidate lists stay
+/// borrowed from `frame`, a server failure becomes its client error.
+fn search_answer(frame: &[u8]) -> Result<SearchAnswerView<'_>, ClientError> {
+    match SearchAnswerView::parse(frame)
+        .map_err(|e| ClientError::UnexpectedResponse(e.to_string()))?
+    {
+        SearchAnswerView::Other(resp) => accepted(resp).map(SearchAnswerView::Other),
+        answer => Ok(answer),
+    }
 }
 
 /// The authorized client.
@@ -408,6 +451,22 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         costs: &mut CostReport,
         rt_elapsed: &mut std::time::Duration,
     ) -> Result<Response, ClientError> {
+        let frame = self.exchange_frame(request, costs, rt_elapsed)?;
+        let resp =
+            Response::decode(&frame).map_err(|e| ClientError::UnexpectedResponse(e.to_string()))?;
+        accepted(resp)
+    }
+
+    /// The transport half of [`Self::exchange`]: ships the request and
+    /// returns the raw response frame. Search answers are parsed in place
+    /// from it ([`search_answer`]) instead of being decoded into owned
+    /// lists.
+    fn exchange_frame(
+        &mut self,
+        request: &Request,
+        costs: &mut CostReport,
+        rt_elapsed: &mut std::time::Duration,
+    ) -> Result<Vec<u8>, ClientError> {
         let bytes = request.encode();
         // Classify for the transport's retry machinery: every request is a
         // pure read except Insert, whose blind replay after an ambiguous
@@ -431,15 +490,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         costs.communication += delta.comm_time;
         costs.bytes_sent += delta.bytes_sent;
         costs.bytes_received += delta.bytes_received;
-        let resp = Response::decode(&resp_bytes)
-            .map_err(|e| ClientError::UnexpectedResponse(e.to_string()))?;
-        match resp {
-            Response::Error(msg) => Err(ClientError::Server(msg)),
-            Response::InsertError { inserted, message } => {
-                Err(ClientError::PartialInsert { inserted, message })
-            }
-            other => Ok(other),
-        }
+        Ok(resp_bytes)
     }
 
     /// Inserts a batch of objects (Alg. 1 applied per object, shipped as one
@@ -543,26 +594,78 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// of `objects` is always a (possibly empty, possibly complete) prefix.
     /// This probes that prefix's length with `O(log n)` idempotent
     /// single-id fetches — binary search over "is `objects[i]` stored?" —
-    /// then resubmits only the remainder. Returns the prefix length found
-    /// (entries already stored, *not* re-sent) and the combined cost of the
-    /// probes plus the resumed insert.
+    /// then resubmits only the remainder.
+    ///
+    /// The interrupted request may still be **in flight**: a cut on the
+    /// response side leaves the server free to apply the bulk after the
+    /// probe has already answered "nothing stored". The resend then loses
+    /// the race and is rejected for a duplicate id. That rejection is not
+    /// a failure — the rejected id being stored *now* proves the
+    /// interrupted bulk is landing — so the resume probes again from the
+    /// rejected position and resends what is still missing, until a
+    /// resend is accepted or nothing is left to send. Any other rejection
+    /// (including an id that appears twice in `objects`) surfaces as the
+    /// usual [`ClientError::PartialInsert`].
+    ///
+    /// Returns the prefix length the last probe found (entries already
+    /// stored, *not* re-sent by the final resend) and the combined cost of
+    /// the probes plus the accepted insert.
     ///
     /// Call it with exactly the batch that was interrupted. The probe
     /// assumes the batch's ids were not on the server before the
     /// interrupted attempt (the normal unique-id ingest case); ids that
     /// pre-existed would read as "stored" and silently shrink the resend.
-    /// The resend itself may fail the same way — loop on
+    /// The resend itself may be cut the same way — loop on
     /// [`ClientError::InsertInterrupted`] until it returns `Ok`.
     pub fn insert_bulk_resume(
         &mut self,
         objects: &[(ObjectId, Vector)],
     ) -> Result<(usize, CostReport), ClientError> {
         let mut costs = CostReport::default();
-        let mut rt_elapsed = Duration::ZERO;
-        let op_start = Instant::now();
-        // Largest `lo` with objects[..lo] all stored; prefix-monotonicity
-        // (batch-order server processing) makes the binary search sound.
         let mut lo = 0usize;
+        loop {
+            lo = self.probe_stored_prefix(objects, lo, &mut costs)?;
+            let remainder = objects.get(lo..).unwrap_or(&[]);
+            if remainder.is_empty() {
+                return Ok((lo, costs));
+            }
+            match self.insert_bulk(remainder) {
+                Ok(insert_costs) => {
+                    costs.merge(&insert_costs);
+                    return Ok((lo, costs));
+                }
+                Err(ClientError::PartialInsert { inserted, message }) => {
+                    // Every probe from `rejected` on finds it stored, so
+                    // each round moves `lo` forward: the loop ends.
+                    let rejected = lo.saturating_add(inserted as usize);
+                    let landed_late = match objects.get(rejected) {
+                        // An id repeated *inside* the batch is stored too,
+                        // by its first copy: the caller's error, no race.
+                        Some((id, _)) if objects.iter().take(rejected).all(|(e, _)| e != id) => {
+                            self.probe_costed(*id, &mut costs)?
+                        }
+                        _ => false,
+                    };
+                    if !landed_late {
+                        return Err(ClientError::PartialInsert { inserted, message });
+                    }
+                    lo = rejected;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Largest `lo ≥ from` with `objects[from..lo]` all stored;
+    /// prefix-monotonicity (batch-order server processing) makes the
+    /// binary search sound.
+    fn probe_stored_prefix(
+        &mut self,
+        objects: &[(ObjectId, Vector)],
+        from: usize,
+        costs: &mut CostReport,
+    ) -> Result<usize, ClientError> {
+        let mut lo = from;
         let mut hi = objects.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -570,20 +673,26 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                 Some((id, _)) => *id,
                 None => break,
             };
-            if self.id_stored(id, &mut costs, &mut rt_elapsed)? {
+            if self.probe_costed(id, costs)? {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        costs.client = op_start.elapsed().saturating_sub(rt_elapsed);
-        self.total.merge(&costs);
-        let remainder = objects.get(lo..).unwrap_or(&[]);
-        if !remainder.is_empty() {
-            let insert_costs = self.insert_bulk(remainder)?;
-            costs.merge(&insert_costs);
-        }
-        Ok((lo, costs))
+        Ok(lo)
+    }
+
+    /// One [`Self::id_stored`] probe, booked as its own operation into
+    /// `costs` and the client's totals.
+    fn probe_costed(&mut self, id: ObjectId, costs: &mut CostReport) -> Result<bool, ClientError> {
+        let mut probe = CostReport::default();
+        let mut rt_elapsed = Duration::ZERO;
+        let op_start = Instant::now();
+        let stored = self.id_stored(id, &mut probe, &mut rt_elapsed)?;
+        probe.client = op_start.elapsed().saturating_sub(rt_elapsed);
+        self.total.merge(&probe);
+        costs.merge(&probe);
+        Ok(stored)
     }
 
     /// True when the wire lower bounds of the next candidate set are sound
@@ -621,7 +730,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     fn fetch_payloads(
         &mut self,
         headers: &[CandidateHeader],
-        payloads: &mut [Option<Vec<u8>>],
+        payloads: &mut [Slot<'_>],
         from: usize,
         limit: usize,
         costs: &mut CostReport,
@@ -654,7 +763,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                     obj.id
                 )));
             }
-            payloads[slot] = Some(obj.payload);
+            payloads[slot] = Slot::Fetched(obj.payload);
         }
         costs.fetched += ids.len() as u64;
         costs.fetch_requests += 1;
@@ -750,7 +859,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     fn refine(
         &mut self,
         q: &Vector,
-        list: CandidateList,
+        list: CandidateListView<'_>,
         costs: &mut CostReport,
         goal: RefineGoal,
         rt_elapsed: &mut std::time::Duration,
@@ -770,21 +879,23 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     }
 
     /// Opens a [`RefineTask`] over a phase-1 candidate list: counts the
-    /// candidates, stages the inlined payload prefix and runs the
-    /// suffix-min pre-pass. No I/O and no decryption happen here.
+    /// candidates, points the inlined prefix's slots at the response frame
+    /// and runs the suffix-min pre-pass. No I/O, no decryption and no
+    /// payload copy happen here.
     fn start_refine<'a>(
         &self,
         q: &'a Vector,
-        list: CandidateList,
+        list: CandidateListView<'a>,
         costs: &mut CostReport,
         goal: RefineGoal,
     ) -> RefineTask<'a> {
         let start = Instant::now();
-        let CandidateList { headers, payloads } = list;
+        let headers: Vec<CandidateHeader> = list.headers().collect();
         costs.candidates += headers.len() as u64;
-        let mut payloads: Vec<Option<Vec<u8>>> = payloads.into_iter().map(Some).collect();
-        // The codec guarantees payloads.len() <= headers.len().
-        payloads.resize_with(headers.len(), || None);
+        // The codec guarantees payloads().len() <= headers.len().
+        let mut payloads: Vec<Slot<'a>> = Vec::with_capacity(headers.len());
+        payloads.extend(list.payloads().iter().map(|p| Slot::Inline(p)));
+        payloads.resize_with(headers.len(), || Slot::Missing);
         let lazy = self.lazy_enabled();
         // Minimum lower bound over headers[i..] — the value any sound
         // early exit must beat, whatever order the server sent. Non-finite
@@ -850,7 +961,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             // remainder in one phase-2 round trip instead of adaptive
             // batches.
             task.eager_prefetched = true;
-            if task.payloads.iter().any(Option::is_none) {
+            if task.payloads.iter().any(Slot::is_missing) {
                 return Ok(Some((0, task.headers.len().max(1))));
             }
         }
@@ -876,32 +987,37 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                     break;
                 }
             }
-            if task.payloads[i].is_none() {
-                // Phase 2: this candidate survived the exit check, so its
-                // payload — and, speculatively, its batch's — is really
-                // needed. The threshold the exit compares against also
-                // tells us how far the need can possibly extend.
-                let threshold = match task.goal {
-                    RefineGoal::Within { wire_radius, .. } => Some(wire_radius),
-                    RefineGoal::TopK(k) if k > 0 && task.heap.len() == k => {
-                        // PANIC-SAFE: arm guard requires `heap.len() == k` and `k > 0`.
-                        Some(self.to_wire_distance(task.heap.peek().expect("heap full").0))
-                    }
-                    RefineGoal::TopK(_) => None,
-                };
-                let batch = self.fetch_batch_size(
-                    task.goal,
-                    i,
-                    threshold,
-                    &task.suffix_min,
-                    &mut task.grown,
-                );
-                return Ok(Some((i, batch)));
-            }
+            let staged = std::mem::replace(&mut task.payloads[i], Slot::Missing);
+            let payload: &[u8] = match &staged {
+                // An inlined payload is unsealed where it lies, in the frame.
+                Slot::Inline(p) => p,
+                Slot::Fetched(p) => p,
+                Slot::Missing => {
+                    // Phase 2: this candidate survived the exit check, so
+                    // its payload — and, speculatively, its batch's — is
+                    // really needed. The threshold the exit compares
+                    // against also tells us how far the need can possibly
+                    // extend.
+                    let threshold = match task.goal {
+                        RefineGoal::Within { wire_radius, .. } => Some(wire_radius),
+                        RefineGoal::TopK(k) if k > 0 && task.heap.len() == k => {
+                            // PANIC-SAFE: arm guard requires `heap.len() == k` and `k > 0`.
+                            Some(self.to_wire_distance(task.heap.peek().expect("heap full").0))
+                        }
+                        RefineGoal::TopK(_) => None,
+                    };
+                    let batch = self.fetch_batch_size(
+                        task.goal,
+                        i,
+                        threshold,
+                        &task.suffix_min,
+                        &mut task.grown,
+                    );
+                    return Ok(Some((i, batch)));
+                }
+            };
             task.cursor += 1;
             let id = task.headers[i].id;
-            // PANIC-SAFE: the `is_none()` branch above stalled until the driver fetched this slot.
-            let payload = task.payloads[i].take().expect("payload just fetched");
             // Alg. 2 line 13: decrypt. An authentication failure is active
             // tampering (or a key mismatch) — that aborts immediately, as
             // silently dropping a tampered-with candidate would let a
@@ -912,7 +1028,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             let plain = self
                 .key
                 .cipher()
-                .unseal_with_aad(&payload, &id.to_le_bytes())?;
+                .unseal_with_aad(payload, &id.to_le_bytes())?;
             let Ok((o, _)) = Vector::decode(&plain) else {
                 task.bad += 1;
                 task.first_bad.get_or_insert(ClientError::BadObject(id));
@@ -1006,9 +1122,9 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             distances: wire_ds,
             radius: wire_radius,
         };
-        let resp = self.exchange(&request, &mut costs, &mut rt_elapsed)?;
-        let candidates = match resp {
-            Response::CandidateList(list) => list,
+        let frame = self.exchange_frame(&request, &mut costs, &mut rt_elapsed)?;
+        let candidates = match search_answer(&frame)? {
+            SearchAnswerView::List(list) => list,
             other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
         };
         costs.distance = dist.total();
@@ -1049,9 +1165,9 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             routing,
             cand_size: cand_size as u32,
         };
-        let resp = self.exchange(&request, &mut costs, &mut rt_elapsed)?;
-        let candidates = match resp {
-            Response::CandidateList(list) => list,
+        let frame = self.exchange_frame(&request, &mut costs, &mut rt_elapsed)?;
+        let candidates = match search_answer(&frame)? {
+            SearchAnswerView::List(list) => list,
             other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
         };
         costs.distance = dist.total();
@@ -1120,10 +1236,11 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                     }
                 })
                 .collect();
-            let resp = self.exchange(&Request::BatchKnn(batch), &mut costs, &mut rt_elapsed)?;
-            let sets = match resp {
-                Response::CandidateSets(sets) if sets.len() == chunk.len() => sets,
-                Response::CandidateSets(sets) => {
+            let frame =
+                self.exchange_frame(&Request::BatchKnn(batch), &mut costs, &mut rt_elapsed)?;
+            let sets = match search_answer(&frame)? {
+                SearchAnswerView::Sets(sets) if sets.len() == chunk.len() => sets,
+                SearchAnswerView::Sets(sets) => {
                     return Err(ClientError::UnexpectedResponse(format!(
                         "{} candidate sets for {} queries",
                         sets.len(),
@@ -1251,7 +1368,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                             continue;
                         }
                         if let Some(task) = tasks[si].as_mut() {
-                            task.payloads[pos] = Some(obj.payload);
+                            task.payloads[pos] = Slot::Fetched(obj.payload);
                         }
                     }
                     match mismatch {

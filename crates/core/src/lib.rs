@@ -57,7 +57,10 @@ pub use cloud::{
 };
 pub use costs::CostReport;
 pub use key::SecretKey;
-pub use server::{check_cand_size, evaluator_for, stage_candidates, CloudServer, ServerConfig};
+pub use server::{
+    check_cand_size, evaluator_for, objects_response, stage_candidates, stage_views, CloudServer,
+    ServerConfig,
+};
 pub use telemetry::{request_label, ServerTelemetry, SLOW_LOG_CAPACITY};
 pub use transform::DistanceTransform;
 

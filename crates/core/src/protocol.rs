@@ -62,7 +62,7 @@
 //! at which the client stopped — the same information the eager protocol's
 //! `decrypted` accounting reveals in timing.
 
-use simcloud_mindex::{IndexEntry, Routing};
+use simcloud_mindex::{CandidateView, IndexEntry, Routing};
 
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -448,42 +448,289 @@ fn decode_candidates(r: &mut Reader<'_>) -> Result<Vec<Candidate>, CodecError> {
 
 /// Appends one candidate list: `u32 n { u64 id; f64 lb }*n` headers, then
 /// `u32 m { u32 len; bytes }*m` inline payloads for the first `m` headers.
-fn encode_candidate_list(out: &mut Vec<u8>, list: &CandidateList) {
-    debug_assert!(list.payloads.len() <= list.headers.len());
-    out.extend_from_slice(&wire_u32(list.headers.len()).to_le_bytes());
-    for h in &list.headers {
+/// The one list writer: owned lists and staged views both encode here.
+fn encode_list_parts<'p>(
+    out: &mut Vec<u8>,
+    headers: impl ExactSizeIterator<Item = CandidateHeader>,
+    payloads: impl ExactSizeIterator<Item = &'p [u8]>,
+) {
+    debug_assert!(payloads.len() <= headers.len());
+    out.extend_from_slice(&wire_u32(headers.len()).to_le_bytes());
+    for h in headers {
         out.extend_from_slice(&h.id.to_le_bytes());
         out.extend_from_slice(&h.lower_bound.to_le_bytes());
     }
-    out.extend_from_slice(&wire_u32(list.payloads.len()).to_le_bytes());
-    for p in &list.payloads {
+    out.extend_from_slice(&wire_u32(payloads.len()).to_le_bytes());
+    for p in payloads {
         out.extend_from_slice(&wire_u32(p.len()).to_le_bytes());
         out.extend_from_slice(p);
     }
 }
 
-/// Decodes one candidate list. Rejects more inline payloads than headers.
-fn decode_candidate_list(r: &mut Reader<'_>) -> Result<CandidateList, CodecError> {
-    let n = r.u32("candidate list header count")? as usize;
-    if r.remaining() < n.saturating_mul(16) {
-        return Err(err("candidate list headers truncated"));
+/// Encoded size of a candidate list with `headers` headers and the given
+/// inline payload lengths (the layout [`encode_list_parts`] writes).
+fn list_encoded_len(headers: usize, payload_lens: impl Iterator<Item = usize>) -> usize {
+    payload_lens.fold(4 + 16 * headers + 4, |n, len| n + 4 + len)
+}
+
+fn encode_candidate_list(out: &mut Vec<u8>, list: &CandidateList) {
+    encode_list_parts(
+        out,
+        list.headers.iter().copied(),
+        list.payloads.iter().map(Vec::as_slice),
+    );
+}
+
+/// A phase-1 candidate list parsed **in place**: headers and inline
+/// payloads are slices of the response frame, nothing is copied. This is
+/// *the* list parser — [`Response::decode`] builds its owned
+/// [`CandidateList`] from it — so it accepts and rejects exactly the same
+/// frames, with every length bounded by the bytes actually present.
+///
+/// A refining client keeps the frame alive and unseals the few payloads
+/// it needs straight from it; the rest are never touched.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CandidateListView<'a> {
+    /// One raw 16-byte `u64 id ‖ f64 lb` header per candidate.
+    headers: &'a [[u8; 16]],
+    /// Sealed payloads of the first `payloads.len()` headers (positional).
+    payloads: Vec<&'a [u8]>,
+}
+
+impl<'a> CandidateListView<'a> {
+    /// Parses one candidate list. Rejects more inline payloads than
+    /// headers.
+    fn parse(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        let n = r.u32("candidate list header count")? as usize;
+        let (headers, _) = r
+            .bytes(n.saturating_mul(16), "candidate list headers")?
+            .as_chunks::<16>();
+        let m = r.u32("candidate list payload count")? as usize;
+        if m > n {
+            return Err(err("more inline payloads than candidate headers"));
+        }
+        let mut payloads = Vec::with_capacity(cap_alloc(m, r.remaining(), 4));
+        for _ in 0..m {
+            let len = r.u32("inline payload length")? as usize;
+            payloads.push(r.bytes(len, "inline payload")?);
+        }
+        Ok(Self { headers, payloads })
     }
-    let mut headers = Vec::with_capacity(n);
+
+    /// Number of candidates (headers).
+    pub fn len(&self) -> usize {
+        self.headers.len()
+    }
+
+    /// True when the list carries no candidate.
+    pub fn is_empty(&self) -> bool {
+        self.headers.is_empty()
+    }
+
+    /// The headers, decoded on the fly, in wire order.
+    pub fn headers(&self) -> impl ExactSizeIterator<Item = CandidateHeader> + '_ {
+        self.headers.iter().map(|raw| {
+            // `u64 id ‖ f64 lb`, both little-endian: the low and high
+            // halves of the 16 bytes read as one little-endian integer.
+            let both = u128::from_le_bytes(*raw);
+            CandidateHeader {
+                id: both as u64,
+                lower_bound: f64::from_bits((both >> 64) as u64),
+            }
+        })
+    }
+
+    /// The inline payload prefix: `payloads()[i]` belongs to header `i`.
+    pub fn payloads(&self) -> &[&'a [u8]] {
+        &self.payloads
+    }
+
+    /// Copies the list out of the frame.
+    pub fn to_owned(&self) -> CandidateList {
+        CandidateList {
+            headers: self.headers().collect(),
+            payloads: self.payloads.iter().map(|p| p.to_vec()).collect(),
+        }
+    }
+}
+
+/// One borrowed [`Response::CandidateSets`] slot.
+pub type CandidateSetView<'a> = Result<CandidateListView<'a>, String>;
+
+/// Parses the body of a [`Response::CandidateSets`] answer in place.
+fn parse_candidate_sets<'a>(r: &mut Reader<'a>) -> Result<Vec<CandidateSetView<'a>>, CodecError> {
+    let n = r.u16("candidate sets header")? as usize;
+    let mut sets = Vec::with_capacity(cap_alloc(n, r.remaining(), 1));
     for _ in 0..n {
-        let id = r.u64("candidate list header")?;
-        let lower_bound = r.f64("candidate list header")?;
-        headers.push(CandidateHeader { id, lower_bound });
+        match r.u8("per-query result tag")? {
+            1 => sets.push(Ok(CandidateListView::parse(r)?)),
+            0 => sets.push(Err(decode_message(r)?)),
+            t => return Err(err(&format!("unknown per-query result tag {t}"))),
+        }
     }
-    let m = r.u32("candidate list payload count")? as usize;
-    if m > n {
-        return Err(err("more inline payloads than candidate headers"));
+    Ok(sets)
+}
+
+/// A search answer parsed in place — what a refining client reads a
+/// response frame through. The two answers that carry candidate lists
+/// borrow the frame; every other response (errors, acks — all small) is
+/// decoded owned. Accepts exactly the frames [`Response::decode`] accepts.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SearchAnswerView<'a> {
+    /// [`Response::CandidateList`], borrowed.
+    List(CandidateListView<'a>),
+    /// [`Response::CandidateSets`], each successful slot borrowed.
+    Sets(Vec<CandidateSetView<'a>>),
+    /// Any other response.
+    Other(Response),
+}
+
+impl<'a> SearchAnswerView<'a> {
+    /// Parses a response frame.
+    pub fn parse(frame: &'a [u8]) -> Result<Self, CodecError> {
+        if frame.len() > MAX_DECODE_BYTES {
+            return Err(err("response exceeds decode size cap"));
+        }
+        let mut r = Reader::new(frame);
+        match r.u8("response tag")? {
+            0x05 => {
+                let sets = parse_candidate_sets(&mut r)?;
+                r.finish("candidate sets")?;
+                Ok(SearchAnswerView::Sets(sets))
+            }
+            0x07 => {
+                let list = CandidateListView::parse(&mut r)?;
+                r.finish("candidate list")?;
+                Ok(SearchAnswerView::List(list))
+            }
+            _ => Response::decode(frame).map(SearchAnswerView::Other),
+        }
     }
-    let mut payloads = Vec::with_capacity(cap_alloc(m, r.remaining(), 4));
-    for _ in 0..m {
-        let len = r.u32("inline payload length")? as usize;
-        payloads.push(r.bytes(len, "inline payload")?.to_vec());
+}
+
+/// A phase-1 candidate list staged for the wire **without owning it**: the
+/// ranked views (borrowed from the candidate cursors' arenas) plus how many
+/// leading payloads ship inline. The encode-side counterpart of
+/// [`CandidateListView`]: a server front end writes it straight into the
+/// response frame, byte-identical to encoding [`StagedList::to_owned`].
+#[derive(Debug, Clone)]
+pub struct StagedList<'a> {
+    views: Vec<CandidateView<'a>>,
+    inline: usize,
+}
+
+impl<'a> StagedList<'a> {
+    /// Stages `views` (every header ships) with the payloads of the first
+    /// `inline` inlined.
+    pub fn new(views: Vec<CandidateView<'a>>, inline: usize) -> Self {
+        let inline = inline.min(views.len());
+        Self { views, inline }
     }
-    Ok(CandidateList { headers, payloads })
+
+    /// Number of candidates (headers).
+    pub fn len(&self) -> usize {
+        self.views.len()
+    }
+
+    /// True when the list carries no candidate.
+    pub fn is_empty(&self) -> bool {
+        self.views.is_empty()
+    }
+
+    fn headers(&self) -> impl ExactSizeIterator<Item = CandidateHeader> + '_ {
+        self.views.iter().map(|v| CandidateHeader {
+            id: v.id,
+            lower_bound: v.bound,
+        })
+    }
+
+    fn inline_payloads(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + '_ {
+        self.views.iter().take(self.inline).map(|v| v.payload)
+    }
+
+    fn encoded_len(&self) -> usize {
+        list_encoded_len(self.views.len(), self.inline_payloads().map(<[u8]>::len))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_list_parts(out, self.headers(), self.inline_payloads());
+    }
+
+    /// Copies the staged list out of the arenas.
+    pub fn to_owned(&self) -> CandidateList {
+        CandidateList {
+            headers: self.headers().collect(),
+            payloads: self.inline_payloads().map(<[u8]>::to_vec).collect(),
+        }
+    }
+}
+
+/// A server's answer before it is either written to the wire or handed to
+/// a typed caller: search answers stay staged over borrowed views, every
+/// other response is already owned.
+#[derive(Debug)]
+pub enum StagedResponse<'a> {
+    /// Becomes [`Response::CandidateList`].
+    List(StagedList<'a>),
+    /// Becomes [`Response::CandidateSets`].
+    Sets(Vec<Result<StagedList<'a>, String>>),
+    /// Any response that carries no candidate list.
+    Other(Response),
+}
+
+impl StagedResponse<'_> {
+    /// Encodes the response frame in one exactly-sized buffer — each
+    /// inline payload moves once, from its arena into the frame. The
+    /// bytes equal `self.into_response().encode()`.
+    pub fn encode(&self) -> Vec<u8> {
+        match self {
+            StagedResponse::List(list) => {
+                let mut out = Vec::with_capacity(1 + list.encoded_len());
+                out.push(0x07);
+                list.encode_into(&mut out);
+                out
+            }
+            StagedResponse::Sets(sets) => {
+                let len = sets.iter().fold(1 + 2, |n, slot| {
+                    n + 1
+                        + match slot {
+                            Ok(list) => list.encoded_len(),
+                            Err(msg) => 2 + msg.len().min(u16::MAX as usize),
+                        }
+                });
+                let mut out = Vec::with_capacity(len);
+                out.push(0x05);
+                out.extend_from_slice(&wire_u16(sets.len()).to_le_bytes());
+                for slot in sets {
+                    match slot {
+                        Ok(list) => {
+                            out.push(1);
+                            list.encode_into(&mut out);
+                        }
+                        Err(msg) => {
+                            out.push(0);
+                            encode_message(&mut out, msg);
+                        }
+                    }
+                }
+                out
+            }
+            StagedResponse::Other(response) => response.encode(),
+        }
+    }
+
+    /// The owned response a typed caller receives.
+    pub fn into_response(self) -> Response {
+        match self {
+            StagedResponse::List(list) => Response::CandidateList(list.to_owned()),
+            StagedResponse::Sets(sets) => Response::CandidateSets(
+                sets.into_iter()
+                    .map(|slot| slot.map(|list| list.to_owned()))
+                    .collect(),
+            ),
+            StagedResponse::Other(response) => response,
+        }
+    }
 }
 
 /// Appends `u16 len || utf8` (truncating over-long messages).
@@ -507,14 +754,16 @@ impl Request {
         let mut out = Vec::new();
         match self {
             Request::Insert(entries) => {
+                // One pass into an exactly-sized buffer: a bulk is sealed
+                // objects end to end, and each is copied here once.
+                let body_len = |e: &IndexEntry| 8 + e.encoded_len();
+                out.reserve_exact(1 + 4 + entries.iter().map(|e| 4 + body_len(e)).sum::<usize>());
                 out.push(0x01);
                 out.extend_from_slice(&wire_u32(entries.len()).to_le_bytes());
                 for e in entries {
-                    let mut body = Vec::with_capacity(8 + e.encoded_len());
-                    body.extend_from_slice(&e.id.to_le_bytes());
-                    body.extend_from_slice(&e.encode_payload());
-                    out.extend_from_slice(&wire_u32(body.len()).to_le_bytes());
-                    out.extend_from_slice(&body);
+                    out.extend_from_slice(&wire_u32(body_len(e)).to_le_bytes());
+                    out.extend_from_slice(&e.id.to_le_bytes());
+                    e.encode_payload_into(&mut out);
                 }
             }
             Request::Range { distances, radius } => {
@@ -643,7 +892,7 @@ impl Request {
 impl Response {
     /// Encodes the response.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.payload_capacity());
         match self {
             Response::Inserted(n) => {
                 out.push(0x01);
@@ -728,6 +977,24 @@ impl Response {
         out
     }
 
+    /// Exact encoded size of the answers that carry sealed objects (0 for
+    /// the small ones): sized up front, their payloads are copied once and
+    /// the buffer never regrows.
+    fn payload_capacity(&self) -> usize {
+        match self {
+            Response::Candidates(cands) => {
+                1 + 4 + cands.iter().map(|c| 20 + c.payload.len()).sum::<usize>()
+            }
+            Response::CandidateList(list) => {
+                1 + list_encoded_len(list.headers.len(), list.payloads.iter().map(Vec::len))
+            }
+            Response::Objects(objects) => {
+                1 + 4 + objects.iter().map(|o| 12 + o.payload.len()).sum::<usize>()
+            }
+            _ => 0,
+        }
+    }
+
     /// Decodes a response.
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
         if buf.len() > MAX_DECODE_BYTES {
@@ -762,17 +1029,13 @@ impl Response {
                 })
             }
             0x05 => {
-                let n = r.u16("candidate sets header")? as usize;
-                let mut sets = Vec::with_capacity(cap_alloc(n, r.remaining(), 1));
-                for _ in 0..n {
-                    match r.u8("per-query result tag")? {
-                        1 => sets.push(Ok(decode_candidate_list(&mut r)?)),
-                        0 => sets.push(Err(decode_message(&mut r)?)),
-                        t => return Err(err(&format!("unknown per-query result tag {t}"))),
-                    }
-                }
+                let sets = parse_candidate_sets(&mut r)?;
                 r.finish("candidate sets")?;
-                Ok(Response::CandidateSets(sets))
+                Ok(Response::CandidateSets(
+                    sets.into_iter()
+                        .map(|slot| slot.map(|list| list.to_owned()))
+                        .collect(),
+                ))
             }
             0x06 => {
                 let inserted = r.u32("insert error header")?;
@@ -781,9 +1044,9 @@ impl Response {
                 Ok(Response::InsertError { inserted, message })
             }
             0x07 => {
-                let list = decode_candidate_list(&mut r)?;
+                let list = CandidateListView::parse(&mut r)?;
                 r.finish("candidate list")?;
-                Ok(Response::CandidateList(list))
+                Ok(Response::CandidateList(list.to_owned()))
             }
             0x08 => {
                 let n = r.u32("objects header")? as usize;
@@ -841,6 +1104,52 @@ mod tests {
         let req = Request::Insert(vec![entry(1), entry(2), entry(99)]);
         let bytes = req.encode();
         assert_eq!(Request::decode(&bytes).unwrap(), req);
+    }
+
+    /// The one-pass Insert encoder writes exactly the bytes the old
+    /// encoder (one `encode_payload()` and one temporary body per entry)
+    /// wrote — for both routing kinds, empty payloads and an empty bulk.
+    #[test]
+    fn insert_encoding_is_byte_identical_to_the_per_entry_buffers() {
+        let bulk = vec![
+            entry(1),
+            IndexEntry::new(
+                u64::MAX,
+                Routing::permutation_prefix(&[0.3, 0.1, 0.2, 0.9], 3),
+                vec![0xab; 33],
+            ),
+            IndexEntry::new(7, Routing::from_distances(&[]), vec![]),
+        ];
+        for entries in [bulk, Vec::new()] {
+            let mut reference = vec![0x01];
+            reference.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            for e in &entries {
+                let mut body = e.id.to_le_bytes().to_vec();
+                body.extend_from_slice(&e.encode_payload());
+                reference.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                reference.extend_from_slice(&body);
+            }
+            let encoded = Request::Insert(entries).encode();
+            assert_eq!(encoded, reference);
+            assert_eq!(encoded.capacity(), encoded.len(), "sized exactly, once");
+        }
+        // And one frame spelled out: tag, count, body length, id, distance
+        // routing (tag 1, two f32s), payload length, payload.
+        let one = Request::Insert(vec![IndexEntry::new(
+            0x0102,
+            Routing::from_distances(&[1.0, 2.0]),
+            vec![0xEE, 0xFF],
+        )]);
+        assert_eq!(
+            one.encode(),
+            [
+                &[0x01, 1, 0, 0, 0, 25, 0, 0, 0][..],
+                &[0x02, 0x01, 0, 0, 0, 0, 0, 0],
+                &[1, 2, 0, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40],
+                &[2, 0, 0, 0, 0xEE, 0xFF],
+            ]
+            .concat()
+        );
     }
 
     #[test]

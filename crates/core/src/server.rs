@@ -13,16 +13,16 @@
 
 use parking_lot::{RwLock, RwLockReadGuard};
 use simcloud_mindex::{
-    CandidateCursor, IndexEntry, MIndex, MIndexConfig, MIndexError, PromiseEvaluator, Routing,
-    SearchStats, FIRST_CELL_ONLY,
+    knn_cap, CandidateCursor, CandidateView, IndexEntry, MIndex, MIndexConfig, MIndexError,
+    PromiseEvaluator, Routing, SearchStats,
 };
 use simcloud_storage::BucketStore;
 use simcloud_telemetry::Trace;
 use simcloud_transport::{RequestHandler, SharedRequestHandler};
 
 use crate::protocol::{
-    Candidate, CandidateHeader, CandidateList, FetchedObject, Request, Response,
-    MAX_CANDIDATE_HEADERS,
+    Candidate, CandidateHeader, CandidateList, FetchedObject, Request, Response, StagedList,
+    StagedResponse, MAX_CANDIDATE_HEADERS,
 };
 use crate::telemetry::{request_label, ServerTelemetry};
 
@@ -151,54 +151,81 @@ impl<S: BucketStore> CloudServer<S> {
         &self.telemetry
     }
 
-    /// Stages a ranked candidate set for the phase-1 wire (see
-    /// [`stage_candidates`]) under this server's inline budget.
-    fn stage(&self, entries: Vec<(IndexEntry, f64)>) -> CandidateList {
-        stage_candidates(entries, self.config.max_inline_response_bytes)
+    /// Stages ranked candidate views for the phase-1 wire (see
+    /// [`stage_views`]) under this server's inline budget.
+    fn stage<'a>(&self, views: Vec<CandidateView<'a>>) -> StagedList<'a> {
+        stage_views(views, self.config.max_inline_response_bytes)
     }
 
-    fn candidates_response(
+    /// Pulls a freshly opened cursor's capped selection and stages it —
+    /// the shared tail of every search. The cursor owns its arena, so no
+    /// index guard is live here.
+    fn select_and_stage<'c>(
         &self,
-        result: Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError>,
+        cursor: &'c CandidateCursor,
+        cap: Option<usize>,
         trace: &mut Trace,
-    ) -> Response {
-        match result {
-            Ok((entries, stats)) => {
+    ) -> (StagedList<'c>, SearchStats) {
+        let (views, stats) = {
+            let _pull = trace.span("pull", self.telemetry.pull_hist());
+            cursor.select_up_to(cap)
+        };
+        let _stage = trace.span("stage", self.telemetry.stage_hist());
+        (self.stage(views), stats)
+    }
+
+    /// Answers a single-list search from its opened cursor.
+    fn answer_search<R>(
+        &self,
+        opened: Result<CandidateCursor, MIndexError>,
+        cap: Option<usize>,
+        trace: &mut Trace,
+        sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
+    ) -> R {
+        match opened {
+            Ok(cursor) => {
+                let (list, stats) = self.select_and_stage(&cursor, cap, trace);
                 self.telemetry.record_search(stats);
-                let list = {
-                    let _stage = trace.span("stage", self.telemetry.stage_hist());
-                    self.stage(entries)
-                };
-                Response::CandidateList(list)
+                sink(StagedResponse::List(list), trace)
             }
             Err(e) => {
                 // A failed search did no accountable work: zero the
                 // per-request stats instead of leaving the previous
                 // query's numbers in place.
                 self.telemetry.record_failed_search();
-                Response::Error(e.to_string())
+                sink(StagedResponse::Other(Response::Error(e.to_string())), trace)
             }
         }
     }
 
     /// Processes one decoded request (the typed core of the handler).
     /// Needs only `&self`: searches share the index read lock, inserts
-    /// briefly take the write lock. Wraps [`CloudServer::process_traced`]
-    /// in its own request trace, so direct callers (in-process
-    /// transports, tests) feed the same histograms as the byte handler.
+    /// briefly take the write lock. Runs [`CloudServer::process_with`] in
+    /// its own request trace, so direct callers (in-process transports,
+    /// tests) feed the same histograms as the byte handler.
     pub fn process(&self, request: Request) -> Response {
         let mut trace = self.telemetry.trace_labeled(request_label(&request));
-        let response = self.process_traced(request, &mut trace);
+        let response = self.process_with(request, &mut trace, |staged, _| staged.into_response());
         self.telemetry.note_response(&response);
         self.telemetry.finish(trace);
         response
     }
 
-    /// [`CloudServer::process`] with the caller's request trace: each
-    /// lifecycle phase (route → open → pull → stage, or insert) is timed
-    /// into its histogram and the trace's phase breakdown.
-    fn process_traced(&self, request: Request, trace: &mut Trace) -> Response {
-        match request {
+    /// Runs one request and hands its answer to `sink` — the one request
+    /// path behind both the typed [`CloudServer::process`] (sink: copy the
+    /// staged lists out into a [`Response`]) and the byte handler (sink:
+    /// write them straight into the response frame). Search answers reach
+    /// the sink still borrowed from their cursors' arenas, which is why
+    /// this is a callback and not a return value. Each lifecycle phase
+    /// (route → open → pull → stage, or insert) is timed into its
+    /// histogram and the trace's phase breakdown.
+    fn process_with<R>(
+        &self,
+        request: Request,
+        trace: &mut Trace,
+        sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
+    ) -> R {
+        let response = match request {
             Request::Insert(entries) => {
                 let n_entries;
                 let response = {
@@ -233,20 +260,11 @@ impl<S: BucketStore> CloudServer<S> {
                 response
             }
             Request::Range { distances, radius } => {
-                let cursor = {
+                let opened = {
                     let _open = trace.span("open", self.telemetry.open_hist());
                     self.index.read().range_cursor(&distances, radius)
                 };
-                let result = match cursor {
-                    Ok(cursor) => {
-                        // Guard released: the pull decodes payloads from
-                        // the cursor's own staged records, lock-free.
-                        let _pull = trace.span("pull", self.telemetry.pull_hist());
-                        cursor.collect_up_to(None)
-                    }
-                    Err(e) => Err(e),
-                };
-                self.candidates_response(result, trace)
+                return self.answer_search(opened, None, trace, sink);
             }
             Request::ApproxKnn { routing, cand_size } => match check_cand_size(cand_size) {
                 // An oversized request is refused before any index work:
@@ -263,36 +281,21 @@ impl<S: BucketStore> CloudServer<S> {
                         evaluator_for(routing)
                     };
                     let cand_size = cand_size as usize;
-                    // Same cap rule as `MIndex::knn_candidates`:
-                    // `FIRST_CELL_ONLY` drains the whole first cell.
-                    let cap = if cand_size == FIRST_CELL_ONLY {
-                        None
-                    } else {
-                        Some(cand_size)
-                    };
-                    let cursor = {
+                    let opened = {
                         let _open = trace.span("open", self.telemetry.open_hist());
                         self.index.read().knn_cursor(&evaluator, cand_size)
                     };
-                    let result = match cursor {
-                        Ok(cursor) => {
-                            let _pull = trace.span("pull", self.telemetry.pull_hist());
-                            cursor.collect_up_to(cap)
-                        }
-                        Err(e) => Err(e),
-                    };
-                    self.candidates_response(result, trace)
+                    return self.answer_search(opened, knn_cap(cand_size), trace, sink);
                 }
             },
             Request::BatchKnn(queries) => {
                 // One read-lock acquisition opens every query's cursor;
                 // queries from other connections still interleave freely.
                 // Cursors own their staged records, so the guard is
-                // released before any payload is decoded and before
-                // staging touches the storage layer (lock discipline: no
-                // guard across stage_candidates, no pull under a guard).
-                // Oversized queries are refused up front and never reach
-                // the index — their slots carry the clamp error.
+                // released before any view is pulled or staged (lock
+                // discipline: no guard across staging, no pull under a
+                // guard). Oversized queries are refused up front and never
+                // reach the index — their slots carry the clamp error.
                 let opened: Vec<Result<(CandidateCursor, Option<usize>), String>> = {
                     let _open = trace.span("open", self.telemetry.open_hist());
                     let index = self.index.read();
@@ -302,47 +305,31 @@ impl<S: BucketStore> CloudServer<S> {
                             check_cand_size(q.cand_size)?;
                             let evaluator = evaluator_for(q.routing);
                             let cand_size = q.cand_size as usize;
-                            // Same cap rule as `MIndex::knn_candidates`:
-                            // `FIRST_CELL_ONLY` drains the whole first cell.
-                            let cap = if cand_size == FIRST_CELL_ONLY {
-                                None
-                            } else {
-                                Some(cand_size)
-                            };
                             index
                                 .knn_cursor(&evaluator, cand_size)
-                                .map(|cursor| (cursor, cap))
+                                .map(|cursor| (cursor, knn_cap(cand_size)))
                                 .map_err(|e| e.to_string())
                         })
                         .collect()
                 };
                 let mut sets = Vec::with_capacity(opened.len());
                 let mut batch_stats = SearchStats::default();
-                for result in opened {
-                    let collected = {
-                        let _pull = trace.span("pull", self.telemetry.pull_hist());
-                        result.and_then(|(cursor, cap)| {
-                            cursor.collect_up_to(cap).map_err(|e| e.to_string())
-                        })
-                    };
-                    match collected {
-                        Ok((entries, stats)) => {
+                for result in &opened {
+                    sets.push(match result {
+                        Ok((cursor, cap)) => {
+                            let (list, stats) = self.select_and_stage(cursor, *cap, trace);
                             batch_stats.merge(&stats);
-                            let list = {
-                                let _stage = trace.span("stage", self.telemetry.stage_hist());
-                                self.stage(entries)
-                            };
-                            sets.push(Ok(list));
+                            Ok(list)
                         }
                         // A failing query answers in its own slot; its
                         // siblings' candidate sets still ship. The failed
                         // query did no accountable work, so the batch stats
                         // are exactly the successful queries' sum.
-                        Err(e) => sets.push(Err(e)),
-                    }
+                        Err(e) => Err(e.clone()),
+                    });
                 }
                 self.telemetry.record_search(batch_stats);
-                Response::CandidateSets(sets)
+                return sink(StagedResponse::Sets(sets), trace);
             }
             Request::FetchObjects { ids } => {
                 // Phase 2 of the two-phase fetch: stateless re-read by id
@@ -351,19 +338,7 @@ impl<S: BucketStore> CloudServer<S> {
                 // interleaved fetches from concurrent connections are safe.
                 // Not a search: the search stats are left untouched.
                 match self.index.read().fetch_entries(&ids) {
-                    Ok(entries) => {
-                        let mut objects = Vec::with_capacity(ids.len());
-                        for (id, entry) in ids.iter().zip(entries) {
-                            match entry {
-                                Some(e) => objects.push(FetchedObject {
-                                    id: *id,
-                                    payload: e.payload,
-                                }),
-                                None => return Response::Error(format!("unknown object id {id}")),
-                            }
-                        }
-                        Response::Objects(objects)
-                    }
+                    Ok(entries) => objects_response(&ids, entries),
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
@@ -390,44 +365,83 @@ impl<S: BucketStore> CloudServer<S> {
             // integration test pins this by probing mid-insert).
             Request::Health => self.telemetry.health_response(1),
             Request::MetricsSnapshot => Response::MetricsSnapshot(self.telemetry.metrics_text()),
-        }
+        };
+        sink(StagedResponse::Other(response), trace)
     }
 }
 
-/// Stages a ranked candidate set for the phase-1 wire: **every** header
-/// ships (they are the ranked answer), and sealed payloads are inlined in
-/// bound order while the encoded response stays within `budget` — the
-/// client decrypts in exactly that order, so the inlined prefix is the
-/// part it is most likely to need. Payload inlining stops at the first
-/// candidate that would overflow the budget (the wire carries a positional
-/// prefix, not a best-fit subset); `None` inlines everything.
+/// The inline-budget rule of the phase-1 wire: **every** header ships
+/// (they are the ranked answer), and sealed payloads are inlined in bound
+/// order while the encoded response stays within `budget` — the client
+/// decrypts in exactly that order, so the inlined prefix is the part it is
+/// most likely to need. Inlining stops at the first candidate that would
+/// overflow the budget (the wire carries a positional prefix, not a
+/// best-fit subset); `None` inlines everything. Returns how many leading
+/// payloads ship, given every candidate's payload length in rank order.
+fn inline_prefix(
+    payload_lens: impl ExactSizeIterator<Item = usize>,
+    budget: Option<usize>,
+) -> usize {
+    let Some(budget) = budget else {
+        return payload_lens.len();
+    };
+    // Encoded list size so far: tag + header count + 16 per header +
+    // payload count; each inline payload adds 4 + len.
+    let mut used = 1 + 4 + 16 * payload_lens.len() + 4;
+    let mut inline = 0;
+    for len in payload_lens {
+        if used + 4 + len > budget {
+            break;
+        }
+        used += 4 + len;
+        inline += 1;
+    }
+    inline
+}
+
+/// Stages ranked candidate views for the phase-1 wire under the
+/// [`inline_prefix`] rule, borrowing every byte from the cursors' arenas.
 ///
 /// Public because every server front end — [`CloudServer`] and the sharded
 /// scatter-gather server — must stage identically for the wire to be
 /// byte-compatible between deployments.
+pub fn stage_views(views: Vec<CandidateView<'_>>, budget: Option<usize>) -> StagedList<'_> {
+    let inline = inline_prefix(views.iter().map(|v| v.payload.len()), budget);
+    StagedList::new(views, inline)
+}
+
+/// [`stage_views`] for an owned ranked candidate set: the same rule,
+/// filling an owned [`CandidateList`].
 pub fn stage_candidates(entries: Vec<(IndexEntry, f64)>, budget: Option<usize>) -> CandidateList {
-    // Encoded list size so far: tag + header count + 16 per header +
-    // payload count; each inline payload adds 4 + len.
-    let mut used = 1 + 4 + 16 * entries.len() + 4;
+    let inline = inline_prefix(entries.iter().map(|(e, _)| e.payload.len()), budget);
     let mut headers = Vec::with_capacity(entries.len());
-    let mut payloads = Vec::new();
-    let mut inlining = true;
+    let mut payloads = Vec::with_capacity(inline);
     for (e, lower_bound) in entries {
         headers.push(CandidateHeader {
             id: e.id,
             lower_bound,
         });
-        if inlining {
-            match budget {
-                Some(b) if used + 4 + e.payload.len() > b => inlining = false,
-                _ => {
-                    used += 4 + e.payload.len();
-                    payloads.push(e.payload);
-                }
-            }
+        if payloads.len() < inline {
+            payloads.push(e.payload);
         }
     }
     CandidateList { headers, payloads }
+}
+
+/// The phase-2 answer for `ids` given the index's by-id lookup result, in
+/// request order; an id the index does not hold fails the whole fetch.
+pub fn objects_response(ids: &[u64], entries: Vec<Option<IndexEntry>>) -> Response {
+    let mut objects = Vec::with_capacity(ids.len());
+    for (id, entry) in ids.iter().zip(entries) {
+        match entry {
+            Some(e) => objects.push(FetchedObject {
+                id: *id,
+                payload: e.payload,
+            }),
+            None => return Response::Error(format!("unknown object id {id}")),
+        }
+    }
+    Response::Objects(objects)
 }
 
 fn candidate((e, lower_bound): (IndexEntry, f64)) -> Candidate {
@@ -473,20 +487,21 @@ impl<S: BucketStore> SharedRequestHandler for CloudServer<S> {
             let _decode = trace.span("decode", self.telemetry.decode_hist());
             Request::decode(request)
         };
-        let response = match decoded {
+        let response = |staged: StagedResponse<'_>, trace: &mut Trace| {
+            self.telemetry.encode_response(&staged, trace)
+        };
+        let bytes = match decoded {
             Ok(req) => {
                 trace.set_label(request_label(&req));
-                self.process_traced(req, &mut trace)
+                self.process_with(req, &mut trace, response)
             }
             Err(e) => {
                 trace.set_label("undecodable");
-                Response::Error(e.to_string())
+                response(
+                    StagedResponse::Other(Response::Error(e.to_string())),
+                    &mut trace,
+                )
             }
-        };
-        self.telemetry.note_response(&response);
-        let bytes = {
-            let _encode = trace.span("encode", self.telemetry.encode_hist());
-            response.encode()
         };
         self.telemetry.finish(trace);
         bytes

@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use simcloud_mindex::{SearchStats, SharedSearchStats};
 use simcloud_telemetry::{Counter, Gauge, Histogram, Registry, SlowLog, SlowQuery, Trace};
 
-use crate::protocol::{Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{Request, Response, StagedResponse, PROTOCOL_VERSION};
 
 /// Worst-N slow-query retention (per server).
 pub const SLOW_LOG_CAPACITY: usize = 16;
@@ -147,6 +147,17 @@ impl ServerTelemetry {
         if matches!(response, Response::Error(_) | Response::InsertError { .. }) {
             self.errors.inc();
         }
+    }
+
+    /// The byte handlers' response sink: counts an error answer, then
+    /// encodes under the `encode` span — a staged search answer goes from
+    /// the cursors' arenas straight into the exactly-sized response frame.
+    pub fn encode_response(&self, staged: &StagedResponse<'_>, trace: &mut Trace) -> Vec<u8> {
+        if let StagedResponse::Other(response) = staged {
+            self.note_response(response);
+        }
+        let _encode = trace.span("encode", self.encode_hist());
+        staged.encode()
     }
 
     /// Records a completed search's stats: per-request snapshot replaced,

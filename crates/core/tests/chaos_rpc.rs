@@ -12,7 +12,8 @@
 //! * crypto aborts (key mismatch → `Seal`, tampered phase-2 answers →
 //!   `FetchMismatch`) are **terminal**: the transport never retries them.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -26,8 +27,8 @@ use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{
-    serve_tcp, Direction, FaultAction, FaultRule, FaultScript, RetryPolicy, ServeOptions,
-    SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
+    serve_tcp, serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript, RetryPolicy,
+    ServeOptions, SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
 };
 
 const PIVOTS: usize = 4;
@@ -232,68 +233,218 @@ fn delays_are_retried_only_when_they_breach_the_read_timeout() {
 #[test]
 fn interrupted_inserts_are_exactly_once_after_resume() {
     let (key, objects) = dataset(19);
-    for dir in [Direction::Send, Direction::Recv] {
-        for at in 0..2u64 {
-            // Fresh empty server per cut point: the sweep measures ingest.
-            let server = Arc::new(
-                CloudServer::with_config(
-                    index_config(),
-                    ServerConfig::budgeted(0),
-                    MemoryStore::new(),
-                )
-                .unwrap(),
-            );
-            let handle =
-                serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
-            let script = FaultScript::new(vec![FaultRule::once(dir, at, FaultAction::Cut)]);
-            let mut client = faulty_client(&key, handle.addr(), Arc::clone(&script));
-
-            match client.insert_bulk(&objects) {
-                Ok(_) => {
-                    // The cut landed outside the insert exchange (e.g. a
-                    // later op index than the exchange used) — fine.
-                }
-                Err(ClientError::InsertInterrupted { acked, .. }) => {
-                    assert_eq!(acked, 0, "single-frame bulk never acks a prefix");
-                    assert_eq!(
-                        client.transport().stats().retries,
-                        0,
-                        "inserts must never be blindly retried (cut at {dir:?} op {at})"
-                    );
-                    // Resume until clean; every probe is idempotent.
-                    let mut resumed = None;
-                    for _ in 0..4 {
-                        match client.insert_bulk_resume(&objects) {
-                            Ok(r) => {
-                                resumed = Some(r);
-                                break;
-                            }
-                            Err(ClientError::InsertInterrupted { .. }) => continue,
-                            Err(e) => panic!("resume failed (cut at {dir:?} op {at}): {e}"),
-                        }
-                    }
-                    let (stored_prefix, _) =
-                        resumed.unwrap_or_else(|| panic!("resume never converged at {dir:?} {at}"));
-                    assert!(stored_prefix <= objects.len());
-                }
-                Err(e) => panic!("expected InsertInterrupted at {dir:?} op {at}, got {e}"),
+    // A cut on the response side races the server still applying the
+    // interrupted bulk against the resume's probe (pinned deterministically
+    // by `resume_survives_the_interrupted_bulk_landing_late`); repeating
+    // the sweep lets every ordering of that race show up.
+    for _ in 0..50 {
+        for dir in [Direction::Send, Direction::Recv] {
+            for at in 0..2u64 {
+                cut_insert_then_resume(&key, &objects, dir, at);
             }
-
-            assert_eq!(
-                server.index().len(),
-                objects.len() as u64,
-                "cut at {dir:?} op {at}: entries lost or duplicated"
-            );
-            // Every id answers a fetch — nothing double-inserted under a
-            // different routing, nothing missing.
-            let mut check = faulty_client(&key, handle.addr(), FaultScript::quiet());
-            let (neighbors, _) = check.knn_approx(&objects[0].1, 3, 8).unwrap();
-            assert_eq!(neighbors[0].0, objects[0].0);
-            drop(check);
-            drop(client);
-            handle.shutdown();
         }
     }
+}
+
+/// One point of the exactly-once sweep: a fresh server, the insert
+/// exchange cut at `dir` op `at`, resumed until clean, then checked.
+fn cut_insert_then_resume(
+    key: &SecretKey,
+    objects: &[(ObjectId, Vector)],
+    dir: Direction,
+    at: u64,
+) {
+    // Fresh empty server per cut point: the sweep measures ingest.
+    let server = Arc::new(
+        CloudServer::with_config(
+            index_config(),
+            ServerConfig::budgeted(0),
+            MemoryStore::new(),
+        )
+        .unwrap(),
+    );
+    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let script = FaultScript::new(vec![FaultRule::once(dir, at, FaultAction::Cut)]);
+    let mut client = faulty_client(key, handle.addr(), Arc::clone(&script));
+
+    match client.insert_bulk(objects) {
+        Ok(_) => {
+            // The cut landed outside the insert exchange (e.g. a
+            // later op index than the exchange used) — fine.
+        }
+        Err(ClientError::InsertInterrupted { acked, .. }) => {
+            assert_eq!(acked, 0, "single-frame bulk never acks a prefix");
+            assert_eq!(
+                client.transport().stats().retries,
+                0,
+                "inserts must never be blindly retried (cut at {dir:?} op {at})"
+            );
+            // Resume until clean; every probe is idempotent.
+            let mut resumed = None;
+            for _ in 0..4 {
+                match client.insert_bulk_resume(objects) {
+                    Ok(r) => {
+                        resumed = Some(r);
+                        break;
+                    }
+                    Err(ClientError::InsertInterrupted { .. }) => continue,
+                    Err(e) => panic!("resume failed (cut at {dir:?} op {at}): {e}"),
+                }
+            }
+            let (stored_prefix, _) =
+                resumed.unwrap_or_else(|| panic!("resume never converged at {dir:?} {at}"));
+            assert!(stored_prefix <= objects.len());
+        }
+        Err(e) => panic!("expected InsertInterrupted at {dir:?} op {at}, got {e}"),
+    }
+
+    assert_eq!(
+        server.index().len(),
+        objects.len() as u64,
+        "cut at {dir:?} op {at}: entries lost or duplicated"
+    );
+    // Every id answers a fetch — nothing double-inserted under a
+    // different routing, nothing missing.
+    let mut check = faulty_client(key, handle.addr(), FaultScript::quiet());
+    let (neighbors, _) = check.knn_approx(&objects[0].1, 3, 8).unwrap();
+    assert_eq!(neighbors[0].0, objects[0].0);
+    drop(check);
+    drop(client);
+    handle.shutdown();
+}
+
+/// Serves a real server, but orders one race by hand: the **first** bulk
+/// insert is held until a phase-2 probe has been answered, and any later
+/// insert waits until that first bulk has been applied.
+struct LateFirstBulk {
+    inner: Arc<CloudServer<MemoryStore>>,
+    state: Mutex<LateState>,
+    changed: Condvar,
+    rejected_inserts: AtomicU32,
+}
+
+#[derive(Default)]
+struct LateState {
+    first_bulk_seen: bool,
+    probe_answered: bool,
+    first_bulk_applied: bool,
+}
+
+impl LateFirstBulk {
+    fn wait_until(&self, ready: impl Fn(&LateState) -> bool) {
+        let mut state = self.state.lock().unwrap();
+        while !ready(&state) {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn update(&self, change: impl FnOnce(&mut LateState)) {
+        change(&mut self.state.lock().unwrap());
+        self.changed.notify_all();
+    }
+}
+
+impl SharedRequestHandler for LateFirstBulk {
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+        match Request::decode(request) {
+            Ok(Request::Insert(_)) => {
+                let first =
+                    !std::mem::replace(&mut self.state.lock().unwrap().first_bulk_seen, true);
+                if first {
+                    self.wait_until(|s| s.probe_answered);
+                    let response = self.inner.handle_shared(request);
+                    self.update(|s| s.first_bulk_applied = true);
+                    response
+                } else {
+                    self.wait_until(|s| s.first_bulk_applied);
+                    let response = self.inner.handle_shared(request);
+                    if let Ok(Response::InsertError { .. }) = Response::decode(&response) {
+                        self.rejected_inserts.fetch_add(1, Ordering::SeqCst);
+                    }
+                    response
+                }
+            }
+            Ok(Request::FetchObjects { .. }) => {
+                let response = self.inner.handle_shared(request);
+                self.update(|s| s.probe_answered = true);
+                response
+            }
+            _ => self.inner.handle_shared(request),
+        }
+    }
+}
+
+/// The race behind the old 1-in-6 flake, forced: the response to a bulk
+/// insert is cut, the resume's probe runs **before** the server applies
+/// that bulk (so it finds nothing stored and resends everything), and the
+/// resend is rejected for a duplicate id because the interrupted bulk has
+/// landed meanwhile. The resume must read that rejection as "it landed",
+/// probe again and finish — exactly `N` entries, no error.
+#[test]
+fn resume_survives_the_interrupted_bulk_landing_late() {
+    let (key, objects) = dataset(37);
+    let server = Arc::new(
+        CloudServer::with_config(
+            index_config(),
+            ServerConfig::budgeted(0),
+            MemoryStore::new(),
+        )
+        .unwrap(),
+    );
+    let ordered = Arc::new(LateFirstBulk {
+        inner: Arc::clone(&server),
+        state: Mutex::default(),
+        changed: Condvar::new(),
+        rejected_inserts: AtomicU32::new(0),
+    });
+    let handle = serve_tcp_shared_with(Arc::clone(&ordered), quick_serve_options()).unwrap();
+    let script = FaultScript::new(vec![FaultRule::once(Direction::Recv, 0, FaultAction::Cut)]);
+    let mut client = faulty_client(&key, handle.addr(), script);
+
+    match client.insert_bulk(&objects) {
+        Err(ClientError::InsertInterrupted { acked: 0, .. }) => {}
+        other => panic!("expected InsertInterrupted, got {other:?}"),
+    }
+    assert_eq!(server.index().len(), 0, "the first bulk is still held");
+    let (stored_prefix, _) = client
+        .insert_bulk_resume(&objects)
+        .expect("a late-landing bulk must not fail the resume");
+    assert_eq!(stored_prefix, objects.len(), "the last probe found it all");
+    assert_eq!(
+        ordered.rejected_inserts.load(Ordering::SeqCst),
+        1,
+        "the resend must have lost the race exactly once"
+    );
+    assert_eq!(server.index().len(), objects.len() as u64);
+    drop(client);
+    handle.shutdown();
+}
+
+/// A rejection that is *not* the interrupted bulk landing late — the
+/// rejected id is not stored — still surfaces as `PartialInsert`.
+#[test]
+fn resume_still_reports_genuine_rejections() {
+    let (key, mut objects) = dataset(41);
+    // Same id twice inside the batch: the second copy is rejected, and
+    // the position the server names is not where the stored prefix ends.
+    objects[20].0 = objects[10].0;
+    let server = Arc::new(
+        CloudServer::with_config(
+            index_config(),
+            ServerConfig::budgeted(0),
+            MemoryStore::new(),
+        )
+        .unwrap(),
+    );
+    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let mut client = faulty_client(&key, handle.addr(), FaultScript::quiet());
+    match client.insert_bulk_resume(&objects) {
+        Err(ClientError::PartialInsert { inserted: 20, .. }) => {}
+        other => panic!("expected PartialInsert after 20 entries, got {other:?}"),
+    }
+    assert_eq!(server.index().len(), 20);
+    drop(client);
+    handle.shutdown();
 }
 
 /// A key mismatch makes every candidate fail authentication. That is a

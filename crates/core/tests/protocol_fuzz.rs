@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use simcloud_core::protocol::{
-    Candidate, CandidateHeader, CandidateList, FetchedObject, Request, Response,
+    Candidate, CandidateHeader, CandidateList, CandidateListView, FetchedObject, Request, Response,
+    SearchAnswerView,
 };
 use simcloud_mindex::{IndexEntry, Routing};
 
@@ -29,6 +30,36 @@ fn arb_entry() -> impl Strategy<Value = IndexEntry> {
         .prop_map(|(id, routing, payload)| IndexEntry::new(id, routing, payload))
 }
 
+/// The borrowed parser a refining client reads frames through
+/// (`SearchAnswerView` over `CandidateListView`) must accept and reject
+/// exactly what `Response::decode` does — same error, and on success the
+/// same response once copied out of the frame.
+fn views_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let copied = |list: CandidateListView<'_>| list.to_owned();
+    let owned = Response::decode(bytes);
+    let viewed = SearchAnswerView::parse(bytes).map(|view| match view {
+        SearchAnswerView::List(list) => Response::CandidateList(copied(list)),
+        SearchAnswerView::Sets(sets) => {
+            Response::CandidateSets(sets.into_iter().map(|slot| slot.map(copied)).collect())
+        }
+        SearchAnswerView::Other(response) => response,
+    });
+    prop_assert_eq!(viewed, owned);
+    Ok(())
+}
+
+/// A response round-trips, and the view parser agrees with the owned
+/// decoder on it, on every truncation of it and with a trailing byte.
+fn response_round_trips(resp: &Response) -> Result<(), TestCaseError> {
+    let mut bytes = resp.encode();
+    prop_assert_eq!(&Response::decode(&bytes).unwrap(), resp);
+    for cut in 0..=bytes.len() {
+        views_agree(&bytes[..cut])?;
+    }
+    bytes.push(0);
+    views_agree(&bytes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -40,6 +71,26 @@ proptest! {
     #[test]
     fn response_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = Response::decode(&bytes);
+        views_agree(&bytes)?;
+    }
+
+    /// Arbitrary bytes behind the two tags that carry candidate lists, so
+    /// the list parser itself (counts, lengths, the payload ≤ header
+    /// rule) sees hostile input on every case, not one case in 128.
+    #[test]
+    fn list_parsers_agree_on_garbage(
+        tag in prop_oneof![Just(0x05u8), Just(0x07u8)],
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        small in any::<bool>(),
+    ) {
+        if small {
+            // Plausible little-endian counts instead of ~2^31 ones.
+            for b in bytes.iter_mut().skip(1).step_by(2) {
+                *b = 0;
+            }
+        }
+        bytes.insert(0, tag);
+        views_agree(&bytes)?;
     }
 
     #[test]
@@ -69,8 +120,7 @@ proptest! {
             0..16,
         )
     ) {
-        let resp = Response::Candidates(cands);
-        prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        response_round_trips(&Response::Candidates(cands))?;
     }
 
     #[test]
@@ -91,8 +141,7 @@ proptest! {
         // Inline prefix length clamped to the header count (wire invariant).
         let m = payload_seed.len().min(headers.len());
         let list = CandidateList { payloads: payload_seed[..m].to_vec(), headers };
-        let resp = Response::CandidateList(list);
-        prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        response_round_trips(&Response::CandidateList(list))?;
     }
 
     #[test]
@@ -116,8 +165,7 @@ proptest! {
             0..8,
         )
     ) {
-        let resp = Response::CandidateSets(slots);
-        prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        response_round_trips(&Response::CandidateSets(slots))?;
     }
 
     #[test]
@@ -128,8 +176,7 @@ proptest! {
             0..16,
         )
     ) {
-        let resp = Response::Objects(objects);
-        prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        response_round_trips(&Response::Objects(objects))?;
     }
 
     #[test]
@@ -158,8 +205,7 @@ proptest! {
 
     #[test]
     fn inserted_response_round_trips(n in any::<u32>()) {
-        let resp = Response::Inserted(n);
-        prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        response_round_trips(&Response::Inserted(n))?;
     }
 
     #[test]
@@ -170,14 +216,12 @@ proptest! {
         // ExportAll is field-free too; piggyback on the same case budget.
         let req = Request::ExportAll;
         prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-        let resp = Response::Info { entries, leaves, depth };
-        prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        response_round_trips(&Response::Info { entries, leaves, depth })?;
     }
 
     #[test]
     fn insert_error_response_round_trips(inserted in any::<u32>(), message in ".{0,120}") {
-        let resp = Response::InsertError { inserted, message };
-        prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        response_round_trips(&Response::InsertError { inserted, message })?;
     }
 
     /// Ops-surface wire v2: both parameterless requests and the two
@@ -196,7 +240,7 @@ proptest! {
             shards,
             uptime_nanos,
         };
-        prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        response_round_trips(&resp)?;
         // Any truncation of the fixed-size health body must error, not panic.
         let bytes = Response::Health {
             status, protocol: 2, entries, shards, uptime_nanos,

@@ -1,30 +1,38 @@
 //! Lazy, bound-ordered candidate cursors — the streaming half of the
 //! query path.
 //!
-//! The eager candidate functions ([`crate::MIndex::knn_candidates`] /
-//! [`crate::MIndex::range_candidates`]) decode **every** gathered record
-//! into an [`IndexEntry`] and sort the full `(entry, bound)` list before
-//! returning it. A scatter-gather coordinator then throws most of that
-//! work away: with `N` shards each producing `cand_size` candidates, the
-//! capped k-way merge keeps only `cand_size` of the `N·cand_size` decoded
-//! entries.
+//! A search moves each candidate's sealed bytes **once** on the server
+//! before they reach the response frame: from the bucket store into the
+//! cursor's arena. Everything after that — ranking, the sharded merge,
+//! the cap, the inline budget — works on borrowed [`CandidateView`]s.
 //!
-//! A [`CandidateCursor`] splits the work into two phases instead:
+//! * **Open** — walk exactly the cells the eager candidate functions
+//!   ([`crate::MIndex::knn_candidates`] / [`crate::MIndex::range_candidates`])
+//!   walk (same promise order, same pruning, same stop condition, same
+//!   [`SearchStats`] counters) through
+//!   [`BucketStore::scan_bucket`](simcloud_storage::BucketStore::scan_bucket),
+//!   which *lends* each stored record. A record is appended to one
+//!   `Vec<u8>` **arena** owned by the cursor — a single streaming read of
+//!   bytes that are cold whenever the store outgrows the cache — and then
+//!   validated and bounded from that copy (the bound from the stored
+//!   little-endian `f32` distances, [`crate::entry::RoutingView`]); only
+//!   a range query's pivot filter looks at the lent bytes first, so the
+//!   records it rejects are never copied. A staged record is described
+//!   by a 32-byte slot `{id, bound, offset, lengths}`. No per-record
+//!   buffer exists at any point. A stable sort of the slots by bound then
+//!   fixes the yield order.
+//! * **Yield** — [`CandidateCursor::views`] hands out
+//!   `CandidateView { id, bound, payload }` in ascending bound order, the
+//!   payload a slice of the arena. Nothing is decoded and nothing is
+//!   copied; a server front end writes those slices straight into its
+//!   response frame. [`CandidateCursor::next_candidate`] and
+//!   [`CandidateCursor::collect_up_to`] are the **owned adapters** over
+//!   the same views for callers that want [`IndexEntry`] values: they
+//!   decode the routing header (kept in the arena beside the payload for
+//!   exactly this) and copy the payload out.
 //!
-//! * **Open** — walk exactly the cells the eager function walks (same
-//!   promise order, same pruning, same stop condition, same
-//!   [`SearchStats`] counters), but *stage* each surviving record as raw
-//!   bytes: validate its encoding, compute its wire bound straight from
-//!   the stored little-endian `f32` distance bytes
-//!   ([`crate::entry::RoutingView`]), and keep the record's buffer as the
-//!   store returned it. A scanned record costs no allocation here. A
-//!   stable index sort by bound then fixes the yield order without
-//!   materializing anything.
-//! * **Yield** — [`CandidateCursor::next_candidate`] builds entries in
-//!   ascending bound order, a small chunk at a time: the routing is
-//!   decoded and the payload shifted to the front of the record's own
-//!   buffer (no second payload copy) only for entries actually pulled;
-//!   [`SearchStats::candidates_generated`] counts them.
+//! [`SearchStats::candidates_generated`] counts the candidates handed to
+//! the consumer — views selected or entries pulled — and nothing else.
 //!
 //! The yield order is byte-identical to the eager lists: staging order
 //! equals the eager push order, the bound values are computed by the
@@ -34,190 +42,271 @@
 //! merge wire-for-wire.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 use crate::entry::{IndexEntry, Routing, RoutingView};
 use crate::index::MIndexError;
 use crate::stats::SearchStats;
 
-/// Entries decoded per refill. Chunking amortizes the per-pull cost while
-/// bounding the overshoot past a coordinator's stopping point to one
-/// chunk per shard.
-const DECODE_CHUNK: usize = 32;
-
-/// One staged record: the whole encoding validated, nothing materialised.
-/// `bound` is the wire lower bound the entry will ship with.
-pub(crate) struct StagedEntry {
-    pub(crate) id: u64,
-    /// The full encoded record body; becomes the payload buffer at yield.
-    raw: Vec<u8>,
-    /// Byte range of the stored little-endian `f32` distances inside
-    /// `raw`; `None` under permutation routing.
-    distances: Option<(usize, usize)>,
-    body_start: usize,
-    body_len: usize,
-    /// Wire lower bound; set by the open phase after parsing.
-    pub(crate) bound: f64,
+/// One candidate as a cursor yields it: id, wire lower bound and the
+/// sealed payload, borrowed from the cursor's arena.
+#[derive(Debug, Clone, Copy)]
+pub struct CandidateView<'a> {
+    /// External object id.
+    pub id: u64,
+    /// Wire lower bound the candidate ships with.
+    pub bound: f64,
+    /// Opaque payload (sealed object / encoded vector).
+    pub payload: &'a [u8],
+    /// The record's encoded routing header; only the owned adapters
+    /// decode it.
+    routing: &'a [u8],
 }
 
-impl StagedEntry {
+impl CandidateView<'_> {
+    /// Builds the owned entry: decodes the routing header and copies the
+    /// payload out of the arena.
+    pub fn to_entry(&self) -> Result<IndexEntry, MIndexError> {
+        let (routing, _) = Routing::decode(self.routing)
+            .ok_or_else(|| MIndexError::Corrupt(format!("record {} undecodable", self.id)))?;
+        Ok(IndexEntry::new(self.id, routing, self.payload.to_vec()))
+    }
+}
+
+/// The owned form of a run of views: each routing header decoded, each
+/// payload copied out of its arena — what every owned adapter returns.
+pub fn owned_entries(views: &[CandidateView<'_>]) -> Result<Vec<(IndexEntry, f64)>, MIndexError> {
+    views.iter().map(|v| Ok((v.to_entry()?, v.bound))).collect()
+}
+
+/// A stored record body, validated in place: `routing ‖ u32 len ‖ payload`.
+pub(crate) struct StoredRecord<'a> {
+    routing: RoutingView<'a>,
+    routing_len: u32,
+    payload_len: u32,
+}
+
+impl<'a> StoredRecord<'a> {
     /// Validates a stored record body without copying or decoding any of
     /// it. Accepts exactly the encodings [`IndexEntry::decode_payload`]
     /// accepts (routing header, `u32` payload length, payload in range),
     /// so open-time corruption errors fire on the same records the eager
     /// scan errored on.
-    pub(crate) fn parse(id: u64, raw: Vec<u8>) -> Option<Self> {
-        let (view, used) = RoutingView::decode(&raw)?;
-        let distances = match view {
-            RoutingView::Distances(le) => Some((used.checked_sub(4 * le.len())?, used)),
-            RoutingView::Permutation(_) => None,
-        };
-        let len_bytes: [u8; 4] = raw.get(used..used + 4)?.try_into().ok()?;
-        let body_len = u32::from_le_bytes(len_bytes) as usize;
-        let body_start = used + 4;
-        if raw.len() < body_start.checked_add(body_len)? {
+    pub(crate) fn parse(record: &'a [u8]) -> Option<Self> {
+        let (routing, used) = RoutingView::decode(record)?;
+        let len_bytes: [u8; 4] = record.get(used..used.checked_add(4)?)?.try_into().ok()?;
+        let payload_len = u32::from_le_bytes(len_bytes);
+        if record.len() < (used + 4).checked_add(payload_len as usize)? {
             return None;
         }
         Some(Self {
-            id,
-            raw,
-            distances,
-            body_start,
-            body_len,
-            bound: 0.0,
+            routing,
+            routing_len: u32::try_from(used).ok()?,
+            payload_len,
         })
     }
 
     /// The record's stored object–pivot distances, still as the bytes the
-    /// store returned — what the open phase computes the bound from.
-    pub(crate) fn stored_distances(&self) -> Option<&[[u8; 4]]> {
-        let (start, end) = self.distances?;
-        Some(self.raw.get(start..end)?.as_chunks::<4>().0)
-    }
-
-    /// Builds the entry. The routing is decoded only now, and the payload
-    /// is moved to the front of the record's own buffer rather than copied
-    /// into a new one.
-    fn materialize(&mut self) -> Option<IndexEntry> {
-        let mut raw = std::mem::take(&mut self.raw);
-        let (routing, _) = Routing::decode(&raw)?;
-        raw.truncate(self.body_start.checked_add(self.body_len)?);
-        raw.drain(..self.body_start);
-        Some(IndexEntry::new(self.id, routing, raw))
+    /// store lent — what the open phase computes the bound from. `None`
+    /// under permutation routing.
+    pub(crate) fn stored_distances(&self) -> Option<&'a [[u8; 4]]> {
+        match self.routing {
+            RoutingView::Distances(le) => Some(le),
+            RoutingView::Permutation(_) => None,
+        }
     }
 }
 
-/// A lazy, bound-ordered stream of `(entry, lower_bound)` candidates.
+/// A per-record filter over the stored distance bytes (`true` = keep).
+pub(crate) type StoredFilter<'f> = &'f dyn Fn(&[[u8; 4]]) -> bool;
+
+/// One staged record: where its encoding sits in the arena and the bound
+/// it ships with.
+struct Slot {
+    id: u64,
+    bound: f64,
+    /// Offset of the record body in the arena.
+    start: usize,
+    routing_len: u32,
+    payload_len: u32,
+}
+
+/// The open phase's output: the arena and one slot per surviving record,
+/// in cell-visit order.
+#[derive(Default)]
+pub(crate) struct Staging {
+    arena: Vec<u8>,
+    slots: Vec<Slot>,
+}
+
+impl Staging {
+    /// Room for `records` more records of `record_len` bytes each.
+    pub(crate) fn reserve(&mut self, records: usize, record_len: usize) {
+        self.slots.reserve(records);
+        self.arena.reserve(records.saturating_mul(record_len));
+    }
+
+    /// Stages one lent record: `Some(true)` when it was staged,
+    /// `Some(false)` when `filter` rejected it, `None` when it does not
+    /// decode.
+    ///
+    /// The record is copied into the arena **first** — one streaming read
+    /// of bytes that are cold in a store much larger than the cache — and
+    /// then validated and bounded from that copy, which is hot; reading
+    /// the stored distances where they lie instead would pay memory
+    /// latency line by line. Only a `filter` (the range query's pivot
+    /// filter, which rejects most records within their first few
+    /// distances) looks at the lent bytes, so that a rejected record
+    /// costs neither the copy nor the bandwidth — and is validated only
+    /// as far as its routing header, which the filter reads.
+    pub(crate) fn stage(
+        &mut self,
+        id: u64,
+        record: &[u8],
+        filter: Option<StoredFilter<'_>>,
+        bound_of: impl FnOnce(Option<&[[u8; 4]]>) -> f64,
+    ) -> Option<bool> {
+        if let Some(keep) = filter {
+            if let (RoutingView::Distances(stored), _) = RoutingView::decode(record)? {
+                if !keep(stored) {
+                    return Some(false);
+                }
+            }
+        }
+        let start = self.arena.len();
+        self.arena.extend_from_slice(record);
+        let staged = self
+            .arena
+            .get(start..)
+            .and_then(StoredRecord::parse)
+            .map(|parsed| {
+                (
+                    bound_of(parsed.stored_distances()),
+                    parsed.routing_len,
+                    parsed.payload_len,
+                )
+            });
+        let Some((bound, routing_len, payload_len)) = staged else {
+            self.arena.truncate(start);
+            return None;
+        };
+        // Nothing past the payload stays in the arena.
+        self.arena
+            .truncate(start + routing_len as usize + 4 + payload_len as usize);
+        self.slots.push(Slot {
+            id,
+            bound,
+            start,
+            routing_len,
+            payload_len,
+        });
+        Some(true)
+    }
+}
+
+/// A lazy, bound-ordered stream of candidates.
 ///
 /// Owned and lock-free: the open phase copies the staged records out of
-/// the bucket store, so the cursor borrows nothing from the index — a
-/// coordinator may hold many cursors from many shards with **no** shard
-/// guard live (the lock-discipline lint enforces this).
+/// the bucket store into the cursor's arena, so the cursor borrows
+/// nothing from the index — a coordinator may hold many cursors from many
+/// shards with **no** shard guard live (the lock-discipline lint enforces
+/// this).
 ///
 /// Bounds are yielded in nondecreasing order; ties keep the staging
 /// (cell-visit) order via the stable sort.
 pub struct CandidateCursor {
-    staged: Vec<StagedEntry>,
-    /// Yield order: indices into `staged`, stably sorted by bound.
-    order: Vec<u32>,
-    /// Next position in `order` not yet decoded.
+    arena: Vec<u8>,
+    /// The staged records in yield order (stably sorted by bound).
+    slots: Vec<Slot>,
+    /// Next position in `slots` not yet pulled by an owned adapter.
     pos: usize,
-    /// Decoded entries awaiting a pull.
-    decoded: VecDeque<(IndexEntry, f64)>,
     stats: SearchStats,
 }
 
 impl CandidateCursor {
-    /// Ranks the staged records and prefetches the first decode chunk
-    /// (so a parallel fan-out does that work inside the worker thread).
-    pub(crate) fn new(staged: Vec<StagedEntry>, stats: SearchStats) -> Result<Self, MIndexError> {
-        let mut order: Vec<u32> = (0..staged.len() as u32).collect();
+    /// Ranks the staged records.
+    pub(crate) fn new(staging: Staging, stats: SearchStats) -> Self {
+        let Staging { arena, mut slots } = staging;
         // Identical permutation to the eager `sort_by` over
         // `(entry, bound)` pairs: same comparator, same stable sort,
         // same initial (staging) order.
-        order.sort_by(|&a, &b| {
-            staged[a as usize]
-                .bound
-                .partial_cmp(&staged[b as usize].bound)
-                .unwrap_or(Ordering::Equal)
-        });
-        let mut cursor = Self {
-            staged,
-            order,
+        slots.sort_by(|a, b| a.bound.partial_cmp(&b.bound).unwrap_or(Ordering::Equal));
+        Self {
+            arena,
+            slots,
             pos: 0,
-            decoded: VecDeque::new(),
             stats,
-        };
-        cursor.refill()?;
-        Ok(cursor)
+        }
     }
 
-    /// The bound of the next candidate, without decoding anything.
-    /// `None` when the cursor is exhausted.
-    pub fn peek_bound(&self) -> Option<f64> {
-        if let Some((_, b)) = self.decoded.front() {
-            return Some(*b);
+    fn view(&self, s: &Slot) -> CandidateView<'_> {
+        let (routing, rest) = self.arena[s.start..].split_at(s.routing_len as usize);
+        CandidateView {
+            id: s.id,
+            bound: s.bound,
+            payload: &rest[4..4 + s.payload_len as usize],
+            routing,
         }
-        self.order
-            .get(self.pos)
-            .map(|&i| self.staged[i as usize].bound)
+    }
+
+    /// The candidates not yet pulled, in ascending bound order, borrowed
+    /// from the arena. Iterating decodes and copies nothing and does not
+    /// advance the cursor.
+    pub fn views(&self) -> impl ExactSizeIterator<Item = CandidateView<'_>> + '_ {
+        self.slots[self.pos..].iter().map(move |s| self.view(s))
+    }
+
+    /// The bound of the next candidate. `None` when the cursor is
+    /// exhausted.
+    pub fn peek_bound(&self) -> Option<f64> {
+        self.slots.get(self.pos).map(|s| s.bound)
     }
 
     /// Candidates not yet pulled.
     pub fn remaining(&self) -> usize {
-        self.decoded.len() + (self.order.len() - self.pos)
+        self.slots.len() - self.pos
     }
 
     /// The open-phase statistics, plus `candidates_generated` for every
-    /// entry decoded so far. `candidates` stays 0 — the consumer that
+    /// entry pulled so far. `candidates` stays 0 — the consumer that
     /// assembles the final list sets it (see [`SearchStats::merge_from`]).
     pub fn stats(&self) -> SearchStats {
         self.stats
     }
 
-    /// Decodes the next chunk of the yield order.
-    fn refill(&mut self) -> Result<(), MIndexError> {
-        let end = (self.pos + DECODE_CHUNK).min(self.order.len());
-        while self.pos < end {
-            let slot = self.order[self.pos] as usize;
-            self.pos += 1;
-            let e = &mut self.staged[slot];
-            let entry = e
-                .materialize()
-                .ok_or_else(|| MIndexError::Corrupt(format!("record {} undecodable", e.id)))?;
-            self.decoded.push_back((entry, e.bound));
-            self.stats.candidates_generated += 1;
-        }
-        Ok(())
+    /// The first `cap` remaining views (`None` = all) and the statistics
+    /// of a consumer that takes exactly those: `candidates` and
+    /// `candidates_generated` both count the selection.
+    pub fn select_up_to(&self, cap: Option<usize>) -> (Vec<CandidateView<'_>>, SearchStats) {
+        let want = cap.map_or(self.remaining(), |c| c.min(self.remaining()));
+        let views: Vec<CandidateView<'_>> = self.views().take(want).collect();
+        let mut stats = self.stats;
+        stats.candidates_generated += views.len() as u64;
+        stats.candidates = views.len() as u64;
+        (views, stats)
     }
 
-    /// Pulls the next candidate in ascending bound order, decoding a new
-    /// chunk when the prefetched ones run out. `Ok(None)` = exhausted.
+    /// Pulls the next candidate in ascending bound order as an owned
+    /// entry. `Ok(None)` = exhausted.
     pub fn next_candidate(&mut self) -> Result<Option<(IndexEntry, f64)>, MIndexError> {
-        if self.decoded.is_empty() {
-            self.refill()?;
-        }
-        Ok(self.decoded.pop_front())
+        let Some(view) = self.views().next() else {
+            return Ok(None);
+        };
+        let pulled = (view.to_entry()?, view.bound);
+        self.pos += 1;
+        self.stats.candidates_generated += 1;
+        Ok(Some(pulled))
     }
 
     /// Drains up to `cap` candidates (`None` = all) into the eager list
     /// shape, setting `stats.candidates` from the result length — this is
-    /// exactly the pre-cursor eager function's contract.
+    /// exactly the pre-cursor eager function's contract, as the owned
+    /// form of [`CandidateCursor::select_up_to`].
     pub fn collect_up_to(
-        mut self,
+        self,
         cap: Option<usize>,
     ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        let want = cap.map_or(self.remaining(), |c| c.min(self.remaining()));
-        let mut out = Vec::with_capacity(want);
-        while out.len() < want {
-            match self.next_candidate()? {
-                Some(c) => out.push(c),
-                None => break,
-            }
-        }
-        let mut stats = self.stats;
-        stats.candidates = out.len() as u64;
-        Ok((out, stats))
+        let (views, stats) = self.select_up_to(cap);
+        Ok((owned_entries(&views)?, stats))
     }
 }
 
@@ -235,39 +324,41 @@ impl std::fmt::Debug for CandidateCursor {
 mod tests {
     use super::*;
 
-    fn staged(id: u64, bound: f64, payload: &[u8]) -> StagedEntry {
-        let entry = IndexEntry::new(id, Routing::from_distances(&[bound]), payload.to_vec());
-        let mut s = StagedEntry::parse(id, entry.encode_payload()).unwrap();
-        s.bound = bound;
-        s
+    fn cursor_over(records: &[(u64, f64, &[u8])]) -> CandidateCursor {
+        let mut staging = Staging::default();
+        for &(id, bound, payload) in records {
+            let entry = IndexEntry::new(id, Routing::from_distances(&[bound]), payload.to_vec());
+            let raw = entry.encode_payload();
+            assert_eq!(staging.stage(id, &raw, None, |_| bound), Some(true));
+        }
+        CandidateCursor::new(staging, SearchStats::default())
     }
 
     #[test]
     fn yields_in_bound_order_with_stable_ties() {
-        let cursor = CandidateCursor::new(
-            vec![
-                staged(1, 0.5, b"a"),
-                staged(2, 0.1, b"b"),
-                staged(3, 0.5, b"c"),
-                staged(4, 0.0, b"d"),
-            ],
-            SearchStats::default(),
-        )
-        .unwrap();
+        let cursor = cursor_over(&[
+            (1, 0.5, b"a"),
+            (2, 0.1, b"b"),
+            (3, 0.5, b"c"),
+            (4, 0.0, b"d"),
+        ]);
         let (list, stats) = cursor.collect_up_to(None).unwrap();
         let ids: Vec<u64> = list.iter().map(|(e, _)| e.id).collect();
         assert_eq!(ids, vec![4, 2, 1, 3], "ties keep staging order");
         assert_eq!(list[2].0.payload, b"a".to_vec());
+        assert_eq!(list[2].0.routing, Routing::from_distances(&[0.5]));
         assert_eq!(stats.candidates, 4);
         assert_eq!(stats.candidates_generated, 4);
     }
 
     #[test]
-    fn peek_never_decodes_and_cap_limits_generation() {
-        let entries: Vec<StagedEntry> = (0..100).map(|i| staged(i, i as f64, &[i as u8])).collect();
-        let mut cursor = CandidateCursor::new(entries, SearchStats::default()).unwrap();
-        // Only the prefetched chunk is decoded at open.
-        assert_eq!(cursor.stats().candidates_generated, DECODE_CHUNK as u64);
+    fn generation_counts_exactly_what_is_pulled() {
+        let records: Vec<(u64, f64, Vec<u8>)> =
+            (0..100).map(|i| (i, i as f64, vec![i as u8])).collect();
+        let borrowed: Vec<(u64, f64, &[u8])> =
+            records.iter().map(|(i, b, p)| (*i, *b, &p[..])).collect();
+        let mut cursor = cursor_over(&borrowed);
+        assert_eq!(cursor.stats().candidates_generated, 0, "open pulls nothing");
         assert_eq!(cursor.peek_bound(), Some(0.0));
         for want in 0..40 {
             let (e, b) = cursor.next_candidate().unwrap().unwrap();
@@ -276,18 +367,24 @@ mod tests {
         }
         assert_eq!(cursor.peek_bound(), Some(40.0));
         assert_eq!(cursor.remaining(), 60);
-        // 40 pulls forced two chunks; the other 36 stay undecoded.
-        assert_eq!(cursor.stats().candidates_generated, 2 * DECODE_CHUNK as u64);
+        assert_eq!(cursor.stats().candidates_generated, 40);
+        // A capped selection continues after the pulled prefix and counts
+        // only itself on top.
+        let (views, stats) = cursor.select_up_to(Some(10));
+        assert_eq!(views.len(), 10);
+        assert_eq!(views[0].id, 40);
+        assert_eq!(stats.candidates_generated, 50);
+        assert_eq!(stats.candidates, 10);
     }
 
     #[test]
     fn parse_rejects_what_decode_payload_rejects() {
         let entry = IndexEntry::new(9, Routing::from_distances(&[1.0, 2.0]), vec![7; 10]);
         let bytes = entry.encode_payload();
-        assert!(StagedEntry::parse(9, bytes.clone()).is_some());
+        assert!(StoredRecord::parse(&bytes).is_some());
         for cut in [0, 1, 3, bytes.len() - 1] {
             assert_eq!(
-                StagedEntry::parse(9, bytes[..cut].to_vec()).is_some(),
+                StoredRecord::parse(&bytes[..cut]).is_some(),
                 IndexEntry::decode_payload(9, &bytes[..cut]).is_some(),
                 "cursor parse and eager decode must agree at cut {cut}"
             );
@@ -295,12 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn materialize_decodes_late_and_reuses_the_record_buffer() {
+    fn views_borrow_the_arena_and_bound_from_stored_bytes() {
         let entry = IndexEntry::new(9, Routing::from_distances(&[1.0, 2.5]), vec![7; 64]);
-        let raw = entry.encode_payload();
-        let buffer = raw.as_ptr();
-        let mut staged = StagedEntry::parse(9, raw).unwrap();
-        let stored: Vec<f32> = staged
+        let mut raw = entry.encode_payload();
+        raw.extend_from_slice(b"slack a store may leave after the payload");
+        let parsed = StoredRecord::parse(&raw).unwrap();
+        let stored: Vec<f32> = parsed
             .stored_distances()
             .unwrap()
             .iter()
@@ -311,21 +408,33 @@ mod tests {
             vec![1.0, 2.5],
             "bounds are computed from these bytes"
         );
-        let built = staged.materialize().unwrap();
-        assert_eq!(built, entry);
+        let mut staging = Staging::default();
+        let reject = |_: &[[u8; 4]]| false;
+        assert_eq!(staging.stage(8, &raw, Some(&reject), |_| 0.0), Some(false));
+        assert_eq!(staging.stage(8, &raw[..raw.len() / 2], None, |_| 0.0), None);
+        assert_eq!(staging.stage(9, &raw, None, |_| 0.25), Some(true));
+        let cursor = CandidateCursor::new(staging, SearchStats::default());
         assert_eq!(
-            built.payload.as_ptr(),
-            buffer,
-            "the payload is the store's buffer, not a copy of it"
+            cursor.arena.len(),
+            entry.encoded_len(),
+            "one copy of the record, nothing past its payload"
         );
-        assert!(staged.materialize().is_none(), "an entry is built once");
+        let view = cursor.views().next().unwrap();
+        assert_eq!((view.id, view.bound), (9, 0.25));
+        assert_eq!(view.payload, &[7u8; 64][..]);
+        assert!(
+            cursor.arena.as_ptr_range().contains(&view.payload.as_ptr()),
+            "the payload is a slice of the arena, not a copy of it"
+        );
+        assert_eq!(view.to_entry().unwrap(), entry);
     }
 
     #[test]
     fn empty_cursor_is_well_behaved() {
-        let mut cursor = CandidateCursor::new(Vec::new(), SearchStats::default()).unwrap();
+        let mut cursor = cursor_over(&[]);
         assert_eq!(cursor.peek_bound(), None);
         assert_eq!(cursor.remaining(), 0);
+        assert_eq!(cursor.views().len(), 0);
         assert!(cursor.next_candidate().unwrap().is_none());
         let (list, stats) = cursor.collect_up_to(Some(5)).unwrap();
         assert!(list.is_empty());

@@ -152,10 +152,16 @@ impl IndexEntry {
     /// Serializes routing+payload into a storage record body.
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        self.routing.encode(&mut out);
+        self.encode_payload_into(&mut out);
+        out
+    }
+
+    /// Appends the storage record body ([`Self::encoded_len`] bytes) to
+    /// `out`.
+    pub fn encode_payload_into(&self, out: &mut Vec<u8>) {
+        self.routing.encode(out);
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.payload);
-        out
     }
 
     /// Reconstructs an entry from a storage record.

@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, HashMap};
 use simcloud_storage::{BucketId, BucketStore, Record, StorageError};
 
 use crate::config::{MIndexConfig, RoutingStrategy};
-use crate::cursor::{CandidateCursor, StagedEntry};
+use crate::cursor::{CandidateCursor, Staging, StoredFilter};
 use crate::entry::{IndexEntry, Routing};
 use crate::promise::PromiseEvaluator;
 use crate::pruning::{
@@ -21,7 +21,7 @@ use crate::pruning::{
     range_pivot_may_intersect,
 };
 use crate::stats::SearchStats;
-use crate::tree::{CellTree, Node, TreeShape};
+use crate::tree::{CellTree, LeafCell, Node, TreeShape};
 
 /// M-Index errors.
 #[derive(Debug)]
@@ -101,6 +101,13 @@ impl From<StorageError> for MIndexError {
 /// Sentinel `cand_size` for [`MIndex::knn_candidates`]: return the whole
 /// most-promising Voronoi cell untrimmed (paper §5.4's 1-NN setting).
 pub const FIRST_CELL_ONLY: usize = 0;
+
+/// The drain cap a k-NN `cand_size` implies: [`FIRST_CELL_ONLY`] drains the
+/// whole first cell untrimmed, anything else trims to the requested size
+/// (Alg. 4 line 5).
+pub fn knn_cap(cand_size: usize) -> Option<usize> {
+    (cand_size != FIRST_CELL_ONLY).then_some(cand_size)
+}
 
 /// The dynamic M-Index over a bucket store.
 pub struct MIndex<S: BucketStore> {
@@ -328,7 +335,7 @@ impl<S: BucketStore> MIndex<S> {
             });
         }
         let mut stats = SearchStats::default();
-        let mut staged: Vec<StagedEntry> = Vec::new();
+        let mut staging = Staging::default();
         // Iterative DFS carrying (node, prefix, used-pivot mask).
         let tree = &self.tree;
         let store = &self.store;
@@ -385,28 +392,22 @@ impl<S: BucketStore> MIndex<S> {
                         continue;
                     }
                     stats.cells_visited += 1;
-                    let records = store.read_bucket(leaf.bucket)?;
-                    for rec in records {
-                        stats.entries_scanned += 1;
-                        let mut entry =
-                            StagedEntry::parse(rec.id, rec.payload).ok_or_else(|| {
-                                MIndexError::Corrupt(format!("record {} undecodable", rec.id))
-                            })?;
-                        match entry.stored_distances() {
-                            Some(ds) if !pivot_filter_keep(query_distances, ds, radius) => {
-                                stats.entries_filtered += 1;
-                            }
-                            Some(ds) => {
-                                entry.bound = pivot_filter_safe_lower_bound(query_distances, ds);
-                                staged.push(entry);
-                            }
-                            None => staged.push(entry),
-                        }
-                    }
+                    scan_cell(
+                        store,
+                        leaf,
+                        Some(&|stored| pivot_filter_keep(query_distances, stored, radius)),
+                        &mut stats,
+                        &mut staging,
+                        |stored| {
+                            stored.map_or(0.0, |ds| {
+                                pivot_filter_safe_lower_bound(query_distances, ds)
+                            })
+                        },
+                    )?;
                 }
             }
         }
-        CandidateCursor::new(staged, stats)
+        Ok(CandidateCursor::new(staging, stats))
     }
 
     /// Approximate k-NN candidates (paper Alg. 4): enumerates Voronoi cells
@@ -433,13 +434,8 @@ impl<S: BucketStore> MIndex<S> {
         evaluator: &PromiseEvaluator,
         cand_size: usize,
     ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        let cap = if cand_size == FIRST_CELL_ONLY {
-            None
-        } else {
-            // Trim to the requested size (Alg. 4 line 5).
-            Some(cand_size)
-        };
-        self.knn_cursor(evaluator, cand_size)?.collect_up_to(cap)
+        self.knn_cursor(evaluator, cand_size)?
+            .collect_up_to(knn_cap(cand_size))
     }
 
     /// Opens a lazy, bound-ordered cursor over the approximate-k-NN
@@ -472,7 +468,7 @@ impl<S: BucketStore> MIndex<S> {
             }
         }
         let mut stats = SearchStats::default();
-        let mut staged: Vec<StagedEntry> = Vec::with_capacity(cand_size);
+        let mut staging = Staging::default();
         let tree = &self.tree;
         let store = &self.store;
 
@@ -533,24 +529,22 @@ impl<S: BucketStore> MIndex<S> {
                         continue;
                     }
                     stats.cells_visited += 1;
-                    let records = store.read_bucket(leaf.bucket)?;
-                    for rec in records {
-                        stats.entries_scanned += 1;
-                        let mut entry =
-                            StagedEntry::parse(rec.id, rec.payload).ok_or_else(|| {
-                                MIndexError::Corrupt(format!("record {} undecodable", rec.id))
-                            })?;
-                        // Rank = wire-safe pivot-filter lower bound when
-                        // distances are available on both sides; the cell
-                        // penalty (heuristic) otherwise.
-                        entry.bound = match (entry.stored_distances(), evaluator) {
+                    // Rank = wire-safe pivot-filter lower bound when
+                    // distances are available on both sides; the cell
+                    // penalty (heuristic) otherwise.
+                    scan_cell(
+                        store,
+                        leaf,
+                        None,
+                        &mut stats,
+                        &mut staging,
+                        |stored| match (stored, evaluator) {
                             (Some(ds), PromiseEvaluator::Distances { distances, .. }) => {
                                 pivot_filter_safe_lower_bound(distances, ds)
                             }
                             _ => item.penalty,
-                        };
-                        staged.push(entry);
-                    }
+                        },
+                    )?;
                     gathered += leaf.count;
                     if first_cell_only || gathered >= cand_size {
                         break;
@@ -558,7 +552,7 @@ impl<S: BucketStore> MIndex<S> {
                 }
             }
         }
-        CandidateCursor::new(staged, stats)
+        Ok(CandidateCursor::new(staging, stats))
     }
 
     /// Re-reads the stored entries with the given external ids — the server
@@ -624,6 +618,52 @@ impl<S: BucketStore> MIndex<S> {
             }
         }
         Ok(out)
+    }
+}
+
+/// Scans one leaf's bucket for a cursor's open phase: every record the
+/// store lends goes through [`Staging::stage`] — rejected by `filter`,
+/// or copied into the staging arena (the only copy of a candidate's bytes
+/// the index ever makes) and bounded by `bound_of` from its stored
+/// distance bytes.
+///
+/// Without a filter every record of the cell is staged, so the arena is
+/// sized for the cell at its first record; with one, how many survive is
+/// not known and the arena grows as they come. It is deliberately sized
+/// cell by cell, never for the whole walk up front: an over-sized reservation moves the response frame that is
+/// allocated next onto pages this thread has not touched yet, and the
+/// page faults cost more than the regrowth saves (measured on the
+/// sharded server, whose shard workers are fresh threads every query).
+fn scan_cell<S: BucketStore>(
+    store: &S,
+    leaf: &LeafCell,
+    filter: Option<StoredFilter<'_>>,
+    stats: &mut SearchStats,
+    staging: &mut Staging,
+    mut bound_of: impl FnMut(Option<&[[u8; 4]]>) -> f64,
+) -> Result<(), MIndexError> {
+    let mut first = true;
+    let mut undecodable = None;
+    store.scan_bucket(leaf.bucket, &mut |id, record| {
+        if undecodable.is_some() {
+            return;
+        }
+        if std::mem::take(&mut first) {
+            // Sealed objects of one collection share a size, so the first
+            // record sizes the cell's share of the arena in one step.
+            let expect = if filter.is_some() { 0 } else { leaf.count };
+            staging.reserve(expect, record.len());
+        }
+        stats.entries_scanned += 1;
+        match staging.stage(id, record, filter, &mut bound_of) {
+            Some(true) => {}
+            Some(false) => stats.entries_filtered += 1,
+            None => undecodable = Some(id),
+        }
+    })?;
+    match undecodable {
+        Some(id) => Err(MIndexError::Corrupt(format!("record {id} undecodable"))),
+        None => Ok(()),
     }
 }
 

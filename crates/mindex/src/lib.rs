@@ -41,9 +41,9 @@ pub mod stats;
 pub mod tree;
 
 pub use config::{MIndexConfig, RoutingStrategy};
-pub use cursor::CandidateCursor;
+pub use cursor::{owned_entries, CandidateCursor, CandidateView};
 pub use entry::{IndexEntry, Routing};
-pub use index::{MIndex, MIndexError, FIRST_CELL_ONLY};
+pub use index::{knn_cap, MIndex, MIndexError, FIRST_CELL_ONLY};
 pub use plain::{recall, Neighbor, PlainMIndex};
 pub use promise::PromiseEvaluator;
 pub use stats::{SearchStats, SharedSearchStats};

@@ -199,10 +199,10 @@ proptest! {
         prop_assert_eq!(streamed_stats, eager_stats);
     }
 
-    /// The lazy contract: a capped pull decodes at most one prefetch chunk
-    /// beyond what was pulled — never the whole staged universe.
+    /// The lazy contract: generation counts exactly the candidates pulled
+    /// — never the staged universe, and no prefetch beyond the pull.
     #[test]
-    fn capped_pull_decodes_at_most_one_chunk_over(
+    fn capped_pull_generates_exactly_what_it_pulls(
         seed in 0u64..5000,
         n in 64usize..200,
         pulled in 1usize..16,
@@ -212,14 +212,11 @@ proptest! {
         let ev = PromiseEvaluator::from_distances(ds);
         let mut cursor = b.idx.knn_cursor(&ev, n).unwrap();
         let staged = cursor.remaining();
+        prop_assert_eq!(cursor.stats().candidates_generated, 0);
         for _ in 0..pulled {
             cursor.next_candidate().unwrap();
         }
-        // Decode-chunk size is 32; generation may round up to it.
         let generated = cursor.stats().candidates_generated as usize;
-        prop_assert!(
-            generated <= pulled.min(staged) + 32,
-            "{generated} decoded for {pulled} pulls over {staged} staged"
-        );
+        prop_assert_eq!(generated, pulled.min(staged));
     }
 }

@@ -20,13 +20,13 @@ use std::collections::HashMap;
 
 use parking_lot::{RwLock, RwLockReadGuard};
 use simcloud_mindex::{
-    CandidateCursor, IndexEntry, MIndex, MIndexConfig, MIndexError, PromiseEvaluator, SearchStats,
-    FIRST_CELL_ONLY,
+    knn_cap, owned_entries, CandidateCursor, CandidateView, IndexEntry, MIndex, MIndexConfig,
+    MIndexError, PromiseEvaluator, SearchStats, FIRST_CELL_ONLY,
 };
 use simcloud_storage::{BucketStore, IoStats};
 use simcloud_telemetry::Registry;
 
-use crate::merge::{drain_frontier, drain_frontier_timed};
+use crate::merge::merge_frontier;
 use crate::router::ShardRouter;
 use crate::telemetry::ShardTiming;
 
@@ -331,11 +331,7 @@ impl<S: BucketStore> ShardedMIndex<S> {
         evaluator: &PromiseEvaluator,
         cand_size: usize,
     ) -> Result<OpenedFrontier, MIndexError> {
-        let cap = if cand_size == FIRST_CELL_ONLY {
-            None
-        } else {
-            Some(cand_size)
-        };
+        let cap = knn_cap(cand_size);
         let budget = self.shard_open_budget(cand_size);
         let cursors = Self::open_cursors(self.fan_out(|ix| {
             let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
@@ -344,21 +340,27 @@ impl<S: BucketStore> ShardedMIndex<S> {
         Ok((cursors, cap))
     }
 
-    /// The gather half of every search: drains the merged frontier
-    /// lock-free (see [`drain_frontier`]), timing the coordinator's merge
-    /// and its pull runs when telemetry is bound.
+    /// The gather half of every search: merges the cursors' frontiers
+    /// lock-free into borrowed views (see [`merge_frontier`]), timing the
+    /// coordinator's merge and its pull runs when telemetry is bound.
+    pub fn merge<'a>(
+        &self,
+        cursors: &'a [CandidateCursor],
+        cap: Option<usize>,
+    ) -> (Vec<CandidateView<'a>>, SearchStats) {
+        let _merge = self.telemetry.as_ref().map(ShardTiming::merge_timer);
+        let pull = self.telemetry.as_ref().and_then(ShardTiming::pull_hist);
+        merge_frontier(cursors, cap, pull)
+    }
+
+    /// [`Self::merge`] as owned entries — the eager list shape.
     pub fn drain(
         &self,
         cursors: Vec<CandidateCursor>,
         cap: Option<usize>,
     ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        match &self.telemetry {
-            Some(t) => {
-                let _merge = t.merge_timer();
-                drain_frontier_timed(cursors, cap, t.pull_hist())
-            }
-            None => drain_frontier(cursors, cap),
-        }
+        let (views, stats) = self.merge(&cursors, cap);
+        Ok((owned_entries(&views)?, stats))
     }
 
     /// Scatter-gather precise range candidates: the union of the per-shard
@@ -462,12 +464,7 @@ impl<S: BucketStore> ShardedMIndex<S> {
                 if let Some(e) = failed {
                     return Err(e);
                 }
-                let cap = if cand_size == FIRST_CELL_ONLY {
-                    None
-                } else {
-                    Some(cand_size)
-                };
-                Ok((cursors, cap))
+                Ok((cursors, knn_cap(cand_size)))
             })
             .collect()
     }

@@ -5,10 +5,12 @@
 //! lock-free stream of `(entry, lower_bound)` pairs in nondecreasing
 //! bound order (the contract of `MIndex::knn_cursor` / `range_cursor`).
 //! The coordinator pulls the globally smallest bound from whichever
-//! cursor holds it — a k-way heap keyed by each cursor's `peek_bound` —
-//! and stops the moment `cap` candidates are drained. Entries beyond the
-//! stopping point are never decoded, so per-shard generation work drops
-//! toward `cap / N` instead of every shard materializing a full list.
+//! cursor holds it — an argmin over each cursor's next view — and stops
+//! the moment `cap` candidates are merged. What it pulls are borrowed
+//! [`CandidateView`](simcloud_mindex::CandidateView)s: no entry is
+//! decoded and no payload moves until a server front end writes the
+//! merged views into its response frame (or an owned adapter asks for
+//! entries).
 //!
 //! **Exactness argument.** The pull sequence equals the old
 //! gather-everything merge wire for wire: each cursor yields exactly the
@@ -27,7 +29,9 @@
 
 use std::cmp::Ordering;
 
-use simcloud_mindex::{CandidateCursor, IndexEntry, MIndexError, SearchStats};
+use simcloud_mindex::{
+    owned_entries, CandidateCursor, CandidateView, IndexEntry, MIndexError, SearchStats,
+};
 use simcloud_telemetry::{Histogram, SpanTimer};
 
 /// One shard's frontier head: the bound its cursor would yield next.
@@ -46,56 +50,58 @@ fn precedes(a: &Head, b: &Head) -> bool {
         == Ordering::Less
 }
 
-/// Drains the per-shard cursors' merged frontier into one ascending list
-/// of at most `cap` entries (`None` = drain everything). Within equal
-/// bounds, earlier shards win — deterministic for a fixed shard layout.
+/// How often the merge loop samples a pull run into the `shard.pull`
+/// histogram. Runs are the hottest unit on the gather path (dozens per
+/// query), and two clock reads per run shows up as whole percents of
+/// query throughput — sampling every 8th run keeps the latency
+/// distribution representative while staying inside the ≤ 5 % telemetry
+/// budget asserted by `--bench obs`. The first run is always sampled, so
+/// any timed merge lands at least one record.
+const PULL_SAMPLE_EVERY: u32 = 8;
+
+/// Merges the per-shard cursors' frontiers into one ascending list of at
+/// most `cap` candidate views (`None` = everything), borrowed from the
+/// cursors' arenas — no entry is decoded and no payload copied. Within
+/// equal bounds, earlier shards win — deterministic for a fixed shard
+/// layout.
 ///
 /// The coordinator never holds a shard guard: cursors are owned values,
 /// so this loop runs entirely lock-free after the fan-out that opened
 /// them (the lock-discipline lint enforces that no pull happens with
 /// shard guards live).
 ///
-/// Returns the merged list plus the fan-out stats: per-shard cost
-/// counters (including `candidates_generated`, the decoded-entry work
-/// counter) sum via [`SearchStats::merge_from`], and `candidates`
-/// reports the merged (capped) list — the set the client receives.
-pub fn drain_frontier(
-    cursors: Vec<CandidateCursor>,
-    cap: Option<usize>,
-) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-    drain_frontier_timed(cursors, cap, None)
-}
-
-/// How often the drain loop samples a pull run into the `shard.pull`
-/// histogram. Runs are the hottest unit on the gather path (dozens per
-/// query), and two clock reads per run shows up as whole percents of
-/// query throughput — sampling every 8th run keeps the latency
-/// distribution representative while staying inside the ≤ 5 % telemetry
-/// budget asserted by `--bench obs`. The first run is always sampled, so
-/// any timed drain lands at least one record.
-const PULL_SAMPLE_EVERY: u32 = 8;
-
-/// [`drain_frontier`] with optional pull-run timing: when `pull` is
-/// bound, every [`PULL_SAMPLE_EVERY`]-th uninterrupted run against the
-/// winning cursor records its duration (one histogram sample per sampled
-/// run, amortized over the run's entries — never per candidate).
-pub fn drain_frontier_timed(
-    mut cursors: Vec<CandidateCursor>,
+/// Returns the merged views plus the fan-out stats: per-shard cost
+/// counters sum via [`SearchStats::merge_from`], and `candidates` /
+/// `candidates_generated` report the merged (capped) list — the set the
+/// client receives.
+///
+/// When `pull` is bound, every [`PULL_SAMPLE_EVERY`]-th uninterrupted run
+/// against the winning cursor records its duration (one histogram sample
+/// per sampled run, amortized over the run's entries — never per
+/// candidate).
+pub fn merge_frontier<'a>(
+    cursors: &'a [CandidateCursor],
     cap: Option<usize>,
     pull: Option<&Histogram>,
-) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
+) -> (Vec<CandidateView<'a>>, SearchStats) {
     let total: usize = cursors.iter().map(CandidateCursor::remaining).sum();
     let want = cap.map_or(total, |c| c.min(total));
     let mut out = Vec::with_capacity(want);
+    let mut streams: Vec<_> = cursors.iter().map(|c| c.views().peekable()).collect();
     // Live frontier heads, one per non-empty cursor. A deployment has a
     // handful of shards, so an argmin scan over a flat vec beats a binary
     // heap's per-pull pop/sift/push — and the run-length inner loop below
     // keeps pulling from the winning cursor without touching the other
     // heads at all while it still holds the global minimum.
-    let mut heads: Vec<Head> = cursors
-        .iter()
+    let mut heads: Vec<Head> = streams
+        .iter_mut()
         .enumerate()
-        .filter_map(|(shard, c)| c.peek_bound().map(|bound| Head { bound, shard }))
+        .filter_map(|(shard, s)| {
+            s.peek().map(|v| Head {
+                bound: v.bound,
+                shard,
+            })
+        })
         .collect();
     let mut run_no: u32 = 0;
     while out.len() < want {
@@ -119,7 +125,7 @@ pub fn drain_frontier_timed(
             }
         }
         let Some((slot, head)) = best else { break };
-        let Some(cursor) = cursors.get_mut(head.shard) else {
+        let Some(stream) = streams.get_mut(head.shard) else {
             // Every head was built from a live cursor; a missing slot means
             // the heads and cursors diverged — stop rather than index past
             // the end.
@@ -127,21 +133,21 @@ pub fn drain_frontier_timed(
         };
         // Pull the whole run: the winning cursor stays the frontier
         // minimum until its next bound passes the runner-up's head (or
-        // ties it from a later shard), which is exactly when the old
-        // k-way heap would have switched cursors.
+        // ties it from a later shard), which is exactly when a k-way heap
+        // would have switched cursors.
         {
             let _run = pull
                 .filter(|_| run_no.is_multiple_of(PULL_SAMPLE_EVERY))
                 .map(|h| SpanTimer::new(h, true));
             run_no = run_no.wrapping_add(1);
-            while let Some(c) = cursor.next_candidate()? {
-                out.push(c);
+            while let Some(view) = stream.next() {
+                out.push(view);
                 if out.len() >= want {
                     break;
                 }
-                let run_continues = cursor.peek_bound().is_some_and(|bound| {
+                let run_continues = stream.peek().is_some_and(|v| {
                     let next = Head {
-                        bound,
+                        bound: v.bound,
                         shard: head.shard,
                     };
                     runner_up.is_none_or(|r| precedes(&next, &r))
@@ -151,9 +157,9 @@ pub fn drain_frontier_timed(
                 }
             }
         }
-        match cursor.peek_bound() {
-            Some(bound) => match heads.get_mut(slot) {
-                Some(h) => h.bound = bound,
+        match stream.peek() {
+            Some(v) => match heads.get_mut(slot) {
+                Some(h) => h.bound = v.bound,
                 None => break,
             },
             None => {
@@ -162,11 +168,23 @@ pub fn drain_frontier_timed(
         }
     }
     let mut stats = SearchStats::default();
-    for cursor in &cursors {
+    for cursor in cursors {
         stats.merge_from(&cursor.stats());
     }
+    stats.candidates_generated += out.len() as u64;
     stats.candidates = out.len() as u64;
-    Ok((out, stats))
+    (out, stats)
+}
+
+/// Drains the per-shard cursors' merged frontier into one ascending list
+/// of at most `cap` owned entries — [`merge_frontier`] followed by
+/// [`owned_entries`].
+pub fn drain_frontier(
+    cursors: Vec<CandidateCursor>,
+    cap: Option<usize>,
+) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
+    let (views, stats) = merge_frontier(&cursors, cap, None);
+    Ok((owned_entries(&views)?, stats))
 }
 
 #[cfg(test)]

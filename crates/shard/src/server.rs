@@ -8,10 +8,10 @@
 //! lock instead of a global one and searches scatter-gather across all
 //! shards in parallel.
 
-use simcloud_core::protocol::{Candidate, FetchedObject, Request, Response};
+use simcloud_core::protocol::{Candidate, Request, Response, StagedList, StagedResponse};
 use simcloud_core::telemetry::{request_label, ServerTelemetry};
-use simcloud_core::{check_cand_size, evaluator_for, stage_candidates, ServerConfig};
-use simcloud_mindex::{IndexEntry, MIndexConfig, MIndexError, SearchStats};
+use simcloud_core::{check_cand_size, evaluator_for, objects_response, stage_views, ServerConfig};
+use simcloud_mindex::{CandidateCursor, CandidateView, MIndexConfig, MIndexError, SearchStats};
 use simcloud_storage::BucketStore;
 use simcloud_telemetry::Trace;
 use simcloud_transport::{RequestHandler, SharedRequestHandler};
@@ -111,48 +111,76 @@ impl<S: BucketStore> ShardedCloudServer<S> {
         &self.telemetry
     }
 
-    fn candidates_response(
+    /// Stages merged candidate views for the phase-1 wire — the same
+    /// rule, budget and layout as the single server.
+    fn stage<'a>(&self, views: Vec<CandidateView<'a>>) -> StagedList<'a> {
+        stage_views(views, self.config.max_inline_response_bytes)
+    }
+
+    /// Merges the opened cursors' frontiers up to `cap` and stages the
+    /// result — the shared tail of every search. Shard guards were
+    /// released with the fan-out: this runs lock-free over owned cursors.
+    fn merge_and_stage<'c>(
         &self,
-        result: Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError>,
+        cursors: &'c [CandidateCursor],
+        cap: Option<usize>,
         trace: &mut Trace,
-    ) -> Response {
-        match result {
-            Ok((entries, stats)) => {
+    ) -> (StagedList<'c>, SearchStats) {
+        let (views, stats) = {
+            let _pull = trace.span("pull", self.telemetry.pull_hist());
+            self.index.merge(cursors, cap)
+        };
+        let _stage = trace.span("stage", self.telemetry.stage_hist());
+        (self.stage(views), stats)
+    }
+
+    /// Answers a single-list search from its opened per-shard cursors.
+    fn answer_search<R>(
+        &self,
+        opened: Result<(Vec<CandidateCursor>, Option<usize>), MIndexError>,
+        trace: &mut Trace,
+        sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
+    ) -> R {
+        match opened {
+            Ok((cursors, cap)) => {
+                let (list, stats) = self.merge_and_stage(&cursors, cap, trace);
                 self.telemetry.record_search(stats);
-                let list = {
-                    let _stage = trace.span("stage", self.telemetry.stage_hist());
-                    stage_candidates(entries, self.config.max_inline_response_bytes)
-                };
-                Response::CandidateList(list)
+                sink(StagedResponse::List(list), trace)
             }
             Err(e) => {
                 self.telemetry.record_failed_search();
-                Response::Error(e.to_string())
+                sink(StagedResponse::Other(Response::Error(e.to_string())), trace)
             }
         }
     }
 
     /// Processes one decoded request. Needs only `&self`: searches fan out
     /// over the shards' read locks, an insert takes exactly one shard's
-    /// write lock. Wraps [`Self::process_traced`] in its own request
-    /// trace, so direct callers feed the same histograms as the byte
-    /// handler.
+    /// write lock. Runs [`Self::process_with`] in its own request trace,
+    /// so direct callers feed the same histograms as the byte handler.
     pub fn process(&self, request: Request) -> Response {
         let mut trace = self.telemetry.trace_labeled(request_label(&request));
-        let response = self.process_traced(request, &mut trace);
+        let response = self.process_with(request, &mut trace, |staged, _| staged.into_response());
         self.telemetry.note_response(&response);
         self.telemetry.finish(trace);
         response
     }
 
-    /// [`Self::process`] with the caller's request trace: the same phase
-    /// vocabulary as the single server (route → open → pull → stage, or
-    /// insert), with the scatter-gather specifics — per-shard opens,
-    /// frontier pull runs, the coordinator merge — landing in the
-    /// registry's `shard.*` histograms underneath the `open`/`pull`
-    /// phases.
-    fn process_traced(&self, request: Request, trace: &mut Trace) -> Response {
-        match request {
+    /// Runs one request and hands its answer to `sink` (see
+    /// `CloudServer::process_with`: typed callers copy the staged lists
+    /// out, the byte handler writes them straight into the response
+    /// frame). The same phase vocabulary as the single server (route →
+    /// open → pull → stage, or insert), with the scatter-gather specifics
+    /// — per-shard opens, frontier pull runs, the coordinator merge —
+    /// landing in the registry's `shard.*` histograms underneath the
+    /// `open`/`pull` phases.
+    fn process_with<R>(
+        &self,
+        request: Request,
+        trace: &mut Trace,
+        sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
+    ) -> R {
+        let response = match request {
             Request::Insert(entries) => {
                 // Same non-atomic bulk *error* semantics as the single
                 // server (the stored prefix stays and is reported), but a
@@ -192,20 +220,11 @@ impl<S: BucketStore> ShardedCloudServer<S> {
                 response
             }
             Request::Range { distances, radius } => {
-                let cursors = {
+                let opened = {
                     let _open = trace.span("open", self.telemetry.open_hist());
                     self.index.open_range_cursors(&distances, radius)
                 };
-                let result = match cursors {
-                    Ok(cursors) => {
-                        // Shard guards released with the fan-out: the
-                        // drain runs lock-free over owned cursors.
-                        let _pull = trace.span("pull", self.telemetry.pull_hist());
-                        self.index.drain(cursors, None)
-                    }
-                    Err(e) => Err(e),
-                };
-                self.candidates_response(result, trace)
+                return self.answer_search(opened.map(|cursors| (cursors, None)), trace, sink);
             }
             Request::ApproxKnn { routing, cand_size } => match check_cand_size(cand_size) {
                 // Refused before any fan-out: the answer could never be
@@ -224,14 +243,7 @@ impl<S: BucketStore> ShardedCloudServer<S> {
                         let _open = trace.span("open", self.telemetry.open_hist());
                         self.index.open_knn_cursors(&evaluator, cand_size as usize)
                     };
-                    let result = match opened {
-                        Ok((cursors, cap)) => {
-                            let _pull = trace.span("pull", self.telemetry.pull_hist());
-                            self.index.drain(cursors, cap)
-                        }
-                        Err(e) => Err(e),
-                    };
-                    self.candidates_response(result, trace)
+                    return self.answer_search(opened, trace, sink);
                 }
             },
             Request::BatchKnn(queries) => {
@@ -240,7 +252,7 @@ impl<S: BucketStore> ShardedCloudServer<S> {
                 // in **one** batch fan-out — each shard is locked once and
                 // opens all of the batch's cursors under that single guard
                 // (`ShardedMIndex::open_batch_knn`), then the coordinator
-                // drains each query's frontier lock-free.
+                // merges each query's frontier lock-free.
                 let mut slots: Vec<Option<String>> = Vec::with_capacity(queries.len());
                 let mut plans = Vec::new();
                 for q in queries {
@@ -256,61 +268,34 @@ impl<S: BucketStore> ShardedCloudServer<S> {
                     let _open = trace.span("open", self.telemetry.open_hist());
                     self.index.open_batch_knn(&plans)
                 };
-                let mut results = opened.into_iter();
+                let mut results = opened.iter();
                 let mut sets = Vec::with_capacity(slots.len());
                 let mut batch_stats = SearchStats::default();
                 for slot in slots {
-                    match slot {
-                        Some(msg) => sets.push(Err(msg)),
+                    sets.push(match slot {
+                        Some(msg) => Err(msg),
                         None => match results.next() {
-                            Some(opened) => {
-                                let drained = {
-                                    let _pull = trace.span("pull", self.telemetry.pull_hist());
-                                    opened.and_then(|(cursors, cap)| self.index.drain(cursors, cap))
-                                };
-                                match drained {
-                                    Ok((entries, stats)) => {
-                                        batch_stats.merge(&stats);
-                                        let list = {
-                                            let _stage =
-                                                trace.span("stage", self.telemetry.stage_hist());
-                                            stage_candidates(
-                                                entries,
-                                                self.config.max_inline_response_bytes,
-                                            )
-                                        };
-                                        sets.push(Ok(list));
-                                    }
-                                    // A failing query answers in its own
-                                    // slot; batch stats cover exactly the
-                                    // successful queries.
-                                    Err(e) => sets.push(Err(e.to_string())),
-                                }
+                            Some(Ok((cursors, cap))) => {
+                                let (list, stats) = self.merge_and_stage(cursors, *cap, trace);
+                                batch_stats.merge(&stats);
+                                Ok(list)
                             }
+                            // A failing query answers in its own slot;
+                            // batch stats cover exactly the successful
+                            // queries.
+                            Some(Err(e)) => Err(e.to_string()),
                             // open_batch_knn answers one slot per plan; a
                             // short answer would be a coordinator bug —
                             // surface it per slot, never panic.
-                            None => sets.push(Err("batch answer missing a query slot".into())),
+                            None => Err("batch answer missing a query slot".into()),
                         },
-                    }
+                    });
                 }
                 self.telemetry.record_search(batch_stats);
-                Response::CandidateSets(sets)
+                return sink(StagedResponse::Sets(sets), trace);
             }
             Request::FetchObjects { ids } => match self.index.fetch_entries(&ids) {
-                Ok(entries) => {
-                    let mut objects = Vec::with_capacity(ids.len());
-                    for (id, entry) in ids.iter().zip(entries) {
-                        match entry {
-                            Some(e) => objects.push(FetchedObject {
-                                id: *id,
-                                payload: e.payload,
-                            }),
-                            None => return Response::Error(format!("unknown object id {id}")),
-                        }
-                    }
-                    Response::Objects(objects)
-                }
+                Ok(entries) => objects_response(&ids, entries),
                 Err(e) => Response::Error(e.to_string()),
             },
             Request::Info => {
@@ -341,7 +326,8 @@ impl<S: BucketStore> ShardedCloudServer<S> {
                 .telemetry
                 .health_response(u32::try_from(self.index.shard_count()).unwrap_or(u32::MAX)),
             Request::MetricsSnapshot => Response::MetricsSnapshot(self.telemetry.metrics_text()),
-        }
+        };
+        sink(StagedResponse::Other(response), trace)
     }
 }
 
@@ -352,20 +338,21 @@ impl<S: BucketStore> SharedRequestHandler for ShardedCloudServer<S> {
             let _decode = trace.span("decode", self.telemetry.decode_hist());
             Request::decode(request)
         };
-        let response = match decoded {
+        let response = |staged: StagedResponse<'_>, trace: &mut Trace| {
+            self.telemetry.encode_response(&staged, trace)
+        };
+        let bytes = match decoded {
             Ok(req) => {
                 trace.set_label(request_label(&req));
-                self.process_traced(req, &mut trace)
+                self.process_with(req, &mut trace, response)
             }
             Err(e) => {
                 trace.set_label("undecodable");
-                Response::Error(e.to_string())
+                response(
+                    StagedResponse::Other(Response::Error(e.to_string())),
+                    &mut trace,
+                )
             }
-        };
-        self.telemetry.note_response(&response);
-        let bytes = {
-            let _encode = trace.span("encode", self.telemetry.encode_hist());
-            response.encode()
         };
         self.telemetry.finish(trace);
         bytes
@@ -385,7 +372,7 @@ mod tests {
     use super::*;
     use crate::router::{HashRouter, PivotRouter};
     use simcloud_core::protocol::KnnQuery;
-    use simcloud_mindex::{Routing, RoutingStrategy};
+    use simcloud_mindex::{IndexEntry, Routing, RoutingStrategy};
     use simcloud_storage::MemoryStore;
 
     fn cfg() -> MIndexConfig {

@@ -557,6 +557,33 @@ impl DiskStore {
         Ok(out)
     }
 
+    /// The one bucket walk behind every read: lends the wanted records of
+    /// `bucket` to `visit` straight from the chain bytes, so a caller
+    /// copies only what it keeps and unwanted payloads are never touched.
+    /// Consistent with `MemoryStore`, only the records handed out count as
+    /// read back.
+    fn scan_matching(
+        &self,
+        bucket: BucketId,
+        wanted: &dyn Fn(u64) -> bool,
+        visit: &mut dyn FnMut(u64, &[u8]),
+    ) -> Result<(), StorageError> {
+        let meta = self
+            .directory
+            .get(&bucket)
+            .ok_or(StorageError::UnknownBucket(bucket))?;
+        let bytes = self.chain_read(meta.head, meta.pages)?;
+        let mut handed_out = 0u64;
+        scan_records(bucket, &bytes, meta.records, |id, payload| {
+            if wanted(id) {
+                handed_out += 1;
+                visit(id, payload);
+            }
+        })?;
+        bump(&self.stats.records_read, handed_out);
+        Ok(())
+    }
+
     // ---- directory persistence -----------------------------------------
 
     fn load_directory(&mut self) -> Result<(), StorageError> {
@@ -698,28 +725,23 @@ impl BucketStore for DiskStore {
         self.read_matching(bucket, &|_| true)
     }
 
+    fn scan_bucket(
+        &self,
+        bucket: BucketId,
+        visit: &mut dyn FnMut(u64, &[u8]),
+    ) -> Result<(), StorageError> {
+        self.scan_matching(bucket, &|_| true, visit)
+    }
+
     fn read_matching(
         &self,
         bucket: BucketId,
         wanted: &dyn Fn(u64) -> bool,
     ) -> Result<Vec<Record>, StorageError> {
-        // Filter on the raw chain bytes and materialize only the wanted
-        // records: the trait's default path would clone every unwanted
-        // payload in the bucket (via `read_bucket`) just to drop it.
-        let meta = self
-            .directory
-            .get(&bucket)
-            .ok_or(StorageError::UnknownBucket(bucket))?;
-        let bytes = self.chain_read(meta.head, meta.pages)?;
         let mut out = Vec::new();
-        scan_records(bucket, &bytes, meta.records, |id, payload| {
-            if wanted(id) {
-                out.push(Record::new(id, payload.to_vec()));
-            }
+        self.scan_matching(bucket, wanted, &mut |id, payload| {
+            out.push(Record::new(id, payload.to_vec()));
         })?;
-        // Consistent with MemoryStore: only materialized records count as
-        // read back (the id scan never touches the other payloads).
-        bump(&self.stats.records_read, out.len() as u64);
         Ok(out)
     }
 

@@ -136,6 +136,24 @@ pub trait BucketStore: Send + Sync {
     /// Reads every record in `bucket` (order = insertion order).
     fn read_bucket(&self, bucket: BucketId) -> Result<Vec<Record>, StorageError>;
 
+    /// Visits every record of `bucket` in insertion order, lending each
+    /// one's `(id, payload)` to `visit` for the duration of the call — the
+    /// scan a search uses, which copies out of the store only the bytes it
+    /// keeps. Counts as reading the whole bucket, exactly like
+    /// [`BucketStore::read_bucket`]. The default walks an owned
+    /// `read_bucket`; the in-tree stores visit their records in place.
+    /// On an error some records may already have been visited.
+    fn scan_bucket(
+        &self,
+        bucket: BucketId,
+        visit: &mut dyn FnMut(u64, &[u8]),
+    ) -> Result<(), StorageError> {
+        for record in self.read_bucket(bucket)? {
+            visit(record.id, &record.payload);
+        }
+        Ok(())
+    }
+
     /// Reads only the records of `bucket` whose id satisfies `wanted`
     /// (order = insertion order) — the point-lookup path of the two-phase
     /// candidate fetch, which pulls a few records out of large buckets.

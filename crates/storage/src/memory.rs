@@ -24,6 +24,13 @@ impl MemoryStore {
         Self::default()
     }
 
+    fn records(&self, bucket: BucketId) -> Result<&[Record], StorageError> {
+        self.buckets
+            .get(&bucket)
+            .map(Vec::as_slice)
+            .ok_or(StorageError::UnknownBucket(bucket))
+    }
+
     /// Approximate resident bytes (payload only), for reporting.
     pub fn payload_bytes(&self) -> usize {
         self.buckets
@@ -42,13 +49,25 @@ impl BucketStore for MemoryStore {
     }
 
     fn read_bucket(&self, bucket: BucketId) -> Result<Vec<Record>, StorageError> {
-        let recs = self
-            .buckets
-            .get(&bucket)
-            .ok_or(StorageError::UnknownBucket(bucket))?;
+        let mut out = Vec::with_capacity(self.bucket_len(bucket));
+        self.scan_bucket(bucket, &mut |id, payload| {
+            out.push(Record::new(id, payload.to_vec()));
+        })?;
+        Ok(out)
+    }
+
+    fn scan_bucket(
+        &self,
+        bucket: BucketId,
+        visit: &mut dyn FnMut(u64, &[u8]),
+    ) -> Result<(), StorageError> {
+        let recs = self.records(bucket)?;
         self.records_read
             .fetch_add(recs.len() as u64, Ordering::Relaxed);
-        Ok(recs.clone())
+        for r in recs {
+            visit(r.id, &r.payload);
+        }
+        Ok(())
     }
 
     fn read_matching(
@@ -56,13 +75,14 @@ impl BucketStore for MemoryStore {
         bucket: BucketId,
         wanted: &dyn Fn(u64) -> bool,
     ) -> Result<Vec<Record>, StorageError> {
-        let recs = self
-            .buckets
-            .get(&bucket)
-            .ok_or(StorageError::UnknownBucket(bucket))?;
         // Only the returned records count as read back: the id scan never
         // touches (or clones) the other payloads — that is the point.
-        let out: Vec<Record> = recs.iter().filter(|r| wanted(r.id)).cloned().collect();
+        let out: Vec<Record> = self
+            .records(bucket)?
+            .iter()
+            .filter(|r| wanted(r.id))
+            .cloned()
+            .collect();
         self.records_read
             .fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)

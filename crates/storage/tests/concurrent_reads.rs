@@ -2,7 +2,7 @@
 //!
 //! `DiskStore` reads take `&self`, fetch missed pages outside the pool
 //! latch and install them afterwards, so several threads hammer the same
-//! store here — whole-bucket scans and filtered reads, over flushed data
+//! store here — whole-bucket reads, borrowed scans and filtered reads, over flushed data
 //! *and* a tail of unflushed (dirty, pinned) pages — with pools of 2, 8 and
 //! 64 frames against ≥ 200 pages of data. Checked: every answer equals the
 //! single-threaded one; each page visit is counted exactly once as a hit or
@@ -104,6 +104,17 @@ fn build(path: &std::path::Path, pool: usize) -> (DiskStore, BTreeMap<u64, Bucke
     (store, model)
 }
 
+/// A bucket through the borrowed scan, collected for comparison.
+fn scanned(store: &DiskStore, bucket: u64) -> Vec<Record> {
+    let mut out = Vec::new();
+    store
+        .scan_bucket(BucketId(bucket), &mut |id, payload| {
+            out.push(Record::new(id, payload.to_vec()));
+        })
+        .unwrap();
+    out
+}
+
 fn delta(after: IoStats, before: IoStats) -> (u64, u64) {
     (
         after.page_reads - before.page_reads,
@@ -123,8 +134,15 @@ fn hammer(pool: usize) {
     assert!(dirty_total > 20, "schedule must leave dirty pages behind");
 
     // Single-threaded reference pass (also the model check).
+    // `scan_bucket` lends exactly the records `read_bucket` returns, and
+    // counts them as read the same way.
     for (b, bucket) in &model {
+        let before = store.stats().records_read;
         assert_eq!(store.read_bucket(BucketId(*b)).unwrap(), bucket.records);
+        let read = store.stats().records_read - before;
+        assert_eq!(scanned(&store, *b), bucket.records);
+        assert_eq!(store.stats().records_read - before, 2 * read);
+        assert_eq!(read, bucket.records.len() as u64);
     }
 
     let store = Arc::new(store);
@@ -142,9 +160,12 @@ fn hammer(pool: usize) {
             for _ in 0..OPS_PER_THREAD {
                 let b = rng.gen_range(0..BUCKETS);
                 let bucket = &model[&b];
-                if rng.gen_bool(0.5) {
+                let op = rng.gen_range(0..3u8);
+                if op == 0 {
                     let got = store.read_bucket(BucketId(b)).unwrap();
                     assert_eq!(got, bucket.records, "bucket {b} (pool {pool})");
+                } else if op == 1 {
+                    assert_eq!(scanned(&store, b), bucket.records, "scan of bucket {b}");
                 } else {
                     let k = rng.gen_range(0..3u64);
                     let got = store.read_matching(BucketId(b), &|id| id % 3 == k).unwrap();

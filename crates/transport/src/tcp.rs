@@ -139,6 +139,29 @@ enum ReadOutcome {
     Eof,
 }
 
+/// One `read` into `buf`, bounded by `stall` and by `deadline`: the bytes
+/// it delivered (0 when interrupted), or `None` once the peer has closed.
+/// A stall past either bound yields `TransportError::TimedOut`.
+fn read_some_deadline<S: DeadlineStream>(
+    stream: &mut S,
+    buf: &mut [u8],
+    deadline: Option<Instant>,
+    stall: Option<Duration>,
+) -> Result<Option<usize>, TransportError> {
+    let timeout = min_timeout(remaining(deadline)?, stall);
+    stream
+        .set_read_deadline(timeout)
+        .map_err(TransportError::Io)?;
+    match stream.read(buf) {
+        Ok(0) => Ok(None),
+        Ok(n) => Ok(Some(n)),
+        Err(e) if is_stall(e.kind()) => Err(TransportError::TimedOut),
+        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(Some(0)),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(TransportError::Io(e)),
+    }
+}
+
 /// Fills `buf`, bounding each individual read by `stall` and the whole
 /// operation by `deadline`. A peer close yields `ReadOutcome::Eof`; a
 /// stall past either bound yields `TransportError::TimedOut`.
@@ -149,51 +172,56 @@ fn read_exact_deadline<S: DeadlineStream>(
     stall: Option<Duration>,
 ) -> Result<ReadOutcome, TransportError> {
     let mut filled = 0usize;
-    while filled < buf.len() {
-        let timeout = min_timeout(remaining(deadline)?, stall);
-        stream
-            .set_read_deadline(timeout)
-            .map_err(TransportError::Io)?;
-        let Some(rest) = buf.get_mut(filled..) else {
-            break;
-        };
-        match stream.read(rest) {
-            Ok(0) => return Ok(ReadOutcome::Eof),
-            Ok(n) => filled += n,
-            Err(e) if is_stall(e.kind()) => return Err(TransportError::TimedOut),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(ReadOutcome::Eof),
-            Err(e) => return Err(TransportError::Io(e)),
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match read_some_deadline(stream, rest, deadline, stall)? {
+            Some(n) => filled += n,
+            None => return Ok(ReadOutcome::Eof),
         }
     }
     Ok(ReadOutcome::Full)
 }
 
-/// Reads one `u32 LE length || payload` frame. `extra` is the allowance
-/// above [`MAX_FRAME_BYTES`] (8 for the response-side server-time header).
-fn read_frame_deadline<S: DeadlineStream>(
+/// Reads one response frame, `u32 LE length ‖ server_ns ‖ response`, as
+/// its 12-byte prefix and then `response` straight into the buffer the
+/// caller keeps — the mirror of [`write_response_deadline`], so the
+/// server-time header never has to be stripped out of a megabyte answer.
+/// The length is judged as soon as its four bytes are in: an oversized
+/// frame or one too short to hold the header is refused without waiting
+/// for bytes that may never come.
+fn read_response_deadline<S: DeadlineStream>(
     stream: &mut S,
     deadline: Option<Instant>,
     stall: Option<Duration>,
-    extra: usize,
-) -> Result<Vec<u8>, TransportError> {
-    let mut len_buf = [0u8; 4];
-    match read_exact_deadline(stream, &mut len_buf, deadline, stall)? {
-        ReadOutcome::Full => {}
-        // A close before or inside the length prefix is a disconnect
-        // (clean between frames, torn within one — callers can't tell
-        // which from 1–3 bytes, and both mean "resynchronize").
-        ReadOutcome::Eof => return Err(TransportError::Disconnected),
+) -> Result<(u64, Vec<u8>), TransportError> {
+    let mut prefix = [0u8; 12];
+    let mut filled = 0usize;
+    let mut body_len = None;
+    while let Some(rest) = prefix.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match read_some_deadline(stream, rest, deadline, stall)? {
+            Some(n) => filled += n,
+            // A close before or inside the prefix is a disconnect (clean
+            // between frames, torn within one — callers can't tell which,
+            // and both mean "resynchronize").
+            None => return Err(TransportError::Disconnected),
+        }
+        if body_len.is_none() && filled >= 4 {
+            let [l0, l1, l2, l3, ..] = prefix;
+            let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+            if len > MAX_FRAME_BYTES + 8 {
+                return Err(TransportError::BadFrame(format!(
+                    "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+                )));
+            }
+            body_len =
+                Some(len.checked_sub(8).ok_or_else(|| {
+                    TransportError::BadFrame("missing server-time header".into())
+                })?);
+        }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES + extra {
-        return Err(TransportError::BadFrame(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    match read_exact_deadline(stream, &mut payload, deadline, stall)? {
-        ReadOutcome::Full => Ok(payload),
+    let [_, _, _, _, server_ns @ ..] = prefix;
+    let mut body = vec![0u8; body_len.unwrap_or(0)];
+    match read_exact_deadline(stream, &mut body, deadline, stall)? {
+        ReadOutcome::Full => Ok((u64::from_le_bytes(server_ns), body)),
         ReadOutcome::Eof => Err(TransportError::Disconnected),
     }
 }
@@ -456,28 +484,18 @@ impl TcpTransport {
         };
         let start = Instant::now();
         write_frame_deadline(stream, request, deadline, write_stall).map_err(|e| (e, true))?;
-        let mut framed =
-            read_frame_deadline(stream, deadline, read_stall, 8).map_err(|e| (e, true))?;
+        let (server_ns, response) =
+            read_response_deadline(stream, deadline, read_stall).map_err(|e| (e, true))?;
         let elapsed = start.elapsed();
-        let Some((ns_bytes, rest)) = framed.split_first_chunk::<8>() else {
-            return Err((
-                TransportError::BadFrame("missing server-time header".into()),
-                true,
-            ));
-        };
-        let server_ns = u64::from_le_bytes(*ns_bytes);
         if server_ns == CONTROL_FRAME {
             // Load-shed refusal: the server closed without reading the
             // request, so a replay is safe for every request class.
             return Err((
-                TransportError::Rejected(String::from_utf8_lossy(rest).into_owned()),
+                TransportError::Rejected(String::from_utf8_lossy(&response).into_owned()),
                 false,
             ));
         }
         let server_time = Duration::from_nanos(server_ns);
-        // Strip the header in place: the frame buffer becomes the response.
-        framed.drain(..8);
-        let response = framed;
         self.stats.requests += 1;
         self.stats.bytes_sent += (request.len() + FRAME_HEADER) as u64;
         // The 8-byte server-time header is measurement apparatus, not
