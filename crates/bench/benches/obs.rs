@@ -27,24 +27,15 @@ struct Config {
 }
 
 fn set_enabled(server: &SteadyServer, on: bool) {
-    match server {
-        SteadyServer::Single(s) => s.telemetry().set_enabled(on),
-        SteadyServer::Sharded(s) => s.telemetry().set_enabled(on),
-    }
+    server.telemetry().set_enabled(on);
 }
 
 fn metrics_text(server: &SteadyServer) -> String {
-    match server {
-        SteadyServer::Single(s) => s.telemetry().metrics_text(),
-        SteadyServer::Sharded(s) => s.telemetry().metrics_text(),
-    }
+    server.telemetry().metrics_text()
 }
 
 fn slow_entries(server: &SteadyServer) -> usize {
-    match server {
-        SteadyServer::Single(s) => s.telemetry().slow_queries().len(),
-        SteadyServer::Sharded(s) => s.telemetry().slow_queries().len(),
-    }
+    server.telemetry().slow_queries().len()
 }
 
 /// Best-of-`pairs` interleaved throughput, in queries/second.

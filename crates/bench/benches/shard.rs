@@ -34,8 +34,7 @@ use simcloud_bench::{
     concurrent_insert_throughput, prebuild, prebuild_sharded, steady_state_encrypted, PreBuilt,
     RouterKind, Which,
 };
-use simcloud_core::{client_for, ClientConfig, Neighbor, ServerConfig};
-use simcloud_shard::client_for_sharded;
+use simcloud_core::{ClientConfig, Neighbor, ServerConfig};
 
 struct Config {
     n: usize,
@@ -48,10 +47,7 @@ struct Config {
 /// Cumulative `candidates_generated` (the decode-work counter summed
 /// across shards) on either deployment kind.
 fn generated(server: &simcloud_bench::SteadyServer) -> u64 {
-    match server {
-        simcloud_bench::SteadyServer::Single(s) => s.total_search_stats().candidates_generated,
-        simcloud_bench::SteadyServer::Sharded(s) => s.total_search_stats().candidates_generated,
-    }
+    server.telemetry().total_search_stats().candidates_generated
 }
 
 fn assert_identical(label: &str, sharded: &[Neighbor], single: &[Neighbor]) {
@@ -74,26 +70,17 @@ fn assert_identical(label: &str, sharded: &[Neighbor], single: &[Neighbor]) {
 /// deployment (same data, same key, same queries) and asserts byte-equal
 /// answers.
 fn identity_check(single: &PreBuilt, sharded: &PreBuilt, k: usize, label: &str) {
-    let mut sc = match &single.server {
-        simcloud_bench::SteadyServer::Single(s) => client_for(
-            single.key.clone(),
-            single.dataset.metric.clone(),
-            std::sync::Arc::clone(s),
-            ClientConfig::distances(),
-        )
-        .with_rng_seed(17),
-        _ => unreachable!("reference deployment is single-index"),
+    let client = |pre: &PreBuilt, seed: u64| {
+        pre.server
+            .client(
+                pre.key.clone(),
+                pre.dataset.metric.clone(),
+                ClientConfig::distances(),
+            )
+            .with_rng_seed(seed)
     };
-    let mut hc = match &sharded.server {
-        simcloud_bench::SteadyServer::Sharded(s) => client_for_sharded(
-            sharded.key.clone(),
-            sharded.dataset.metric.clone(),
-            std::sync::Arc::clone(s),
-            ClientConfig::distances(),
-        )
-        .with_rng_seed(19),
-        _ => unreachable!("sharded deployment expected"),
-    };
+    let mut sc = client(single, 17);
+    let mut hc = client(sharded, 19);
     let n = single.dataset.len();
     for (qi, q) in single.workload.queries.iter().enumerate() {
         // Collection-covering candidate budget: the regime where sharded

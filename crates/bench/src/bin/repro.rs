@@ -14,8 +14,8 @@ use std::time::Duration;
 use simcloud_bench::tables::{kb, millis, secs, Table};
 use simcloud_bench::{
     ablation_k, ablation_network, ablation_pivots, ablation_strategy, ablation_transform,
-    comparison_1nn, construction_encrypted, construction_plain, search_encrypted,
-    search_encrypted_sharded, search_plain, Scale, SearchRow, Which,
+    comparison_1nn, construction_encrypted, construction_plain, search_encrypted, search_plain,
+    Scale, SearchRow, Which,
 };
 use simcloud_datasets::Dataset;
 use simcloud_metric::analysis::DistanceHistogram;
@@ -111,11 +111,12 @@ fn main() {
             4 => table3_4(&[yeast(), human(), cophir()], false),
             5 => {
                 let ds = yeast();
-                let rows = encrypted_rows(
+                let rows = search_encrypted(
                     &ds,
                     &args.scale.yeast_cand_sizes(),
                     sizes.queries,
                     sizes.k,
+                    SEED,
                     args.shards,
                 );
                 print_search_table(
@@ -130,11 +131,12 @@ fn main() {
             }
             6 => {
                 let ds = cophir();
-                let rows = encrypted_rows(
+                let rows = search_encrypted(
                     &ds,
                     &args.scale.cophir_cand_sizes(sizes.cophir_n),
                     sizes.queries,
                     sizes.k,
+                    SEED,
                     args.shards,
                 );
                 print_search_table(
@@ -312,22 +314,6 @@ fn shard_note(shards: usize) -> String {
         format!(", {shards} shards")
     } else {
         String::new()
-    }
-}
-
-/// Encrypted-search rows against a single index or, with `--shards N`, a
-/// hash-routed sharded deployment behind the same wire.
-fn encrypted_rows(
-    ds: &Dataset,
-    cand_sizes: &[usize],
-    queries: usize,
-    k: usize,
-    shards: usize,
-) -> Vec<SearchRow> {
-    if shards > 1 {
-        search_encrypted_sharded(ds, cand_sizes, queries, k, SEED, shards)
-    } else {
-        search_encrypted(ds, cand_sizes, queries, k, SEED)
     }
 }
 

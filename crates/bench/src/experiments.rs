@@ -218,8 +218,7 @@ pub struct SearchRow {
 
 /// The shared measurement body of the encrypted-search tables: outsources
 /// the collection through `cloud`, then sweeps `cand_sizes` over the member
-/// workload against exact ground truth. One definition, so `repro --shards`
-/// rows stay comparable to the single-index tables by construction.
+/// workload against exact ground truth.
 fn encrypted_search_sweep<T: simcloud_transport::Transport>(
     cloud: &mut simcloud_core::EncryptedClient<simcloud_datasets::DatasetMetric, T>,
     ds: &Dataset,
@@ -258,39 +257,13 @@ fn encrypted_search_sweep<T: simcloud_transport::Transport>(
     rows
 }
 
-/// Encrypted M-Index approximate k-NN sweep (Tables 5 and 6).
+/// Encrypted M-Index approximate k-NN sweep (Tables 5 and 6) against a
+/// single index (`shards <= 1`) or the collection spread over `shards`
+/// hash-routed shards: same key derivation, same workload and ground
+/// truth, same wire — only the server's construction differs, so
+/// `repro --shards N` rows are comparable to the single-index tables by
+/// construction.
 pub fn search_encrypted(
-    ds: &Dataset,
-    cand_sizes: &[usize],
-    queries: usize,
-    k: usize,
-    seed: u64,
-) -> Vec<SearchRow> {
-    let cfg = dataset_config(ds);
-    let (key, _) = SecretKey::generate(
-        &ds.vectors,
-        cfg.num_pivots,
-        &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
-    let mut cloud = in_process(
-        key,
-        ds.metric.clone(),
-        cfg,
-        MemoryStore::new(),
-        ClientConfig::distances(),
-    )
-    .expect("config")
-    .with_rng_seed(seed ^ 2);
-    encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
-}
-
-/// [`search_encrypted`] against a **sharded** deployment: same key
-/// derivation, same workload and ground truth (the sweep body is shared),
-/// with the collection spread over `shards` hash-routed shards —
-/// `repro --shards N` compares its rows against the single-index tables.
-pub fn search_encrypted_sharded(
     ds: &Dataset,
     cand_sizes: &[usize],
     queries: usize,
@@ -306,17 +279,26 @@ pub fn search_encrypted_sharded(
         PivotSelection::Random,
         seed,
     );
-    let mut cloud = simcloud_shard::sharded_in_process(
-        key,
-        ds.metric.clone(),
-        cfg,
-        Box::new(simcloud_shard::HashRouter),
-        simcloud_shard::memory_stores(shards),
-        ClientConfig::distances(),
-    )
-    .expect("config")
-    .with_rng_seed(seed ^ 2);
-    encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
+    let metric = ds.metric.clone();
+    let client_config = ClientConfig::distances();
+    if shards <= 1 {
+        let mut cloud = in_process(key, metric, cfg, MemoryStore::new(), client_config)
+            .expect("config")
+            .with_rng_seed(seed ^ 2);
+        encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
+    } else {
+        let mut cloud = simcloud_shard::sharded_in_process(
+            key,
+            metric,
+            cfg,
+            Box::new(simcloud_shard::HashRouter),
+            simcloud_shard::memory_stores(shards),
+            client_config,
+        )
+        .expect("config")
+        .with_rng_seed(seed ^ 2);
+        encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
+    }
 }
 
 /// Basic (non-encrypted) M-Index approximate k-NN sweep (Tables 7 and 8):

@@ -12,7 +12,6 @@
 //! sharded/single ratio measures exactly "inserts to distinct shards do
 //! not serialize", independent of core count.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simcloud_core::protocol::{Request, Response};
@@ -91,20 +90,6 @@ impl BucketStore for LatencyStore {
     }
 }
 
-enum AnyServer {
-    Single(Arc<CloudServer<LatencyStore>>),
-    Sharded(Arc<ShardedCloudServer<LatencyStore>>),
-}
-
-impl AnyServer {
-    fn process(&self, request: Request) -> Response {
-        match self {
-            AnyServer::Single(s) => s.process(request),
-            AnyServer::Sharded(s) => s.process(request),
-        }
-    }
-}
-
 /// Result of one concurrent-insert run.
 #[derive(Debug, Clone, Copy)]
 pub struct InsertThroughput {
@@ -162,23 +147,20 @@ pub fn concurrent_insert_throughput(
     write_delay: Duration,
     seed: u64,
 ) -> InsertThroughput {
-    let server = if shards <= 1 {
-        AnyServer::Single(Arc::new(
-            CloudServer::new(insert_config(), LatencyStore::new(write_delay)).expect("config"),
-        ))
+    // One request engine behind both: only construction differs.
+    let process: Box<dyn Fn(Request) -> Response + Sync> = if shards <= 1 {
+        let server =
+            CloudServer::new(insert_config(), LatencyStore::new(write_delay)).expect("config");
+        Box::new(move |request| server.process(request))
     } else {
-        AnyServer::Sharded(Arc::new(
-            ShardedCloudServer::new(
-                insert_config(),
-                router.build(),
-                (0..shards)
-                    .map(|_| LatencyStore::new(write_delay))
-                    .collect(),
-            )
-            .expect("config"),
-        ))
+        let stores = (0..shards)
+            .map(|_| LatencyStore::new(write_delay))
+            .collect();
+        let server =
+            ShardedCloudServer::new(insert_config(), router.build(), stores).expect("config");
+        Box::new(move |request| server.process(request))
     };
-    let server = &server;
+    let process = &process;
     // Workloads are generated *before* the clock starts — the run measures
     // concurrent inserts, not serial entry generation on the main thread.
     let workloads: Vec<Vec<IndexEntry>> = (0..threads as u64)
@@ -189,7 +171,7 @@ pub fn concurrent_insert_throughput(
         for entries in workloads {
             scope.spawn(move || {
                 for e in entries {
-                    match server.process(Request::Insert(vec![e])) {
+                    match process(Request::Insert(vec![e])) {
                         Response::Inserted(1) => {}
                         other => panic!("insert failed: {other:?}"),
                     }

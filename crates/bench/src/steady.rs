@@ -24,15 +24,13 @@ use std::time::{Duration, Instant};
 
 use simcloud_core::{
     client_for, connect_tcp, ClientConfig, CloudServer, CostReport, EncryptedClient, SecretKey,
-    ServerConfig,
+    ServerConfig, ServerTelemetry, SharedCloud,
 };
 use simcloud_datasets::{Dataset, DatasetMetric, QueryWorkload};
 use simcloud_metric::PivotSelection;
-use simcloud_shard::{
-    client_for_sharded, HashRouter, PivotRouter, ShardRouter, ShardedCloudServer,
-};
+use simcloud_shard::{HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{tcp::TcpServerHandle, Transport};
+use simcloud_transport::{serve_tcp_shared, tcp::TcpServerHandle, SharedRequestHandler, Transport};
 
 use crate::experiments::BULK;
 
@@ -174,9 +172,24 @@ pub enum SteadyServer {
 impl SteadyServer {
     /// Serves this server on a concurrent TCP loopback socket.
     pub fn serve_tcp(&self) -> std::io::Result<TcpServerHandle> {
+        serve_tcp_shared(Arc::new(self.clone()))
+    }
+
+    /// An in-process client sharing this server (one per query thread).
+    pub fn client(
+        &self,
+        key: SecretKey,
+        metric: DatasetMetric,
+        config: ClientConfig,
+    ) -> SharedCloud<DatasetMetric, SteadyServer> {
+        client_for(key, metric, Arc::new(self.clone()), config)
+    }
+
+    /// The server's telemetry (same type on either variant).
+    pub fn telemetry(&self) -> &ServerTelemetry {
         match self {
-            SteadyServer::Single(s) => simcloud_core::serve_tcp_concurrent(Arc::clone(s)),
-            SteadyServer::Sharded(s) => simcloud_shard::serve_tcp_concurrent_sharded(Arc::clone(s)),
+            SteadyServer::Single(s) => s.telemetry(),
+            SteadyServer::Sharded(s) => s.telemetry(),
         }
     }
 
@@ -185,6 +198,17 @@ impl SteadyServer {
         match self {
             SteadyServer::Single(_) => 1,
             SteadyServer::Sharded(s) => s.index().shard_count(),
+        }
+    }
+}
+
+/// Both variants speak the same wire through the same request engine, so
+/// every runner below drives a [`SteadyServer`] without looking inside.
+impl SharedRequestHandler for SteadyServer {
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+        match self {
+            SteadyServer::Single(s) => s.handle_shared(request),
+            SteadyServer::Sharded(s) => s.handle_shared(request),
         }
     }
 }
@@ -242,28 +266,10 @@ fn prebuild_into(ds: Dataset, queries: usize, seed: u64, server: SteadyServer) -
         PivotSelection::Random,
         seed,
     );
-    match &server {
-        SteadyServer::Single(s) => {
-            let mut owner = client_for(
-                key.clone(),
-                ds.metric.clone(),
-                Arc::clone(s),
-                ClientConfig::distances(),
-            )
-            .with_rng_seed(seed ^ 1);
-            insert_all(&mut owner, &ds.vectors);
-        }
-        SteadyServer::Sharded(s) => {
-            let mut owner = client_for_sharded(
-                key.clone(),
-                ds.metric.clone(),
-                Arc::clone(s),
-                ClientConfig::distances(),
-            )
-            .with_rng_seed(seed ^ 1);
-            insert_all(&mut owner, &ds.vectors);
-        }
-    }
+    let mut owner = server
+        .client(key.clone(), ds.metric.clone(), ClientConfig::distances())
+        .with_rng_seed(seed ^ 1);
+    insert_all(&mut owner, &ds.vectors);
     let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 3);
     PreBuilt {
         server,
@@ -356,54 +362,20 @@ pub fn steady_state_encrypted_with(
     // first-touch costs (page faults, lazy allocations, cold caches) on its
     // first queries, and a *steady-state* measurement should not charge
     // them to round one.
-    {
-        let server = pre.server.clone();
-        let key = pre.key.clone();
-        let metric = pre.dataset.metric.clone();
-        match server {
-            SteadyServer::Single(s) => knn_rounds(
-                &mut client_for(key, metric, s, config.clone()).with_rng_seed(seed),
-                &pre.workload,
-                1,
-                k,
-                cand_size,
-            ),
-            SteadyServer::Sharded(s) => knn_rounds(
-                &mut client_for_sharded(key, metric, s, config.clone()).with_rng_seed(seed),
-                &pre.workload,
-                1,
-                k,
-                cand_size,
-            ),
-        };
-    }
+    let client = |seed: u64| {
+        pre.server
+            .client(pre.key.clone(), pre.dataset.metric.clone(), config.clone())
+            .with_rng_seed(seed)
+    };
+    knn_rounds(&mut client(seed), &pre.workload, 1, k, cand_size);
     let start = Instant::now();
     let per_thread: u64 = (rounds * pre.workload.len()) as u64;
     let totals: Vec<CostReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let server = pre.server.clone();
-                let key = pre.key.clone();
-                let metric = pre.dataset.metric.clone();
+                let mut client = client(seed ^ t as u64);
                 let workload = &pre.workload;
-                let config = config.clone();
-                scope.spawn(move || match server {
-                    SteadyServer::Single(s) => knn_rounds(
-                        &mut client_for(key, metric, s, config).with_rng_seed(seed ^ t as u64),
-                        workload,
-                        rounds,
-                        k,
-                        cand_size,
-                    ),
-                    SteadyServer::Sharded(s) => knn_rounds(
-                        &mut client_for_sharded(key, metric, s, config)
-                            .with_rng_seed(seed ^ t as u64),
-                        workload,
-                        rounds,
-                        k,
-                        cand_size,
-                    ),
-                })
+                scope.spawn(move || knn_rounds(&mut client, workload, rounds, k, cand_size))
             })
             .collect();
         handles
@@ -490,32 +462,17 @@ pub fn steady_state_batch(
 ) -> SteadyState {
     // Clients are built *outside* the timed region — the run measures the
     // steady-state batch loop, not key cloning or transport setup.
-    let (costs, elapsed) = match &pre.server {
-        SteadyServer::Single(s) => {
-            let mut client = client_for(
-                pre.key.clone(),
-                pre.dataset.metric.clone(),
-                Arc::clone(s),
-                ClientConfig::distances(),
-            )
-            .with_rng_seed(seed ^ 0xba7c);
-            let start = Instant::now();
-            let costs = batch_rounds(&mut client, &pre.workload, rounds, k, cand_size, batch);
-            (costs, start.elapsed())
-        }
-        SteadyServer::Sharded(s) => {
-            let mut client = client_for_sharded(
-                pre.key.clone(),
-                pre.dataset.metric.clone(),
-                Arc::clone(s),
-                ClientConfig::distances(),
-            )
-            .with_rng_seed(seed ^ 0xba7c);
-            let start = Instant::now();
-            let costs = batch_rounds(&mut client, &pre.workload, rounds, k, cand_size, batch);
-            (costs, start.elapsed())
-        }
-    };
+    let mut client = pre
+        .server
+        .client(
+            pre.key.clone(),
+            pre.dataset.metric.clone(),
+            ClientConfig::distances(),
+        )
+        .with_rng_seed(seed ^ 0xba7c);
+    let start = Instant::now();
+    let costs = batch_rounds(&mut client, &pre.workload, rounds, k, cand_size, batch);
+    let elapsed = start.elapsed();
     let mut out = SteadyState {
         threads: 1,
         queries: (rounds * pre.workload.len()) as u64,

@@ -1198,7 +1198,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// malformed responses.
     ///
     /// Phase-2 fetches are **coalesced across the batch**: all queries
-    /// refine as suspended [`RefineTask`]s in lock-step rounds, and each
+    /// refine as suspended `RefineTask`s in lock-step rounds, and each
     /// round ships every stalled query's fetch plan as one
     /// [`Request::FetchObjects`] — per-query `fetched`/`decrypted` costs
     /// are identical to refining each query alone, but the round-trip

@@ -6,11 +6,12 @@
 //! [`over_tcp`] runs the server on a real TCP loopback socket in its own
 //! thread, like the original MESSIF prototype.
 //!
-//! The *concurrent* serving mode shares one `Arc<CloudServer>` among any
+//! The *concurrent* serving mode shares one `Arc`'d server among any
 //! number of clients: [`client_for`] wires additional in-process clients
-//! (each thread gets its own), [`serve_tcp_concurrent`] accepts TCP
-//! connections without serializing requests, and [`connect_tcp`] attaches
-//! further authorized clients to a running server.
+//! (each thread gets its own) to any shared-read handler, single or
+//! sharded server alike; [`serve_tcp_shared`] accepts TCP connections
+//! without serializing requests; and [`connect_tcp`] attaches further
+//! authorized clients to a running server.
 
 use std::sync::Arc;
 
@@ -18,13 +19,13 @@ use simcloud_metric::{Metric, Vector};
 use simcloud_mindex::{MIndexConfig, MIndexError};
 use simcloud_storage::BucketStore;
 use simcloud_transport::{
-    serve_tcp, serve_tcp_shared, serve_tcp_shared_with, InProcessTransport, NetworkModel,
-    ServeOptions, Shared, TcpClientConfig, TcpTransport,
+    serve_tcp_shared, InProcessTransport, NetworkModel, Shared, SharedRequestHandler,
+    TcpClientConfig, TcpTransport,
 };
 
 use crate::client::{ClientConfig, EncryptedClient};
 use crate::key::SecretKey;
-use crate::server::CloudServer;
+use crate::server::{CloudServer, ServerConfig};
 
 /// In-process similarity cloud: client + embedded server over a modelled
 /// network.
@@ -73,13 +74,15 @@ where
 
 /// Re-attaches an in-process deployment to a store that already holds
 /// sealed records — the restart / crash-recovery path. The server rebuilds
-/// its cell tree from the stored entries ([`CloudServer::rebuilt`]); the
-/// client must present the same [`SecretKey`] that sealed them, or every
-/// later decryption fails authentication.
+/// its cell tree from the stored entries ([`CloudServer::rebuilt`]) and
+/// keeps serving under `server_config`; the client must present the same
+/// [`SecretKey`] that sealed them, or every later decryption fails
+/// authentication.
 pub fn in_process_rebuilt<M, S>(
     key: SecretKey,
     metric: M,
     index_config: MIndexConfig,
+    server_config: ServerConfig,
     store: S,
     client_config: ClientConfig,
 ) -> Result<InProcessCloud<M, S>, MIndexError>
@@ -87,76 +90,50 @@ where
     M: Metric<Vector>,
     S: BucketStore,
 {
-    let server = CloudServer::rebuilt(index_config, store)?;
+    let server = CloudServer::rebuilt(index_config, server_config, store)?;
     let transport = InProcessTransport::with_model(server, NetworkModel::loopback());
     Ok(EncryptedClient::new(key, metric, transport, client_config))
 }
 
-/// A client sharing an `Arc`'d in-process server with other clients
+/// A client sharing an `Arc`'d in-process server `H` — a [`CloudServer`],
+/// a sharded server, any shared-read handler — with other clients
 /// (typically one such client per query thread).
-pub type SharedCloud<M, S> = EncryptedClient<M, InProcessTransport<Shared<Arc<CloudServer<S>>>>>;
+pub type SharedCloud<M, H> = EncryptedClient<M, InProcessTransport<Shared<Arc<H>>>>;
 
 /// Wires an in-process client to an *existing shared* server with the
 /// default loopback model. Every thread of a concurrent workload builds its
 /// own client this way; queries hit the server's `&self` path in parallel.
-pub fn client_for<M, S>(
+pub fn client_for<M, H>(
     key: SecretKey,
     metric: M,
-    server: Arc<CloudServer<S>>,
+    server: Arc<H>,
     client_config: ClientConfig,
-) -> SharedCloud<M, S>
+) -> SharedCloud<M, H>
 where
     M: Metric<Vector>,
-    S: BucketStore,
+    H: SharedRequestHandler,
 {
     client_for_with_model(key, metric, server, client_config, NetworkModel::loopback())
 }
 
 /// [`client_for`] with an explicit network model.
-pub fn client_for_with_model<M, S>(
+pub fn client_for_with_model<M, H>(
     key: SecretKey,
     metric: M,
-    server: Arc<CloudServer<S>>,
+    server: Arc<H>,
     client_config: ClientConfig,
     model: NetworkModel,
-) -> SharedCloud<M, S>
+) -> SharedCloud<M, H>
 where
     M: Metric<Vector>,
-    S: BucketStore,
+    H: SharedRequestHandler,
 {
     let transport = InProcessTransport::with_model(Shared(server), model);
     EncryptedClient::new(key, metric, transport, client_config)
 }
 
-/// Concurrent TCP serving mode: accepts any number of connections against
-/// one shared server, processing requests from different connections in
-/// parallel (no handler lock — searches share the index read lock, inserts
-/// take the write lock). The caller keeps its `Arc` for inspection; attach
-/// clients with [`connect_tcp`].
-pub fn serve_tcp_concurrent<S>(
-    server: Arc<CloudServer<S>>,
-) -> std::io::Result<simcloud_transport::tcp::TcpServerHandle>
-where
-    S: BucketStore + 'static,
-{
-    serve_tcp_shared(server)
-}
-
-/// [`serve_tcp_concurrent`] with explicit [`ServeOptions`]: per-connection
-/// read/idle deadlines, a connection-count limit with typed load shedding,
-/// a bounded shutdown drain — and, in tests, server-side fault injection.
-pub fn serve_tcp_concurrent_with<S>(
-    server: Arc<CloudServer<S>>,
-    options: ServeOptions,
-) -> std::io::Result<simcloud_transport::tcp::TcpServerHandle>
-where
-    S: BucketStore + 'static,
-{
-    serve_tcp_shared_with(server, options)
-}
-
 /// Connects one more authorized client to a running TCP server (started
-/// with [`over_tcp`] or [`serve_tcp_concurrent`]).
+/// with [`over_tcp`] or [`serve_tcp_shared`]).
 pub fn connect_tcp<M>(
     key: SecretKey,
     metric: M,
@@ -187,8 +164,9 @@ where
     Ok(EncryptedClient::new(key, metric, transport, client_config))
 }
 
-/// TCP deployment: spawns the server thread, connects a client. Returns the
-/// client and the server handle (shut it down when done).
+/// TCP deployment: spawns the (concurrent) server, connects a client.
+/// Returns the client and the server handle (shut it down when done);
+/// further clients attached with [`connect_tcp`] are served in parallel.
 pub fn over_tcp<M, S>(
     key: SecretKey,
     metric: M,
@@ -207,7 +185,7 @@ where
     S: BucketStore + 'static,
 {
     let server = CloudServer::new(index_config, store)?;
-    let handle = serve_tcp(server)?;
+    let handle = serve_tcp_shared(Arc::new(server))?;
     let transport = TcpTransport::connect(handle.addr())?;
     Ok((
         EncryptedClient::new(key, metric, transport, client_config),

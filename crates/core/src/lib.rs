@@ -24,8 +24,10 @@
 //!   a pre-ranked candidate set of sealed objects; the client decrypts and
 //!   refines.
 //!
-//! The server half is [`CloudServer`]; it implements the byte
-//! [`protocol`] and can run in-process or behind TCP ([`cloud`]).
+//! The server half is one request engine ([`ServerEngine`]) over a
+//! [`SearchIndex`]; [`CloudServer`] is the engine over a single M-Index.
+//! It implements the byte [`protocol`] and can run in-process or behind
+//! TCP ([`cloud`]).
 //! [`CostReport`] captures the paper's cost decomposition (client /
 //! encryption / decryption / distance / server / communication) for every
 //! operation.
@@ -52,14 +54,13 @@ pub mod transform;
 pub use client::{ClientConfig, ClientError, EncryptedClient, LazyRefine, Neighbor, ServerHealth};
 pub use cloud::{
     client_for, client_for_with_model, connect_tcp, connect_tcp_with, in_process,
-    in_process_rebuilt, in_process_with_model, over_tcp, serve_tcp_concurrent,
-    serve_tcp_concurrent_with, InProcessCloud, SharedCloud,
+    in_process_rebuilt, in_process_with_model, over_tcp, InProcessCloud, SharedCloud,
 };
 pub use costs::CostReport;
 pub use key::SecretKey;
 pub use server::{
-    check_cand_size, evaluator_for, objects_response, stage_candidates, stage_views, CloudServer,
-    ServerConfig,
+    evaluator_for, insert_until_error, stage_candidates, CloudServer, IndexShape, SearchIndex,
+    ServerConfig, ServerEngine,
 };
 pub use telemetry::{request_label, ServerTelemetry, SLOW_LOG_CAPACITY};
 pub use transform::DistanceTransform;

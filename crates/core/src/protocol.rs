@@ -293,7 +293,7 @@ fn err(msg: &str) -> CodecError {
 /// The cap rejects anything larger than the biggest legitimate message
 /// (full-dataset exports included) before any count field is trusted;
 /// within the cap, every `Vec::with_capacity` is additionally bounded by
-/// the bytes actually present (see [`cap_alloc`]).
+/// the bytes actually present (see `cap_alloc`).
 ///
 /// Defined as the transport layer's frame cap so the two bounds cannot
 /// drift: the framing code rejects a hostile length prefix before
@@ -306,7 +306,7 @@ pub const MAX_DECODE_BYTES: usize = simcloud_transport::MAX_FRAME_BYTES;
 ///
 /// A headers-only list costs `1` tag byte + `4` header-count bytes +
 /// `16` bytes per header + `4` payload-count bytes (see
-/// [`encode_candidate_list`]); the 9 framing bytes leave
+/// `encode_candidate_list`); the 9 framing bytes leave
 /// `(MAX_DECODE_BYTES - 9) / 16` header slots. Servers clamp `cand_size`
 /// to this before running a search — a request for more would produce an
 /// answer the requester itself could never decode, so it is refused up

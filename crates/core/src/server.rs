@@ -1,15 +1,24 @@
-//! The similarity-cloud server: an M-Index that never sees plaintext.
+//! The similarity-cloud server: one request engine over any [`SearchIndex`].
 //!
-//! [`CloudServer`] implements both handler traits of the transport layer:
-//! the classic `&mut self` [`RequestHandler`] and the *shared-read*
-//! [`SharedRequestHandler`], so one `Arc<CloudServer>` can answer any
-//! number of concurrent client connections (paper §4.4 serves independent
-//! clients). Internally the index sits behind a reader–writer lock —
-//! searches take shared read access and run in parallel, inserts take the
-//! write lock — and all statistics live in atomics/locks so the whole
-//! request path needs only `&self`. The server holds **no key material** —
-//! compromising it yields sealed payloads and routing information only
-//! (§4.3).
+//! The paper's server (§4.3–4.4) is one thing — an M-Index that stores
+//! sealed payloads and answers insert / range / approximate k-NN without
+//! key material — so this module holds the **only** request dispatch of the
+//! repository. [`ServerEngine`] decodes a request, runs it against its
+//! index through the [`SearchIndex`] trait and writes the answer; it is
+//! monomorphised over the index, so nothing is boxed or dispatched
+//! dynamically on the query path. Two indexes implement the trait: the
+//! lock-wrapped `MIndex` here ([`CloudServer`] is the engine over it — the
+//! 1-shard case) and `simcloud_shard::ShardedMIndex` (N shards,
+//! scatter-gather).
+//!
+//! The engine implements both handler traits of the transport layer: the
+//! classic `&mut self` [`RequestHandler`] and the *shared-read*
+//! [`SharedRequestHandler`], so one `Arc`'d server can answer any number of
+//! concurrent client connections (paper §4.4 serves independent clients).
+//! All locking lives inside the index; all statistics live in
+//! atomics/locks, so the whole request path needs only `&self`. The server
+//! holds **no key material** — compromising it yields sealed payloads and
+//! routing information only (§4.3).
 
 use parking_lot::{RwLock, RwLockReadGuard};
 use simcloud_mindex::{
@@ -63,16 +72,198 @@ impl ServerConfig {
     }
 }
 
-/// Server half of the Encrypted M-Index.
-pub struct CloudServer<S: BucketStore> {
-    index: RwLock<MIndex<S>>,
+/// Aggregate shape of an index (the [`Request::Info`] view).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexShape {
+    /// Total indexed entries.
+    pub entries: u64,
+    /// Total leaf cells (summed over shards).
+    pub leaves: usize,
+    /// Deepest cell tree.
+    pub max_depth: usize,
+}
+
+/// What the request engine needs from an index — everything else about a
+/// deployment (one index or N shards, which locks, which fan-out) stays
+/// behind this trait.
+///
+/// A search is two steps so that no lock is ever held across staging:
+/// `open_*` walks the index under whatever guards it needs and returns an
+/// **owned, guard-free** [`SearchIndex::Opened`] cursor set;
+/// [`SearchIndex::select`] then ranks and caps it into borrowed
+/// [`CandidateView`]s with no guard live.
+///
+/// **Bulk-insert isolation is a property of the index.** Bulk inserts are
+/// never atomic — on a failing entry the stored prefix stays and is
+/// reported — but what a concurrent search can observe differs: the single
+/// index applies the whole bulk under one write guard (readers see none or
+/// all of it), the sharded index takes one shard guard per entry (readers
+/// may see a partially applied bulk; that is the price of having no global
+/// write lock).
+pub trait SearchIndex: Send + Sync {
+    /// One opened search: the owned cursor(s) a [`SearchIndex::select`]
+    /// ranks. Borrows nothing from the index and holds no guard.
+    type Opened;
+
+    /// Opens an approximate k-NN search (promise-ordered cell walk with a
+    /// `cand_size` candidate budget).
+    fn open_knn(
+        &self,
+        evaluator: &PromiseEvaluator,
+        cand_size: usize,
+    ) -> Result<Self::Opened, MIndexError>;
+
+    /// Opens a precise range search.
+    fn open_range(&self, query_distances: &[f64], radius: f64)
+        -> Result<Self::Opened, MIndexError>;
+
+    /// Opens a whole k-NN batch in one pass over the index's guards: one
+    /// slot per query in request order, a failing query occupying only its
+    /// own slot.
+    fn open_batch_knn(
+        &self,
+        queries: &[(PromiseEvaluator, usize)],
+    ) -> Vec<Result<Self::Opened, MIndexError>>;
+
+    /// The `cap` best-bounded candidates of an opened search (`None` =
+    /// all) in ascending bound order, borrowed from its cursors' arenas,
+    /// plus the statistics of a consumer that takes exactly those.
+    fn select<'o>(
+        &self,
+        opened: &'o Self::Opened,
+        cap: Option<usize>,
+    ) -> (Vec<CandidateView<'o>>, SearchStats);
+
+    /// Inserts `entries` in order until the first failure. Returns how
+    /// many leading entries were stored and the error that stopped the
+    /// bulk, if any (see the trait docs for the isolation level).
+    fn insert_bulk(&self, entries: Vec<IndexEntry>) -> (u32, Option<MIndexError>);
+
+    /// By-id lookup, one slot per requested id in request order
+    /// (duplicates included); ids the index does not hold are `None`.
+    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<IndexEntry>>, MIndexError>;
+
+    /// Every stored entry, in storage order.
+    fn all_entries(&self) -> Result<Vec<IndexEntry>, MIndexError>;
+
+    /// Aggregate shape.
+    fn shape(&self) -> IndexShape;
+
+    /// Number of shards (1 for a single index).
+    fn shard_count(&self) -> usize;
+
+    /// Commits the store(s) to durable storage.
+    fn flush(&self) -> Result<(), MIndexError>;
+}
+
+/// Runs `insert` over `entries` in order until the first error: the shared
+/// shape of every [`SearchIndex::insert_bulk`] (stored-prefix count, first
+/// error). The caller decides which guard `insert` runs under.
+pub fn insert_until_error(
+    entries: Vec<IndexEntry>,
+    mut insert: impl FnMut(IndexEntry) -> Result<(), MIndexError>,
+) -> (u32, Option<MIndexError>) {
+    let mut stored = 0u32;
+    for entry in entries {
+        if let Err(e) = insert(entry) {
+            return (stored, Some(e));
+        }
+        stored += 1;
+    }
+    (stored, None)
+}
+
+/// The single index: one `MIndex` behind one reader–writer lock. Searches
+/// share the read guard and run in parallel; an insert bulk, a flush take
+/// the write guard.
+impl<S: BucketStore> SearchIndex for RwLock<MIndex<S>> {
+    type Opened = CandidateCursor;
+
+    fn open_knn(
+        &self,
+        evaluator: &PromiseEvaluator,
+        cand_size: usize,
+    ) -> Result<CandidateCursor, MIndexError> {
+        self.read().knn_cursor(evaluator, cand_size)
+    }
+
+    fn open_range(
+        &self,
+        query_distances: &[f64],
+        radius: f64,
+    ) -> Result<CandidateCursor, MIndexError> {
+        self.read().range_cursor(query_distances, radius)
+    }
+
+    fn open_batch_knn(
+        &self,
+        queries: &[(PromiseEvaluator, usize)],
+    ) -> Vec<Result<CandidateCursor, MIndexError>> {
+        // One read-guard acquisition opens every query's cursor; queries
+        // from other connections still interleave freely.
+        let index = self.read();
+        queries
+            .iter()
+            .map(|(evaluator, cand_size)| index.knn_cursor(evaluator, *cand_size))
+            .collect()
+    }
+
+    fn select<'o>(
+        &self,
+        opened: &'o CandidateCursor,
+        cap: Option<usize>,
+    ) -> (Vec<CandidateView<'o>>, SearchStats) {
+        opened.select_up_to(cap)
+    }
+
+    fn insert_bulk(&self, entries: Vec<IndexEntry>) -> (u32, Option<MIndexError>) {
+        let mut index = self.write();
+        insert_until_error(entries, |e| index.insert(e))
+    }
+
+    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<IndexEntry>>, MIndexError> {
+        self.read().fetch_entries(ids)
+    }
+
+    fn all_entries(&self) -> Result<Vec<IndexEntry>, MIndexError> {
+        self.read().all_entries()
+    }
+
+    fn shape(&self) -> IndexShape {
+        let index = self.read();
+        let tree = index.shape();
+        IndexShape {
+            entries: index.len(),
+            leaves: tree.leaves,
+            max_depth: tree.max_depth,
+        }
+    }
+
+    fn shard_count(&self) -> usize {
+        1
+    }
+
+    fn flush(&self) -> Result<(), MIndexError> {
+        // The write guard drains in-flight queries first.
+        self.write().flush()
+    }
+}
+
+/// Server half of the Encrypted M-Index: the request engine over a
+/// [`SearchIndex`]. Holds no key material.
+pub struct ServerEngine<I> {
+    index: I,
     config: ServerConfig,
     telemetry: ServerTelemetry,
 }
 
-impl<S: BucketStore> std::fmt::Debug for CloudServer<S> {
+/// The single-index server: the engine over one lock-wrapped `MIndex` —
+/// the 1-shard case of the sharded deployment.
+pub type CloudServer<S> = ServerEngine<RwLock<MIndex<S>>>;
+
+impl<I> std::fmt::Debug for ServerEngine<I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CloudServer").finish_non_exhaustive()
+        f.debug_struct("ServerEngine").finish_non_exhaustive()
     }
 }
 
@@ -89,34 +280,30 @@ impl<S: BucketStore> CloudServer<S> {
         server_config: ServerConfig,
         store: S,
     ) -> Result<Self, MIndexError> {
-        Ok(Self {
-            index: RwLock::new(MIndex::new(config, store)?),
-            config: server_config,
-            telemetry: ServerTelemetry::new(),
-        })
+        let index = RwLock::new(MIndex::new(config, store)?);
+        Ok(Self::from_index(
+            index,
+            server_config,
+            ServerTelemetry::new(),
+        ))
     }
 
     /// Creates a server over a store that already holds records (e.g. a
-    /// crash-recovered [`DiskStore`]), rebuilding the in-memory cell tree
-    /// from the stored entries via [`MIndex::rebuild`].
-    ///
-    /// [`DiskStore`]: https://docs.rs/simcloud-storage
-    pub fn rebuilt(config: MIndexConfig, store: S) -> Result<Self, MIndexError> {
-        let index = MIndex::rebuild(config, store)?;
-        let telemetry = ServerTelemetry::new();
-        // Seed the ops-surface gauge: Health answers from this atomic,
-        // never from the index lock.
-        telemetry.set_entries(index.len());
-        Ok(Self {
-            index: RwLock::new(index),
-            config: ServerConfig::default(),
-            telemetry,
-        })
-    }
-
-    /// The server configuration.
-    pub fn server_config(&self) -> ServerConfig {
-        self.config
+    /// crash-recovered `DiskStore`), rebuilding the in-memory cell tree
+    /// from the stored entries via [`MIndex::rebuild`]. The restarted
+    /// server keeps the `server_config` it is given — a budgeted
+    /// deployment stays budgeted across a crash.
+    pub fn rebuilt(
+        config: MIndexConfig,
+        server_config: ServerConfig,
+        store: S,
+    ) -> Result<Self, MIndexError> {
+        let index = RwLock::new(MIndex::rebuild(config, store)?);
+        Ok(Self::from_index(
+            index,
+            server_config,
+            ServerTelemetry::new(),
+        ))
     }
 
     /// Read access to the underlying index (shape and storage inspection).
@@ -124,16 +311,43 @@ impl<S: BucketStore> CloudServer<S> {
     pub fn index(&self) -> RwLockReadGuard<'_, MIndex<S>> {
         self.index.read()
     }
+}
 
-    /// Commits the store to durable storage (see [`MIndex::flush`]).
-    /// Takes the index write lock, so in-flight queries drain first.
-    pub fn flush(&self) -> Result<(), MIndexError> {
-        self.index.write().flush()
+impl<I: SearchIndex> ServerEngine<I> {
+    /// The one constructor every server is built through: an already-built
+    /// index, the server configuration and the telemetry the index may
+    /// already be bound to (the sharded index registers its `shard.*`
+    /// histograms before it is handed over).
+    pub fn from_index(index: I, config: ServerConfig, telemetry: ServerTelemetry) -> Self {
+        // Seed the ops-surface gauge: Health answers from this atomic,
+        // never from an index lock.
+        telemetry.set_entries(index.shape().entries);
+        Self {
+            index,
+            config,
+            telemetry,
+        }
     }
 
-    /// Statistics of the most recent search request. Zeroed when the most
-    /// recent search *failed*, so cost accounting never attributes a
-    /// previous query's work to a failed request.
+    /// The server configuration.
+    pub fn server_config(&self) -> ServerConfig {
+        self.config
+    }
+
+    /// The index this engine serves.
+    pub fn search_index(&self) -> &I {
+        &self.index
+    }
+
+    /// Commits the index to durable storage (see [`SearchIndex::flush`]).
+    pub fn flush(&self) -> Result<(), MIndexError> {
+        self.index.flush()
+    }
+
+    /// Statistics of the most recent search request (per-shard cost
+    /// counters summed, `candidates` the capped answer size). Zeroed when
+    /// the most recent search *failed*, so cost accounting never
+    /// attributes a previous query's work to a failed request.
     pub fn last_search_stats(&self) -> SearchStats {
         self.telemetry.last_search_stats()
     }
@@ -151,40 +365,36 @@ impl<S: BucketStore> CloudServer<S> {
         &self.telemetry
     }
 
-    /// Stages ranked candidate views for the phase-1 wire (see
-    /// [`stage_views`]) under this server's inline budget.
-    fn stage<'a>(&self, views: Vec<CandidateView<'a>>) -> StagedList<'a> {
-        stage_views(views, self.config.max_inline_response_bytes)
-    }
-
-    /// Pulls a freshly opened cursor's capped selection and stages it —
-    /// the shared tail of every search. The cursor owns its arena, so no
+    /// Selects an opened search's capped candidates and stages them for
+    /// the phase-1 wire under this server's inline budget — the shared
+    /// tail of every search. The opened cursors own their arenas, so no
     /// index guard is live here.
-    fn select_and_stage<'c>(
+    fn select_and_stage<'o>(
         &self,
-        cursor: &'c CandidateCursor,
+        opened: &'o I::Opened,
         cap: Option<usize>,
         trace: &mut Trace,
-    ) -> (StagedList<'c>, SearchStats) {
+    ) -> (StagedList<'o>, SearchStats) {
         let (views, stats) = {
             let _pull = trace.span("pull", self.telemetry.pull_hist());
-            cursor.select_up_to(cap)
+            self.index.select(opened, cap)
         };
         let _stage = trace.span("stage", self.telemetry.stage_hist());
-        (self.stage(views), stats)
+        let list = stage_views(views, self.config.max_inline_response_bytes);
+        (list, stats)
     }
 
-    /// Answers a single-list search from its opened cursor.
+    /// Answers a single-list search from its opened cursors.
     fn answer_search<R>(
         &self,
-        opened: Result<CandidateCursor, MIndexError>,
+        opened: Result<I::Opened, MIndexError>,
         cap: Option<usize>,
         trace: &mut Trace,
         sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
     ) -> R {
         match opened {
-            Ok(cursor) => {
-                let (list, stats) = self.select_and_stage(&cursor, cap, trace);
+            Ok(opened) => {
+                let (list, stats) = self.select_and_stage(&opened, cap, trace);
                 self.telemetry.record_search(stats);
                 sink(StagedResponse::List(list), trace)
             }
@@ -199,10 +409,10 @@ impl<S: BucketStore> CloudServer<S> {
     }
 
     /// Processes one decoded request (the typed core of the handler).
-    /// Needs only `&self`: searches share the index read lock, inserts
-    /// briefly take the write lock. Runs [`CloudServer::process_with`] in
-    /// its own request trace, so direct callers (in-process transports,
-    /// tests) feed the same histograms as the byte handler.
+    /// Needs only `&self`: all locking is the index's. Runs the same
+    /// request path as the byte handler in its own request trace, so
+    /// direct callers (in-process transports, tests) feed the same
+    /// histograms.
     pub fn process(&self, request: Request) -> Response {
         let mut trace = self.telemetry.trace_labeled(request_label(&request));
         let response = self.process_with(request, &mut trace, |staged, _| staged.into_response());
@@ -212,7 +422,7 @@ impl<S: BucketStore> CloudServer<S> {
     }
 
     /// Runs one request and hands its answer to `sink` — the one request
-    /// path behind both the typed [`CloudServer::process`] (sink: copy the
+    /// path behind both the typed [`ServerEngine::process`] (sink: copy the
     /// staged lists out into a [`Response`]) and the byte handler (sink:
     /// write them straight into the response frame). Search answers reach
     /// the sink still borrowed from their cursors' arenas, which is why
@@ -227,42 +437,27 @@ impl<S: BucketStore> CloudServer<S> {
     ) -> R {
         let response = match request {
             Request::Insert(entries) => {
-                let n_entries;
-                let response = {
+                let (inserted, failure) = {
                     let _insert = trace.span("insert", self.telemetry.insert_hist());
-                    let mut index = self.index.write();
-                    let mut n = 0u32;
-                    let mut failure = None;
-                    for e in entries {
-                        match index.insert(e) {
-                            Ok(()) => n += 1,
-                            // Bulk inserts are not atomic: the already-
-                            // inserted prefix stays, so the error must
-                            // carry the count.
-                            Err(e) => {
-                                failure = Some(e.to_string());
-                                break;
-                            }
-                        }
-                    }
-                    n_entries = u64::from(n);
-                    match failure {
-                        Some(message) => Response::InsertError {
-                            inserted: n,
-                            message,
-                        },
-                        None => Response::Inserted(n),
-                    }
+                    self.index.insert_bulk(entries)
                 };
                 // The ops surface answers `entries` from this gauge, so
-                // Health never waits on the write lock above.
-                self.telemetry.add_entries(n_entries);
-                response
+                // Health never waits on an index lock.
+                self.telemetry.add_entries(u64::from(inserted));
+                match failure {
+                    // Bulk inserts are not atomic: the already-inserted
+                    // prefix stays, so the error must carry the count.
+                    Some(e) => Response::InsertError {
+                        inserted,
+                        message: e.to_string(),
+                    },
+                    None => Response::Inserted(inserted),
+                }
             }
             Request::Range { distances, radius } => {
                 let opened = {
                     let _open = trace.span("open", self.telemetry.open_hist());
-                    self.index.read().range_cursor(&distances, radius)
+                    self.index.open_range(&distances, radius)
                 };
                 return self.answer_search(opened, None, trace, sink);
             }
@@ -283,87 +478,101 @@ impl<S: BucketStore> CloudServer<S> {
                     let cand_size = cand_size as usize;
                     let opened = {
                         let _open = trace.span("open", self.telemetry.open_hist());
-                        self.index.read().knn_cursor(&evaluator, cand_size)
+                        self.index.open_knn(&evaluator, cand_size)
                     };
                     return self.answer_search(opened, knn_cap(cand_size), trace, sink);
                 }
             },
             Request::BatchKnn(queries) => {
-                // One read-lock acquisition opens every query's cursor;
-                // queries from other connections still interleave freely.
-                // Cursors own their staged records, so the guard is
-                // released before any view is pulled or staged (lock
-                // discipline: no guard across staging, no pull under a
-                // guard). Oversized queries are refused up front and never
-                // reach the index — their slots carry the clamp error.
-                let opened: Vec<Result<(CandidateCursor, Option<usize>), String>> = {
-                    let _open = trace.span("open", self.telemetry.open_hist());
-                    let index = self.index.read();
-                    queries
-                        .into_iter()
-                        .map(|q| {
-                            check_cand_size(q.cand_size)?;
-                            let evaluator = evaluator_for(q.routing);
-                            let cand_size = q.cand_size as usize;
-                            index
-                                .knn_cursor(&evaluator, cand_size)
-                                .map(|cursor| (cursor, knn_cap(cand_size)))
-                                .map_err(|e| e.to_string())
-                        })
-                        .collect()
-                };
-                let mut sets = Vec::with_capacity(opened.len());
-                let mut batch_stats = SearchStats::default();
-                for result in &opened {
-                    sets.push(match result {
-                        Ok((cursor, cap)) => {
-                            let (list, stats) = self.select_and_stage(cursor, *cap, trace);
-                            batch_stats.merge(&stats);
-                            Ok(list)
+                // Partition first: oversized queries are refused up front
+                // and never reach the index — their slots carry the clamp
+                // error. Every admissible query opens in **one** pass over
+                // the index's guards; the cursors own their staged records,
+                // so every guard is released before any view is selected
+                // or staged (lock discipline: no guard across staging).
+                let mut refused: Vec<Option<String>> = Vec::with_capacity(queries.len());
+                let mut plans = Vec::with_capacity(queries.len());
+                for q in queries {
+                    match check_cand_size(q.cand_size) {
+                        Ok(()) => {
+                            refused.push(None);
+                            plans.push((evaluator_for(q.routing), q.cand_size as usize));
                         }
-                        // A failing query answers in its own slot; its
-                        // siblings' candidate sets still ship. The failed
-                        // query did no accountable work, so the batch stats
-                        // are exactly the successful queries' sum.
-                        Err(e) => Err(e.clone()),
+                        Err(msg) => refused.push(Some(msg)),
+                    }
+                }
+                let opened = {
+                    let _open = trace.span("open", self.telemetry.open_hist());
+                    self.index.open_batch_knn(&plans)
+                };
+                let mut results = opened.iter().zip(&plans);
+                let mut sets = Vec::with_capacity(refused.len());
+                let mut batch_stats = SearchStats::default();
+                for slot in refused {
+                    sets.push(match slot {
+                        Some(msg) => Err(msg),
+                        None => match results.next() {
+                            Some((Ok(opened), &(_, cand_size))) => {
+                                let (list, stats) =
+                                    self.select_and_stage(opened, knn_cap(cand_size), trace);
+                                batch_stats.merge(&stats);
+                                Ok(list)
+                            }
+                            // A failing query answers in its own slot; its
+                            // siblings' candidate sets still ship. It did
+                            // no accountable work, so the batch stats are
+                            // exactly the successful queries' sum.
+                            Some((Err(e), _)) => Err(e.to_string()),
+                            // The index answers one slot per plan; a short
+                            // answer would be an index bug — surface it per
+                            // slot, never panic.
+                            None => Err("batch answer missing a query slot".into()),
+                        },
                     });
                 }
                 self.telemetry.record_search(batch_stats);
                 return sink(StagedResponse::Sets(sets), trace);
             }
             Request::FetchObjects { ids } => {
-                // Phase 2 of the two-phase fetch: stateless re-read by id
-                // through the same shared read lock as searches — nothing
-                // was pinned when phase 1 answered, so any number of
-                // interleaved fetches from concurrent connections are safe.
-                // Not a search: the search stats are left untouched.
-                match self.index.read().fetch_entries(&ids) {
+                // Phase 2 of the two-phase fetch: stateless re-read by id —
+                // nothing was pinned when phase 1 answered, so any number
+                // of interleaved fetches from concurrent connections are
+                // safe. Not a search: the search stats are left untouched.
+                match self.index.fetch_entries(&ids) {
                     Ok(entries) => objects_response(&ids, entries),
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
             Request::Info => {
-                let index = self.index.read();
-                let shape = index.shape();
+                let shape = self.index.shape();
                 Response::Info {
-                    entries: index.len(),
+                    entries: shape.entries,
                     leaves: u32::try_from(shape.leaves).unwrap_or(u32::MAX),
                     depth: u32::try_from(shape.max_depth).unwrap_or(u32::MAX),
                 }
             }
-            Request::ExportAll => match self.index.read().all_entries() {
+            Request::ExportAll => match self.index.all_entries() {
                 // An export has no query, hence no bounds: every candidate
                 // ships a trivial lower bound of zero ("could be anywhere").
-                Ok(entries) => {
-                    Response::Candidates(entries.into_iter().map(|e| candidate((e, 0.0))).collect())
-                }
+                Ok(entries) => Response::Candidates(
+                    entries
+                        .into_iter()
+                        .map(|e| Candidate {
+                            id: e.id,
+                            lower_bound: 0.0,
+                            payload: e.payload,
+                        })
+                        .collect(),
+                ),
                 Err(e) => Response::Error(e.to_string()),
             },
             // The ops surface: both answers come from ServerTelemetry's
-            // atomics and side locks — never `self.index` — so they stay
-            // fast while an insert holds the index write lock (the
+            // atomics and side locks — never the index — so they stay
+            // fast while an insert holds an index write lock (the
             // integration test pins this by probing mid-insert).
-            Request::Health => self.telemetry.health_response(1),
+            Request::Health => self
+                .telemetry
+                .health_response(u32::try_from(self.index.shard_count()).unwrap_or(u32::MAX)),
             Request::MetricsSnapshot => Response::MetricsSnapshot(self.telemetry.metrics_text()),
         };
         sink(StagedResponse::Other(response), trace)
@@ -401,17 +610,15 @@ fn inline_prefix(
 
 /// Stages ranked candidate views for the phase-1 wire under the
 /// [`inline_prefix`] rule, borrowing every byte from the cursors' arenas.
-///
-/// Public because every server front end — [`CloudServer`] and the sharded
-/// scatter-gather server — must stage identically for the wire to be
-/// byte-compatible between deployments.
-pub fn stage_views(views: Vec<CandidateView<'_>>, budget: Option<usize>) -> StagedList<'_> {
+fn stage_views(views: Vec<CandidateView<'_>>, budget: Option<usize>) -> StagedList<'_> {
     let inline = inline_prefix(views.iter().map(|v| v.payload.len()), budget);
     StagedList::new(views, inline)
 }
 
-/// [`stage_views`] for an owned ranked candidate set: the same rule,
-/// filling an owned [`CandidateList`].
+/// The engine's staging rule for an **owned** ranked candidate set: every
+/// header ships, and payloads are inlined in rank order while the encoded
+/// list stays within `budget` (`None` inlines everything) — the owned
+/// adapter outside callers replay a server's staging with.
 pub fn stage_candidates(entries: Vec<(IndexEntry, f64)>, budget: Option<usize>) -> CandidateList {
     let inline = inline_prefix(entries.iter().map(|(e, _)| e.payload.len()), budget);
     let mut headers = Vec::with_capacity(entries.len());
@@ -430,7 +637,7 @@ pub fn stage_candidates(entries: Vec<(IndexEntry, f64)>, budget: Option<usize>) 
 
 /// The phase-2 answer for `ids` given the index's by-id lookup result, in
 /// request order; an id the index does not hold fails the whole fetch.
-pub fn objects_response(ids: &[u64], entries: Vec<Option<IndexEntry>>) -> Response {
+fn objects_response(ids: &[u64], entries: Vec<Option<IndexEntry>>) -> Response {
     let mut objects = Vec::with_capacity(ids.len());
     for (id, entry) in ids.iter().zip(entries) {
         match entry {
@@ -444,21 +651,12 @@ pub fn objects_response(ids: &[u64], entries: Vec<Option<IndexEntry>>) -> Respon
     Response::Objects(objects)
 }
 
-fn candidate((e, lower_bound): (IndexEntry, f64)) -> Candidate {
-    Candidate {
-        id: e.id,
-        lower_bound,
-        payload: e.payload,
-    }
-}
-
 /// Refuses a `cand_size` whose phase-1 header list could not fit the
 /// protocol's decode cap even with zero payloads inlined — the requester
 /// itself could never decode the answer, so the server rejects the
 /// request up front ([`Response::Error`]) instead of doing the search
-/// work and shipping an undecodable frame. Shared by every server front
-/// end so single and sharded deployments clamp identically.
-pub fn check_cand_size(cand_size: u32) -> Result<(), String> {
+/// work and shipping an undecodable frame.
+fn check_cand_size(cand_size: u32) -> Result<(), String> {
     if cand_size as usize > MAX_CANDIDATE_HEADERS {
         Err(format!(
             "cand_size {cand_size} exceeds the {MAX_CANDIDATE_HEADERS}-header response cap"
@@ -468,9 +666,7 @@ pub fn check_cand_size(cand_size: u32) -> Result<(), String> {
     }
 }
 
-/// Builds the promise evaluator a k-NN request's routing implies — shared
-/// by every server front end so sharded and single deployments rank cells
-/// identically.
+/// Builds the promise evaluator a k-NN request's routing implies.
 pub fn evaluator_for(routing: Routing) -> PromiseEvaluator {
     match routing {
         Routing::Distances(ds) => {
@@ -480,7 +676,7 @@ pub fn evaluator_for(routing: Routing) -> PromiseEvaluator {
     }
 }
 
-impl<S: BucketStore> SharedRequestHandler for CloudServer<S> {
+impl<I: SearchIndex> SharedRequestHandler for ServerEngine<I> {
     fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
         let mut trace = self.telemetry.trace();
         let decoded = {
@@ -510,7 +706,7 @@ impl<S: BucketStore> SharedRequestHandler for CloudServer<S> {
 
 /// `&mut self` adapter so existing single-threaded call sites (in-process
 /// transports, tests) keep working unchanged.
-impl<S: BucketStore> RequestHandler for CloudServer<S> {
+impl<I: SearchIndex> RequestHandler for ServerEngine<I> {
     fn handle(&mut self, request: &[u8]) -> Vec<u8> {
         self.handle_shared(request)
     }
@@ -521,7 +717,7 @@ mod tests {
     use super::*;
     use crate::protocol::KnnQuery;
     use simcloud_mindex::RoutingStrategy;
-    use simcloud_storage::MemoryStore;
+    use simcloud_storage::{BucketId, MemoryStore, Record};
 
     fn server() -> CloudServer<MemoryStore> {
         CloudServer::new(
@@ -839,6 +1035,50 @@ mod tests {
             Response::CandidateList(list) => {
                 assert_eq!(list.headers.len(), 1);
                 assert!(list.payloads.is_empty());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A restart keeps the server configuration: rebuilt over the store a
+    /// budgeted server filled, the new server still ships headers only
+    /// beyond its budget (and reports the recovered entries on the ops
+    /// surface without a single insert).
+    #[test]
+    fn rebuilt_budgeted_server_keeps_its_budget() {
+        let config = MIndexConfig {
+            num_pivots: 3,
+            max_level: 2,
+            bucket_capacity: 4,
+            strategy: RoutingStrategy::Distances,
+        };
+        // Two 3-byte payloads fit beside the four headers; the rest do not.
+        let budgeted = ServerConfig::budgeted(1 + 4 + 16 * 4 + 4 + 2 * (4 + 3));
+        // The store a crashed server left behind (any bucket layout).
+        let mut store = MemoryStore::new();
+        for e in [
+            entry(1, &[0.1, 0.5, 0.9]),
+            entry(2, &[0.11, 0.51, 0.89]),
+            entry(3, &[0.4, 0.6, 0.7]),
+            entry(4, &[0.9, 0.1, 0.2]),
+        ] {
+            store
+                .append(BucketId(0), Record::new(e.id, e.encode_payload()))
+                .unwrap();
+        }
+        let s = CloudServer::rebuilt(config, budgeted, store).unwrap();
+        assert_eq!(s.server_config(), budgeted);
+        assert!(matches!(
+            s.process(Request::Health),
+            Response::Health { entries: 4, .. }
+        ));
+        match s.process(Request::ApproxKnn {
+            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+            cand_size: 4,
+        }) {
+            Response::CandidateList(list) => {
+                assert_eq!(list.headers.len(), 4, "headers always ship in full");
+                assert_eq!(list.payloads.len(), 2, "the budget survived the restart");
             }
             other => panic!("unexpected {other:?}"),
         }

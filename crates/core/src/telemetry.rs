@@ -1,12 +1,12 @@
-//! The **one** telemetry snapshot path every server front end routes
+//! The **one** telemetry snapshot path the server engine routes
 //! through.
 //!
 //! [`ServerTelemetry`] owns everything a server reports about itself:
 //! the metric [`Registry`], the request/phase latency histograms, the
 //! per-request and accumulated [`SearchStats`] (including the
 //! zero-on-failure rule), the entries gauge the ops surface answers
-//! from, and the slow-query log. `CloudServer` and the sharded front
-//! end both hold one of these and delegate — the two deployments report
+//! from, and the slow-query log. The request engine holds one of these
+//! whichever index it serves — single and sharded deployments report
 //! identically *shaped* metrics by construction, because there is no
 //! second implementation to drift (the stats-sampling inconsistencies
 //! between them were exactly such drift).
@@ -30,7 +30,7 @@ use crate::protocol::{Request, Response, StagedResponse, PROTOCOL_VERSION};
 pub const SLOW_LOG_CAPACITY: usize = 16;
 
 /// Wire label of a request, used for trace labels and the slow-query
-/// log. Shared by every front end so the two servers label identically.
+/// log.
 pub fn request_label(request: &Request) -> &'static str {
     match request {
         Request::Insert(_) => "insert",
@@ -141,8 +141,7 @@ impl ServerTelemetry {
         }
     }
 
-    /// Counts error-shaped responses (one call site per front end, so
-    /// both servers agree on what an "error" is).
+    /// Counts error-shaped responses.
     pub fn note_response(&self, response: &Response) {
         if matches!(response, Response::Error(_) | Response::InsertError { .. }) {
             self.errors.inc();

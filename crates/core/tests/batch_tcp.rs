@@ -10,13 +10,11 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{KnnQuery, Request, Response};
-use simcloud_core::{
-    client_for, connect_tcp, serve_tcp_concurrent, ClientConfig, CloudServer, SecretKey,
-};
+use simcloud_core::{client_for, connect_tcp, ClientConfig, CloudServer, SecretKey};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, Routing, RoutingStrategy};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{TcpTransport, Transport};
+use simcloud_transport::{serve_tcp_shared, TcpTransport, Transport};
 
 const PIVOTS: usize = 4;
 
@@ -61,7 +59,7 @@ fn deployment(n: usize, seed: u64) -> (Arc<CloudServer<MemoryStore>>, SecretKey,
 #[test]
 fn batch_with_malformed_subquery_answers_per_slot_over_tcp() {
     let (server, _key, _vectors) = deployment(30, 7);
-    let handle = serve_tcp_concurrent(Arc::clone(&server)).unwrap();
+    let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
     let mut raw = TcpTransport::connect(handle.addr()).unwrap();
 
     let batch = Request::BatchKnn(vec![
@@ -125,7 +123,7 @@ fn batch_with_malformed_subquery_answers_per_slot_over_tcp() {
 #[test]
 fn client_batch_api_isolates_server_side_slot_failures() {
     let (server, key, vectors) = deployment(24, 9);
-    let handle = serve_tcp_concurrent(Arc::clone(&server)).unwrap();
+    let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
 
     // Raw connection injects the mixed batch and checks slot shapes.
     let mut raw = TcpTransport::connect(handle.addr()).unwrap();

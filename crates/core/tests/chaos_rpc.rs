@@ -20,8 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response};
 use simcloud_core::{
-    client_for, serve_tcp_concurrent_with, ClientConfig, ClientError, CloudServer, EncryptedClient,
-    SecretKey, ServerConfig,
+    client_for, ClientConfig, ClientError, CloudServer, EncryptedClient, SecretKey, ServerConfig,
 };
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
@@ -122,7 +121,7 @@ fn faulty_client(
 fn knn_answers_survive_a_cut_at_every_frame() {
     let (key, objects) = dataset(11);
     let server = loaded_server(&key, &objects);
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
     let q = &objects[3].1;
 
     // Baseline run through a quiet script: the expected answer plus the op
@@ -163,7 +162,7 @@ fn knn_answers_survive_a_cut_at_every_frame() {
 fn range_answers_survive_cuts() {
     let (key, objects) = dataset(13);
     let server = loaded_server(&key, &objects);
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
     let q = &objects[7].1;
 
     let quiet = FaultScript::quiet();
@@ -191,7 +190,7 @@ fn range_answers_survive_cuts() {
 fn delays_are_retried_only_when_they_breach_the_read_timeout() {
     let (key, objects) = dataset(17);
     let server = loaded_server(&key, &objects);
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
     let q = &objects[0].1;
 
     let mut baseline = faulty_client(&key, handle.addr(), FaultScript::quiet());
@@ -263,7 +262,7 @@ fn cut_insert_then_resume(
         )
         .unwrap(),
     );
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
     let script = FaultScript::new(vec![FaultRule::once(dir, at, FaultAction::Cut)]);
     let mut client = faulty_client(key, handle.addr(), Arc::clone(&script));
 
@@ -436,7 +435,7 @@ fn resume_still_reports_genuine_rejections() {
         )
         .unwrap(),
     );
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
     let mut client = faulty_client(&key, handle.addr(), FaultScript::quiet());
     match client.insert_bulk_resume(&objects) {
         Err(ClientError::PartialInsert { inserted: 20, .. }) => {}
@@ -454,7 +453,7 @@ fn resume_still_reports_genuine_rejections() {
 fn seal_aborts_are_never_retried() {
     let (key, objects) = dataset(23);
     let server = loaded_server(&key, &objects);
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
 
     // A *different* key over the same vectors: routing stays well-formed
     // (same pivot count), but every unseal fails its MAC.

@@ -1,6 +1,6 @@
 //! Ops surface over real TCP: `Health` and `MetricsSnapshot` must be
-//! answered by **both** server front ends while an insert holds the index
-//! write lock — the whole point of serving them from pre-aggregated
+//! answered by the single and the sharded server (and by whatever
+//! `over_tcp` starts) while an insert holds the index write lock — the whole point of serving them from pre-aggregated
 //! atomics. A store whose `append` blocks on a condvar pins the write
 //! lock mid-insert; probe clients carry a short read timeout so a
 //! regression fails as `TimedOut` instead of hanging the suite. Also
@@ -13,14 +13,12 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response, PROTOCOL_VERSION};
-use simcloud_core::{
-    client_for, serve_tcp_concurrent, ClientConfig, CloudServer, SecretKey, SLOW_LOG_CAPACITY,
-};
+use simcloud_core::{client_for, ClientConfig, CloudServer, SecretKey, SLOW_LOG_CAPACITY};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{IndexEntry, MIndexConfig, Routing, RoutingStrategy};
-use simcloud_shard::{serve_tcp_concurrent_sharded, HashRouter, ShardedCloudServer};
+use simcloud_shard::{HashRouter, ShardedCloudServer};
 use simcloud_storage::{BucketId, BucketStore, IoStats, MemoryStore, Record, StorageError};
-use simcloud_transport::{RetryPolicy, TcpClientConfig, TcpTransport, Transport};
+use simcloud_transport::{serve_tcp_shared, RetryPolicy, TcpClientConfig, TcpTransport, Transport};
 
 /// Condvar gate shared between a blocking store and the test driver.
 #[derive(Default)]
@@ -214,7 +212,7 @@ fn single_server_answers_ops_requests_during_blocked_insert() {
         other => panic!("seed insert failed: {other:?}"),
     }
 
-    let handle = serve_tcp_concurrent(Arc::clone(&server)).unwrap();
+    let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
     let addr = handle.addr();
 
     gate.arm();
@@ -251,6 +249,56 @@ fn single_server_answers_ops_requests_during_blocked_insert() {
     handle.shutdown();
 }
 
+/// `over_tcp` serves through the shared-read path too: the first
+/// connection (the client `over_tcp` returns) is stuck mid-insert inside
+/// the store, and a `Health` on a second connection still answers — a
+/// handler mutex in front of the server would make this probe time out.
+#[test]
+fn over_tcp_server_answers_health_on_a_second_connection_during_blocked_insert() {
+    let gate = Arc::new(Gate::default());
+    let vectors: Vec<Vector> = (0..12)
+        .map(|i| Vector::new(vec![i as f32, (i % 5) as f32, 1.0]))
+        .collect();
+    let (key, _) = SecretKey::generate(&vectors, 4, &L2, PivotSelection::Random, 3);
+    let (mut client, handle) = simcloud_core::over_tcp(
+        key,
+        L2,
+        config(4),
+        SlowStore::gated(Arc::clone(&gate)),
+        ClientConfig::distances(),
+    )
+    .unwrap();
+    let objects: Vec<(ObjectId, Vector)> = vectors
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (ObjectId(i as u64), v.clone()))
+        .collect();
+    let (seed, rest) = objects.split_at(10);
+    client.insert_bulk(seed).unwrap();
+    let addr = handle.addr();
+
+    gate.arm();
+    let rest = rest.to_vec();
+    let blocked = std::thread::spawn(move || {
+        client.insert_bulk(&rest).unwrap();
+        client
+    });
+    gate.await_entered(Duration::from_secs(10));
+
+    let mut t = probe(addr);
+    let (status, _, entries, shards) = health_of(&mut t);
+    assert_eq!(status, 0);
+    assert_eq!(entries, 10, "blocked insert must not be counted yet");
+    assert_eq!(shards, 1);
+
+    gate.release();
+    let client = blocked.join().unwrap();
+    let (_, _, entries, _) = health_of(&mut t);
+    assert_eq!(entries, 12, "entries gauge follows the finished insert");
+    drop((t, client));
+    handle.shutdown();
+}
+
 /// Sharded server: same contract — the scatter-gather front end answers
 /// ops requests while one of its shards is stuck mid-insert.
 #[test]
@@ -267,7 +315,7 @@ fn sharded_server_answers_ops_requests_during_blocked_insert() {
         other => panic!("seed insert failed: {other:?}"),
     }
 
-    let handle = serve_tcp_concurrent_sharded(Arc::clone(&server)).unwrap();
+    let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
     let addr = handle.addr();
 
     gate.arm();

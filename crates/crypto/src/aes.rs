@@ -9,8 +9,8 @@
 //! key schedule applies InvMixColumns to the inner round keys once at key
 //! expansion, so rounds stay table-driven.
 //!
-//! Both tables are derived from [`SBOX`] at first use (same pattern as
-//! [`inv_sbox`] — no second hand-typed constant as a source of error), and
+//! Both tables are derived from `SBOX` at first use (same pattern as
+//! `inv_sbox` — no second hand-typed constant as a source of error), and
 //! the textbook byte-oriented implementation is kept as the reference the
 //! T-table path is property-tested against on random keys and blocks.
 //!

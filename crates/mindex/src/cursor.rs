@@ -1,15 +1,25 @@
-//! Lazy, bound-ordered candidate cursors — the streaming half of the
-//! query path.
+//! Bound-ordered candidate cursors — **the** definition of a search's
+//! candidate set.
+//!
+//! A search *is* a cursor: [`crate::MIndex::knn_cursor`] and
+//! [`crate::MIndex::range_cursor`] decide which cells are walked, which
+//! records survive and in which order they are yielded. Everything else
+//! that returns candidates is an adapter over one: the server's request
+//! engine writes a cursor's views straight into its response frame, the
+//! sharded merge interleaves several cursors' views, and the owned lists
+//! of [`crate::MIndex::knn_candidates`] / [`crate::MIndex::range_candidates`]
+//! are `cursor.collect_up_to(..)` — the cursor's yield sequence (trimmed
+//! to the candidate budget for k-NN), copied out.
 //!
 //! A search moves each candidate's sealed bytes **once** on the server
 //! before they reach the response frame: from the bucket store into the
 //! cursor's arena. Everything after that — ranking, the sharded merge,
 //! the cap, the inline budget — works on borrowed [`CandidateView`]s.
 //!
-//! * **Open** — walk exactly the cells the eager candidate functions
-//!   ([`crate::MIndex::knn_candidates`] / [`crate::MIndex::range_candidates`])
-//!   walk (same promise order, same pruning, same stop condition, same
-//!   [`SearchStats`] counters) through
+//! * **Open** — the cell walk: promise order with a `cand_size` stop
+//!   condition for k-NN (the last cell is staged whole), double-pivot /
+//!   range-pivot tree pruning plus per-object pivot filtering for range,
+//!   counted into [`SearchStats`]. Cells are read through
 //!   [`BucketStore::scan_bucket`](simcloud_storage::BucketStore::scan_bucket),
 //!   which *lends* each stored record. A record is appended to one
 //!   `Vec<u8>` **arena** owned by the cursor — a single streaming read of
@@ -20,12 +30,12 @@
 //!   records it rejects are never copied. A staged record is described
 //!   by a 32-byte slot `{id, bound, offset, lengths}`. No per-record
 //!   buffer exists at any point. A stable sort of the slots by bound then
-//!   fixes the yield order.
+//!   fixes the yield order (ties keep cell-visit order).
 //! * **Yield** — [`CandidateCursor::views`] hands out
 //!   `CandidateView { id, bound, payload }` in ascending bound order, the
 //!   payload a slice of the arena. Nothing is decoded and nothing is
-//!   copied; a server front end writes those slices straight into its
-//!   response frame. [`CandidateCursor::next_candidate`] and
+//!   copied. [`CandidateCursor::select_up_to`] is the capped selection a
+//!   server stages; [`CandidateCursor::next_candidate`] and
 //!   [`CandidateCursor::collect_up_to`] are the **owned adapters** over
 //!   the same views for callers that want [`IndexEntry`] values: they
 //!   decode the routing header (kept in the arena beside the payload for
@@ -34,12 +44,11 @@
 //! [`SearchStats::candidates_generated`] counts the candidates handed to
 //! the consumer — views selected or entries pulled — and nothing else.
 //!
-//! The yield order is byte-identical to the eager lists: staging order
-//! equals the eager push order, the bound values are computed by the
-//! same functions on the same `f32` bits, and the stable sort uses the
-//! same comparator — so `cursor.collect_up_to(..)` *is* the eager
-//! function, and the sharded merge over cursors reproduces the eager
-//! merge wire-for-wire.
+//! Because every consumer reads the same yield sequence, single and
+//! sharded servers, borrowed and owned paths agree byte for byte: the
+//! sharded merge over per-shard cursors reproduces a single cursor's
+//! order wire for wire (same bounds from the same `f32` bits, same stable
+//! comparator, lower shard wins ties).
 
 use std::cmp::Ordering;
 

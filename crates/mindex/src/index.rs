@@ -308,7 +308,7 @@ impl<S: BucketStore> MIndex<S> {
     }
 
     /// Opens a lazy, bound-ordered cursor over the precise range-query
-    /// candidate set (the streaming form of [`MIndex::range_candidates`]).
+    /// candidate set ([`MIndex::range_candidates`] is its owned adapter).
     ///
     /// The open phase runs the full Alg. 3 tree pruning and per-object
     /// pivot filtering — the returned [`SearchStats`] carry the same
@@ -439,7 +439,7 @@ impl<S: BucketStore> MIndex<S> {
     }
 
     /// Opens a lazy, bound-ordered cursor over the approximate-k-NN
-    /// candidate set (the streaming form of [`MIndex::knn_candidates`]).
+    /// candidate set ([`MIndex::knn_candidates`] is its owned adapter).
     ///
     /// The open phase enumerates Voronoi cells in promise order until
     /// `cand_size` entries are gathered — identical cell walk, stop

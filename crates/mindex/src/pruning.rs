@@ -149,8 +149,8 @@ pub fn pivot_filter_safe_lower_bound<O: StoredDistance>(query_ds: &[f64], object
 ///
 /// This is an early-exit test, not a reduction: an object that is going to
 /// be filtered usually fails within the first few pivots, so the first
-/// [`LANES`] coordinates are tested one by one; one that survives them is
-/// usually kept, so the rest is tested [`LANES`] at a time with the exit
+/// `LANES` coordinates are tested one by one; one that survives them is
+/// usually kept, so the rest is tested `LANES` at a time with the exit
 /// between chunks. The answer is the serial loop's either way.
 #[inline]
 pub fn pivot_filter_keep<O: StoredDistance>(

@@ -1,7 +1,9 @@
-//! Deployment helpers for the sharded cloud — mirrors `simcloud_core::cloud`
-//! so switching a deployment from one index to N shards is a one-line
-//! change on the construction site and a no-op everywhere else (the wire
-//! protocol and the client are unchanged).
+//! Construction helpers for the sharded cloud. Only *building* a sharded
+//! server differs from the single one (a router and N stores); everything
+//! after that — `simcloud_core::client_for`, `connect_tcp`,
+//! `simcloud_transport::serve_tcp_shared` — takes either server, so
+//! switching a deployment from one index to N shards is a one-line change
+//! on the construction site and a no-op everywhere else.
 
 use std::sync::Arc;
 
@@ -9,10 +11,7 @@ use simcloud_core::{ClientConfig, EncryptedClient, SecretKey};
 use simcloud_metric::{Metric, Vector};
 use simcloud_mindex::{MIndexConfig, MIndexError};
 use simcloud_storage::{BucketStore, MemoryStore};
-use simcloud_transport::{
-    serve_tcp_shared, serve_tcp_shared_with, InProcessTransport, NetworkModel, ServeOptions,
-    Shared, TcpTransport,
-};
+use simcloud_transport::{serve_tcp_shared, InProcessTransport, NetworkModel, TcpTransport};
 
 use crate::router::ShardRouter;
 use crate::server::ShardedCloudServer;
@@ -23,7 +22,7 @@ pub type ShardedInProcessCloud<M, S> =
     EncryptedClient<M, InProcessTransport<ShardedCloudServer<S>>>;
 
 /// Builds an in-process sharded deployment with the default loopback model
-/// and default [`ServerConfig`].
+/// and the default server configuration.
 pub fn sharded_in_process<M, S>(
     key: SecretKey,
     metric: M,
@@ -43,73 +42,6 @@ where
         InProcessTransport::with_model(server, NetworkModel::loopback()),
         client_config,
     ))
-}
-
-/// A client sharing an `Arc`'d in-process sharded server with other clients
-/// (one such client per query thread, as with `client_for`).
-pub type SharedShardedCloud<M, S> =
-    EncryptedClient<M, InProcessTransport<Shared<Arc<ShardedCloudServer<S>>>>>;
-
-/// Wires an in-process client to an existing shared sharded server with the
-/// default loopback model.
-pub fn client_for_sharded<M, S>(
-    key: SecretKey,
-    metric: M,
-    server: Arc<ShardedCloudServer<S>>,
-    client_config: ClientConfig,
-) -> SharedShardedCloud<M, S>
-where
-    M: Metric<Vector>,
-    S: BucketStore,
-{
-    client_for_sharded_with_model(key, metric, server, client_config, NetworkModel::loopback())
-}
-
-/// [`client_for_sharded`] with an explicit network model.
-pub fn client_for_sharded_with_model<M, S>(
-    key: SecretKey,
-    metric: M,
-    server: Arc<ShardedCloudServer<S>>,
-    client_config: ClientConfig,
-    model: NetworkModel,
-) -> SharedShardedCloud<M, S>
-where
-    M: Metric<Vector>,
-    S: BucketStore,
-{
-    EncryptedClient::new(
-        key,
-        metric,
-        InProcessTransport::with_model(Shared(server), model),
-        client_config,
-    )
-}
-
-/// Concurrent TCP serving mode for a sharded server: accepts any number of
-/// connections, each processed lock-free through the scatter-gather read
-/// path. The caller keeps its `Arc` for inspection; attach clients with
-/// `simcloud_core::connect_tcp` — the wire is identical.
-pub fn serve_tcp_concurrent_sharded<S>(
-    server: Arc<ShardedCloudServer<S>>,
-) -> std::io::Result<simcloud_transport::tcp::TcpServerHandle>
-where
-    S: BucketStore + 'static,
-{
-    serve_tcp_shared(server)
-}
-
-/// [`serve_tcp_concurrent_sharded`] with explicit [`ServeOptions`]: the
-/// sharded scatter-gather server gets the same per-connection deadlines,
-/// connection limit with typed load shedding, and bounded shutdown drain as
-/// the single-node one.
-pub fn serve_tcp_concurrent_sharded_with<S>(
-    server: Arc<ShardedCloudServer<S>>,
-    options: ServeOptions,
-) -> std::io::Result<simcloud_transport::tcp::TcpServerHandle>
-where
-    S: BucketStore + 'static,
-{
-    serve_tcp_shared_with(server, options)
 }
 
 /// TCP sharded deployment in one call: spawns the (concurrent) server,
@@ -134,7 +66,7 @@ where
     S: BucketStore + 'static,
 {
     let server = Arc::new(ShardedCloudServer::new(index_config, router, stores)?);
-    let handle = serve_tcp_concurrent_sharded(server)?;
+    let handle = serve_tcp_shared(server)?;
     let transport = TcpTransport::connect(handle.addr())?;
     Ok((
         EncryptedClient::new(key, metric, transport, client_config),

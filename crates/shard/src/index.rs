@@ -8,8 +8,12 @@
 //! [`CandidateCursor`] under its read guard, the guards drop with the
 //! fan-out, and the coordinator then drains the merged bound-ordered
 //! frontier lock-free until the global budget is met (see
-//! [`crate::merge::drain_frontier`]) — shards never materialize candidates
+//! [`crate::merge::merge_frontier`]) — shards never materialize candidates
 //! the merge would discard.
+//!
+//! The index plugs into the one request engine of `simcloud_core` through
+//! its [`SearchIndex`] impl: open = the fan-out, select = the frontier
+//! merge, bulk insert = one shard guard per entry.
 //!
 //! A shard-aware ownership map (`id → shard`) backs the two operations that
 //! address entries by external id: duplicate-id rejection at insert and the
@@ -19,6 +23,7 @@
 use std::collections::HashMap;
 
 use parking_lot::{RwLock, RwLockReadGuard};
+use simcloud_core::{insert_until_error, IndexShape, SearchIndex};
 use simcloud_mindex::{
     knn_cap, owned_entries, CandidateCursor, CandidateView, IndexEntry, MIndex, MIndexConfig,
     MIndexError, PromiseEvaluator, SearchStats, FIRST_CELL_ONLY,
@@ -30,24 +35,9 @@ use crate::merge::merge_frontier;
 use crate::router::ShardRouter;
 use crate::telemetry::ShardTiming;
 
-/// Aggregate shape of a sharded deployment (the `Info` view).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedShape {
-    /// Total entries across shards.
-    pub entries: u64,
-    /// Total leaf cells across shards.
-    pub leaves: usize,
-    /// Deepest shard tree.
-    pub max_depth: usize,
-}
-
-/// One shard's search answer: ranked `(entry, lower_bound)` candidates
-/// plus that search's statistics — the unit the gather step merges.
+/// A ranked `(entry, lower_bound)` candidate list plus its search's
+/// statistics — what the owned adapters return.
 type RankedCandidates = (Vec<(IndexEntry, f64)>, SearchStats);
-
-/// An opened (but not yet drained) scatter: one cursor per shard plus
-/// the query's global drain cap (`None` = drain everything).
-pub type OpenedFrontier = (Vec<CandidateCursor>, Option<usize>);
 
 /// N independent M-Index shards behind one scatter-gather facade.
 pub struct ShardedMIndex<S: BucketStore> {
@@ -67,7 +57,7 @@ pub struct ShardedMIndex<S: BucketStore> {
     /// answer.
     parallel_fanout: bool,
     /// Optional shard-layer timing (see [`ShardTiming`]); bound by the
-    /// server front end so opens, pulls and merges land in its registry.
+    /// server so opens, pulls and merges land in its registry.
     telemetry: Option<ShardTiming>,
 }
 
@@ -118,9 +108,9 @@ impl<S: BucketStore> ShardedMIndex<S> {
     }
 
     /// Overrides the fan-out mode (default: parallel iff the machine has
-    /// more than one core). Answers are identical either way; this is a
-    /// latency/overhead dial.
-    pub fn with_parallel_fanout(mut self, parallel: bool) -> Self {
+    /// more than one core) so the tests run both paths on any host.
+    #[cfg(test)]
+    fn with_parallel_fanout(mut self, parallel: bool) -> Self {
         self.parallel_fanout = parallel;
         self
     }
@@ -150,38 +140,6 @@ impl<S: BucketStore> ShardedMIndex<S> {
     /// guard's lifetime — keep it short.
     pub fn shard(&self, i: usize) -> Option<RwLockReadGuard<'_, MIndex<S>>> {
         self.shards.get(i).map(|s| s.read())
-    }
-
-    /// The shard the router assigns `entry` to (what *would* own it).
-    pub fn route(&self, entry: &IndexEntry) -> usize {
-        self.router.route(entry, self.shards.len())
-    }
-
-    /// Aggregate tree shape: entries and leaves sum, depth is the deepest
-    /// shard (each shard's tree splits independently on its own load).
-    pub fn shape(&self) -> ShardedShape {
-        let mut out = ShardedShape {
-            entries: self.len(),
-            leaves: 0,
-            max_depth: 0,
-        };
-        for s in &self.shards {
-            let shape = s.read().shape();
-            out.leaves += shape.leaves;
-            out.max_depth = out.max_depth.max(shape.max_depth);
-        }
-        out
-    }
-
-    /// Flushes every shard's store to durable storage, shard by shard
-    /// (each under its own write lock). Shards commit independently: a
-    /// failure on shard `k` leaves shards `< k` committed and is returned
-    /// immediately.
-    pub fn flush(&self) -> Result<(), MIndexError> {
-        for s in &self.shards {
-            s.write().flush()?;
-        }
-        Ok(())
     }
 
     /// Summed I/O statistics over all shard stores (each shard owns an
@@ -269,16 +227,6 @@ impl<S: BucketStore> ShardedMIndex<S> {
         })
     }
 
-    /// Collects a cursor fan-out, failing on the first failing shard (in
-    /// shard order, deterministic). On success every shard guard has been
-    /// released — the cursors are owned values — so the drain that follows
-    /// runs lock-free.
-    fn open_cursors(
-        results: Vec<Result<CandidateCursor, MIndexError>>,
-    ) -> Result<Vec<CandidateCursor>, MIndexError> {
-        results.into_iter().collect()
-    }
-
     /// Per-shard promise-walk budget for a k-NN cursor open.
     ///
     /// When the global candidate budget covers the whole collection, every
@@ -304,62 +252,43 @@ impl<S: BucketStore> ShardedMIndex<S> {
     }
 
     /// Scatter-gather approximate k-NN candidates: every shard *opens* a
-    /// cursor over its own cells in promise order (staging its
-    /// [`Self::shard_open_budget`] share of the global budget without
-    /// decoding payloads), and the coordinator drains the merged frontier
-    /// until it holds the `cand_size` globally smallest wire lower bounds
-    /// — entries past the global stopping point are never materialized.
-    /// `FIRST_CELL_ONLY` returns the union of every shard's most promising
-    /// cell, untrimmed (each shard's "first cell" is a fragment of the
-    /// global one under pivot routing, and an independent sample under
-    /// hash routing).
+    /// cursor over its own cells in promise order (staging its share of
+    /// the global budget without decoding payloads), and the coordinator
+    /// drains the merged frontier until it holds the `cand_size` globally
+    /// smallest wire lower bounds — entries past the global stopping point
+    /// are never materialized. `FIRST_CELL_ONLY` returns the union of
+    /// every shard's most promising cell, untrimmed (each shard's "first
+    /// cell" is a fragment of the global one under pivot routing, and an
+    /// independent sample under hash routing).
     pub fn knn_candidates(
         &self,
         evaluator: &PromiseEvaluator,
         cand_size: usize,
-    ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
+    ) -> Result<RankedCandidates, MIndexError> {
         let (cursors, cap) = self.open_knn_cursors(evaluator, cand_size)?;
         self.drain(cursors, cap)
     }
 
-    /// The scatter half of [`Self::knn_candidates`]: fans the open out to
-    /// every shard and returns the owned cursors plus the global drain
-    /// cap. Separated so a traced front end can time the open and the
-    /// drain as distinct request phases.
+    /// The scatter half of [`Self::knn_candidates`]
+    /// ([`SearchIndex::open_knn`]) together with the query's global drain
+    /// cap, ready for [`Self::drain`] — so an outside caller can time the
+    /// open and the drain as distinct phases.
     pub fn open_knn_cursors(
         &self,
         evaluator: &PromiseEvaluator,
         cand_size: usize,
-    ) -> Result<OpenedFrontier, MIndexError> {
-        let cap = knn_cap(cand_size);
-        let budget = self.shard_open_budget(cand_size);
-        let cursors = Self::open_cursors(self.fan_out(|ix| {
-            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
-            ix.knn_cursor(evaluator, budget)
-        }))?;
-        Ok((cursors, cap))
+    ) -> Result<(Vec<CandidateCursor>, Option<usize>), MIndexError> {
+        Ok((self.open_knn(evaluator, cand_size)?, knn_cap(cand_size)))
     }
 
-    /// The gather half of every search: merges the cursors' frontiers
-    /// lock-free into borrowed views (see [`merge_frontier`]), timing the
-    /// coordinator's merge and its pull runs when telemetry is bound.
-    pub fn merge<'a>(
-        &self,
-        cursors: &'a [CandidateCursor],
-        cap: Option<usize>,
-    ) -> (Vec<CandidateView<'a>>, SearchStats) {
-        let _merge = self.telemetry.as_ref().map(ShardTiming::merge_timer);
-        let pull = self.telemetry.as_ref().and_then(ShardTiming::pull_hist);
-        merge_frontier(cursors, cap, pull)
-    }
-
-    /// [`Self::merge`] as owned entries — the eager list shape.
+    /// The gather half as owned entries ([`SearchIndex::select`] followed
+    /// by [`owned_entries`]) — the eager list shape.
     pub fn drain(
         &self,
         cursors: Vec<CandidateCursor>,
         cap: Option<usize>,
-    ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        let (views, stats) = self.merge(&cursors, cap);
+    ) -> Result<RankedCandidates, MIndexError> {
+        let (views, stats) = self.select(&cursors, cap);
         Ok((owned_entries(&views)?, stats))
     }
 
@@ -372,101 +301,9 @@ impl<S: BucketStore> ShardedMIndex<S> {
         &self,
         query_distances: &[f64],
         radius: f64,
-    ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        let cursors = self.open_range_cursors(query_distances, radius)?;
+    ) -> Result<RankedCandidates, MIndexError> {
+        let cursors = self.open_range(query_distances, radius)?;
         self.drain(cursors, None)
-    }
-
-    /// The scatter half of [`Self::range_candidates`] (see
-    /// [`Self::open_knn_cursors`] for why the halves are public).
-    pub fn open_range_cursors(
-        &self,
-        query_distances: &[f64],
-        radius: f64,
-    ) -> Result<Vec<CandidateCursor>, MIndexError> {
-        Self::open_cursors(self.fan_out(|ix| {
-            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
-            ix.range_cursor(query_distances, radius)
-        }))
-    }
-
-    /// Scatter-gather for a whole k-NN batch in **one** fan-out pass: each
-    /// shard worker opens every query's cursor under a single guard
-    /// acquisition (instead of `batch × shards` lock crossings), then the
-    /// coordinator drains each query's frontier independently. One result
-    /// slot per query, in request order; a failing query (first failing
-    /// shard, deterministic) occupies only its own slot.
-    pub fn batch_knn_candidates(
-        &self,
-        queries: &[(PromiseEvaluator, usize)],
-    ) -> Vec<Result<RankedCandidates, MIndexError>> {
-        self.open_batch_knn(queries)
-            .into_iter()
-            .map(|opened| opened.and_then(|(cursors, cap)| self.drain(cursors, cap)))
-            .collect()
-    }
-
-    /// The scatter half of [`Self::batch_knn_candidates`]: every query's
-    /// per-shard cursors opened in **one** fan-out pass, one slot per
-    /// query in request order (a failing query occupies only its own
-    /// slot). Each slot carries the owned cursors plus that query's
-    /// global drain cap, ready for [`Self::drain`].
-    pub fn open_batch_knn(
-        &self,
-        queries: &[(PromiseEvaluator, usize)],
-    ) -> Vec<Result<OpenedFrontier, MIndexError>> {
-        // Per shard: one cursor per query. The closure itself cannot fail —
-        // per-query errors stay in their slots — so a fan-out-level error
-        // only arises from a worker panic and poisons the whole batch.
-        let budgets: Vec<usize> = queries
-            .iter()
-            .map(|&(_, cand_size)| self.shard_open_budget(cand_size))
-            .collect();
-        let per_shard = self.fan_out(|ix| {
-            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
-            Ok(queries
-                .iter()
-                .zip(&budgets)
-                .map(|((evaluator, _), &budget)| ix.knn_cursor(evaluator, budget))
-                .collect::<Vec<Result<CandidateCursor, MIndexError>>>())
-        });
-        let mut shard_iters = Vec::with_capacity(per_shard.len());
-        for r in per_shard {
-            match r {
-                Ok(cursors) => shard_iters.push(cursors.into_iter()),
-                Err(e) => {
-                    let msg = e.to_string();
-                    return queries
-                        .iter()
-                        .map(|_| Err(MIndexError::Corrupt(msg.clone())))
-                        .collect();
-                }
-            }
-        }
-        queries
-            .iter()
-            .map(|&(_, cand_size)| {
-                let mut cursors = Vec::with_capacity(shard_iters.len());
-                let mut failed = None;
-                for it in &mut shard_iters {
-                    // Consume this query's slot from every shard even after
-                    // a failure, so later queries stay aligned.
-                    match it.next() {
-                        Some(Ok(c)) => cursors.push(c),
-                        Some(Err(e)) => failed = failed.or(Some(e)),
-                        None => {
-                            failed = failed.or_else(|| {
-                                Some(MIndexError::Corrupt("shard answered a short batch".into()))
-                            });
-                        }
-                    }
-                }
-                if let Some(e) = failed {
-                    return Err(e);
-                }
-                Ok((cursors, knn_cap(cand_size)))
-            })
-            .collect()
     }
 
     /// Phase 2 of the two-phase fetch, shard-routed: each requested id is
@@ -517,15 +354,160 @@ impl<S: BucketStore> ShardedMIndex<S> {
         }
         Ok(out)
     }
+}
 
-    /// Reads all entries, shard by shard (diagnostics / export). Order is
-    /// per-shard storage order; callers that need a global order sort.
-    pub fn all_entries(&self) -> Result<Vec<IndexEntry>, MIndexError> {
+/// The sharded index behind the request engine. An opened search is one
+/// owned cursor per shard: every shard guard is released with the fan-out
+/// that opened them, so [`SearchIndex::select`] runs lock-free.
+impl<S: BucketStore> SearchIndex for ShardedMIndex<S> {
+    type Opened = Vec<CandidateCursor>;
+
+    /// Fans the open out to every shard, each staging its share of the
+    /// global budget; fails on the first failing shard (in shard order,
+    /// deterministic).
+    fn open_knn(
+        &self,
+        evaluator: &PromiseEvaluator,
+        cand_size: usize,
+    ) -> Result<Vec<CandidateCursor>, MIndexError> {
+        let budget = self.shard_open_budget(cand_size);
+        self.fan_out(|ix| {
+            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
+            ix.knn_cursor(evaluator, budget)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    fn open_range(
+        &self,
+        query_distances: &[f64],
+        radius: f64,
+    ) -> Result<Vec<CandidateCursor>, MIndexError> {
+        self.fan_out(|ix| {
+            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
+            ix.range_cursor(query_distances, radius)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// One fan-out pass for the whole batch: each shard worker opens every
+    /// query's cursor under a single guard acquisition (instead of
+    /// `batch × shards` lock crossings). A failing query (first failing
+    /// shard, deterministic) occupies only its own slot.
+    fn open_batch_knn(
+        &self,
+        queries: &[(PromiseEvaluator, usize)],
+    ) -> Vec<Result<Vec<CandidateCursor>, MIndexError>> {
+        // Per shard: one cursor per query. The closure itself cannot fail —
+        // per-query errors stay in their slots — so a fan-out-level error
+        // only arises from a worker panic and poisons the whole batch.
+        let budgets: Vec<usize> = queries
+            .iter()
+            .map(|&(_, cand_size)| self.shard_open_budget(cand_size))
+            .collect();
+        let per_shard = self.fan_out(|ix| {
+            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
+            Ok(queries
+                .iter()
+                .zip(&budgets)
+                .map(|((evaluator, _), &budget)| ix.knn_cursor(evaluator, budget))
+                .collect::<Vec<Result<CandidateCursor, MIndexError>>>())
+        });
+        // Transpose shard-major cursors into one slot per query. A slot
+        // keeps its first failure in shard order (deterministic).
+        let mut slots: Vec<Result<Vec<CandidateCursor>, MIndexError>> = queries
+            .iter()
+            .map(|_| Ok(Vec::with_capacity(self.shards.len())))
+            .collect();
+        for shard in per_shard {
+            let cursors = match shard {
+                Ok(cursors) => cursors,
+                Err(e) => {
+                    let msg = e.to_string();
+                    return queries
+                        .iter()
+                        .map(|_| Err(MIndexError::Corrupt(msg.clone())))
+                        .collect();
+                }
+            };
+            for (slot, cursor) in slots.iter_mut().zip(cursors) {
+                match (slot.as_mut(), cursor) {
+                    (Ok(opened), Ok(c)) => opened.push(c),
+                    (Ok(_), Err(e)) => *slot = Err(e),
+                    (Err(_), _) => {}
+                }
+            }
+        }
+        slots
+    }
+
+    /// The gather half of every search: merges the cursors' frontiers
+    /// lock-free into borrowed views (see [`merge_frontier`]), timing the
+    /// coordinator's merge and its pull runs when telemetry is bound.
+    fn select<'o>(
+        &self,
+        opened: &'o Vec<CandidateCursor>,
+        cap: Option<usize>,
+    ) -> (Vec<CandidateView<'o>>, SearchStats) {
+        let _merge = self.telemetry.as_ref().map(ShardTiming::merge_timer);
+        let pull = self.telemetry.as_ref().and_then(ShardTiming::pull_hist);
+        merge_frontier(opened, cap, pull)
+    }
+
+    /// One shard guard per entry (see [`ShardedMIndex::insert`]): a
+    /// concurrent search may observe a partially applied bulk. This is
+    /// the deliberate price of removing the global write lock;
+    /// deployments needing bulk atomicity against readers must quiesce
+    /// searches around the bulk.
+    fn insert_bulk(&self, entries: Vec<IndexEntry>) -> (u32, Option<MIndexError>) {
+        insert_until_error(entries, |e| self.insert(e))
+    }
+
+    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<IndexEntry>>, MIndexError> {
+        // The inherent, shard-routed lookup (inherent methods win the path).
+        ShardedMIndex::fetch_entries(self, ids)
+    }
+
+    /// Shard by shard: order is per-shard storage order; callers that need
+    /// a global order sort.
+    fn all_entries(&self) -> Result<Vec<IndexEntry>, MIndexError> {
         let mut out = Vec::with_capacity(self.len() as usize);
         for s in &self.shards {
             out.extend(s.read().all_entries()?);
         }
         Ok(out)
+    }
+
+    /// Entries and leaves sum, depth is the deepest shard (each shard's
+    /// tree splits independently on its own load).
+    fn shape(&self) -> IndexShape {
+        let mut out = IndexShape {
+            entries: self.len(),
+            leaves: 0,
+            max_depth: 0,
+        };
+        for s in &self.shards {
+            let shape = s.read().shape();
+            out.leaves += shape.leaves;
+            out.max_depth = out.max_depth.max(shape.max_depth);
+        }
+        out
+    }
+
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Shard by shard, each under its own write lock. Shards commit
+    /// independently: a failure on shard `k` leaves shards `< k` committed
+    /// and is returned immediately.
+    fn flush(&self) -> Result<(), MIndexError> {
+        for s in &self.shards {
+            s.write().flush()?;
+        }
+        Ok(())
     }
 }
 

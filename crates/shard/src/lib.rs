@@ -1,9 +1,11 @@
 //! # simcloud-shard — sharded M-Index, scatter-gather similarity cloud
 //!
-//! The single `CloudServer` keeps its whole M-Index behind one
-//! reader–writer lock: searches share it, but **every insert takes the one
-//! write lock**, and every search walks one index. This crate removes both
-//! ceilings with a layer between the index and the server:
+//! A single M-Index keeps everything behind one reader–writer lock:
+//! searches share it, but **every insert takes the one write lock**, and
+//! every search walks one index. This crate removes both ceilings with a
+//! second implementation of `simcloud_core`'s `SearchIndex` trait — the
+//! request engine, the wire and the client are the single server's,
+//! unchanged (the single index is simply the 1-shard case):
 //!
 //! * [`ShardedMIndex`] — N fully independent M-Index shards, each with its
 //!   own `BucketStore` and its own write lock. An insert blocks 1/N of the
@@ -11,20 +13,23 @@
 //!   `&self`, reusing the shared-read path), each shard *opening* a lazy
 //!   `CandidateCursor`, and the coordinator drains the merged frontier by
 //!   wire lower bound until `cand_size` candidates are pulled globally
-//!   ([`merge::drain_frontier`]) — per-shard generation work drops toward
+//!   ([`merge::merge_frontier`]) — per-shard generation work drops toward
 //!   `cand_size / N` instead of every shard materializing a full list.
-//! * [`ShardedCloudServer`] — speaks the **existing wire protocol
-//!   unchanged**, so the unmodified `EncryptedClient` (including lazy
-//!   refinement and phase-2 `FetchObjects`) works against it byte for
-//!   byte. Phase-2 fetches are routed to the owning shard through a
-//!   shard-aware id map.
+//!   Phase-2 fetches are routed to the owning shard through a shard-aware
+//!   id map.
+//! * [`ShardedCloudServer`] — `simcloud_core::ServerEngine` over a
+//!   `ShardedMIndex`: construction from `(config, router, stores)` and the
+//!   shard-layer telemetry binding, nothing else. The unmodified
+//!   `EncryptedClient` (including lazy refinement and phase-2
+//!   `FetchObjects`) works against it byte for byte.
 //! * [`ShardRouter`] — pluggable placement: [`HashRouter`] (uniform by id)
 //!   or [`PivotRouter`] (nearest global pivot — a coarse Voronoi partition
 //!   of the metric space, cf. distributed metric indexes like DIMS).
 //!
-//! Deployment helpers mirror `simcloud_core::cloud`: in-process
-//! ([`sharded_in_process`], [`client_for_sharded`]) and concurrent TCP
-//! ([`serve_tcp_concurrent_sharded`], [`over_tcp_sharded`]).
+//! Only construction has sharded helpers ([`sharded_in_process`],
+//! [`over_tcp_sharded`], [`memory_stores`]); clients attach and servers
+//! are exposed with the same `simcloud_core::client_for` / `connect_tcp` /
+//! `simcloud_transport::serve_tcp_shared` as a single server.
 //!
 //! **Exactness.** Range queries return byte-identical answers to a single
 //! index: each true result lives in exactly one shard and survives that
@@ -34,7 +39,8 @@
 //! candidates; when `cand_size` covers the collection the candidate sets
 //! coincide with the single index's and answers are byte-identical (the
 //! property test pins this), otherwise the sharded set draws from at least
-//! as many promising cells.
+//! as many promising cells. With one shard every response frame equals the
+//! single server's at any `cand_size`.
 
 #![warn(missing_docs)]
 
@@ -45,12 +51,8 @@ pub mod router;
 pub mod server;
 pub mod telemetry;
 
-pub use deploy::{
-    client_for_sharded, client_for_sharded_with_model, memory_stores, over_tcp_sharded,
-    serve_tcp_concurrent_sharded, serve_tcp_concurrent_sharded_with, sharded_in_process,
-    ShardedInProcessCloud, SharedShardedCloud,
-};
-pub use index::{ShardedMIndex, ShardedShape};
+pub use deploy::{memory_stores, over_tcp_sharded, sharded_in_process, ShardedInProcessCloud};
+pub use index::ShardedMIndex;
 pub use router::{HashRouter, PivotRouter, ShardRouter};
 pub use server::ShardedCloudServer;
 pub use telemetry::ShardTiming;

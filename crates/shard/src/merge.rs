@@ -1,16 +1,14 @@
 //! K-way frontier merge over per-shard candidate cursors.
 //!
-//! Every shard answers a search by *opening* a
-//! [`CandidateCursor`](simcloud_mindex::CandidateCursor): an owned,
-//! lock-free stream of `(entry, lower_bound)` pairs in nondecreasing
+//! Every shard answers a search by *opening* a [`CandidateCursor`]: an
+//! owned, lock-free stream of `(entry, lower_bound)` pairs in nondecreasing
 //! bound order (the contract of `MIndex::knn_cursor` / `range_cursor`).
 //! The coordinator pulls the globally smallest bound from whichever
 //! cursor holds it — an argmin over each cursor's next view — and stops
 //! the moment `cap` candidates are merged. What it pulls are borrowed
-//! [`CandidateView`](simcloud_mindex::CandidateView)s: no entry is
-//! decoded and no payload moves until a server front end writes the
-//! merged views into its response frame (or an owned adapter asks for
-//! entries).
+//! [`CandidateView`]s: no entry is decoded and no payload moves until the
+//! request engine writes the merged views into its response frame (or an
+//! owned adapter asks for entries).
 //!
 //! **Exactness argument.** The pull sequence equals the old
 //! gather-everything merge wire for wire: each cursor yields exactly the
@@ -29,9 +27,7 @@
 
 use std::cmp::Ordering;
 
-use simcloud_mindex::{
-    owned_entries, CandidateCursor, CandidateView, IndexEntry, MIndexError, SearchStats,
-};
+use simcloud_mindex::{CandidateCursor, CandidateView, SearchStats};
 use simcloud_telemetry::{Histogram, SpanTimer};
 
 /// One shard's frontier head: the bound its cursor would yield next.
@@ -75,7 +71,7 @@ const PULL_SAMPLE_EVERY: u32 = 8;
 /// `candidates_generated` report the merged (capped) list — the set the
 /// client receives.
 ///
-/// When `pull` is bound, every [`PULL_SAMPLE_EVERY`]-th uninterrupted run
+/// When `pull` is bound, every `PULL_SAMPLE_EVERY`-th uninterrupted run
 /// against the winning cursor records its duration (one histogram sample
 /// per sampled run, amortized over the run's entries — never per
 /// candidate).
@@ -176,22 +172,24 @@ pub fn merge_frontier<'a>(
     (out, stats)
 }
 
-/// Drains the per-shard cursors' merged frontier into one ascending list
-/// of at most `cap` owned entries — [`merge_frontier`] followed by
-/// [`owned_entries`].
-pub fn drain_frontier(
-    cursors: Vec<CandidateCursor>,
-    cap: Option<usize>,
-) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-    let (views, stats) = merge_frontier(&cursors, cap, None);
-    Ok((owned_entries(&views)?, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcloud_mindex::{MIndex, MIndexConfig, PromiseEvaluator, Routing, RoutingStrategy};
+    use simcloud_mindex::{
+        owned_entries, IndexEntry, MIndex, MIndexConfig, MIndexError, PromiseEvaluator, Routing,
+        RoutingStrategy,
+    };
     use simcloud_storage::MemoryStore;
+
+    /// [`merge_frontier`] as owned entries — the eager list shape the
+    /// assertions below read.
+    fn drain_frontier(
+        cursors: Vec<CandidateCursor>,
+        cap: Option<usize>,
+    ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
+        let (views, stats) = merge_frontier(&cursors, cap, None);
+        Ok((owned_entries(&views)?, stats))
+    }
 
     /// A one-cell index whose entries carry the given bounds (1-pivot
     /// world: the wire bound for query distance 0 is |d| minus slack, so

@@ -1,34 +1,29 @@
-//! The sharded similarity-cloud server.
+//! The sharded similarity-cloud server: `simcloud_core`'s request engine
+//! over a [`ShardedMIndex`].
 //!
-//! [`ShardedCloudServer`] speaks **exactly** the wire protocol of
-//! `simcloud_core::CloudServer` — same requests, same responses, same
-//! candidate staging — so today's unmodified `EncryptedClient` works
-//! against it byte for byte. The difference is entirely behind the wire:
-//! the index is a [`ShardedMIndex`], so inserts take one shard's write
+//! There is one request dispatch in the repository
+//! ([`simcloud_core::ServerEngine`]); this module only builds the engine
+//! over N shards and binds the shard-layer telemetry. Wire protocol,
+//! candidate staging, statistics and the ops surface are therefore the
+//! single server's by construction — an unmodified `EncryptedClient` works
+//! against either byte for byte. What differs is entirely behind the
+//! [`simcloud_core::SearchIndex`] trait: inserts take one shard's write
 //! lock instead of a global one and searches scatter-gather across all
-//! shards in parallel.
+//! shards.
 
-use simcloud_core::protocol::{Candidate, Request, Response, StagedList, StagedResponse};
-use simcloud_core::telemetry::{request_label, ServerTelemetry};
-use simcloud_core::{check_cand_size, evaluator_for, objects_response, stage_views, ServerConfig};
-use simcloud_mindex::{CandidateCursor, CandidateView, MIndexConfig, MIndexError, SearchStats};
+use simcloud_core::protocol::{Request, Response};
+use simcloud_core::{ServerConfig, ServerEngine, ServerTelemetry};
+use simcloud_mindex::{MIndexConfig, MIndexError, SearchStats};
 use simcloud_storage::BucketStore;
-use simcloud_telemetry::Trace;
 use simcloud_transport::{RequestHandler, SharedRequestHandler};
 
 use crate::index::ShardedMIndex;
 use crate::router::ShardRouter;
 
-/// Server half of the sharded Encrypted M-Index. Drop-in wire-compatible
-/// with `CloudServer`; holds no key material. All self-reporting goes
-/// through the **same** [`ServerTelemetry`] implementation as the single
-/// server, so both deployments expose identically shaped metrics (the
-/// shard layer adds its own `shard.*` histograms to the shared registry).
-pub struct ShardedCloudServer<S: BucketStore> {
-    index: ShardedMIndex<S>,
-    config: ServerConfig,
-    telemetry: ServerTelemetry,
-}
+/// Server half of the sharded Encrypted M-Index: the request engine over
+/// a [`ShardedMIndex`]. Holds no key material. (A local type rather than
+/// an alias of the engine so that this crate can give it constructors.)
+pub struct ShardedCloudServer<S: BucketStore>(ServerEngine<ShardedMIndex<S>>);
 
 impl<S: BucketStore> std::fmt::Debug for ShardedCloudServer<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -56,306 +51,56 @@ impl<S: BucketStore> ShardedCloudServer<S> {
     ) -> Result<Self, MIndexError> {
         let telemetry = ServerTelemetry::new();
         let mut index = ShardedMIndex::new(config, router, stores)?;
-        // Shard-layer timings land in the same registry, so one
-        // MetricsSnapshot answer carries the whole picture; the entries
-        // gauge is seeded here so Health never touches shard locks.
+        // Shard-layer timings land in the server's registry, so one
+        // MetricsSnapshot answer carries the whole picture.
         index.bind_telemetry(telemetry.registry());
-        telemetry.set_entries(index.len());
-        Ok(Self {
+        Ok(Self(ServerEngine::from_index(
             index,
-            config: server_config,
+            server_config,
             telemetry,
-        })
-    }
-
-    /// Overrides the index's fan-out mode (see
-    /// `ShardedMIndex::with_parallel_fanout`).
-    pub fn with_parallel_fanout(mut self, parallel: bool) -> Self {
-        self.index = self.index.with_parallel_fanout(parallel);
-        self
-    }
-
-    /// The server configuration.
-    pub fn server_config(&self) -> ServerConfig {
-        self.config
+        )))
     }
 
     /// The sharded index (shard inspection, aggregate shape/IO stats).
     pub fn index(&self) -> &ShardedMIndex<S> {
-        &self.index
+        self.0.search_index()
     }
 
-    /// Commits every shard's store to durable storage (see
-    /// [`ShardedMIndex::flush`]).
+    /// The server configuration.
+    pub fn server_config(&self) -> ServerConfig {
+        self.0.server_config()
+    }
+
+    /// Commits every shard's store (see [`ServerEngine::flush`]).
     pub fn flush(&self) -> Result<(), MIndexError> {
-        self.index.flush()
+        self.0.flush()
     }
 
-    /// Statistics of the most recent search request — per-shard cost
-    /// counters summed, `candidates` the merged (capped) answer size.
-    /// Zeroed when the most recent search failed.
+    /// See [`ServerEngine::last_search_stats`].
     pub fn last_search_stats(&self) -> SearchStats {
-        self.telemetry.last_search_stats()
+        self.0.last_search_stats()
     }
 
-    /// Accumulated statistics over all search requests.
+    /// See [`ServerEngine::total_search_stats`].
     pub fn total_search_stats(&self) -> SearchStats {
-        self.telemetry.total_search_stats()
+        self.0.total_search_stats()
     }
 
-    /// The server's telemetry: registry (including the shard-layer
-    /// histograms), phase histograms, slow-query log, the enabled switch
-    /// and the `Health` / `MetricsSnapshot` answer path — the same type
-    /// the single server exposes.
+    /// The server's telemetry — the engine's, plus the `shard.*`
+    /// histograms bound at construction.
     pub fn telemetry(&self) -> &ServerTelemetry {
-        &self.telemetry
+        self.0.telemetry()
     }
 
-    /// Stages merged candidate views for the phase-1 wire — the same
-    /// rule, budget and layout as the single server.
-    fn stage<'a>(&self, views: Vec<CandidateView<'a>>) -> StagedList<'a> {
-        stage_views(views, self.config.max_inline_response_bytes)
-    }
-
-    /// Merges the opened cursors' frontiers up to `cap` and stages the
-    /// result — the shared tail of every search. Shard guards were
-    /// released with the fan-out: this runs lock-free over owned cursors.
-    fn merge_and_stage<'c>(
-        &self,
-        cursors: &'c [CandidateCursor],
-        cap: Option<usize>,
-        trace: &mut Trace,
-    ) -> (StagedList<'c>, SearchStats) {
-        let (views, stats) = {
-            let _pull = trace.span("pull", self.telemetry.pull_hist());
-            self.index.merge(cursors, cap)
-        };
-        let _stage = trace.span("stage", self.telemetry.stage_hist());
-        (self.stage(views), stats)
-    }
-
-    /// Answers a single-list search from its opened per-shard cursors.
-    fn answer_search<R>(
-        &self,
-        opened: Result<(Vec<CandidateCursor>, Option<usize>), MIndexError>,
-        trace: &mut Trace,
-        sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
-    ) -> R {
-        match opened {
-            Ok((cursors, cap)) => {
-                let (list, stats) = self.merge_and_stage(&cursors, cap, trace);
-                self.telemetry.record_search(stats);
-                sink(StagedResponse::List(list), trace)
-            }
-            Err(e) => {
-                self.telemetry.record_failed_search();
-                sink(StagedResponse::Other(Response::Error(e.to_string())), trace)
-            }
-        }
-    }
-
-    /// Processes one decoded request. Needs only `&self`: searches fan out
-    /// over the shards' read locks, an insert takes exactly one shard's
-    /// write lock. Runs [`Self::process_with`] in its own request trace,
-    /// so direct callers feed the same histograms as the byte handler.
+    /// Processes one decoded request (see [`ServerEngine::process`]).
     pub fn process(&self, request: Request) -> Response {
-        let mut trace = self.telemetry.trace_labeled(request_label(&request));
-        let response = self.process_with(request, &mut trace, |staged, _| staged.into_response());
-        self.telemetry.note_response(&response);
-        self.telemetry.finish(trace);
-        response
-    }
-
-    /// Runs one request and hands its answer to `sink` (see
-    /// `CloudServer::process_with`: typed callers copy the staged lists
-    /// out, the byte handler writes them straight into the response
-    /// frame). The same phase vocabulary as the single server (route →
-    /// open → pull → stage, or insert), with the scatter-gather specifics
-    /// — per-shard opens, frontier pull runs, the coordinator merge —
-    /// landing in the registry's `shard.*` histograms underneath the
-    /// `open`/`pull` phases.
-    fn process_with<R>(
-        &self,
-        request: Request,
-        trace: &mut Trace,
-        sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
-    ) -> R {
-        let response = match request {
-            Request::Insert(entries) => {
-                // Same non-atomic bulk *error* semantics as the single
-                // server (the stored prefix stays and is reported), but a
-                // weaker isolation level: each entry takes only its target
-                // shard's write lock, so a concurrent search may observe a
-                // partially applied bulk — the single server applies the
-                // whole bulk under one write lock and exposes none-or-all.
-                // This is the deliberate price of removing the global
-                // write lock; deployments needing bulk atomicity against
-                // readers must quiesce searches around the bulk.
-                let n_entries;
-                let response = {
-                    let _insert = trace.span("insert", self.telemetry.insert_hist());
-                    let mut n = 0u32;
-                    let mut failure = None;
-                    for e in entries {
-                        match self.index.insert(e) {
-                            Ok(()) => n += 1,
-                            Err(e) => {
-                                failure = Some(e.to_string());
-                                break;
-                            }
-                        }
-                    }
-                    n_entries = u64::from(n);
-                    match failure {
-                        Some(message) => Response::InsertError {
-                            inserted: n,
-                            message,
-                        },
-                        None => Response::Inserted(n),
-                    }
-                };
-                // The ops surface answers `entries` from this gauge, so
-                // Health never waits on any shard's write lock.
-                self.telemetry.add_entries(n_entries);
-                response
-            }
-            Request::Range { distances, radius } => {
-                let opened = {
-                    let _open = trace.span("open", self.telemetry.open_hist());
-                    self.index.open_range_cursors(&distances, radius)
-                };
-                return self.answer_search(opened.map(|cursors| (cursors, None)), trace, sink);
-            }
-            Request::ApproxKnn { routing, cand_size } => match check_cand_size(cand_size) {
-                // Refused before any fan-out: the answer could never be
-                // decoded by the requester. Per-request stats are zeroed
-                // like any failed search.
-                Err(msg) => {
-                    self.telemetry.record_failed_search();
-                    Response::Error(msg)
-                }
-                Ok(()) => {
-                    let evaluator = {
-                        let _route = trace.span("route", self.telemetry.route_hist());
-                        evaluator_for(routing)
-                    };
-                    let opened = {
-                        let _open = trace.span("open", self.telemetry.open_hist());
-                        self.index.open_knn_cursors(&evaluator, cand_size as usize)
-                    };
-                    return self.answer_search(opened, trace, sink);
-                }
-            },
-            Request::BatchKnn(queries) => {
-                // Partition first: oversized queries are refused up front
-                // and never reach the index; every admissible query runs
-                // in **one** batch fan-out — each shard is locked once and
-                // opens all of the batch's cursors under that single guard
-                // (`ShardedMIndex::open_batch_knn`), then the coordinator
-                // merges each query's frontier lock-free.
-                let mut slots: Vec<Option<String>> = Vec::with_capacity(queries.len());
-                let mut plans = Vec::new();
-                for q in queries {
-                    match check_cand_size(q.cand_size) {
-                        Ok(()) => {
-                            slots.push(None);
-                            plans.push((evaluator_for(q.routing), q.cand_size as usize));
-                        }
-                        Err(msg) => slots.push(Some(msg)),
-                    }
-                }
-                let opened = {
-                    let _open = trace.span("open", self.telemetry.open_hist());
-                    self.index.open_batch_knn(&plans)
-                };
-                let mut results = opened.iter();
-                let mut sets = Vec::with_capacity(slots.len());
-                let mut batch_stats = SearchStats::default();
-                for slot in slots {
-                    sets.push(match slot {
-                        Some(msg) => Err(msg),
-                        None => match results.next() {
-                            Some(Ok((cursors, cap))) => {
-                                let (list, stats) = self.merge_and_stage(cursors, *cap, trace);
-                                batch_stats.merge(&stats);
-                                Ok(list)
-                            }
-                            // A failing query answers in its own slot;
-                            // batch stats cover exactly the successful
-                            // queries.
-                            Some(Err(e)) => Err(e.to_string()),
-                            // open_batch_knn answers one slot per plan; a
-                            // short answer would be a coordinator bug —
-                            // surface it per slot, never panic.
-                            None => Err("batch answer missing a query slot".into()),
-                        },
-                    });
-                }
-                self.telemetry.record_search(batch_stats);
-                return sink(StagedResponse::Sets(sets), trace);
-            }
-            Request::FetchObjects { ids } => match self.index.fetch_entries(&ids) {
-                Ok(entries) => objects_response(&ids, entries),
-                Err(e) => Response::Error(e.to_string()),
-            },
-            Request::Info => {
-                let shape = self.index.shape();
-                Response::Info {
-                    entries: shape.entries,
-                    leaves: u32::try_from(shape.leaves).unwrap_or(u32::MAX),
-                    depth: u32::try_from(shape.max_depth).unwrap_or(u32::MAX),
-                }
-            }
-            Request::ExportAll => match self.index.all_entries() {
-                Ok(entries) => Response::Candidates(
-                    entries
-                        .into_iter()
-                        .map(|e| Candidate {
-                            id: e.id,
-                            lower_bound: 0.0,
-                            payload: e.payload,
-                        })
-                        .collect(),
-                ),
-                Err(e) => Response::Error(e.to_string()),
-            },
-            // The ops surface: both answers come from ServerTelemetry's
-            // atomics and side locks — never a shard lock — so they stay
-            // fast while inserts hold shard write locks.
-            Request::Health => self
-                .telemetry
-                .health_response(u32::try_from(self.index.shard_count()).unwrap_or(u32::MAX)),
-            Request::MetricsSnapshot => Response::MetricsSnapshot(self.telemetry.metrics_text()),
-        };
-        sink(StagedResponse::Other(response), trace)
+        self.0.process(request)
     }
 }
 
 impl<S: BucketStore> SharedRequestHandler for ShardedCloudServer<S> {
     fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
-        let mut trace = self.telemetry.trace();
-        let decoded = {
-            let _decode = trace.span("decode", self.telemetry.decode_hist());
-            Request::decode(request)
-        };
-        let response = |staged: StagedResponse<'_>, trace: &mut Trace| {
-            self.telemetry.encode_response(&staged, trace)
-        };
-        let bytes = match decoded {
-            Ok(req) => {
-                trace.set_label(request_label(&req));
-                self.process_with(req, &mut trace, response)
-            }
-            Err(e) => {
-                trace.set_label("undecodable");
-                response(
-                    StagedResponse::Other(Response::Error(e.to_string())),
-                    &mut trace,
-                )
-            }
-        };
-        self.telemetry.finish(trace);
-        bytes
+        self.0.handle_shared(request)
     }
 }
 
@@ -363,7 +108,7 @@ impl<S: BucketStore> SharedRequestHandler for ShardedCloudServer<S> {
 /// transports, tests).
 impl<S: BucketStore> RequestHandler for ShardedCloudServer<S> {
     fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self.handle_shared(request)
+        self.0.handle_shared(request)
     }
 }
 

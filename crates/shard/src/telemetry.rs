@@ -2,7 +2,7 @@
 //! coordinator's merge, bound into a [`Registry`] under the `shard`
 //! component.
 //!
-//! The sharded front end binds one of these against its server registry
+//! The sharded server binds one of these against its server registry
 //! (`ShardedMIndex::bind_telemetry`), so a `MetricsSnapshot` answer from
 //! the sharded server carries `shard.open` / `shard.pull` / `shard.merge`
 //! histograms alongside the `server.*` request-path metrics. Timing

@@ -8,11 +8,17 @@
 //! what keeps every response frame identical to the pre-arena wire.
 //! Checked on a single server and on a 4-shard one, for k-NN, batched
 //! k-NN and range answers, and for the typed `process()` path.
+//!
+//! The degenerate case closes the loop: a **1-shard** sharded server and
+//! the single server run the same request engine over two `SearchIndex`
+//! impls, so over the same inserts every frame — at any `cand_size`, not
+//! only collection-covering ones — and every per-request stats block must
+//! be equal.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simcloud_core::protocol::{KnnQuery, Request, Response};
+use simcloud_core::protocol::{KnnQuery, Request, Response, MAX_CANDIDATE_HEADERS};
 use simcloud_core::{evaluator_for, stage_candidates, CloudServer, ServerConfig};
 use simcloud_mindex::{knn_cap, IndexEntry, MIndexConfig, Routing, RoutingStrategy};
 use simcloud_shard::{memory_stores, HashRouter, ShardedCloudServer};
@@ -197,4 +203,98 @@ proptest! {
             .map(|ranked| Response::CandidateList(stage_candidates(ranked, d.budget)));
         d.assert_frames(&Request::Range { distances: query, radius }, &expected)?;
     }
+
+    #[test]
+    fn one_shard_frames_equal_the_single_server(
+        n in 0usize..120,
+        seed in 0u64..10_000,
+        cand_size in 0usize..160,
+        radius in 0.0f64..12.0,
+    ) {
+        for budget_choice in 0..4 {
+            one_shard_case(n, seed, budget(budget_choice, n.min(cand_size)), cand_size, radius)?;
+        }
+    }
+}
+
+/// One 1-shard-vs-single comparison under one inline budget.
+fn one_shard_case(
+    n: usize,
+    seed: u64,
+    budget: Option<usize>,
+    cand_size: usize,
+    radius: f64,
+) -> Result<(), TestCaseError> {
+    let server_config = ServerConfig {
+        max_inline_response_bytes: budget,
+    };
+    let single = CloudServer::with_config(config(), server_config, MemoryStore::new()).unwrap();
+    let sharded = ShardedCloudServer::with_config(
+        config(),
+        server_config,
+        Box::new(HashRouter),
+        memory_stores(1),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed ^ 13);
+    let knn = |rng: &mut StdRng, cand_size: u32| KnnQuery {
+        routing: Routing::from_distances(&distances(rng)),
+        cand_size,
+    };
+    let solo = knn(&mut rng, cand_size as u32);
+    let requests = [
+        Request::Insert(entries(n, seed)),
+        // A duplicate id: both indexes store the same prefix and
+        // report the same error.
+        Request::Insert(vec![entries(1, seed ^ 1).remove(0); 2]),
+        Request::ApproxKnn {
+            routing: solo.routing,
+            cand_size: solo.cand_size,
+        },
+        Request::BatchKnn(vec![
+            knn(&mut rng, cand_size as u32),
+            KnnQuery {
+                routing: Routing::from_distances(&[1.0]),
+                cand_size: 3,
+            },
+            knn(&mut rng, u32::try_from(MAX_CANDIDATE_HEADERS + 1).unwrap()),
+            knn(&mut rng, (cand_size / 2) as u32),
+        ]),
+        Request::Range {
+            distances: distances(&mut rng),
+            radius,
+        },
+        Request::FetchObjects {
+            ids: (0..n as u64).rev().step_by(3).chain([0]).collect(),
+        },
+        Request::FetchObjects {
+            ids: vec![0, n as u64 + 7],
+        },
+        Request::Info,
+        Request::ExportAll,
+    ];
+    for request in &requests {
+        let wire = request.encode();
+        prop_assert_eq!(single.handle_shared(&wire), sharded.handle_shared(&wire));
+        prop_assert_eq!(single.last_search_stats(), sharded.last_search_stats());
+    }
+    prop_assert_eq!(single.total_search_stats(), sharded.total_search_stats());
+    // Health carries the server's uptime; everything else in the frame
+    // is equal.
+    let health = |frame: Vec<u8>| match Response::decode(&frame) {
+        Ok(Response::Health {
+            status,
+            protocol,
+            entries,
+            shards,
+            ..
+        }) => (status, protocol, entries, shards),
+        other => panic!("expected Health, got {other:?}"),
+    };
+    let wire = Request::Health.encode();
+    prop_assert_eq!(
+        health(single.handle_shared(&wire)),
+        health(sharded.handle_shared(&wire))
+    );
+    Ok(())
 }

@@ -37,7 +37,7 @@ const BASE_SEED: u64 = 0x051C_100D_2012;
 
 impl TestRng {
     /// RNG for a named test, seeded from FNV-1a of the name mixed with
-    /// [`BASE_SEED`].
+    /// `BASE_SEED`.
     pub fn for_test(name: &str) -> Self {
         let mut h: u64 = 0xcbf29ce484222325;
         for b in name.as_bytes() {
@@ -338,7 +338,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: an exact `usize` or a range.
+    /// Length specification for [`vec()`]: an exact `usize` or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
@@ -380,7 +380,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

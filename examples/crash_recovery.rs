@@ -105,9 +105,17 @@ fn main() {
     }
     store.verify().expect("recovered store verifies CRC-clean");
 
-    let mut cloud =
-        simcloud::core::in_process_rebuilt(key, L1, cfg, store, ClientConfig::distances())
-            .expect("rebuild index from recovered records");
+    // The restarted server keeps the configuration it ran with (the child
+    // used the default: no inline budget).
+    let mut cloud = simcloud::core::in_process_rebuilt(
+        key,
+        L1,
+        cfg,
+        simcloud::core::ServerConfig::default(),
+        store,
+        ClientConfig::distances(),
+    )
+    .expect("rebuild index from recovered records");
     let (entries, leaves, depth) = cloud.server_info().expect("info");
     let committed = (CRASH_AT_BATCH / FLUSH_EVERY) * FLUSH_EVERY * BATCH;
     println!(

@@ -26,8 +26,7 @@ use std::time::Duration;
 use simcloud::core::connect_tcp;
 use simcloud::core::protocol::{Request, Response};
 use simcloud::prelude::*;
-use simcloud::shard::serve_tcp_concurrent_sharded;
-use simcloud::transport::{TcpTransport, Transport};
+use simcloud::transport::{serve_tcp_shared, TcpTransport, Transport};
 
 /// Keyless monitoring connection: short deadlines, no retries — an ops
 /// probe should report "down" fast, not mask an outage by retrying.
@@ -97,7 +96,7 @@ fn main() {
     let server = Arc::new(
         ShardedCloudServer::new(cfg, Box::new(HashRouter), memory_stores(2)).expect("valid config"),
     );
-    let handle = serve_tcp_concurrent_sharded(Arc::clone(&server)).expect("tcp server");
+    let handle = serve_tcp_shared(Arc::clone(&server)).expect("tcp server");
     let addr = handle.addr();
     println!("similarity cloud (2 shards) listening on {addr}\n");
 

@@ -18,9 +18,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use simcloud::core::{connect_tcp, connect_tcp_with, serve_tcp_concurrent_with, CloudServer};
+use simcloud::core::{connect_tcp, connect_tcp_with, CloudServer};
 use simcloud::prelude::*;
-use simcloud::transport::Transport;
+use simcloud::transport::{serve_tcp_shared_with, Transport};
 
 fn main() {
     let dataset = simcloud::datasets::yeast_like(17, Some(1200));
@@ -36,7 +36,7 @@ fn main() {
     // timeout that reaps silent connections, a connection cap that sheds
     // excess load with a typed refusal instead of queueing it.
     let server = Arc::new(CloudServer::new(cfg, MemoryStore::new()).expect("valid config"));
-    let handle = serve_tcp_concurrent_with(
+    let handle = serve_tcp_shared_with(
         Arc::clone(&server),
         ServeOptions {
             read_timeout: Some(Duration::from_secs(10)),

@@ -63,7 +63,7 @@ pub use simcloud_datasets as datasets;
 /// Convenience prelude with the most common types.
 pub mod prelude {
     pub use simcloud_core::{
-        connect_tcp_with, in_process, over_tcp, ClientConfig, ClientError, CostReport,
+        client_for, connect_tcp_with, in_process, over_tcp, ClientConfig, ClientError, CostReport,
         DistanceTransform, EncryptedClient, SecretKey,
     };
     pub use simcloud_metric::{
@@ -71,8 +71,7 @@ pub mod prelude {
     };
     pub use simcloud_mindex::{recall, MIndexConfig, PlainMIndex, RoutingStrategy};
     pub use simcloud_shard::{
-        client_for_sharded, memory_stores, sharded_in_process, HashRouter, PivotRouter,
-        ShardedCloudServer,
+        memory_stores, sharded_in_process, HashRouter, PivotRouter, ShardedCloudServer,
     };
     pub use simcloud_storage::{DiskStore, DiskStoreOptions, MemoryStore};
     pub use simcloud_transport::{RetryPolicy, ServeOptions, TcpClientConfig, TransportError};
