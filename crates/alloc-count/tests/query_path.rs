@@ -6,7 +6,10 @@
 //! (per thread, so parallel tests do not disturb each other) pins that:
 //!
 //! * one `ApproxKnn` through the server's byte handler costs fewer than 64
-//!   allocations whether it ships 100, 1000 or 5000 candidates;
+//!   allocations whether it ships 100, 1000 or 5000 candidates — on the
+//!   single server, and on the coordinating thread of a 4-shard one (which
+//!   opens shard 0 itself, spawns the other shard workers, merges and
+//!   encodes; the workers' own opens are the single server's, per shard);
 //! * one `knn_approx` on the client costs a constant plus a few
 //!   allocations per candidate it actually *unseals* — independent of how
 //!   many payloads the server inlined.
@@ -21,6 +24,7 @@ use simcloud_core::protocol::Request;
 use simcloud_core::{ClientConfig, CloudServer, EncryptedClient, SecretKey};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, Routing, RoutingStrategy};
+use simcloud_shard::{memory_stores, HashRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{
     RequestClass, SharedRequestHandler, Transport, TransportError, TransportStats,
@@ -35,15 +39,16 @@ const CAND_SIZES: [usize; 3] = [100, 1000, 5000];
 
 struct Deployment {
     server: Arc<CloudServer<MemoryStore>>,
+    sharded: Arc<ShardedCloudServer<MemoryStore>>,
     key: SecretKey,
     objects: Vec<(ObjectId, Vector)>,
 }
 
 /// In-process wiring whose server half is not counted: what remains on
 /// the thread's counter is the client alone.
-struct ClientOnly(Arc<CloudServer<MemoryStore>>);
+struct ClientOnly<H>(Arc<H>);
 
-impl Transport for ClientOnly {
+impl<H: SharedRequestHandler> Transport for ClientOnly<H> {
     fn round_trip(&mut self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
         Ok(uncounted(|| self.0.handle_shared(request)))
     }
@@ -70,38 +75,36 @@ fn deploy() -> Deployment {
         .map(|_| Vector::new((0..2).map(|_| rng.gen_range(-4.0f32..4.0)).collect()))
         .collect();
     let (key, _) = SecretKey::generate(&vectors, PIVOTS, &L2, PivotSelection::Random, 3);
-    let server = Arc::new(
-        CloudServer::new(
-            MIndexConfig {
-                num_pivots: PIVOTS,
-                max_level: 2,
-                bucket_capacity: 400,
-                strategy: RoutingStrategy::Distances,
-            },
-            MemoryStore::new(),
-        )
-        .unwrap(),
-    );
+    let config = MIndexConfig {
+        num_pivots: PIVOTS,
+        max_level: 2,
+        bucket_capacity: 400,
+        strategy: RoutingStrategy::Distances,
+    };
+    let server = Arc::new(CloudServer::new(config, MemoryStore::new()).unwrap());
+    let sharded =
+        Arc::new(ShardedCloudServer::new(config, Box::new(HashRouter), memory_stores(4)).unwrap());
     let objects: Vec<(ObjectId, Vector)> = vectors
         .into_iter()
         .enumerate()
         .map(|(i, v)| (ObjectId(i as u64), v))
         .collect();
-    let mut owner = client(&key, &server);
     for bulk in objects.chunks(1000) {
-        owner.insert_bulk(bulk).unwrap();
+        client(&key, &server).insert_bulk(bulk).unwrap();
+        client(&key, &sharded).insert_bulk(bulk).unwrap();
     }
     Deployment {
         server,
+        sharded,
         key,
         objects,
     }
 }
 
-fn client(
+fn client<H: SharedRequestHandler>(
     key: &SecretKey,
-    server: &Arc<CloudServer<MemoryStore>>,
-) -> EncryptedClient<L2, ClientOnly> {
+    server: &Arc<H>,
+) -> EncryptedClient<L2, ClientOnly<H>> {
     EncryptedClient::new(
         key.clone(),
         L2,
@@ -117,25 +120,31 @@ fn query_path_allocations_do_not_scale_with_the_candidate_set() {
     let q = &d.objects[17].1;
 
     // Server side: request bytes in, finished response frame out.
-    let mut server_allocs = Vec::new();
-    for cand_size in CAND_SIZES {
-        let request = Request::ApproxKnn {
-            routing: Routing::from_distances(&d.key.pivot_distances(&L2, q)),
-            cand_size: cand_size as u32,
-        }
-        .encode();
-        d.server.handle_shared(&request); // warm
-        let (frame, allocs) = allocations_in(|| d.server.handle_shared(&request));
-        assert!(
-            frame.len() > cand_size * 16,
-            "the frame ships {cand_size} candidates"
-        );
-        assert!(
-            allocs < 64,
-            "{allocs} server-side allocations for cand_size {cand_size}"
-        );
-        server_allocs.push(allocs);
-    }
+    let server_allocations = |server: &dyn SharedRequestHandler| -> Vec<u64> {
+        CAND_SIZES
+            .iter()
+            .map(|&cand_size| {
+                let request = Request::ApproxKnn {
+                    routing: Routing::from_distances(&d.key.pivot_distances(&L2, q)),
+                    cand_size: cand_size as u32,
+                }
+                .encode();
+                server.handle_shared(&request); // warm
+                let (frame, allocs) = allocations_in(|| server.handle_shared(&request));
+                assert!(
+                    frame.len() > cand_size * 16,
+                    "the frame ships {cand_size} candidates"
+                );
+                assert!(
+                    allocs < 64,
+                    "{allocs} server-side allocations for cand_size {cand_size}"
+                );
+                allocs
+            })
+            .collect()
+    };
+    let server_allocs = server_allocations(&*d.server);
+    let sharded_allocs = server_allocations(&*d.sharded);
 
     // Client side: everything inlined, so the frame carries `cand_size`
     // payloads of which the early exit unseals a few.
@@ -163,5 +172,6 @@ fn query_path_allocations_do_not_scale_with_the_candidate_set() {
     }
     println!("allocations per query at cand_size {CAND_SIZES:?}:");
     println!("  server (handle_shared): {server_allocs:?}");
+    println!("  4-shard server, coordinating thread: {sharded_allocs:?}");
     println!("  client (knn_approx; allocations, unsealed): {client_allocs:?}");
 }

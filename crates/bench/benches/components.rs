@@ -4,18 +4,18 @@
 //! the wire (per pair, one object against a pivot table, the server's
 //! bound from stored routing bytes), the paged store's read path (page
 //! CRC, buffer-pool hit, buffer-pool miss) and the query data path a
-//! candidate's sealed bytes travel (bucket scan, request → finished
-//! response frame, the client's in-place frame parse).
+//! candidate's sealed bytes travel (owned, lent and bulk bucket reads, the
+//! kNN cursor open, request → finished response frame for kNN and for the
+//! filtered range open, the client's in-place frame parse).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response, SearchAnswerView};
-use simcloud_core::CloudServer;
+use simcloud_core::{evaluator_for, CloudServer};
 use simcloud_metric::{
     permutation_from_distances, CombinedMetric, Metric, PivotTable, TableScratch, Vector, L1,
 };
-use simcloud_mindex::entry::RoutingView;
 use simcloud_mindex::pruning::{
     pivot_filter_keep, pivot_filter_lower_bound, pivot_filter_safe_lower_bound,
 };
@@ -78,31 +78,6 @@ fn bench_pivot_filter(c: &mut Criterion) {
                 std::hint::black_box(&q),
                 &objects[0],
             ))
-        });
-    });
-
-    // What a kNN cursor open does to the ~1300 records it scans for 1000
-    // candidates: validate the routing header and compute the bound from
-    // the record's own little-endian bytes. The 1.2 KB payload behind each
-    // header is never touched, so the records here carry none.
-    let records: Vec<Vec<u8>> = objects
-        .iter()
-        .cycle()
-        .take(1300)
-        .map(|o| {
-            let ds: Vec<f64> = o.iter().map(|&x| f64::from(x)).collect();
-            IndexEntry::new(0, Routing::from_distances(&ds), Vec::new()).encode_payload()
-        })
-        .collect();
-    c.bench_function("cursor_open/1300_records", |b| {
-        b.iter(|| {
-            let mut sum = 0.0f64;
-            for raw in &records {
-                if let Some((RoutingView::Distances(le), _)) = RoutingView::decode(raw) {
-                    sum += pivot_filter_safe_lower_bound(&q, le);
-                }
-            }
-            std::hint::black_box(sum)
         });
     });
 }
@@ -208,9 +183,11 @@ fn cophir_sized_entry(id: u64, closest: usize, rng: &mut StdRng) -> IndexEntry {
 
 /// Reading one 650-record cell (≈1 MB of records) out of a bucket store:
 /// `read_bucket` hands back an owned `Vec<Record>`, `scan_bucket` lends
-/// each record to a visitor. The visitor touches every byte it is lent
-/// (as the cursor's arena copy does), so the rows differ by the
-/// per-record allocation and copy alone.
+/// each record to a visitor that copies every byte it is lent into an
+/// arena (what a filtered open does to a survivor), `read_bucket_into`
+/// appends the cell's whole record stream to the arena (the unfiltered
+/// open). The rows differ by the per-record allocation, the per-record
+/// copy loop and the bulk copy alone.
 fn bench_bucket_scan(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(21);
     let records: Vec<Record> = (0..650)
@@ -247,6 +224,15 @@ fn bench_bucket_scan(c: &mut Criterion) {
                 arena.len()
             });
         });
+        c.bench_function(&format!("read_bucket_into/{row}"), |b| {
+            b.iter(|| {
+                arena.clear();
+                store
+                    .read_bucket_into(BucketId(1), &mut arena)
+                    .expect("bulk read");
+                arena.len()
+            });
+        });
     }
     drop(disk);
     FileEnv::remove_sidecars(&path);
@@ -256,30 +242,49 @@ fn bench_bucket_scan(c: &mut Criterion) {
 /// One encrypted-kNN answer at the benchmark's operating point, server
 /// side and client side: request bytes → finished response frame through
 /// `handle_shared` (1300 records scanned in two cells, 1000 candidates
-/// with their 1.2 KB payloads inlined), and the 1.2 MB frame parsed the
-/// way a refining client reads it (in place) next to the owned decode.
+/// with their 1.2 KB payloads inlined), the cursor open inside it on its
+/// own (`cursor_open/1300_records`: pick the cells, bulk-read them into
+/// the arena, bound and rank every record), and the 1.2 MB frame parsed
+/// the way a refining client reads it (in place) next to the owned decode.
+/// `range_frame/memory/*` is the filtered open through the same handler:
+/// a radius whose pivot filter rejects every record of the one cell it
+/// visits, and one that lets ≈6 % of what it scans through.
 /// The index holds 48 cells (≈50 MB of records) and the requests rotate
 /// over them, so — as on a real collection — the records a query scans
 /// are not in the cache when it arrives.
 fn bench_query_frame(c: &mut Criterion) {
     const CELLS: u64 = 48;
+    /// The radius at which the pivot filter keeps ≈6 % of the records a
+    /// range query scans in this store (coordinates uniform in [50, 100)).
+    const RANGE_RADIUS_6PCT: f64 = 44.5;
     let mut rng = StdRng::seed_from_u64(23);
     let server = CloudServer::new(MIndexConfig::cophir(), MemoryStore::new()).expect("server");
     // 650-record cells, one per closest pivot.
     let entries: Vec<IndexEntry> = (0..CELLS * 650)
         .map(|id| cophir_sized_entry(id, (id % CELLS) as usize, &mut rng))
         .collect();
-    for bulk in entries.chunks(1000) {
-        match server.process(Request::Insert(bulk.to_vec())) {
+    let bulks: Vec<Vec<IndexEntry>> = entries.chunks(1000).map(<[_]>::to_vec).collect();
+    drop(entries);
+    let build = std::time::Instant::now();
+    for bulk in bulks {
+        match server.process(Request::Insert(bulk)) {
             Response::Inserted(_) => {}
             other => panic!("insert failed: {other:?}"),
         }
     }
-    drop(entries);
-    let requests: Vec<Vec<u8>> = (0..CELLS)
-        .map(|cell| {
+    println!(
+        "knn_frame store: {} server-side inserts in {:.0} ms",
+        CELLS * 650,
+        build.elapsed().as_secs_f64() * 1e3
+    );
+    let queries: Vec<Routing> = (0..CELLS)
+        .map(|cell| cophir_sized_entry(0, cell as usize, &mut rng).routing)
+        .collect();
+    let requests: Vec<Vec<u8>> = queries
+        .iter()
+        .map(|routing| {
             Request::ApproxKnn {
-                routing: cophir_sized_entry(0, cell as usize, &mut rng).routing,
+                routing: routing.clone(),
                 cand_size: 1000,
             }
             .encode()
@@ -303,6 +308,55 @@ fn bench_query_frame(c: &mut Criterion) {
                 .len()
         });
     });
+    // Where a kNN request's server time went, from the server's own phase
+    // histograms (only the requests above have recorded into them).
+    let phases = server.telemetry();
+    println!(
+        "knn_frame phases, mean µs: open {:.0}, pull+stage {:.0}, encode {:.0}",
+        phases.open_hist().snapshot().mean() as f64 / 1e3,
+        (phases.pull_hist().snapshot().mean() + phases.stage_hist().snapshot().mean()) as f64 / 1e3,
+        phases.encode_hist().snapshot().mean() as f64 / 1e3,
+    );
+    let evaluators: Vec<_> = queries.iter().cloned().map(evaluator_for).collect();
+    c.bench_function("cursor_open/1300_records", |b| {
+        b.iter(|| {
+            next = (next + 1) % evaluators.len();
+            let cursor = server.index().knn_cursor(&evaluators[next], 1000);
+            cursor.expect("open").remaining()
+        });
+    });
+    for (row, radius) in [("reject_all", 15.0), ("survive_6pct", RANGE_RADIUS_6PCT)] {
+        let ranges: Vec<Vec<u8>> = queries
+            .iter()
+            .map(|routing| {
+                let distances = routing.distances().expect("distance routing");
+                Request::Range {
+                    distances: distances.iter().map(|&d| f64::from(d)).collect(),
+                    radius,
+                }
+                .encode()
+            })
+            .collect();
+        let before = server.total_search_stats();
+        for request in &ranges {
+            server.handle_shared(request);
+        }
+        let after = server.total_search_stats();
+        println!(
+            "range_frame/memory/{row}: per request {} records scanned in {} cells, {} candidates",
+            (after.entries_scanned - before.entries_scanned) / CELLS,
+            (after.cells_visited - before.cells_visited) / CELLS,
+            (after.candidates - before.candidates) / CELLS,
+        );
+        c.bench_function(&format!("range_frame/memory/{row}"), |b| {
+            b.iter(|| {
+                next = (next + 1) % ranges.len();
+                server
+                    .handle_shared(std::hint::black_box(&ranges[next]))
+                    .len()
+            });
+        });
+    }
     c.bench_function("resp_decode_owned/1.2MB", |b| {
         b.iter(|| match Response::decode(std::hint::black_box(&frame)) {
             Ok(Response::CandidateList(list)) => list.payloads.len(),

@@ -19,18 +19,30 @@
 //! * **Open** — the cell walk: promise order with a `cand_size` stop
 //!   condition for k-NN (the last cell is staged whole), double-pivot /
 //!   range-pivot tree pruning plus per-object pivot filtering for range,
-//!   counted into [`SearchStats`]. Cells are read through
-//!   [`BucketStore::scan_bucket`](simcloud_storage::BucketStore::scan_bucket),
-//!   which *lends* each stored record. A record is appended to one
-//!   `Vec<u8>` **arena** owned by the cursor — a single streaming read of
-//!   bytes that are cold whenever the store outgrows the cache — and then
-//!   validated and bounded from that copy (the bound from the stored
-//!   little-endian `f32` distances, [`crate::entry::RoutingView`]); only
-//!   a range query's pivot filter looks at the lent bytes first, so the
-//!   records it rejects are never copied. A staged record is described
-//!   by a 32-byte slot `{id, bound, offset, lengths}`. No per-record
-//!   buffer exists at any point. A stable sort of the slots by bound then
-//!   fixes the yield order (ties keep cell-visit order).
+//!   counted into [`SearchStats`]. What survives is copied, once, into one
+//!   `Vec<u8>` **arena** owned by the cursor and described by a 32-byte
+//!   slot `{id, bound, offset, lengths}`; no per-record buffer exists at
+//!   any point. The bound comes from the record's stored little-endian
+//!   `f32` distances ([`crate::entry::RoutingView`]). Which comes first,
+//!   the copy or the look, is one rule with two halves, both measured
+//!   (`--bench components`: `cursor_open/*`, `range_frame/*`):
+//!   * **unfiltered: copy the cell, then look.** A k-NN open keeps every
+//!     record of every cell it picks, and those cells are picked from
+//!     leaf counts alone, so the arena is reserved once for exactly their
+//!     bytes, each cell arrives as one bulk read
+//!     ([`BucketStore::read_bucket_into`](simcloud_storage::BucketStore::read_bucket_into)
+//!     — one streaming pass over bytes that are cold whenever the store
+//!     outgrows the cache) and the records are validated and bounded
+//!     where they then lie (`Staging::stage_cell`);
+//!   * **filtered: look, then copy the survivors.** A range open's pivot
+//!     filter rejects most records within their first few stored
+//!     distances, so it reads the bytes the store *lends*
+//!     ([`BucketStore::scan_bucket`](simcloud_storage::BucketStore::scan_bucket))
+//!     and a rejected record costs neither the copy nor the bandwidth
+//!     (`Staging::stage_filtered`).
+//!
+//!   A stable sort by bound then fixes the yield order (ties keep
+//!   cell-visit order).
 //! * **Yield** — [`CandidateCursor::views`] hands out
 //!   `CandidateView { id, bound, payload }` in ascending bound order, the
 //!   payload a slice of the arena. Nothing is decoded and nothing is
@@ -51,6 +63,8 @@
 //! comparator, lower shard wins ties).
 
 use std::cmp::Ordering;
+
+use simcloud_storage::{Record, StorageError};
 
 use crate::entry::{IndexEntry, Routing, RoutingView};
 use crate::index::MIndexError;
@@ -114,6 +128,11 @@ impl<'a> StoredRecord<'a> {
         })
     }
 
+    /// The record's routing, decoded.
+    pub(crate) fn into_routing(self) -> Routing {
+        self.routing.into_routing()
+    }
+
     /// The record's stored object–pivot distances, still as the bytes the
     /// store lent — what the open phase computes the bound from. `None`
     /// under permutation routing.
@@ -130,6 +149,7 @@ pub(crate) type StoredFilter<'f> = &'f dyn Fn(&[[u8; 4]]) -> bool;
 
 /// One staged record: where its encoding sits in the arena and the bound
 /// it ships with.
+#[derive(Clone, Copy)]
 struct Slot {
     id: u64,
     bound: f64,
@@ -137,6 +157,10 @@ struct Slot {
     start: usize,
     routing_len: u32,
     payload_len: u32,
+}
+
+fn undecodable(id: u64) -> MIndexError {
+    MIndexError::Corrupt(format!("record {id} undecodable"))
 }
 
 /// The open phase's output: the arena and one slot per surviving record,
@@ -148,67 +172,105 @@ pub(crate) struct Staging {
 }
 
 impl Staging {
-    /// Room for `records` more records of `record_len` bytes each.
-    pub(crate) fn reserve(&mut self, records: usize, record_len: usize) {
-        self.slots.reserve(records);
-        self.arena.reserve(records.saturating_mul(record_len));
+    /// Room for exactly `records` more records in `stream_bytes` more
+    /// arena bytes — what an unfiltered open knows before it reads a cell.
+    pub(crate) fn reserve(&mut self, records: usize, stream_bytes: usize) {
+        self.slots.reserve_exact(records);
+        self.arena.reserve_exact(stream_bytes);
     }
 
-    /// Stages one lent record: `Some(true)` when it was staged,
-    /// `Some(false)` when `filter` rejected it, `None` when it does not
-    /// decode.
+    /// Stages a whole cell, unfiltered: `read` appends the cell's record
+    /// stream to the arena and reports how many records that is (the
+    /// store's bulk read), then every record is validated and bounded from
+    /// the arena copy. Returns the number of records staged.
     ///
-    /// The record is copied into the arena **first** — one streaming read
-    /// of bytes that are cold in a store much larger than the cache — and
-    /// then validated and bounded from that copy, which is hot; reading
-    /// the stored distances where they lie instead would pay memory
-    /// latency line by line. Only a `filter` (the range query's pivot
-    /// filter, which rejects most records within their first few
-    /// distances) looks at the lent bytes, so that a rejected record
-    /// costs neither the copy nor the bandwidth — and is validated only
-    /// as far as its routing header, which the filter reads.
-    pub(crate) fn stage(
+    /// The stream must hold exactly the reported number of whole records,
+    /// each with a body [`StoredRecord::parse`] accepts; anything else is
+    /// [`MIndexError::Corrupt`] and leaves the staging as it was.
+    pub(crate) fn stage_cell(
+        &mut self,
+        read: impl FnOnce(&mut Vec<u8>) -> Result<usize, StorageError>,
+        bound_of: impl FnMut(Option<&[[u8; 4]]>) -> f64,
+    ) -> Result<usize, MIndexError> {
+        let (start, staged) = (self.arena.len(), self.slots.len());
+        let walked = read(&mut self.arena)
+            .map_err(MIndexError::from)
+            .and_then(|records| self.index_stream(start, records, bound_of));
+        if walked.is_err() {
+            self.arena.truncate(start);
+            self.slots.truncate(staged);
+        }
+        walked
+    }
+
+    /// Walks the `records` records of the stream at `arena[from..]`,
+    /// pushing one slot each.
+    fn index_stream(
+        &mut self,
+        from: usize,
+        records: usize,
+        mut bound_of: impl FnMut(Option<&[[u8; 4]]>) -> f64,
+    ) -> Result<usize, MIndexError> {
+        let miscounted =
+            || MIndexError::Corrupt(format!("cell stream does not hold its {records} records"));
+        let mut stream = Record::stream(self.arena.get(from..).unwrap_or(&[]));
+        for _ in 0..records {
+            let record = stream.next().and_then(Result::ok).ok_or_else(miscounted)?;
+            let parsed =
+                StoredRecord::parse(record.payload).ok_or_else(|| undecodable(record.id))?;
+            self.slots.push(Slot {
+                id: record.id,
+                bound: bound_of(parsed.stored_distances()),
+                start: from + record.payload_at,
+                routing_len: parsed.routing_len,
+                payload_len: parsed.payload_len,
+            });
+        }
+        if stream.next().is_some() {
+            return Err(miscounted());
+        }
+        Ok(records)
+    }
+
+    /// Stages one lent record behind a filter: `Ok(true)` when it was
+    /// staged, `Ok(false)` when `keep` rejected it.
+    ///
+    /// `keep` (the range query's pivot filter) looks at the lent bytes, so
+    /// a rejected record costs neither the copy nor the bandwidth — and is
+    /// validated only as far as its routing header, which the filter
+    /// reads. A survivor is copied into the arena and then validated and
+    /// bounded from that copy, which is hot.
+    pub(crate) fn stage_filtered(
         &mut self,
         id: u64,
         record: &[u8],
-        filter: Option<StoredFilter<'_>>,
+        keep: StoredFilter<'_>,
         bound_of: impl FnOnce(Option<&[[u8; 4]]>) -> f64,
-    ) -> Option<bool> {
-        if let Some(keep) = filter {
-            if let (RoutingView::Distances(stored), _) = RoutingView::decode(record)? {
-                if !keep(stored) {
-                    return Some(false);
-                }
+    ) -> Result<bool, MIndexError> {
+        let (routing, _) = RoutingView::decode(record).ok_or_else(|| undecodable(id))?;
+        if let RoutingView::Distances(stored) = routing {
+            if !keep(stored) {
+                return Ok(false);
             }
         }
         let start = self.arena.len();
         self.arena.extend_from_slice(record);
-        let staged = self
-            .arena
-            .get(start..)
-            .and_then(StoredRecord::parse)
-            .map(|parsed| {
-                (
-                    bound_of(parsed.stored_distances()),
-                    parsed.routing_len,
-                    parsed.payload_len,
-                )
-            });
-        let Some((bound, routing_len, payload_len)) = staged else {
+        let Some(parsed) = self.arena.get(start..).and_then(StoredRecord::parse) else {
             self.arena.truncate(start);
-            return None;
+            return Err(undecodable(id));
+        };
+        let slot = Slot {
+            id,
+            bound: bound_of(parsed.stored_distances()),
+            start,
+            routing_len: parsed.routing_len,
+            payload_len: parsed.payload_len,
         };
         // Nothing past the payload stays in the arena.
         self.arena
-            .truncate(start + routing_len as usize + 4 + payload_len as usize);
-        self.slots.push(Slot {
-            id,
-            bound,
-            start,
-            routing_len,
-            payload_len,
-        });
-        Some(true)
+            .truncate(start + slot.routing_len as usize + 4 + slot.payload_len as usize);
+        self.slots.push(slot);
+        Ok(true)
     }
 }
 
@@ -234,14 +296,18 @@ pub struct CandidateCursor {
 impl CandidateCursor {
     /// Ranks the staged records.
     pub(crate) fn new(staging: Staging, stats: SearchStats) -> Self {
-        let Staging { arena, mut slots } = staging;
-        // Identical permutation to the eager `sort_by` over
+        let Staging { arena, slots } = staging;
+        // Rank 16-byte `(bound, staging index)` keys, then move each slot
+        // once. Identical permutation to the eager `sort_by` over
         // `(entry, bound)` pairs: same comparator, same stable sort,
         // same initial (staging) order.
-        slots.sort_by(|a, b| a.bound.partial_cmp(&b.bound).unwrap_or(Ordering::Equal));
+        let mut rank: Vec<(f64, usize)> = slots.iter().map(|s| s.bound).zip(0..).collect();
+        rank.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+        let mut ranked = Vec::with_capacity(slots.len());
+        ranked.extend(rank.iter().filter_map(|&(_, staged)| slots.get(staged)));
         Self {
             arena,
-            slots,
+            slots: ranked,
             pos: 0,
             stats,
         }
@@ -333,13 +399,30 @@ impl std::fmt::Debug for CandidateCursor {
 mod tests {
     use super::*;
 
-    fn cursor_over(records: &[(u64, f64, &[u8])]) -> CandidateCursor {
-        let mut staging = Staging::default();
-        for &(id, bound, payload) in records {
-            let entry = IndexEntry::new(id, Routing::from_distances(&[bound]), payload.to_vec());
-            let raw = entry.encode_payload();
-            assert_eq!(staging.stage(id, &raw, None, |_| bound), Some(true));
+    /// The record stream a store's bulk read appends for `entries`.
+    fn stream_of(entries: &[IndexEntry]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for e in entries {
+            Record::new(e.id, e.encode_payload()).encode(&mut stream);
         }
+        stream
+    }
+
+    /// The bound a test record ships with: its one stored distance.
+    fn stored_bound(stored: Option<&[[u8; 4]]>) -> f64 {
+        stored.map_or(f64::NAN, |ds| f64::from(f32::from_le_bytes(ds[0])))
+    }
+
+    /// A cursor over one bulk-staged cell; every bound is `f32`-exact.
+    fn cursor_over(records: &[(u64, f64, &[u8])]) -> CandidateCursor {
+        let entries: Vec<IndexEntry> = records
+            .iter()
+            .map(|&(id, bound, payload)| {
+                IndexEntry::new(id, Routing::from_distances(&[bound]), payload.to_vec())
+            })
+            .collect();
+        let mut staging = Staging::default();
+        stage(&mut staging, &stream_of(&entries), entries.len()).unwrap();
         CandidateCursor::new(staging, SearchStats::default())
     }
 
@@ -418,10 +501,17 @@ mod tests {
             "bounds are computed from these bytes"
         );
         let mut staging = Staging::default();
-        let reject = |_: &[[u8; 4]]| false;
-        assert_eq!(staging.stage(8, &raw, Some(&reject), |_| 0.0), Some(false));
-        assert_eq!(staging.stage(8, &raw[..raw.len() / 2], None, |_| 0.0), None);
-        assert_eq!(staging.stage(9, &raw, None, |_| 0.25), Some(true));
+        let (reject, keep) = (|_: &[[u8; 4]]| false, |_: &[[u8; 4]]| true);
+        let staged = |staging: &mut Staging, raw: &[u8], keep| {
+            staging.stage_filtered(9, raw, keep, |_| 0.25)
+        };
+        assert!(!staged(&mut staging, &raw, &reject).unwrap());
+        assert!(matches!(
+            staged(&mut staging, &raw[..raw.len() / 2], &keep),
+            Err(MIndexError::Corrupt(_))
+        ));
+        assert!(staging.arena.is_empty(), "neither left a byte behind");
+        assert!(staged(&mut staging, &raw, &keep).unwrap());
         let cursor = CandidateCursor::new(staging, SearchStats::default());
         assert_eq!(
             cursor.arena.len(),
@@ -436,6 +526,70 @@ mod tests {
             "the payload is a slice of the arena, not a copy of it"
         );
         assert_eq!(view.to_entry().unwrap(), entry);
+    }
+
+    /// The bulk path: a cell's stream lands behind what the arena already
+    /// holds, every record is found where it lies, and a stream that is
+    /// short, long, miscounted or holds an unparseable body is `Corrupt`
+    /// with arena and slots rolled back.
+    #[test]
+    fn stage_cell_indexes_the_stream_in_place_and_rolls_back_on_corruption() {
+        let entries: Vec<IndexEntry> = (0..5u64)
+            .map(|i| {
+                let payload = vec![i as u8; 10 * i as usize]; // includes an empty one
+                IndexEntry::new(i, Routing::from_distances(&[i as f64, 9.0]), payload)
+            })
+            .collect();
+        let stream = stream_of(&entries);
+        let mut staging = Staging::default();
+        assert_eq!(
+            stage(&mut staging, &stream, 5).unwrap(),
+            (5, stream.len(), 5)
+        );
+        let mut bad_body = stream.clone();
+        bad_body[Record::HEADER_LEN] = 9; // first record's routing tag
+        for (bytes, claimed) in [
+            (&stream[..stream.len() - 1], 5), // truncated
+            (&stream[..], 4),                 // more records than claimed
+            (&stream[..], 6),                 // fewer records than claimed
+            (&bad_body[..], 5),
+        ] {
+            assert!(matches!(
+                stage(&mut staging, bytes, claimed),
+                Err(MIndexError::Corrupt(_))
+            ));
+        }
+        assert!(matches!(
+            staging.stage_cell(|_| Err(StorageError::Corrupt("io".into())), stored_bound),
+            Err(MIndexError::Storage(_))
+        ));
+        // A second cell goes behind the first; nothing of the failures stayed.
+        assert_eq!(
+            stage(&mut staging, &stream, 5).unwrap(),
+            (5, 2 * stream.len(), 10)
+        );
+        let cursor = CandidateCursor::new(staging, SearchStats::default());
+        let (list, _) = cursor.collect_up_to(None).unwrap();
+        let got: Vec<&IndexEntry> = list.iter().map(|(e, _)| e).collect();
+        let want: Vec<&IndexEntry> = entries.iter().flat_map(|e| [e, e]).collect();
+        assert_eq!(got, want, "bound order, ties in cell-visit order");
+    }
+
+    /// Bulk-stages `bytes` as a cell of `claimed` records; on success the
+    /// records staged and the arena / slot totals after it.
+    fn stage(
+        staging: &mut Staging,
+        bytes: &[u8],
+        claimed: usize,
+    ) -> Result<(usize, usize, usize), MIndexError> {
+        let staged = staging.stage_cell(
+            |arena| {
+                arena.extend_from_slice(bytes);
+                Ok(claimed)
+            },
+            stored_bound,
+        )?;
+        Ok((staged, staging.arena.len(), staging.slots.len()))
     }
 
     #[test]

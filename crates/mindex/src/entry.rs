@@ -79,13 +79,7 @@ impl Routing {
     /// Decodes a routing; returns it and bytes consumed.
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
         let (view, used) = RoutingView::decode(buf)?;
-        let routing = match view {
-            RoutingView::Distances(le) => {
-                Routing::Distances(le.iter().map(|c| f32::from_le_bytes(*c)).collect())
-            }
-            RoutingView::Permutation(p) => Routing::Permutation(p),
-        };
-        Some((routing, used))
+        Some((view.into_routing(), used))
     }
 }
 
@@ -102,6 +96,16 @@ pub enum RoutingView<'a> {
 }
 
 impl<'a> RoutingView<'a> {
+    /// The owned routing this header encodes.
+    pub fn into_routing(self) -> Routing {
+        match self {
+            RoutingView::Distances(le) => {
+                Routing::Distances(le.iter().map(|c| f32::from_le_bytes(*c)).collect())
+            }
+            RoutingView::Permutation(p) => Routing::Permutation(p),
+        }
+    }
+
     /// Validates the routing header at the front of `buf`; returns the
     /// view and bytes consumed. Accepts exactly what [`Routing::decode`]
     /// accepts (that function is built on this one).

@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, HashMap};
 use simcloud_storage::{BucketId, BucketStore, Record, StorageError};
 
 use crate::config::{MIndexConfig, RoutingStrategy};
-use crate::cursor::{CandidateCursor, Staging, StoredFilter};
+use crate::cursor::{CandidateCursor, Staging, StoredRecord};
 use crate::entry::{IndexEntry, Routing};
 use crate::promise::PromiseEvaluator;
 use crate::pruning::{
@@ -237,28 +237,42 @@ impl<S: BucketStore> MIndex<S> {
     }
 
     fn insert_unchecked(&mut self, entry: IndexEntry) -> Result<(), MIndexError> {
-        let perm = entry.routing.permutation();
+        self.place(entry.id, &entry.routing, entry.encoded_len(), &mut |out| {
+            entry.encode_payload_into(out);
+        })
+    }
+
+    /// Routes one record to its leaf and appends it there; `write_body`
+    /// writes the `body_len`-byte record body (`routing ‖ u32 len ‖
+    /// payload`) once, into the store's own bytes.
+    fn place(
+        &mut self,
+        id: u64,
+        routing: &Routing,
+        body_len: usize,
+        write_body: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), MIndexError> {
+        let perm = routing.permutation();
         let prefix: Vec<u16> = perm.prefix(self.config.max_level).to_vec();
-        let id = entry.id;
-        let record = Record::new(entry.id, entry.encode_payload());
-        let (level, count, needs_split) = {
+        let (level, needs_split) = {
             let leaf = self.tree.locate_mut(&prefix);
-            if let Routing::Distances(ds) = &entry.routing {
+            if let Routing::Distances(ds) = routing {
                 let pd: Vec<f64> = prefix[..leaf.level]
                     .iter()
                     .map(|&i| ds[i as usize] as f64)
                     .collect();
                 leaf.update_bounds(&pd);
             }
-            self.store.append(leaf.bucket, record)?;
+            self.store
+                .append_with(leaf.bucket, id, body_len, write_body)?;
             self.id_map.insert(id, leaf.bucket);
             leaf.count += 1;
+            leaf.stream_bytes += Record::HEADER_LEN + body_len;
             let needs_split =
                 leaf.count > self.config.bucket_capacity && leaf.level < self.config.max_level;
-            (leaf.level, leaf.count, needs_split)
+            (leaf.level, needs_split)
         };
         self.entries += 1;
-        let _ = count;
         if needs_split {
             self.split(&prefix[..level])?;
         }
@@ -267,18 +281,32 @@ impl<S: BucketStore> MIndex<S> {
 
     /// Splits the leaf at `prefix` one level deeper, re-distributing its
     /// records by the next pivot of their permutation (recursive Voronoi
-    /// partitioning, Fig. 2b).
+    /// partitioning, Fig. 2b). A record moves as the bytes it is: only its
+    /// routing header is decoded, to route it.
     fn split(&mut self, prefix: &[u16]) -> Result<(), MIndexError> {
         let leaf = self.tree.split_leaf(prefix);
-        let records = self.store.read_bucket(leaf.bucket)?;
+        let corrupt = |what: &str| {
+            MIndexError::Corrupt(format!("{what} of bucket {} during split", leaf.bucket))
+        };
+        let mut stream = Vec::with_capacity(leaf.stream_bytes);
+        let records = self.store.read_bucket_into(leaf.bucket, &mut stream)?;
         self.store.delete_bucket(leaf.bucket)?;
-        self.entries -= records.len() as u64;
-        for rec in records {
-            let entry = IndexEntry::decode_payload(rec.id, &rec.payload).ok_or_else(|| {
-                MIndexError::Corrupt(format!("record {} undecodable during split", rec.id))
-            })?;
+        self.entries -= records as u64;
+        let mut moved = 0;
+        for record in Record::stream(&stream) {
+            let record = record.map_err(|_| corrupt("truncated stream"))?;
+            let body = record.payload;
+            let routing = StoredRecord::parse(body)
+                .ok_or_else(|| corrupt(&format!("undecodable record {}", record.id)))?
+                .into_routing();
             // Depth of recursion is bounded by max_level.
-            self.insert_unchecked(entry)?;
+            self.place(record.id, &routing, body.len(), &mut |out| {
+                out.extend_from_slice(body);
+            })?;
+            moved += 1;
+        }
+        if moved != records {
+            return Err(corrupt("miscounted stream"));
         }
         Ok(())
     }
@@ -392,18 +420,34 @@ impl<S: BucketStore> MIndex<S> {
                         continue;
                     }
                     stats.cells_visited += 1;
-                    scan_cell(
-                        store,
-                        leaf,
-                        Some(&|stored| pivot_filter_keep(query_distances, stored, radius)),
-                        &mut stats,
-                        &mut staging,
-                        |stored| {
-                            stored.map_or(0.0, |ds| {
-                                pivot_filter_safe_lower_bound(query_distances, ds)
-                            })
-                        },
-                    )?;
+                    // Filtered: look, then copy the survivors (the rule is
+                    // written out in `cursor.rs`). How many survive is not
+                    // known, so the arena grows as they come.
+                    let mut failed = None;
+                    store.scan_bucket(leaf.bucket, &mut |id, record| {
+                        if failed.is_some() {
+                            return;
+                        }
+                        stats.entries_scanned += 1;
+                        let staged = staging.stage_filtered(
+                            id,
+                            record,
+                            &|stored| pivot_filter_keep(query_distances, stored, radius),
+                            |stored| {
+                                stored.map_or(0.0, |ds| {
+                                    pivot_filter_safe_lower_bound(query_distances, ds)
+                                })
+                            },
+                        );
+                        match staged {
+                            Ok(true) => {}
+                            Ok(false) => stats.entries_filtered += 1,
+                            Err(e) => failed = Some(e),
+                        }
+                    })?;
+                    if let Some(e) = failed {
+                        return Err(e);
+                    }
                 }
             }
         }
@@ -507,8 +551,12 @@ impl<S: BucketStore> MIndex<S> {
                 node,
             });
         }
+        // Pick the cells first: the stop rule reads leaf counts only, never
+        // a record, so the arena is reserved once, for exactly what the
+        // picked cells hold, before the first byte is read.
         let first_cell_only = cand_size == FIRST_CELL_ONLY;
-        let mut gathered = 0usize;
+        let mut cells: Vec<(&LeafCell, f64)> = Vec::new();
+        let (mut gathered, mut stream_bytes) = (0usize, 0usize);
         while let Some(item) = heap.pop() {
             match item.node {
                 Node::Internal { children } => {
@@ -528,29 +576,31 @@ impl<S: BucketStore> MIndex<S> {
                     if leaf.count == 0 {
                         continue;
                     }
-                    stats.cells_visited += 1;
-                    // Rank = wire-safe pivot-filter lower bound when
-                    // distances are available on both sides; the cell
-                    // penalty (heuristic) otherwise.
-                    scan_cell(
-                        store,
-                        leaf,
-                        None,
-                        &mut stats,
-                        &mut staging,
-                        |stored| match (stored, evaluator) {
-                            (Some(ds), PromiseEvaluator::Distances { distances, .. }) => {
-                                pivot_filter_safe_lower_bound(distances, ds)
-                            }
-                            _ => item.penalty,
-                        },
-                    )?;
+                    cells.push((leaf, item.penalty));
                     gathered += leaf.count;
+                    stream_bytes += leaf.stream_bytes;
                     if first_cell_only || gathered >= cand_size {
                         break;
                     }
                 }
             }
+        }
+        staging.reserve(gathered, stream_bytes);
+        for (leaf, penalty) in cells {
+            stats.cells_visited += 1;
+            // Rank = wire-safe pivot-filter lower bound when distances are
+            // available on both sides; the cell penalty (heuristic)
+            // otherwise.
+            let staged = staging.stage_cell(
+                |arena| store.read_bucket_into(leaf.bucket, arena),
+                |stored| match (stored, evaluator) {
+                    (Some(ds), PromiseEvaluator::Distances { distances, .. }) => {
+                        pivot_filter_safe_lower_bound(distances, ds)
+                    }
+                    _ => penalty,
+                },
+            )?;
+            stats.entries_scanned += staged as u64;
         }
         Ok(CandidateCursor::new(staging, stats))
     }
@@ -618,52 +668,6 @@ impl<S: BucketStore> MIndex<S> {
             }
         }
         Ok(out)
-    }
-}
-
-/// Scans one leaf's bucket for a cursor's open phase: every record the
-/// store lends goes through [`Staging::stage`] — rejected by `filter`,
-/// or copied into the staging arena (the only copy of a candidate's bytes
-/// the index ever makes) and bounded by `bound_of` from its stored
-/// distance bytes.
-///
-/// Without a filter every record of the cell is staged, so the arena is
-/// sized for the cell at its first record; with one, how many survive is
-/// not known and the arena grows as they come. It is deliberately sized
-/// cell by cell, never for the whole walk up front: an over-sized reservation moves the response frame that is
-/// allocated next onto pages this thread has not touched yet, and the
-/// page faults cost more than the regrowth saves (measured on the
-/// sharded server, whose shard workers are fresh threads every query).
-fn scan_cell<S: BucketStore>(
-    store: &S,
-    leaf: &LeafCell,
-    filter: Option<StoredFilter<'_>>,
-    stats: &mut SearchStats,
-    staging: &mut Staging,
-    mut bound_of: impl FnMut(Option<&[[u8; 4]]>) -> f64,
-) -> Result<(), MIndexError> {
-    let mut first = true;
-    let mut undecodable = None;
-    store.scan_bucket(leaf.bucket, &mut |id, record| {
-        if undecodable.is_some() {
-            return;
-        }
-        if std::mem::take(&mut first) {
-            // Sealed objects of one collection share a size, so the first
-            // record sizes the cell's share of the arena in one step.
-            let expect = if filter.is_some() { 0 } else { leaf.count };
-            staging.reserve(expect, record.len());
-        }
-        stats.entries_scanned += 1;
-        match staging.stage(id, record, filter, &mut bound_of) {
-            Some(true) => {}
-            Some(false) => stats.entries_filtered += 1,
-            None => undecodable = Some(id),
-        }
-    })?;
-    match undecodable {
-        Some(id) => Err(MIndexError::Corrupt(format!("record {id} undecodable"))),
-        None => Ok(()),
     }
 }
 

@@ -33,6 +33,9 @@ pub struct LeafCell {
     pub bucket: BucketId,
     /// Number of records in the bucket (cached).
     pub count: usize,
+    /// Length of the bucket's record stream (cached): what reading the
+    /// whole cell appends to a buffer, so a search reserves exactly that.
+    pub stream_bytes: usize,
     /// Depth of this leaf = length of its permutation prefix.
     pub level: usize,
     /// Per-prefix-level (min, max) of `d(o, p_prefix[k])` over stored
@@ -45,6 +48,7 @@ impl LeafCell {
         Self {
             bucket,
             count: 0,
+            stream_bytes: 0,
             level,
             dist_bounds: Vec::new(),
         }

@@ -120,6 +120,18 @@ struct BucketMeta {
     pages: u32,
 }
 
+impl BucketMeta {
+    /// Bytes in the chain's stream as far as this process knows its pages
+    /// (every page before the tail is full): exact for a chain built since
+    /// open, a lower bound after a reopen.
+    fn stream_bytes(&self) -> usize {
+        match self.pages {
+            0 => 0,
+            pages => (pages as usize - 1) * PAGE_CAP + usize::from(self.tail_used),
+        }
+    }
+}
+
 const EMPTY_BUCKET: BucketMeta = BucketMeta {
     head: NIL,
     tail: NIL,
@@ -375,9 +387,10 @@ impl DiskStore {
                 return Err(e);
             }
         }
+        let mut stream = Vec::new();
         for (&bucket, meta) in &self.directory {
-            let bytes = self.chain_read(meta.head, meta.pages)?;
-            scan_records(bucket, &bytes, meta.records, |_, _| ())?;
+            stream.clear();
+            self.bucket_stream_into(bucket, meta, &mut stream)?;
         }
         Ok(())
     }
@@ -536,12 +549,11 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Reads the full byte stream of the chain at `head`: each page's
-    /// payload is copied once, straight into an output sized for
-    /// `pages_hint` pages (see [`BucketMeta::pages`]; 0 = unknown). The hop
-    /// guard turns cycles (including self-links) into typed corruption.
-    fn chain_read(&self, head: u32, pages_hint: u32) -> Result<Vec<u8>, StorageError> {
-        let mut out = Vec::with_capacity(pages_hint as usize * PAGE_CAP);
+    /// Appends the full byte stream of the chain at `head` to `out`: each
+    /// page's payload is copied once, straight into the caller's buffer.
+    /// The hop guard turns cycles (including self-links) into typed
+    /// corruption. On an error `out` may hold part of the stream.
+    fn chain_read(&self, head: u32, out: &mut Vec<u8>) -> Result<(), StorageError> {
         let mut scratch = [0u8; PAGE_SIZE];
         let mut page = head;
         let mut hops = 0u64;
@@ -552,27 +564,46 @@ impl DiskStore {
                     "page chain longer than the file — cycle".into(),
                 ));
             }
-            page = self.read_page_into(page, &mut scratch, &mut out)?;
+            page = self.read_page_into(page, &mut scratch, out)?;
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// The one bucket walk behind every read: lends the wanted records of
-    /// `bucket` to `visit` straight from the chain bytes, so a caller
-    /// copies only what it keeps and unwanted payloads are never touched.
-    /// Consistent with `MemoryStore`, only the records handed out count as
-    /// read back.
+    /// Appends the record stream of `bucket` to `out` and checks it
+    /// against the directory ("claims N records, stream holds N whole
+    /// records") where it now lies; `out` is left as it was on an error.
+    fn bucket_stream_into(
+        &self,
+        bucket: BucketId,
+        meta: &BucketMeta,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StorageError> {
+        let start = out.len();
+        out.reserve(meta.stream_bytes());
+        let read = self.chain_read(meta.head, out).and_then(|()| {
+            let stream = out.get(start..).unwrap_or(&[]);
+            scan_records(bucket, stream, meta.records, |_, _| ())
+        });
+        if read.is_err() {
+            out.truncate(start);
+        }
+        read
+    }
+
+    /// The one lending bucket walk behind `read_bucket`, `scan_bucket` and
+    /// `read_matching`: lends the wanted records of `bucket` to `visit`
+    /// straight from the chain bytes, so a caller copies only what it
+    /// keeps and unwanted payloads are never touched. Consistent with
+    /// `MemoryStore`, only the records handed out count as read back.
     fn scan_matching(
         &self,
         bucket: BucketId,
         wanted: &dyn Fn(u64) -> bool,
         visit: &mut dyn FnMut(u64, &[u8]),
     ) -> Result<(), StorageError> {
-        let meta = self
-            .directory
-            .get(&bucket)
-            .ok_or(StorageError::UnknownBucket(bucket))?;
-        let bytes = self.chain_read(meta.head, meta.pages)?;
+        let meta = self.meta(bucket)?;
+        let mut bytes = Vec::with_capacity(meta.stream_bytes());
+        self.chain_read(meta.head, &mut bytes)?;
         let mut handed_out = 0u64;
         scan_records(bucket, &bytes, meta.records, |id, payload| {
             if wanted(id) {
@@ -584,6 +615,12 @@ impl DiskStore {
         Ok(())
     }
 
+    fn meta(&self, bucket: BucketId) -> Result<&BucketMeta, StorageError> {
+        self.directory
+            .get(&bucket)
+            .ok_or(StorageError::UnknownBucket(bucket))
+    }
+
     // ---- directory persistence -----------------------------------------
 
     fn load_directory(&mut self) -> Result<(), StorageError> {
@@ -591,7 +628,8 @@ impl DiskStore {
         if self.dir_head == NIL {
             return Ok(());
         }
-        let bytes = self.chain_read(self.dir_head, 0)?;
+        let mut bytes = Vec::new();
+        self.chain_read(self.dir_head, &mut bytes)?;
         if bytes.len() < 4 {
             return Err(StorageError::Corrupt("directory truncated".into()));
         }
@@ -688,15 +726,12 @@ fn scan_records<'a>(
     mut visit: impl FnMut(u64, &'a [u8]),
 ) -> Result<(), StorageError> {
     let mut seen = 0u64;
-    let mut off = 0;
-    while off < bytes.len() {
-        let tail = bytes.get(off..).unwrap_or(&[]);
-        let (id, payload_off, used) = Record::peek(tail).ok_or_else(|| {
+    for record in Record::stream(bytes) {
+        let record = record.map_err(|_| {
             StorageError::Corrupt(format!("bucket {bucket} record stream truncated"))
         })?;
-        visit(id, get_bytes(tail, payload_off, used - payload_off)?);
+        visit(record.id, record.payload);
         seen += 1;
-        off += used;
     }
     if seen != expected {
         return Err(StorageError::Corrupt(format!(
@@ -731,6 +766,13 @@ impl BucketStore for DiskStore {
         visit: &mut dyn FnMut(u64, &[u8]),
     ) -> Result<(), StorageError> {
         self.scan_matching(bucket, &|_| true, visit)
+    }
+
+    fn read_bucket_into(&self, bucket: BucketId, out: &mut Vec<u8>) -> Result<usize, StorageError> {
+        let meta = self.meta(bucket)?;
+        self.bucket_stream_into(bucket, meta, out)?;
+        bump(&self.stats.records_read, meta.records);
+        Ok(meta.records as usize)
     }
 
     fn read_matching(

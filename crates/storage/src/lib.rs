@@ -5,9 +5,15 @@
 //! "Memory storage" and CoPhIR on "Disk storage" (Table 2); this crate
 //! provides both behind one trait:
 //!
-//! * [`MemoryStore`] — buckets as in-memory vectors (fast, volatile);
+//! * [`MemoryStore`] — each bucket one contiguous in-memory run of bytes
+//!   (fast, volatile);
 //! * [`DiskStore`] — a single-file paged store (4 KiB pages, per-bucket page
 //!   chains, free-list reuse, LRU buffer pool) with I/O statistics.
+//!
+//! Both keep a bucket as the same thing — its records back to back in the
+//! **record stream** encoding `id ‖ u32 len ‖ payload` ([`Record::encode`])
+//! — so a whole cell leaves either store as one run of bytes
+//! ([`BucketStore::read_bucket_into`]).
 //!
 //! Records are opaque `(u64 id, bytes)` pairs: the index layer stores its
 //! routing information (pivot permutation or distances) and the sealed
@@ -33,7 +39,7 @@ pub use backend::{
 };
 pub use disk::{DiskStore, DiskStoreOptions};
 pub use memory::MemoryStore;
-pub use record::Record;
+pub use record::{Record, RecordStream, StreamRecord, StreamTruncated};
 pub use telemetry::StorageTiming;
 
 /// Identifier of a bucket (an M-Index leaf owns exactly one bucket).
@@ -133,6 +139,24 @@ pub trait BucketStore: Send + Sync {
     /// Appends a record to `bucket`, creating the bucket if new.
     fn append(&mut self, bucket: BucketId, record: Record) -> Result<(), StorageError>;
 
+    /// Appends a record whose payload is the `len` bytes `write` appends
+    /// to the buffer it is handed (it must only append, and exactly `len`
+    /// bytes) — for a caller that would otherwise build the payload just
+    /// to hand it over. The default does build it, into an exactly-sized
+    /// `Vec`, for [`BucketStore::append`]; [`MemoryStore`] has the payload
+    /// written straight into the bucket's run.
+    fn append_with(
+        &mut self,
+        bucket: BucketId,
+        id: u64,
+        len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), StorageError> {
+        let mut payload = Vec::with_capacity(len);
+        write(&mut payload);
+        self.append(bucket, Record::new(id, payload))
+    }
+
     /// Reads every record in `bucket` (order = insertion order).
     fn read_bucket(&self, bucket: BucketId) -> Result<Vec<Record>, StorageError>;
 
@@ -152,6 +176,21 @@ pub trait BucketStore: Send + Sync {
             visit(record.id, &record.payload);
         }
         Ok(())
+    }
+
+    /// Appends the record stream of `bucket` — every record in insertion
+    /// order, each as [`Record::encode`] writes it — to `out` and returns
+    /// the number of records appended: the bulk read an unfiltered search
+    /// takes a whole cell with. Counts as reading the whole bucket,
+    /// exactly like [`BucketStore::read_bucket`]. The default encodes an
+    /// owned `read_bucket`; the in-tree stores copy the bytes they already
+    /// hold in this form. On an error `out` is left as it was.
+    fn read_bucket_into(&self, bucket: BucketId, out: &mut Vec<u8>) -> Result<usize, StorageError> {
+        let records = self.read_bucket(bucket)?;
+        for record in &records {
+            record.encode(out);
+        }
+        Ok(records.len())
     }
 
     /// Reads only the records of `bucket` whose id satisfies `wanted`

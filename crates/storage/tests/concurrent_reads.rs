@@ -2,8 +2,9 @@
 //!
 //! `DiskStore` reads take `&self`, fetch missed pages outside the pool
 //! latch and install them afterwards, so several threads hammer the same
-//! store here — whole-bucket reads, borrowed scans and filtered reads, over flushed data
-//! *and* a tail of unflushed (dirty, pinned) pages — with pools of 2, 8 and
+//! store here — whole-bucket reads, borrowed scans, bulk reads into a
+//! caller's buffer and filtered reads, over flushed data *and* a tail of
+//! unflushed (dirty, pinned) pages — with pools of 2, 8 and
 //! 64 frames against ≥ 200 pages of data. Checked: every answer equals the
 //! single-threaded one; each page visit is counted exactly once as a hit or
 //! a miss; dirty pages are always served from the pool (they are not in the
@@ -115,6 +116,24 @@ fn scanned(store: &DiskStore, bucket: u64) -> Vec<Record> {
     out
 }
 
+/// A bucket through the bulk read, decoded back out of the caller's
+/// buffer (which already held something) for comparison.
+fn bulk_read(store: &DiskStore, bucket: u64) -> Vec<Record> {
+    let mut stream = vec![0xA5; 7];
+    let records = store
+        .read_bucket_into(BucketId(bucket), &mut stream)
+        .unwrap();
+    let mut out = Vec::with_capacity(records);
+    let mut rest = &stream[7..];
+    while let Some((record, used)) = Record::decode(rest) {
+        out.push(record);
+        rest = &rest[used..];
+    }
+    assert!(rest.is_empty(), "bucket {bucket}: stream ends mid-record");
+    assert_eq!(out.len(), records, "bucket {bucket}: reported record count");
+    out
+}
+
 fn delta(after: IoStats, before: IoStats) -> (u64, u64) {
     (
         after.page_reads - before.page_reads,
@@ -134,14 +153,17 @@ fn hammer(pool: usize) {
     assert!(dirty_total > 20, "schedule must leave dirty pages behind");
 
     // Single-threaded reference pass (also the model check).
-    // `scan_bucket` lends exactly the records `read_bucket` returns, and
-    // counts them as read the same way.
+    // `scan_bucket` lends, and `read_bucket_into` appends, exactly the
+    // records `read_bucket` returns, and both count them as read the same
+    // way.
     for (b, bucket) in &model {
         let before = store.stats().records_read;
         assert_eq!(store.read_bucket(BucketId(*b)).unwrap(), bucket.records);
         let read = store.stats().records_read - before;
         assert_eq!(scanned(&store, *b), bucket.records);
         assert_eq!(store.stats().records_read - before, 2 * read);
+        assert_eq!(bulk_read(&store, *b), bucket.records);
+        assert_eq!(store.stats().records_read - before, 3 * read);
         assert_eq!(read, bucket.records.len() as u64);
     }
 
@@ -160,12 +182,14 @@ fn hammer(pool: usize) {
             for _ in 0..OPS_PER_THREAD {
                 let b = rng.gen_range(0..BUCKETS);
                 let bucket = &model[&b];
-                let op = rng.gen_range(0..3u8);
+                let op = rng.gen_range(0..4u8);
                 if op == 0 {
                     let got = store.read_bucket(BucketId(b)).unwrap();
                     assert_eq!(got, bucket.records, "bucket {b} (pool {pool})");
                 } else if op == 1 {
                     assert_eq!(scanned(&store, b), bucket.records, "scan of bucket {b}");
+                } else if op == 2 {
+                    assert_eq!(bulk_read(&store, b), bucket.records, "bulk read of {b}");
                 } else {
                     let k = rng.gen_range(0..3u64);
                     let got = store.read_matching(BucketId(b), &|id| id % 3 == k).unwrap();
