@@ -24,7 +24,7 @@ use simcloud_metric::{Metric, ObjectId, Vector};
 use simcloud_transport::{InProcessTransport, Stopwatch, Transport};
 
 use crate::kv::{wire, KvServer};
-use crate::{Neighbor, SchemeError, SecureScheme};
+use crate::{costed_round_trip, Neighbor, SchemeError, SecureScheme};
 
 const ROOT_KEY: u64 = 0;
 
@@ -235,18 +235,6 @@ impl<M: Metric<Vector>> EhiScheme<M> {
         }
     }
 
-    fn transport_delta(
-        &mut self,
-        before: simcloud_transport::TransportStats,
-        costs: &mut CostReport,
-    ) {
-        let delta = self.transport.stats().since(&before);
-        costs.server += delta.server_time;
-        costs.communication += delta.comm_time;
-        costs.bytes_sent += delta.bytes_sent;
-        costs.bytes_received += delta.bytes_received;
-    }
-
     /// Round trips performed so far (Table 9 discussion point).
     pub fn round_trips(&self) -> u64 {
         self.transport.stats().requests
@@ -273,9 +261,8 @@ impl<M: Metric<Vector>> SecureScheme for EhiScheme<M> {
                     .cipher()
                     .seal(&plain, self.key.mode(), &mut self.rng)
             });
-            let before = self.transport.stats();
-            let resp = self.transport.round_trip(&wire::put(key, &sealed))?;
-            self.transport_delta(before, &mut costs);
+            let resp =
+                costed_round_trip(&mut self.transport, &wire::put(key, &sealed), &mut costs)?;
             if !wire::is_put_ok(&resp) {
                 return Err(SchemeError::Protocol("put rejected".into()));
             }
@@ -327,9 +314,7 @@ impl<M: Metric<Vector>> SecureScheme for EhiScheme<M> {
             if lb > kth(&result) {
                 break; // no node can improve the answer
             }
-            let before = self.transport.stats();
-            let resp = self.transport.round_trip(&wire::get(node_key))?;
-            self.transport_delta(before, &mut costs);
+            let resp = costed_round_trip(&mut self.transport, &wire::get(node_key), &mut costs)?;
             let sealed =
                 wire::decode_blob(&resp).ok_or_else(|| SchemeError::Protocol("bad blob".into()))?;
             let plain = dec.time(|| self.key.cipher().unseal(&sealed))?;

@@ -12,6 +12,7 @@
 //! the Encrypted M-Index beats FDH in CPU time at comparable recall.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -19,9 +20,9 @@ use rand::SeedableRng;
 
 use simcloud_core::{CostReport, SecretKey};
 use simcloud_metric::{Metric, ObjectId, Vector};
-use simcloud_transport::{InProcessTransport, RequestHandler, Stopwatch, Transport};
+use simcloud_transport::{InProcessTransport, SharedRequestHandler, Stopwatch};
 
-use crate::{Neighbor, SchemeError, SecureScheme};
+use crate::{costed_round_trip, error_frame, Neighbor, SchemeError, SecureScheme};
 
 /// Server half: buckets of sealed objects keyed by signature.
 ///
@@ -39,30 +40,34 @@ use crate::{Neighbor, SchemeError, SecureScheme};
 /// exhausted).
 #[derive(Debug, Default)]
 pub struct FdhServer {
-    buckets: HashMap<u64, Vec<(u64, Vec<u8>)>>,
+    buckets: Mutex<HashMap<u64, Bucket>>,
 }
 
-impl RequestHandler for FdhServer {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        fn error(msg: &str) -> Vec<u8> {
-            let mut out = vec![0x04];
-            let b = msg.as_bytes();
-            out.extend_from_slice(&(b.len() as u16).to_le_bytes());
-            out.extend_from_slice(b);
-            out
-        }
+/// One signature's objects: `(id, sealed object)` in insertion order.
+type Bucket = Vec<(u64, Vec<u8>)>;
+
+impl FdhServer {
+    /// The bucket map; a poisoned lock is taken as is (each insert is one
+    /// push, so a panicked holder leaves no half-written bucket).
+    fn buckets(&self) -> MutexGuard<'_, HashMap<u64, Bucket>> {
+        self.buckets.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl SharedRequestHandler for FdhServer {
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
         match request.first() {
             Some(0x01) => {
                 if request.len() < 21 {
-                    return error("short insert");
+                    return error_frame("short insert");
                 }
                 let id = u64::from_le_bytes(request[1..9].try_into().unwrap());
                 let sig = u64::from_le_bytes(request[9..17].try_into().unwrap());
                 let len = u32::from_le_bytes(request[17..21].try_into().unwrap()) as usize;
                 if request.len() != 21 + len {
-                    return error("insert size mismatch");
+                    return error_frame("insert size mismatch");
                 }
-                self.buckets
+                self.buckets()
                     .entry(sig)
                     .or_default()
                     .push((id, request[21..].to_vec()));
@@ -70,13 +75,14 @@ impl RequestHandler for FdhServer {
             }
             Some(0x02) => {
                 if request.len() != 13 {
-                    return error("short probe");
+                    return error_frame("short probe");
                 }
                 let sig = u64::from_le_bytes(request[1..9].try_into().unwrap());
                 let min = u32::from_le_bytes(request[9..13].try_into().unwrap()) as usize;
                 // Buckets ordered by Hamming distance to the query signature
                 // (stable tiebreak on the signature value).
-                let mut keys: Vec<u64> = self.buckets.keys().copied().collect();
+                let buckets = self.buckets();
+                let mut keys: Vec<u64> = buckets.keys().copied().collect();
                 keys.sort_by_key(|k| ((k ^ sig).count_ones(), *k));
                 let mut out = vec![0x02];
                 let mut count = 0u32;
@@ -85,7 +91,7 @@ impl RequestHandler for FdhServer {
                     if count as usize >= min {
                         break;
                     }
-                    for (id, sealed) in &self.buckets[&k] {
+                    for (id, sealed) in &buckets[&k] {
                         body.extend_from_slice(&id.to_le_bytes());
                         body.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
                         body.extend_from_slice(sealed);
@@ -96,7 +102,7 @@ impl RequestHandler for FdhServer {
                 out.extend_from_slice(&body);
                 out
             }
-            _ => error("unknown op"),
+            _ => error_frame("unknown op"),
         }
     }
 }
@@ -161,18 +167,6 @@ impl<M: Metric<Vector>> FdhScheme<M> {
         }
         sig
     }
-
-    fn transport_delta(
-        &mut self,
-        before: simcloud_transport::TransportStats,
-        costs: &mut CostReport,
-    ) {
-        let delta = self.transport.stats().since(&before);
-        costs.server += delta.server_time;
-        costs.communication += delta.comm_time;
-        costs.bytes_sent += delta.bytes_sent;
-        costs.bytes_received += delta.bytes_received;
-    }
 }
 
 impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
@@ -226,9 +220,7 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
             req.extend_from_slice(&sig.to_le_bytes());
             req.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
             req.extend_from_slice(&sealed);
-            let before = self.transport.stats();
-            let resp = self.transport.round_trip(&req)?;
-            self.transport_delta(before, &mut costs);
+            let resp = costed_round_trip(&mut self.transport, &req, &mut costs)?;
             if resp != [0x01] {
                 return Err(SchemeError::Protocol("insert rejected".into()));
             }
@@ -250,9 +242,7 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
         let mut req = vec![0x02];
         req.extend_from_slice(&sig.to_le_bytes());
         req.extend_from_slice(&(self.config.min_candidates.max(k) as u32).to_le_bytes());
-        let before = self.transport.stats();
-        let resp = self.transport.round_trip(&req)?;
-        self.transport_delta(before, &mut costs);
+        let resp = costed_round_trip(&mut self.transport, &req, &mut costs)?;
         if resp.first() != Some(&0x02) || resp.len() < 5 {
             return Err(SchemeError::Protocol("bad probe response".into()));
         }
@@ -351,22 +341,22 @@ mod tests {
 
     #[test]
     fn server_probe_orders_by_hamming() {
-        let mut s = FdhServer::default();
-        let put = |s: &mut FdhServer, id: u64, sig: u64| {
+        let s = FdhServer::default();
+        let put = |s: &FdhServer, id: u64, sig: u64| {
             let mut req = vec![0x01];
             req.extend_from_slice(&id.to_le_bytes());
             req.extend_from_slice(&sig.to_le_bytes());
             req.extend_from_slice(&1u32.to_le_bytes());
             req.push(0xAB);
-            assert_eq!(s.handle(&req), vec![0x01]);
+            assert_eq!(s.handle_shared(&req), vec![0x01]);
         };
-        put(&mut s, 1, 0b0000);
-        put(&mut s, 2, 0b0001);
-        put(&mut s, 3, 0b1111);
+        put(&s, 1, 0b0000);
+        put(&s, 2, 0b0001);
+        put(&s, 3, 0b1111);
         let mut probe = vec![0x02];
         probe.extend_from_slice(&0b0000u64.to_le_bytes());
         probe.extend_from_slice(&2u32.to_le_bytes());
-        let resp = s.handle(&probe);
+        let resp = s.handle_shared(&probe);
         let n = u32::from_le_bytes(resp[1..5].try_into().unwrap());
         assert_eq!(n, 2);
         // first candidate must be from the exact bucket (id 1)

@@ -14,13 +14,16 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use simcloud_transport::RequestHandler;
+use simcloud_transport::SharedRequestHandler;
+
+use crate::error_frame;
 
 /// In-memory blob store keyed by `u64`.
 #[derive(Debug, Default)]
 pub struct KvServer {
-    blobs: BTreeMap<u64, Vec<u8>>,
+    blobs: Mutex<BTreeMap<u64, Vec<u8>>>,
 }
 
 impl KvServer {
@@ -31,12 +34,18 @@ impl KvServer {
 
     /// Number of blobs held.
     pub fn len(&self) -> usize {
-        self.blobs.len()
+        self.blobs().len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.blobs.is_empty()
+        self.blobs().is_empty()
+    }
+
+    /// The blob map. A panicked holder cannot leave it half-written (every
+    /// mutation is one map call), so a poisoned lock is taken as is.
+    fn blobs(&self) -> MutexGuard<'_, BTreeMap<u64, Vec<u8>>> {
+        self.blobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -107,34 +116,27 @@ pub mod wire {
     }
 }
 
-impl RequestHandler for KvServer {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        fn error(msg: &str) -> Vec<u8> {
-            let mut out = vec![0x04];
-            let b = msg.as_bytes();
-            out.extend_from_slice(&(b.len() as u16).to_le_bytes());
-            out.extend_from_slice(b);
-            out
-        }
+impl SharedRequestHandler for KvServer {
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
         match request.first() {
             Some(0x01) => {
                 if request.len() < 13 {
-                    return error("short put");
+                    return error_frame("short put");
                 }
                 let key = u64::from_le_bytes(request[1..9].try_into().unwrap());
                 let len = u32::from_le_bytes(request[9..13].try_into().unwrap()) as usize;
                 if request.len() != 13 + len {
-                    return error("put length mismatch");
+                    return error_frame("put length mismatch");
                 }
-                self.blobs.insert(key, request[13..].to_vec());
+                self.blobs().insert(key, request[13..].to_vec());
                 vec![0x01]
             }
             Some(0x02) => {
                 if request.len() != 9 {
-                    return error("short get");
+                    return error_frame("short get");
                 }
                 let key = u64::from_le_bytes(request[1..9].try_into().unwrap());
-                match self.blobs.get(&key) {
+                match self.blobs().get(&key) {
                     Some(blob) => {
                         let mut out = Vec::with_capacity(5 + blob.len());
                         out.push(0x02);
@@ -142,20 +144,21 @@ impl RequestHandler for KvServer {
                         out.extend_from_slice(blob);
                         out
                     }
-                    None => error("unknown key"),
+                    None => error_frame("unknown key"),
                 }
             }
             Some(0x03) => {
+                let blobs = self.blobs();
                 let mut out = vec![0x03];
-                out.extend_from_slice(&(self.blobs.len() as u32).to_le_bytes());
-                for (k, blob) in &self.blobs {
+                out.extend_from_slice(&(blobs.len() as u32).to_le_bytes());
+                for (k, blob) in blobs.iter() {
                     out.extend_from_slice(&k.to_le_bytes());
                     out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
                     out.extend_from_slice(blob);
                 }
                 out
             }
-            _ => error("unknown op"),
+            _ => error_frame("unknown op"),
         }
     }
 }
@@ -166,44 +169,47 @@ mod tests {
 
     #[test]
     fn put_get_round_trip() {
-        let mut s = KvServer::new();
-        assert!(wire::is_put_ok(&s.handle(&wire::put(7, b"hello"))));
-        let resp = s.handle(&wire::get(7));
+        let s = KvServer::new();
+        assert!(wire::is_put_ok(&s.handle_shared(&wire::put(7, b"hello"))));
+        let resp = s.handle_shared(&wire::get(7));
         assert_eq!(wire::decode_blob(&resp).unwrap(), b"hello");
         assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn get_missing_is_error() {
-        let mut s = KvServer::new();
-        let resp = s.handle(&wire::get(9));
+        let s = KvServer::new();
+        let resp = s.handle_shared(&wire::get(9));
         assert_eq!(resp[0], 0x04);
         assert!(wire::decode_blob(&resp).is_none());
     }
 
     #[test]
     fn get_all_returns_everything_in_key_order() {
-        let mut s = KvServer::new();
-        s.handle(&wire::put(2, b"b"));
-        s.handle(&wire::put(1, b"a"));
-        let all = wire::decode_all(&s.handle(&wire::get_all())).unwrap();
+        let s = KvServer::new();
+        s.handle_shared(&wire::put(2, b"b"));
+        s.handle_shared(&wire::put(1, b"a"));
+        let all = wire::decode_all(&s.handle_shared(&wire::get_all())).unwrap();
         assert_eq!(all, vec![(1, b"a".to_vec()), (2, b"b".to_vec())]);
     }
 
     #[test]
     fn malformed_requests_are_errors() {
-        let mut s = KvServer::new();
-        assert_eq!(s.handle(&[])[0], 0x04);
-        assert_eq!(s.handle(&[0x01, 1])[0], 0x04);
-        assert_eq!(s.handle(&[0x09])[0], 0x04);
+        let s = KvServer::new();
+        assert_eq!(s.handle_shared(&[])[0], 0x04);
+        assert_eq!(s.handle_shared(&[0x01, 1])[0], 0x04);
+        assert_eq!(s.handle_shared(&[0x09])[0], 0x04);
     }
 
     #[test]
     fn put_overwrites() {
-        let mut s = KvServer::new();
-        s.handle(&wire::put(1, b"old"));
-        s.handle(&wire::put(1, b"new"));
-        assert_eq!(wire::decode_blob(&s.handle(&wire::get(1))).unwrap(), b"new");
+        let s = KvServer::new();
+        s.handle_shared(&wire::put(1, b"old"));
+        s.handle_shared(&wire::put(1, b"new"));
+        assert_eq!(
+            wire::decode_blob(&s.handle_shared(&wire::get(1))).unwrap(),
+            b"new"
+        );
         assert_eq!(s.len(), 1);
     }
 }

@@ -41,6 +41,7 @@ pub use trivial::TrivialScheme;
 
 use simcloud_core::CostReport;
 use simcloud_metric::{ObjectId, Vector};
+use simcloud_transport::Transport;
 
 /// A search answer: object id and true distance.
 pub type Neighbor = (ObjectId, f64);
@@ -96,6 +97,29 @@ pub trait SecureScheme {
     /// Whether `knn` is exact (EHI, trivial) or approximate (MPT via radius
     /// expansion is exact too; FDH is approximate).
     fn is_exact(&self) -> bool;
+}
+
+/// One request/response exchange of a scheme, with the transport's server
+/// time, communication time and bytes for it booked into `costs`.
+fn costed_round_trip(
+    transport: &mut impl Transport,
+    request: &[u8],
+    costs: &mut CostReport,
+) -> Result<Vec<u8>, SchemeError> {
+    let before = transport.stats();
+    let response = transport.round_trip(request)?;
+    costs.add_transport(&transport.stats().since(&before));
+    Ok(response)
+}
+
+/// The error frame every baseline server answers with:
+/// `0x04 u16 len utf8` (a message over `u16::MAX` bytes is cut to fit).
+fn error_frame(msg: &str) -> Vec<u8> {
+    let len = u16::try_from(msg.len()).unwrap_or(u16::MAX);
+    let mut out = vec![0x04];
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend(msg.bytes().take(usize::from(len)));
+    out
 }
 
 #[cfg(test)]

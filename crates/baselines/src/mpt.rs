@@ -21,6 +21,7 @@
 //! level 4 of §2.3) — at the cost the paper observes: weaker server-side
 //! pruning than the Encrypted M-Index's cell structure.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -28,9 +29,9 @@ use rand::SeedableRng;
 
 use simcloud_core::{CostReport, DistanceTransform, SecretKey};
 use simcloud_metric::{Metric, ObjectId, Vector};
-use simcloud_transport::{InProcessTransport, RequestHandler, Stopwatch, Transport};
+use simcloud_transport::{InProcessTransport, SharedRequestHandler, Stopwatch};
 
-use crate::{Neighbor, SchemeError, SecureScheme};
+use crate::{costed_round_trip, error_frame, Neighbor, SchemeError, SecureScheme};
 
 /// Server half: stores `(id, encrypted anchor distances, sealed object)`
 /// rows and filters by encrypted-interval containment.
@@ -45,28 +46,32 @@ use crate::{Neighbor, SchemeError, SecureScheme};
 /// ```
 #[derive(Debug, Default)]
 pub struct MptServer {
-    rows: Vec<(u64, Vec<f64>, Vec<u8>)>,
+    rows: Mutex<Vec<MptRow>>,
 }
 
-impl RequestHandler for MptServer {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        fn error(msg: &str) -> Vec<u8> {
-            let mut out = vec![0x04];
-            let b = msg.as_bytes();
-            out.extend_from_slice(&(b.len() as u16).to_le_bytes());
-            out.extend_from_slice(b);
-            out
-        }
+/// One stored row: id, encrypted anchor distances, sealed object.
+type MptRow = (u64, Vec<f64>, Vec<u8>);
+
+impl MptServer {
+    /// The stored rows; a poisoned lock is taken as is (each insert is one
+    /// push, so a panicked holder leaves no half-written row).
+    fn rows(&self) -> MutexGuard<'_, Vec<MptRow>> {
+        self.rows.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl SharedRequestHandler for MptServer {
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
         match request.first() {
             Some(0x01) => {
                 if request.len() < 11 {
-                    return error("short insert");
+                    return error_frame("short insert");
                 }
                 let id = u64::from_le_bytes(request[1..9].try_into().unwrap());
                 let m = u16::from_le_bytes([request[9], request[10]]) as usize;
                 let mut off = 11;
                 if request.len() < off + 8 * m + 4 {
-                    return error("insert truncated");
+                    return error_frame("insert truncated");
                 }
                 let mut enc_ds = Vec::with_capacity(m);
                 for _ in 0..m {
@@ -78,18 +83,18 @@ impl RequestHandler for MptServer {
                 let len = u32::from_le_bytes(request[off..off + 4].try_into().unwrap()) as usize;
                 off += 4;
                 if request.len() != off + len {
-                    return error("insert payload mismatch");
+                    return error_frame("insert payload mismatch");
                 }
-                self.rows.push((id, enc_ds, request[off..].to_vec()));
+                self.rows().push((id, enc_ds, request[off..].to_vec()));
                 vec![0x01]
             }
             Some(0x02) => {
                 if request.len() < 3 {
-                    return error("short filter");
+                    return error_frame("short filter");
                 }
                 let m = u16::from_le_bytes([request[1], request[2]]) as usize;
                 if request.len() != 3 + 16 * m {
-                    return error("filter size mismatch");
+                    return error_frame("filter size mismatch");
                 }
                 let mut intervals = Vec::with_capacity(m);
                 for i in 0..m {
@@ -101,7 +106,7 @@ impl RequestHandler for MptServer {
                 let mut out = vec![0x02];
                 let mut count = 0u32;
                 let mut body = Vec::new();
-                for (id, enc_ds, sealed) in &self.rows {
+                for (id, enc_ds, sealed) in self.rows().iter() {
                     if enc_ds.len() == m
                         && enc_ds
                             .iter()
@@ -118,7 +123,7 @@ impl RequestHandler for MptServer {
                 out.extend_from_slice(&body);
                 out
             }
-            _ => error("unknown op"),
+            _ => error_frame("unknown op"),
         }
     }
 }
@@ -178,18 +183,6 @@ impl<M: Metric<Vector>> MptScheme<M> {
         }
     }
 
-    fn transport_delta(
-        &mut self,
-        before: simcloud_transport::TransportStats,
-        costs: &mut CostReport,
-    ) {
-        let delta = self.transport.stats().since(&before);
-        costs.server += delta.server_time;
-        costs.communication += delta.comm_time;
-        costs.bytes_sent += delta.bytes_sent;
-        costs.bytes_received += delta.bytes_received;
-    }
-
     fn filter_request(&self, enc_intervals: &[(f64, f64)]) -> Vec<u8> {
         let mut req = vec![0x02];
         req.extend_from_slice(&(enc_intervals.len() as u16).to_le_bytes());
@@ -241,9 +234,7 @@ impl<M: Metric<Vector>> MptScheme<M> {
             })
             .collect();
         let req = self.filter_request(&intervals);
-        let before = self.transport.stats();
-        let resp = self.transport.round_trip(&req)?;
-        self.transport_delta(before, costs);
+        let resp = costed_round_trip(&mut self.transport, &req, costs)?;
         let cands = Self::decode_candidates(&resp)?;
         costs.candidates += cands.len() as u64;
         let mut dec = Stopwatch::new();
@@ -334,9 +325,7 @@ impl<M: Metric<Vector>> SecureScheme for MptScheme<M> {
             }
             req.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
             req.extend_from_slice(&sealed);
-            let before = self.transport.stats();
-            let resp = self.transport.round_trip(&req)?;
-            self.transport_delta(before, &mut costs);
+            let resp = costed_round_trip(&mut self.transport, &req, &mut costs)?;
             if resp != [0x01] {
                 return Err(SchemeError::Protocol("insert rejected".into()));
             }
@@ -451,7 +440,7 @@ mod tests {
 
     #[test]
     fn server_interval_filter_logic() {
-        let mut server = MptServer::default();
+        let server = MptServer::default();
         // insert row with enc distances [5.0, 10.0]
         let mut req = vec![0x01];
         req.extend_from_slice(&1u64.to_le_bytes());
@@ -459,7 +448,7 @@ mod tests {
         req.extend_from_slice(&5.0f64.to_le_bytes());
         req.extend_from_slice(&10.0f64.to_le_bytes());
         req.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(server.handle(&req), vec![0x01]);
+        assert_eq!(server.handle_shared(&req), vec![0x01]);
         // filter matching
         let mk_filter = |lo1: f64, hi1: f64, lo2: f64, hi2: f64| {
             let mut f = vec![0x02];
@@ -470,9 +459,9 @@ mod tests {
             f.extend_from_slice(&hi2.to_le_bytes());
             f
         };
-        let hit = server.handle(&mk_filter(4.0, 6.0, 9.0, 11.0));
+        let hit = server.handle_shared(&mk_filter(4.0, 6.0, 9.0, 11.0));
         assert_eq!(u32::from_le_bytes(hit[1..5].try_into().unwrap()), 1);
-        let miss = server.handle(&mk_filter(4.0, 6.0, 11.0, 12.0));
+        let miss = server.handle_shared(&mk_filter(4.0, 6.0, 11.0, 12.0));
         assert_eq!(u32::from_le_bytes(miss[1..5].try_into().unwrap()), 0);
     }
 }

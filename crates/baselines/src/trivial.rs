@@ -13,10 +13,10 @@ use rand::SeedableRng;
 
 use simcloud_core::{CostReport, SecretKey};
 use simcloud_metric::{Metric, ObjectId, Vector};
-use simcloud_transport::{InProcessTransport, Stopwatch, Transport};
+use simcloud_transport::{InProcessTransport, Stopwatch};
 
 use crate::kv::{wire, KvServer};
-use crate::{Neighbor, SchemeError, SecureScheme};
+use crate::{costed_round_trip, Neighbor, SchemeError, SecureScheme};
 
 /// Trivial download-everything scheme.
 pub struct TrivialScheme<M: Metric<Vector>> {
@@ -42,18 +42,6 @@ impl<M: Metric<Vector>> TrivialScheme<M> {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    fn take_transport_delta(
-        &mut self,
-        before: simcloud_transport::TransportStats,
-        costs: &mut CostReport,
-    ) {
-        let delta = self.transport.stats().since(&before);
-        costs.server += delta.server_time;
-        costs.communication += delta.comm_time;
-        costs.bytes_sent += delta.bytes_sent;
-        costs.bytes_received += delta.bytes_received;
-    }
 }
 
 impl<M: Metric<Vector>> SecureScheme for TrivialScheme<M> {
@@ -73,9 +61,8 @@ impl<M: Metric<Vector>> SecureScheme for TrivialScheme<M> {
                     .cipher()
                     .seal(&plain, self.key.mode(), &mut self.rng)
             });
-            let before = self.transport.stats();
-            let resp = self.transport.round_trip(&wire::put(id.0, &sealed))?;
-            self.take_transport_delta(before, &mut costs);
+            let resp =
+                costed_round_trip(&mut self.transport, &wire::put(id.0, &sealed), &mut costs)?;
             if !wire::is_put_ok(&resp) {
                 return Err(SchemeError::Protocol("put rejected".into()));
             }
@@ -88,9 +75,7 @@ impl<M: Metric<Vector>> SecureScheme for TrivialScheme<M> {
     fn knn(&mut self, q: &Vector, k: usize) -> Result<(Vec<Neighbor>, CostReport), SchemeError> {
         let mut costs = CostReport::default();
         let start = Instant::now();
-        let before = self.transport.stats();
-        let resp = self.transport.round_trip(&wire::get_all())?;
-        self.take_transport_delta(before, &mut costs);
+        let resp = costed_round_trip(&mut self.transport, &wire::get_all(), &mut costs)?;
         let blobs =
             wire::decode_all(&resp).ok_or_else(|| SchemeError::Protocol("bad get_all".into()))?;
         costs.candidates = blobs.len() as u64;

@@ -30,7 +30,7 @@ use simcloud_datasets::{Dataset, DatasetMetric, QueryWorkload};
 use simcloud_metric::PivotSelection;
 use simcloud_shard::{HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{serve_tcp_shared, tcp::TcpServerHandle, SharedRequestHandler, Transport};
+use simcloud_transport::{serve_tcp_shared, SharedRequestHandler, Transport};
 
 use crate::experiments::BULK;
 
@@ -170,11 +170,6 @@ pub enum SteadyServer {
 }
 
 impl SteadyServer {
-    /// Serves this server on a concurrent TCP loopback socket.
-    pub fn serve_tcp(&self) -> std::io::Result<TcpServerHandle> {
-        serve_tcp_shared(Arc::new(self.clone()))
-    }
-
     /// An in-process client sharing this server (one per query thread).
     pub fn client(
         &self,
@@ -406,7 +401,7 @@ pub fn steady_state_encrypted_tcp(
     k: usize,
     rounds: usize,
 ) -> SteadyState {
-    let handle = pre.server.serve_tcp().expect("tcp server");
+    let handle = serve_tcp_shared(Arc::new(pre.server.clone())).expect("tcp server");
     let mut client = connect_tcp(
         pre.key.clone(),
         pre.dataset.metric.clone(),

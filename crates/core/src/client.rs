@@ -16,7 +16,9 @@ use simcloud_transport::{RequestClass, Stopwatch, Transport, TransportError};
 
 use crate::costs::CostReport;
 use crate::key::SecretKey;
-use crate::protocol::{CandidateHeader, CandidateListView, Request, Response, SearchAnswerView};
+use crate::protocol::{
+    CandidateHeader, CandidateListView, FetchedObject, Request, Response, SearchAnswerView,
+};
 use crate::transform::DistanceTransform;
 
 /// A search answer: object id and true distance to the query.
@@ -267,18 +269,18 @@ impl Ord for WorstNeighbor {
     }
 }
 
-/// One query's suspended decrypt-on-demand refinement — the Alg. 2 loop of
-/// [`EncryptedClient::refine`] in resumable form.
+/// One query's suspended decrypt-on-demand refinement — the Alg. 2 loop in
+/// resumable form.
 ///
 /// `advance_refine` runs the exit-check / decrypt / rank loop until the
 /// candidate at the cursor has no payload staged and reports how far the
-/// stall's fetch should reach; the driver performs the phase-2 fetch — a
-/// solo query immediately, the batch driver after **coalescing every
-/// stalled sibling's plan into one [`Request::FetchObjects`] round trip**
-/// — and resumes. The task borrows the query vector and the response
-/// frame its candidate list was parsed from, never the client, so any
-/// number of tasks can be suspended while the client's transport is busy
-/// fetching for all of them.
+/// stall's fetch should reach; the one refine loop,
+/// [`EncryptedClient::refine_rounds`], **coalesces every stalled task's
+/// plan into one [`Request::FetchObjects`] round trip** and resumes them
+/// (a lone query is a one-task round). The task borrows the query vector
+/// and the response frame its candidate list was parsed from, never the
+/// client, so any number of tasks can be suspended while the client's
+/// transport is busy fetching for all of them.
 struct RefineTask<'a> {
     q: &'a Vector,
     goal: RefineGoal,
@@ -294,6 +296,8 @@ struct RefineTask<'a> {
     /// Next header position the loop will examine.
     cursor: usize,
     grown: usize,
+    /// Ids this task added to the current round's coalesced fetch.
+    awaiting: usize,
     decrypted: u64,
     bad: u64,
     first_bad: Option<ClientError>,
@@ -322,29 +326,79 @@ impl Slot<'_> {
     }
 }
 
-/// Which still-missing payload slots a stall's fetch should cover: up to
-/// `limit` missing positions starting at `from`, as (ids, positions).
-/// Shared by the solo fetch path and the batch coalescer so both request
-/// exactly the same ids for the same stall.
-fn plan_fetch(
-    headers: &[CandidateHeader],
-    payloads: &[Slot<'_>],
-    from: usize,
-    limit: usize,
-) -> (Vec<u64>, Vec<usize>) {
-    let limit = limit.max(1);
-    let mut ids = Vec::with_capacity(limit);
-    let mut positions = Vec::with_capacity(limit);
-    for (i, p) in payloads.iter().enumerate().skip(from) {
-        if p.is_missing() {
-            ids.push(headers[i].id);
+impl RefineTask<'_> {
+    /// Plans a stall's fetch into the round's coalesced request: up to
+    /// `limit` still-missing payload slots from `from` on, their ids
+    /// appended to `ids` and their positions to `positions`. Returns how
+    /// many it planned (also kept in `awaiting`). A task's plan depends on
+    /// its own slots only, so a stall asks for the same ids alone or
+    /// beside siblings.
+    fn plan_fetch(
+        &mut self,
+        from: usize,
+        limit: usize,
+        ids: &mut Vec<u64>,
+        positions: &mut Vec<usize>,
+    ) -> usize {
+        let limit = limit.max(1).min(self.payloads.len().saturating_sub(from));
+        ids.reserve(limit);
+        positions.reserve(limit);
+        let slots = self.headers.iter().zip(&self.payloads).enumerate();
+        let missing = slots.skip(from).filter(|(_, (_, p))| p.is_missing());
+        let before = positions.len();
+        for (i, (h, _)) in missing.take(limit) {
+            ids.push(h.id);
             positions.push(i);
-            if ids.len() == limit {
-                break;
+        }
+        self.awaiting = positions.len() - before;
+        self.awaiting
+    }
+
+    /// Stores this task's span of a coalesced fetch answer — `(object,
+    /// position)` pairs that must mirror the ids it planned, in order. The
+    /// whole span is consumed even past a mismatch, so the spans of the
+    /// tasks after it stay aligned.
+    fn take_fetched(
+        &mut self,
+        span: impl Iterator<Item = (FetchedObject, usize)>,
+    ) -> Result<(), ClientError> {
+        let mut mismatch = None;
+        for (obj, pos) in span {
+            let (Some(h), Some(slot)) = (self.headers.get(pos), self.payloads.get_mut(pos)) else {
+                continue;
+            };
+            if obj.id != h.id {
+                mismatch.get_or_insert_with(|| {
+                    ClientError::FetchMismatch(format!(
+                        "server answered id {} where {} was requested",
+                        obj.id, h.id
+                    ))
+                });
+            } else if mismatch.is_none() {
+                *slot = Slot::Fetched(obj.payload);
             }
         }
+        mismatch.map_or(Ok(()), Err)
     }
-    (ids, positions)
+}
+
+/// A refine slot's answer: [`EncryptedClient::refine_rounds`] settles every
+/// slot before it returns.
+fn settled(
+    outcome: Option<Result<Vec<Neighbor>, ClientError>>,
+) -> Result<Vec<Neighbor>, ClientError> {
+    outcome.unwrap_or_else(|| {
+        Err(ClientError::UnexpectedResponse(
+            "refinement never completed".into(),
+        ))
+    })
+}
+
+/// A request's `cand_size` on the wire. It saturates rather than wraps, so
+/// a size past `u32::MAX` reaches the server's header cap and is refused
+/// there instead of silently shrinking to its low 32 bits.
+fn wire_cand_size(cand_size: usize) -> u32 {
+    u32::try_from(cand_size).unwrap_or(u32::MAX)
 }
 
 /// Turns the server's typed failure answers into client errors.
@@ -485,11 +539,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             self.transport
                 .round_trip_with(&bytes, class, self.config.request_deadline)?;
         *rt_elapsed += rt_start.elapsed();
-        let delta = self.transport.stats().since(&before);
-        costs.server += delta.server_time;
-        costs.communication += delta.comm_time;
-        costs.bytes_sent += delta.bytes_sent;
-        costs.bytes_received += delta.bytes_received;
+        costs.add_transport(&self.transport.stats().since(&before));
         Ok(resp_bytes)
     }
 
@@ -719,57 +769,6 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         }
     }
 
-    /// Fetches the sealed payloads of up to `limit` still-missing
-    /// candidates starting at header position `from` — one phase-2
-    /// [`Request::FetchObjects`] round trip. The answer must mirror the
-    /// request exactly: same ids, same order, same count. Any deviation
-    /// (duplicates, never-requested ids, drops, reorders) is a
-    /// [`ClientError::FetchMismatch`]; payload *content* swaps behind
-    /// correct ids are caught later by the id-bound MAC.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_payloads(
-        &mut self,
-        headers: &[CandidateHeader],
-        payloads: &mut [Slot<'_>],
-        from: usize,
-        limit: usize,
-        costs: &mut CostReport,
-        rt_elapsed: &mut std::time::Duration,
-    ) -> Result<(), ClientError> {
-        let (ids, slots) = plan_fetch(headers, payloads, from, limit);
-        if ids.is_empty() {
-            return Ok(());
-        }
-        let resp = self.exchange(
-            &Request::FetchObjects { ids: ids.clone() },
-            costs,
-            rt_elapsed,
-        )?;
-        let objects = match resp {
-            Response::Objects(o) => o,
-            other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        };
-        if objects.len() != ids.len() {
-            return Err(ClientError::FetchMismatch(format!(
-                "{} objects for {} requested ids",
-                objects.len(),
-                ids.len()
-            )));
-        }
-        for ((obj, &want), &slot) in objects.into_iter().zip(&ids).zip(&slots) {
-            if obj.id != want {
-                return Err(ClientError::FetchMismatch(format!(
-                    "server answered id {} where {want} was requested",
-                    obj.id
-                )));
-            }
-            payloads[slot] = Slot::Fetched(obj.payload);
-        }
-        costs.fetched += ids.len() as u64;
-        costs.fetch_requests += 1;
-        Ok(())
-    }
-
     /// Phase-2 batch size at a stall on candidate position `stall`.
     ///
     /// Two regimes:
@@ -818,15 +817,26 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         batch
     }
 
-    /// Candidate refinement (Alg. 2 lines 12–15), decrypt-on-demand over a
-    /// two-phase candidate list.
+    /// Candidate refinement (Alg. 2 lines 12–15), decrypt-on-demand over
+    /// two-phase candidate lists — the client's only refine loop. It runs
+    /// every live task in `tasks` to its settled answer in the matching
+    /// slot of `outcomes`; a lone query ([`Self::knn_approx`],
+    /// [`Self::range`]) is a one-slot call, a batch passes all its queries.
     ///
     /// Candidates are processed in wire order; payloads beyond the inlined
     /// phase-1 prefix are pulled with [`Request::FetchObjects`] in adaptive
     /// batches (heuristic `α·k` + geometric growth while the top-k heap
     /// fills, then bound-guided — see [`Self::fetch_batch_size`]) **inside**
     /// the same loop, so phase 2 only ever runs when the early exit has not
-    /// fired.
+    /// fired. Tasks run in **rounds**: every live task advances to its next
+    /// stall (or to its end), the stalled tasks' fetch plans go out as ONE
+    /// round trip, and each task takes its span of the answer. A task's
+    /// decisions — which candidates it decrypts, which ids it fetches —
+    /// depend on its own list only, so answers and `fetched`/`decrypted`
+    /// counts are the same alone or in a batch; only the round-trip count
+    /// of a batch drops from the sum of its queries' fetches to the number
+    /// of rounds.
+    ///
     /// When lazy refinement is enabled the loop stops as soon as the
     /// *minimum remaining* lower bound (a suffix-min pre-pass, so a
     /// mis-sorted or malicious server can cost performance but never
@@ -851,31 +861,117 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// skipping would let a malicious server censor chosen neighbors
     /// undetected. Every unseal verifies the payload against its candidate
     /// id (MAC associated data), so payloads swapped between ids abort too.
+    /// Such a failure, and a fetch answer that deviates from a task's ids,
+    /// settles that task's slot only; a transport failure or a fetch answer
+    /// of the wrong shape or count fails the whole call.
     ///
-    /// The loop is timed as one phase into `costs.decryption`, with the
-    /// wall time spent inside phase-2 round trips subtracted — transport
+    /// Each task's loop is timed as one phase into `costs.decryption`, with
+    /// the wall time spent inside phase-2 round trips excluded — transport
     /// time is accounted where it always was, in `server`/`communication`
     /// via the exchange deltas.
-    fn refine(
+    fn refine_rounds(
+        &mut self,
+        tasks: &mut [Option<RefineTask<'_>>],
+        outcomes: &mut [Option<Result<Vec<Neighbor>, ClientError>>],
+        costs: &mut CostReport,
+        rt_elapsed: &mut Duration,
+    ) -> Result<(), ClientError> {
+        loop {
+            let (mut ids, mut positions) = (Vec::new(), Vec::new());
+            for (slot, outcome) in tasks.iter_mut().zip(outcomes.iter_mut()) {
+                let Some(task) = slot.as_mut() else {
+                    continue;
+                };
+                let settled = match self.advance_refine(task) {
+                    Ok(Some((from, limit))) => {
+                        if task.plan_fetch(from, limit, &mut ids, &mut positions) > 0 {
+                            continue;
+                        }
+                        // A stall always names a missing payload, so the
+                        // plan is never empty; fold a violation into the
+                        // slot rather than looping forever.
+                        Err(ClientError::UnexpectedResponse(
+                            "refinement stalled with nothing to fetch".into(),
+                        ))
+                    }
+                    Ok(None) => match slot.take() {
+                        Some(task) => self.settle_refine(task, costs),
+                        None => continue,
+                    },
+                    // Tampering/key mismatch settles this slot only: a
+                    // malicious answer for one query must not censor its
+                    // siblings' results.
+                    Err(e) => Err(e),
+                };
+                *slot = None;
+                *outcome = Some(settled);
+            }
+            if ids.is_empty() {
+                return Ok(());
+            }
+            // One coalesced phase-2 round trip for every stalled task. The
+            // answer must mirror the concatenated id list exactly: the
+            // count is checked here, each task's span by `take_fetched`.
+            let requested = ids.len();
+            let objects = match self.exchange(&Request::FetchObjects { ids }, costs, rt_elapsed)? {
+                Response::Objects(o) => o,
+                other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
+            };
+            if objects.len() != requested {
+                return Err(ClientError::FetchMismatch(format!(
+                    "{} objects for {requested} requested ids",
+                    objects.len(),
+                )));
+            }
+            costs.fetch_requests += 1;
+            let mut supplied = objects.into_iter().zip(positions);
+            for (slot, outcome) in tasks.iter_mut().zip(outcomes.iter_mut()) {
+                let Some(task) = slot.as_mut() else {
+                    continue;
+                };
+                let planned = std::mem::take(&mut task.awaiting);
+                match task.take_fetched(supplied.by_ref().take(planned)) {
+                    Ok(()) => costs.fetched += planned as u64,
+                    Err(e) => {
+                        *slot = None;
+                        *outcome = Some(Err(e));
+                    }
+                }
+            }
+        }
+    }
+
+    /// One search operation: query–pivot distances, the request `request`
+    /// builds from them, and refinement of the answer's candidate list as
+    /// a one-slot [`Self::refine_rounds`] call toward `goal`.
+    fn search(
         &mut self,
         q: &Vector,
-        list: CandidateListView<'_>,
-        costs: &mut CostReport,
         goal: RefineGoal,
-        rt_elapsed: &mut std::time::Duration,
-    ) -> Result<Vec<Neighbor>, ClientError> {
-        let mut task = self.start_refine(q, list, costs, goal);
-        while let Some((from, limit)) = self.advance_refine(&mut task)? {
-            self.fetch_payloads(
-                &task.headers,
-                &mut task.payloads,
-                from,
-                limit,
-                costs,
-                rt_elapsed,
-            )?;
-        }
-        self.settle_refine(task, costs)
+        request: impl FnOnce(&Self, &[f64]) -> Request,
+    ) -> Result<(Vec<Neighbor>, CostReport), ClientError> {
+        let mut costs = CostReport::default();
+        let mut rt_elapsed = Duration::ZERO;
+        let op_start = Instant::now();
+        let mut dist = Stopwatch::new();
+        let before_dc = self.metric.count();
+
+        let ds = dist.time(|| self.key.pivot_distances(self.metric.as_ref(), q));
+        costs.distance = dist.total();
+        let frame = self.exchange_frame(&request(self, &ds), &mut costs, &mut rt_elapsed)?;
+        let candidates = match search_answer(&frame)? {
+            SearchAnswerView::List(list) => list,
+            other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
+        };
+        let mut tasks = [Some(self.start_refine(q, candidates, &mut costs, goal))];
+        let mut outcomes = [None];
+        self.refine_rounds(&mut tasks, &mut outcomes, &mut costs, &mut rt_elapsed)?;
+        let [outcome] = outcomes;
+        let result = settled(outcome)?;
+        costs.distance_computations = self.metric.count() - before_dc;
+        costs.client = op_start.elapsed().saturating_sub(rt_elapsed);
+        self.total.merge(&costs);
+        Ok((result, costs))
     }
 
     /// Opens a [`RefineTask`] over a phase-1 candidate list: counts the
@@ -928,6 +1024,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             heap: BinaryHeap::new(),
             cursor: 0,
             grown: 0,
+            awaiting: 0,
             decrypted: 0,
             bad: 0,
             first_bad: None,
@@ -937,11 +1034,10 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
 
     /// Resumes a task's refinement loop. Returns `Ok(Some((from, limit)))`
     /// when the loop needs payloads it does not hold — the stall's fetch
-    /// plan, exactly what the pre-refactor loop passed to
-    /// [`Self::fetch_payloads`] — and `Ok(None)` when the task ran to its
-    /// early exit or the end of the candidate list. An `Err` (tampering /
-    /// key mismatch) abandons the task: like the pre-refactor early
-    /// return, none of its counters reach the cost report.
+    /// plan, for [`RefineTask::plan_fetch`] — and `Ok(None)` when the task
+    /// ran to its early exit or the end of the candidate list. An `Err`
+    /// (tampering / key mismatch) abandons the task: none of its counters
+    /// reach the cost report.
     fn advance_refine(
         &self,
         task: &mut RefineTask<'_>,
@@ -1104,44 +1200,21 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         if self.config.strategy != RoutingStrategy::Distances {
             return Err(ClientError::NeedsDistances);
         }
-        let mut costs = CostReport::default();
-        let mut rt_elapsed = std::time::Duration::ZERO;
-        let op_start = Instant::now();
-        let mut dist = Stopwatch::new();
-        let before_dc = self.metric.count();
-
-        let ds = dist.time(|| self.key.pivot_distances(self.metric.as_ref(), q));
-        let (wire_ds, wire_radius) = match &self.config.transform {
-            Some(t) => (t.apply_all(&ds), t.server_radius(radius)),
-            None => (ds.clone(), radius),
+        let wire_radius = self.to_wire_distance(radius);
+        let goal = RefineGoal::Within {
+            radius,
+            wire_radius,
         };
         // Full f64 on the wire: the server prunes with exactly the values
         // the client refines with, so objects at distance exactly `radius`
         // survive (the paper's *precise* range guarantee).
-        let request = Request::Range {
-            distances: wire_ds,
-            radius: wire_radius,
-        };
-        let frame = self.exchange_frame(&request, &mut costs, &mut rt_elapsed)?;
-        let candidates = match search_answer(&frame)? {
-            SearchAnswerView::List(list) => list,
-            other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        };
-        costs.distance = dist.total();
-        let result = self.refine(
-            q,
-            candidates,
-            &mut costs,
-            RefineGoal::Within {
-                radius,
-                wire_radius,
+        self.search(q, goal, |client, ds| Request::Range {
+            distances: match &client.config.transform {
+                Some(t) => t.apply_all(ds),
+                None => ds.to_vec(),
             },
-            &mut rt_elapsed,
-        )?;
-        costs.distance_computations = self.metric.count() - before_dc;
-        costs.client = op_start.elapsed().saturating_sub(rt_elapsed);
-        self.total.merge(&costs);
-        Ok((result, costs))
+            radius: wire_radius,
+        })
     }
 
     /// Approximate k-NN (Alg. 2 approximate branch + Alg. 4 on the server):
@@ -1153,35 +1226,10 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         k: usize,
         cand_size: usize,
     ) -> Result<(Vec<Neighbor>, CostReport), ClientError> {
-        let mut costs = CostReport::default();
-        let mut rt_elapsed = std::time::Duration::ZERO;
-        let op_start = Instant::now();
-        let mut dist = Stopwatch::new();
-        let before_dc = self.metric.count();
-
-        let ds = dist.time(|| self.key.pivot_distances(self.metric.as_ref(), q));
-        let routing = self.routing_for(&ds);
-        let request = Request::ApproxKnn {
-            routing,
-            cand_size: cand_size as u32,
-        };
-        let frame = self.exchange_frame(&request, &mut costs, &mut rt_elapsed)?;
-        let candidates = match search_answer(&frame)? {
-            SearchAnswerView::List(list) => list,
-            other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        };
-        costs.distance = dist.total();
-        let result = self.refine(
-            q,
-            candidates,
-            &mut costs,
-            RefineGoal::TopK(k),
-            &mut rt_elapsed,
-        )?;
-        costs.distance_computations = self.metric.count() - before_dc;
-        costs.client = op_start.elapsed().saturating_sub(rt_elapsed);
-        self.total.merge(&costs);
-        Ok((result, costs))
+        self.search(q, RefineGoal::TopK(k), |client, ds| Request::ApproxKnn {
+            routing: client.routing_for(ds),
+            cand_size: wire_cand_size(cand_size),
+        })
     }
 
     /// Approximate k-NN for a whole batch of queries in **one round trip**
@@ -1232,7 +1280,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                     });
                     crate::protocol::KnnQuery {
                         routing: self.routing_for(scratch.distances()),
-                        cand_size: cand_size as u32,
+                        cand_size: wire_cand_size(cand_size),
                     }
                 })
                 .collect();
@@ -1249,148 +1297,23 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                 }
                 other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
             };
-            // Open one refinement task per successful slot; failed slots
-            // settle immediately. Tasks then run in **rounds**: every task
-            // advances to its next stall (or to completion), the stalled
-            // tasks' fetch plans are concatenated into ONE phase-2
-            // `FetchObjects` round trip, the answer is split back per task,
-            // and the next round begins. Each task's decision sequence —
-            // which candidates it decrypts, which ids it fetches — is
-            // exactly the solo path's, so `fetched`/`decrypted` accounting
-            // is unchanged; only the round-trip count drops.
-            let mut tasks: Vec<Option<RefineTask<'_>>> = Vec::with_capacity(chunk.len());
-            let mut outcomes: Vec<Option<Result<Vec<Neighbor>, ClientError>>> =
-                Vec::with_capacity(chunk.len());
-            for (q, per_query) in chunk.iter().zip(sets) {
-                match per_query {
-                    Ok(list) => {
-                        tasks.push(Some(self.start_refine(
-                            q,
-                            list,
-                            &mut costs,
-                            RefineGoal::TopK(k),
-                        )));
-                        outcomes.push(None);
-                    }
-                    Err(msg) => {
-                        tasks.push(None);
-                        outcomes.push(Some(Err(ClientError::Server(msg))));
-                    }
-                }
-            }
-            loop {
-                // Advance every live task; collect the stalled ones' plans.
-                let mut plans: Vec<(usize, Vec<u64>, Vec<usize>)> = Vec::new();
-                for si in 0..tasks.len() {
-                    let Some(task) = tasks[si].as_mut() else {
-                        continue;
-                    };
-                    match self.advance_refine(task) {
-                        // Tampering/key mismatch aborts this slot only — a
-                        // malicious answer for one query must not censor
-                        // its siblings' results.
-                        Err(e) => {
-                            tasks[si] = None;
-                            outcomes[si] = Some(Err(e));
-                        }
-                        Ok(None) => {
-                            // PANIC-SAFE: `as_mut` above proved the slot is occupied.
-                            let task = tasks[si].take().expect("task just advanced");
-                            outcomes[si] = Some(self.settle_refine(task, &mut costs));
-                        }
-                        Ok(Some((from, limit))) => {
-                            let (ids, positions) =
-                                plan_fetch(&task.headers, &task.payloads, from, limit);
-                            // A stall always names a missing payload, so the
-                            // plan is never empty; fold a violation into the
-                            // slot rather than looping forever.
-                            if ids.is_empty() {
-                                tasks[si] = None;
-                                outcomes[si] = Some(Err(ClientError::UnexpectedResponse(
-                                    "refinement stalled with nothing to fetch".into(),
-                                )));
-                            } else {
-                                plans.push((si, ids, positions));
-                            }
-                        }
-                    }
-                }
-                if plans.is_empty() {
-                    break;
-                }
-                // One coalesced phase-2 round trip for every stalled
-                // sibling. The server's answer must mirror the
-                // concatenated id list exactly; the total count is checked
-                // here, per-id order per task below.
-                let all_ids: Vec<u64> = plans
-                    .iter()
-                    .flat_map(|(_, ids, _)| ids.iter().copied())
-                    .collect();
-                let total = all_ids.len();
-                let resp = self.exchange(
-                    &Request::FetchObjects { ids: all_ids },
-                    &mut costs,
-                    &mut rt_elapsed,
-                )?;
-                let objects = match resp {
-                    Response::Objects(o) => o,
-                    other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-                };
-                if objects.len() != total {
-                    return Err(ClientError::FetchMismatch(format!(
-                        "{} objects for {total} requested ids",
-                        objects.len(),
-                    )));
-                }
-                costs.fetch_requests += 1;
-                let mut supplied = objects.into_iter();
-                for (si, ids, positions) in plans {
-                    let mut mismatch: Option<ClientError> = None;
-                    for (&want, &pos) in ids.iter().zip(&positions) {
-                        // Consume this plan's span of the concatenated
-                        // answer fully even after a mismatch, so later
-                        // plans stay aligned.
-                        let Some(obj) = supplied.next() else {
-                            // Unreachable: the total count was checked.
-                            mismatch.get_or_insert(ClientError::FetchMismatch(
-                                "fetch answer exhausted mid-batch".into(),
-                            ));
-                            continue;
-                        };
-                        if mismatch.is_some() {
-                            continue;
-                        }
-                        if obj.id != want {
-                            mismatch = Some(ClientError::FetchMismatch(format!(
-                                "server answered id {} where {want} was requested",
-                                obj.id
-                            )));
-                            continue;
-                        }
-                        if let Some(task) = tasks[si].as_mut() {
-                            task.payloads[pos] = Slot::Fetched(obj.payload);
-                        }
-                    }
-                    match mismatch {
-                        Some(e) => {
-                            tasks[si] = None;
-                            outcomes[si] = Some(Err(e));
-                        }
-                        None => costs.fetched += ids.len() as u64,
-                    }
-                }
-            }
-            results.extend(outcomes.into_iter().map(|o| {
-                // Every slot settled: the round loop only exits when no
-                // task is live.
-                o.unwrap_or_else(|| {
-                    Err(ClientError::UnexpectedResponse(
-                        "refinement never completed".into(),
-                    ))
+            // One refinement task per successful slot; failed slots settle
+            // at once. `refine_rounds` then coalesces the tasks' fetches.
+            let (mut tasks, mut outcomes): (Vec<_>, Vec<_>) = chunk
+                .iter()
+                .zip(sets)
+                .map(|(q, per_query)| match per_query {
+                    Ok(list) => (
+                        Some(self.start_refine(q, list, &mut costs, RefineGoal::TopK(k))),
+                        None,
+                    ),
+                    Err(msg) => (None, Some(Err(ClientError::Server(msg)))),
                 })
-            }));
+                .unzip();
+            self.refine_rounds(&mut tasks, &mut outcomes, &mut costs, &mut rt_elapsed)?;
+            results.extend(outcomes.into_iter().map(settled));
         }
-        // `costs.distance` covers only the query–pivot phase; refine()'s
+        // `costs.distance` covers only the query–pivot phase; the refine
         // loop time (including its metric evaluations) lands in
         // `costs.decryption` as one phase.
         costs.distance += dist.total();
@@ -1411,15 +1334,14 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         if self.config.strategy != RoutingStrategy::Distances {
             return Err(ClientError::NeedsDistances);
         }
-        let seed_cand = (4 * k).max(32);
+        let seed_cand = k.saturating_mul(4).max(32);
         let (approx, mut costs) = self.knn_approx(q, k, seed_cand)?;
-        let rho_k = if approx.len() >= k {
-            approx[k - 1].1
-        } else {
-            match approx.last() {
-                Some(x) => x.1,
-                None => return Ok((Vec::new(), costs)),
-            }
+        // The approximate answer holds at most `k` neighbors, sorted, so
+        // its last is the k-th (or the farthest there is). None — `k = 0`
+        // or an empty collection — leaves nothing to complete.
+        let rho_k = match approx.last() {
+            Some(x) => x.1,
+            None => return Ok((Vec::new(), costs)),
         };
         let (mut in_ball, range_costs) = self.range(q, rho_k)?;
         costs.merge(&range_costs);

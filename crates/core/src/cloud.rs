@@ -6,12 +6,13 @@
 //! [`over_tcp`] runs the server on a real TCP loopback socket in its own
 //! thread, like the original MESSIF prototype.
 //!
-//! The *concurrent* serving mode shares one `Arc`'d server among any
-//! number of clients: [`client_for`] wires additional in-process clients
-//! (each thread gets its own) to any shared-read handler, single or
-//! sharded server alike; [`serve_tcp_shared`] accepts TCP connections
-//! without serializing requests; and [`connect_tcp`] attaches further
-//! authorized clients to a running server.
+//! Every server answers through the transport's one `&self` handler
+//! trait, so one `Arc`'d server is shared among any number of clients:
+//! [`client_for`] wires additional in-process clients (each thread gets
+//! its own) to any handler, single or sharded server alike;
+//! [`serve_tcp_shared`] accepts TCP connections without serializing
+//! requests; and [`connect_tcp`] attaches further authorized clients to a
+//! running server.
 
 use std::sync::Arc;
 
@@ -19,8 +20,8 @@ use simcloud_metric::{Metric, Vector};
 use simcloud_mindex::{MIndexConfig, MIndexError};
 use simcloud_storage::BucketStore;
 use simcloud_transport::{
-    serve_tcp_shared, InProcessTransport, NetworkModel, Shared, SharedRequestHandler,
-    TcpClientConfig, TcpTransport,
+    serve_tcp_shared, InProcessTransport, NetworkModel, SharedRequestHandler, TcpClientConfig,
+    TcpTransport,
 };
 
 use crate::client::{ClientConfig, EncryptedClient};
@@ -98,7 +99,7 @@ where
 /// A client sharing an `Arc`'d in-process server `H` — a [`CloudServer`],
 /// a sharded server, any shared-read handler — with other clients
 /// (typically one such client per query thread).
-pub type SharedCloud<M, H> = EncryptedClient<M, InProcessTransport<Shared<Arc<H>>>>;
+pub type SharedCloud<M, H> = EncryptedClient<M, InProcessTransport<Arc<H>>>;
 
 /// Wires an in-process client to an *existing shared* server with the
 /// default loopback model. Every thread of a concurrent workload builds its
@@ -128,7 +129,7 @@ where
     M: Metric<Vector>,
     H: SharedRequestHandler,
 {
-    let transport = InProcessTransport::with_model(Shared(server), model);
+    let transport = InProcessTransport::with_model(server, model);
     EncryptedClient::new(key, metric, transport, client_config)
 }
 

@@ -8,6 +8,8 @@
 
 use std::time::Duration;
 
+use simcloud_transport::TransportStats;
+
 /// Cost components of one or more client operations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostReport {
@@ -87,6 +89,15 @@ impl CostReport {
         self.bad_candidates += other.bad_candidates;
         self.fetched += other.fetched;
         self.fetch_requests += other.fetch_requests;
+    }
+
+    /// Books a transport-stats delta (one or more round trips): its server
+    /// time, communication time and bytes in both directions.
+    pub fn add_transport(&mut self, delta: &TransportStats) {
+        self.server += delta.server_time;
+        self.communication += delta.comm_time;
+        self.bytes_sent += delta.bytes_sent;
+        self.bytes_received += delta.bytes_received;
     }
 
     /// Divides all components by `n` (average over a query batch — the

@@ -11,10 +11,10 @@
 //! 1-shard case) and `simcloud_shard::ShardedMIndex` (N shards,
 //! scatter-gather).
 //!
-//! The engine implements both handler traits of the transport layer: the
-//! classic `&mut self` [`RequestHandler`] and the *shared-read*
-//! [`SharedRequestHandler`], so one `Arc`'d server can answer any number of
-//! concurrent client connections (paper §4.4 serves independent clients).
+//! The engine implements the transport layer's one handler trait,
+//! [`SharedRequestHandler`], over `&self`, so one `Arc`'d server answers any
+//! number of concurrent client connections (paper §4.4 serves independent
+//! clients).
 //! All locking lives inside the index; all statistics live in
 //! atomics/locks, so the whole request path needs only `&self`. The server
 //! holds **no key material** — compromising it yields sealed payloads and
@@ -27,7 +27,7 @@ use simcloud_mindex::{
 };
 use simcloud_storage::BucketStore;
 use simcloud_telemetry::Trace;
-use simcloud_transport::{RequestHandler, SharedRequestHandler};
+use simcloud_transport::SharedRequestHandler;
 
 use crate::protocol::{
     Candidate, CandidateHeader, CandidateList, FetchedObject, Request, Response, StagedList,
@@ -704,14 +704,6 @@ impl<I: SearchIndex> SharedRequestHandler for ServerEngine<I> {
     }
 }
 
-/// `&mut self` adapter so existing single-threaded call sites (in-process
-/// transports, tests) keep working unchanged.
-impl<I: SearchIndex> RequestHandler for ServerEngine<I> {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self.handle_shared(request)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,8 +777,8 @@ mod tests {
 
     #[test]
     fn knn_via_bytes_round_trip() {
-        let mut s = server();
-        s.handle(
+        let s = server();
+        s.handle_shared(
             &Request::Insert(vec![
                 entry(1, &[0.1, 0.5, 0.9]),
                 entry(2, &[0.2, 0.6, 0.8]),
@@ -794,7 +786,7 @@ mod tests {
             ])
             .encode(),
         );
-        let resp_bytes = s.handle(
+        let resp_bytes = s.handle_shared(
             &Request::ApproxKnn {
                 routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
                 cand_size: 2,
@@ -815,8 +807,8 @@ mod tests {
 
     #[test]
     fn malformed_request_yields_error_response() {
-        let mut s = server();
-        let resp = Response::decode(&s.handle(&[0xFF, 0x00])).unwrap();
+        let s = server();
+        let resp = Response::decode(&s.handle_shared(&[0xFF, 0x00])).unwrap();
         assert!(matches!(resp, Response::Error(_)));
     }
 

@@ -26,8 +26,8 @@ use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{
-    serve_tcp, serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript, RetryPolicy,
-    ServeOptions, SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
+    serve_tcp_shared, serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript,
+    RetryPolicy, ServeOptions, SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
 };
 
 const PIVOTS: usize = 4;
@@ -496,7 +496,7 @@ fn tampered_fetch_answers_abort_without_retry() {
         }
         resp_bytes
     };
-    let handle = serve_tcp(tamper).unwrap();
+    let handle = serve_tcp_shared(Arc::new(tamper)).unwrap();
 
     let mut client = faulty_client(&key, handle.addr(), FaultScript::quiet());
     match client.knn_approx(&objects[0].1, 5, 12) {

@@ -163,6 +163,68 @@ fn encrypted_precise_knn_is_exact() {
     }
 }
 
+/// A loaded distance-routing deployment of `n` random objects.
+fn loaded_cloud(
+    n: usize,
+    seed: u64,
+) -> (Vec<Vector>, simcloud_core::InProcessCloud<L2, MemoryStore>) {
+    let data = random_data(n, 3, seed);
+    let (key, _) = SecretKey::generate(&data, 6, &L2, PivotSelection::Random, seed + 1);
+    let mut cloud = in_process(
+        key,
+        L2,
+        config(6, RoutingStrategy::Distances),
+        MemoryStore::new(),
+        ClientConfig::distances(),
+    )
+    .unwrap()
+    .with_rng_seed(seed + 2);
+    let objs: Vec<(ObjectId, Vector)> = data
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (ObjectId(i as u64), v.clone()))
+        .collect();
+    cloud.insert_bulk(&objs).unwrap();
+    (data, cloud)
+}
+
+/// `k = 0` asks for nothing: the precise path answers with an empty list
+/// instead of indexing the k-th neighbor of an empty approximate answer.
+#[test]
+fn precise_knn_with_zero_k_is_empty() {
+    let (data, mut cloud) = loaded_cloud(120, 25);
+    let (got, costs) = cloud.knn_precise(&data[4], 0).unwrap();
+    assert!(got.is_empty());
+    assert_eq!(costs.decrypted, 0, "k = 0 needs no decryption");
+}
+
+/// A `cand_size` past `u32::MAX` must not wrap to its low 32 bits (here a
+/// 5-candidate query): it saturates, so the server refuses it at its
+/// header cap — for a single query and for each slot of a batch.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn oversized_cand_size_is_refused_not_wrapped() {
+    use simcloud_core::ClientError;
+
+    let (data, mut cloud) = loaded_cloud(120, 27);
+    let wraps_to_five = (1usize << 32) + 5;
+    match cloud.knn_approx(&data[4], 3, wraps_to_five) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("header response cap"), "{msg}"),
+        other => panic!("expected a server refusal, got {other:?}"),
+    }
+    let (answers, _) = cloud
+        .knn_approx_batch(&data[..2], 3, wraps_to_five)
+        .unwrap();
+    for answer in &answers {
+        match answer {
+            Err(ClientError::Server(msg)) => {
+                assert!(msg.contains("header response cap"), "{msg}");
+            }
+            other => panic!("expected a per-slot server refusal, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn permutation_strategy_full_candidates_reach_full_recall() {
     let data = random_data(200, 4, 31);
@@ -300,8 +362,8 @@ fn unauthorized_client_gets_garbage() {
     // Direct protocol-level probe: candidates come back sealed; the
     // attacker cannot decrypt them.
     use simcloud_core::protocol::{Request, Response};
-    use simcloud_transport::RequestHandler;
-    let mut probe = simcloud_core::CloudServer::new(cfg, MemoryStore::new()).unwrap();
+    use simcloud_transport::SharedRequestHandler;
+    let probe = simcloud_core::CloudServer::new(cfg, MemoryStore::new()).unwrap();
     // fill the probe server with owner-sealed entries
     let mut owner_cloud = in_process(
         owner_key.clone(),
@@ -325,7 +387,7 @@ fn unauthorized_client_gets_garbage() {
     assert!(!res.is_empty());
     drop(t);
 
-    let bytes = probe.handle(&all.encode());
+    let bytes = probe.handle_shared(&all.encode());
     match Response::decode(&bytes).unwrap() {
         Response::CandidateList(list) => {
             assert!(list.headers.is_empty(), "probe server is empty");

@@ -324,12 +324,12 @@ fn permutation_strategy_gates_lazy_mode() {
 fn missorted_candidates_cost_speed_not_correctness() {
     use simcloud_core::protocol::Response;
     use simcloud_core::EncryptedClient;
-    use simcloud_transport::{InProcessTransport, RequestHandler};
+    use simcloud_transport::{InProcessTransport, SharedRequestHandler};
 
     struct Reverser<H>(H);
-    impl<H: RequestHandler> RequestHandler for Reverser<H> {
-        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-            let resp = self.0.handle(request);
+    impl<H: SharedRequestHandler> SharedRequestHandler for Reverser<H> {
+        fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+            let resp = self.0.handle_shared(request);
             match Response::decode(&resp) {
                 // Reverse headers and payloads together: candidates keep
                 // their own payloads but arrive worst-bound-first.
@@ -390,12 +390,12 @@ fn missorted_candidates_cost_speed_not_correctness() {
 fn nan_bounds_force_decryption_not_wrong_answers() {
     use simcloud_core::protocol::Response;
     use simcloud_core::EncryptedClient;
-    use simcloud_transport::{InProcessTransport, RequestHandler};
+    use simcloud_transport::{InProcessTransport, SharedRequestHandler};
 
     struct NanBounds<H>(H);
-    impl<H: RequestHandler> RequestHandler for NanBounds<H> {
-        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-            let resp = self.0.handle(request);
+    impl<H: SharedRequestHandler> SharedRequestHandler for NanBounds<H> {
+        fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+            let resp = self.0.handle_shared(request);
             match Response::decode(&resp) {
                 Ok(Response::CandidateList(mut list)) => {
                     for h in &mut list.headers {
@@ -631,7 +631,7 @@ fn decrypted_count_is_budget_invariant() {
 fn malicious_fetch_answers_are_detected() {
     use simcloud_core::protocol::Response;
     use simcloud_core::{ClientError, EncryptedClient};
-    use simcloud_transport::{InProcessTransport, RequestHandler};
+    use simcloud_transport::{InProcessTransport, SharedRequestHandler};
 
     /// What the wrapper does to a phase-2 `Objects` answer.
     #[derive(Clone, Copy)]
@@ -646,9 +646,9 @@ fn malicious_fetch_answers_are_detected() {
         inner: H,
         attack: Attack,
     }
-    impl<H: RequestHandler> RequestHandler for Tamperer<H> {
-        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-            let resp = self.inner.handle(request);
+    impl<H: SharedRequestHandler> SharedRequestHandler for Tamperer<H> {
+        fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+            let resp = self.inner.handle_shared(request);
             match Response::decode(&resp) {
                 Ok(Response::Objects(mut objs)) if objs.len() >= 2 => {
                     match self.attack {
@@ -726,12 +726,12 @@ fn malicious_fetch_answers_are_detected() {
 fn batch_per_query_error_spares_siblings() {
     use simcloud_core::protocol::Response;
     use simcloud_core::{ClientError, EncryptedClient};
-    use simcloud_transport::{InProcessTransport, RequestHandler};
+    use simcloud_transport::{InProcessTransport, SharedRequestHandler};
 
     struct FailSecond<H>(H);
-    impl<H: RequestHandler> RequestHandler for FailSecond<H> {
-        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-            let resp = self.0.handle(request);
+    impl<H: SharedRequestHandler> SharedRequestHandler for FailSecond<H> {
+        fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+            let resp = self.0.handle_shared(request);
             match Response::decode(&resp) {
                 Ok(Response::CandidateSets(mut sets)) if sets.len() >= 2 => {
                     sets[1] = Err("injected storage failure".into());

@@ -265,8 +265,8 @@ proptest! {
     fn server_survives_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         use simcloud_mindex::{MIndexConfig, RoutingStrategy};
         use simcloud_storage::MemoryStore;
-        use simcloud_transport::RequestHandler;
-        let mut server = simcloud_core::CloudServer::new(
+        use simcloud_transport::SharedRequestHandler;
+        let server = simcloud_core::CloudServer::new(
             MIndexConfig {
                 num_pivots: 4,
                 max_level: 2,
@@ -276,7 +276,7 @@ proptest! {
             MemoryStore::new(),
         )
         .unwrap();
-        let resp = server.handle(&bytes);
+        let resp = server.handle_shared(&bytes);
         // The response must itself be decodable.
         prop_assert!(Response::decode(&resp).is_ok());
     }

@@ -15,7 +15,7 @@ use simcloud_core::protocol::{Request, Response};
 use simcloud_core::{ServerConfig, ServerEngine, ServerTelemetry};
 use simcloud_mindex::{MIndexConfig, MIndexError, SearchStats};
 use simcloud_storage::BucketStore;
-use simcloud_transport::{RequestHandler, SharedRequestHandler};
+use simcloud_transport::SharedRequestHandler;
 
 use crate::index::ShardedMIndex;
 use crate::router::ShardRouter;
@@ -100,14 +100,6 @@ impl<S: BucketStore> ShardedCloudServer<S> {
 
 impl<S: BucketStore> SharedRequestHandler for ShardedCloudServer<S> {
     fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
-        self.0.handle_shared(request)
-    }
-}
-
-/// `&mut self` adapter for single-threaded call sites (in-process
-/// transports, tests).
-impl<S: BucketStore> RequestHandler for ShardedCloudServer<S> {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
         self.0.handle_shared(request)
     }
 }

@@ -6,18 +6,16 @@
 //! server time and communication time/cost. This crate reproduces that
 //! substrate:
 //!
-//! * [`RequestHandler`] — the server side as a byte-level request→response
-//!   function (the protocol crates encode messages on top);
-//! * [`SharedRequestHandler`] — the `&self` variant for servers whose read
-//!   path is lock-free; [`serve_tcp_shared`] serves one instance to any
-//!   number of concurrent connections, and [`Shared`] adapts it back to the
-//!   `&mut self` world;
+//! * [`SharedRequestHandler`] — the one server-side trait: a byte-level
+//!   request→response function over `&self` (the protocol crates encode
+//!   messages on top), so one `Arc`'d instance answers every client;
 //! * [`InProcessTransport`] — calls the handler directly; communication
 //!   *time* is computed from exact byte counts through a configurable
 //!   [`NetworkModel`] (default calibrated to a loopback interface), while
 //!   server time is the measured wall time inside the handler;
-//! * [`TcpTransport`] / [`serve_tcp`] — a real TCP loopback deployment: the
-//!   server thread prefixes each response with its measured processing time
+//! * [`TcpTransport`] / [`serve_tcp_shared`] — a real TCP loopback
+//!   deployment serving connections concurrently, with no handler lock:
+//!   the server prefixes each response with its measured processing time
 //!   so the client can attribute elapsed = server + communication;
 //! * [`TransportStats`] — requests, exact bytes in both directions,
 //!   accumulated server and communication time;
@@ -56,13 +54,12 @@ pub use fault::{Direction, FaultAction, FaultRule, FaultScript, FaultStream, Fau
 pub use stats::TransportStats;
 pub use stopwatch::Stopwatch;
 pub use tcp::{
-    serve_tcp, serve_tcp_shared, serve_tcp_shared_with, serve_tcp_with, RetryPolicy, ServeOptions,
-    TcpClientConfig, TcpTransport,
+    serve_tcp_shared, serve_tcp_shared_with, RetryPolicy, ServeOptions, TcpClientConfig,
+    TcpTransport,
 };
 pub use telemetry::TransportTiming;
 pub use transport::{
-    InProcessTransport, NetworkModel, RequestClass, RequestHandler, Shared, SharedRequestHandler,
-    Transport,
+    InProcessTransport, NetworkModel, RequestClass, SharedRequestHandler, Transport,
 };
 
 /// Largest accepted frame payload, aligned with the protocol layer's

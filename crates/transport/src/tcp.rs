@@ -1,19 +1,14 @@
 //! Real TCP loopback deployment, fault tolerant end to end.
 //!
 //! The paper's prototype runs "both client and server … communicating via
-//! TCP/IP" on one machine (§4.4). [`serve_tcp`] spawns a server thread that
-//! owns a [`RequestHandler`]; [`TcpTransport`] is the client side.
+//! TCP/IP" on one machine (§4.4). [`serve_tcp_shared`] spawns an accept
+//! thread serving one `Arc`'d [`SharedRequestHandler`]; [`TcpTransport`] is
+//! the client side.
 //!
-//! Each accepted connection is served by its own worker thread. Two serving
-//! modes exist:
-//!
-//! * [`serve_tcp`] — the handler is shared behind a mutex: requests across
-//!   connections are serialized (the paper's single-threaded prototype, and
-//!   the right mode for `&mut self` handlers);
-//! * [`serve_tcp_shared`] — the handler implements
-//!   [`SharedRequestHandler`] and is shared behind an `Arc` with **no
-//!   lock**: connections are served fully concurrently, which is how the
-//!   shared-read `CloudServer` scales query throughput with client count.
+//! Each accepted connection is served by its own worker thread, which calls
+//! the handler with **no lock**: connections are served fully concurrently,
+//! which is how the shared-read `CloudServer` scales query throughput with
+//! client count. A handler with state guards it itself.
 //!
 //! Wire format per message: `u32 LE payload length || payload`. Responses
 //! additionally carry a leading `u64 LE` with the server's measured
@@ -54,9 +49,7 @@ use simcloud_telemetry::Registry;
 
 use crate::fault::{FaultScript, FaultStream};
 use crate::telemetry::TransportTiming;
-use crate::transport::{
-    RequestClass, RequestHandler, SharedRequestHandler, Transport, FRAME_HEADER,
-};
+use crate::transport::{RequestClass, SharedRequestHandler, Transport, FRAME_HEADER};
 use crate::{TransportError, TransportStats, MAX_FRAME_BYTES};
 
 /// Reserved server-time value marking a transport control frame (load-shed
@@ -388,7 +381,7 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connects to a server started with [`serve_tcp`] using default
+    /// Connects to a server started with [`serve_tcp_shared`] using default
     /// fault-tolerance settings.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
         Self::connect_with(addr, TcpClientConfig::default())
@@ -569,8 +562,7 @@ impl Transport for TcpTransport {
 // Server side
 // ---------------------------------------------------------------------------
 
-/// Server self-protection knobs for [`serve_tcp_with`] /
-/// [`serve_tcp_shared_with`].
+/// Server self-protection knobs for [`serve_tcp_shared_with`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Close a connection with no complete request for this long
@@ -677,28 +669,6 @@ impl Drop for TcpServerHandle {
     }
 }
 
-/// Starts a TCP server on `127.0.0.1` (ephemeral port) serving `handler`
-/// with default [`ServeOptions`].
-///
-/// Connections are accepted concurrently; requests across connections are
-/// serialized through a mutex around the handler (the M-Index server is a
-/// single-writer structure, as in the paper's prototype).
-pub fn serve_tcp<H: RequestHandler + 'static>(handler: H) -> std::io::Result<TcpServerHandle> {
-    serve_tcp_with(handler, ServeOptions::default())
-}
-
-/// [`serve_tcp`] with explicit [`ServeOptions`].
-pub fn serve_tcp_with<H: RequestHandler + 'static>(
-    handler: H,
-    options: ServeOptions,
-) -> std::io::Result<TcpServerHandle> {
-    let handler = Arc::new(Mutex::new(handler));
-    serve_with(options, move |stream, state| {
-        let handler = Arc::clone(&handler);
-        serve_connection(stream, state, move |req| handler.lock().handle(req));
-    })
-}
-
 /// Starts a TCP server on `127.0.0.1` (ephemeral port) serving a *shared*
 /// handler with **no lock**: every accepted connection gets a worker thread
 /// that calls `handler.handle_shared` directly, so independent clients'
@@ -713,24 +683,15 @@ pub fn serve_tcp_shared<H: SharedRequestHandler + 'static>(
 }
 
 /// [`serve_tcp_shared`] with explicit [`ServeOptions`].
+///
+/// The accept loop binds, polls non-blockingly (so shutdown is observed
+/// within one poll tick, not on the next connection), sheds
+/// connections beyond the limit with a typed control frame, and registers
+/// worker threads for the bounded shutdown drain.
 pub fn serve_tcp_shared_with<H: SharedRequestHandler + 'static>(
     handler: Arc<H>,
     options: ServeOptions,
 ) -> std::io::Result<TcpServerHandle> {
-    serve_with(options, move |stream, state| {
-        let handler = Arc::clone(&handler);
-        serve_connection(stream, state, move |req| handler.handle_shared(req));
-    })
-}
-
-/// Shared accept loop: binds, polls non-blockingly (so shutdown is
-/// observed within one [`POLL_TICK`], not on the next connection), sheds
-/// connections beyond the limit with a typed control frame, and registers
-/// worker threads for the bounded shutdown drain.
-fn serve_with<F>(options: ServeOptions, serve_conn: F) -> std::io::Result<TcpServerHandle>
-where
-    F: Fn(FaultStream<TcpStream>, Arc<ServerState>) + Send + Clone + 'static,
-{
     let listener = TcpListener::bind("127.0.0.1:0")?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -779,11 +740,17 @@ where
             }
             state2.active.fetch_add(1, Ordering::SeqCst);
             let worker_state = Arc::clone(&state2);
-            let worker = serve_conn.clone();
+            let worker_handler = Arc::clone(&handler);
             let fault = state2.opts.fault.clone();
             let spawned = std::thread::Builder::new()
                 .name("simcloud-tcp-conn".into())
-                .spawn(move || worker(FaultStream::wrap(stream, fault), worker_state));
+                .spawn(move || {
+                    serve_connection(
+                        FaultStream::wrap(stream, fault),
+                        &worker_state,
+                        worker_handler.as_ref(),
+                    );
+                });
             match spawned {
                 Ok(handle) => {
                     let mut ws = workers2.lock();
@@ -888,14 +855,14 @@ fn await_request<S: DeadlineStream>(stream: &mut S, state: &ServerState) -> Opti
     }
 }
 
-fn serve_connection<S: DeadlineStream>(
+fn serve_connection<S: DeadlineStream, H: SharedRequestHandler>(
     mut stream: FaultStream<S>,
-    state: Arc<ServerState>,
-    mut handle: impl FnMut(&[u8]) -> Vec<u8>,
+    state: &ServerState,
+    handler: &H,
 ) {
-    while let Some(request) = await_request(&mut stream, &state) {
+    while let Some(request) = await_request(&mut stream, state) {
         let start = Instant::now();
-        let response = handle(&request);
+        let response = handler.handle_shared(&request);
         let server_ns = u64::try_from(start.elapsed().as_nanos())
             .unwrap_or(CONTROL_FRAME)
             .min(CONTROL_FRAME - 1); // u64::MAX is reserved for control frames
@@ -914,11 +881,11 @@ mod tests {
 
     #[test]
     fn tcp_round_trip() {
-        let server = serve_tcp(|req: &[u8]| {
+        let server = serve_tcp_shared(Arc::new(|req: &[u8]| {
             let mut out = req.to_vec();
             out.reverse();
             out
-        })
+        }))
         .unwrap();
         let mut client = TcpTransport::connect(server.addr()).unwrap();
         assert_eq!(client.round_trip(b"hello").unwrap(), b"olleh");
@@ -935,7 +902,7 @@ mod tests {
 
     #[test]
     fn shutdown_with_client_still_connected_does_not_hang() {
-        let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+        let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
         let mut client = TcpTransport::connect(server.addr()).unwrap();
         assert_eq!(client.round_trip(b"ping").unwrap(), b"ping");
         // Client intentionally kept alive across shutdown.
@@ -945,7 +912,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_prompt_and_drains_workers() {
-        let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+        let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
         let mut client = TcpTransport::connect(server.addr()).unwrap();
         assert_eq!(client.round_trip(b"a").unwrap(), b"a");
         assert_eq!(server.active_connections(), 1);
@@ -975,10 +942,10 @@ mod tests {
 
     #[test]
     fn tcp_server_time_attribution() {
-        let server = serve_tcp(|_req: &[u8]| {
+        let server = serve_tcp_shared(Arc::new(|_req: &[u8]| {
             std::thread::sleep(Duration::from_millis(10));
             vec![0u8; 8]
-        })
+        }))
         .unwrap();
         let mut client = TcpTransport::connect(server.addr()).unwrap();
         client.round_trip(b"q").unwrap();
@@ -999,7 +966,7 @@ mod tests {
 
     #[test]
     fn tcp_large_payload() {
-        let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+        let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
         let mut client = TcpTransport::connect(server.addr()).unwrap();
         let big = vec![0xabu8; 1_000_000];
         let resp = client.round_trip(&big).unwrap();
@@ -1010,7 +977,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_is_rejected_without_allocation() {
-        let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+        let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
         let mut client = TcpTransport::connect(server.addr()).unwrap();
         // Raw stream poke: claim a frame bigger than the cap. The server
         // must close (BadFrame territory), not allocate 1 GiB.
@@ -1032,8 +999,8 @@ mod tests {
 
     #[test]
     fn idle_timeout_closes_silent_connections() {
-        let server = serve_tcp_with(
-            |req: &[u8]| req.to_vec(),
+        let server = serve_tcp_shared_with(
+            Arc::new(|req: &[u8]| req.to_vec()),
             ServeOptions {
                 idle_timeout: Some(Duration::from_millis(60)),
                 ..ServeOptions::default()
@@ -1059,8 +1026,8 @@ mod tests {
 
     #[test]
     fn reconnect_hides_idle_kick_with_retries_enabled() {
-        let server = serve_tcp_with(
-            |req: &[u8]| req.to_vec(),
+        let server = serve_tcp_shared_with(
+            Arc::new(|req: &[u8]| req.to_vec()),
             ServeOptions {
                 idle_timeout: Some(Duration::from_millis(60)),
                 ..ServeOptions::default()
@@ -1078,8 +1045,8 @@ mod tests {
 
     #[test]
     fn connection_limit_sheds_with_typed_refusal() {
-        let server = serve_tcp_with(
-            |req: &[u8]| req.to_vec(),
+        let server = serve_tcp_shared_with(
+            Arc::new(|req: &[u8]| req.to_vec()),
             ServeOptions {
                 max_connections: Some(1),
                 ..ServeOptions::default()
@@ -1119,10 +1086,10 @@ mod tests {
     #[test]
     fn request_deadline_bounds_a_stalled_server() {
         // Handler sleeps far past the client's deadline.
-        let server = serve_tcp(|_req: &[u8]| {
+        let server = serve_tcp_shared(Arc::new(|_req: &[u8]| {
             std::thread::sleep(Duration::from_millis(500));
             vec![1]
-        })
+        }))
         .unwrap();
         let mut client = TcpTransport::connect_with(
             server.addr(),
@@ -1148,10 +1115,10 @@ mod tests {
 
     #[test]
     fn per_read_timeout_bounds_a_stalled_server() {
-        let server = serve_tcp(|_req: &[u8]| {
+        let server = serve_tcp_shared(Arc::new(|_req: &[u8]| {
             std::thread::sleep(Duration::from_millis(500));
             vec![1]
-        })
+        }))
         .unwrap();
         let mut client = TcpTransport::connect_with(
             server.addr(),
@@ -1195,14 +1162,14 @@ mod tests {
 
     #[test]
     fn tcp_concurrent_clients_share_handler_state() {
-        struct Counter(u32);
-        impl RequestHandler for Counter {
-            fn handle(&mut self, _r: &[u8]) -> Vec<u8> {
-                self.0 += 1;
-                self.0.to_le_bytes().to_vec()
+        struct Counter(std::sync::atomic::AtomicU32);
+        impl SharedRequestHandler for Counter {
+            fn handle_shared(&self, _r: &[u8]) -> Vec<u8> {
+                let n = self.0.fetch_add(1, Ordering::SeqCst) + 1;
+                n.to_le_bytes().to_vec()
             }
         }
-        let server = serve_tcp(Counter(0)).unwrap();
+        let server = serve_tcp_shared(Arc::new(Counter(Default::default()))).unwrap();
         let mut c1 = TcpTransport::connect(server.addr()).unwrap();
         let mut c2 = TcpTransport::connect(server.addr()).unwrap();
         let r1 = u32::from_le_bytes(c1.round_trip(b"a").unwrap().try_into().unwrap());
@@ -1270,19 +1237,21 @@ mod tests {
 
     #[test]
     fn shared_adapter_drives_request_handler_apis() {
+        // The Arc'd handler a TCP server shares also drives the in-process
+        // transport directly, with no adapter in between.
         struct Echo;
         impl SharedRequestHandler for Echo {
             fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
                 request.to_vec()
             }
         }
-        let mut t = crate::InProcessTransport::new(crate::Shared(Arc::new(Echo)));
+        let mut t = crate::InProcessTransport::new(Arc::new(Echo));
         assert_eq!(t.round_trip(b"hi").unwrap(), b"hi");
     }
 
     #[test]
     fn tcp_sequential_clients() {
-        let server = serve_tcp(|req: &[u8]| vec![req.len() as u8]).unwrap();
+        let server = serve_tcp_shared(Arc::new(|req: &[u8]| vec![req.len() as u8])).unwrap();
         for i in 1..4usize {
             let mut client = TcpTransport::connect(server.addr()).unwrap();
             let resp = client.round_trip(&vec![0u8; i]).unwrap();

@@ -13,27 +13,14 @@ use std::time::{Duration, Instant};
 use crate::{TransportError, TransportStats};
 
 /// Server side of the protocol: consumes a request payload, produces a
-/// response payload. Implemented by the M-Index server, the baselines'
-/// servers, and test echo servers.
-pub trait RequestHandler: Send {
-    /// Handles one request.
-    fn handle(&mut self, request: &[u8]) -> Vec<u8>;
-}
-
-impl<F: FnMut(&[u8]) -> Vec<u8> + Send> RequestHandler for F {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self(request)
-    }
-}
-
-/// The *shared-read* server side: a handler whose request processing needs
-/// only `&self`, so one instance behind an [`std::sync::Arc`] can serve any
-/// number of connections/threads concurrently (cf. [`crate::tcp::serve_tcp_shared`]).
+/// response payload. Processing needs only `&self`, so one instance behind
+/// an [`std::sync::Arc`] serves any number of connections and threads
+/// concurrently (cf. [`crate::tcp::serve_tcp_shared`]); a handler with
+/// state keeps it behind its own locks or atomics.
 ///
-/// This is the trait a scalable similarity-cloud server implements; the
-/// classic [`RequestHandler`] remains for single-threaded deployments and
-/// stateful test doubles. Wrap a shared handler in [`Shared`] where a
-/// `&mut self` [`RequestHandler`] is expected.
+/// Implemented by the M-Index servers, the baselines' servers, and — via
+/// the blanket impl — any `Fn(&[u8]) -> Vec<u8>` closure (test echo
+/// servers, tampering wrappers).
 pub trait SharedRequestHandler: Send + Sync {
     /// Handles one request without exclusive access.
     fn handle_shared(&self, request: &[u8]) -> Vec<u8>;
@@ -45,20 +32,9 @@ impl<H: SharedRequestHandler + ?Sized> SharedRequestHandler for std::sync::Arc<H
     }
 }
 
-/// Blanket `&mut self` adapter: lets any [`SharedRequestHandler`] (including
-/// `Arc<H>`) drive APIs written against [`RequestHandler`], e.g.
-/// [`InProcessTransport`] clients sharing one server.
-pub struct Shared<H>(pub H);
-
-impl<H> std::fmt::Debug for Shared<H> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared").finish_non_exhaustive()
-    }
-}
-
-impl<H: SharedRequestHandler> RequestHandler for Shared<H> {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self.0.handle_shared(request)
+impl<F: Fn(&[u8]) -> Vec<u8> + Send + Sync> SharedRequestHandler for F {
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+        self(request)
     }
 }
 
@@ -177,7 +153,7 @@ impl<H> std::fmt::Debug for InProcessTransport<H> {
     }
 }
 
-impl<H: RequestHandler> InProcessTransport<H> {
+impl<H: SharedRequestHandler> InProcessTransport<H> {
     /// Wraps `handler` with the default loopback model.
     pub fn new(handler: H) -> Self {
         Self::with_model(handler, NetworkModel::default())
@@ -192,28 +168,17 @@ impl<H: RequestHandler> InProcessTransport<H> {
         }
     }
 
-    /// Access the wrapped handler (e.g. to inspect server-side state in
-    /// tests and experiment reports).
-    pub fn handler(&self) -> &H {
-        &self.handler
-    }
-
-    /// Mutable access to the wrapped handler.
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-
     /// The configured network model.
     pub fn model(&self) -> NetworkModel {
         self.model
     }
 }
 
-impl<H: RequestHandler> Transport for InProcessTransport<H> {
+impl<H: SharedRequestHandler> Transport for InProcessTransport<H> {
     fn round_trip(&mut self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
         let sent = (request.len() + FRAME_HEADER) as u64;
         let start = Instant::now();
-        let response = self.handler.handle(request);
+        let response = self.handler.handle_shared(request);
         let server_time = start.elapsed();
         let received = (response.len() + FRAME_HEADER) as u64;
         self.stats.requests += 1;
@@ -234,8 +199,8 @@ mod tests {
     use super::*;
 
     struct Echo;
-    impl RequestHandler for Echo {
-        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
+    impl SharedRequestHandler for Echo {
+        fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
             let mut out = request.to_vec();
             out.reverse();
             out
@@ -288,20 +253,24 @@ mod tests {
         assert_eq!(t.stats().requests, 2);
     }
 
+    /// Server-side state stays reachable through the caller's `Arc` clone
+    /// while the transport drives the handler.
     #[test]
     fn handler_access() {
-        struct Counting(u32);
-        impl RequestHandler for Counting {
-            fn handle(&mut self, _r: &[u8]) -> Vec<u8> {
-                self.0 += 1;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+
+        struct Counting(AtomicU32);
+        impl SharedRequestHandler for Counting {
+            fn handle_shared(&self, _r: &[u8]) -> Vec<u8> {
+                self.0.fetch_add(1, Ordering::SeqCst);
                 vec![]
             }
         }
-        let mut t = InProcessTransport::new(Counting(0));
+        let handler = Arc::new(Counting(AtomicU32::new(0)));
+        let mut t = InProcessTransport::new(Arc::clone(&handler));
         t.round_trip(b"a").unwrap();
         t.round_trip(b"b").unwrap();
-        assert_eq!(t.handler().0, 2);
-        t.handler_mut().0 = 0;
-        assert_eq!(t.handler().0, 0);
+        assert_eq!(handler.0.load(Ordering::SeqCst), 2);
     }
 }

@@ -6,8 +6,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simcloud_transport::{
-    serve_tcp, Direction, FaultAction, FaultRule, FaultScript, RequestClass, RetryPolicy,
-    ServeOptions, TcpClientConfig, TcpTransport, Transport, TransportError,
+    serve_tcp_shared, serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript,
+    RequestClass, RetryPolicy, ServeOptions, TcpClientConfig, TcpTransport, Transport,
+    TransportError,
 };
 
 fn quick_retries(max_attempts: u32) -> TcpClientConfig {
@@ -26,7 +27,7 @@ fn quick_retries(max_attempts: u32) -> TcpClientConfig {
 
 #[test]
 fn dropped_send_times_out_then_recovers() {
-    let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+    let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
     // Drop the first socket write: the request never leaves, the read
     // stalls, the per-read timeout fires, the retry reconnects.
     let script = FaultScript::new(vec![FaultRule::once(Direction::Send, 0, FaultAction::Drop)]);
@@ -41,7 +42,7 @@ fn dropped_send_times_out_then_recovers() {
 
 #[test]
 fn dropped_response_times_out_then_recovers() {
-    let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+    let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
     let script = FaultScript::new(vec![FaultRule::once(Direction::Recv, 0, FaultAction::Drop)]);
     let mut client = TcpTransport::connect_faulty(server.addr(), quick_retries(3), script).unwrap();
     assert_eq!(client.round_trip(b"echo").unwrap(), b"echo");
@@ -51,7 +52,7 @@ fn dropped_response_times_out_then_recovers() {
 
 #[test]
 fn short_delay_passes_without_retry() {
-    let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+    let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
     // 50 ms delay on the response read, under the 200 ms read timeout.
     let script = FaultScript::new(vec![FaultRule::once(
         Direction::Recv,
@@ -66,7 +67,7 @@ fn short_delay_passes_without_retry() {
 
 #[test]
 fn long_delay_breaches_deadline_with_typed_error() {
-    let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+    let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
     // Every recv stalls past the read timeout; with retries exhausted the
     // typed timeout surfaces, within the whole-request deadline.
     let script = FaultScript::new(vec![FaultRule::every(
@@ -96,7 +97,7 @@ fn cut_at_every_early_op_recovers_or_fails_typed() {
     // retries the echo must still come back, byte-identical.
     for dir in [Direction::Send, Direction::Recv] {
         for at in 0..4u64 {
-            let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+            let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
             let script = FaultScript::new(vec![FaultRule::once(dir, at, FaultAction::Cut)]);
             let mut client =
                 TcpTransport::connect_faulty(server.addr(), quick_retries(4), Arc::clone(&script))
@@ -113,7 +114,7 @@ fn cut_at_every_early_op_recovers_or_fails_typed() {
 
 #[test]
 fn non_idempotent_requests_fail_fast_after_send_started() {
-    let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+    let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
     // Cut on the second socket write — mid-request, after bytes left.
     let script = FaultScript::new(vec![FaultRule::once(Direction::Send, 1, FaultAction::Cut)]);
     let mut client = TcpTransport::connect_faulty(server.addr(), quick_retries(5), script).unwrap();
@@ -135,8 +136,8 @@ fn non_idempotent_requests_fail_fast_after_send_started() {
 fn periodic_drop_profile_all_requests_eventually_succeed() {
     // Short server read timeout: a dropped request payload leaves the
     // worker mid-frame, and it must free itself quickly.
-    let server = simcloud_transport::serve_tcp_with(
-        |req: &[u8]| req.to_vec(),
+    let server = serve_tcp_shared_with(
+        Arc::new(|req: &[u8]| req.to_vec()),
         ServeOptions {
             read_timeout: Some(Duration::from_millis(200)),
             ..ServeOptions::default()
@@ -171,8 +172,8 @@ fn server_side_faults_are_survivable_too() {
     // Arm the script on the *server's* accepted connections: its response
     // writes get cut; the client reconnects and retries.
     let script = FaultScript::new(vec![FaultRule::once(Direction::Send, 1, FaultAction::Cut)]);
-    let server = simcloud_transport::serve_tcp_with(
-        |req: &[u8]| req.to_vec(),
+    let server = serve_tcp_shared_with(
+        Arc::new(|req: &[u8]| req.to_vec()),
         ServeOptions {
             fault: Some(Arc::clone(&script)),
             ..ServeOptions::default()

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simcloud_transport::{
-    serve_tcp, Direction, FaultAction, FaultRule, FaultScript, RetryPolicy, TcpClientConfig,
-    TcpTransport, Transport, TransportError,
+    serve_tcp_shared, serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript,
+    RetryPolicy, TcpClientConfig, TcpTransport, Transport, TransportError,
 };
 
 /// A client config that fails fast and never retries, so the typed error
@@ -152,7 +152,7 @@ fn client_survives_response_missing_server_time_header() {
 /// Connects raw, sends `bytes`, closes, then proves the server is still
 /// healthy by running a real request through a real client.
 fn poke_then_verify_server_alive(bytes: &[u8]) {
-    let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+    let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
     {
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.write_all(bytes).unwrap();
@@ -187,8 +187,8 @@ fn server_survives_partial_payload_then_close() {
 #[test]
 fn server_cuts_a_slow_loris_after_read_timeout() {
     use simcloud_transport::ServeOptions;
-    let server = simcloud_transport::serve_tcp_with(
-        |req: &[u8]| req.to_vec(),
+    let server = serve_tcp_shared_with(
+        Arc::new(|req: &[u8]| req.to_vec()),
         ServeOptions {
             read_timeout: Some(Duration::from_millis(100)),
             ..ServeOptions::default()
@@ -224,7 +224,7 @@ fn server_rejects_hostile_length_prefix_without_allocating() {
 
 #[test]
 fn injected_send_truncation_yields_typed_error_without_retries() {
-    let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+    let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
     let script = FaultScript::new(vec![FaultRule::once(
         Direction::Send,
         0,
@@ -240,7 +240,7 @@ fn injected_send_truncation_yields_typed_error_without_retries() {
 
 #[test]
 fn injected_truncation_recovers_with_retries_enabled() {
-    let server = serve_tcp(|req: &[u8]| req.to_vec()).unwrap();
+    let server = serve_tcp_shared(Arc::new(|req: &[u8]| req.to_vec())).unwrap();
     let script = FaultScript::new(vec![FaultRule::once(
         Direction::Send,
         0,

@@ -195,13 +195,13 @@ fn server_never_sees_plaintext() {
 #[test]
 fn tampered_candidates_are_rejected() {
     use simcloud_core::protocol::Response;
-    use simcloud_transport::{InProcessTransport, RequestHandler};
+    use simcloud_transport::{InProcessTransport, SharedRequestHandler};
 
     // A malicious "server" that flips a byte in every candidate payload.
     struct Mallory<H>(H);
-    impl<H: RequestHandler> RequestHandler for Mallory<H> {
-        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-            let resp = self.0.handle(request);
+    impl<H: SharedRequestHandler> SharedRequestHandler for Mallory<H> {
+        fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+            let resp = self.0.handle_shared(request);
             match Response::decode(&resp) {
                 Ok(Response::CandidateList(mut list)) if !list.payloads.is_empty() => {
                     for payload in &mut list.payloads {
@@ -240,7 +240,7 @@ fn tampered_candidates_are_rejected() {
 #[test]
 fn forged_length_headers_are_rejected_cheaply() {
     use simcloud_core::protocol::{Request, Response, MAX_DECODE_BYTES};
-    use simcloud_transport::{InProcessTransport, RequestHandler};
+    use simcloud_transport::{InProcessTransport, SharedRequestHandler};
 
     // Allocation bombs: a valid tag followed by a u32::MAX element count
     // and no element bodies. Decode must fail fast, not reserve gigabytes.
@@ -260,9 +260,9 @@ fn forged_length_headers_are_rejected_cheaply() {
     // forged phase-1 header list claiming u32::MAX candidates must surface
     // as a client error, never a panic or runaway allocation.
     struct Bomber<H>(H);
-    impl<H: RequestHandler> RequestHandler for Bomber<H> {
-        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-            let _ = self.0.handle(request);
+    impl<H: SharedRequestHandler> SharedRequestHandler for Bomber<H> {
+        fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+            let _ = self.0.handle_shared(request);
             let mut forged = vec![0x07]; // Response::CandidateList tag
             forged.extend_from_slice(&u32::MAX.to_le_bytes());
             forged
