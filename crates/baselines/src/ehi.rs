@@ -19,9 +19,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use simcloud_core::{CostReport, SecretKey};
+use simcloud_core::{costs::timed, CostReport, SecretKey};
 use simcloud_metric::{Metric, ObjectId, Vector};
-use simcloud_transport::{InProcessTransport, Stopwatch, Transport};
+use simcloud_transport::{InProcessTransport, Transport};
 
 use crate::kv::{wire, KvServer};
 use crate::{costed_round_trip, Neighbor, SchemeError, SecureScheme};
@@ -251,12 +251,12 @@ impl<M: Metric<Vector>> SecureScheme for EhiScheme<M> {
         let start = Instant::now();
         let objs: Vec<(u64, Vector)> = data.iter().map(|(id, v)| (id.0, v.clone())).collect();
         let mut nodes = Vec::new();
-        let mut dist = Stopwatch::new();
-        dist.time(|| self.build_tree_or_leaf(ROOT_KEY, objs, &mut nodes));
-        let mut enc = Stopwatch::new();
+        timed(&mut costs.distance, || {
+            self.build_tree_or_leaf(ROOT_KEY, objs, &mut nodes);
+        });
         for (key, node) in nodes {
             let plain = encode_node(&node);
-            let sealed = enc.time(|| {
+            let sealed = timed(&mut costs.encryption, || {
                 self.key
                     .cipher()
                     .seal(&plain, self.key.mode(), &mut self.rng)
@@ -267,8 +267,6 @@ impl<M: Metric<Vector>> SecureScheme for EhiScheme<M> {
                 return Err(SchemeError::Protocol("put rejected".into()));
             }
         }
-        costs.encryption = enc.total();
-        costs.distance = dist.total();
         costs.client = start.elapsed().saturating_sub(costs.server);
         Ok(costs)
     }
@@ -276,8 +274,6 @@ impl<M: Metric<Vector>> SecureScheme for EhiScheme<M> {
     fn knn(&mut self, q: &Vector, k: usize) -> Result<(Vec<Neighbor>, CostReport), SchemeError> {
         let mut costs = CostReport::default();
         let start = Instant::now();
-        let mut dec = Stopwatch::new();
-        let mut dist = Stopwatch::new();
         let mut dc = 0u64;
 
         // Best-first search over (lower_bound, node_key).
@@ -317,13 +313,13 @@ impl<M: Metric<Vector>> SecureScheme for EhiScheme<M> {
             let resp = costed_round_trip(&mut self.transport, &wire::get(node_key), &mut costs)?;
             let sealed =
                 wire::decode_blob(&resp).ok_or_else(|| SchemeError::Protocol("bad blob".into()))?;
-            let plain = dec.time(|| self.key.cipher().unseal(&sealed))?;
+            let plain = timed(&mut costs.decryption, || self.key.cipher().unseal(&sealed))?;
             let node = decode_node(&plain)
                 .ok_or_else(|| SchemeError::Protocol("node undecodable".into()))?;
             match node {
                 PlainNode::Internal(children) => {
                     for c in children {
-                        let d = dist.time(|| self.metric.distance(q, &c.center));
+                        let d = timed(&mut costs.distance, || self.metric.distance(q, &c.center));
                         dc += 1;
                         let lb = (d - c.radius).max(0.0);
                         if lb <= kth(&result) {
@@ -333,7 +329,7 @@ impl<M: Metric<Vector>> SecureScheme for EhiScheme<M> {
                 }
                 PlainNode::Leaf(objs) => {
                     for (id, v) in objs {
-                        let d = dist.time(|| self.metric.distance(q, &v));
+                        let d = timed(&mut costs.distance, || self.metric.distance(q, &v));
                         dc += 1;
                         result.push((ObjectId(id), d));
                     }
@@ -342,8 +338,6 @@ impl<M: Metric<Vector>> SecureScheme for EhiScheme<M> {
                 }
             }
         }
-        costs.decryption = dec.total();
-        costs.distance = dist.total();
         costs.distance_computations = dc;
         costs.client = start.elapsed().saturating_sub(costs.server);
         Ok((result, costs))

@@ -18,9 +18,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use simcloud_core::{CostReport, SecretKey};
+use simcloud_core::{costs::timed, CostReport, SecretKey};
 use simcloud_metric::{Metric, ObjectId, Vector};
-use simcloud_transport::{InProcessTransport, SharedRequestHandler, Stopwatch};
+use simcloud_transport::{InProcessTransport, SharedRequestHandler};
 
 use crate::{costed_round_trip, error_frame, Neighbor, SchemeError, SecureScheme};
 
@@ -178,7 +178,6 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
         let mut costs = CostReport::default();
         let start = Instant::now();
         let vectors: Vec<Vector> = data.iter().map(|(_, v)| v.clone()).collect();
-        let mut dist = Stopwatch::new();
         self.anchors = simcloud_metric::select_pivots(
             &vectors,
             self.config.bits.min(vectors.len()),
@@ -187,7 +186,7 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
             0xFD4,
         );
         // Balanced radii: median distance from a sample to each anchor.
-        dist.time(|| {
+        timed(&mut costs.distance, || {
             let step = (vectors.len() / 64).max(1);
             self.radii = self
                 .anchors
@@ -203,11 +202,10 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
                 })
                 .collect();
         });
-        let mut enc = Stopwatch::new();
         for (id, o) in data {
-            let sig = dist.time(|| self.signature(o));
+            let sig = timed(&mut costs.distance, || self.signature(o));
             costs.distance_computations += self.anchors.len() as u64;
-            let sealed = enc.time(|| {
+            let sealed = timed(&mut costs.encryption, || {
                 let mut plain = Vec::with_capacity(o.encoded_len());
                 o.encode(&mut plain);
                 self.key
@@ -225,8 +223,6 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
                 return Err(SchemeError::Protocol("insert rejected".into()));
             }
         }
-        costs.encryption = enc.total();
-        costs.distance = dist.total();
         costs.client = start.elapsed().saturating_sub(costs.server);
         Ok(costs)
     }
@@ -235,8 +231,7 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
         assert!(!self.anchors.is_empty(), "build() must run before knn()");
         let mut costs = CostReport::default();
         let start = Instant::now();
-        let mut dist = Stopwatch::new();
-        let sig = dist.time(|| self.signature(q));
+        let sig = timed(&mut costs.distance, || self.signature(q));
         costs.distance_computations += self.anchors.len() as u64;
 
         let mut req = vec![0x02];
@@ -249,7 +244,6 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
         let n = u32::from_le_bytes(resp[1..5].try_into().unwrap()) as usize;
         costs.candidates = n as u64;
         let mut off = 5;
-        let mut dec = Stopwatch::new();
         let mut result = Vec::with_capacity(n);
         for _ in 0..n {
             if resp.len() < off + 12 {
@@ -260,17 +254,15 @@ impl<M: Metric<Vector>> SecureScheme for FdhScheme<M> {
             off += 12;
             let sealed = &resp[off..off + len];
             off += len;
-            let plain = dec.time(|| self.key.cipher().unseal(sealed))?;
+            let plain = timed(&mut costs.decryption, || self.key.cipher().unseal(sealed))?;
             let (o, _) = Vector::decode(&plain)
                 .map_err(|_| SchemeError::Protocol(format!("object {id} undecodable")))?;
-            let d = dist.time(|| self.metric.distance(q, &o));
+            let d = timed(&mut costs.distance, || self.metric.distance(q, &o));
             costs.distance_computations += 1;
             result.push((ObjectId(id), d));
         }
         result.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         result.truncate(k);
-        costs.decryption = dec.total();
-        costs.distance = dist.total();
         costs.client = start.elapsed().saturating_sub(costs.server);
         Ok((result, costs))
     }

@@ -27,9 +27,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use simcloud_core::{CostReport, DistanceTransform, SecretKey};
+use simcloud_core::{costs::timed, CostReport, DistanceTransform, SecretKey};
 use simcloud_metric::{Metric, ObjectId, Vector};
-use simcloud_transport::{InProcessTransport, SharedRequestHandler, Stopwatch};
+use simcloud_transport::{InProcessTransport, SharedRequestHandler};
 
 use crate::{costed_round_trip, error_frame, Neighbor, SchemeError, SecureScheme};
 
@@ -237,21 +237,17 @@ impl<M: Metric<Vector>> MptScheme<M> {
         let resp = costed_round_trip(&mut self.transport, &req, costs)?;
         let cands = Self::decode_candidates(&resp)?;
         costs.candidates += cands.len() as u64;
-        let mut dec = Stopwatch::new();
-        let mut dist = Stopwatch::new();
         let mut result = Vec::new();
         for (id, sealed) in cands {
-            let plain = dec.time(|| self.key.cipher().unseal(&sealed))?;
+            let plain = timed(&mut costs.decryption, || self.key.cipher().unseal(&sealed))?;
             let (o, _) = Vector::decode(&plain)
                 .map_err(|_| SchemeError::Protocol(format!("object {id} undecodable")))?;
-            let d = dist.time(|| self.metric.distance(q, &o));
+            let d = timed(&mut costs.distance, || self.metric.distance(q, &o));
             costs.distance_computations += 1;
             if d <= radius {
                 result.push((ObjectId(id), d));
             }
         }
-        costs.decryption += dec.total();
-        costs.distance += dist.total();
         result.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         Ok(result)
     }
@@ -267,7 +263,6 @@ impl<M: Metric<Vector>> SecureScheme for MptScheme<M> {
         let start = Instant::now();
         let vectors: Vec<Vector> = data.iter().map(|(_, v)| v.clone()).collect();
         // Fit anchors + OPE from the collection sample (requirement §3.2).
-        let mut dist = Stopwatch::new();
         self.anchors = simcloud_metric::select_pivots(
             &vectors,
             self.config.anchors.min(vectors.len()),
@@ -277,7 +272,7 @@ impl<M: Metric<Vector>> SecureScheme for MptScheme<M> {
         );
         // Sample pairwise distances for d_max and the radius seed.
         let mut sample_ds = Vec::new();
-        dist.time(|| {
+        timed(&mut costs.distance, || {
             let step = (vectors.len() / 64).max(1);
             for i in (0..vectors.len()).step_by(step) {
                 for a in &self.anchors {
@@ -298,9 +293,8 @@ impl<M: Metric<Vector>> SecureScheme for MptScheme<M> {
             self.config.ope_segments,
         ));
 
-        let mut enc = Stopwatch::new();
         for (id, o) in data {
-            let anchor_ds: Vec<f64> = dist.time(|| {
+            let anchor_ds: Vec<f64> = timed(&mut costs.distance, || {
                 self.anchors
                     .iter()
                     .map(|a| self.metric.distance(o, a))
@@ -309,7 +303,7 @@ impl<M: Metric<Vector>> SecureScheme for MptScheme<M> {
             costs.distance_computations += self.anchors.len() as u64;
             let ope = self.ope.as_ref().unwrap();
             let enc_ds: Vec<f64> = anchor_ds.iter().map(|&d| ope.apply(d)).collect();
-            let sealed = enc.time(|| {
+            let sealed = timed(&mut costs.encryption, || {
                 let mut plain = Vec::with_capacity(o.encoded_len());
                 o.encode(&mut plain);
                 self.key
@@ -330,8 +324,6 @@ impl<M: Metric<Vector>> SecureScheme for MptScheme<M> {
                 return Err(SchemeError::Protocol("insert rejected".into()));
             }
         }
-        costs.encryption = enc.total();
-        costs.distance = dist.total();
         costs.client = start.elapsed().saturating_sub(costs.server);
         Ok(costs)
     }
@@ -340,15 +332,13 @@ impl<M: Metric<Vector>> SecureScheme for MptScheme<M> {
         assert!(self.ope.is_some(), "build() must run before knn()");
         let mut costs = CostReport::default();
         let start = Instant::now();
-        let mut dist = Stopwatch::new();
-        let q_anchor_ds: Vec<f64> = dist.time(|| {
+        let q_anchor_ds: Vec<f64> = timed(&mut costs.distance, || {
             self.anchors
                 .iter()
                 .map(|a| self.metric.distance(q, a))
                 .collect()
         });
         costs.distance_computations += self.anchors.len() as u64;
-        costs.distance += dist.total();
 
         // Radius expansion until k results (exact: the final pass's range
         // filter is complete for its radius, and we only stop once k are

@@ -11,9 +11,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use simcloud_core::{CostReport, SecretKey};
+use simcloud_core::{costs::timed, CostReport, SecretKey};
 use simcloud_metric::{Metric, ObjectId, Vector};
-use simcloud_transport::{InProcessTransport, Stopwatch};
+use simcloud_transport::InProcessTransport;
 
 use crate::kv::{wire, KvServer};
 use crate::{costed_round_trip, Neighbor, SchemeError, SecureScheme};
@@ -52,9 +52,8 @@ impl<M: Metric<Vector>> SecureScheme for TrivialScheme<M> {
     fn build(&mut self, data: &[(ObjectId, Vector)]) -> Result<CostReport, SchemeError> {
         let mut costs = CostReport::default();
         let start = Instant::now();
-        let mut enc = Stopwatch::new();
         for (id, o) in data {
-            let sealed = enc.time(|| {
+            let sealed = timed(&mut costs.encryption, || {
                 let mut plain = Vec::with_capacity(o.encoded_len());
                 o.encode(&mut plain);
                 self.key
@@ -67,7 +66,6 @@ impl<M: Metric<Vector>> SecureScheme for TrivialScheme<M> {
                 return Err(SchemeError::Protocol("put rejected".into()));
             }
         }
-        costs.encryption = enc.total();
         costs.client = start.elapsed().saturating_sub(costs.server);
         Ok(costs)
     }
@@ -79,20 +77,16 @@ impl<M: Metric<Vector>> SecureScheme for TrivialScheme<M> {
         let blobs =
             wire::decode_all(&resp).ok_or_else(|| SchemeError::Protocol("bad get_all".into()))?;
         costs.candidates = blobs.len() as u64;
-        let mut dec = Stopwatch::new();
-        let mut dist = Stopwatch::new();
         let mut scored = Vec::with_capacity(blobs.len());
         for (id, sealed) in blobs {
-            let plain = dec.time(|| self.key.cipher().unseal(&sealed))?;
+            let plain = timed(&mut costs.decryption, || self.key.cipher().unseal(&sealed))?;
             let (o, _) = Vector::decode(&plain)
                 .map_err(|_| SchemeError::Protocol(format!("object {id} undecodable")))?;
-            let d = dist.time(|| self.metric.distance(q, &o));
+            let d = timed(&mut costs.distance, || self.metric.distance(q, &o));
             scored.push((ObjectId(id), d));
         }
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         scored.truncate(k);
-        costs.decryption = dec.total();
-        costs.distance = dist.total();
         costs.distance_computations = costs.candidates;
         costs.client = start.elapsed().saturating_sub(costs.server);
         Ok((scored, costs))

@@ -290,8 +290,10 @@ fn bench_query_frame(c: &mut Criterion) {
             .encode()
         })
         .collect();
+    // The request's own search stats: the delta of the server's totals.
+    let before = server.total_search_stats();
     let frame = server.handle_shared(&requests[0]);
-    let stats = server.last_search_stats();
+    let stats = server.total_search_stats().since(&before);
     println!(
         "knn_frame: {} records scanned in {} cells, {} candidates, {} byte frame",
         stats.entries_scanned,

@@ -5,12 +5,12 @@
 
 use std::time::{Duration, Instant};
 
-use simcloud_core::{in_process, ClientConfig, CostReport, SecretKey};
+use simcloud_core::{costs::timed, in_process, ClientConfig, CostReport, SecretKey};
 use simcloud_datasets::{parallel_knn_ground_truth, Dataset, QueryWorkload};
 use simcloud_metric::{Metric, ObjectId, PivotSelection, Vector};
 use simcloud_mindex::{MIndexConfig, PlainMIndex, RoutingStrategy, FIRST_CELL_ONLY};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{NetworkModel, Stopwatch};
+use simcloud_transport::NetworkModel;
 
 use simcloud_baselines::{
     ehi::EhiConfig, fdh::FdhConfig, mpt::MptConfig, EhiScheme, FdhScheme, MptScheme, SecureScheme,
@@ -161,9 +161,8 @@ pub fn construction_plain(ds: &Dataset, seed: u64) -> CostReport {
     let mut costs = CostReport::default();
 
     // Client side: serialize the raw vectors per bulk.
-    let mut client = Stopwatch::new();
     let mut bulks: Vec<Vec<u8>> = Vec::new();
-    client.time(|| {
+    timed(&mut costs.client, || {
         for chunk in ds.vectors.chunks(BULK) {
             let mut buf = Vec::new();
             for v in chunk {
@@ -172,7 +171,6 @@ pub fn construction_plain(ds: &Dataset, seed: u64) -> CostReport {
             bulks.push(buf);
         }
     });
-    costs.client = client.total();
     for b in &bulks {
         costs.bytes_sent += (b.len() + 4) as u64;
         costs.bytes_received += 5 + 4; // ack

@@ -12,9 +12,9 @@ use std::time::{Duration, Instant};
 use simcloud_crypto::SealError;
 use simcloud_metric::{CountingMetric, Metric, ObjectId, TableScratch, Vector};
 use simcloud_mindex::{IndexEntry, Routing, RoutingStrategy};
-use simcloud_transport::{RequestClass, Stopwatch, Transport, TransportError};
+use simcloud_transport::{RequestClass, Transport, TransportError, TransportStats};
 
-use crate::costs::CostReport;
+use crate::costs::{timed, CostReport};
 use crate::key::SecretKey;
 use crate::protocol::{
     CandidateHeader, CandidateListView, FetchedObject, Request, Response, SearchAnswerView,
@@ -382,6 +382,21 @@ impl RefineTask<'_> {
     }
 }
 
+/// One client operation in progress: the report its body books phase
+/// times and counts into, plus what [`EncryptedClient::operation`] needs
+/// to complete the report when the body returns.
+struct Op {
+    costs: CostReport,
+    start: Instant,
+    distances_before: u64,
+    transport_before: TransportStats,
+    /// Wall time spent inside the transport. The client is idle during
+    /// it, so "client time" = operation elapsed − this, whether the
+    /// transport is in-process (the handler runs inline) or TCP (send,
+    /// server and receive happen remotely).
+    in_transport: Duration,
+}
+
 /// A refine slot's answer: [`EncryptedClient::refine_rounds`] settles every
 /// slot before it returns.
 fn settled(
@@ -494,33 +509,48 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         }
     }
 
-    /// One request/response exchange. `rt_elapsed` accumulates the wall
-    /// time spent inside the transport — the client is idle during it, so
-    /// "client time" = operation elapsed − `rt_elapsed` regardless of
-    /// whether the transport is in-process (handler runs inline) or TCP
-    /// (send + server + receive happen remotely).
-    fn exchange(
+    /// Runs one client operation — every public call that talks to the
+    /// server goes through here. `body` does the work, booking phase times
+    /// and counts into its [`Op`]; once it succeeds, this is the one place
+    /// an operation's report is completed: the transport's stats delta
+    /// (server and communication time, bytes in both directions), the
+    /// client-side metric evaluations and the client time, after which
+    /// the report is added to [`Self::total_costs`]. A failed operation
+    /// books nothing.
+    fn operation<R>(
         &mut self,
-        request: &Request,
-        costs: &mut CostReport,
-        rt_elapsed: &mut std::time::Duration,
-    ) -> Result<Response, ClientError> {
-        let frame = self.exchange_frame(request, costs, rt_elapsed)?;
+        body: impl FnOnce(&mut Self, &mut Op) -> Result<R, ClientError>,
+    ) -> Result<(R, CostReport), ClientError> {
+        let mut op = Op {
+            costs: CostReport::default(),
+            start: Instant::now(),
+            distances_before: self.metric.count(),
+            transport_before: self.transport.stats(),
+            in_transport: Duration::ZERO,
+        };
+        let result = body(self, &mut op)?;
+        let mut costs = op.costs;
+        costs.add_transport(&self.transport.stats().since(&op.transport_before));
+        costs.distance_computations = self.metric.count() - op.distances_before;
+        costs.client = op.start.elapsed().saturating_sub(op.in_transport);
+        self.total.merge(&costs);
+        Ok((result, costs))
+    }
+
+    /// One request/response exchange of `op`, decoded, with the server's
+    /// typed failure answers turned into client errors.
+    fn exchange(&mut self, request: &Request, op: &mut Op) -> Result<Response, ClientError> {
+        let frame = self.exchange_frame(request, op)?;
         let resp =
             Response::decode(&frame).map_err(|e| ClientError::UnexpectedResponse(e.to_string()))?;
         accepted(resp)
     }
 
     /// The transport half of [`Self::exchange`]: ships the request and
-    /// returns the raw response frame. Search answers are parsed in place
-    /// from it ([`search_answer`]) instead of being decoded into owned
-    /// lists.
-    fn exchange_frame(
-        &mut self,
-        request: &Request,
-        costs: &mut CostReport,
-        rt_elapsed: &mut std::time::Duration,
-    ) -> Result<Vec<u8>, ClientError> {
+    /// returns the raw response frame, timing the round trip into
+    /// `op.in_transport`. Search answers are parsed in place from it
+    /// ([`search_answer`]) instead of being decoded into owned lists.
+    fn exchange_frame(&mut self, request: &Request, op: &mut Op) -> Result<Vec<u8>, ClientError> {
         let bytes = request.encode();
         // Classify for the transport's retry machinery: every request is a
         // pure read except Insert, whose blind replay after an ambiguous
@@ -533,14 +563,10 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             Request::Insert(_) => RequestClass::NonIdempotent,
             _ => RequestClass::Idempotent,
         };
-        let before = self.transport.stats();
-        let rt_start = Instant::now();
-        let resp_bytes =
-            self.transport
-                .round_trip_with(&bytes, class, self.config.request_deadline)?;
-        *rt_elapsed += rt_start.elapsed();
-        costs.add_transport(&self.transport.stats().since(&before));
-        Ok(resp_bytes)
+        let deadline = self.config.request_deadline;
+        Ok(timed(&mut op.in_transport, || {
+            self.transport.round_trip_with(&bytes, class, deadline)
+        })?)
     }
 
     /// Inserts a batch of objects (Alg. 1 applied per object, shipped as one
@@ -549,67 +575,54 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         &mut self,
         objects: &[(ObjectId, Vector)],
     ) -> Result<CostReport, ClientError> {
-        let mut costs = CostReport::default();
-        let mut rt_elapsed = std::time::Duration::ZERO;
-        let op_start = Instant::now();
-        let mut enc = Stopwatch::new();
-        let mut dist = Stopwatch::new();
-        let before_dc = self.metric.count();
-
-        let mut entries = Vec::with_capacity(objects.len());
-        let mut scratch = TableScratch::default();
-        for (id, o) in objects {
-            // Alg. 1 line 1: distances to all pivots.
-            dist.time(|| {
-                self.key
-                    .pivot_distances_into(self.metric.as_ref(), o, &mut scratch);
-            });
-            // Alg. 1 lines 3-7: routing info per strategy.
-            let routing = self.routing_for(scratch.distances());
-            // Alg. 1 line 8: encrypt the object, MAC-bound to its id so an
-            // untrusted server cannot later answer a fetch for one id with
-            // another id's (individually valid) sealed payload.
-            let sealed = enc.time(|| {
-                let mut plain = Vec::with_capacity(o.encoded_len());
-                o.encode(&mut plain);
-                self.key.cipher().seal_with_aad(
-                    &plain,
-                    &id.0.to_le_bytes(),
-                    self.key.mode(),
-                    &mut self.rng,
-                )
-            });
-            entries.push(IndexEntry::new(id.0, routing, sealed));
-        }
-        let request = Request::Insert(entries);
-        let resp = self
-            .exchange(&request, &mut costs, &mut rt_elapsed)
-            .map_err(|e| match e {
-                // The transport died mid-exchange: the server stored either
-                // nothing (request lost) or a prefix/all (response lost).
-                // Surface the ambiguity as a typed, resumable error instead
-                // of a bare transport failure.
-                ClientError::Transport(error) => ClientError::InsertInterrupted { acked: 0, error },
-                other => other,
-            })?;
-        match resp {
-            Response::Inserted(n) if n as usize == objects.len() => {}
-            Response::Inserted(n) => {
-                return Err(ClientError::UnexpectedResponse(format!(
+        self.operation(|this, op| {
+            let mut entries = Vec::with_capacity(objects.len());
+            let mut scratch = TableScratch::default();
+            for (id, o) in objects {
+                // Alg. 1 line 1: distances to all pivots.
+                timed(&mut op.costs.distance, || {
+                    this.key
+                        .pivot_distances_into(this.metric.as_ref(), o, &mut scratch);
+                });
+                // Alg. 1 lines 3-7: routing info per strategy.
+                let routing = this.routing_for(scratch.distances());
+                // Alg. 1 line 8: encrypt the object, MAC-bound to its id so
+                // an untrusted server cannot later answer a fetch for one id
+                // with another id's (individually valid) sealed payload.
+                let sealed = timed(&mut op.costs.encryption, || {
+                    let mut plain = Vec::with_capacity(o.encoded_len());
+                    o.encode(&mut plain);
+                    this.key.cipher().seal_with_aad(
+                        &plain,
+                        &id.0.to_le_bytes(),
+                        this.key.mode(),
+                        &mut this.rng,
+                    )
+                });
+                entries.push(IndexEntry::new(id.0, routing, sealed));
+            }
+            let resp = this
+                .exchange(&Request::Insert(entries), op)
+                .map_err(|e| match e {
+                    // The transport died mid-exchange: the server stored
+                    // either nothing (request lost) or a prefix/all
+                    // (response lost). Surface the ambiguity as a typed,
+                    // resumable error instead of a bare transport failure.
+                    ClientError::Transport(error) => {
+                        ClientError::InsertInterrupted { acked: 0, error }
+                    }
+                    other => other,
+                })?;
+            match resp {
+                Response::Inserted(n) if n as usize == objects.len() => Ok(()),
+                Response::Inserted(n) => Err(ClientError::UnexpectedResponse(format!(
                     "{n} of {} entries inserted",
                     objects.len()
-                )))
+                ))),
+                other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
             }
-            other => {
-                return Err(ClientError::UnexpectedResponse(format!("{other:?}")));
-            }
-        }
-        costs.encryption = enc.total();
-        costs.distance = dist.total();
-        costs.distance_computations = self.metric.count() - before_dc;
-        costs.client = op_start.elapsed().saturating_sub(rt_elapsed);
-        self.total.merge(&costs);
-        Ok(costs)
+        })
+        .map(|((), costs)| costs)
     }
 
     /// Convenience single insert.
@@ -621,14 +634,9 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// fetch — an idempotent read the transport retries freely. The
     /// server's typed "unknown object id" answer distinguishes *not stored*
     /// from a genuine failure.
-    fn id_stored(
-        &mut self,
-        id: ObjectId,
-        costs: &mut CostReport,
-        rt_elapsed: &mut Duration,
-    ) -> Result<bool, ClientError> {
+    fn id_stored(&mut self, id: ObjectId, op: &mut Op) -> Result<bool, ClientError> {
         let request = Request::FetchObjects { ids: vec![id.0] };
-        match self.exchange(&request, costs, rt_elapsed) {
+        match self.exchange(&request, op) {
             Ok(Response::Objects(_)) => Ok(true),
             Ok(other) => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
             Err(ClientError::Server(msg)) if msg.contains("unknown object id") => Ok(false),
@@ -735,12 +743,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// One [`Self::id_stored`] probe, booked as its own operation into
     /// `costs` and the client's totals.
     fn probe_costed(&mut self, id: ObjectId, costs: &mut CostReport) -> Result<bool, ClientError> {
-        let mut probe = CostReport::default();
-        let mut rt_elapsed = Duration::ZERO;
-        let op_start = Instant::now();
-        let stored = self.id_stored(id, &mut probe, &mut rt_elapsed)?;
-        probe.client = op_start.elapsed().saturating_sub(rt_elapsed);
-        self.total.merge(&probe);
+        let (stored, probe) = self.operation(|this, op| this.id_stored(id, op))?;
         costs.merge(&probe);
         Ok(stored)
     }
@@ -865,16 +868,15 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// settles that task's slot only; a transport failure or a fetch answer
     /// of the wrong shape or count fails the whole call.
     ///
-    /// Each task's loop is timed as one phase into `costs.decryption`, with
-    /// the wall time spent inside phase-2 round trips excluded — transport
-    /// time is accounted where it always was, in `server`/`communication`
-    /// via the exchange deltas.
+    /// Each task's loop is timed as one phase into `op.costs.decryption`,
+    /// with the wall time spent inside phase-2 round trips excluded —
+    /// transport time is accounted where it always was, in
+    /// `server`/`communication` via the operation's transport delta.
     fn refine_rounds(
         &mut self,
         tasks: &mut [Option<RefineTask<'_>>],
         outcomes: &mut [Option<Result<Vec<Neighbor>, ClientError>>],
-        costs: &mut CostReport,
-        rt_elapsed: &mut Duration,
+        op: &mut Op,
     ) -> Result<(), ClientError> {
         loop {
             let (mut ids, mut positions) = (Vec::new(), Vec::new());
@@ -895,7 +897,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                         ))
                     }
                     Ok(None) => match slot.take() {
-                        Some(task) => self.settle_refine(task, costs),
+                        Some(task) => self.settle_refine(task, &mut op.costs),
                         None => continue,
                     },
                     // Tampering/key mismatch settles this slot only: a
@@ -913,7 +915,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             // answer must mirror the concatenated id list exactly: the
             // count is checked here, each task's span by `take_fetched`.
             let requested = ids.len();
-            let objects = match self.exchange(&Request::FetchObjects { ids }, costs, rt_elapsed)? {
+            let objects = match self.exchange(&Request::FetchObjects { ids }, op)? {
                 Response::Objects(o) => o,
                 other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
             };
@@ -923,7 +925,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                     objects.len(),
                 )));
             }
-            costs.fetch_requests += 1;
+            op.costs.fetch_requests += 1;
             let mut supplied = objects.into_iter().zip(positions);
             for (slot, outcome) in tasks.iter_mut().zip(outcomes.iter_mut()) {
                 let Some(task) = slot.as_mut() else {
@@ -931,7 +933,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                 };
                 let planned = std::mem::take(&mut task.awaiting);
                 match task.take_fetched(supplied.by_ref().take(planned)) {
-                    Ok(()) => costs.fetched += planned as u64,
+                    Ok(()) => op.costs.fetched += planned as u64,
                     Err(e) => {
                         *slot = None;
                         *outcome = Some(Err(e));
@@ -950,28 +952,21 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         goal: RefineGoal,
         request: impl FnOnce(&Self, &[f64]) -> Request,
     ) -> Result<(Vec<Neighbor>, CostReport), ClientError> {
-        let mut costs = CostReport::default();
-        let mut rt_elapsed = Duration::ZERO;
-        let op_start = Instant::now();
-        let mut dist = Stopwatch::new();
-        let before_dc = self.metric.count();
-
-        let ds = dist.time(|| self.key.pivot_distances(self.metric.as_ref(), q));
-        costs.distance = dist.total();
-        let frame = self.exchange_frame(&request(self, &ds), &mut costs, &mut rt_elapsed)?;
-        let candidates = match search_answer(&frame)? {
-            SearchAnswerView::List(list) => list,
-            other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        };
-        let mut tasks = [Some(self.start_refine(q, candidates, &mut costs, goal))];
-        let mut outcomes = [None];
-        self.refine_rounds(&mut tasks, &mut outcomes, &mut costs, &mut rt_elapsed)?;
-        let [outcome] = outcomes;
-        let result = settled(outcome)?;
-        costs.distance_computations = self.metric.count() - before_dc;
-        costs.client = op_start.elapsed().saturating_sub(rt_elapsed);
-        self.total.merge(&costs);
-        Ok((result, costs))
+        self.operation(|this, op| {
+            let ds = timed(&mut op.costs.distance, || {
+                this.key.pivot_distances(this.metric.as_ref(), q)
+            });
+            let frame = this.exchange_frame(&request(this, &ds), op)?;
+            let candidates = match search_answer(&frame)? {
+                SearchAnswerView::List(list) => list,
+                other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
+            };
+            let mut tasks = [Some(this.start_refine(q, candidates, &mut op.costs, goal))];
+            let mut outcomes = [None];
+            this.refine_rounds(&mut tasks, &mut outcomes, op)?;
+            let [outcome] = outcomes;
+            settled(outcome)
+        })
     }
 
     /// Opens a [`RefineTask`] over a phase-1 candidate list: counts the
@@ -1262,65 +1257,57 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         k: usize,
         cand_size: usize,
     ) -> Result<(Vec<Result<Vec<Neighbor>, ClientError>>, CostReport), ClientError> {
-        let mut costs = CostReport::default();
-        let mut rt_elapsed = std::time::Duration::ZERO;
-        let op_start = Instant::now();
-        let mut dist = Stopwatch::new();
-        let before_dc = self.metric.count();
-        let mut results = Vec::with_capacity(queries.len());
-
-        let mut scratch = TableScratch::default();
-        for chunk in queries.chunks(u16::MAX as usize).filter(|c| !c.is_empty()) {
-            let batch: Vec<crate::protocol::KnnQuery> = chunk
-                .iter()
-                .map(|q| {
-                    dist.time(|| {
-                        self.key
-                            .pivot_distances_into(self.metric.as_ref(), q, &mut scratch);
-                    });
-                    crate::protocol::KnnQuery {
-                        routing: self.routing_for(scratch.distances()),
-                        cand_size: wire_cand_size(cand_size),
+        self.operation(|this, op| {
+            let mut results = Vec::with_capacity(queries.len());
+            let mut scratch = TableScratch::default();
+            for chunk in queries.chunks(u16::MAX as usize).filter(|c| !c.is_empty()) {
+                // `distance` covers only the query–pivot phase; the refine
+                // loop time (including its metric evaluations) lands in
+                // `decryption` as one phase.
+                let batch: Vec<crate::protocol::KnnQuery> = chunk
+                    .iter()
+                    .map(|q| {
+                        timed(&mut op.costs.distance, || {
+                            this.key
+                                .pivot_distances_into(this.metric.as_ref(), q, &mut scratch);
+                        });
+                        crate::protocol::KnnQuery {
+                            routing: this.routing_for(scratch.distances()),
+                            cand_size: wire_cand_size(cand_size),
+                        }
+                    })
+                    .collect();
+                let frame = this.exchange_frame(&Request::BatchKnn(batch), op)?;
+                let sets = match search_answer(&frame)? {
+                    SearchAnswerView::Sets(sets) if sets.len() == chunk.len() => sets,
+                    SearchAnswerView::Sets(sets) => {
+                        return Err(ClientError::UnexpectedResponse(format!(
+                            "{} candidate sets for {} queries",
+                            sets.len(),
+                            chunk.len()
+                        )))
                     }
-                })
-                .collect();
-            let frame =
-                self.exchange_frame(&Request::BatchKnn(batch), &mut costs, &mut rt_elapsed)?;
-            let sets = match search_answer(&frame)? {
-                SearchAnswerView::Sets(sets) if sets.len() == chunk.len() => sets,
-                SearchAnswerView::Sets(sets) => {
-                    return Err(ClientError::UnexpectedResponse(format!(
-                        "{} candidate sets for {} queries",
-                        sets.len(),
-                        chunk.len()
-                    )))
-                }
-                other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-            };
-            // One refinement task per successful slot; failed slots settle
-            // at once. `refine_rounds` then coalesces the tasks' fetches.
-            let (mut tasks, mut outcomes): (Vec<_>, Vec<_>) = chunk
-                .iter()
-                .zip(sets)
-                .map(|(q, per_query)| match per_query {
-                    Ok(list) => (
-                        Some(self.start_refine(q, list, &mut costs, RefineGoal::TopK(k))),
-                        None,
-                    ),
-                    Err(msg) => (None, Some(Err(ClientError::Server(msg)))),
-                })
-                .unzip();
-            self.refine_rounds(&mut tasks, &mut outcomes, &mut costs, &mut rt_elapsed)?;
-            results.extend(outcomes.into_iter().map(settled));
-        }
-        // `costs.distance` covers only the query–pivot phase; the refine
-        // loop time (including its metric evaluations) lands in
-        // `costs.decryption` as one phase.
-        costs.distance += dist.total();
-        costs.distance_computations = self.metric.count() - before_dc;
-        costs.client = op_start.elapsed().saturating_sub(rt_elapsed);
-        self.total.merge(&costs);
-        Ok((results, costs))
+                    other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
+                };
+                // One refinement task per successful slot; failed slots
+                // settle at once. `refine_rounds` then coalesces the tasks'
+                // fetches.
+                let (mut tasks, mut outcomes): (Vec<_>, Vec<_>) = chunk
+                    .iter()
+                    .zip(sets)
+                    .map(|(q, per_query)| match per_query {
+                        Ok(list) => (
+                            Some(this.start_refine(q, list, &mut op.costs, RefineGoal::TopK(k))),
+                            None,
+                        ),
+                        Err(msg) => (None, Some(Err(ClientError::Server(msg)))),
+                    })
+                    .unzip();
+                this.refine_rounds(&mut tasks, &mut outcomes, op)?;
+                results.extend(outcomes.into_iter().map(settled));
+            }
+            Ok(results)
+        })
     }
 
     /// Precise k-NN (paper §4.2): approximate pass estimates `ρ_k`, then the
@@ -1353,32 +1340,26 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// owner's path for audits and key rotation. Returns `(id, object)`
     /// pairs sorted by id.
     pub fn export_all(&mut self) -> Result<(Vec<(ObjectId, Vector)>, CostReport), ClientError> {
-        let mut costs = CostReport::default();
-        let mut rt = std::time::Duration::ZERO;
-        let op_start = Instant::now();
-        let resp = self.exchange(&Request::ExportAll, &mut costs, &mut rt)?;
-        let candidates = match resp {
-            Response::Candidates(c) => c,
-            other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        };
-        let mut dec = Stopwatch::new();
-        costs.candidates = candidates.len() as u64;
-        costs.decrypted = candidates.len() as u64;
-        let mut out = Vec::with_capacity(candidates.len());
-        for c in candidates {
-            let plain = dec.time(|| {
-                self.key
-                    .cipher()
-                    .unseal_with_aad(&c.payload, &c.id.to_le_bytes())
-            })?;
-            let (o, _) = Vector::decode(&plain).map_err(|_| ClientError::BadObject(c.id))?;
-            out.push((ObjectId(c.id), o));
-        }
-        out.sort_by_key(|(id, _)| *id);
-        costs.decryption = dec.total();
-        costs.client = op_start.elapsed().saturating_sub(rt);
-        self.total.merge(&costs);
-        Ok((out, costs))
+        self.operation(|this, op| {
+            let candidates = match this.exchange(&Request::ExportAll, op)? {
+                Response::Candidates(c) => c,
+                other => return Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
+            };
+            op.costs.candidates = candidates.len() as u64;
+            op.costs.decrypted = candidates.len() as u64;
+            let mut out = Vec::with_capacity(candidates.len());
+            for c in candidates {
+                let plain = timed(&mut op.costs.decryption, || {
+                    this.key
+                        .cipher()
+                        .unseal_with_aad(&c.payload, &c.id.to_le_bytes())
+                })?;
+                let (o, _) = Vector::decode(&plain).map_err(|_| ClientError::BadObject(c.id))?;
+                out.push((ObjectId(c.id), o));
+            }
+            out.sort_by_key(|(id, _)| *id);
+            Ok(out)
+        })
     }
 
     /// Key rotation (client revocation): the data owner exports the
@@ -1402,25 +1383,21 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
 
     /// Server tree info (no query content leaves the client).
     pub fn server_info(&mut self) -> Result<(u64, u32, u32), ClientError> {
-        let mut costs = CostReport::default();
-        let mut rt = std::time::Duration::ZERO;
-        match self.exchange(&Request::Info, &mut costs, &mut rt)? {
+        self.ops_request(&Request::Info, |resp| match resp {
             Response::Info {
                 entries,
                 leaves,
                 depth,
             } => Ok((entries, leaves, depth)),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Health probe (ops surface, wire v2): the server answers from
     /// pre-aggregated atomics without taking the index lock, so this
     /// stays fast even while a bulk insert holds the write lock.
     pub fn health(&mut self) -> Result<ServerHealth, ClientError> {
-        let mut costs = CostReport::default();
-        let mut rt = std::time::Duration::ZERO;
-        match self.exchange(&Request::Health, &mut costs, &mut rt)? {
+        self.ops_request(&Request::Health, |resp| match resp {
             Response::Health {
                 status,
                 protocol,
@@ -1434,21 +1411,34 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                 shards,
                 uptime_nanos,
             }),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Telemetry snapshot (ops surface, wire v2): the server's metric
-    /// registry, search totals and slow-query log rendered in the
-    /// plaintext exposition format. Like [`EncryptedClient::health`],
+    /// registry (search totals included) and slow-query log rendered in
+    /// the plaintext exposition format. Like [`EncryptedClient::health`],
     /// answered without the index lock.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        let mut costs = CostReport::default();
-        let mut rt = std::time::Duration::ZERO;
-        match self.exchange(&Request::MetricsSnapshot, &mut costs, &mut rt)? {
+        self.ops_request(&Request::MetricsSnapshot, |resp| match resp {
             Response::MetricsSnapshot(text) => Ok(text),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
+            other => Err(other),
+        })
+    }
+
+    /// A one-exchange request whose answer `pick` maps to its result,
+    /// handing any other answer back as unexpected. It is an operation
+    /// like any other, so its bytes and times reach [`Self::total_costs`].
+    fn ops_request<R>(
+        &mut self,
+        request: &Request,
+        pick: impl FnOnce(Response) -> Result<R, Response>,
+    ) -> Result<R, ClientError> {
+        self.operation(|this, op| {
+            pick(this.exchange(request, op)?)
+                .map_err(|other| ClientError::UnexpectedResponse(format!("{other:?}")))
+        })
+        .map(|(result, _)| result)
     }
 }
 

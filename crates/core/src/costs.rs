@@ -5,10 +5,22 @@
 //! computation / server / communication time, plus byte-exact communication
 //! cost. Reports add up, so a bulk construction or a 100-query batch is the
 //! sum of its operations — the same aggregation the paper performs.
+//! Client-side phases accumulate straight into their report field through
+//! [`timed`]; server and communication time and the bytes come from the
+//! transport's stats delta ([`CostReport::add_transport`]).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use simcloud_transport::TransportStats;
+
+/// Runs `f` and adds its wall time to `into` (a [`CostReport`] duration
+/// such as `encryption` or `distance`), returning `f`'s result.
+pub fn timed<R>(into: &mut Duration, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let result = f();
+    *into += start.elapsed();
+    result
+}
 
 /// Cost components of one or more client operations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -209,6 +221,17 @@ mod tests {
             fetched: 4,
             fetch_requests: 2,
         }
+    }
+
+    #[test]
+    fn timed_accumulates_and_returns_result() {
+        let mut total = Duration::from_secs(1);
+        let x = timed(&mut total, || {
+            std::thread::sleep(Duration::from_millis(2));
+            41 + 1
+        });
+        assert_eq!(x, 42);
+        assert!(total >= Duration::from_millis(1002));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! [`SharedRequestHandler`], over `&self`, so one `Arc`'d server answers any
 //! number of concurrent client connections (paper §4.4 serves independent
 //! clients).
-//! All locking lives inside the index; all statistics live in
-//! atomics/locks, so the whole request path needs only `&self`. The server
+//! All locking lives inside the index; all statistics live in the
+//! telemetry registry's atomic counters (see
+//! [`ServerEngine::total_search_stats`]), so the whole request path needs
+//! only `&self`. The server
 //! holds **no key material** — compromising it yields sealed payloads and
 //! routing information only (§4.3).
 
@@ -344,16 +346,12 @@ impl<I: SearchIndex> ServerEngine<I> {
         self.index.flush()
     }
 
-    /// Statistics of the most recent search request (per-shard cost
-    /// counters summed, `candidates` the capped answer size). Zeroed when
-    /// the most recent search *failed*, so cost accounting never
-    /// attributes a previous query's work to a failed request.
-    pub fn last_search_stats(&self) -> SearchStats {
-        self.telemetry.last_search_stats()
-    }
-
-    /// Accumulated statistics over all search requests (lock-free atomic
-    /// counters; exact once in-flight queries finish).
+    /// Accumulated statistics over all successful search requests (per-shard
+    /// cost counters summed, `candidates` the capped answer sizes), read
+    /// from the telemetry's `search.*` counters. With concurrent clients a
+    /// "last search" would be whichever finished last on any connection,
+    /// so a request's own stats are the [`SearchStats::since`] delta of two
+    /// readings around it; a failed search adds zero.
     pub fn total_search_stats(&self) -> SearchStats {
         self.telemetry.total_search_stats()
     }
@@ -384,7 +382,8 @@ impl<I: SearchIndex> ServerEngine<I> {
         (list, stats)
     }
 
-    /// Answers a single-list search from its opened cursors.
+    /// Answers a single-list search from its opened cursors. A failed
+    /// search did no accountable work and records nothing.
     fn answer_search<R>(
         &self,
         opened: Result<I::Opened, MIndexError>,
@@ -398,13 +397,7 @@ impl<I: SearchIndex> ServerEngine<I> {
                 self.telemetry.record_search(stats);
                 sink(StagedResponse::List(list), trace)
             }
-            Err(e) => {
-                // A failed search did no accountable work: zero the
-                // per-request stats instead of leaving the previous
-                // query's numbers in place.
-                self.telemetry.record_failed_search();
-                sink(StagedResponse::Other(Response::Error(e.to_string())), trace)
-            }
+            Err(e) => sink(StagedResponse::Other(Response::Error(e.to_string())), trace),
         }
     }
 
@@ -463,13 +456,9 @@ impl<I: SearchIndex> ServerEngine<I> {
             }
             Request::ApproxKnn { routing, cand_size } => match check_cand_size(cand_size) {
                 // An oversized request is refused before any index work:
-                // its answer could never be decoded by the requester. A
-                // refused search did no accountable work, so the
-                // per-request stats are zeroed like any failed search.
-                Err(msg) => {
-                    self.telemetry.record_failed_search();
-                    Response::Error(msg)
-                }
+                // its answer could never be decoded by the requester. Like
+                // any failed search it records nothing.
+                Err(msg) => Response::Error(msg),
                 Ok(()) => {
                     let evaluator = {
                         let _route = trace.span("route", self.telemetry.route_hist());
@@ -507,7 +496,6 @@ impl<I: SearchIndex> ServerEngine<I> {
                 };
                 let mut results = opened.iter().zip(&plans);
                 let mut sets = Vec::with_capacity(refused.len());
-                let mut batch_stats = SearchStats::default();
                 for slot in refused {
                     sets.push(match slot {
                         Some(msg) => Err(msg),
@@ -515,12 +503,12 @@ impl<I: SearchIndex> ServerEngine<I> {
                             Some((Ok(opened), &(_, cand_size))) => {
                                 let (list, stats) =
                                     self.select_and_stage(opened, knn_cap(cand_size), trace);
-                                batch_stats.merge(&stats);
+                                self.telemetry.record_search(stats);
                                 Ok(list)
                             }
                             // A failing query answers in its own slot; its
                             // siblings' candidate sets still ship. It did
-                            // no accountable work, so the batch stats are
+                            // no accountable work, so the batch adds
                             // exactly the successful queries' sum.
                             Some((Err(e), _)) => Err(e.to_string()),
                             // The index answers one slot per plan; a short
@@ -530,14 +518,13 @@ impl<I: SearchIndex> ServerEngine<I> {
                         },
                     });
                 }
-                self.telemetry.record_search(batch_stats);
                 return sink(StagedResponse::Sets(sets), trace);
             }
             Request::FetchObjects { ids } => {
                 // Phase 2 of the two-phase fetch: stateless re-read by id —
                 // nothing was pinned when phase 1 answered, so any number
                 // of interleaved fetches from concurrent connections are
-                // safe. Not a search: the search stats are left untouched.
+                // safe. Not a search: it adds nothing to the search stats.
                 match self.index.fetch_entries(&ids) {
                     Ok(entries) => objects_response(&ids, entries),
                     Err(e) => Response::Error(e.to_string()),
@@ -728,6 +715,14 @@ mod tests {
         IndexEntry::new(id, Routing::from_distances(ds), vec![id as u8; 3])
     }
 
+    /// `request`'s answer and the search stats it added to the server's
+    /// totals — the request's own stats.
+    fn answer_and_stats(s: &CloudServer<MemoryStore>, request: Request) -> (Response, SearchStats) {
+        let before = s.total_search_stats();
+        let response = s.process(request);
+        (response, s.total_search_stats().since(&before))
+    }
+
     #[test]
     fn insert_then_info() {
         let s = server();
@@ -755,10 +750,13 @@ mod tests {
             entry(2, &[0.12, 0.52, 0.88]),
             entry(3, &[0.9, 0.1, 0.2]),
         ]));
-        let resp = s.process(Request::Range {
-            distances: vec![0.11, 0.51, 0.89],
-            radius: 0.05,
-        });
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::Range {
+                distances: vec![0.11, 0.51, 0.89],
+                radius: 0.05,
+            },
+        );
         match resp {
             Response::CandidateList(list) => {
                 let ids: Vec<u64> = list.headers.iter().map(|h| h.id).collect();
@@ -772,7 +770,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(s.last_search_stats().entries_scanned >= 2);
+        assert!(stats.entries_scanned >= 2);
     }
 
     #[test]
@@ -868,14 +866,16 @@ mod tests {
             entry(1, &[0.1, 0.5, 0.9]),
             entry(2, &[0.2, 0.6, 0.8]),
         ]));
-        for _ in 0..3 {
-            s.process(Request::ApproxKnn {
-                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-                cand_size: 2,
-            });
+        let knn = || Request::ApproxKnn {
+            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+            cand_size: 2,
+        };
+        for _ in 0..2 {
+            s.process(knn());
         }
+        let (_, last) = answer_and_stats(&s, knn());
         assert_eq!(s.total_search_stats().candidates, 6);
-        assert_eq!(s.last_search_stats().candidates, 2);
+        assert_eq!(last.candidates, 2);
     }
 
     #[test]
@@ -907,27 +907,27 @@ mod tests {
             entry(1, &[0.1, 0.5, 0.9]),
             entry(2, &[0.2, 0.6, 0.8]),
         ]));
-        let ok = s.process(Request::Range {
-            distances: vec![0.1, 0.5, 0.9],
-            radius: 1.0,
-        });
+        let (ok, stats) = answer_and_stats(
+            &s,
+            Request::Range {
+                distances: vec![0.1, 0.5, 0.9],
+                radius: 1.0,
+            },
+        );
         assert!(matches!(ok, Response::CandidateList(_)));
-        let before_total = s.total_search_stats();
-        assert!(s.last_search_stats().entries_scanned > 0);
+        assert!(stats.entries_scanned > 0);
         // Dimension mismatch: the search fails before doing any work.
-        let bad = s.process(Request::Range {
-            distances: vec![0.1],
-            radius: 1.0,
-        });
+        let (bad, stats) = answer_and_stats(
+            &s,
+            Request::Range {
+                distances: vec![0.1],
+                radius: 1.0,
+            },
+        );
         assert!(matches!(bad, Response::Error(_)));
         assert_eq!(
-            s.last_search_stats(),
+            stats,
             SearchStats::default(),
-            "stale stats must not be attributed to the failed request"
-        );
-        assert_eq!(
-            s.total_search_stats(),
-            before_total,
             "failed searches add nothing to the totals"
         );
     }
@@ -940,16 +940,19 @@ mod tests {
             entry(2, &[0.2, 0.6, 0.8]),
             entry(3, &[0.9, 0.1, 0.2]),
         ]));
-        let resp = s.process(Request::BatchKnn(vec![
-            KnnQuery {
-                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-                cand_size: 1,
-            },
-            KnnQuery {
-                routing: Routing::from_distances(&[0.9, 0.1, 0.2]),
-                cand_size: 2,
-            },
-        ]));
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::BatchKnn(vec![
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                    cand_size: 1,
+                },
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.9, 0.1, 0.2]),
+                    cand_size: 2,
+                },
+            ]),
+        );
         match resp {
             Response::CandidateSets(sets) => {
                 assert_eq!(sets.len(), 2);
@@ -958,9 +961,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // The batch counts as one search request in the per-request stats
-        // and its full volume lands in the totals.
-        assert_eq!(s.last_search_stats().candidates, 3);
+        // The batch's full volume lands in the totals.
+        assert_eq!(stats.candidates, 3);
         assert_eq!(s.total_search_stats().candidates, 3);
     }
 
@@ -1100,8 +1102,8 @@ mod tests {
             Response::Error(msg) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("unexpected {other:?}"),
         }
-        // Fetches are not searches: per-request search stats untouched.
-        assert_eq!(s.last_search_stats(), SearchStats::default());
+        // Fetches are not searches: the search totals stay untouched.
+        assert_eq!(s.total_search_stats(), SearchStats::default());
     }
 
     /// One failing query in a batch answers in its own slot; its siblings'
@@ -1114,21 +1116,24 @@ mod tests {
             entry(1, &[0.1, 0.5, 0.9]),
             entry(2, &[0.2, 0.6, 0.8]),
         ]));
-        let resp = s.process(Request::BatchKnn(vec![
-            KnnQuery {
-                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-                cand_size: 2,
-            },
-            KnnQuery {
-                // Dimension mismatch: this query fails on its own.
-                routing: Routing::from_distances(&[0.1, 0.5]),
-                cand_size: 2,
-            },
-            KnnQuery {
-                routing: Routing::from_distances(&[0.2, 0.6, 0.8]),
-                cand_size: 1,
-            },
-        ]));
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::BatchKnn(vec![
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                    cand_size: 2,
+                },
+                KnnQuery {
+                    // Dimension mismatch: this query fails on its own.
+                    routing: Routing::from_distances(&[0.1, 0.5]),
+                    cand_size: 2,
+                },
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.2, 0.6, 0.8]),
+                    cand_size: 1,
+                },
+            ]),
+        );
         match resp {
             Response::CandidateSets(sets) => {
                 assert_eq!(sets.len(), 3);
@@ -1140,8 +1145,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(
-            s.last_search_stats().candidates,
-            3,
+            stats.candidates, 3,
             "stats cover the successful queries only"
         );
         assert_eq!(s.total_search_stats().candidates, 3);
@@ -1149,38 +1153,47 @@ mod tests {
 
     /// A `cand_size` whose headers alone would bust the 64 MiB decode cap
     /// is refused before any search work — solo requests get an error
-    /// response (with zeroed per-request stats), batch slots carry the
-    /// clamp error while their siblings still answer.
+    /// response (adding nothing to the search totals), batch slots carry
+    /// the clamp error while their siblings still answer.
     #[test]
     fn oversized_cand_size_refused_before_search() {
         let s = server();
         s.process(Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9])]));
-        s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: 1,
-        });
-        assert_eq!(s.last_search_stats().candidates, 1);
-        let before_total = s.total_search_stats();
-        let over = u32::try_from(MAX_CANDIDATE_HEADERS + 1).unwrap();
-        match s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: over,
-        }) {
-            Response::Error(msg) => assert!(msg.contains("header response cap"), "{msg}"),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(s.last_search_stats(), SearchStats::default());
-        assert_eq!(s.total_search_stats(), before_total);
-        match s.process(Request::BatchKnn(vec![
-            KnnQuery {
-                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-                cand_size: over,
-            },
-            KnnQuery {
+        let (_, stats) = answer_and_stats(
+            &s,
+            Request::ApproxKnn {
                 routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
                 cand_size: 1,
             },
-        ])) {
+        );
+        assert_eq!(stats.candidates, 1);
+        let over = u32::try_from(MAX_CANDIDATE_HEADERS + 1).unwrap();
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::ApproxKnn {
+                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                cand_size: over,
+            },
+        );
+        match resp {
+            Response::Error(msg) => assert!(msg.contains("header response cap"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(stats, SearchStats::default());
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::BatchKnn(vec![
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                    cand_size: over,
+                },
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                    cand_size: 1,
+                },
+            ]),
+        );
+        match resp {
             Response::CandidateSets(sets) => {
                 assert_eq!(sets.len(), 2);
                 let msg = sets[0].as_ref().unwrap_err();
@@ -1189,7 +1202,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(s.last_search_stats().candidates, 1, "successes only");
+        assert_eq!(stats.candidates, 1, "successes only");
     }
 
     #[test]

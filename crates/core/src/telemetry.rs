@@ -3,9 +3,12 @@
 //!
 //! [`ServerTelemetry`] owns everything a server reports about itself:
 //! the metric [`Registry`], the request/phase latency histograms, the
-//! per-request and accumulated [`SearchStats`] (including the
-//! zero-on-failure rule), the entries gauge the ops surface answers
-//! from, and the slow-query log. The request engine holds one of these
+//! `search.*` counters that accumulate every successful search's
+//! [`SearchStats`], the entries gauge the ops surface answers from, and
+//! the slow-query log. Every number has one accumulator in the registry:
+//! [`ServerTelemetry::total_search_stats`] and the exposition read the
+//! same counters, and a request's own search stats are the delta of the
+//! totals around it. The request engine holds one of these
 //! whichever index it serves — single and sharded deployments report
 //! identically *shaped* metrics by construction, because there is no
 //! second implementation to drift (the stats-sampling inconsistencies
@@ -20,14 +23,24 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simcloud_mindex::{SearchStats, SharedSearchStats};
+use simcloud_mindex::SearchStats;
 use simcloud_telemetry::{Counter, Gauge, Histogram, Registry, SlowLog, SlowQuery, Trace};
 
 use crate::protocol::{Request, Response, StagedResponse, PROTOCOL_VERSION};
 
 /// Worst-N slow-query retention (per server).
 pub const SLOW_LOG_CAPACITY: usize = 16;
+
+/// The `search.*` counter names, in [`SearchStats`] field order.
+const SEARCH_COUNTERS: [&str; 7] = [
+    "cells_visited",
+    "pruned_hyperplane",
+    "pruned_range_pivot",
+    "entries_scanned",
+    "entries_filtered",
+    "candidates",
+    "candidates_generated",
+];
 
 /// Wire label of a request, used for trace labels and the slow-query
 /// log.
@@ -61,9 +74,9 @@ pub struct ServerTelemetry {
     stage_hist: Arc<Histogram>,
     encode_hist: Arc<Histogram>,
     insert_hist: Arc<Histogram>,
+    /// One counter per [`SEARCH_COUNTERS`] name.
+    search: [Arc<Counter>; 7],
     slow: SlowLog,
-    last_search_stats: Mutex<SearchStats>,
-    total_search_stats: SharedSearchStats,
 }
 
 impl Default for ServerTelemetry {
@@ -94,9 +107,8 @@ impl ServerTelemetry {
             stage_hist: registry.histogram("server", "phase_stage"),
             encode_hist: registry.histogram("server", "phase_encode"),
             insert_hist: registry.histogram("server", "phase_insert"),
+            search: SEARCH_COUNTERS.map(|name| registry.counter("search", name)),
             slow: SlowLog::new(SLOW_LOG_CAPACITY),
-            last_search_stats: Mutex::new(SearchStats::default()),
-            total_search_stats: SharedSearchStats::new(),
             registry,
         }
     }
@@ -159,30 +171,39 @@ impl ServerTelemetry {
         staged.encode()
     }
 
-    /// Records a completed search's stats: per-request snapshot replaced,
-    /// totals accumulated.
+    /// Adds a completed search's stats to the `search.*` counters. Only
+    /// successful searches are recorded, so a failed one adds zero.
     pub fn record_search(&self, stats: SearchStats) {
-        *self.last_search_stats.lock() = stats;
-        self.total_search_stats.add(&stats);
+        let values = [
+            stats.cells_visited,
+            stats.pruned_hyperplane,
+            stats.pruned_range_pivot,
+            stats.entries_scanned,
+            stats.entries_filtered,
+            stats.candidates,
+            stats.candidates_generated,
+        ];
+        for (counter, value) in self.search.iter().zip(values) {
+            counter.add(value);
+        }
     }
 
-    /// Records a failed (or refused) search: the per-request stats are
-    /// **zeroed** — a failed search did no accountable work, and stale
-    /// numbers must not be attributed to it — and the totals are left
-    /// untouched.
-    pub fn record_failed_search(&self) {
-        *self.last_search_stats.lock() = SearchStats::default();
-    }
-
-    /// Statistics of the most recent search request (zeroed when it
-    /// failed).
-    pub fn last_search_stats(&self) -> SearchStats {
-        *self.last_search_stats.lock()
-    }
-
-    /// Accumulated statistics over all successful searches.
+    /// Accumulated statistics over all successful searches, read from the
+    /// `search.*` counters (relaxed atomics: exact once in-flight searches
+    /// finish). A request's own stats are the [`SearchStats::since`] delta
+    /// of two readings around it.
     pub fn total_search_stats(&self) -> SearchStats {
-        self.total_search_stats.snapshot()
+        let [cells_visited, pruned_hyperplane, pruned_range_pivot, entries_scanned, entries_filtered, candidates, candidates_generated] =
+            self.search.each_ref().map(|counter| counter.get());
+        SearchStats {
+            cells_visited,
+            pruned_hyperplane,
+            pruned_range_pivot,
+            entries_scanned,
+            entries_filtered,
+            candidates,
+            candidates_generated,
+        }
     }
 
     /// Sets the entries gauge (on construction over a recovered store).
@@ -217,26 +238,14 @@ impl ServerTelemetry {
         }
     }
 
-    /// Answers [`Request::MetricsSnapshot`]: the registry exposition,
-    /// the accumulated search counters and the slow-query log, in that
-    /// order (see the README's metric catalog). Reads atomics and the
-    /// telemetry side locks only — never the index lock.
+    /// Answers [`Request::MetricsSnapshot`]: the registry exposition
+    /// (counters — `search.*` among them — then gauges, then histograms,
+    /// each section sorted by name) followed by the slow-query log (see
+    /// the README's metric catalog). Reads atomics and the telemetry side
+    /// locks only — never the index lock.
     pub fn metrics_text(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         self.registry.render_into(&mut out);
-        let t = self.total_search_stats();
-        for (name, value) in [
-            ("cells_visited", t.cells_visited),
-            ("pruned_hyperplane", t.pruned_hyperplane),
-            ("pruned_range_pivot", t.pruned_range_pivot),
-            ("entries_scanned", t.entries_scanned),
-            ("entries_filtered", t.entries_filtered),
-            ("candidates", t.candidates),
-            ("candidates_generated", t.candidates_generated),
-        ] {
-            let _ = writeln!(out, "counter search.{name} {value}");
-        }
         self.slow.render_into(&mut out);
         out
     }
@@ -304,19 +313,32 @@ mod tests {
         }
     }
 
+    /// The totals are the registry's `search.*` counters: every field
+    /// round-trips through its own counter, and a counter bumped in the
+    /// registry shows up in the totals.
     #[test]
-    fn failed_search_zeroes_last_but_not_totals() {
-        let t = ServerTelemetry::new();
+    fn search_totals_are_registry_counters() {
+        let registry = Registry::new();
+        let t = ServerTelemetry::with_registry(registry.clone());
         let stats = SearchStats {
-            candidates: 5,
-            entries_scanned: 9,
-            ..SearchStats::default()
+            cells_visited: 1,
+            pruned_hyperplane: 2,
+            pruned_range_pivot: 3,
+            entries_scanned: 4,
+            entries_filtered: 5,
+            candidates: 6,
+            candidates_generated: 7,
         };
         t.record_search(stats);
-        assert_eq!(t.last_search_stats().candidates, 5);
-        t.record_failed_search();
-        assert_eq!(t.last_search_stats(), SearchStats::default());
-        assert_eq!(t.total_search_stats().candidates, 5);
+        t.record_search(stats);
+        let mut twice = stats;
+        twice.merge(&stats);
+        assert_eq!(t.total_search_stats(), twice);
+        registry.counter("search", "entries_scanned").add(1);
+        assert_eq!(t.total_search_stats().entries_scanned, 9);
+        assert!(registry
+            .render()
+            .contains("counter search.candidates_generated 14"));
     }
 
     #[test]

@@ -54,8 +54,8 @@ fn deployment(n: usize, seed: u64) -> (Arc<CloudServer<MemoryStore>>, SecretKey,
 
 /// Raw-protocol variant: a hand-built batch with a short distance vector in
 /// slot 1, sent over a real socket. Healthy slots answer; the bad slot
-/// carries its own error; the batch's per-request stats count only the
-/// successes.
+/// carries its own error; the batch adds only the successes to the
+/// server's search totals.
 #[test]
 fn batch_with_malformed_subquery_answers_per_slot_over_tcp() {
     let (server, _key, _vectors) = deployment(30, 7);
@@ -79,6 +79,7 @@ fn batch_with_malformed_subquery_answers_per_slot_over_tcp() {
             cand_size: 3,
         },
     ]);
+    let before = server.total_search_stats();
     let resp = Response::decode(&raw.round_trip(&batch.encode()).unwrap()).unwrap();
     match resp {
         Response::CandidateSets(sets) => {
@@ -91,7 +92,7 @@ fn batch_with_malformed_subquery_answers_per_slot_over_tcp() {
         other => panic!("unexpected {other:?}"),
     }
     assert_eq!(
-        server.last_search_stats().candidates,
+        server.total_search_stats().since(&before).candidates,
         9,
         "batch stats cover only the successful sub-queries"
     );

@@ -222,6 +222,7 @@ fn batch_knn_matches_sequential_in_one_round_trip() {
         .collect();
 
     let requests_before = client.transport().stats().requests;
+    let search_before = server.total_search_stats();
     let (batched, costs) = client.knn_approx_batch(&queries, 5, 50).unwrap();
     assert_eq!(
         client.transport().stats().requests,
@@ -235,8 +236,11 @@ fn batch_knn_matches_sequential_in_one_round_trip() {
     assert_eq!(batched, sequential);
     assert_eq!(costs.candidates, 16 * 50);
 
-    // Server-side: the batch counted as one search request.
-    assert_eq!(server.last_search_stats().candidates, 16 * 50);
+    // Server-side: the batch's search volume, as a delta of the totals.
+    assert_eq!(
+        server.total_search_stats().since(&search_before).candidates,
+        16 * 50
+    );
 
     // Empty batch is legal and cheap.
     let (empty, _) = client.knn_approx_batch(&[], 5, 50).unwrap();

@@ -5,7 +5,8 @@
 //! lock mid-insert; probe clients carry a short read timeout so a
 //! regression fails as `TimedOut` instead of hanging the suite. Also
 //! pins the slow-query log capturing a deliberately slow query with its
-//! per-phase breakdown.
+//! per-phase breakdown, and `wal.*` timings reaching the exposition once a
+//! `DiskStore` is bound to the server's registry.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -13,11 +14,17 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response, PROTOCOL_VERSION};
-use simcloud_core::{client_for, ClientConfig, CloudServer, SecretKey, SLOW_LOG_CAPACITY};
+use simcloud_core::{
+    client_for, ClientConfig, CloudServer, SecretKey, ServerConfig, ServerEngine, ServerTelemetry,
+    SLOW_LOG_CAPACITY,
+};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
-use simcloud_mindex::{IndexEntry, MIndexConfig, Routing, RoutingStrategy};
+use simcloud_mindex::{IndexEntry, MIndex, MIndexConfig, Routing, RoutingStrategy};
 use simcloud_shard::{HashRouter, ShardedCloudServer};
-use simcloud_storage::{BucketId, BucketStore, IoStats, MemoryStore, Record, StorageError};
+use simcloud_storage::{
+    BucketId, BucketStore, DiskStore, IoStats, MemoryStore, Record, StorageError,
+};
+use simcloud_telemetry::Registry;
 use simcloud_transport::{serve_tcp_shared, RetryPolicy, TcpClientConfig, TcpTransport, Transport};
 
 /// Condvar gate shared between a blocking store and the test driver.
@@ -451,4 +458,41 @@ fn slow_query_log_captures_a_slow_knn_with_phases() {
     let text = client.metrics_text().unwrap();
     assert!(text.contains("slow_query rank=1"), "{text}");
     assert!(text.contains("counter search.candidates"), "{text}");
+}
+
+/// Storage timings join a server's exposition only when the store is bound
+/// to the server's registry — nothing binds it implicitly. A `DiskStore`
+/// bound before it is served reports one `wal.fsync` sample per flush in
+/// the `MetricsSnapshot` answer.
+#[test]
+fn bound_disk_store_reports_wal_fsyncs_in_the_exposition() {
+    const FLUSHES: u64 = 3;
+    let path = std::env::temp_dir().join(format!("simcloud-ops-wal-{}.db", std::process::id()));
+    let registry = Registry::new();
+    let mut store = DiskStore::create(&path).unwrap();
+    store.bind_telemetry(&registry);
+    let index = parking_lot::RwLock::new(MIndex::new(config(4), store).unwrap());
+    let server = ServerEngine::from_index(
+        index,
+        ServerConfig::default(),
+        ServerTelemetry::with_registry(registry),
+    );
+    for id in 0..FLUSHES {
+        assert_eq!(
+            server.process(Request::Insert(vec![entry(id, 5)])),
+            Response::Inserted(1)
+        );
+        server.flush().unwrap();
+    }
+    let text = match server.process(Request::MetricsSnapshot) {
+        Response::MetricsSnapshot(text) => text,
+        other => panic!("unexpected {other:?}"),
+    };
+    assert!(
+        text.contains(&format!("histogram wal.fsync count={FLUSHES} ")),
+        "{text}"
+    );
+    drop(server);
+    simcloud_storage::FileEnv::remove_sidecars(&path);
+    let _ = std::fs::remove_file(&path);
 }

@@ -343,7 +343,7 @@ impl CandidateCursor {
 
     /// The open-phase statistics, plus `candidates_generated` for every
     /// entry pulled so far. `candidates` stays 0 — the consumer that
-    /// assembles the final list sets it (see [`SearchStats::merge_from`]).
+    /// assembles the final list sets it.
     pub fn stats(&self) -> SearchStats {
         self.stats
     }

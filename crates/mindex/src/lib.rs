@@ -46,4 +46,4 @@ pub use entry::{IndexEntry, Routing};
 pub use index::{knn_cap, MIndex, MIndexError, FIRST_CELL_ONLY};
 pub use plain::{recall, Neighbor, PlainMIndex};
 pub use promise::PromiseEvaluator;
-pub use stats::{SearchStats, SharedSearchStats};
+pub use stats::SearchStats;

@@ -1,6 +1,9 @@
-//! Search and index statistics.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Search statistics.
+//!
+//! [`SearchStats`] is a plain value: a cursor or a fan-out reports one per
+//! search, and the server adds it to its `search.*` telemetry counters.
+//! There is no per-request slot on the server; a request's own stats are
+//! the [`SearchStats::since`] delta of the server's totals around it.
 
 /// Per-query search statistics — the server-side cost drivers the paper's
 /// analysis discusses (cells accessed, filtering effectiveness).
@@ -39,25 +42,18 @@ impl SearchStats {
         self.candidates_generated += other.candidates_generated;
     }
 
-    /// Folds one *fan-out sub-query's* stats in — the aggregation a
-    /// scatter-gather search needs when several shards answer **one**
-    /// query. All cost counters (bucket reads, pruning, filtering) sum;
-    /// `candidates` deliberately does **not**: the per-shard candidate
-    /// lists are merged and capped afterwards, so the caller sets
-    /// `candidates` from the merged list's length. Summing it here would
-    /// report up to `shards × cand_size` candidates for a query whose
-    /// answer carries `cand_size`.
-    ///
-    /// `candidates_generated` *does* sum: it is a work counter (entries a
-    /// shard actually materialized), not a result-set size, and its whole
-    /// point is exposing the aggregate generation cost of a fan-out.
-    pub fn merge_from(&mut self, shard: &SearchStats) {
-        self.cells_visited += shard.cells_visited;
-        self.pruned_hyperplane += shard.pruned_hyperplane;
-        self.pruned_range_pivot += shard.pruned_range_pivot;
-        self.entries_scanned += shard.entries_scanned;
-        self.entries_filtered += shard.entries_filtered;
-        self.candidates_generated += shard.candidates_generated;
+    /// Difference since an earlier snapshot of the same totals — the
+    /// stats of whatever ran in between (per-request accounting).
+    pub fn since(&self, earlier: &SearchStats) -> SearchStats {
+        SearchStats {
+            cells_visited: self.cells_visited - earlier.cells_visited,
+            pruned_hyperplane: self.pruned_hyperplane - earlier.pruned_hyperplane,
+            pruned_range_pivot: self.pruned_range_pivot - earlier.pruned_range_pivot,
+            entries_scanned: self.entries_scanned - earlier.entries_scanned,
+            entries_filtered: self.entries_filtered - earlier.entries_filtered,
+            candidates: self.candidates - earlier.candidates,
+            candidates_generated: self.candidates_generated - earlier.candidates_generated,
+        }
     }
 }
 
@@ -77,133 +73,9 @@ impl std::fmt::Display for SearchStats {
     }
 }
 
-/// Thread-safe accumulator of [`SearchStats`] — the shape a *concurrent*
-/// server needs: many query threads fold their per-query stats in without a
-/// lock, accounting readers take a consistent-enough snapshot.
-///
-/// Each counter is an independent `AtomicU64` with relaxed ordering: sums
-/// are exact once all writers are quiescent (what the tests and the cost
-/// tables rely on), while a mid-flight snapshot may mix counters from
-/// different in-progress queries — acceptable for monitoring.
-#[derive(Debug, Default)]
-pub struct SharedSearchStats {
-    cells_visited: AtomicU64,
-    pruned_hyperplane: AtomicU64,
-    pruned_range_pivot: AtomicU64,
-    entries_scanned: AtomicU64,
-    entries_filtered: AtomicU64,
-    candidates: AtomicU64,
-    candidates_generated: AtomicU64,
-}
-
-impl SharedSearchStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one query's stats in (lock-free).
-    pub fn add(&self, s: &SearchStats) {
-        self.cells_visited
-            .fetch_add(s.cells_visited, Ordering::Relaxed);
-        self.pruned_hyperplane
-            .fetch_add(s.pruned_hyperplane, Ordering::Relaxed);
-        self.pruned_range_pivot
-            .fetch_add(s.pruned_range_pivot, Ordering::Relaxed);
-        self.entries_scanned
-            .fetch_add(s.entries_scanned, Ordering::Relaxed);
-        self.entries_filtered
-            .fetch_add(s.entries_filtered, Ordering::Relaxed);
-        self.candidates.fetch_add(s.candidates, Ordering::Relaxed);
-        self.candidates_generated
-            .fetch_add(s.candidates_generated, Ordering::Relaxed);
-    }
-
-    /// Point-in-time snapshot as a plain stats block.
-    pub fn snapshot(&self) -> SearchStats {
-        SearchStats {
-            cells_visited: self.cells_visited.load(Ordering::Relaxed),
-            pruned_hyperplane: self.pruned_hyperplane.load(Ordering::Relaxed),
-            pruned_range_pivot: self.pruned_range_pivot.load(Ordering::Relaxed),
-            entries_scanned: self.entries_scanned.load(Ordering::Relaxed),
-            entries_filtered: self.entries_filtered.load(Ordering::Relaxed),
-            candidates: self.candidates.load(Ordering::Relaxed),
-            candidates_generated: self.candidates_generated.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_stats_accumulate_across_threads() {
-        let shared = SharedSearchStats::new();
-        let one = SearchStats {
-            cells_visited: 1,
-            pruned_hyperplane: 2,
-            pruned_range_pivot: 3,
-            entries_scanned: 4,
-            entries_filtered: 5,
-            candidates: 6,
-            candidates_generated: 7,
-        };
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        shared.add(&one);
-                    }
-                });
-            }
-        });
-        let snap = shared.snapshot();
-        assert_eq!(snap.cells_visited, 400);
-        assert_eq!(snap.candidates, 2400);
-        assert_eq!(snap.candidates_generated, 2800);
-    }
-
-    /// The fan-out helper sums every per-shard cost counter but leaves
-    /// `candidates` to the merge step that caps the combined list — the
-    /// regression this guards: a sharded query must not report only the
-    /// last shard's bucket reads, nor the uncapped candidate sum.
-    #[test]
-    fn merge_from_sums_costs_but_not_candidates() {
-        let mut merged = SearchStats::default();
-        for shard in [
-            SearchStats {
-                cells_visited: 2,
-                pruned_hyperplane: 1,
-                pruned_range_pivot: 0,
-                entries_scanned: 40,
-                entries_filtered: 10,
-                candidates: 30,
-                candidates_generated: 12,
-            },
-            SearchStats {
-                cells_visited: 3,
-                pruned_hyperplane: 4,
-                pruned_range_pivot: 2,
-                entries_scanned: 60,
-                entries_filtered: 20,
-                candidates: 30,
-                candidates_generated: 8,
-            },
-        ] {
-            merged.merge_from(&shard);
-        }
-        assert_eq!(merged.cells_visited, 5);
-        assert_eq!(merged.pruned_hyperplane, 5);
-        assert_eq!(merged.pruned_range_pivot, 2);
-        assert_eq!(merged.entries_scanned, 100, "bucket reads must sum");
-        assert_eq!(merged.entries_filtered, 30);
-        assert_eq!(merged.candidates, 0, "set by the capped merge, not summed");
-        assert_eq!(
-            merged.candidates_generated, 20,
-            "generation work sums across the fan-out"
-        );
-    }
 
     #[test]
     fn merge_adds_componentwise() {
@@ -216,10 +88,12 @@ mod tests {
             candidates: 6,
             candidates_generated: 7,
         };
+        let one = a;
         a.merge(&a.clone());
         assert_eq!(a.cells_visited, 2);
         assert_eq!(a.candidates, 12);
         assert_eq!(a.candidates_generated, 14);
         assert!(a.to_string().contains("2 cells visited"));
+        assert_eq!(a.since(&one), one, "since undoes merge");
     }
 }

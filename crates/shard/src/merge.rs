@@ -67,9 +67,10 @@ const PULL_SAMPLE_EVERY: u32 = 8;
 /// shard guards live).
 ///
 /// Returns the merged views plus the fan-out stats: per-shard cost
-/// counters sum via [`SearchStats::merge_from`], and `candidates` /
+/// counters sum via [`SearchStats::merge`], and `candidates` /
 /// `candidates_generated` report the merged (capped) list — the set the
-/// client receives.
+/// client receives (`candidates` is overwritten, not summed: up to
+/// `shards × cand_size` were staged for an answer carrying `cand_size`).
 ///
 /// When `pull` is bound, every `PULL_SAMPLE_EVERY`-th uninterrupted run
 /// against the winning cursor records its duration (one histogram sample
@@ -165,7 +166,7 @@ pub fn merge_frontier<'a>(
     }
     let mut stats = SearchStats::default();
     for cursor in cursors {
-        stats.merge_from(&cursor.stats());
+        stats.merge(&cursor.stats());
     }
     stats.candidates_generated += out.len() as u64;
     stats.candidates = out.len() as u64;

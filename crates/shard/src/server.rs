@@ -76,11 +76,6 @@ impl<S: BucketStore> ShardedCloudServer<S> {
         self.0.flush()
     }
 
-    /// See [`ServerEngine::last_search_stats`].
-    pub fn last_search_stats(&self) -> SearchStats {
-        self.0.last_search_stats()
-    }
-
     /// See [`ServerEngine::total_search_stats`].
     pub fn total_search_stats(&self) -> SearchStats {
         self.0.total_search_stats()
@@ -134,6 +129,17 @@ mod tests {
         IndexEntry::new(id, Routing::from_distances(ds), vec![id as u8; 3])
     }
 
+    /// `request`'s answer and the search stats it added to the server's
+    /// totals — the request's own stats.
+    fn answer_and_stats(
+        s: &ShardedCloudServer<MemoryStore>,
+        request: Request,
+    ) -> (Response, SearchStats) {
+        let before = s.total_search_stats();
+        let response = s.process(request);
+        (response, s.total_search_stats().since(&before))
+    }
+
     #[test]
     fn insert_then_info_aggregates_shards() {
         let s = server(3);
@@ -163,10 +169,14 @@ mod tests {
             entry(3, &[0.9, 0.1, 0.2]),
             entry(4, &[0.11, 0.52, 0.9]),
         ]));
-        match s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: 3,
-        }) {
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::ApproxKnn {
+                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                cand_size: 3,
+            },
+        );
+        match resp {
             Response::CandidateList(list) => {
                 assert_eq!(list.headers.len(), 3, "merged list capped at cand_size");
                 assert!(list
@@ -177,7 +187,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(s.last_search_stats().candidates, 3);
+        assert_eq!(stats.candidates, 3);
         assert_eq!(s.total_search_stats().candidates, 3);
     }
 
@@ -213,14 +223,15 @@ mod tests {
             }),
             Response::CandidateList(_)
         ));
-        let before_total = s.total_search_stats();
-        let bad = s.process(Request::Range {
-            distances: vec![0.1],
-            radius: 1.0,
-        });
+        let (bad, stats) = answer_and_stats(
+            &s,
+            Request::Range {
+                distances: vec![0.1],
+                radius: 1.0,
+            },
+        );
         assert!(matches!(bad, Response::Error(_)));
-        assert_eq!(s.last_search_stats(), SearchStats::default());
-        assert_eq!(s.total_search_stats(), before_total);
+        assert_eq!(stats, SearchStats::default());
     }
 
     #[test]
@@ -230,20 +241,24 @@ mod tests {
             entry(1, &[0.1, 0.5, 0.9]),
             entry(2, &[0.2, 0.6, 0.8]),
         ]));
-        match s.process(Request::BatchKnn(vec![
-            KnnQuery {
-                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-                cand_size: 2,
-            },
-            KnnQuery {
-                routing: Routing::from_distances(&[0.1, 0.5]), // malformed
-                cand_size: 2,
-            },
-            KnnQuery {
-                routing: Routing::from_distances(&[0.2, 0.6, 0.8]),
-                cand_size: 1,
-            },
-        ])) {
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::BatchKnn(vec![
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                    cand_size: 2,
+                },
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.1, 0.5]), // malformed
+                    cand_size: 2,
+                },
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.2, 0.6, 0.8]),
+                    cand_size: 1,
+                },
+            ]),
+        );
+        match resp {
             Response::CandidateSets(sets) => {
                 assert_eq!(sets.len(), 3);
                 assert_eq!(sets[0].as_ref().unwrap().headers.len(), 2);
@@ -252,13 +267,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(s.last_search_stats().candidates, 3, "successes only");
+        assert_eq!(stats.candidates, 3, "successes only");
     }
 
     /// The sharded server applies the same `cand_size` clamp as the single
-    /// server: oversized solo requests are refused with zeroed stats,
-    /// oversized batch slots never reach the fan-out while their siblings
-    /// still answer.
+    /// server: oversized solo requests are refused and add nothing to the
+    /// search totals, oversized batch slots never reach the fan-out while
+    /// their siblings still answer.
     #[test]
     fn oversized_cand_size_refused_before_fanout() {
         let s = server(2);
@@ -267,24 +282,32 @@ mod tests {
             entry(2, &[0.2, 0.6, 0.8]),
         ]));
         let over = u32::try_from(simcloud_core::protocol::MAX_CANDIDATE_HEADERS + 1).unwrap();
-        match s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: over,
-        }) {
-            Response::Error(msg) => assert!(msg.contains("header response cap"), "{msg}"),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(s.last_search_stats(), SearchStats::default());
-        match s.process(Request::BatchKnn(vec![
-            KnnQuery {
-                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-                cand_size: 2,
-            },
-            KnnQuery {
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::ApproxKnn {
                 routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
                 cand_size: over,
             },
-        ])) {
+        );
+        match resp {
+            Response::Error(msg) => assert!(msg.contains("header response cap"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(stats, SearchStats::default());
+        let (resp, stats) = answer_and_stats(
+            &s,
+            Request::BatchKnn(vec![
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                    cand_size: 2,
+                },
+                KnnQuery {
+                    routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                    cand_size: over,
+                },
+            ]),
+        );
+        match resp {
             Response::CandidateSets(sets) => {
                 assert_eq!(sets.len(), 2);
                 assert_eq!(sets[0].as_ref().unwrap().headers.len(), 2);
@@ -293,7 +316,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(s.last_search_stats().candidates, 2, "successes only");
+        assert_eq!(stats.candidates, 2, "successes only");
     }
 
     #[test]
@@ -319,7 +342,7 @@ mod tests {
             Response::Error(msg) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(s.last_search_stats(), SearchStats::default());
+        assert_eq!(s.total_search_stats(), SearchStats::default());
     }
 
     #[test]
@@ -375,5 +398,85 @@ mod tests {
             }
         });
         assert_eq!(s.total_search_stats().candidates, 4 * 10 * 2);
+    }
+
+    /// The exposition and the totals read the same `search.*` counters:
+    /// after four threads of kNN / range / batch requests against a
+    /// 4-shard server, every `counter search.<name>` line equals its
+    /// `total_search_stats()` field, and the totals equal a serial replay
+    /// of the same requests on an identical server.
+    #[test]
+    fn search_totals_match_exposition_and_serial_replay() {
+        fn filled() -> ShardedCloudServer<MemoryStore> {
+            let s = server(4);
+            let tenth = |i: u64, m: u64| (i * m % 10) as f64 / 10.0;
+            let entries = (0..60)
+                .map(|i| entry(i, &[tenth(i, 7), tenth(i, 3), tenth(i, 9)]))
+                .collect();
+            assert_eq!(s.process(Request::Insert(entries)), Response::Inserted(60));
+            s
+        }
+        let thread_requests = |t: u64| -> Vec<Vec<u8>> {
+            let ds = [t as f64 / 4.0, 0.5, 1.0 - t as f64 / 4.0];
+            let knn = |cand_size| KnnQuery {
+                routing: Routing::from_distances(&ds),
+                cand_size,
+            };
+            let requests = [
+                Request::ApproxKnn {
+                    routing: Routing::from_distances(&ds),
+                    cand_size: 5 + t as u32,
+                },
+                Request::Range {
+                    distances: ds.to_vec(),
+                    radius: 0.3,
+                },
+                Request::BatchKnn(vec![knn(3), knn(12)]),
+            ];
+            let rounds = std::iter::repeat_n(requests, 5).flatten();
+            rounds.map(|r| r.encode()).collect()
+        };
+
+        let concurrent = filled();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (s, requests) = (&concurrent, thread_requests(t));
+                scope.spawn(move || {
+                    for request in requests {
+                        s.handle_shared(&request);
+                    }
+                });
+            }
+        });
+        let totals = concurrent.total_search_stats();
+        assert!(totals.candidates > 0 && totals.entries_scanned > 0);
+
+        let text = concurrent.telemetry().metrics_text();
+        let mut lines = 0;
+        for line in text.lines() {
+            let Some(counter) = line.strip_prefix("counter search.") else {
+                continue;
+            };
+            let (name, value) = counter.split_once(' ').unwrap();
+            let field = match name {
+                "cells_visited" => totals.cells_visited,
+                "pruned_hyperplane" => totals.pruned_hyperplane,
+                "pruned_range_pivot" => totals.pruned_range_pivot,
+                "entries_scanned" => totals.entries_scanned,
+                "entries_filtered" => totals.entries_filtered,
+                "candidates" => totals.candidates,
+                "candidates_generated" => totals.candidates_generated,
+                other => panic!("unknown search counter {other}"),
+            };
+            assert_eq!(value.parse::<u64>().unwrap(), field, "{line}");
+            lines += 1;
+        }
+        assert_eq!(lines, 7, "one line per SearchStats field:\n{text}");
+
+        let serial = filled();
+        for request in (0..4).flat_map(thread_requests) {
+            serial.handle_shared(&request);
+        }
+        assert_eq!(serial.total_search_stats(), totals);
     }
 }

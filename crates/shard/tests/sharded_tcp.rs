@@ -158,6 +158,7 @@ fn sharded_batch_with_malformed_subquery_over_tcp() {
             cand_size: 4,
         },
     ]);
+    let before = server.total_search_stats();
     let resp = Response::decode(&raw.round_trip(&batch.encode()).unwrap()).unwrap();
     match resp {
         Response::CandidateSets(sets) => {
@@ -169,7 +170,7 @@ fn sharded_batch_with_malformed_subquery_over_tcp() {
         other => panic!("unexpected {other:?}"),
     }
     assert_eq!(
-        server.last_search_stats().candidates,
+        server.total_search_stats().since(&before).candidates,
         12,
         "batch stats cover exactly the successful sub-queries"
     );

@@ -7,7 +7,7 @@
 //! * [`metrics`] — atomic [`Counter`]s, [`Gauge`]s and log-bucketed
 //!   latency [`Histogram`]s whose [`HistogramSnapshot`]s carry
 //!   p50/p95/p99/max estimates and merge by summation (per-shard
-//!   distributions aggregate exactly like `SearchStats::merge_from`);
+//!   distributions aggregate exactly like per-shard `SearchStats` do);
 //! * [`span`] — RAII phase timing: a [`Trace`] per request, a
 //!   [`PhaseSpan`] per lifecycle phase (decode → route → open → pull →
 //!   stage → encode), plus the trace-free [`SpanTimer`] for storage and

@@ -6,7 +6,7 @@
 //! so the hot path can be instrumented unconditionally. Readers take
 //! [`HistogramSnapshot`]s, which are owned, mergeable values: snapshots
 //! from many histograms (one per shard, say) sum bucket-wise into one
-//! distribution, the same way `SearchStats::merge_from` sums counters.
+//! distribution, the same way per-shard `SearchStats` sum into one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};

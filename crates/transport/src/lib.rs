@@ -18,9 +18,8 @@
 //!   the server prefixes each response with its measured processing time
 //!   so the client can attribute elapsed = server + communication;
 //! * [`TransportStats`] — requests, exact bytes in both directions,
-//!   accumulated server and communication time;
-//! * [`Stopwatch`] — the timing primitive the experiment harness uses for
-//!   the client-side components;
+//!   accumulated server and communication time (client-side timings are
+//!   booked by the client into its own cost report, not here);
 //! * [`fault`] — a network fault-injection harness ([`FaultScript`] /
 //!   [`FaultStream`] / [`FaultTransport`]), the counterpart to the storage
 //!   crate's `FaultEnv`: scripted cuts, delays, truncations, drops and bit
@@ -45,14 +44,12 @@
 
 pub mod fault;
 pub mod stats;
-pub mod stopwatch;
 pub mod tcp;
 pub mod telemetry;
 pub mod transport;
 
 pub use fault::{Direction, FaultAction, FaultRule, FaultScript, FaultStream, FaultTransport};
 pub use stats::TransportStats;
-pub use stopwatch::Stopwatch;
 pub use tcp::{
     serve_tcp_shared, serve_tcp_shared_with, RetryPolicy, ServeOptions, TcpClientConfig,
     TcpTransport,

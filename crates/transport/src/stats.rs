@@ -41,17 +41,6 @@ impl TransportStats {
             reconnects: self.reconnects - earlier.reconnects,
         }
     }
-
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &TransportStats) {
-        self.requests += other.requests;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.server_time += other.server_time;
-        self.comm_time += other.comm_time;
-        self.retries += other.retries;
-        self.reconnects += other.reconnects;
-    }
 }
 
 impl std::fmt::Display for TransportStats {
@@ -90,25 +79,6 @@ mod tests {
         assert_eq!(d.requests, 3);
         assert_eq!(d.bytes_sent, 50);
         assert_eq!(d.bytes_received, 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = TransportStats::default();
-        let b = TransportStats {
-            requests: 1,
-            bytes_sent: 10,
-            bytes_received: 20,
-            server_time: Duration::from_micros(7),
-            comm_time: Duration::from_micros(3),
-            retries: 1,
-            reconnects: 1,
-        };
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.requests, 2);
-        assert_eq!(a.total_bytes(), 60);
-        assert_eq!(a.server_time, Duration::from_micros(14));
     }
 
     #[test]

@@ -68,6 +68,75 @@ fn tcp_and_in_process_deployments_agree() {
     server.shutdown();
 }
 
+/// `total_costs()` is "accumulated costs across all operations": every
+/// exchange the client makes — searches, inserts and the ops calls alike —
+/// is booked through one operation path, so the client's byte totals equal
+/// what its transport counted, in-process and over TCP.
+#[test]
+fn total_costs_book_every_operation() {
+    use simcloud_transport::Transport;
+
+    fn mix<T: Transport>(client: &mut EncryptedClient<L1, T>, data: &[Vector]) {
+        client.insert_bulk(&objects(&data[..100])).unwrap();
+        client.insert_bulk(&objects(data)[100..]).unwrap();
+        client.knn_approx(&data[7], 5, 40).unwrap();
+        client.range(&data[9], 15.0).unwrap();
+        client.server_info().unwrap();
+        client.health().unwrap();
+        client.metrics_text().unwrap();
+        let total = client.total_costs();
+        assert_eq!(
+            total.bytes_sent + total.bytes_received,
+            client.transport().stats().total_bytes(),
+            "an exchange's bytes are missing from total_costs()"
+        );
+    }
+
+    let dataset = simcloud::datasets::yeast_like(61, Some(200));
+    let data = &dataset.vectors;
+    let (key, _) = SecretKey::generate(data, 8, &L1, PivotSelection::Random, 62);
+    let mut cfg = MIndexConfig::yeast();
+    cfg.num_pivots = 8;
+    let mut local = simcloud::core::in_process(
+        key.clone(),
+        L1,
+        cfg,
+        MemoryStore::new(),
+        ClientConfig::distances(),
+    )
+    .unwrap();
+    mix(&mut local, data);
+    let (mut remote, server) =
+        simcloud::core::over_tcp(key, L1, cfg, MemoryStore::new(), ClientConfig::distances())
+            .unwrap();
+    mix(&mut remote, data);
+    drop(remote);
+    server.shutdown();
+}
+
+/// An operation that fails books nothing: the refused search's exchange
+/// reached the transport, but `total_costs()` is left as it was.
+#[test]
+fn failed_operations_book_nothing() {
+    use simcloud_transport::Transport;
+
+    let dataset = simcloud::datasets::yeast_like(71, Some(50));
+    let data = &dataset.vectors;
+    let (key, _) = SecretKey::generate(data, 4, &L1, PivotSelection::Random, 72);
+    let mut cfg = MIndexConfig::yeast();
+    cfg.num_pivots = 4;
+    let mut client =
+        simcloud::core::in_process(key, L1, cfg, MemoryStore::new(), ClientConfig::distances())
+            .unwrap();
+    client.insert_bulk(&objects(data)).unwrap();
+    let (total, requests) = (client.total_costs(), client.transport().stats().requests);
+    let oversized = simcloud_core::protocol::MAX_CANDIDATE_HEADERS + 1;
+    let err = client.knn_approx(&data[0], 5, oversized).unwrap_err();
+    assert!(matches!(err, ClientError::Server(_)), "{err}");
+    assert_eq!(client.transport().stats().requests, requests + 1);
+    assert_eq!(client.total_costs(), total);
+}
+
 /// Disk-backed server: the CoPhIR configuration persists across server
 /// restarts (flush + reopen), and queries keep working.
 #[test]
