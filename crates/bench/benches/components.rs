@@ -6,13 +6,20 @@
 //! CRC, buffer-pool hit, buffer-pool miss) and the query data path a
 //! candidate's sealed bytes travel (owned, lent and bulk bucket reads, the
 //! kNN cursor open, request → finished response frame for kNN and for the
-//! filtered range open, the client's in-place frame parse).
+//! filtered range open, the client's in-place frame parse), and the
+//! client's crypto behind the paper's "Encryption time" and "Decryption
+//! time" rows (one AES-128 block, SHA-256, envelope seal / unseal and its
+//! two halves: the CTR keystream and the MAC).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response, SearchAnswerView};
 use simcloud_core::{evaluator_for, CloudServer};
+use simcloud_crypto::envelope::EnvelopeMode;
+use simcloud_crypto::hmac::HmacSha256;
+use simcloud_crypto::modes::ctr_apply;
+use simcloud_crypto::{Aes, CipherKey, Sha256};
 use simcloud_metric::{
     permutation_from_distances, CombinedMetric, Metric, PivotTable, TableScratch, Vector, L1,
 };
@@ -375,10 +382,77 @@ fn bench_query_frame(c: &mut Criterion) {
     });
 }
 
+fn bench_aes_block(c: &mut Criterion) {
+    let aes = Aes::new(b"0123456789abcdef").unwrap();
+    c.bench_function("aes128_encrypt_block", |b| {
+        let mut block = [0x42u8; 16];
+        b.iter(|| {
+            aes.encrypt_block(&mut block);
+            std::hint::black_box(&block);
+        });
+    });
+}
+
+fn bench_sha256(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sha256");
+    for size in [64usize, 1024, 16 * 1024] {
+        let data = vec![0xA5u8; size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, data| {
+            b.iter(|| std::hint::black_box(Sha256::digest(data)));
+        });
+    }
+    g.finish();
+}
+
+/// Seal and unseal of one object, then the two halves of a CoPhIR-sized
+/// unseal on their own: the CTR keystream over its 1132 bytes, and the
+/// HMAC over that envelope's MAC input (header + ciphertext + the empty
+/// aad's length), from a pre-absorbed key as the envelope runs it.
+fn bench_seal_unseal(c: &mut Criterion) {
+    let key = CipherKey::derive_from_master(b"bench master");
+    let mut g = c.benchmark_group("envelope");
+    // A YEAST object is 17 floats (~72 B), a CoPhIR object ~1.1 kB.
+    for (label, size) in [("yeast_obj", 72usize), ("cophir_obj", 1132)] {
+        let plain = vec![0x3Cu8; size];
+        let mut rng = StdRng::seed_from_u64(1);
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(BenchmarkId::new("seal_ctr", label), |b| {
+            b.iter(|| std::hint::black_box(key.seal(&plain, EnvelopeMode::Ctr, &mut rng)));
+        });
+        let sealed = key.seal(&plain, EnvelopeMode::Ctr, &mut rng);
+        g.bench_function(BenchmarkId::new("unseal_ctr", label), |b| {
+            b.iter(|| std::hint::black_box(key.unseal(&sealed).unwrap()));
+        });
+    }
+    let aes = Aes::new(b"0123456789abcdef").unwrap();
+    let mut data = vec![0x3Cu8; 1132];
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function(BenchmarkId::new("ctr_only", "cophir_obj"), |b| {
+        b.iter(|| {
+            ctr_apply(&aes, &[7u8; 16], &mut data);
+            std::hint::black_box(&data);
+        });
+    });
+    let sealed = key.seal(&data, EnvelopeMode::Ctr, &mut StdRng::seed_from_u64(1));
+    let body = &sealed[..sealed.len() - 32];
+    let mac = HmacSha256::new(&[0x5Au8; 32]);
+    g.bench_function(BenchmarkId::new("mac_only", "cophir_obj"), |b| {
+        b.iter(|| {
+            let mut m = mac.clone();
+            m.update(body);
+            m.update(&0u32.to_le_bytes());
+            std::hint::black_box(m.finalize())
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_permutation, bench_promise, bench_pivot_filter, bench_metric_eval,
-        bench_disk_pool, bench_bucket_scan, bench_query_frame
+        bench_disk_pool, bench_bucket_scan, bench_query_frame, bench_aes_block, bench_sha256,
+        bench_seal_unseal
 }
 criterion_main!(benches);

@@ -157,10 +157,6 @@ pub struct ClientConfig {
     /// Routing information stored with objects (must match the server's
     /// index configuration).
     pub strategy: RoutingStrategy,
-    /// Prefix length for permutation routing (defaults to the full
-    /// permutation, as Alg. 1 line 7 stores `(1)_o … (n)_o`; shorter
-    /// prefixes leak and cost less).
-    pub permutation_prefix: Option<usize>,
     /// Level-4 privacy extension (paper §6 future work): monotone keyed
     /// transformation of all distances shipped to the server.
     pub transform: Option<DistanceTransform>,
@@ -188,7 +184,6 @@ impl ClientConfig {
     pub fn distances() -> Self {
         Self {
             strategy: RoutingStrategy::Distances,
-            permutation_prefix: None,
             transform: None,
             lazy_refine: LazyRefine::Sound,
             fetch_alpha: 4,
@@ -201,7 +196,6 @@ impl ClientConfig {
     pub fn permutations() -> Self {
         Self {
             strategy: RoutingStrategy::Permutation,
-            permutation_prefix: None,
             transform: None,
             lazy_refine: LazyRefine::Sound,
             fetch_alpha: 4,
@@ -502,9 +496,10 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             RoutingStrategy::Permutation => {
                 // Monotone transforms do not change permutations, so the
                 // transform is a no-op here — exactly the paper's point that
-                // permutations already hide distance values.
-                let len = self.config.permutation_prefix.unwrap_or(distances.len());
-                Routing::permutation_prefix(distances, len)
+                // permutations already hide distance values. The client
+                // sends the full permutation, as Alg. 1 line 7 stores
+                // `(1)_o … (n)_o`.
+                Routing::permutation_prefix(distances, distances.len())
             }
         }
     }

@@ -4,7 +4,9 @@
 //! key for symmetric cipher used to encrypt the data." Distribution of this
 //! struct to a client is what *authorizes* it: without the pivots a party
 //! cannot form meaningful queries, and without the cipher key it cannot read
-//! candidate objects.
+//! candidate objects. The cipher key seals every object the same way:
+//! AES-128-CTR + HMAC-SHA-256, the envelope's one mode
+//! ([`SecretKey::mode`]).
 //!
 //! The key holds its pivots as a [`PivotTable`] — the pivot objects plus a
 //! contiguous widened copy — because the one thing a client does with them
@@ -22,12 +24,11 @@ use simcloud_crypto::envelope::EnvelopeMode;
 use simcloud_crypto::CipherKey;
 use simcloud_metric::{select_pivots, Metric, PivotSelection, PivotTable, TableScratch, Vector};
 
-/// Secret key: pivot set + symmetric cipher key (+ the envelope mode).
+/// Secret key: pivot set + symmetric cipher key.
 #[derive(Clone)]
 pub struct SecretKey {
     table: PivotTable,
     cipher: CipherKey,
-    mode: EnvelopeMode,
 }
 
 impl std::fmt::Debug for SecretKey {
@@ -44,12 +45,11 @@ impl std::fmt::Debug for SecretKey {
 
 impl SecretKey {
     /// Assembles a key from explicit parts.
-    pub fn new(pivots: Vec<Vector>, cipher: CipherKey, mode: EnvelopeMode) -> Self {
+    pub fn new(pivots: Vec<Vector>, cipher: CipherKey) -> Self {
         assert!(!pivots.is_empty(), "secret key needs at least one pivot");
         Self {
             table: PivotTable::new(pivots),
             cipher,
-            mode,
         }
     }
 
@@ -71,16 +71,12 @@ impl SecretKey {
         let mut master = [0u8; 32];
         rng.fill_bytes(&mut master);
         let cipher = CipherKey::derive_from_master(&master);
-        (Self::new(pivots, cipher, EnvelopeMode::Ctr), master)
+        (Self::new(pivots, cipher), master)
     }
 
     /// Reconstructs the key on an authorized client from distributed parts.
     pub fn from_master(pivots: Vec<Vector>, master: &[u8]) -> Self {
-        Self {
-            table: PivotTable::new(pivots),
-            cipher: CipherKey::derive_from_master(master),
-            mode: EnvelopeMode::Ctr,
-        }
+        Self::new(pivots, CipherKey::derive_from_master(master))
     }
 
     /// The pivot set.
@@ -98,15 +94,9 @@ impl SecretKey {
         &self.cipher
     }
 
-    /// Envelope mode used for sealing objects.
+    /// Envelope mode used for sealing objects (AES-128-CTR, the only one).
     pub fn mode(&self) -> EnvelopeMode {
-        self.mode
-    }
-
-    /// Switches the envelope mode (CTR default, CBC for 2012-JCE fidelity).
-    pub fn with_mode(mut self, mode: EnvelopeMode) -> Self {
-        self.mode = mode;
-        self
+        EnvelopeMode::Ctr
     }
 
     /// Computes the object–pivot distances `d(o, p_i)` — the client-side
@@ -183,16 +173,8 @@ mod tests {
     fn distances_match_metric() {
         let pivots = vec![Vector::new(vec![0.0]), Vector::new(vec![10.0])];
         let cipher = CipherKey::derive_from_master(b"m");
-        let key = SecretKey::new(pivots, cipher, EnvelopeMode::Ctr);
+        let key = SecretKey::new(pivots, cipher);
         let ds = key.pivot_distances(&L2, &Vector::new(vec![4.0]));
         assert_eq!(ds, vec![4.0, 6.0]);
-    }
-
-    #[test]
-    fn mode_switch() {
-        let data = sample_data(10);
-        let (key, _) = SecretKey::generate(&data, 2, &L2, PivotSelection::Random, 2);
-        let key = key.with_mode(EnvelopeMode::Cbc);
-        assert_eq!(key.mode(), EnvelopeMode::Cbc);
     }
 }

@@ -1,21 +1,20 @@
-//! AES block cipher (FIPS-197) — 128/192/256-bit keys.
+//! AES-128 block cipher (FIPS-197), encrypt direction — the one primitive
+//! the envelope needs: CTR mode only ever runs the forward cipher, so there
+//! is no inverse cipher and no 192/256-bit schedule.
 //!
 //! The hot path is a 32-bit **T-table** implementation: one 256-entry table
-//! per direction fuses SubBytes, ShiftRows and MixColumns into four XORs of
-//! rotated table words per column per round (the `rijndael-alg-fst`
-//! formulation; the other three tables of the classic four-table layout are
-//! byte rotations of the first, so they are derived with `rotate_right` at
-//! use). Decryption runs the *equivalent inverse cipher*: the decryption
-//! key schedule applies InvMixColumns to the inner round keys once at key
-//! expansion, so rounds stay table-driven.
+//! fuses SubBytes, ShiftRows and MixColumns into four XORs of rotated table
+//! words per column per round (the `rijndael-alg-fst` formulation; the other
+//! three tables of the classic four-table layout are byte rotations of the
+//! first, so they are derived with `rotate_right` at use).
 //!
-//! Both tables are derived from `SBOX` at first use (same pattern as
-//! `inv_sbox` — no second hand-typed constant as a source of error), and
-//! the textbook byte-oriented implementation is kept as the reference the
-//! T-table path is property-tested against on random keys and blocks.
+//! The table is derived from `SBOX` at first use (no second hand-typed
+//! constant as a source of error), and the textbook byte-oriented
+//! implementation is kept as the reference the T-table path is
+//! property-tested against on random keys and blocks.
 //!
-//! Correctness is anchored to the FIPS-197 Appendix C known-answer tests and
-//! a pair of NIST AESAVS vectors (see the test module).
+//! Correctness is anchored to the FIPS-197 known-answer tests and a pair of
+//! NIST AESAVS vectors (see the test module).
 
 /// The AES S-box (FIPS-197 Figure 7).
 const SBOX: [u8; 256] = [
@@ -36,20 +35,6 @@ const SBOX: [u8; 256] = [
     0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
-
-/// Inverse S-box, derived from [`SBOX`] at first use (avoids a second
-/// hand-typed table as a source of error).
-fn inv_sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
 
 /// Round constants for key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
@@ -74,174 +59,74 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
-/// AES key size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeySize {
-    /// 128-bit key, 10 rounds — the paper's configuration.
-    Aes128,
-    /// 192-bit key, 12 rounds.
-    Aes192,
-    /// 256-bit key, 14 rounds.
-    Aes256,
-}
+/// Number of rounds for a 128-bit key.
+const ROUNDS: usize = 10;
 
-impl KeySize {
-    fn from_len(len: usize) -> Option<Self> {
-        match len {
-            16 => Some(KeySize::Aes128),
-            24 => Some(KeySize::Aes192),
-            32 => Some(KeySize::Aes256),
-            _ => None,
-        }
-    }
-    fn rounds(self) -> usize {
-        match self {
-            KeySize::Aes128 => 10,
-            KeySize::Aes192 => 12,
-            KeySize::Aes256 => 14,
-        }
-    }
-    fn nk(self) -> usize {
-        match self {
-            KeySize::Aes128 => 4,
-            KeySize::Aes192 => 6,
-            KeySize::Aes256 => 8,
-        }
-    }
-}
-
-/// Fused SubBytes+ShiftRows+MixColumns tables, derived from [`SBOX`] at
-/// first use. `te[x]` packs `(02·S[x], S[x], S[x], 03·S[x])` big-endian;
-/// `td[x]` packs `(0e·Si[x], 09·Si[x], 0d·Si[x], 0b·Si[x])`. The classic
-/// Te1–Te3 / Td1–Td3 tables are byte rotations of these.
-fn ttables() -> &'static ([u32; 256], [u32; 256]) {
+/// Fused SubBytes+ShiftRows+MixColumns table, derived from [`SBOX`] at
+/// first use: `te[x]` packs `(02·S[x], S[x], S[x], 03·S[x])` big-endian.
+/// The classic Te1–Te3 tables are byte rotations of it.
+fn te() -> &'static [u32; 256] {
     use std::sync::OnceLock;
-    static TABLES: OnceLock<([u32; 256], [u32; 256])> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let inv = inv_sbox();
-        let mut te = [0u32; 256];
-        let mut td = [0u32; 256];
-        for x in 0..256 {
+    static TE: OnceLock<[u32; 256]> = OnceLock::new();
+    TE.get_or_init(|| {
+        std::array::from_fn(|x| {
             let s = SBOX[x];
-            te[x] = u32::from_be_bytes([gmul(s, 0x02), s, s, gmul(s, 0x03)]);
-            let si = inv[x];
-            td[x] = u32::from_be_bytes([
-                gmul(si, 0x0e),
-                gmul(si, 0x09),
-                gmul(si, 0x0d),
-                gmul(si, 0x0b),
-            ]);
-        }
-        (te, td)
+            u32::from_be_bytes([gmul(s, 0x02), s, s, gmul(s, 0x03)])
+        })
     })
 }
 
-/// InvMixColumns of one big-endian column word, via the decryption table:
-/// `td[x]` is InvMixColumns of the word `Si[x]·e_row`, so composing with
-/// the forward S-box cancels the substitution.
-#[inline]
-fn inv_mix_word(td: &[u32; 256], w: u32) -> u32 {
-    td[SBOX[(w >> 24) as usize] as usize]
-        ^ td[SBOX[((w >> 16) & 0xff) as usize] as usize].rotate_right(8)
-        ^ td[SBOX[((w >> 8) & 0xff) as usize] as usize].rotate_right(16)
-        ^ td[SBOX[(w & 0xff) as usize] as usize].rotate_right(24)
-}
-
-/// An expanded AES key ready for block operations.
+/// An expanded AES-128 key ready for block encryption.
 #[derive(Clone)]
 pub struct Aes {
-    // rounds + 1 entries; feeds the byte-oriented reference path, which
-    // only compiles under test.
-    #[cfg_attr(not(test), allow(dead_code))]
-    round_keys: Vec<[u8; 16]>,
-    enc_keys: Vec<[u32; 4]>, // same schedule as big-endian column words
-    dec_keys: Vec<[u32; 4]>, // equivalent-inverse-cipher schedule
-    rounds: usize,
+    /// The key schedule as big-endian column words, one entry per round key.
+    keys: [[u32; 4]; ROUNDS + 1],
 }
 
 impl std::fmt::Debug for Aes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material.
-        write!(f, "Aes{{rounds: {}}}", self.rounds)
+        write!(f, "Aes{{rounds: {ROUNDS}}}")
     }
 }
 
 impl Aes {
-    /// Expands `key` (16, 24 or 32 bytes). Returns `None` for other lengths.
+    /// Expands a 16-byte `key`. Returns `None` for any other length.
     pub fn new(key: &[u8]) -> Option<Self> {
-        let size = KeySize::from_len(key.len())?;
-        let nk = size.nk();
-        let rounds = size.rounds();
-        let nwords = 4 * (rounds + 1);
-        let mut w = vec![[0u8; 4]; nwords];
-        for (i, word) in w.iter_mut().take(nk).enumerate() {
-            word.copy_from_slice(&key[4 * i..4 * i + 4]);
+        let key: &[u8; 16] = key.try_into().ok()?;
+        let mut keys = [[0u32; 4]; ROUNDS + 1];
+        for (k, word) in keys[0].iter_mut().zip(key.chunks_exact(4)) {
+            *k = u32::from_be_bytes(word.try_into().unwrap());
         }
-        for i in nk..nwords {
-            let mut temp = w[i - 1];
-            if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in temp.iter_mut() {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / nk - 1];
-            } else if nk > 6 && i % nk == 4 {
-                for b in temp.iter_mut() {
-                    *b = SBOX[*b as usize];
-                }
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - nk][j] ^ temp[j];
+        for r in 1..=ROUNDS {
+            // RotWord, SubWord and Rcon of the previous round key's last
+            // word, then each word is the one a round earlier XOR the one
+            // before it.
+            let prev = keys[r - 1];
+            let [a, b, c, d] = prev[3].rotate_left(8).to_be_bytes();
+            let mut temp = u32::from_be_bytes([
+                SBOX[a as usize] ^ RCON[r - 1],
+                SBOX[b as usize],
+                SBOX[c as usize],
+                SBOX[d as usize],
+            ]);
+            for (k, p) in keys[r].iter_mut().zip(prev) {
+                temp ^= p;
+                *k = temp;
             }
         }
-        let mut round_keys = Vec::with_capacity(rounds + 1);
-        let mut enc_keys = Vec::with_capacity(rounds + 1);
-        for r in 0..=rounds {
-            let mut rk = [0u8; 16];
-            let mut ek = [0u32; 4];
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-                ek[c] = u32::from_be_bytes(w[4 * r + c]);
-            }
-            round_keys.push(rk);
-            enc_keys.push(ek);
-        }
-        // Equivalent inverse cipher: reverse the schedule and push the inner
-        // round keys through InvMixColumns once, so decryption rounds can be
-        // table-driven just like encryption rounds.
-        let (_, td) = ttables();
-        let mut dec_keys = Vec::with_capacity(rounds + 1);
-        dec_keys.push(enc_keys[rounds]);
-        for r in (1..rounds).rev() {
-            let mut dk = [0u32; 4];
-            for c in 0..4 {
-                dk[c] = inv_mix_word(td, enc_keys[r][c]);
-            }
-            dec_keys.push(dk);
-        }
-        dec_keys.push(enc_keys[0]);
-        Some(Self {
-            round_keys,
-            enc_keys,
-            dec_keys,
-            rounds,
-        })
-    }
-
-    /// Number of rounds (10/12/14).
-    pub fn rounds(&self) -> usize {
-        self.rounds
+        Some(Self { keys })
     }
 
     /// Encrypts one 16-byte block in place (T-table path).
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let (te, _) = ttables();
-        let rk = &self.enc_keys;
+        let te = te();
+        let rk = &self.keys;
         let mut s = [0u32; 4];
         for c in 0..4 {
             s[c] = u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().unwrap()) ^ rk[0][c];
         }
-        for rk_r in &rk[1..self.rounds] {
+        for rk_r in &rk[1..ROUNDS] {
             let mut t = [0u32; 4];
             for c in 0..4 {
                 // ShiftRows: row i of the output column comes from input
@@ -261,39 +146,7 @@ impl Aes {
                 SBOX[((s[(c + 1) & 3] >> 16) & 0xff) as usize],
                 SBOX[((s[(c + 2) & 3] >> 8) & 0xff) as usize],
                 SBOX[(s[(c + 3) & 3] & 0xff) as usize],
-            ]) ^ rk[self.rounds][c];
-            block[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
-        }
-    }
-
-    /// Decrypts one 16-byte block in place (equivalent inverse cipher).
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        let (_, td) = ttables();
-        let inv = inv_sbox();
-        let rk = &self.dec_keys;
-        let mut s = [0u32; 4];
-        for c in 0..4 {
-            s[c] = u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().unwrap()) ^ rk[0][c];
-        }
-        for rk_r in &rk[1..self.rounds] {
-            let mut t = [0u32; 4];
-            for c in 0..4 {
-                // InvShiftRows: row i comes from input column c−i (mod 4).
-                t[c] = td[(s[c] >> 24) as usize]
-                    ^ td[((s[(c + 3) & 3] >> 16) & 0xff) as usize].rotate_right(8)
-                    ^ td[((s[(c + 2) & 3] >> 8) & 0xff) as usize].rotate_right(16)
-                    ^ td[(s[(c + 1) & 3] & 0xff) as usize].rotate_right(24)
-                    ^ rk_r[c];
-            }
-            s = t;
-        }
-        for c in 0..4 {
-            let w = u32::from_be_bytes([
-                inv[(s[c] >> 24) as usize],
-                inv[((s[(c + 3) & 3] >> 16) & 0xff) as usize],
-                inv[((s[(c + 2) & 3] >> 8) & 0xff) as usize],
-                inv[(s[(c + 1) & 3] & 0xff) as usize],
-            ]) ^ rk[self.rounds][c];
+            ]) ^ rk[ROUNDS][c];
             block[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
         }
     }
@@ -302,32 +155,16 @@ impl Aes {
     /// as the oracle the T-table path is property-tested against.
     #[cfg(test)]
     fn encrypt_block_bytewise(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..self.rounds {
+        add_round_key(block, &self.keys[0]);
+        for r in 1..ROUNDS {
             sub_bytes(block);
             shift_rows(block);
             mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
+            add_round_key(block, &self.keys[r]);
         }
         sub_bytes(block);
         shift_rows(block);
-        add_round_key(block, &self.round_keys[self.rounds]);
-    }
-
-    /// Byte-oriented reference decryption (see
-    /// [`Self::encrypt_block_bytewise`]).
-    #[cfg(test)]
-    fn decrypt_block_bytewise(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[self.rounds]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for r in (1..self.rounds).rev() {
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-        }
-        add_round_key(block, &self.round_keys[0]);
+        add_round_key(block, &self.keys[ROUNDS]);
     }
 }
 
@@ -335,9 +172,11 @@ impl Aes {
 // FIPS-197 input mapping).
 
 #[cfg(test)]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
+fn add_round_key(state: &mut [u8; 16], rk: &[u32; 4]) {
+    for (c, word) in rk.iter().enumerate() {
+        for (s, k) in state[4 * c..4 * c + 4].iter_mut().zip(word.to_be_bytes()) {
+            *s ^= k;
+        }
     }
 }
 
@@ -349,14 +188,6 @@ fn sub_bytes(state: &mut [u8; 16]) {
 }
 
 #[cfg(test)]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    let inv = inv_sbox();
-    for b in state.iter_mut() {
-        *b = inv[*b as usize];
-    }
-}
-
-#[cfg(test)]
 fn shift_rows(state: &mut [u8; 16]) {
     // row r (r = 1..3) rotates left by r; elements of row r are at indices
     // r, r+4, r+8, r+12.
@@ -364,16 +195,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     for r in 1..4 {
         for c in 0..4 {
             state[4 * c + r] = s[4 * ((c + r) % 4) + r];
-        }
-    }
-}
-
-#[cfg(test)]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * ((c + r) % 4) + r] = s[4 * c + r];
         }
     }
 }
@@ -395,26 +216,6 @@ fn mix_columns(state: &mut [u8; 16]) {
 }
 
 #[cfg(test)]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] =
-            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-        state[4 * c + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-        state[4 * c + 2] =
-            gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-        state[4 * c + 3] =
-            gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{hex_decode, hex_encode};
@@ -426,8 +227,6 @@ mod tests {
         block.copy_from_slice(&hex_decode(pt_hex));
         aes.encrypt_block(&mut block);
         assert_eq!(hex_encode(&block), ct_hex, "encrypt KAT failed");
-        aes.decrypt_block(&mut block);
-        assert_eq!(hex_encode(&block), pt_hex, "decrypt KAT failed");
     }
 
     /// FIPS-197 Appendix C.1 (AES-128).
@@ -437,26 +236,6 @@ mod tests {
             "000102030405060708090a0b0c0d0e0f",
             "00112233445566778899aabbccddeeff",
             "69c4e0d86a7b0430d8cdb78070b4c55a",
-        );
-    }
-
-    /// FIPS-197 Appendix C.2 (AES-192).
-    #[test]
-    fn fips197_appendix_c2_aes192() {
-        run_kat(
-            "000102030405060708090a0b0c0d0e0f1011121314151617",
-            "00112233445566778899aabbccddeeff",
-            "dda97ca4864cdfe06eaf70a0ec0d7191",
-        );
-    }
-
-    /// FIPS-197 Appendix C.3 (AES-256).
-    #[test]
-    fn fips197_appendix_c3_aes256() {
-        run_kat(
-            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-            "00112233445566778899aabbccddeeff",
-            "8ea2b7ca516745bfeafc49904b496089",
         );
     }
 
@@ -496,15 +275,8 @@ mod tests {
         assert!(Aes::new(&[0u8; 17]).is_none());
         assert!(Aes::new(&[]).is_none());
         assert!(Aes::new(&[0u8; 16]).is_some());
-        assert!(Aes::new(&[0u8; 24]).is_some());
-        assert!(Aes::new(&[0u8; 32]).is_some());
-    }
-
-    #[test]
-    fn round_counts() {
-        assert_eq!(Aes::new(&[0u8; 16]).unwrap().rounds(), 10);
-        assert_eq!(Aes::new(&[0u8; 24]).unwrap().rounds(), 12);
-        assert_eq!(Aes::new(&[0u8; 32]).unwrap().rounds(), 14);
+        assert!(Aes::new(&[0u8; 24]).is_none());
+        assert!(Aes::new(&[0u8; 32]).is_none());
     }
 
     #[test]
@@ -516,53 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_decrypt_round_trip_many_blocks() {
-        let aes = Aes::new(b"0123456789abcdef").unwrap();
-        for i in 0..64u8 {
-            let mut block = [i; 16];
-            let orig = block;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, orig);
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, orig);
-        }
-    }
-
-    #[test]
     fn gf_multiplication_table_identities() {
         assert_eq!(gmul(0x57, 0x13), 0xfe); // FIPS-197 §4.2 example
         assert_eq!(gmul(1, 0xab), 0xab);
         assert_eq!(gmul(0, 0xff), 0);
         assert_eq!(xtime(0x57), 0xae);
         assert_eq!(xtime(0xae), 0x47);
-    }
-
-    /// `inv_mix_word` (used to build the equivalent-inverse-cipher key
-    /// schedule) must invert the byte-oriented MixColumns on every column.
-    #[test]
-    fn inv_mix_word_inverts_mix_columns() {
-        let (_, td) = ttables();
-        for seed in 0..256u32 {
-            let mut state = [0u8; 16];
-            for (i, b) in state.iter_mut().enumerate() {
-                *b = (seed.wrapping_mul(31).wrapping_add(i as u32 * 97) & 0xff) as u8;
-            }
-            let mut mixed = state;
-            mix_columns(&mut mixed);
-            for c in 0..4 {
-                let w = u32::from_be_bytes(mixed[4 * c..4 * c + 4].try_into().unwrap());
-                let back = inv_mix_word(td, w).to_be_bytes();
-                assert_eq!(back, state[4 * c..4 * c + 4], "column {c} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_sbox_is_consistent() {
-        let inv = inv_sbox();
-        for i in 0..=255u8 {
-            assert_eq!(inv[SBOX[i as usize] as usize], i);
-        }
     }
 
     mod ttable_properties {
@@ -573,29 +304,20 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// The T-table fast path computes exactly the byte-oriented
-            /// FIPS-197 transform, for every key size on random blocks.
+            /// FIPS-197 transform on random keys and blocks.
             #[test]
             fn ttable_matches_bytewise(
-                key in proptest::collection::vec(any::<u8>(), 32),
+                key in proptest::collection::vec(any::<u8>(), 16),
                 block in proptest::collection::vec(any::<u8>(), 16),
-                size in 0usize..3,
             ) {
-                let key_len = [16, 24, 32][size];
-                let aes = Aes::new(&key[..key_len]).unwrap();
-                let orig: [u8; 16] = block.clone().try_into().unwrap();
+                let aes = Aes::new(&key).unwrap();
+                let orig: [u8; 16] = block.try_into().unwrap();
 
                 let mut fast = orig;
                 aes.encrypt_block(&mut fast);
                 let mut slow = orig;
                 aes.encrypt_block_bytewise(&mut slow);
                 prop_assert_eq!(fast, slow);
-
-                let mut fast_dec = fast;
-                aes.decrypt_block(&mut fast_dec);
-                let mut slow_dec = slow;
-                aes.decrypt_block_bytewise(&mut slow_dec);
-                prop_assert_eq!(fast_dec, slow_dec);
-                prop_assert_eq!(fast_dec, orig);
             }
         }
     }

@@ -8,7 +8,8 @@
 //! sealed := mode(1) || iv(16) || ct_len(u32 LE) || ciphertext || tag(32)
 //! ```
 //!
-//! * encryption: AES-128 (CTR by default, CBC+PKCS7 optional),
+//! * encryption: AES-128-CTR (`mode` is `1`, the only mode; any other
+//!   byte is refused before the MAC is checked),
 //! * integrity: HMAC-SHA-256 over
 //!   `mode || iv || ct_len || ciphertext || aad_len || aad`
 //!   (encrypt-then-MAC), truncated to the full 32 bytes; the *associated
@@ -28,32 +29,18 @@ use crate::aes::Aes;
 use crate::ct_eq;
 use crate::hmac::HmacSha256;
 use crate::kdf::pbkdf2_hmac_sha256;
-use crate::modes::{cbc_decrypt, cbc_encrypt, ctr_apply};
+use crate::modes::ctr_apply;
 
-/// Cipher mode selector for the envelope.
+/// Cipher mode selector for the envelope — it has one mode, kept as a
+/// parameter of every `seal*` entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvelopeMode {
-    /// AES-128-CTR (default: no padding, ciphertext length = plaintext).
+    /// AES-128-CTR: no padding, ciphertext length = plaintext length.
     Ctr,
-    /// AES-128-CBC with PKCS#7 (the likely 2012 JCE default).
-    Cbc,
 }
 
-impl EnvelopeMode {
-    fn to_byte(self) -> u8 {
-        match self {
-            EnvelopeMode::Ctr => 1,
-            EnvelopeMode::Cbc => 2,
-        }
-    }
-    fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            1 => Some(EnvelopeMode::Ctr),
-            2 => Some(EnvelopeMode::Cbc),
-            _ => None,
-        }
-    }
-}
+/// The mode byte of a CTR envelope.
+const CTR_BYTE: u8 = 1;
 
 /// Errors unsealing an envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +51,6 @@ pub enum SealError {
     UnknownMode,
     /// MAC verification failed — data was tampered with or the key is wrong.
     IntegrityFailure,
-    /// Padding or mode-level decryption failure after a valid MAC
-    /// (indicates an internal bug; should be unreachable).
-    DecryptFailure,
 }
 
 impl std::fmt::Display for SealError {
@@ -75,7 +59,6 @@ impl std::fmt::Display for SealError {
             SealError::Malformed => "malformed sealed object",
             SealError::UnknownMode => "unknown envelope mode",
             SealError::IntegrityFailure => "integrity check failed (tampering or wrong key)",
-            SealError::DecryptFailure => "decryption failed after valid MAC",
         };
         f.write_str(s)
     }
@@ -179,16 +162,10 @@ impl CipherKey {
         mode: EnvelopeMode,
         iv: &[u8; 16],
     ) -> Vec<u8> {
-        let ciphertext = match mode {
-            EnvelopeMode::Ctr => {
-                let mut data = plaintext.to_vec();
-                ctr_apply(&self.enc, iv, &mut data);
-                data
-            }
-            EnvelopeMode::Cbc => cbc_encrypt(&self.enc, iv, plaintext),
-        };
-        let mut out = Vec::with_capacity(1 + 16 + 4 + ciphertext.len() + 32);
-        out.push(mode.to_byte());
+        let mut ciphertext = plaintext.to_vec();
+        ctr_apply(&self.enc, iv, &mut ciphertext);
+        let mut out = Vec::with_capacity(Self::sealed_len(ciphertext.len(), mode));
+        out.push(CTR_BYTE);
         out.extend_from_slice(iv);
         out.extend_from_slice(&(ciphertext.len() as u32).to_le_bytes());
         out.extend_from_slice(&ciphertext);
@@ -211,11 +188,8 @@ impl CipherKey {
     /// Size of the sealed form for a given plaintext length — used by the
     /// communication-cost accounting before actually sealing.
     pub fn sealed_len(plaintext_len: usize, mode: EnvelopeMode) -> usize {
-        let ct = match mode {
-            EnvelopeMode::Ctr => plaintext_len,
-            EnvelopeMode::Cbc => (plaintext_len / 16 + 1) * 16,
-        };
-        1 + 16 + 4 + ct + 32
+        let EnvelopeMode::Ctr = mode;
+        1 + 16 + 4 + plaintext_len + 32
     }
 
     /// Verifies integrity and decrypts.
@@ -231,7 +205,9 @@ impl CipherKey {
         if sealed.len() < 1 + 16 + 4 + 32 {
             return Err(SealError::Malformed);
         }
-        let mode = EnvelopeMode::from_byte(sealed[0]).ok_or(SealError::UnknownMode)?;
+        if sealed[0] != CTR_BYTE {
+            return Err(SealError::UnknownMode);
+        }
         let ct_len = u32::from_le_bytes([sealed[17], sealed[18], sealed[19], sealed[20]]) as usize;
         let body_end = 21 + ct_len;
         if sealed.len() != body_end + 32 {
@@ -243,17 +219,9 @@ impl CipherKey {
         }
         let mut iv = [0u8; 16];
         iv.copy_from_slice(&sealed[1..17]);
-        let ciphertext = &body[21..];
-        match mode {
-            EnvelopeMode::Ctr => {
-                let mut data = ciphertext.to_vec();
-                ctr_apply(&self.enc, &iv, &mut data);
-                Ok(data)
-            }
-            EnvelopeMode::Cbc => {
-                cbc_decrypt(&self.enc, &iv, ciphertext).ok_or(SealError::DecryptFailure)
-            }
-        }
+        let mut data = body[21..].to_vec();
+        ctr_apply(&self.enc, &iv, &mut data);
+        Ok(data)
     }
 }
 
@@ -271,17 +239,30 @@ mod tests {
     }
 
     #[test]
-    fn seal_unseal_round_trip_ctr_and_cbc() {
+    fn seal_unseal_round_trip_ctr() {
         let k = key();
         let mut rng = StdRng::seed_from_u64(1);
-        for mode in [EnvelopeMode::Ctr, EnvelopeMode::Cbc] {
-            for len in [0usize, 1, 16, 100, 4096] {
-                let pt: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-                let sealed = k.seal(&pt, mode, &mut rng);
-                assert_eq!(sealed.len(), CipherKey::sealed_len(len, mode), "len {len}");
-                assert_eq!(k.unseal(&sealed).unwrap(), pt, "mode {mode:?} len {len}");
-            }
+        let mode = EnvelopeMode::Ctr;
+        for len in [0usize, 1, 16, 100, 4096] {
+            let pt: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let sealed = k.seal(&pt, mode, &mut rng);
+            assert_eq!(sealed.len(), CipherKey::sealed_len(len, mode), "len {len}");
+            assert_eq!(k.unseal(&sealed).unwrap(), pt, "mode {mode:?} len {len}");
         }
+    }
+
+    /// An envelope with mode byte 2 (AES-128-CBC + PKCS#7, which earlier
+    /// versions could seal) is refused before its MAC is checked — even
+    /// though this one carries a valid tag under the key.
+    #[test]
+    fn cbc_envelope_is_refused() {
+        let k = CipherKey::derive_from_master(b"simcloud envelope known-answer master");
+        let cbc = crate::hex_decode(
+            "021111111111111111111111111111111120000000\
+             1878f5343fd8325a698f595be46f52852a3ab2e889ffa2978d937e06acc15d8b\
+             d276fe45df5c9d8ff5292de218f95a64d532be6a59ed19e997cd8325c1ae86f1",
+        );
+        assert_eq!(k.unseal(&cbc), Err(SealError::UnknownMode));
     }
 
     #[test]
@@ -344,7 +325,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let (k, master) = CipherKey::generate(&mut rng);
         let k2 = CipherKey::derive_from_master(&master);
-        let sealed = k.seal_with_iv(b"hello", EnvelopeMode::Cbc, &[1u8; 16]);
+        let sealed = k.seal_with_iv(b"hello", EnvelopeMode::Ctr, &[1u8; 16]);
         assert_eq!(k2.unseal(&sealed).unwrap(), b"hello");
     }
 
@@ -358,7 +339,7 @@ mod tests {
         let k2 = k.clone();
         let mut rng = StdRng::seed_from_u64(9);
         let a = k.seal(b"first", EnvelopeMode::Ctr, &mut rng);
-        let b = k2.seal(b"second", EnvelopeMode::Cbc, &mut rng);
+        let b = k2.seal(b"second", EnvelopeMode::Ctr, &mut rng);
         // interleaved unseals, both directions, twice each
         for _ in 0..2 {
             assert_eq!(k2.unseal(&a).unwrap(), b"first");

@@ -5,9 +5,9 @@
 //! available in this offline reproduction, so this crate implements the full
 //! stack from scratch:
 //!
-//! * [`aes`] — the AES block cipher (FIPS-197), 128/192/256-bit keys,
+//! * [`aes`] — the AES-128 block cipher (FIPS-197), encrypt direction,
 //!   validated against the FIPS-197 and NIST AESAVS known-answer vectors;
-//! * [`modes`] — CBC with PKCS#7 padding and CTR mode;
+//! * [`modes`] — CTR mode;
 //! * [`sha256`] — SHA-256 (FIPS 180-4), validated against NIST vectors;
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104), validated against RFC 4231;
 //! * [`kdf`] — PBKDF2-HMAC-SHA-256 (RFC 2898), validated against the RFC 7914
@@ -38,11 +38,11 @@ pub use hmac::hmac_sha256;
 pub use kdf::pbkdf2_hmac_sha256;
 pub use sha256::Sha256;
 
-/// Decodes a hex string into bytes (test vectors and key fingerprints).
+/// Decodes a hex string into bytes (test vectors).
 ///
-/// Panics on invalid hex; intended for constants and diagnostics, not
-/// untrusted input.
-pub fn hex_decode(s: &str) -> Vec<u8> {
+/// Panics on invalid hex; intended for constants, not untrusted input.
+#[cfg(test)]
+pub(crate) fn hex_decode(s: &str) -> Vec<u8> {
     assert!(s.len().is_multiple_of(2), "odd-length hex string");
     (0..s.len() / 2)
         .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("invalid hex"))
@@ -50,7 +50,7 @@ pub fn hex_decode(s: &str) -> Vec<u8> {
 }
 
 /// Encodes bytes as lowercase hex.
-pub fn hex_encode(bytes: &[u8]) -> String {
+pub(crate) fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         use std::fmt::Write;

@@ -1,64 +1,17 @@
-//! Block cipher modes of operation: CBC with PKCS#7 padding and CTR.
+//! The block cipher mode of operation: CTR.
 //!
-//! The paper only says "AES with 128 bit key"; CBC+PKCS7 was the default JCE
-//! configuration in 2012, so the envelope supports both CBC (for fidelity)
-//! and CTR (the workspace default — no padding overhead, simpler length
-//! accounting on the wire).
+//! The paper only says "AES with 128 bit key"; the envelope runs it in CTR
+//! mode — no padding, ciphertext length = plaintext length, and only the
+//! forward cipher is ever needed.
 
 use crate::aes::Aes;
 
-/// Encrypts `plaintext` with AES-CBC and PKCS#7 padding.
-///
-/// Output length is `plaintext.len()` rounded up to the next multiple of 16
-/// (a full padding block is added when already aligned).
-pub fn cbc_encrypt(aes: &Aes, iv: &[u8; 16], plaintext: &[u8]) -> Vec<u8> {
-    let padded = pkcs7_pad(plaintext);
-    let mut out = Vec::with_capacity(padded.len());
-    let mut prev = *iv;
-    for chunk in padded.chunks_exact(16) {
-        let mut block = [0u8; 16];
-        block.copy_from_slice(chunk);
-        for i in 0..16 {
-            block[i] ^= prev[i];
-        }
-        aes.encrypt_block(&mut block);
-        out.extend_from_slice(&block);
-        prev = block;
-    }
-    out
-}
-
-/// Decrypts AES-CBC ciphertext and removes PKCS#7 padding.
-///
-/// Returns `None` on malformed length or invalid padding. Callers that need
-/// integrity must verify a MAC before decrypting (see [`crate::envelope`]) —
-/// padding errors alone must not be used as an oracle.
-pub fn cbc_decrypt(aes: &Aes, iv: &[u8; 16], ciphertext: &[u8]) -> Option<Vec<u8>> {
-    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(16) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(ciphertext.len());
-    let mut prev = *iv;
-    for chunk in ciphertext.chunks_exact(16) {
-        let mut block = [0u8; 16];
-        block.copy_from_slice(chunk);
-        let saved = block;
-        aes.decrypt_block(&mut block);
-        for i in 0..16 {
-            block[i] ^= prev[i];
-        }
-        out.extend_from_slice(&block);
-        prev = saved;
-    }
-    pkcs7_unpad(&mut out)?;
-    Some(out)
-}
-
 /// AES-CTR keystream application (encryption and decryption are identical).
 ///
-/// The 16-byte IV is the initial counter block; the low 32 bits increment
-/// per block (big-endian), which caps a single message at 2^36 bytes — far
-/// beyond any MS object.
+/// The 16-byte IV is the initial counter block; its low 32 bits increment
+/// per block (big-endian) and wrap without carrying into byte 11, so the
+/// keystream repeats only past 2^36 bytes in one message — far beyond any
+/// MS object.
 pub fn ctr_apply(aes: &Aes, iv: &[u8; 16], data: &mut [u8]) {
     let mut counter = *iv;
     let mut offset = 0;
@@ -80,27 +33,6 @@ pub fn ctr_apply(aes: &Aes, iv: &[u8; 16], data: &mut [u8]) {
     }
 }
 
-fn pkcs7_pad(data: &[u8]) -> Vec<u8> {
-    let pad = 16 - (data.len() % 16);
-    let mut out = Vec::with_capacity(data.len() + pad);
-    out.extend_from_slice(data);
-    out.resize(data.len() + pad, pad as u8);
-    out
-}
-
-fn pkcs7_unpad(data: &mut Vec<u8>) -> Option<()> {
-    let &last = data.last()?;
-    let pad = last as usize;
-    if pad == 0 || pad > 16 || pad > data.len() {
-        return None;
-    }
-    if !data[data.len() - pad..].iter().all(|&b| b == last) {
-        return None;
-    }
-    data.truncate(data.len() - pad);
-    Some(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,23 +43,28 @@ mod tests {
         Aes::new(&hex_decode("2b7e151628aed2a6abf7158809cf4f3c")).unwrap()
     }
 
-    /// NIST SP 800-38A F.2.1 CBC-AES128.Encrypt (first two blocks; no
-    /// padding involved because we check the raw block transform).
+    /// NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, first two blocks, chained
+    /// by hand over `encrypt_block`: a second published vector for the
+    /// forward cipher, each block feeding the next one's input.
     #[test]
     fn sp800_38a_cbc_first_blocks() {
         let aes = aes128();
-        let iv: [u8; 16] = hex_decode("000102030405060708090a0b0c0d0e0f")
+        let mut prev: [u8; 16] = hex_decode("000102030405060708090a0b0c0d0e0f")
             .try_into()
             .unwrap();
         let pt = hex_decode("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51");
-        let ct = cbc_encrypt(&aes, &iv, &pt);
-        // First 32 bytes must match the standard; the tail is our padding block.
+        let mut ct = Vec::new();
+        for chunk in pt.chunks_exact(16) {
+            for (p, x) in prev.iter_mut().zip(chunk) {
+                *p ^= x;
+            }
+            aes.encrypt_block(&mut prev);
+            ct.extend_from_slice(&prev);
+        }
         assert_eq!(
-            crate::hex_encode(&ct[..32]),
+            crate::hex_encode(&ct),
             "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
         );
-        let back = cbc_decrypt(&aes, &iv, &ct).unwrap();
-        assert_eq!(back, pt);
     }
 
     /// NIST SP 800-38A F.5.1 CTR-AES128.Encrypt (full four blocks).
@@ -157,19 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn cbc_round_trip_various_lengths() {
-        let aes = aes128();
-        let iv = [7u8; 16];
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 100, 1000] {
-            let pt: Vec<u8> = (0..len).map(|i| (i * 7 % 256) as u8).collect();
-            let ct = cbc_encrypt(&aes, &iv, &pt);
-            assert_eq!(ct.len() % 16, 0);
-            assert!(ct.len() > pt.len(), "PKCS7 always adds padding");
-            assert_eq!(cbc_decrypt(&aes, &iv, &ct).unwrap(), pt, "len {len}");
-        }
-    }
-
-    #[test]
     fn ctr_round_trip_various_lengths() {
         let aes = aes128();
         let iv = [3u8; 16];
@@ -186,41 +110,12 @@ mod tests {
     }
 
     #[test]
-    fn cbc_decrypt_rejects_malformed() {
-        let aes = aes128();
-        let iv = [0u8; 16];
-        assert!(cbc_decrypt(&aes, &iv, &[]).is_none());
-        assert!(cbc_decrypt(&aes, &iv, &[0u8; 15]).is_none());
-        assert!(cbc_decrypt(&aes, &iv, &[0u8; 17]).is_none());
-    }
-
-    #[test]
-    fn cbc_tampered_padding_rejected_or_garbage() {
-        let aes = aes128();
-        let iv = [1u8; 16];
-        let ct = cbc_encrypt(&aes, &iv, b"hello world");
-        // Flipping the last byte invalidates padding with high probability;
-        // either decode fails or yields different plaintext.
-        let mut bad = ct.clone();
-        *bad.last_mut().unwrap() ^= 0xff;
-        match cbc_decrypt(&aes, &iv, &bad) {
-            None => {}
-            Some(pt) => assert_ne!(pt, b"hello world"),
-        }
-    }
-
-    #[test]
-    fn pkcs7_full_block_when_aligned() {
-        let padded = pkcs7_pad(&[0u8; 16]);
-        assert_eq!(padded.len(), 32);
-        assert!(padded[16..].iter().all(|&b| b == 16));
-    }
-
-    #[test]
     fn different_ivs_different_ciphertexts() {
         let aes = aes128();
-        let a = cbc_encrypt(&aes, &[0u8; 16], b"same message");
-        let b = cbc_encrypt(&aes, &[1u8; 16], b"same message");
+        let mut a = *b"same message";
+        let mut b = a;
+        ctr_apply(&aes, &[0u8; 16], &mut a);
+        ctr_apply(&aes, &[1u8; 16], &mut b);
         assert_ne!(a, b);
     }
 }
