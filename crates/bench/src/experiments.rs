@@ -37,17 +37,6 @@ impl Which {
             Which::Cophir => simcloud_datasets::cophir_like(seed, n),
         }
     }
-
-    /// The paper's M-Index parameters (Table 2).
-    pub fn mindex_config(self, strategy: RoutingStrategy) -> MIndexConfig {
-        let mut cfg = match self {
-            Which::Yeast => MIndexConfig::yeast(),
-            Which::Human => MIndexConfig::human(),
-            Which::Cophir => MIndexConfig::cophir(),
-        };
-        cfg.strategy = strategy;
-        cfg
-    }
 }
 
 /// A metric wrapper that accumulates wall time spent in `distance` — used

@@ -126,6 +126,16 @@ impl From<SealError> for ClientError {
     }
 }
 
+/// Phase-2 fetch sizing, `α`: while the top-k heap is still filling, the
+/// first explicit fetch asks for `α·k` candidates (the early exit usually
+/// lands within a small multiple of `k`); every further fetch doubles.
+const FETCH_ALPHA: usize = 4;
+
+/// Floor for phase-2 fetch batches — keeps tiny `k` from degenerating into
+/// per-candidate round trips while the top-k heap fills. (Range queries
+/// never use it: their fetches are always bound-guided by the wire radius.)
+const FETCH_MIN_BATCH: usize = 32;
+
 /// Candidate-refinement policy: when may the client stop unsealing?
 ///
 /// Candidate sets arrive sorted by a server-computed lower bound. Under the
@@ -145,10 +155,6 @@ pub enum LazyRefine {
     /// Results are identical to [`LazyRefine::Off`] in both cases.
     #[default]
     Sound,
-    /// Also early-exit under permutation routing, treating the promise
-    /// penalty as if it were a distance bound — faster, but the answer may
-    /// differ from eager refinement.
-    Heuristic,
 }
 
 /// Client configuration: routing strategy and optional extensions.
@@ -162,21 +168,6 @@ pub struct ClientConfig {
     pub transform: Option<DistanceTransform>,
     /// Decrypt-on-demand refinement policy (default: sound early exit).
     pub lazy_refine: LazyRefine,
-    /// Phase-2 fetch sizing, `α`: when a budgeted server ships fewer
-    /// payloads than refinement consumes, the first explicit fetch asks for
-    /// `α·k` candidates (the early exit usually lands within a small
-    /// multiple of `k`); every further fetch doubles. Default 4.
-    pub fetch_alpha: usize,
-    /// Floor for phase-2 fetch batches — keeps tiny `k` from degenerating
-    /// into per-candidate round trips while the top-k heap fills. (Range
-    /// queries never use it: their fetches are always bound-guided by the
-    /// wire radius.) Default 32.
-    pub fetch_min_batch: usize,
-    /// Per-request deadline handed to the transport on every exchange.
-    /// Bounds one logical request *including* all retries and backoff; the
-    /// transport surfaces a breach as [`TransportError::TimedOut`]. `None`
-    /// (the default) leaves only the transport's own socket timeouts.
-    pub request_deadline: Option<Duration>,
 }
 
 impl ClientConfig {
@@ -186,9 +177,6 @@ impl ClientConfig {
             strategy: RoutingStrategy::Distances,
             transform: None,
             lazy_refine: LazyRefine::Sound,
-            fetch_alpha: 4,
-            fetch_min_batch: 32,
-            request_deadline: None,
         }
     }
 
@@ -198,9 +186,6 @@ impl ClientConfig {
             strategy: RoutingStrategy::Permutation,
             transform: None,
             lazy_refine: LazyRefine::Sound,
-            fetch_alpha: 4,
-            fetch_min_batch: 32,
-            request_deadline: None,
         }
     }
 
@@ -210,25 +195,9 @@ impl ClientConfig {
         self
     }
 
-    /// Overrides the refinement policy (eager, sound-lazy, heuristic-lazy).
+    /// Overrides the refinement policy (eager or sound-lazy).
     pub fn with_lazy_refine(mut self, lazy: LazyRefine) -> Self {
         self.lazy_refine = lazy;
-        self
-    }
-
-    /// Overrides phase-2 fetch sizing: first explicit fetch ≈ `alpha·k`
-    /// with a floor of `min_batch`, doubling afterwards. Tests pin these to
-    /// 1 to exercise exact batch boundaries.
-    pub fn with_fetch_batching(mut self, alpha: usize, min_batch: usize) -> Self {
-        self.fetch_alpha = alpha;
-        self.fetch_min_batch = min_batch;
-        self
-    }
-
-    /// Bounds every request (including the transport's retries and backoff)
-    /// by `deadline`; breaches surface as [`TransportError::TimedOut`].
-    pub fn with_request_deadline(mut self, deadline: Duration) -> Self {
-        self.request_deadline = Some(deadline);
         self
     }
 }
@@ -558,9 +527,8 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             Request::Insert(_) => RequestClass::NonIdempotent,
             _ => RequestClass::Idempotent,
         };
-        let deadline = self.config.request_deadline;
         Ok(timed(&mut op.in_transport, || {
-            self.transport.round_trip_with(&bytes, class, deadline)
+            self.transport.round_trip_with(&bytes, class, None)
         })?)
     }
 
@@ -747,11 +715,8 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// metric bounds the client may exit on (distance routing only; the
     /// promise penalty shipped under permutation routing is a heuristic).
     fn lazy_enabled(&self) -> bool {
-        match self.config.lazy_refine {
-            LazyRefine::Off => false,
-            LazyRefine::Sound => self.config.strategy == RoutingStrategy::Distances,
-            LazyRefine::Heuristic => true,
-        }
+        self.config.lazy_refine == LazyRefine::Sound
+            && self.config.strategy == RoutingStrategy::Distances
     }
 
     /// Maps a true client-side distance into the wire-bound space for
@@ -780,9 +745,10 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     ///   the end of the fetched prefix the (now smaller) τ is guaranteed
     ///   to fire the early exit — so the heap-full phase costs **one**
     ///   round trip.
-    /// * **Heuristic** (no τ yet — top-k heap still filling): stage up to
-    ///   `α·k` candidates total (minus the `stall` already staged), with
-    ///   the configured floor; `grown` doubles on every such fetch.
+    /// * **Heap filling** (no τ yet — top-k heap still filling): stage up to
+    ///   `FETCH_ALPHA·k` candidates total (minus the `stall` already
+    ///   staged), at least `FETCH_MIN_BATCH`; `grown` doubles on every
+    ///   such fetch.
     fn fetch_batch_size(
         &self,
         goal: RefineGoal,
@@ -799,16 +765,16 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
             return (end - stall).max(1);
         }
         let target = match goal {
-            RefineGoal::TopK(k) => self.config.fetch_alpha.saturating_mul(k),
+            RefineGoal::TopK(k) => FETCH_ALPHA.saturating_mul(k),
             // A range stall always carries its threshold (the wire
-            // radius), so it never reaches the heuristic regime; the
+            // radius), so it never reaches the heap-filling regime; the
             // floor below is the defensive fallback if that invariant
             // ever changes.
             RefineGoal::Within { .. } => 0,
         };
         let batch = target
             .saturating_sub(stall)
-            .max(self.config.fetch_min_batch)
+            .max(FETCH_MIN_BATCH)
             .max(*grown)
             .max(1);
         *grown = batch.saturating_mul(2);
@@ -823,7 +789,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     ///
     /// Candidates are processed in wire order; payloads beyond the inlined
     /// phase-1 prefix are pulled with [`Request::FetchObjects`] in adaptive
-    /// batches (heuristic `α·k` + geometric growth while the top-k heap
+    /// batches (`FETCH_ALPHA·k` + geometric growth while the top-k heap
     /// fills, then bound-guided — see [`Self::fetch_batch_size`]) **inside**
     /// the same loop, so phase 2 only ever runs when the early exit has not
     /// fired. Tasks run in **rounds**: every live task advances to its next

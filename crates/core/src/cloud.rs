@@ -114,22 +114,7 @@ where
     M: Metric<Vector>,
     H: SharedRequestHandler,
 {
-    client_for_with_model(key, metric, server, client_config, NetworkModel::loopback())
-}
-
-/// [`client_for`] with an explicit network model.
-pub fn client_for_with_model<M, H>(
-    key: SecretKey,
-    metric: M,
-    server: Arc<H>,
-    client_config: ClientConfig,
-    model: NetworkModel,
-) -> SharedCloud<M, H>
-where
-    M: Metric<Vector>,
-    H: SharedRequestHandler,
-{
-    let transport = InProcessTransport::with_model(server, model);
+    let transport = InProcessTransport::with_model(server, NetworkModel::loopback());
     EncryptedClient::new(key, metric, transport, client_config)
 }
 
@@ -148,8 +133,8 @@ where
     Ok(EncryptedClient::new(key, metric, transport, client_config))
 }
 
-/// [`connect_tcp`] with an explicit [`TcpClientConfig`]: socket timeouts, a
-/// per-request deadline, and the retry/reconnect policy the transport
+/// [`connect_tcp`] with an explicit [`TcpClientConfig`]: socket timeouts, the
+/// whole-request deadline, and the retry/reconnect policy the transport
 /// applies to idempotent requests.
 pub fn connect_tcp_with<M>(
     key: SecretKey,

@@ -53,8 +53,8 @@ pub mod transform;
 
 pub use client::{ClientConfig, ClientError, EncryptedClient, LazyRefine, Neighbor, ServerHealth};
 pub use cloud::{
-    client_for, client_for_with_model, connect_tcp, connect_tcp_with, in_process,
-    in_process_rebuilt, in_process_with_model, over_tcp, InProcessCloud, SharedCloud,
+    client_for, connect_tcp, connect_tcp_with, in_process, in_process_rebuilt,
+    in_process_with_model, over_tcp, InProcessCloud, SharedCloud,
 };
 pub use costs::CostReport;
 pub use key::SecretKey;

@@ -170,23 +170,6 @@ pub struct CandidateList {
     pub payloads: Vec<Vec<u8>>,
 }
 
-impl CandidateList {
-    /// Builds a fully-inlined list (every payload present) from eager
-    /// candidates — what a server with an unlimited budget ships.
-    pub fn from_candidates(cands: Vec<Candidate>) -> Self {
-        let mut headers = Vec::with_capacity(cands.len());
-        let mut payloads = Vec::with_capacity(cands.len());
-        for c in cands {
-            headers.push(CandidateHeader {
-                id: c.id,
-                lower_bound: c.lower_bound,
-            });
-            payloads.push(c.payload);
-        }
-        Self { headers, payloads }
-    }
-}
-
 /// One sealed object of a phase-2 [`Response::Objects`] answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchedObject {

@@ -160,10 +160,10 @@ proptest! {
 
     /// Two-phase k-NN: against a byte-budgeted server (headers + partial
     /// inline prefix; the rest pulled with FetchObjects in adaptive
-    /// batches) every combination of fetch tuning returns byte-identical
-    /// neighbors to eager refinement on a fully-inlined server — whatever
-    /// the inline prefix and wherever the batch boundaries land relative
-    /// to the early-exit point.
+    /// batches) the client returns byte-identical neighbors to eager
+    /// refinement on a fully-inlined server — whatever the inline prefix
+    /// and the candidate-set size, so wherever the batch boundaries land
+    /// relative to the early-exit point.
     #[test]
     fn two_phase_knn_equals_eager(
         seed in 0u64..10_000,
@@ -172,8 +172,7 @@ proptest! {
         pivots in 2usize..9,
         k in 1usize..24,
         budget in 0usize..3000,
-        alpha in 1usize..5,
-        min_batch in 1usize..9,
+        cand_frac in 1usize..5,
     ) {
         let pivots = pivots.min(n);
         let two_phase = build_with(
@@ -182,12 +181,8 @@ proptest! {
             ServerConfig::budgeted(budget),
         );
         let full = build(n, dim, pivots, seed, RoutingStrategy::Distances);
-        let cand_size = (n / 2).max(1);
-        let mut lazy2p = client(
-            &two_phase,
-            ClientConfig::distances().with_fetch_batching(alpha, min_batch),
-            seed ^ 2,
-        );
+        let cand_size = (n * cand_frac / 4).max(1);
+        let mut lazy2p = client(&two_phase, ClientConfig::distances(), seed ^ 2);
         let mut eager2p = client(
             &two_phase,
             ClientConfig::distances().with_lazy_refine(LazyRefine::Off),
@@ -227,11 +222,7 @@ proptest! {
             ServerConfig::budgeted(budget),
         );
         let full = build(n, 3, 5, seed, RoutingStrategy::Distances);
-        let mut lazy2p = client(
-            &two_phase,
-            ClientConfig::distances().with_fetch_batching(1, 2),
-            seed ^ 2,
-        );
+        let mut lazy2p = client(&two_phase, ClientConfig::distances(), seed ^ 2);
         let mut eager_full = client(
             &full,
             ClientConfig::distances().with_lazy_refine(LazyRefine::Off),
@@ -289,7 +280,7 @@ fn lazy_is_exact_under_distance_transform() {
 
 /// Under permutation routing the wire "bound" is a heuristic penalty, so
 /// `Sound` must refuse to early-exit (decrypting everything, results equal
-/// eager); `Heuristic` may stop early but still returns k valid neighbors.
+/// eager).
 #[test]
 fn permutation_strategy_gates_lazy_mode() {
     let dep = build(160, 3, 6, 123, RoutingStrategy::Permutation);
@@ -299,11 +290,6 @@ fn permutation_strategy_gates_lazy_mode() {
         ClientConfig::permutations().with_lazy_refine(LazyRefine::Off),
         125,
     );
-    let mut heuristic = client(
-        &dep,
-        ClientConfig::permutations().with_lazy_refine(LazyRefine::Heuristic),
-        126,
-    );
     let q = &dep.data[7];
     let (sr, sc) = sound.knn_approx(q, 5, 80).unwrap();
     let (er, _) = eager.knn_approx(q, 5, 80).unwrap();
@@ -312,9 +298,6 @@ fn permutation_strategy_gates_lazy_mode() {
         sc.decrypted, sc.candidates,
         "no early exit without sound bounds"
     );
-    let (hr, hc) = heuristic.knn_approx(q, 5, 80).unwrap();
-    assert_eq!(hr.len(), 5);
-    assert!(hc.decrypted <= hc.candidates);
 }
 
 /// A server that mis-orders the candidate set (here: worst bounds first)
@@ -522,11 +505,7 @@ fn k_exceeding_candidates_fetches_everything() {
         ServerConfig::budgeted(0),
     );
     let full = build(60, 3, 5, 21, RoutingStrategy::Distances);
-    let mut lazy = client(
-        &dep,
-        ClientConfig::distances().with_fetch_batching(2, 4),
-        22,
-    );
+    let mut lazy = client(&dep, ClientConfig::distances(), 22);
     let mut eager = client(
         &full,
         ClientConfig::distances().with_lazy_refine(LazyRefine::Off),
@@ -541,53 +520,81 @@ fn k_exceeding_candidates_fetches_everything() {
         "k >= candidates leaves nothing to skip"
     );
     assert_eq!(lc.decrypted, lc.candidates);
-    // α·k = 200 exceeds the candidate count, so one batch covers it all.
+    // α·k = 400 exceeds the candidate count, so one batch covers it all.
     assert_eq!(lc.fetch_requests, 1);
 }
 
-/// Per-candidate batches (α = 1, floor 1 ⇒ fetch sizes 1, 2, 4, …) put a
-/// batch boundary at *every* candidate position, including exactly at the
-/// early-exit point — answers must still match eager refinement, and the
-/// over-fetch past the exit is bounded by the last batch.
+/// The phase-1 byte budget that inlines exactly `inline` payloads of
+/// `payload_len` bytes ahead of `candidates` headers. The encoded list is a
+/// tag byte, a `u32` header count, 16 bytes per header, a `u32` payload
+/// count, then a `u32` length plus the bytes of each inlined payload.
+fn budget_inlining(candidates: u64, payload_len: usize, inline: u64) -> usize {
+    let (candidates, inline) = (candidates as usize, inline as usize);
+    1 + 4 + 16 * candidates + 4 + inline * (4 + payload_len)
+}
+
+/// The inline budget puts the phase-1/phase-2 boundary at *every*
+/// candidate position from the first up to one past the early exit,
+/// exactly at the exit included — answers must still match eager
+/// refinement, the exit must fire at the same candidate, and phase 2 must
+/// run exactly when the exit lies past the inlined prefix.
 #[test]
 fn batch_boundary_at_early_exit_is_exact() {
-    let dep = build_with(
-        200,
-        3,
-        6,
-        77,
-        RoutingStrategy::Distances,
-        ServerConfig::budgeted(0),
-    );
     let full = build(200, 3, 6, 77, RoutingStrategy::Distances);
-    let mut lazy = client(
-        &dep,
-        ClientConfig::distances().with_fetch_batching(1, 1),
-        78,
-    );
+    let payload_len = {
+        let entries = full.server.index().all_entries().unwrap();
+        let len = entries[0].payload.len();
+        assert!(entries.iter().all(|e| e.payload.len() == len));
+        len
+    };
     let mut eager = client(
         &full,
         ClientConfig::distances().with_lazy_refine(LazyRefine::Off),
         79,
     );
     let mut lazy_full = client(&full, ClientConfig::distances(), 80);
-    for (qi, k) in [(0usize, 1usize), (50, 3), (120, 10), (199, 7)] {
-        let q = &dep.data[qi];
-        let (lr, lc) = lazy.knn_approx(q, k, 100).unwrap();
+    let cases = [(0usize, 1usize), (50, 3), (120, 10), (199, 7)].map(|(qi, k)| {
+        let q = &full.data[qi];
         let (er, _) = eager.knn_approx(q, k, 100).unwrap();
         let (flr, flc) = lazy_full.knn_approx(q, k, 100).unwrap();
-        assert_eq!(lr, er, "query {qi} diverged");
-        assert_eq!(lr, flr);
-        assert_eq!(
-            lc.decrypted, flc.decrypted,
-            "the early exit must fire at the same candidate whether the \
-             payloads were inlined or fetched"
+        assert_eq!(flr, er, "query {qi} diverged");
+        assert_eq!(flc.candidates, 100);
+        (qi, k, er, flc.decrypted)
+    });
+    let deepest = cases.iter().map(|c| c.3).max().unwrap();
+    for inline in 0..=deepest + 1 {
+        let dep = build_with(
+            200,
+            3,
+            6,
+            77,
+            RoutingStrategy::Distances,
+            ServerConfig::budgeted(budget_inlining(100, payload_len, inline)),
         );
-        assert!(lc.fetched >= lc.decrypted);
-        assert!(
-            lc.fetched < lc.candidates,
-            "two-phase must not ship the whole set for a member query"
-        );
+        let mut lazy = client(&dep, ClientConfig::distances(), 78);
+        for (qi, k, er, exit) in &cases {
+            if inline > exit + 1 {
+                continue;
+            }
+            let (lr, lc) = lazy.knn_approx(&dep.data[*qi], *k, 100).unwrap();
+            assert_eq!(&lr, er, "query {qi} diverged at inline {inline}");
+            assert_eq!(
+                lc.decrypted, *exit,
+                "the early exit must fire at the same candidate whether the \
+                 payloads were inlined or fetched"
+            );
+            assert!(lc.fetched + inline >= lc.decrypted);
+            assert!(
+                lc.fetched < lc.candidates,
+                "two-phase must not ship the whole set for a member query"
+            );
+            assert_eq!(
+                lc.fetch_requests > 0,
+                inline < *exit,
+                "query {qi}, inline {inline}: phase 2 runs iff the exit lies \
+                 past the inlined prefix"
+            );
+        }
     }
 }
 
@@ -608,11 +615,7 @@ fn decrypted_count_is_budget_invariant() {
             RoutingStrategy::Distances,
             ServerConfig::budgeted(b),
         );
-        let mut c = client(
-            &dep,
-            ClientConfig::distances().with_fetch_batching(2, 3),
-            92,
-        );
+        let mut c = client(&dep, ClientConfig::distances(), 92);
         let (res, costs) = c.knn_approx(&dep.data[33], 8, 80).unwrap();
         counts.push((res, costs.decrypted));
     }
@@ -695,7 +698,7 @@ fn malicious_fetch_answers_are_detected() {
                 inner: server,
                 attack,
             }),
-            ClientConfig::distances().with_fetch_batching(2, 4),
+            ClientConfig::distances(),
         )
         .with_rng_seed(63);
         client.insert_bulk(&objects).unwrap();
@@ -793,11 +796,7 @@ fn batch_two_phase_equals_eager() {
         ServerConfig::budgeted(2_000),
     );
     let full = build(240, 3, 6, 55, RoutingStrategy::Distances);
-    let mut lazy = client(
-        &dep,
-        ClientConfig::distances().with_fetch_batching(2, 8),
-        56,
-    );
+    let mut lazy = client(&dep, ClientConfig::distances(), 56);
     let mut eager = client(
         &full,
         ClientConfig::distances().with_lazy_refine(LazyRefine::Off),
@@ -819,11 +818,13 @@ fn batch_two_phase_equals_eager() {
 /// round trip per refinement round, so the batch's `fetch_requests` drops
 /// far below the sum of solo runs — while `fetched`/`decrypted` stay
 /// exactly the solo sums (the per-query decision sequences are unchanged).
+/// In 5 dimensions most exits lie past the first `α·k` fetch, so the batch
+/// runs more than one round and tasks leave it between rounds.
 #[test]
 fn batch_coalesces_fetch_round_trips() {
     let dep = build_with(
         240,
-        3,
+        5,
         6,
         55,
         RoutingStrategy::Distances,
@@ -831,7 +832,7 @@ fn batch_coalesces_fetch_round_trips() {
         ServerConfig::budgeted(0),
     );
     let queries: Vec<Vector> = (0..12).map(|i| dep.data[i * 17].clone()).collect();
-    let cfg = ClientConfig::distances().with_fetch_batching(2, 8);
+    let cfg = ClientConfig::distances();
     let mut batch = client(&dep, cfg.clone(), 56);
     let (br, bc) = batch.knn_approx_batch(&queries, 10, 120).unwrap();
     let mut solo = client(&dep, cfg, 57);
@@ -856,4 +857,31 @@ fn batch_coalesces_fetch_round_trips() {
         bc.fetch_requests,
         solo_costs.fetch_requests
     );
+    assert!(bc.fetch_requests >= 2, "the batch must run several rounds");
+}
+
+/// The default phase-2 schedule on fixed headers-only queries: the first
+/// fetch asks for `α·k = 40` candidates while the top-k heap fills, and a
+/// second, bound-guided fetch ends exactly where the exit then fires. The
+/// round-trip and object counts are the baseline a feedback-sized inline
+/// prefix is measured against.
+#[test]
+fn default_fetch_schedule_is_pinned() {
+    let dep = build_with(
+        240,
+        5,
+        6,
+        55,
+        RoutingStrategy::Distances,
+        ServerConfig::budgeted(0),
+    );
+    let mut lazy = client(&dep, ClientConfig::distances(), 57);
+    // (query, fetch round trips, objects fetched, objects decrypted)
+    for (qi, requests, fetched, decrypted) in [(0usize, 1, 40, 10), (34, 2, 86, 86)] {
+        let (_, costs) = lazy.knn_approx(&dep.data[qi], 10, 120).unwrap();
+        assert_eq!(costs.candidates, 120);
+        assert_eq!(costs.fetch_requests, requests, "query {qi}");
+        assert_eq!(costs.fetched, fetched, "query {qi}");
+        assert_eq!(costs.decrypted, decrypted, "query {qi}");
+    }
 }

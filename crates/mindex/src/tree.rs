@@ -109,13 +109,6 @@ impl CellTree {
         }
     }
 
-    /// Allocates a fresh bucket id.
-    pub fn alloc_bucket(&mut self) -> BucketId {
-        let id = BucketId(self.next_bucket);
-        self.next_bucket += 1;
-        id
-    }
-
     /// Locates the leaf for a permutation prefix, creating the level-1 cell
     /// on first touch. Returns the leaf and its prefix depth.
     ///

@@ -251,28 +251,17 @@ impl<S: BucketStore> ShardedMIndex<S> {
         }
     }
 
-    /// Scatter-gather approximate k-NN candidates: every shard *opens* a
-    /// cursor over its own cells in promise order (staging its share of
-    /// the global budget without decoding payloads), and the coordinator
-    /// drains the merged frontier until it holds the `cand_size` globally
-    /// smallest wire lower bounds — entries past the global stopping point
-    /// are never materialized. `FIRST_CELL_ONLY` returns the union of
-    /// every shard's most promising cell, untrimmed (each shard's "first
-    /// cell" is a fragment of the global one under pivot routing, and an
-    /// independent sample under hash routing).
-    pub fn knn_candidates(
-        &self,
-        evaluator: &PromiseEvaluator,
-        cand_size: usize,
-    ) -> Result<RankedCandidates, MIndexError> {
-        let (cursors, cap) = self.open_knn_cursors(evaluator, cand_size)?;
-        self.drain(cursors, cap)
-    }
-
-    /// The scatter half of [`Self::knn_candidates`]
+    /// The scatter half of a scatter-gather approximate k-NN
     /// ([`SearchIndex::open_knn`]) together with the query's global drain
     /// cap, ready for [`Self::drain`] — so an outside caller can time the
-    /// open and the drain as distinct phases.
+    /// open and the drain as distinct phases. Every shard *opens* a cursor
+    /// over its own cells in promise order (staging its share of the global
+    /// budget without decoding payloads); the drain keeps the `cand_size`
+    /// globally smallest wire lower bounds, and entries past the global
+    /// stopping point are never materialized. `FIRST_CELL_ONLY` yields the
+    /// union of every shard's most promising cell, untrimmed (each shard's
+    /// "first cell" is a fragment of the global one under pivot routing,
+    /// and an independent sample under hash routing).
     pub fn open_knn_cursors(
         &self,
         evaluator: &PromiseEvaluator,
@@ -290,20 +279,6 @@ impl<S: BucketStore> ShardedMIndex<S> {
     ) -> Result<RankedCandidates, MIndexError> {
         let (views, stats) = self.select(&cursors, cap);
         Ok((owned_entries(&views)?, stats))
-    }
-
-    /// Scatter-gather precise range candidates: the union of the per-shard
-    /// candidate supersets, drained uncapped — every true result lives in
-    /// exactly one shard and survives that shard's (triangle-inequality-
-    /// safe) pruning, so the merged list is a superset of the true results
-    /// and client refinement returns exactly what a single index would.
-    pub fn range_candidates(
-        &self,
-        query_distances: &[f64],
-        radius: f64,
-    ) -> Result<RankedCandidates, MIndexError> {
-        let cursors = self.open_range(query_distances, radius)?;
-        self.drain(cursors, None)
     }
 
     /// Phase 2 of the two-phase fetch, shard-routed: each requested id is
@@ -379,6 +354,11 @@ impl<S: BucketStore> SearchIndex for ShardedMIndex<S> {
         .collect()
     }
 
+    /// Every shard's range candidate superset; drained uncapped, their
+    /// union is a superset of the true results — every true result lives
+    /// in exactly one shard and survives that shard's (triangle-inequality-
+    /// safe) pruning, so client refinement returns exactly what a single
+    /// index would.
     fn open_range(
         &self,
         query_distances: &[f64],
@@ -518,6 +498,21 @@ mod tests {
     use simcloud_mindex::{Routing, RoutingStrategy};
     use simcloud_storage::MemoryStore;
 
+    /// A k-NN scatter-gather, drained to owned entries.
+    fn knn(
+        idx: &ShardedMIndex<MemoryStore>,
+        ev: &PromiseEvaluator,
+        cand: usize,
+    ) -> RankedCandidates {
+        let (cursors, cap) = idx.open_knn_cursors(ev, cand).unwrap();
+        idx.drain(cursors, cap).unwrap()
+    }
+
+    /// A drained, uncapped range scatter-gather.
+    fn range(idx: &ShardedMIndex<MemoryStore>, q: &[f64], radius: f64) -> RankedCandidates {
+        idx.drain(idx.open_range(q, radius).unwrap(), None).unwrap()
+    }
+
     fn cfg(pivots: usize) -> MIndexConfig {
         MIndexConfig {
             num_pivots: pivots,
@@ -606,7 +601,7 @@ mod tests {
                 .unwrap();
         }
         let ev = PromiseEvaluator::from_distances(vec![3.0, 7.0, 5.0]);
-        let (cands, stats) = idx.knn_candidates(&ev, 5).unwrap();
+        let (cands, stats) = knn(&idx, &ev, 5);
         assert_eq!(cands.len(), 5);
         assert_eq!(stats.candidates, 5);
         assert!(
@@ -624,7 +619,7 @@ mod tests {
             idx.insert(entry(x, &[x as f64, 10.0 - x as f64, 5.0]))
                 .unwrap();
         }
-        let (cands, stats) = idx.range_candidates(&[2.0, 8.0, 5.0], 1.5).unwrap();
+        let (cands, stats) = range(&idx, &[2.0, 8.0, 5.0], 1.5);
         let mut ids: Vec<u64> = cands.iter().map(|(e, _)| e.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3], "exact in the 1-D world");
@@ -649,7 +644,7 @@ mod tests {
             idx.insert(entry(x, &[x as f64, 20.0 - x as f64, 10.0]))
                 .unwrap();
         }
-        let (_, stats) = idx.range_candidates(&[10.0, 10.0, 10.0], 30.0).unwrap();
+        let (_, stats) = range(&idx, &[10.0, 10.0, 10.0], 30.0);
         assert_eq!(
             stats.entries_scanned, 20,
             "an all-covering radius must scan every shard's entries, \
@@ -684,7 +679,7 @@ mod tests {
             idx.insert(entry(i, &[0.1, 0.5, 0.9])).unwrap(); // all pivot 0
         }
         let ev = PromiseEvaluator::from_distances(vec![0.1, 0.5, 0.9]);
-        let (cands, _) = idx.knn_candidates(&ev, FIRST_CELL_ONLY).unwrap();
+        let (cands, _) = knn(&idx, &ev, FIRST_CELL_ONLY);
         assert_eq!(
             cands.len(),
             6,
@@ -709,15 +704,15 @@ mod tests {
         let par = build(true);
         let seq = build(false);
         let ev = PromiseEvaluator::from_distances(vec![4.0, 11.0, 7.5]);
-        let (a, sa) = par.knn_candidates(&ev, 6).unwrap();
-        let (b, sb) = seq.knn_candidates(&ev, 6).unwrap();
+        let (a, sa) = knn(&par, &ev, 6);
+        let (b, sb) = knn(&seq, &ev, 6);
         assert_eq!(
             a.iter().map(|(e, _)| e.id).collect::<Vec<_>>(),
             b.iter().map(|(e, _)| e.id).collect::<Vec<_>>()
         );
         assert_eq!(sa, sb);
-        let (ra, _) = par.range_candidates(&[4.0, 11.0, 7.5], 2.0).unwrap();
-        let (rb, _) = seq.range_candidates(&[4.0, 11.0, 7.5], 2.0).unwrap();
+        let (ra, _) = range(&par, &[4.0, 11.0, 7.5], 2.0);
+        let (rb, _) = range(&seq, &[4.0, 11.0, 7.5], 2.0);
         assert_eq!(ra.len(), rb.len());
     }
 
@@ -758,7 +753,7 @@ mod tests {
             scope.spawn(move || {
                 let ev = PromiseEvaluator::from_distances(vec![3.0, 5.0, 4.0]);
                 for _ in 0..50 {
-                    let (cands, _) = idx.knn_candidates(&ev, 8).unwrap();
+                    let (cands, _) = knn(&idx, &ev, 8);
                     assert!(!cands.is_empty());
                 }
             });

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{KnnQuery, Request, Response, MAX_CANDIDATE_HEADERS};
-use simcloud_core::{evaluator_for, stage_candidates, CloudServer, ServerConfig};
+use simcloud_core::{evaluator_for, stage_candidates, CloudServer, SearchIndex, ServerConfig};
 use simcloud_mindex::{knn_cap, IndexEntry, MIndexConfig, Routing, RoutingStrategy};
 use simcloud_shard::{memory_stores, HashRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
@@ -198,7 +198,9 @@ proptest! {
         let d = deploy(n, seed, budget(budget_choice, n / 3));
         let query = distances(&mut StdRng::seed_from_u64(seed ^ 11));
         let (single, _) = d.single.index().range_candidates(&query, radius).unwrap();
-        let (sharded, _) = d.sharded.index().range_candidates(&query, radius).unwrap();
+        let sharded_index = d.sharded.index();
+        let opened = sharded_index.open_range(&query, radius).unwrap();
+        let (sharded, _) = sharded_index.drain(opened, None).unwrap();
         let expected = [single, sharded]
             .map(|ranked| Response::CandidateList(stage_candidates(ranked, d.budget)));
         d.assert_frames(&Request::Range { distances: query, radius }, &expected)?;

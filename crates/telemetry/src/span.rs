@@ -73,14 +73,6 @@ impl Trace {
         }
     }
 
-    /// Appends an externally measured phase (used when a phase's timing
-    /// comes from a callee rather than a lexical scope).
-    pub fn push_phase(&mut self, name: &'static str, nanos: u64) {
-        if self.is_live() {
-            self.phases.push((name, nanos));
-        }
-    }
-
     /// Closes the trace. `None` when the trace was disabled.
     pub fn finish(self) -> Option<TraceRecord> {
         let start = self.start?;

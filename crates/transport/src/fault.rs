@@ -260,11 +260,6 @@ impl<S> FaultStream<S> {
         }
     }
 
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     /// Mutable access to the wrapped stream (socket timeouts etc.).
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner

@@ -32,7 +32,7 @@
 //! length prefix cannot force a huge allocation.
 //!
 //! The TCP client is fault tolerant: per-socket read/write timeouts, a
-//! per-request deadline ([`Transport::round_trip_with`]), and — for
+//! whole-request deadline ([`TcpClientConfig::request_deadline`]), and — for
 //! requests the caller declares [`RequestClass::Idempotent`] — transparent
 //! reconnect + retry with capped exponential backoff and deterministic
 //! jitter ([`RetryPolicy`]). The server protects itself with idle/read

@@ -348,8 +348,10 @@ pub struct TcpClientConfig {
     pub read_timeout: Option<Duration>,
     /// Bound on any single socket write stalling.
     pub write_timeout: Option<Duration>,
-    /// Default whole-request deadline (every attempt + backoff); a
-    /// per-call deadline via [`Transport::round_trip_with`] tightens it.
+    /// The whole-request deadline (every attempt + backoff), applied to
+    /// every round trip; a breach surfaces as [`TransportError::TimedOut`].
+    /// A per-call deadline via [`Transport::round_trip_with`] can only
+    /// tighten it.
     pub request_deadline: Option<Duration>,
     /// Retry/backoff schedule for idempotent requests.
     pub retry: RetryPolicy,

@@ -58,6 +58,7 @@ fn main() {
     // with insert_bulk_resume.
     let tcp_config = TcpClientConfig {
         read_timeout: Some(Duration::from_secs(10)),
+        request_deadline: Some(Duration::from_secs(30)),
         retry: RetryPolicy::default(),
         ..TcpClientConfig::default()
     };
@@ -65,7 +66,7 @@ fn main() {
         key.clone(),
         L1,
         handle.addr(),
-        ClientConfig::distances().with_request_deadline(Duration::from_secs(30)),
+        ClientConfig::distances(),
         tcp_config,
     )
     .expect("connect")
