@@ -9,6 +9,8 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rand::RngCore;
+
 use simcloud_crypto::SealError;
 use simcloud_metric::{CountingMetric, Metric, ObjectId, TableScratch, Vector};
 use simcloud_mindex::{IndexEntry, Routing, RoutingStrategy};
@@ -200,6 +202,75 @@ impl ClientConfig {
         self.lazy_refine = lazy;
         self
     }
+}
+
+/// The routing information Alg. 1 lines 3-7 store with an object (and
+/// Alg. 2 sends with a query), derived from its pivot distances under
+/// `config`'s strategy.
+fn routing_for(config: &ClientConfig, distances: &[f64]) -> Routing {
+    match config.strategy {
+        RoutingStrategy::Distances => {
+            let ds = match &config.transform {
+                Some(t) => t.apply_all(distances),
+                None => distances.to_vec(),
+            };
+            Routing::from_distances(&ds)
+        }
+        RoutingStrategy::Permutation => {
+            // Monotone transforms do not change permutations, so the
+            // transform is a no-op here — exactly the paper's point that
+            // permutations already hide distance values. The client
+            // sends the full permutation, as Alg. 1 line 7 stores
+            // `(1)_o … (n)_o`.
+            Routing::permutation_prefix(distances, distances.len())
+        }
+    }
+}
+
+/// Fewest objects a bulk-preparation worker is given: a bulk smaller than
+/// twice this (a single insert, a writer's small bulk) is prepared on the
+/// calling thread, where starting workers would cost more than they save.
+const MIN_OBJECTS_PER_WORKER: usize = 64;
+
+/// Index entries of a run of a bulk, with the time spent on each phase.
+struct PreparedRun {
+    entries: Vec<IndexEntry>,
+    distance: Duration,
+    encryption: Duration,
+}
+
+/// Alg. 1 for a run of a bulk, one object at a time: pivot distances
+/// (line 1), routing (lines 3-7) and the seal under the object's IV from
+/// `ivs` (line 8). The seal is MAC-bound to the object's id, so an
+/// untrusted server cannot later answer a fetch for one id with another
+/// id's (individually valid) sealed payload.
+fn prepare_run<M: Metric<Vector>>(
+    key: &SecretKey,
+    metric: &CountingMetric<M>,
+    config: &ClientConfig,
+    objects: &[(ObjectId, Vector)],
+    ivs: &[[u8; 16]],
+) -> PreparedRun {
+    let mut run = PreparedRun {
+        entries: Vec::with_capacity(objects.len()),
+        distance: Duration::ZERO,
+        encryption: Duration::ZERO,
+    };
+    let mut scratch = TableScratch::default();
+    for ((id, o), iv) in objects.iter().zip(ivs) {
+        timed(&mut run.distance, || {
+            key.pivot_distances_into(metric, o, &mut scratch);
+        });
+        let routing = routing_for(config, scratch.distances());
+        let sealed = timed(&mut run.encryption, || {
+            let mut plain = Vec::with_capacity(o.encoded_len());
+            o.encode(&mut plain);
+            key.cipher()
+                .seal_with_iv_aad(&plain, &id.0.to_le_bytes(), key.mode(), iv)
+        });
+        run.entries.push(IndexEntry::new(id.0, routing, sealed));
+    }
+    run
 }
 
 /// What a refinement pass is asked to produce.
@@ -453,26 +524,6 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         &self.transport
     }
 
-    fn routing_for(&self, distances: &[f64]) -> Routing {
-        match self.config.strategy {
-            RoutingStrategy::Distances => {
-                let ds = match &self.config.transform {
-                    Some(t) => t.apply_all(distances),
-                    None => distances.to_vec(),
-                };
-                Routing::from_distances(&ds)
-            }
-            RoutingStrategy::Permutation => {
-                // Monotone transforms do not change permutations, so the
-                // transform is a no-op here — exactly the paper's point that
-                // permutations already hide distance values. The client
-                // sends the full permutation, as Alg. 1 line 7 stores
-                // `(1)_o … (n)_o`.
-                Routing::permutation_prefix(distances, distances.len())
-            }
-        }
-    }
-
     /// Runs one client operation — every public call that talks to the
     /// server goes through here. `body` does the work, booking phase times
     /// and counts into its [`Op`]; once it succeeds, this is the one place
@@ -532,6 +583,79 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         })?)
     }
 
+    /// Alg. 1 for a whole bulk. The objects' IVs are drawn from the
+    /// client's generator in input order first; contiguous runs are then
+    /// prepared on up to `available_parallelism()` scoped workers and
+    /// concatenated in input order, so the entries are the serial loop's,
+    /// byte for byte, however many workers ran.
+    ///
+    /// A serial pass books its own phase times into `costs`. A parallel pass
+    /// books its wall time instead — the workers' summed times would exceed
+    /// the client time they are a share of — split between `distance` and
+    /// `encryption` in the ratio of the workers' summed phase times.
+    fn prepare_bulk(
+        &mut self,
+        objects: &[(ObjectId, Vector)],
+        costs: &mut CostReport,
+    ) -> Vec<IndexEntry> {
+        let ivs: Vec<[u8; 16]> = objects
+            .iter()
+            .map(|_| {
+                let mut iv = [0u8; 16];
+                self.rng.fill_bytes(&mut iv);
+                iv
+            })
+            .collect();
+        let (key, metric, config) = (&self.key, self.metric.as_ref(), &self.config);
+        let max_workers = objects.len() / MIN_OBJECTS_PER_WORKER;
+        let workers = if max_workers < 2 {
+            1
+        } else {
+            std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(max_workers)
+        };
+        if workers == 1 {
+            let run = prepare_run(key, metric, config, objects, &ivs);
+            costs.distance += run.distance;
+            costs.encryption += run.encryption;
+            return run.entries;
+        }
+        let run_len = objects.len().div_ceil(workers);
+        let start = Instant::now();
+        let runs: Vec<PreparedRun> = std::thread::scope(|s| {
+            let handles: Vec<_> = objects
+                .chunks(run_len)
+                .zip(ivs.chunks(run_len))
+                .map(|(objects, ivs)| {
+                    s.spawn(move || prepare_run(key, metric, config, objects, ivs))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        });
+        let wall = start.elapsed();
+        let distance: Duration = runs.iter().map(|r| r.distance).sum();
+        let busy = distance + runs.iter().map(|r| r.encryption).sum::<Duration>();
+        let to_distance = if busy.is_zero() {
+            Duration::ZERO
+        } else {
+            wall.mul_f64(distance.as_secs_f64() / busy.as_secs_f64())
+        };
+        costs.distance += to_distance;
+        costs.encryption += wall.saturating_sub(to_distance);
+        let mut entries = Vec::with_capacity(objects.len());
+        for run in runs {
+            entries.extend(run.entries);
+        }
+        entries
+    }
+
     /// Inserts a batch of objects (Alg. 1 applied per object, shipped as one
     /// bulk — the paper's construction uses bulks of 1000).
     pub fn insert_bulk(
@@ -539,31 +663,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         objects: &[(ObjectId, Vector)],
     ) -> Result<CostReport, ClientError> {
         self.operation(|this, op| {
-            let mut entries = Vec::with_capacity(objects.len());
-            let mut scratch = TableScratch::default();
-            for (id, o) in objects {
-                // Alg. 1 line 1: distances to all pivots.
-                timed(&mut op.costs.distance, || {
-                    this.key
-                        .pivot_distances_into(this.metric.as_ref(), o, &mut scratch);
-                });
-                // Alg. 1 lines 3-7: routing info per strategy.
-                let routing = this.routing_for(scratch.distances());
-                // Alg. 1 line 8: encrypt the object, MAC-bound to its id so
-                // an untrusted server cannot later answer a fetch for one id
-                // with another id's (individually valid) sealed payload.
-                let sealed = timed(&mut op.costs.encryption, || {
-                    let mut plain = Vec::with_capacity(o.encoded_len());
-                    o.encode(&mut plain);
-                    this.key.cipher().seal_with_aad(
-                        &plain,
-                        &id.0.to_le_bytes(),
-                        this.key.mode(),
-                        &mut this.rng,
-                    )
-                });
-                entries.push(IndexEntry::new(id.0, routing, sealed));
-            }
+            let entries = this.prepare_bulk(objects, &mut op.costs);
             let resp = this
                 .exchange(&Request::Insert(entries), op)
                 .map_err(|e| match e {
@@ -1183,7 +1283,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
         cand_size: usize,
     ) -> Result<(Vec<Neighbor>, CostReport), ClientError> {
         self.search(q, RefineGoal::TopK(k), |client, ds| Request::ApproxKnn {
-            routing: client.routing_for(ds),
+            routing: routing_for(&client.config, ds),
             cand_size: wire_cand_size(cand_size),
         })
     }
@@ -1233,7 +1333,7 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                                 .pivot_distances_into(this.metric.as_ref(), q, &mut scratch);
                         });
                         crate::protocol::KnnQuery {
-                            routing: this.routing_for(scratch.distances()),
+                            routing: routing_for(&this.config, scratch.distances()),
                             cand_size: wire_cand_size(cand_size),
                         }
                     })

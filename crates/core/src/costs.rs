@@ -29,7 +29,11 @@ pub struct CostReport {
     /// distance computations and processing overhead — the paper's
     /// "client time").
     pub client: Duration,
-    /// Time sealing objects (construction) — subset of `client`.
+    /// Time sealing objects (construction) — subset of `client`. A bulk
+    /// prepared on several workers books its wall time, not the workers'
+    /// summed time, split between `encryption` and `distance` in the ratio
+    /// of the workers' summed times, so `distance + encryption <= client`
+    /// holds on any number of cores.
     pub encryption: Duration,
     /// Time of the whole candidate-refinement loop: unsealing,
     /// deserializing and the per-candidate metric evaluations (search) —
@@ -40,7 +44,9 @@ pub struct CostReport {
     /// Time computing query–pivot distances on the client — subset of
     /// `client` ("dist. comp. time"). Refinement-loop metric evaluations
     /// are timed inside `decryption` (see above) but *counted* exactly in
-    /// `distance_computations`.
+    /// `distance_computations`. Object–pivot distances of a bulk prepared
+    /// on several workers are booked as wall-time shares (see
+    /// `encryption`).
     pub distance: Duration,
     /// Server-side processing time.
     pub server: Duration,

@@ -71,14 +71,14 @@ impl std::error::Error for SealError {}
 ///
 /// Both the AES key schedule and the HMAC pad state are expanded **once**
 /// here and reused by every `seal`/`unseal` — the search hot path unseals
-/// hundreds of candidates per query, so per-candidate re-derivation (one
-/// extra SHA-256 compression per MAC, a full key expansion per cipher)
+/// hundreds of candidates per query, so per-candidate re-derivation (two
+/// extra SHA-256 compressions per MAC, a full key expansion per cipher)
 /// would be pure waste.
 #[derive(Clone)]
 pub struct CipherKey {
     enc: Aes,
-    /// HMAC context with the inner (ipad) block already absorbed; cloned
-    /// per MAC instead of re-hashing the padded key every time.
+    /// HMAC context with both pad blocks already absorbed; cloned per MAC
+    /// instead of re-hashing the padded key every time.
     mac: HmacSha256,
     fingerprint: [u8; 8],
 }
@@ -162,14 +162,16 @@ impl CipherKey {
         mode: EnvelopeMode,
         iv: &[u8; 16],
     ) -> Vec<u8> {
-        let mut ciphertext = plaintext.to_vec();
-        ctr_apply(&self.enc, iv, &mut ciphertext);
-        let mut out = Vec::with_capacity(Self::sealed_len(ciphertext.len(), mode));
+        // One buffer: the header, then the plaintext encrypted in place.
+        let mut out = Vec::with_capacity(Self::sealed_len(plaintext.len(), mode));
         out.push(CTR_BYTE);
         out.extend_from_slice(iv);
-        out.extend_from_slice(&(ciphertext.len() as u32).to_le_bytes());
-        out.extend_from_slice(&ciphertext);
-        out.extend_from_slice(&self.tag(&out, aad));
+        out.extend_from_slice(&(plaintext.len() as u32).to_le_bytes());
+        let header_len = out.len();
+        out.extend_from_slice(plaintext);
+        ctr_apply(&self.enc, iv, out.split_at_mut(header_len).1);
+        let tag = self.tag(&out, aad);
+        out.extend_from_slice(&tag);
         out
     }
 

@@ -15,10 +15,14 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
 }
 
 /// Incremental HMAC-SHA-256.
+///
+/// Both pad blocks are absorbed once, in [`HmacSha256::new`]: a clone of a
+/// keyed context then costs no compression for either pad.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK],
+    /// The outer hash with the opad block already absorbed.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -40,7 +44,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad_key);
-        Self { inner, opad_key }
+        let mut outer = Sha256::new();
+        outer.update(&opad_key);
+        Self { inner, outer }
     }
 
     /// Feeds message bytes.
@@ -51,8 +57,7 @@ impl HmacSha256 {
     /// Completes the MAC.
     pub fn finalize(self) -> [u8; 32] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
