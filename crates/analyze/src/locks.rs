@@ -19,10 +19,11 @@
 //! 4. acquiring a **shard write lock** while a cursor is live — a cursor
 //!    must own all its staged data before writers run, otherwise the
 //!    stream could observe a half-mutated shard;
-//! 5. pulling a cursor (`.next_candidate(`) while **two or more shard
-//!    guards** are held — the coordinator's heap pull is lock-free by
-//!    design, and holding a guard pair across a pull reintroduces the
-//!    pairwise-deadlock shape rule 2 exists to prevent.
+//! 5. pulling a cursor (`.views(`, `.select_up_to(`, `.collect_up_to(` or
+//!    the sharded `merge_frontier(`) while **two or more shard guards** are
+//!    held — the coordinator's merge is lock-free by design, and holding a
+//!    guard pair across a pull reintroduces the pairwise-deadlock shape
+//!    rule 2 exists to prevent.
 //!
 //! A cursor binding dies at its block's end, at `drop(name)`, or when it
 //! is consumed by `name.collect_up_to(`.
@@ -222,6 +223,14 @@ fn has_keyword(stmt: &str, kw: &str) -> bool {
     false
 }
 
+/// The calls that read a cursor's ranked views (rule 5).
+const CURSOR_PULLS: [&str; 4] = [
+    ".views(",
+    ".select_up_to(",
+    ".collect_up_to(",
+    "merge_frontier(",
+];
+
 /// Examines the growing statement buffer for guard acquisitions and
 /// `stage_candidates` calls.
 fn check_events(
@@ -298,10 +307,10 @@ fn check_events(
         });
         return;
     }
-    // The coordinator's heap pull must be lock-free: pulling a cursor with
-    // a pair of shard guards held reintroduces the deadlock shape that the
+    // The coordinator's merge must be lock-free: pulling a cursor with a
+    // pair of shard guards held reintroduces the deadlock shape that the
     // double-write rule exists to prevent.
-    if stmt.ends_with(".next_candidate(") {
+    if CURSOR_PULLS.iter().any(|pull| stmt.ends_with(pull)) {
         let shard_guards: Vec<&Guard> = guards
             .iter()
             .chain(pending.iter())
@@ -314,7 +323,7 @@ fn check_events(
                 function: fn_name.to_owned(),
                 message: format!(
                     "cursor pulled while {} shard guards are held (first at line {}); \
-                     the coordinator heap pull must be lock-free",
+                     the coordinator merge must be lock-free",
                     shard_guards.len(),
                     first.line + 1
                 ),

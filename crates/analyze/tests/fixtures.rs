@@ -344,16 +344,16 @@ fn compact(&self, ev: &PromiseEvaluator) {
 }
 
 /// Seeded violation: pulling a cursor while two shard guards are held —
-/// the coordinator's k-way heap pull must stay lock-free.
+/// the coordinator's merge must stay lock-free.
 #[test]
 fn seeded_cursor_pull_under_guard_pair_is_found() {
     let bad = SourceFile::from_source(
         "crates/shard/src/fixture.rs",
         r#"
-fn drain(&self, mut cursor: CandidateCursor) {
+fn drain(&self, cursor: CandidateCursor) {
     let a = self.shards[0].read();
     let b = self.shards[1].read();
-    let head = cursor.next_candidate();
+    let head = cursor.views();
 }
 "#,
     );
@@ -369,9 +369,9 @@ fn drain(&self, mut cursor: CandidateCursor) {
     let good = SourceFile::from_source(
         "crates/shard/src/fixture.rs",
         r#"
-fn drain(&self, mut cursor: CandidateCursor) {
+fn drain(&self, cursor: CandidateCursor) {
     let a = self.shards[0].read();
-    let head = cursor.next_candidate();
+    let head = cursor.views();
 }
 "#,
     );

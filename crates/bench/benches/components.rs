@@ -274,8 +274,8 @@ fn bench_query_frame(c: &mut Criterion) {
     drop(entries);
     let build = std::time::Instant::now();
     for bulk in bulks {
-        match server.process(Request::Insert(bulk)) {
-            Response::Inserted(_) => {}
+        match Response::decode(&server.handle_shared(&Request::Insert(bulk).encode())) {
+            Ok(Response::Inserted(_)) => {}
             other => panic!("insert failed: {other:?}"),
         }
     }
@@ -331,7 +331,7 @@ fn bench_query_frame(c: &mut Criterion) {
         b.iter(|| {
             next = (next + 1) % evaluators.len();
             let cursor = server.index().knn_cursor(&evaluators[next], 1000);
-            cursor.expect("open").remaining()
+            cursor.expect("open").len()
         });
     });
     for (row, radius) in [("reject_all", 15.0), ("survive_6pct", RANGE_RADIUS_6PCT)] {

@@ -8,13 +8,15 @@
 //!    single index's through the unmodified client. Asserted, not just
 //!    reported.
 //! 2. **Query throughput** — steady-state encrypted 30-NN against 1/2/4
-//!    shards (hash and pivot routers) vs the single index. With the
-//!    incremental candidate frontier each shard stages headers but only
-//!    decodes what the coordinator's bound-ordered pull actually consumes
-//!    (~`cand_size / N` per shard). The contract is asserted as an exact
-//!    count: the summed `candidates_generated` work counter must show
-//!    sub-linear amplification (< 1.5× the single index's decode work; it
-//!    would be ~4× under a gather-everything merge). The 4-shard / single
+//!    shards (hash and pivot routers) vs the single index. Below a
+//!    collection-covering budget each shard walks only its
+//!    ⌈`cand_size / N`⌉ share of the candidate budget. The contract is
+//!    asserted as an exact count: the summed `entries_scanned` staging
+//!    work must show sub-linear amplification (< 1.5× the single index's;
+//!    it would be ~N× if every shard walked the whole budget). The
+//!    summed `candidates_generated` is printed beside it but is no gate:
+//!    the merge selects exactly the single server's list length, so it
+//!    reads 1.00× whatever the shards staged. The 4-shard / single
 //!    throughput ratio is **reported, not asserted**: it is a wall-clock
 //!    ratio of two windows on a shared machine, and at CI scale (YEAST
 //!    n = 400) the fixed cost of opening four best-first walks exceeds the
@@ -37,6 +39,7 @@ use simcloud_bench::{
     RouterKind, Which,
 };
 use simcloud_core::{ClientConfig, Neighbor, ServerConfig};
+use simcloud_mindex::SearchStats;
 
 struct Config {
     n: usize,
@@ -46,10 +49,10 @@ struct Config {
     inserts_per_thread: usize,
 }
 
-/// Cumulative `candidates_generated` (the decode-work counter summed
-/// across shards) on either deployment kind.
-fn generated(server: &simcloud_bench::SteadyServer) -> u64 {
-    server.telemetry().total_search_stats().candidates_generated
+/// Cumulative search work counters (summed across shards) on either
+/// deployment kind.
+fn search_totals(server: &simcloud_bench::SteadyServer) -> SearchStats {
+    server.telemetry().total_search_stats()
 }
 
 fn assert_identical(label: &str, sharded: &[Neighbor], single: &[Neighbor]) {
@@ -159,15 +162,19 @@ fn main() {
     ));
 
     // ---- 2. query throughput -------------------------------------------
-    let gen_before = generated(&single.server);
+    let before = search_totals(&single.server);
     let single_q = steady_state_encrypted(&single, cfg.cand, k, 1, cfg.rounds, 7);
     let single_qps = single_q.queries_per_second();
-    let single_generated = generated(&single.server) - gen_before;
+    let single_work = search_totals(&single.server).since(&before);
+    let (single_generated, single_scanned) = (
+        single_work.candidates_generated,
+        single_work.entries_scanned,
+    );
     println!(
-        "  query  shards=1          {single_qps:>8.1} queries/s (reference, {single_generated} generated)"
+        "  query  shards=1          {single_qps:>8.1} queries/s (reference, {single_generated} generated, {single_scanned} scanned)"
     );
     json.push_str(&format!(
-        "  \"query_yeast_30nn/cand{}/shards1\": {{ \"queries_per_s\": {single_qps:.1}, \"vs_single\": 1.00, \"generated\": {single_generated} }},\n",
+        "  \"query_yeast_30nn/cand{}/shards1\": {{ \"queries_per_s\": {single_qps:.1}, \"vs_single\": 1.00, \"generated\": {single_generated}, \"scanned\": {single_scanned} }},\n",
         cfg.cand
     ));
     for router in [RouterKind::Hash, RouterKind::Pivot] {
@@ -180,33 +187,36 @@ fn main() {
                 shards,
                 router,
             );
+            let before = search_totals(&pre.server);
             let run = steady_state_encrypted(&pre, cfg.cand, k, 1, cfg.rounds, 7);
             let qps = run.queries_per_second();
             let ratio = qps / single_qps;
-            let gen = generated(&pre.server);
+            let work = search_totals(&pre.server).since(&before);
+            let (gen, scanned) = (work.candidates_generated, work.entries_scanned);
             let amp = gen as f64 / single_generated.max(1) as f64;
+            let scan_amp = scanned as f64 / single_scanned.max(1) as f64;
             println!(
-                "  query  shards={shards} ({:<5})  {qps:>8.1} queries/s ({ratio:.2}x vs single, {amp:.2}x generated)",
+                "  query  shards={shards} ({:<5})  {qps:>8.1} queries/s ({ratio:.2}x vs single, {amp:.2}x generated, {scan_amp:.2}x scanned)",
                 router.label()
             );
             json.push_str(&format!(
-                "  \"query_yeast_30nn/cand{}/shards{shards}/{}\": {{ \"queries_per_s\": {qps:.1}, \"vs_single\": {ratio:.2}, \"generated\": {gen}, \"generated_vs_single\": {amp:.2} }},\n",
+                "  \"query_yeast_30nn/cand{}/shards{shards}/{}\": {{ \"queries_per_s\": {qps:.1}, \"vs_single\": {ratio:.2}, \"generated\": {gen}, \"generated_vs_single\": {amp:.2}, \"scanned\": {scanned}, \"scanned_vs_single\": {scan_amp:.2} }},\n",
                 cfg.cand,
                 router.label()
             ));
             if shards == 4 && router == RouterKind::Hash {
                 // The frontier contract, asserted as an exact count at
-                // both scales: pulling in bound order keeps per-shard
-                // decode work near cand_size / N, so the summed work
-                // counter shows sub-linear amplification (4 shards would
-                // be ~4x under the old gather-everything merge). The
+                // both scales: each shard walks only its ceil(cand / N)
+                // share of the budget, so the summed staging work shows
+                // sub-linear amplification (4 shards would be ~2.5x here
+                // if every shard walked the whole budget). The
                 // throughput ratio printed above is not a gate: two
                 // wall-clock windows on a shared box, and at --quick scale
                 // four fixed per-shard opens outweigh the query.
                 assert!(
-                    amp < 1.5,
-                    "4-shard candidates_generated amplification {amp:.2}x >= 1.5x \
-                     (shards are decoding past the coordinator's pull again)"
+                    scan_amp < 1.5,
+                    "4-shard entries_scanned amplification {scan_amp:.2}x >= 1.5x \
+                     (shards are staging past their share of the candidate budget again)"
                 );
             }
         }

@@ -246,7 +246,7 @@ fn main() {
                 );
                 println!("{}", t.render());
                 println!(
-                    "(permutation routing leaks no distance values; distances enable pivot\n filtering and precise range queries — see DESIGN.md)\n"
+                    "(permutation routing leaks no distance values; distances enable pivot\n filtering and precise range queries — paper §2.3, Alg. 3)\n"
                 );
             }
             "transform" => {

@@ -1,8 +1,8 @@
 //! # simcloud-bench — experiment harness
 //!
 //! Shared machinery for regenerating the paper's evaluation (Tables 1–9)
-//! and the ablations listed in DESIGN.md. The `repro` binary is the
-//! entry point:
+//! and its ablations (`pivots`, `strategy`, `transform`, `k`, `network`).
+//! The `repro` binary is the entry point:
 //!
 //! ```text
 //! cargo run --release -p simcloud-bench --bin repro -- --all

@@ -19,6 +19,7 @@ use simcloud_core::CloudServer;
 use simcloud_mindex::{IndexEntry, MIndexConfig, Routing, RoutingStrategy};
 use simcloud_shard::ShardedCloudServer;
 use simcloud_storage::{BucketId, BucketStore, IoStats, MemoryStore, Record, StorageError};
+use simcloud_transport::SharedRequestHandler;
 
 use crate::steady::RouterKind;
 
@@ -148,19 +149,15 @@ pub fn concurrent_insert_throughput(
     seed: u64,
 ) -> InsertThroughput {
     // One request engine behind both: only construction differs.
-    let process: Box<dyn Fn(Request) -> Response + Sync> = if shards <= 1 {
-        let server =
-            CloudServer::new(insert_config(), LatencyStore::new(write_delay)).expect("config");
-        Box::new(move |request| server.process(request))
+    let server: Box<dyn SharedRequestHandler> = if shards <= 1 {
+        Box::new(CloudServer::new(insert_config(), LatencyStore::new(write_delay)).expect("config"))
     } else {
         let stores = (0..shards)
             .map(|_| LatencyStore::new(write_delay))
             .collect();
-        let server =
-            ShardedCloudServer::new(insert_config(), router.build(), stores).expect("config");
-        Box::new(move |request| server.process(request))
+        Box::new(ShardedCloudServer::new(insert_config(), router.build(), stores).expect("config"))
     };
-    let process = &process;
+    let server = &server;
     // Workloads are generated *before* the clock starts — the run measures
     // concurrent inserts, not serial entry generation on the main thread.
     let workloads: Vec<Vec<IndexEntry>> = (0..threads as u64)
@@ -171,8 +168,9 @@ pub fn concurrent_insert_throughput(
         for entries in workloads {
             scope.spawn(move || {
                 for e in entries {
-                    match process(Request::Insert(vec![e])) {
-                        Response::Inserted(1) => {}
+                    let answer = server.handle_shared(&Request::Insert(vec![e]).encode());
+                    match Response::decode(&answer) {
+                        Ok(Response::Inserted(1)) => {}
                         other => panic!("insert failed: {other:?}"),
                     }
                 }

@@ -595,7 +595,8 @@ impl<'a> SearchAnswerView<'a> {
 /// ranked views (borrowed from the candidate cursors' arenas) plus how many
 /// leading payloads ship inline. The encode-side counterpart of
 /// [`CandidateListView`]: a server front end writes it straight into the
-/// response frame, byte-identical to encoding [`StagedList::to_owned`].
+/// response frame, byte-identical to encoding the owned [`CandidateList`]
+/// of the same headers and inline payloads.
 #[derive(Debug, Clone)]
 pub struct StagedList<'a> {
     views: Vec<CandidateView<'a>>,
@@ -638,19 +639,10 @@ impl<'a> StagedList<'a> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         encode_list_parts(out, self.headers(), self.inline_payloads());
     }
-
-    /// Copies the staged list out of the arenas.
-    pub fn to_owned(&self) -> CandidateList {
-        CandidateList {
-            headers: self.headers().collect(),
-            payloads: self.inline_payloads().map(<[u8]>::to_vec).collect(),
-        }
-    }
 }
 
-/// A server's answer before it is either written to the wire or handed to
-/// a typed caller: search answers stay staged over borrowed views, every
-/// other response is already owned.
+/// A server's answer before it is written to the wire: search answers stay
+/// staged over borrowed views, every other response is already owned.
 #[derive(Debug)]
 pub enum StagedResponse<'a> {
     /// Becomes [`Response::CandidateList`].
@@ -664,7 +656,8 @@ pub enum StagedResponse<'a> {
 impl StagedResponse<'_> {
     /// Encodes the response frame in one exactly-sized buffer — each
     /// inline payload moves once, from its arena into the frame. The
-    /// bytes equal `self.into_response().encode()`.
+    /// bytes equal [`Response::encode`] of the owned response that carries
+    /// the same candidates.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             StagedResponse::List(list) => {
@@ -699,19 +692,6 @@ impl StagedResponse<'_> {
                 out
             }
             StagedResponse::Other(response) => response.encode(),
-        }
-    }
-
-    /// The owned response a typed caller receives.
-    pub fn into_response(self) -> Response {
-        match self {
-            StagedResponse::List(list) => Response::CandidateList(list.to_owned()),
-            StagedResponse::Sets(sets) => Response::CandidateSets(
-                sets.into_iter()
-                    .map(|slot| slot.map(|list| list.to_owned()))
-                    .collect(),
-            ),
-            StagedResponse::Other(response) => response,
         }
     }
 }

@@ -384,50 +384,30 @@ impl<I: SearchIndex> ServerEngine<I> {
 
     /// Answers a single-list search from its opened cursors. A failed
     /// search did no accountable work and records nothing.
-    fn answer_search<R>(
+    fn answer_search(
         &self,
         opened: Result<I::Opened, MIndexError>,
         cap: Option<usize>,
         trace: &mut Trace,
-        sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
-    ) -> R {
-        match opened {
+    ) -> Vec<u8> {
+        let staged = match &opened {
             Ok(opened) => {
-                let (list, stats) = self.select_and_stage(&opened, cap, trace);
+                let (list, stats) = self.select_and_stage(opened, cap, trace);
                 self.telemetry.record_search(stats);
-                sink(StagedResponse::List(list), trace)
+                StagedResponse::List(list)
             }
-            Err(e) => sink(StagedResponse::Other(Response::Error(e.to_string())), trace),
-        }
+            Err(e) => StagedResponse::Other(Response::Error(e.to_string())),
+        };
+        self.telemetry.encode_response(&staged, trace)
     }
 
-    /// Processes one decoded request (the typed core of the handler).
-    /// Needs only `&self`: all locking is the index's. Runs the same
-    /// request path as the byte handler in its own request trace, so
-    /// direct callers (in-process transports, tests) feed the same
-    /// histograms.
-    pub fn process(&self, request: Request) -> Response {
-        let mut trace = self.telemetry.trace_labeled(request_label(&request));
-        let response = self.process_with(request, &mut trace, |staged, _| staged.into_response());
-        self.telemetry.note_response(&response);
-        self.telemetry.finish(trace);
-        response
-    }
-
-    /// Runs one request and hands its answer to `sink` — the one request
-    /// path behind both the typed [`ServerEngine::process`] (sink: copy the
-    /// staged lists out into a [`Response`]) and the byte handler (sink:
-    /// write them straight into the response frame). Search answers reach
-    /// the sink still borrowed from their cursors' arenas, which is why
-    /// this is a callback and not a return value. Each lifecycle phase
-    /// (route → open → pull → stage, or insert) is timed into its
-    /// histogram and the trace's phase breakdown.
-    fn process_with<R>(
-        &self,
-        request: Request,
-        trace: &mut Trace,
-        sink: impl FnOnce(StagedResponse<'_>, &mut Trace) -> R,
-    ) -> R {
+    /// Runs one decoded request and returns its response frame — the one
+    /// request path (needs only `&self`: all locking is the index's).
+    /// Search answers go from their cursors' arenas straight into the
+    /// frame. Each lifecycle phase (route → open → pull → stage → encode,
+    /// or insert) is timed into its histogram and the trace's phase
+    /// breakdown.
+    fn respond(&self, request: Request, trace: &mut Trace) -> Vec<u8> {
         let response = match request {
             Request::Insert(entries) => {
                 let (inserted, failure) = {
@@ -452,7 +432,7 @@ impl<I: SearchIndex> ServerEngine<I> {
                     let _open = trace.span("open", self.telemetry.open_hist());
                     self.index.open_range(&distances, radius)
                 };
-                return self.answer_search(opened, None, trace, sink);
+                return self.answer_search(opened, None, trace);
             }
             Request::ApproxKnn { routing, cand_size } => match check_cand_size(cand_size) {
                 // An oversized request is refused before any index work:
@@ -469,7 +449,7 @@ impl<I: SearchIndex> ServerEngine<I> {
                         let _open = trace.span("open", self.telemetry.open_hist());
                         self.index.open_knn(&evaluator, cand_size)
                     };
-                    return self.answer_search(opened, knn_cap(cand_size), trace, sink);
+                    return self.answer_search(opened, knn_cap(cand_size), trace);
                 }
             },
             Request::BatchKnn(queries) => {
@@ -518,7 +498,9 @@ impl<I: SearchIndex> ServerEngine<I> {
                         },
                     });
                 }
-                return sink(StagedResponse::Sets(sets), trace);
+                return self
+                    .telemetry
+                    .encode_response(&StagedResponse::Sets(sets), trace);
             }
             Request::FetchObjects { ids } => {
                 // Phase 2 of the two-phase fetch: stateless re-read by id —
@@ -562,7 +544,8 @@ impl<I: SearchIndex> ServerEngine<I> {
                 .health_response(u32::try_from(self.index.shard_count()).unwrap_or(u32::MAX)),
             Request::MetricsSnapshot => Response::MetricsSnapshot(self.telemetry.metrics_text()),
         };
-        sink(StagedResponse::Other(response), trace)
+        self.telemetry
+            .encode_response(&StagedResponse::Other(response), trace)
     }
 }
 
@@ -670,20 +653,15 @@ impl<I: SearchIndex> SharedRequestHandler for ServerEngine<I> {
             let _decode = trace.span("decode", self.telemetry.decode_hist());
             Request::decode(request)
         };
-        let response = |staged: StagedResponse<'_>, trace: &mut Trace| {
-            self.telemetry.encode_response(&staged, trace)
-        };
         let bytes = match decoded {
             Ok(req) => {
                 trace.set_label(request_label(&req));
-                self.process_with(req, &mut trace, response)
+                self.respond(req, &mut trace)
             }
             Err(e) => {
                 trace.set_label("undecodable");
-                response(
-                    StagedResponse::Other(Response::Error(e.to_string())),
-                    &mut trace,
-                )
+                let refused = StagedResponse::Other(Response::Error(e.to_string()));
+                self.telemetry.encode_response(&refused, &mut trace)
             }
         };
         self.telemetry.finish(trace);
@@ -715,23 +693,28 @@ mod tests {
         IndexEntry::new(id, Routing::from_distances(ds), vec![id as u8; 3])
     }
 
+    /// `request`'s answer, through the byte path every server answers on.
+    fn ask(server: &impl SharedRequestHandler, request: Request) -> Response {
+        Response::decode(&server.handle_shared(&request.encode())).expect("response decodes")
+    }
+
     /// `request`'s answer and the search stats it added to the server's
     /// totals — the request's own stats.
     fn answer_and_stats(s: &CloudServer<MemoryStore>, request: Request) -> (Response, SearchStats) {
         let before = s.total_search_stats();
-        let response = s.process(request);
+        let response = ask(s, request);
         (response, s.total_search_stats().since(&before))
     }
 
     #[test]
     fn insert_then_info() {
         let s = server();
-        let resp = s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.9, 0.1, 0.5]),
-        ]));
+        let resp = ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.9, 0.1, 0.5])]),
+        );
         assert_eq!(resp, Response::Inserted(2));
-        match s.process(Request::Info) {
+        match ask(&s, Request::Info) {
             Response::Info {
                 entries, leaves, ..
             } => {
@@ -745,11 +728,14 @@ mod tests {
     #[test]
     fn range_returns_candidates() {
         let s = server();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.12, 0.52, 0.88]),
-            entry(3, &[0.9, 0.1, 0.2]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.12, 0.52, 0.88]),
+                entry(3, &[0.9, 0.1, 0.2]),
+            ]),
+        );
         let (resp, stats) = answer_and_stats(
             &s,
             Request::Range {
@@ -813,17 +799,23 @@ mod tests {
     #[test]
     fn wrong_strategy_yields_error_response() {
         let s = server();
-        let resp = s.process(Request::ApproxKnn {
-            routing: Routing::permutation_prefix(&[0.3, 0.2, 0.1], 2),
-            cand_size: 5,
-        });
+        let resp = ask(
+            &s,
+            Request::ApproxKnn {
+                routing: Routing::permutation_prefix(&[0.3, 0.2, 0.1], 2),
+                cand_size: 5,
+            },
+        );
         // Permutation queries are fine against a distances index — the
         // evaluator just ranks cells by permutation. But inserts must match:
-        let bad_insert = s.process(Request::Insert(vec![IndexEntry::new(
-            9,
-            Routing::permutation_prefix(&[0.1, 0.2, 0.3], 2),
-            vec![],
-        )]));
+        let bad_insert = ask(
+            &s,
+            Request::Insert(vec![IndexEntry::new(
+                9,
+                Routing::permutation_prefix(&[0.1, 0.2, 0.3], 2),
+                vec![],
+            )]),
+        );
         assert!(matches!(bad_insert, Response::InsertError { .. }));
         // and the knn above returned an empty candidate set, not an error
         assert!(matches!(resp, Response::CandidateList(_)));
@@ -834,16 +826,22 @@ mod tests {
     #[test]
     fn knn_response_carries_ascending_lower_bounds() {
         let s = server();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.4, 0.6, 0.7]),
-            entry(3, &[0.9, 0.1, 0.2]),
-            entry(4, &[0.11, 0.52, 0.9]),
-        ]));
-        let resp = s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: 4,
-        });
+        ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.4, 0.6, 0.7]),
+                entry(3, &[0.9, 0.1, 0.2]),
+                entry(4, &[0.11, 0.52, 0.9]),
+            ]),
+        );
+        let resp = ask(
+            &s,
+            Request::ApproxKnn {
+                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                cand_size: 4,
+            },
+        );
         match resp {
             Response::CandidateList(list) => {
                 let h = &list.headers;
@@ -862,16 +860,16 @@ mod tests {
     #[test]
     fn stats_accumulate_across_queries() {
         let s = server();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.2, 0.6, 0.8])]),
+        );
         let knn = || Request::ApproxKnn {
             routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
             cand_size: 2,
         };
         for _ in 0..2 {
-            s.process(knn());
+            ask(&s, knn());
         }
         let (_, last) = answer_and_stats(&s, knn());
         assert_eq!(s.total_search_stats().candidates, 6);
@@ -882,11 +880,14 @@ mod tests {
     fn partial_insert_reports_stored_prefix() {
         let s = server();
         // Second entry has a dimension mismatch: the first one stays.
-        let resp = s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6]),
-            entry(3, &[0.9, 0.1, 0.2]),
-        ]));
+        let resp = ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.2, 0.6]),
+                entry(3, &[0.9, 0.1, 0.2]),
+            ]),
+        );
         match resp {
             Response::InsertError { inserted, message } => {
                 assert_eq!(inserted, 1, "exactly the prefix before the bad entry");
@@ -894,7 +895,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match s.process(Request::Info) {
+        match ask(&s, Request::Info) {
             Response::Info { entries, .. } => assert_eq!(entries, 1),
             other => panic!("unexpected {other:?}"),
         }
@@ -903,10 +904,10 @@ mod tests {
     #[test]
     fn failed_search_zeroes_last_stats() {
         let s = server();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.2, 0.6, 0.8])]),
+        );
         let (ok, stats) = answer_and_stats(
             &s,
             Request::Range {
@@ -935,11 +936,14 @@ mod tests {
     #[test]
     fn batch_knn_returns_one_set_per_query_in_order() {
         let s = server();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-            entry(3, &[0.9, 0.1, 0.2]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.2, 0.6, 0.8]),
+                entry(3, &[0.9, 0.1, 0.2]),
+            ]),
+        );
         let (resp, stats) = answer_and_stats(
             &s,
             Request::BatchKnn(vec![
@@ -983,16 +987,22 @@ mod tests {
             MemoryStore::new(),
         )
         .unwrap();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.11, 0.51, 0.89]),
-            entry(3, &[0.4, 0.6, 0.7]),
-            entry(4, &[0.9, 0.1, 0.2]),
-        ]));
-        let resp = s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: 4,
-        });
+        ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.11, 0.51, 0.89]),
+                entry(3, &[0.4, 0.6, 0.7]),
+                entry(4, &[0.9, 0.1, 0.2]),
+            ]),
+        );
+        let resp = ask(
+            &s,
+            Request::ApproxKnn {
+                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                cand_size: 4,
+            },
+        );
         match resp {
             Response::CandidateList(list) => {
                 assert_eq!(list.headers.len(), 4, "headers always ship in full");
@@ -1021,11 +1031,14 @@ mod tests {
             MemoryStore::new(),
         )
         .unwrap();
-        s.process(Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9])]));
-        match s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: 1,
-        }) {
+        ask(&s, Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9])]));
+        match ask(
+            &s,
+            Request::ApproxKnn {
+                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                cand_size: 1,
+            },
+        ) {
             Response::CandidateList(list) => {
                 assert_eq!(list.headers.len(), 1);
                 assert!(list.payloads.is_empty());
@@ -1063,13 +1076,16 @@ mod tests {
         let s = CloudServer::rebuilt(config, budgeted, store).unwrap();
         assert_eq!(s.server_config(), budgeted);
         assert!(matches!(
-            s.process(Request::Health),
+            ask(&s, Request::Health),
             Response::Health { entries: 4, .. }
         ));
-        match s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: 4,
-        }) {
+        match ask(
+            &s,
+            Request::ApproxKnn {
+                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                cand_size: 4,
+            },
+        ) {
             Response::CandidateList(list) => {
                 assert_eq!(list.headers.len(), 4, "headers always ship in full");
                 assert_eq!(list.payloads.len(), 2, "the budget survived the restart");
@@ -1083,12 +1099,15 @@ mod tests {
     #[test]
     fn fetch_objects_by_id() {
         let s = server();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-            entry(3, &[0.9, 0.1, 0.2]),
-        ]));
-        match s.process(Request::FetchObjects { ids: vec![3, 1] }) {
+        ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.2, 0.6, 0.8]),
+                entry(3, &[0.9, 0.1, 0.2]),
+            ]),
+        );
+        match ask(&s, Request::FetchObjects { ids: vec![3, 1] }) {
             Response::Objects(objs) => {
                 assert_eq!(objs.len(), 2);
                 assert_eq!(objs[0].id, 3);
@@ -1098,7 +1117,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match s.process(Request::FetchObjects { ids: vec![1, 99] }) {
+        match ask(&s, Request::FetchObjects { ids: vec![1, 99] }) {
             Response::Error(msg) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("unexpected {other:?}"),
         }
@@ -1112,10 +1131,10 @@ mod tests {
     #[test]
     fn batch_query_failure_is_isolated_to_its_slot() {
         let s = server();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.2, 0.6, 0.8])]),
+        );
         let (resp, stats) = answer_and_stats(
             &s,
             Request::BatchKnn(vec![
@@ -1158,7 +1177,7 @@ mod tests {
     #[test]
     fn oversized_cand_size_refused_before_search() {
         let s = server();
-        s.process(Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9])]));
+        ask(&s, Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9])]));
         let (_, stats) = answer_and_stats(
             &s,
             Request::ApproxKnn {
@@ -1208,10 +1227,10 @@ mod tests {
     #[test]
     fn shared_handle_serves_reads_from_many_threads() {
         let s = std::sync::Arc::new(server());
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.2, 0.6, 0.8])]),
+        );
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let s = std::sync::Arc::clone(&s);

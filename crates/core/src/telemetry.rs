@@ -129,15 +129,11 @@ impl ServerTelemetry {
         self.registry.enabled()
     }
 
-    /// Opens a per-request trace (disabled ⇒ zero clock reads).
+    /// Opens a per-request trace (disabled ⇒ zero clock reads); the
+    /// handler labels it once the request is decoded.
     pub fn trace(&self) -> Trace {
-        self.trace_labeled("request")
-    }
-
-    /// [`ServerTelemetry::trace`] with the request kind already known.
-    pub fn trace_labeled(&self, label: &'static str) -> Trace {
         if self.registry.enabled() {
-            Trace::started(label)
+            Trace::started("request")
         } else {
             Trace::disabled()
         }
@@ -153,19 +149,12 @@ impl ServerTelemetry {
         }
     }
 
-    /// Counts error-shaped responses.
-    pub fn note_response(&self, response: &Response) {
-        if matches!(response, Response::Error(_) | Response::InsertError { .. }) {
-            self.errors.inc();
-        }
-    }
-
-    /// The byte handlers' response sink: counts an error answer, then
+    /// The request path's last step: counts an error-shaped answer, then
     /// encodes under the `encode` span — a staged search answer goes from
     /// the cursors' arenas straight into the exactly-sized response frame.
     pub fn encode_response(&self, staged: &StagedResponse<'_>, trace: &mut Trace) -> Vec<u8> {
-        if let StagedResponse::Other(response) = staged {
-            self.note_response(response);
+        if let StagedResponse::Other(Response::Error(_) | Response::InsertError { .. }) = staged {
+            self.errors.inc();
         }
         let _encode = trace.span("encode", self.encode_hist());
         staged.encode()
@@ -348,7 +337,8 @@ mod tests {
             candidates: 3,
             ..SearchStats::default()
         });
-        let mut trace = t.trace_labeled("knn");
+        let mut trace = t.trace();
+        trace.set_label("knn");
         {
             let _s = trace.span("stage", t.stage_hist());
         }

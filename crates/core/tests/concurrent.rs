@@ -15,6 +15,11 @@ use simcloud_mindex::{IndexEntry, MIndexConfig, Routing, RoutingStrategy};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{SharedRequestHandler, Transport};
 
+/// `request`'s answer, through the byte path every server answers on.
+fn ask(server: &impl SharedRequestHandler, request: Request) -> Response {
+    Response::decode(&server.handle_shared(&request.encode())).expect("response decodes")
+}
+
 fn random_data(n: usize, dim: usize, seed: u64) -> Vec<Vector> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -267,14 +272,17 @@ fn range_boundary_object_survives_wire_precision() {
     // Object in pivot-1's cell, pivot distances within radius+slack of the
     // query's (the server-side filter must keep it).
     let boundary = IndexEntry::new(42, Routing::Distances(vec![0.85, 0.849_99]), vec![1]);
-    match server.process(Request::Insert(vec![boundary])) {
+    match ask(&server, Request::Insert(vec![boundary])) {
         Response::Inserted(1) => {}
         other => panic!("unexpected {other:?}"),
     }
-    let resp = server.process(Request::Range {
-        distances: vec![0.7, 1.0 - 1e-9],
-        radius: 0.15,
-    });
+    let resp = ask(
+        &server,
+        Request::Range {
+            distances: vec![0.7, 1.0 - 1e-9],
+            radius: 0.15,
+        },
+    );
     match resp {
         Response::CandidateList(list) => {
             assert_eq!(
@@ -344,7 +352,10 @@ fn nan_distance_candidate_rejected_not_panicking() {
         .cipher()
         .seal_with_aad(&plain, &1u64.to_le_bytes(), key.mode(), &mut rng);
     let routing = Routing::from_distances(&key.pivot_distances(&L2, &clean[1]));
-    match server.process(Request::Insert(vec![IndexEntry::new(1, routing, sealed)])) {
+    match ask(
+        &server,
+        Request::Insert(vec![IndexEntry::new(1, routing, sealed)]),
+    ) {
         Response::Inserted(1) => {}
         other => panic!("unexpected {other:?}"),
     }
@@ -402,7 +413,10 @@ fn partial_insert_error_reaches_client() {
     // Protocol level: 2 good entries, then one with mismatched dimensions.
     let good = |id: u64| IndexEntry::new(id, Routing::from_distances(&[0.1, 0.2, 0.3]), vec![0]);
     let bad = IndexEntry::new(9, Routing::from_distances(&[0.1, 0.2]), vec![0]);
-    let resp = server.process(Request::Insert(vec![good(1), good(2), bad, good(3)]));
+    let resp = ask(
+        &server,
+        Request::Insert(vec![good(1), good(2), bad, good(3)]),
+    );
     match resp {
         Response::InsertError { inserted, .. } => assert_eq!(inserted, 2),
         other => panic!("unexpected {other:?}"),
@@ -459,22 +473,28 @@ fn batch_accepts_mixed_routing() {
     .unwrap();
     for id in 0..10u64 {
         let ds = [0.1 * id as f64 + 0.05, 0.5, 0.9];
-        server.process(Request::Insert(vec![IndexEntry::new(
-            id,
-            Routing::from_distances(&ds),
-            vec![],
-        )]));
+        ask(
+            &server,
+            Request::Insert(vec![IndexEntry::new(
+                id,
+                Routing::from_distances(&ds),
+                vec![],
+            )]),
+        );
     }
-    let resp = server.process(Request::BatchKnn(vec![
-        KnnQuery {
-            routing: Routing::from_distances(&[0.05, 0.5, 0.9]),
-            cand_size: 3,
-        },
-        KnnQuery {
-            routing: Routing::permutation_prefix(&[0.05, 0.5, 0.9], 3),
-            cand_size: 3,
-        },
-    ]));
+    let resp = ask(
+        &server,
+        Request::BatchKnn(vec![
+            KnnQuery {
+                routing: Routing::from_distances(&[0.05, 0.5, 0.9]),
+                cand_size: 3,
+            },
+            KnnQuery {
+                routing: Routing::permutation_prefix(&[0.05, 0.5, 0.9], 3),
+                cand_size: 3,
+            },
+        ]),
+    );
     match resp {
         Response::CandidateSets(sets) => {
             assert_eq!(sets.len(), 2);

@@ -25,7 +25,14 @@ use simcloud_storage::{
     BucketId, BucketStore, DiskStore, IoStats, MemoryStore, Record, StorageError,
 };
 use simcloud_telemetry::Registry;
-use simcloud_transport::{serve_tcp_shared, RetryPolicy, TcpClientConfig, TcpTransport, Transport};
+use simcloud_transport::{
+    serve_tcp_shared, RetryPolicy, SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
+};
+
+/// `request`'s answer, through the byte path every server answers on.
+fn ask(server: &impl SharedRequestHandler, request: Request) -> Response {
+    Response::decode(&server.handle_shared(&request.encode())).expect("response decodes")
+}
 
 /// Condvar gate shared between a blocking store and the test driver.
 #[derive(Default)]
@@ -317,7 +324,7 @@ fn sharded_server_answers_ops_requests_during_blocked_insert() {
     let server =
         Arc::new(ShardedCloudServer::new(config(4), Box::new(HashRouter), stores).unwrap());
     let seed: Vec<IndexEntry> = (0..12).map(|id| entry(id, 13)).collect();
-    match server.process(Request::Insert(seed)) {
+    match ask(&server, Request::Insert(seed)) {
         Response::Inserted(12) => {}
         other => panic!("seed insert failed: {other:?}"),
     }
@@ -479,12 +486,12 @@ fn bound_disk_store_reports_wal_fsyncs_in_the_exposition() {
     );
     for id in 0..FLUSHES {
         assert_eq!(
-            server.process(Request::Insert(vec![entry(id, 5)])),
+            ask(&server, Request::Insert(vec![entry(id, 5)])),
             Response::Inserted(1)
         );
         server.flush().unwrap();
     }
-    let text = match server.process(Request::MetricsSnapshot) {
+    let text = match ask(&server, Request::MetricsSnapshot) {
         Response::MetricsSnapshot(text) => text,
         other => panic!("unexpected {other:?}"),
     };

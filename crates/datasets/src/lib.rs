@@ -14,13 +14,14 @@
 //! (Gaussian mixtures) so that pivot-based pruning and recall curves behave
 //! like on real data. Gene-expression matrices are well modelled by a small
 //! number of co-expression clusters plus noise; MPEG-7 descriptors by
-//! cluster structure in descriptor space with per-block quantization. See
-//! DESIGN.md ("Substitutions") for the argument why this preserves the
-//! paper's observable behaviour.
+//! cluster structure in descriptor space with per-block quantization, so
+//! the paper's observable behaviour (pruning power, recall curves) is
+//! preserved even though the exact figures are not.
 //!
 //! Also here: query workloads (the paper queries 100 random objects;
 //! held-out versions for the 1-NN comparison of Table 9) and a
-//! multi-threaded brute-force ground-truth engine (crossbeam) for recall.
+//! multi-threaded brute-force ground-truth engine (`std::thread::scope`)
+//! for recall.
 
 #![warn(missing_docs)]
 

@@ -3,13 +3,12 @@
 //!
 //! A search *is* a cursor: [`crate::MIndex::knn_cursor`] and
 //! [`crate::MIndex::range_cursor`] decide which cells are walked, which
-//! records survive and in which order they are yielded. Everything else
-//! that returns candidates is an adapter over one: the server's request
-//! engine writes a cursor's views straight into its response frame, the
-//! sharded merge interleaves several cursors' views, and the owned lists
-//! of [`crate::MIndex::knn_candidates`] / [`crate::MIndex::range_candidates`]
-//! are `cursor.collect_up_to(..)` — the cursor's yield sequence (trimmed
-//! to the candidate budget for k-NN), copied out.
+//! records survive and in which order they are ranked. Everything that
+//! reads a search reads the cursor's ranked views: the server's request
+//! engine writes them straight into its response frame, the sharded merge
+//! interleaves several cursors' views, [`crate::PlainMIndex`] decodes its
+//! vectors from them, and [`CandidateCursor::collect_up_to`] copies them
+//! out for callers that want owned entries.
 //!
 //! A search moves each candidate's sealed bytes **once** on the server
 //! before they reach the response frame: from the bucket store into the
@@ -41,22 +40,21 @@
 //!     and a rejected record costs neither the copy nor the bandwidth
 //!     (`Staging::stage_filtered`).
 //!
-//!   A stable sort by bound then fixes the yield order (ties keep
-//!   cell-visit order).
-//! * **Yield** — [`CandidateCursor::views`] hands out
+//!   A stable sort by bound then fixes the rank order (ties keep
+//!   cell-visit order); the cursor never changes after that.
+//! * **Read** — [`CandidateCursor::views`] hands out
 //!   `CandidateView { id, bound, payload }` in ascending bound order, the
 //!   payload a slice of the arena. Nothing is decoded and nothing is
 //!   copied. [`CandidateCursor::select_up_to`] is the capped selection a
-//!   server stages; [`CandidateCursor::next_candidate`] and
-//!   [`CandidateCursor::collect_up_to`] are the **owned adapters** over
-//!   the same views for callers that want [`IndexEntry`] values: they
-//!   decode the routing header (kept in the arena beside the payload for
-//!   exactly this) and copy the payload out.
+//!   server stages; [`CandidateCursor::collect_up_to`] is its **owned
+//!   adapter** for callers that want [`IndexEntry`] values: it decodes the
+//!   routing header (kept in the arena beside the payload for exactly
+//!   this) and copies the payload out.
 //!
-//! [`SearchStats::candidates_generated`] counts the candidates handed to
-//! the consumer — views selected or entries pulled — and nothing else.
+//! [`SearchStats::candidates_generated`] counts the candidates a selection
+//! takes and nothing else.
 //!
-//! Because every consumer reads the same yield sequence, single and
+//! Because every consumer reads the same ranked views, single and
 //! sharded servers, borrowed and owned paths agree byte for byte: the
 //! sharded merge over per-shard cursors reproduces a single cursor's
 //! order wire for wire (same bounds from the same `f32` bits, same stable
@@ -274,7 +272,7 @@ impl Staging {
     }
 }
 
-/// A lazy, bound-ordered stream of candidates.
+/// A search's candidate set, ranked by bound.
 ///
 /// Owned and lock-free: the open phase copies the staged records out of
 /// the bucket store into the cursor's arena, so the cursor borrows
@@ -282,14 +280,12 @@ impl Staging {
 /// shards with **no** shard guard live (the lock-discipline lint enforces
 /// this).
 ///
-/// Bounds are yielded in nondecreasing order; ties keep the staging
+/// Views come in nondecreasing bound order; ties keep the staging
 /// (cell-visit) order via the stable sort.
 pub struct CandidateCursor {
     arena: Vec<u8>,
-    /// The staged records in yield order (stably sorted by bound).
+    /// The staged records in rank order (stably sorted by bound).
     slots: Vec<Slot>,
-    /// Next position in `slots` not yet pulled by an owned adapter.
-    pos: usize,
     stats: SearchStats,
 }
 
@@ -308,7 +304,6 @@ impl CandidateCursor {
         Self {
             arena,
             slots: ranked,
-            pos: 0,
             stats,
         }
     }
@@ -323,36 +318,33 @@ impl CandidateCursor {
         }
     }
 
-    /// The candidates not yet pulled, in ascending bound order, borrowed
-    /// from the arena. Iterating decodes and copies nothing and does not
-    /// advance the cursor.
+    /// Every candidate in ascending bound order, borrowed from the arena.
+    /// Iterating decodes and copies nothing.
     pub fn views(&self) -> impl ExactSizeIterator<Item = CandidateView<'_>> + '_ {
-        self.slots[self.pos..].iter().map(move |s| self.view(s))
+        self.slots.iter().map(move |s| self.view(s))
     }
 
-    /// The bound of the next candidate. `None` when the cursor is
-    /// exhausted.
-    pub fn peek_bound(&self) -> Option<f64> {
-        self.slots.get(self.pos).map(|s| s.bound)
+    /// Number of candidates.
+    pub fn len(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Candidates not yet pulled.
-    pub fn remaining(&self) -> usize {
-        self.slots.len() - self.pos
+    /// True when the search found no candidate.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
     }
 
-    /// The open-phase statistics, plus `candidates_generated` for every
-    /// entry pulled so far. `candidates` stays 0 — the consumer that
-    /// assembles the final list sets it.
+    /// The open-phase statistics. `candidates` and `candidates_generated`
+    /// stay 0 — the selection that assembles the final list sets them.
     pub fn stats(&self) -> SearchStats {
         self.stats
     }
 
-    /// The first `cap` remaining views (`None` = all) and the statistics
-    /// of a consumer that takes exactly those: `candidates` and
+    /// The first `cap` views (`None` = all) and the statistics of a
+    /// consumer that takes exactly those: `candidates` and
     /// `candidates_generated` both count the selection.
     pub fn select_up_to(&self, cap: Option<usize>) -> (Vec<CandidateView<'_>>, SearchStats) {
-        let want = cap.map_or(self.remaining(), |c| c.min(self.remaining()));
+        let want = cap.map_or(self.len(), |c| c.min(self.len()));
         let views: Vec<CandidateView<'_>> = self.views().take(want).collect();
         let mut stats = self.stats;
         stats.candidates_generated += views.len() as u64;
@@ -360,22 +352,10 @@ impl CandidateCursor {
         (views, stats)
     }
 
-    /// Pulls the next candidate in ascending bound order as an owned
-    /// entry. `Ok(None)` = exhausted.
-    pub fn next_candidate(&mut self) -> Result<Option<(IndexEntry, f64)>, MIndexError> {
-        let Some(view) = self.views().next() else {
-            return Ok(None);
-        };
-        let pulled = (view.to_entry()?, view.bound);
-        self.pos += 1;
-        self.stats.candidates_generated += 1;
-        Ok(Some(pulled))
-    }
-
-    /// Drains up to `cap` candidates (`None` = all) into the eager list
-    /// shape, setting `stats.candidates` from the result length — this is
-    /// exactly the pre-cursor eager function's contract, as the owned
-    /// form of [`CandidateCursor::select_up_to`].
+    /// The owned form of [`CandidateCursor::select_up_to`]: the first
+    /// `cap` candidates (`None` = all) as `(entry, bound)` pairs, each
+    /// routing header decoded and payload copied out, with the same
+    /// statistics.
     pub fn collect_up_to(
         self,
         cap: Option<usize>,
@@ -388,8 +368,7 @@ impl CandidateCursor {
 impl std::fmt::Debug for CandidateCursor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CandidateCursor")
-            .field("remaining", &self.remaining())
-            .field("next_bound", &self.peek_bound())
+            .field("len", &self.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -449,24 +428,29 @@ mod tests {
             (0..100).map(|i| (i, i as f64, vec![i as u8])).collect();
         let borrowed: Vec<(u64, f64, &[u8])> =
             records.iter().map(|(i, b, p)| (*i, *b, &p[..])).collect();
-        let mut cursor = cursor_over(&borrowed);
+        let cursor = cursor_over(&borrowed);
         assert_eq!(cursor.stats().candidates_generated, 0, "open pulls nothing");
-        assert_eq!(cursor.peek_bound(), Some(0.0));
-        for want in 0..40 {
-            let (e, b) = cursor.next_candidate().unwrap().unwrap();
-            assert_eq!(e.id, want as u64);
-            assert_eq!(b, want as f64);
+        assert_eq!(cursor.len(), 100);
+        let (views, stats) = cursor.select_up_to(Some(40));
+        for (want, view) in views.iter().enumerate() {
+            assert_eq!(view.id, want as u64);
+            assert_eq!(view.bound, want as f64);
         }
-        assert_eq!(cursor.peek_bound(), Some(40.0));
-        assert_eq!(cursor.remaining(), 60);
-        assert_eq!(cursor.stats().candidates_generated, 40);
-        // A capped selection continues after the pulled prefix and counts
-        // only itself on top.
+        assert_eq!(stats.candidates_generated, 40);
+        assert_eq!(stats.candidates, 40);
+        // Selecting leaves the cursor as it was: a second, smaller
+        // selection is a prefix of the first and counts only itself.
+        assert_eq!(cursor.stats().candidates_generated, 0);
         let (views, stats) = cursor.select_up_to(Some(10));
         assert_eq!(views.len(), 10);
-        assert_eq!(views[0].id, 40);
-        assert_eq!(stats.candidates_generated, 50);
+        assert_eq!(views[0].id, 0);
+        assert_eq!(stats.candidates_generated, 10);
         assert_eq!(stats.candidates, 10);
+        assert_eq!(
+            cursor.select_up_to(Some(500)).0.len(),
+            100,
+            "a cap past the end takes all"
+        );
     }
 
     #[test]
@@ -594,11 +578,11 @@ mod tests {
 
     #[test]
     fn empty_cursor_is_well_behaved() {
-        let mut cursor = cursor_over(&[]);
-        assert_eq!(cursor.peek_bound(), None);
-        assert_eq!(cursor.remaining(), 0);
+        let cursor = cursor_over(&[]);
+        assert!(cursor.is_empty());
+        assert_eq!(cursor.len(), 0);
         assert_eq!(cursor.views().len(), 0);
-        assert!(cursor.next_candidate().unwrap().is_none());
+        assert!(cursor.select_up_to(None).0.is_empty());
         let (list, stats) = cursor.collect_up_to(Some(5)).unwrap();
         assert!(list.is_empty());
         assert_eq!(stats.candidates, 0);

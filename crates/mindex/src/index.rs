@@ -98,8 +98,9 @@ impl From<StorageError> for MIndexError {
     }
 }
 
-/// Sentinel `cand_size` for [`MIndex::knn_candidates`]: return the whole
-/// most-promising Voronoi cell untrimmed (paper §5.4's 1-NN setting).
+/// Sentinel `cand_size` for [`MIndex::knn_cursor`]: the whole
+/// most-promising Voronoi cell is the candidate set, untrimmed (paper
+/// §5.4's 1-NN setting).
 pub const FIRST_CELL_ONLY: usize = 0;
 
 /// The drain cap a k-NN `cand_size` implies: [`FIRST_CELL_ONLY`] drains the
@@ -320,31 +321,11 @@ impl<S: BucketStore> MIndex<S> {
     /// (safety comes from the triangle inequality; see `tests/`).
     ///
     /// Each candidate ships with its **wire-safe pivot-filtering lower
-    /// bound** on `d(q, o)` and the set is sorted by it ascending, so a
+    /// bound** on `d(q, o)` and the cursor ranks by it ascending, so a
     /// refining client can stop decrypting as soon as the remaining bounds
-    /// exceed the radius.
-    ///
-    /// Implemented as [`MIndex::range_cursor`] drained to completion — the
-    /// eager list is exactly the cursor's full yield sequence.
-    pub fn range_candidates(
-        &self,
-        query_distances: &[f64],
-        radius: f64,
-    ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        self.range_cursor(query_distances, radius)?
-            .collect_up_to(None)
-    }
-
-    /// Opens a lazy, bound-ordered cursor over the precise range-query
-    /// candidate set ([`MIndex::range_candidates`] is its owned adapter).
-    ///
-    /// The open phase runs the full Alg. 3 tree pruning and per-object
-    /// pivot filtering — the returned [`SearchStats`] carry the same
-    /// counters the eager function reports — but survivors are only
-    /// *staged* (filtered and bounded from their stored distance bytes,
-    /// the record kept raw); entries are built lazily as the cursor is
-    /// pulled. The cursor owns its data
-    /// and borrows nothing from the index.
+    /// exceed the radius. Survivors are only *staged* (filtered and
+    /// bounded from their stored distance bytes, the record kept raw); the
+    /// cursor owns its data and borrows nothing from the index.
     pub fn range_cursor(
         &self,
         query_distances: &[f64],
@@ -455,44 +436,25 @@ impl<S: BucketStore> MIndex<S> {
     }
 
     /// Approximate k-NN candidates (paper Alg. 4): enumerates Voronoi cells
-    /// in promise order until `cand_size` entries are gathered, then trims.
+    /// in promise order until `cand_size` entries are gathered.
     ///
     /// The candidate set is **ranked and the rank travels with it**: every
-    /// entry is returned as `(entry, lower_bound)` and the set is sorted by
-    /// the bound ascending. When query and entries both carry distances the
-    /// bound is the *wire-safe* pivot-filtering lower bound on `d(q, o)`
-    /// (never exceeds the true distance, so a client may soundly stop
-    /// refining the moment its k-th true distance beats every remaining
-    /// bound). Under permutation routing no metric bound exists; the value
-    /// is the cell-promise penalty — a heuristic ordering only.
+    /// view carries its lower bound and the cursor ranks by it ascending.
+    /// When query and entries both carry distances the bound is the
+    /// *wire-safe* pivot-filtering lower bound on `d(q, o)` (never exceeds
+    /// the true distance, so a client may soundly stop refining the moment
+    /// its k-th true distance beats every remaining bound). Under
+    /// permutation routing no metric bound exists; the value is the
+    /// cell-promise penalty — a heuristic ordering only.
     ///
-    /// `cand_size == FIRST_CELL_ONLY (0)` reproduces the paper's §5.4
-    /// setting: "the server-side M-Index was limited to access only one
-    /// M-Index Voronoi cell which then forms the candidate set" — the whole
-    /// most-promising leaf is returned untrimmed.
-    ///
-    /// Implemented as [`MIndex::knn_cursor`] drained to the trim point —
-    /// the eager list is exactly the cursor's yield prefix.
-    pub fn knn_candidates(
-        &self,
-        evaluator: &PromiseEvaluator,
-        cand_size: usize,
-    ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        self.knn_cursor(evaluator, cand_size)?
-            .collect_up_to(knn_cap(cand_size))
-    }
-
-    /// Opens a lazy, bound-ordered cursor over the approximate-k-NN
-    /// candidate set ([`MIndex::knn_candidates`] is its owned adapter).
-    ///
-    /// The open phase enumerates Voronoi cells in promise order until
-    /// `cand_size` entries are gathered — identical cell walk, stop
-    /// condition and [`SearchStats`] counters as the eager function — and
-    /// ranks the staged records by wire bound without decoding payloads.
-    /// The cursor may hold slightly more than `cand_size` entries (the
-    /// last cell is staged whole); eager callers trim, while a
-    /// scatter-gather coordinator's *global* cap makes the per-shard
-    /// excess unreachable, so both see the eager wire ordering.
+    /// The cursor may hold more than `cand_size` entries (the last cell is
+    /// staged whole); a consumer trims with
+    /// `select_up_to(knn_cap(cand_size))` (Alg. 4 line 5), and a
+    /// scatter-gather coordinator's *global* cap makes the per-shard excess
+    /// unreachable. `cand_size == FIRST_CELL_ONLY (0)` reproduces the
+    /// paper's §5.4 setting: "the server-side M-Index was limited to access
+    /// only one M-Index Voronoi cell which then forms the candidate set" —
+    /// the whole most-promising leaf, untrimmed.
     pub fn knn_cursor(
         &self,
         evaluator: &PromiseEvaluator,
@@ -689,6 +651,27 @@ mod tests {
         IndexEntry::new(id, Routing::from_distances(ds), vec![id as u8])
     }
 
+    /// A range search's full ranked list, copied out of its cursor.
+    fn range_list<S: BucketStore>(
+        idx: &MIndex<S>,
+        query_distances: &[f64],
+        radius: f64,
+    ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
+        idx.range_cursor(query_distances, radius)?
+            .collect_up_to(None)
+    }
+
+    /// A k-NN search's ranked list trimmed to `cand_size`, copied out of
+    /// its cursor.
+    fn knn_list<S: BucketStore>(
+        idx: &MIndex<S>,
+        evaluator: &PromiseEvaluator,
+        cand_size: usize,
+    ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
+        idx.knn_cursor(evaluator, cand_size)?
+            .collect_up_to(knn_cap(cand_size))
+    }
+
     #[test]
     fn insert_and_shape() {
         let mut idx = MIndex::new(cfg(3, 2, 2), MemoryStore::new()).unwrap();
@@ -749,7 +732,7 @@ mod tests {
             Err(MIndexError::WrongStrategy { .. })
         ));
         assert!(matches!(
-            pidx.range_candidates(&[0.0, 0.0, 0.0], 1.0),
+            range_list(&pidx, &[0.0, 0.0, 0.0], 1.0),
             Err(MIndexError::WrongStrategy { .. })
         ));
     }
@@ -762,7 +745,7 @@ mod tests {
             Err(MIndexError::DimensionMismatch { .. })
         ));
         assert!(matches!(
-            idx.range_candidates(&[0.1], 1.0),
+            range_list(&idx, &[0.1], 1.0),
             Err(MIndexError::DimensionMismatch { .. })
         ));
     }
@@ -776,7 +759,7 @@ mod tests {
         idx.insert(entry_d(1, &[0.9, 0.5, 0.1])).unwrap(); // root pivot 2
         let short = PromiseEvaluator::from_distances(vec![0.1, 0.2]);
         assert!(matches!(
-            idx.knn_candidates(&short, 5),
+            knn_list(&idx, &short, 5),
             Err(MIndexError::DimensionMismatch { .. })
         ));
     }
@@ -812,7 +795,7 @@ mod tests {
                 .unwrap();
         }
         // query at x=2 (distances 2, 8), radius 1.5 → true matches x ∈ {1,2,3}
-        let (cands, stats) = idx.range_candidates(&[2.0, 8.0], 1.5).unwrap();
+        let (cands, stats) = range_list(&idx, &[2.0, 8.0], 1.5).unwrap();
         let ids: Vec<u64> = cands.iter().map(|(e, _)| e.id).collect();
         for want in [1, 2, 3] {
             assert!(ids.contains(&want), "missing {want} in {ids:?}");
@@ -831,7 +814,7 @@ mod tests {
                 .unwrap();
         }
         let ev = PromiseEvaluator::from_distances(vec![2.0, 8.0]);
-        let (cands, stats) = idx.knn_candidates(&ev, 5).unwrap();
+        let (cands, stats) = knn_list(&idx, &ev, 5).unwrap();
         assert_eq!(cands.len(), 5);
         assert_eq!(stats.candidates, 5);
         // The best candidate should be the exact point x=2.
@@ -868,7 +851,7 @@ mod tests {
         }
         let q = simcloud_metric::permutation_from_distances(&[0.15, 0.45, 0.95]);
         let ev = PromiseEvaluator::from_permutation(q);
-        let (cands, _) = idx.knn_candidates(&ev, 2).unwrap();
+        let (cands, _) = knn_list(&idx, &ev, 2).unwrap();
         assert_eq!(cands.len(), 2);
         let ids: Vec<u64> = cands.iter().map(|(e, _)| e.id).collect();
         assert!(ids.contains(&0) && ids.contains(&1), "{ids:?}");
@@ -885,7 +868,7 @@ mod tests {
             idx.insert(entry_d(i, &[0.9, 0.1, 0.5])).unwrap();
         }
         let ev = PromiseEvaluator::from_distances(vec![0.1, 0.5, 0.9]);
-        let (cands, stats) = idx.knn_candidates(&ev, FIRST_CELL_ONLY).unwrap();
+        let (cands, stats) = knn_list(&idx, &ev, FIRST_CELL_ONLY).unwrap();
         assert_eq!(cands.len(), 5, "whole first cell, no trim");
         assert_eq!(stats.cells_visited, 1);
         assert!(cands.iter().all(|(e, _)| e.id < 5));
@@ -902,7 +885,7 @@ mod tests {
                 .unwrap();
         }
         let ev = PromiseEvaluator::from_distances(vec![3.0, 7.0]); // query at x=3
-        let (cands, _) = idx.knn_candidates(&ev, 11).unwrap();
+        let (cands, _) = knn_list(&idx, &ev, 11).unwrap();
         assert_eq!(cands.len(), 11);
         assert!(cands.windows(2).all(|w| w[0].1 <= w[1].1), "not ascending");
         for (e, lb) in &cands {
@@ -923,7 +906,7 @@ mod tests {
             idx.insert(entry_d(x, &[x as f64, 10.0 - x as f64]))
                 .unwrap();
         }
-        let (cands, _) = idx.range_candidates(&[5.0, 5.0], 2.0).unwrap();
+        let (cands, _) = range_list(&idx, &[5.0, 5.0], 2.0).unwrap();
         assert!(!cands.is_empty());
         assert!(cands.windows(2).all(|w| w[0].1 <= w[1].1), "not ascending");
         for (e, lb) in &cands {
@@ -1027,7 +1010,7 @@ mod tests {
         let rebuilt = MIndex::rebuild(cfg(2, 2, 3), raw).unwrap();
         assert_eq!(rebuilt.len(), reference.len());
         assert_eq!(rebuilt.shape(), reference.shape());
-        let (cands, _) = rebuilt.range_candidates(&[7.0, 3.0], 0.0).unwrap();
+        let (cands, _) = range_list(&rebuilt, &[7.0, 3.0], 0.0).unwrap();
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].0.id, 7);
         assert_eq!(
@@ -1056,7 +1039,7 @@ mod tests {
             idx.insert(entry_d(x, &[x as f64, 10.0 - x as f64]))
                 .unwrap();
         }
-        let (cands, _) = idx.range_candidates(&[7.0, 3.0], 0.0).unwrap();
+        let (cands, _) = range_list(&idx, &[7.0, 3.0], 0.0).unwrap();
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].0.id, 7);
     }

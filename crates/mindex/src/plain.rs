@@ -13,8 +13,9 @@ use simcloud_metric::{CountingMetric, Metric, ObjectId, Vector};
 use simcloud_storage::BucketStore;
 
 use crate::config::MIndexConfig;
+use crate::cursor::CandidateView;
 use crate::entry::{IndexEntry, Routing};
-use crate::index::{MIndex, MIndexError};
+use crate::index::{knn_cap, MIndex, MIndexError};
 use crate::promise::PromiseEvaluator;
 use crate::stats::SearchStats;
 
@@ -106,10 +107,33 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
             .insert(IndexEntry::new(id.0, Routing::from_distances(&ds), payload))
     }
 
-    fn decode(entry: &IndexEntry) -> Result<Vector, MIndexError> {
-        Vector::decode(&entry.payload)
+    /// Decodes a stored payload back into its vector.
+    fn decode(id: u64, payload: &[u8]) -> Result<Vector, MIndexError> {
+        Vector::decode(payload)
             .map(|(v, _)| v)
-            .map_err(|e| MIndexError::Corrupt(format!("object {}: {e}", entry.id)))
+            .map_err(|e| MIndexError::Corrupt(format!("object {id}: {e}")))
+    }
+
+    /// Decodes each candidate's vector straight from its view and scores
+    /// it against `q`, keeping those within `radius`, sorted by distance
+    /// (ties by id).
+    fn refine(
+        &self,
+        q: &Vector,
+        views: &[CandidateView<'_>],
+        radius: f64,
+    ) -> Result<Vec<Neighbor>, MIndexError> {
+        let mut scored = Vec::with_capacity(views.len());
+        for view in views {
+            let d = self
+                .metric
+                .distance(q, &Self::decode(view.id, view.payload)?);
+            if d <= radius {
+                scored.push((ObjectId(view.id), d));
+            }
+        }
+        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        Ok(scored)
     }
 
     /// Precise range query `R(q, r)` — candidates from Alg. 3, refined
@@ -119,17 +143,9 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
         q: &Vector,
         radius: f64,
     ) -> Result<(Vec<Neighbor>, SearchStats), MIndexError> {
-        let qd = self.pivot_distances(q);
-        let (cands, stats) = self.index.range_candidates(&qd, radius)?;
-        let mut result = Vec::new();
-        for (entry, _) in &cands {
-            let v = Self::decode(entry)?;
-            let d = self.metric.distance(q, &v);
-            if d <= radius {
-                result.push((ObjectId(entry.id), d));
-            }
-        }
-        result.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        let cursor = self.index.range_cursor(&self.pivot_distances(q), radius)?;
+        let (views, stats) = cursor.select_up_to(None);
+        let result = self.refine(q, &views, radius)?;
         Ok((result, stats))
     }
 
@@ -141,15 +157,10 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
         k: usize,
         cand_size: usize,
     ) -> Result<(Vec<Neighbor>, SearchStats), MIndexError> {
-        let qd = self.pivot_distances(q);
-        let ev = PromiseEvaluator::from_distances(qd);
-        let (cands, stats) = self.index.knn_candidates(&ev, cand_size)?;
-        let mut scored = Vec::with_capacity(cands.len());
-        for (entry, _) in &cands {
-            let v = Self::decode(entry)?;
-            scored.push((ObjectId(entry.id), self.metric.distance(q, &v)));
-        }
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        let ev = PromiseEvaluator::from_distances(self.pivot_distances(q));
+        let cursor = self.index.knn_cursor(&ev, cand_size)?;
+        let (views, stats) = cursor.select_up_to(knn_cap(cand_size));
+        let mut scored = self.refine(q, &views, f64::INFINITY)?;
         scored.truncate(k);
         Ok((scored, stats))
     }
@@ -167,21 +178,16 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
         q: &Vector,
         k: usize,
     ) -> Result<(Vec<Neighbor>, SearchStats), MIndexError> {
-        let seed_cand = (4 * k).max(32);
+        let seed_cand = k.saturating_mul(4).max(32);
         let (approx, mut stats) = self.knn_approx(q, k, seed_cand)?;
-        let rho_k = match approx.len() {
-            n if n >= k => approx[k - 1].1,
-            // Fewer than k objects found in the seed candidates (tiny data
-            // set) — fall back to a radius covering everything observed.
-            _ => approx.last().map_or(f64::INFINITY, |x| x.1),
-        };
-        if !rho_k.is_finite() {
-            // Degenerate: empty index.
+        // The approximate answer holds at most `k` neighbors, sorted, so
+        // its last is the k-th (or the farthest there is). None — `k = 0`
+        // or an empty index — leaves nothing to complete.
+        let Some(&(_, rho_k)) = approx.last() else {
             return Ok((Vec::new(), stats));
-        }
-        let (in_ball, rstats) = self.range(q, rho_k)?;
+        };
+        let (mut result, rstats) = self.range(q, rho_k)?;
         stats.merge(&rstats);
-        let mut result = in_ball;
         result.truncate(k);
         Ok((result, stats))
     }
@@ -191,10 +197,10 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
         let entries = self.index.all_entries()?;
         let mut scored = Vec::with_capacity(entries.len());
         for entry in &entries {
-            let v = Self::decode(entry)?;
+            let v = Self::decode(entry.id, &entry.payload)?;
             scored.push((ObjectId(entry.id), self.metric.distance(q, &v)));
         }
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
         Ok(scored)
     }
@@ -204,13 +210,13 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
         let entries = self.index.all_entries()?;
         let mut result = Vec::new();
         for entry in &entries {
-            let v = Self::decode(entry)?;
+            let v = Self::decode(entry.id, &entry.payload)?;
             let d = self.metric.distance(q, &v);
             if d <= radius {
                 result.push((ObjectId(entry.id), d));
             }
         }
-        result.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        result.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         Ok(result)
     }
 }
@@ -289,6 +295,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `k = 0` asks for nothing and gets nothing: there is no k-th
+    /// neighbor to take `ρ_k` from.
+    #[test]
+    fn precise_knn_with_k_zero_is_empty() {
+        let (idx, data) = build(60, 5);
+        let (got, _) = idx.knn_precise(&data[0], 0).unwrap();
+        assert!(got.is_empty());
+        assert!(idx.brute_force_knn(&data[0], 0).unwrap().is_empty());
     }
 
     #[test]

@@ -21,12 +21,11 @@ pub struct SearchStats {
     pub entries_filtered: u64,
     /// Entries returned in the candidate set.
     pub candidates: u64,
-    /// Entries actually *materialized* (payload decoded) by candidate
-    /// cursors. With the eager path this equals the gathered-set size;
-    /// with the streaming frontier a coordinator stops pulling at the
-    /// global budget, so the per-shard sum directly measures work
-    /// amplification — the quantity the shard bench asserts stays
-    /// sub-linear in the shard count.
+    /// Entries a selection took from the candidate cursors. Every search
+    /// answers with its selection, single or sharded, so this always
+    /// equals `candidates`; it measures no per-shard work (per-shard
+    /// staging work is `entries_scanned`). Kept only because the
+    /// benchmark package still reads it.
     pub candidates_generated: u64,
 }
 

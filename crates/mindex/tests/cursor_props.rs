@@ -1,18 +1,17 @@
-//! Property tests for the lazy [`CandidateCursor`]: streaming must be
-//! invisible. Every cursor — both routing strategies, k-NN and range —
-//! yields candidates in **nondecreasing bound order**, `peek_bound` always
-//! names the next yield without decoding it, and draining a cursor
-//! reproduces the eager candidate functions **byte for byte** (ids,
-//! payloads, bound bits, and the full `SearchStats`), since the eager
-//! functions are the wire the encrypted client was built against.
+//! Property tests for the ranked [`CandidateCursor`]. Every cursor — both
+//! routing strategies, k-NN and range — hands out its views in
+//! **nondecreasing bound order**, a capped selection is a **prefix** of
+//! those views, and the owned adapter copies that selection out **byte
+//! for byte** (ids, payloads, bound bits, the routing each entry was
+//! inserted with, and the full `SearchStats`).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_metric::{select_pivots, Metric, PivotSelection, Vector, L2};
 use simcloud_mindex::{
-    CandidateCursor, IndexEntry, MIndex, MIndexConfig, PromiseEvaluator, Routing, RoutingStrategy,
-    SearchStats,
+    knn_cap, CandidateCursor, IndexEntry, MIndex, MIndexConfig, PromiseEvaluator, Routing,
+    RoutingStrategy, SearchStats,
 };
 use simcloud_storage::MemoryStore;
 
@@ -27,6 +26,8 @@ struct Built {
     idx: MIndex<MemoryStore>,
     pivots: Vec<Vector>,
     data: Vec<Vector>,
+    /// The routing entry `i` was inserted with.
+    routings: Vec<Routing>,
 }
 
 fn build(
@@ -47,16 +48,23 @@ fn build(
         strategy,
     };
     let mut idx = MIndex::new(cfg, MemoryStore::new()).unwrap();
+    let mut routings = Vec::with_capacity(data.len());
     for (i, v) in data.iter().enumerate() {
         let ds: Vec<f64> = pivots.iter().map(|p| L2.distance(v, p)).collect();
         let routing = match strategy {
             RoutingStrategy::Distances => Routing::from_distances(&ds),
             RoutingStrategy::Permutation => Routing::permutation_prefix(&ds, ds.len()),
         };
+        routings.push(routing.clone());
         idx.insert(IndexEntry::new(i as u64, routing, vec![i as u8; 4]))
             .unwrap();
     }
-    Built { idx, pivots, data }
+    Built {
+        idx,
+        pivots,
+        data,
+        routings,
+    }
 }
 
 fn query_distances(b: &Built, seed: u64) -> Vec<f64> {
@@ -77,64 +85,60 @@ fn evaluator(strategy: RoutingStrategy, ds: &[f64]) -> PromiseEvaluator {
     }
 }
 
-/// Streams a cursor to at most `cap` candidates, checking on every pull
-/// that `peek_bound` predicted the yielded bound (bit-exact, without
-/// decoding) and that `remaining` counts down. Returns the drained list
-/// and the cursor's final stats with `candidates` set like
-/// `collect_up_to` sets it.
-fn stream_checked(
-    mut cursor: CandidateCursor,
+/// Checks a cursor's ranked set against the selection a consumer capped
+/// at `cap` takes: `views()` covers all `len()` candidates in
+/// nondecreasing bound order, `select_up_to(cap)` is a prefix of them —
+/// the same views, borrowed from the same arena — and counts itself, and
+/// `collect_up_to(cap)` copies that prefix out byte for byte, each entry
+/// carrying the routing it was inserted with. Returns the selection's
+/// length and stats.
+fn check_selection(
+    b: &Built,
+    cursor: CandidateCursor,
     cap: Option<usize>,
-) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), TestCaseError> {
-    let mut out = Vec::new();
-    loop {
-        if let Some(c) = cap {
-            if out.len() >= c {
-                break;
-            }
-        }
-        let predicted = cursor.peek_bound();
-        let before = cursor.remaining();
-        match cursor.next_candidate().unwrap() {
-            Some((entry, bound)) => {
-                // peek_bound must name the next yield, bit-exact.
-                prop_assert_eq!(predicted.map(f64::to_bits), Some(bound.to_bits()));
-                prop_assert_eq!(cursor.remaining(), before - 1);
-                out.push((entry, bound));
-            }
-            None => {
-                prop_assert!(predicted.is_none(), "peek on an exhausted cursor");
-                prop_assert_eq!(before, 0);
-                break;
-            }
-        }
+) -> Result<(usize, SearchStats), TestCaseError> {
+    let all: Vec<_> = cursor.views().collect();
+    prop_assert_eq!(all.len(), cursor.len());
+    prop_assert!(
+        all.windows(2).all(|w| w[0].bound <= w[1].bound),
+        "views must be bound-sorted"
+    );
+    let (selected, stats) = cursor.select_up_to(cap);
+    prop_assert_eq!(selected.len(), cap.map_or(all.len(), |c| c.min(all.len())));
+    for (s, v) in selected.iter().zip(&all) {
+        prop_assert_eq!((s.id, s.bound.to_bits()), (v.id, v.bound.to_bits()));
+        prop_assert!(
+            std::ptr::eq(s.payload, v.payload),
+            "a selection copies nothing"
+        );
     }
-    let mut stats = cursor.stats();
-    stats.candidates = out.len() as u64;
-    Ok((out, stats))
-}
+    prop_assert_eq!(stats.candidates, selected.len() as u64);
+    prop_assert_eq!(stats.candidates_generated, selected.len() as u64);
+    let want: Vec<(u64, u64, Vec<u8>)> = selected
+        .iter()
+        .map(|v| (v.id, v.bound.to_bits(), v.payload.to_vec()))
+        .collect();
+    drop((all, selected));
 
-fn assert_identical(
-    streamed: &[(IndexEntry, f64)],
-    eager: &[(IndexEntry, f64)],
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(streamed.len(), eager.len());
-    for ((se, sb), (ee, eb)) in streamed.iter().zip(eager) {
-        prop_assert_eq!(se.id, ee.id);
-        prop_assert_eq!(&se.payload, &ee.payload);
-        prop_assert_eq!(&se.routing, &ee.routing);
-        prop_assert_eq!(sb.to_bits(), eb.to_bits());
+    let (owned, owned_stats) = cursor.collect_up_to(cap).unwrap();
+    prop_assert_eq!(owned.len(), want.len());
+    for ((entry, bound), (id, bits, payload)) in owned.iter().zip(&want) {
+        prop_assert_eq!(entry.id, *id);
+        prop_assert_eq!(&entry.payload, payload);
+        prop_assert_eq!(&entry.routing, &b.routings[entry.id as usize]);
+        prop_assert_eq!(bound.to_bits(), *bits);
     }
-    Ok(())
+    prop_assert_eq!(owned_stats, stats);
+    Ok((want.len(), stats))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// k-NN cursors yield nondecreasing bounds and reproduce the eager
-    /// `knn_candidates` list byte for byte — under both routing strategies
-    /// and arbitrary tree shapes, including the `FIRST_CELL_ONLY`
-    /// sentinel (`cand_size = 0`).
+    /// k-NN cursors rank in nondecreasing bound order and their trimmed
+    /// selection is a prefix the owned adapter reproduces byte for byte —
+    /// under both routing strategies and arbitrary tree shapes, including
+    /// the `FIRST_CELL_ONLY` sentinel (`cand_size = 0`, untrimmed).
     #[test]
     fn knn_cursor_streams_eager_list_in_bound_order(
         seed in 0u64..5000,
@@ -155,24 +159,19 @@ proptest! {
         let ds = query_distances(&b, seed.wrapping_mul(31));
         let ev = evaluator(strategy, &ds);
 
-        let (eager, eager_stats) = b.idx.knn_candidates(&ev, cand_size).unwrap();
-        prop_assert!(
-            eager.windows(2).all(|w| w[0].1 <= w[1].1),
-            "eager list must be bound-sorted"
-        );
-
-        // Same cap rule as the eager wrapper: 0 = FIRST_CELL_ONLY drains
-        // the whole staged cell.
-        let pull_cap = if cand_size == 0 { None } else { Some(cand_size) };
         let cursor = b.idx.knn_cursor(&ev, cand_size).unwrap();
-        let (streamed, streamed_stats) = stream_checked(cursor, pull_cap)?;
-        prop_assert!(streamed.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_identical(&streamed, &eager)?;
-        prop_assert_eq!(streamed_stats, eager_stats);
+        let staged = cursor.len();
+        let (selected, stats) = check_selection(&b, cursor, knn_cap(cand_size))?;
+        // The walk stops once `cand_size` entries are staged (or the data
+        // runs out); FIRST_CELL_ONLY keeps one whole non-empty cell.
+        prop_assert!(staged >= cand_size.min(n));
+        prop_assert!(staged > 0);
+        prop_assert_eq!(selected, if cand_size == 0 { staged } else { cand_size.min(staged) });
+        prop_assert_eq!(stats.entries_scanned, staged as u64);
     }
 
-    /// Range cursors yield nondecreasing bounds and reproduce the eager
-    /// `range_candidates` list byte for byte.
+    /// Range cursors rank in nondecreasing bound order and their full
+    /// selection is what the owned adapter reproduces byte for byte.
     #[test]
     fn range_cursor_streams_eager_list_in_bound_order(
         seed in 0u64..5000,
@@ -186,21 +185,15 @@ proptest! {
         let b = build(n, dim, pivots.min(n), max_level, cap, seed, RoutingStrategy::Distances);
         let ds = query_distances(&b, seed.wrapping_mul(17));
 
-        let (eager, eager_stats) = b.idx.range_candidates(&ds, radius).unwrap();
-        prop_assert!(
-            eager.windows(2).all(|w| w[0].1 <= w[1].1),
-            "eager list must be bound-sorted"
-        );
-
         let cursor = b.idx.range_cursor(&ds, radius).unwrap();
-        let (streamed, streamed_stats) = stream_checked(cursor, None)?;
-        prop_assert!(streamed.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_identical(&streamed, &eager)?;
-        prop_assert_eq!(streamed_stats, eager_stats);
+        let staged = cursor.len();
+        let (selected, stats) = check_selection(&b, cursor, None)?;
+        prop_assert_eq!(selected, staged);
+        prop_assert_eq!(stats.entries_scanned - stats.entries_filtered, staged as u64);
     }
 
-    /// The lazy contract: generation counts exactly the candidates pulled
-    /// — never the staged universe, and no prefetch beyond the pull.
+    /// Generation counts exactly the candidates a selection takes — never
+    /// the staged universe — and selecting leaves the cursor unchanged.
     #[test]
     fn capped_pull_generates_exactly_what_it_pulls(
         seed in 0u64..5000,
@@ -210,13 +203,12 @@ proptest! {
         let b = build(n, 3, 4, 2, 8, seed, RoutingStrategy::Distances);
         let ds = query_distances(&b, seed.wrapping_mul(13));
         let ev = PromiseEvaluator::from_distances(ds);
-        let mut cursor = b.idx.knn_cursor(&ev, n).unwrap();
-        let staged = cursor.remaining();
+        let cursor = b.idx.knn_cursor(&ev, n).unwrap();
+        let staged = cursor.len();
         prop_assert_eq!(cursor.stats().candidates_generated, 0);
-        for _ in 0..pulled {
-            cursor.next_candidate().unwrap();
-        }
-        let generated = cursor.stats().candidates_generated as usize;
-        prop_assert_eq!(generated, pulled.min(staged));
+        let (_, stats) = cursor.select_up_to(Some(pulled));
+        prop_assert_eq!(stats.candidates_generated as usize, pulled.min(staged));
+        prop_assert_eq!(cursor.stats().candidates_generated, 0);
+        prop_assert_eq!(cursor.len(), staged);
     }
 }

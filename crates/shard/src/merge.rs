@@ -1,8 +1,8 @@
 //! K-way frontier merge over per-shard candidate cursors.
 //!
 //! Every shard answers a search by *opening* a [`CandidateCursor`]: an
-//! owned, lock-free stream of `(entry, lower_bound)` pairs in nondecreasing
-//! bound order (the contract of `MIndex::knn_cursor` / `range_cursor`).
+//! owned, lock-free set of candidate views ranked by nondecreasing bound
+//! (the contract of `MIndex::knn_cursor` / `range_cursor`).
 //! The coordinator pulls the globally smallest bound from whichever
 //! cursor holds it — an argmin over each cursor's next view — and stops
 //! the moment `cap` candidates are merged. What it pulls are borrowed
@@ -81,7 +81,7 @@ pub fn merge_frontier<'a>(
     cap: Option<usize>,
     pull: Option<&Histogram>,
 ) -> (Vec<CandidateView<'a>>, SearchStats) {
-    let total: usize = cursors.iter().map(CandidateCursor::remaining).sum();
+    let total: usize = cursors.iter().map(CandidateCursor::len).sum();
     let want = cap.map_or(total, |c| c.min(total));
     let mut out = Vec::with_capacity(want);
     let mut streams: Vec<_> = cursors.iter().map(|c| c.views().peekable()).collect();

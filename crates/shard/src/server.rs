@@ -11,7 +11,6 @@
 //! lock instead of a global one and searches scatter-gather across all
 //! shards.
 
-use simcloud_core::protocol::{Request, Response};
 use simcloud_core::{ServerConfig, ServerEngine, ServerTelemetry};
 use simcloud_mindex::{MIndexConfig, MIndexError, SearchStats};
 use simcloud_storage::BucketStore;
@@ -86,11 +85,6 @@ impl<S: BucketStore> ShardedCloudServer<S> {
     pub fn telemetry(&self) -> &ServerTelemetry {
         self.0.telemetry()
     }
-
-    /// Processes one decoded request (see [`ServerEngine::process`]).
-    pub fn process(&self, request: Request) -> Response {
-        self.0.process(request)
-    }
 }
 
 impl<S: BucketStore> SharedRequestHandler for ShardedCloudServer<S> {
@@ -103,7 +97,7 @@ impl<S: BucketStore> SharedRequestHandler for ShardedCloudServer<S> {
 mod tests {
     use super::*;
     use crate::router::{HashRouter, PivotRouter};
-    use simcloud_core::protocol::KnnQuery;
+    use simcloud_core::protocol::{KnnQuery, Request, Response};
     use simcloud_mindex::{IndexEntry, Routing, RoutingStrategy};
     use simcloud_storage::MemoryStore;
 
@@ -129,6 +123,11 @@ mod tests {
         IndexEntry::new(id, Routing::from_distances(ds), vec![id as u8; 3])
     }
 
+    /// `request`'s answer, through the byte path every server answers on.
+    fn ask(server: &impl SharedRequestHandler, request: Request) -> Response {
+        Response::decode(&server.handle_shared(&request.encode())).expect("response decodes")
+    }
+
     /// `request`'s answer and the search stats it added to the server's
     /// totals — the request's own stats.
     fn answer_and_stats(
@@ -136,20 +135,23 @@ mod tests {
         request: Request,
     ) -> (Response, SearchStats) {
         let before = s.total_search_stats();
-        let response = s.process(request);
+        let response = ask(s, request);
         (response, s.total_search_stats().since(&before))
     }
 
     #[test]
     fn insert_then_info_aggregates_shards() {
         let s = server(3);
-        let resp = s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.9, 0.1, 0.5]),
-            entry(3, &[0.5, 0.9, 0.1]),
-        ]));
+        let resp = ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.9, 0.1, 0.5]),
+                entry(3, &[0.5, 0.9, 0.1]),
+            ]),
+        );
         assert_eq!(resp, Response::Inserted(3));
-        match s.process(Request::Info) {
+        match ask(&s, Request::Info) {
             Response::Info {
                 entries, leaves, ..
             } => {
@@ -163,12 +165,15 @@ mod tests {
     #[test]
     fn knn_response_is_sorted_and_counts_stats() {
         let s = server(2);
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.4, 0.6, 0.7]),
-            entry(3, &[0.9, 0.1, 0.2]),
-            entry(4, &[0.11, 0.52, 0.9]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.4, 0.6, 0.7]),
+                entry(3, &[0.9, 0.1, 0.2]),
+                entry(4, &[0.11, 0.52, 0.9]),
+            ]),
+        );
         let (resp, stats) = answer_and_stats(
             &s,
             Request::ApproxKnn {
@@ -194,11 +199,14 @@ mod tests {
     #[test]
     fn partial_insert_reports_prefix_across_shards() {
         let s = server(2);
-        let resp = s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6]), // dimension mismatch
-            entry(3, &[0.9, 0.1, 0.2]),
-        ]));
+        let resp = ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.2, 0.6]), // dimension mismatch
+                entry(3, &[0.9, 0.1, 0.2]),
+            ]),
+        );
         match resp {
             Response::InsertError { inserted, message } => {
                 assert_eq!(inserted, 1);
@@ -206,7 +214,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match s.process(Request::Info) {
+        match ask(&s, Request::Info) {
             Response::Info { entries, .. } => assert_eq!(entries, 1),
             other => panic!("unexpected {other:?}"),
         }
@@ -215,12 +223,15 @@ mod tests {
     #[test]
     fn failed_search_zeroes_last_stats() {
         let s = server(2);
-        s.process(Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9])]));
+        ask(&s, Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9])]));
         assert!(matches!(
-            s.process(Request::Range {
-                distances: vec![0.1, 0.5, 0.9],
-                radius: 1.0,
-            }),
+            ask(
+                &s,
+                Request::Range {
+                    distances: vec![0.1, 0.5, 0.9],
+                    radius: 1.0,
+                }
+            ),
             Response::CandidateList(_)
         ));
         let (bad, stats) = answer_and_stats(
@@ -237,10 +248,10 @@ mod tests {
     #[test]
     fn batch_failure_isolated_to_slot_with_summed_stats() {
         let s = server(3);
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.2, 0.6, 0.8])]),
+        );
         let (resp, stats) = answer_and_stats(
             &s,
             Request::BatchKnn(vec![
@@ -277,10 +288,10 @@ mod tests {
     #[test]
     fn oversized_cand_size_refused_before_fanout() {
         let s = server(2);
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.2, 0.6, 0.8])]),
+        );
         let over = u32::try_from(simcloud_core::protocol::MAX_CANDIDATE_HEADERS + 1).unwrap();
         let (resp, stats) = answer_and_stats(
             &s,
@@ -322,12 +333,15 @@ mod tests {
     #[test]
     fn fetch_objects_mirror_request_and_unknown_id_errors() {
         let s = server(3);
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-            entry(3, &[0.9, 0.1, 0.2]),
-        ]));
-        match s.process(Request::FetchObjects { ids: vec![3, 1, 3] }) {
+        ask(
+            &s,
+            Request::Insert(vec![
+                entry(1, &[0.1, 0.5, 0.9]),
+                entry(2, &[0.2, 0.6, 0.8]),
+                entry(3, &[0.9, 0.1, 0.2]),
+            ]),
+        );
+        match ask(&s, Request::FetchObjects { ids: vec![3, 1, 3] }) {
             Response::Objects(objs) => {
                 assert_eq!(
                     objs.iter().map(|o| o.id).collect::<Vec<_>>(),
@@ -338,7 +352,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match s.process(Request::FetchObjects { ids: vec![1, 99] }) {
+        match ask(&s, Request::FetchObjects { ids: vec![1, 99] }) {
             Response::Error(msg) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("unexpected {other:?}"),
         }
@@ -354,14 +368,17 @@ mod tests {
             vec![MemoryStore::new(), MemoryStore::new()],
         )
         .unwrap();
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.9, 0.1, 0.5]),
-        ]));
-        match s.process(Request::ApproxKnn {
-            routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
-            cand_size: 2,
-        }) {
+        ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.9, 0.1, 0.5])]),
+        );
+        match ask(
+            &s,
+            Request::ApproxKnn {
+                routing: Routing::from_distances(&[0.1, 0.5, 0.9]),
+                cand_size: 2,
+            },
+        ) {
             Response::CandidateList(list) => {
                 assert_eq!(list.headers.len(), 2);
                 assert!(list.payloads.is_empty(), "budget 0 inlines nothing");
@@ -373,10 +390,10 @@ mod tests {
     #[test]
     fn shared_handler_serves_bytes_from_many_threads() {
         let s = std::sync::Arc::new(server(4));
-        s.process(Request::Insert(vec![
-            entry(1, &[0.1, 0.5, 0.9]),
-            entry(2, &[0.2, 0.6, 0.8]),
-        ]));
+        ask(
+            &s,
+            Request::Insert(vec![entry(1, &[0.1, 0.5, 0.9]), entry(2, &[0.2, 0.6, 0.8])]),
+        );
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let s = std::sync::Arc::clone(&s);
@@ -413,7 +430,7 @@ mod tests {
             let entries = (0..60)
                 .map(|i| entry(i, &[tenth(i, 7), tenth(i, 3), tenth(i, 9)]))
                 .collect();
-            assert_eq!(s.process(Request::Insert(entries)), Response::Inserted(60));
+            assert_eq!(ask(&s, Request::Insert(entries)), Response::Inserted(60));
             s
         }
         let thread_requests = |t: u64| -> Vec<Vec<u8>> {

@@ -7,7 +7,7 @@
 //! inline budget and cap the two must agree **byte for byte**: this is
 //! what keeps every response frame identical to the pre-arena wire.
 //! Checked on a single server and on a 4-shard one, for k-NN, batched
-//! k-NN and range answers, and for the typed `process()` path.
+//! k-NN and range answers, both as bytes and as the decoded answer.
 //!
 //! The degenerate case closes the loop: a **1-shard** sharded server and
 //! the single server run the same request engine over two `SearchIndex`
@@ -24,6 +24,11 @@ use simcloud_mindex::{knn_cap, IndexEntry, MIndexConfig, Routing, RoutingStrateg
 use simcloud_shard::{memory_stores, HashRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::SharedRequestHandler;
+
+/// `request`'s answer, through the byte path every server answers on.
+fn ask(server: &impl SharedRequestHandler, request: Request) -> Response {
+    Response::decode(&server.handle_shared(&request.encode())).expect("response decodes")
+}
 
 const PIVOTS: usize = 4;
 
@@ -83,8 +88,8 @@ fn deploy(n: usize, seed: u64, budget: Option<usize>) -> Deployments {
     )
     .unwrap();
     let insert = Request::Insert(entries(n, seed));
-    assert_eq!(single.process(insert.clone()), Response::Inserted(n as u32));
-    assert_eq!(sharded.process(insert), Response::Inserted(n as u32));
+    assert_eq!(ask(&single, insert.clone()), Response::Inserted(n as u32));
+    assert_eq!(ask(&sharded, insert), Response::Inserted(n as u32));
     Deployments {
         single,
         sharded,
@@ -113,8 +118,9 @@ impl Deployments {
             .map(|ranked| Response::CandidateList(stage_candidates(ranked, self.budget)))
     }
 
-    /// What the byte handlers (the direct frame writer) and the typed
-    /// path answer to `request`, against the owned pipeline's `expected`.
+    /// What the byte handlers (the direct frame writer) answer to
+    /// `request`, as bytes and decoded, against the owned pipeline's
+    /// `expected`.
     fn assert_frames(
         &self,
         request: &Request,
@@ -125,13 +131,9 @@ impl Deployments {
             self.single.handle_shared(&wire),
             self.sharded.handle_shared(&wire),
         ];
-        let typed = [
-            self.single.process(request.clone()),
-            self.sharded.process(request.clone()),
-        ];
-        for ((frame, typed), expected) in frames.iter().zip(&typed).zip(expected) {
+        for (frame, expected) in frames.iter().zip(expected) {
             prop_assert_eq!(frame, &expected.encode());
-            prop_assert_eq!(typed, expected);
+            prop_assert_eq!(&Response::decode(frame).unwrap(), expected);
         }
         Ok(())
     }
@@ -177,7 +179,7 @@ proptest! {
         // A failing slot rides along: its message is framed, its
         // siblings' lists still are.
         queries.push(KnnQuery { routing: Routing::from_distances(&[1.0]), cand_size: 3 });
-        let refused = d.single.process(Request::ApproxKnn {
+        let refused = ask(&d.single, Request::ApproxKnn {
             routing: Routing::from_distances(&[1.0]),
             cand_size: 3,
         });
@@ -197,7 +199,13 @@ proptest! {
     ) {
         let d = deploy(n, seed, budget(budget_choice, n / 3));
         let query = distances(&mut StdRng::seed_from_u64(seed ^ 11));
-        let (single, _) = d.single.index().range_candidates(&query, radius).unwrap();
+        let (single, _) = d
+            .single
+            .index()
+            .range_cursor(&query, radius)
+            .unwrap()
+            .collect_up_to(None)
+            .unwrap();
         let sharded_index = d.sharded.index();
         let opened = sharded_index.open_range(&query, radius).unwrap();
         let (sharded, _) = sharded_index.drain(opened, None).unwrap();
