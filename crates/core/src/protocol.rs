@@ -62,7 +62,7 @@
 //! at which the client stopped — the same information the eager protocol's
 //! `decrypted` accounting reveals in timing.
 
-use simcloud_mindex::{CandidateView, IndexEntry, Routing};
+use simcloud_mindex::{CandidateView, IndexEntry, RecordBody, Routing};
 
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -591,6 +591,70 @@ impl<'a> SearchAnswerView<'a> {
     }
 }
 
+/// An insert request parsed **in place**: each entry's id and its
+/// validated record body, a slice of the request frame — the form a
+/// server stores an object in. This is *the* insert parser —
+/// [`Request::decode`] builds its owned entries from it — so it accepts
+/// and rejects exactly the same frames: one undecodable entry rejects the
+/// whole frame before any entry can be stored.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InsertView<'a> {
+    entries: Vec<(u64, RecordBody<'a>)>,
+}
+
+impl<'a> InsertView<'a> {
+    /// Parses the entries of an insert request (after its tag).
+    fn parse(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        let n = r.u32("insert header")? as usize;
+        // Smallest entry: u32 len + u64 id + 3-byte routing stub.
+        let mut entries = Vec::with_capacity(cap_alloc(n, r.remaining(), 12));
+        for _ in 0..n {
+            let len = r.u32("insert entry length")? as usize;
+            let mut entry = Reader::new(r.bytes(len, "insert entry body")?);
+            let id = entry.u64("insert entry body")?;
+            let body =
+                RecordBody::parse(entry.rest()).ok_or_else(|| err("insert entry undecodable"))?;
+            entries.push((id, body));
+        }
+        Ok(Self { entries })
+    }
+
+    /// The entries in frame order: id and record body (its parsed extent;
+    /// bytes an entry carries past its payload are not part of it).
+    pub fn entries(&self) -> &[(u64, RecordBody<'a>)] {
+        &self.entries
+    }
+}
+
+/// A request as a server reads it: an insert stays in the frame
+/// ([`InsertView`]); every other request (all small) is decoded owned.
+/// Accepts exactly the frames [`Request::decode`] accepts.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RequestView<'a> {
+    /// [`Request::Insert`], borrowed.
+    Insert(InsertView<'a>),
+    /// Any other request.
+    Other(Request),
+}
+
+impl<'a> RequestView<'a> {
+    /// Parses a request frame.
+    pub fn parse(frame: &'a [u8]) -> Result<Self, CodecError> {
+        if frame.len() > MAX_DECODE_BYTES {
+            return Err(err("request exceeds decode size cap"));
+        }
+        let mut r = Reader::new(frame);
+        match r.u8("request tag")? {
+            0x01 => {
+                let insert = InsertView::parse(&mut r)?;
+                r.finish("insert")?;
+                Ok(RequestView::Insert(insert))
+            }
+            _ => Request::decode(frame).map(RequestView::Other),
+        }
+    }
+}
+
 /// A phase-1 candidate list staged for the wire **without owning it**: the
 /// ranked views (borrowed from the candidate cursors' arenas) plus how many
 /// leading payloads ship inline. The encode-side counterpart of
@@ -773,19 +837,15 @@ impl Request {
         let mut r = Reader::new(buf);
         match r.u8("request tag")? {
             0x01 => {
-                let n = r.u32("insert header")? as usize;
-                // Smallest entry: u32 len + u64 id + 3-byte routing stub.
-                let mut entries = Vec::with_capacity(cap_alloc(n, r.remaining(), 12));
-                for _ in 0..n {
-                    let len = r.u32("insert entry length")? as usize;
-                    let mut body = Reader::new(r.bytes(len, "insert entry body")?);
-                    let id = body.u64("insert entry body")?;
-                    let entry = IndexEntry::decode_payload(id, body.rest())
-                        .ok_or_else(|| err("insert entry undecodable"))?;
-                    entries.push(entry);
-                }
+                let insert = InsertView::parse(&mut r)?;
                 r.finish("insert")?;
-                Ok(Request::Insert(entries))
+                Ok(Request::Insert(
+                    insert
+                        .entries
+                        .iter()
+                        .map(|(id, body)| body.to_entry(*id))
+                        .collect(),
+                ))
             }
             0x02 => {
                 let n = r.u16("range header")? as usize;

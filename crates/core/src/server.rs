@@ -3,7 +3,7 @@
 //! The paper's server (§4.3–4.4) is one thing — an M-Index that stores
 //! sealed payloads and answers insert / range / approximate k-NN without
 //! key material — so this module holds the **only** request dispatch of the
-//! repository. [`ServerEngine`] decodes a request, runs it against its
+//! repository. [`ServerEngine`] parses a request, runs it against its
 //! index through the [`SearchIndex`] trait and writes the answer; it is
 //! monomorphised over the index, so nothing is boxed or dispatched
 //! dynamically on the query path. Two indexes implement the trait: the
@@ -25,15 +25,15 @@
 use parking_lot::{RwLock, RwLockReadGuard};
 use simcloud_mindex::{
     knn_cap, CandidateCursor, CandidateView, IndexEntry, MIndex, MIndexConfig, MIndexError,
-    PromiseEvaluator, Routing, SearchStats,
+    PromiseEvaluator, RecordBody, Routing, SearchStats,
 };
 use simcloud_storage::BucketStore;
 use simcloud_telemetry::Trace;
 use simcloud_transport::SharedRequestHandler;
 
 use crate::protocol::{
-    Candidate, CandidateHeader, CandidateList, FetchedObject, Request, Response, StagedList,
-    StagedResponse, MAX_CANDIDATE_HEADERS,
+    Candidate, CandidateHeader, CandidateList, FetchedObject, InsertView, Request, RequestView,
+    Response, StagedList, StagedResponse, MAX_CANDIDATE_HEADERS,
 };
 use crate::telemetry::{request_label, ServerTelemetry};
 
@@ -95,6 +95,11 @@ pub struct IndexShape {
 /// [`SearchIndex::select`] then ranks and caps it into borrowed
 /// [`CandidateView`]s with no guard live.
 ///
+/// A stored object crosses this trait only as bytes: an insert hands the
+/// index `(id, RecordBody)` pairs borrowed from the request frame, and a
+/// fetch or an export gets sealed payloads back. No owned entry is built
+/// on the server.
+///
 /// **Bulk-insert isolation is a property of the index.** Bulk inserts are
 /// never atomic — on a failing entry the stored prefix stays and is
 /// reported — but what a concurrent search can observe differs: the single
@@ -136,17 +141,19 @@ pub trait SearchIndex: Send + Sync {
         cap: Option<usize>,
     ) -> (Vec<CandidateView<'o>>, SearchStats);
 
-    /// Inserts `entries` in order until the first failure. Returns how
-    /// many leading entries were stored and the error that stopped the
-    /// bulk, if any (see the trait docs for the isolation level).
-    fn insert_bulk(&self, entries: Vec<IndexEntry>) -> (u32, Option<MIndexError>);
+    /// Inserts `entries` — ids and record bodies, as an insert frame
+    /// carries them — in order until the first failure. Returns how many
+    /// leading entries were stored and the error that stopped the bulk, if
+    /// any (see the trait docs for the isolation level).
+    fn insert_bulk(&self, entries: &[(u64, RecordBody<'_>)]) -> (u32, Option<MIndexError>);
 
-    /// By-id lookup, one slot per requested id in request order
-    /// (duplicates included); ids the index does not hold are `None`.
-    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<IndexEntry>>, MIndexError>;
+    /// By-id lookup of sealed payloads, one slot per requested id in
+    /// request order (duplicates included); ids the index does not hold
+    /// are `None`.
+    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<Vec<u8>>>, MIndexError>;
 
-    /// Every stored entry, in storage order.
-    fn all_entries(&self) -> Result<Vec<IndexEntry>, MIndexError>;
+    /// Every stored object as `(id, sealed payload)`, in storage order.
+    fn all_entries(&self) -> Result<Vec<(u64, Vec<u8>)>, MIndexError>;
 
     /// Aggregate shape.
     fn shape(&self) -> IndexShape;
@@ -162,12 +169,12 @@ pub trait SearchIndex: Send + Sync {
 /// shape of every [`SearchIndex::insert_bulk`] (stored-prefix count, first
 /// error). The caller decides which guard `insert` runs under.
 pub fn insert_until_error(
-    entries: Vec<IndexEntry>,
-    mut insert: impl FnMut(IndexEntry) -> Result<(), MIndexError>,
+    entries: &[(u64, RecordBody<'_>)],
+    mut insert: impl FnMut(u64, &RecordBody<'_>) -> Result<(), MIndexError>,
 ) -> (u32, Option<MIndexError>) {
     let mut stored = 0u32;
-    for entry in entries {
-        if let Err(e) = insert(entry) {
+    for (id, body) in entries {
+        if let Err(e) = insert(*id, body) {
             return (stored, Some(e));
         }
         stored += 1;
@@ -218,16 +225,16 @@ impl<S: BucketStore> SearchIndex for RwLock<MIndex<S>> {
         opened.select_up_to(cap)
     }
 
-    fn insert_bulk(&self, entries: Vec<IndexEntry>) -> (u32, Option<MIndexError>) {
+    fn insert_bulk(&self, entries: &[(u64, RecordBody<'_>)]) -> (u32, Option<MIndexError>) {
         let mut index = self.write();
-        insert_until_error(entries, |e| index.insert(e))
+        insert_until_error(entries, |id, body| index.insert_record(id, body))
     }
 
-    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<IndexEntry>>, MIndexError> {
+    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<Vec<u8>>>, MIndexError> {
         self.read().fetch_entries(ids)
     }
 
-    fn all_entries(&self) -> Result<Vec<IndexEntry>, MIndexError> {
+    fn all_entries(&self) -> Result<Vec<(u64, Vec<u8>)>, MIndexError> {
         self.read().all_entries()
     }
 
@@ -292,7 +299,7 @@ impl<S: BucketStore> CloudServer<S> {
 
     /// Creates a server over a store that already holds records (e.g. a
     /// crash-recovered `DiskStore`), rebuilding the in-memory cell tree
-    /// from the stored entries via [`MIndex::rebuild`]. The restarted
+    /// from the stored record bodies via [`MIndex::rebuild`]. The restarted
     /// server keeps the `server_config` it is given — a budgeted
     /// deployment stays budgeted across a crash.
     pub fn rebuilt(
@@ -401,32 +408,40 @@ impl<I: SearchIndex> ServerEngine<I> {
         self.telemetry.encode_response(&staged, trace)
     }
 
+    /// Stores an insert frame's entries as the bytes they are and returns
+    /// the response frame. The frame was validated whole when it was
+    /// parsed, so a malformed entry stores nothing.
+    fn answer_insert(&self, insert: &InsertView<'_>, trace: &mut Trace) -> Vec<u8> {
+        let (inserted, failure) = {
+            let _insert = trace.span("insert", self.telemetry.insert_hist());
+            self.index.insert_bulk(insert.entries())
+        };
+        // The ops surface answers `entries` from this gauge, so Health
+        // never waits on an index lock.
+        self.telemetry.add_entries(u64::from(inserted));
+        let response = match failure {
+            // Bulk inserts are not atomic: the already-inserted prefix
+            // stays, so the error must carry the count.
+            Some(e) => Response::InsertError {
+                inserted,
+                message: e.to_string(),
+            },
+            None => Response::Inserted(inserted),
+        };
+        self.telemetry
+            .encode_response(&StagedResponse::Other(response), trace)
+    }
+
     /// Runs one decoded request and returns its response frame — the one
     /// request path (needs only `&self`: all locking is the index's).
     /// Search answers go from their cursors' arenas straight into the
-    /// frame. Each lifecycle phase (route → open → pull → stage → encode,
-    /// or insert) is timed into its histogram and the trace's phase
-    /// breakdown.
+    /// frame. Each lifecycle phase (route → open → pull → stage → encode)
+    /// is timed into its histogram and the trace's phase breakdown.
     fn respond(&self, request: Request, trace: &mut Trace) -> Vec<u8> {
         let response = match request {
-            Request::Insert(entries) => {
-                let (inserted, failure) = {
-                    let _insert = trace.span("insert", self.telemetry.insert_hist());
-                    self.index.insert_bulk(entries)
-                };
-                // The ops surface answers `entries` from this gauge, so
-                // Health never waits on an index lock.
-                self.telemetry.add_entries(u64::from(inserted));
-                match failure {
-                    // Bulk inserts are not atomic: the already-inserted
-                    // prefix stays, so the error must carry the count.
-                    Some(e) => Response::InsertError {
-                        inserted,
-                        message: e.to_string(),
-                    },
-                    None => Response::Inserted(inserted),
-                }
-            }
+            // `RequestView::parse` reads every insert in place
+            // (`answer_insert`); an owned one never reaches the server.
+            Request::Insert(_) => Response::Error("insert not read in place".into()),
             Request::Range { distances, radius } => {
                 let opened = {
                     let _open = trace.span("open", self.telemetry.open_hist());
@@ -508,7 +523,7 @@ impl<I: SearchIndex> ServerEngine<I> {
                 // of interleaved fetches from concurrent connections are
                 // safe. Not a search: it adds nothing to the search stats.
                 match self.index.fetch_entries(&ids) {
-                    Ok(entries) => objects_response(&ids, entries),
+                    Ok(payloads) => objects_response(&ids, payloads),
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
@@ -523,13 +538,13 @@ impl<I: SearchIndex> ServerEngine<I> {
             Request::ExportAll => match self.index.all_entries() {
                 // An export has no query, hence no bounds: every candidate
                 // ships a trivial lower bound of zero ("could be anywhere").
-                Ok(entries) => Response::Candidates(
-                    entries
+                Ok(objects) => Response::Candidates(
+                    objects
                         .into_iter()
-                        .map(|e| Candidate {
-                            id: e.id,
+                        .map(|(id, payload)| Candidate {
+                            id,
                             lower_bound: 0.0,
-                            payload: e.payload,
+                            payload,
                         })
                         .collect(),
                 ),
@@ -605,16 +620,14 @@ pub fn stage_candidates(entries: Vec<(IndexEntry, f64)>, budget: Option<usize>) 
     CandidateList { headers, payloads }
 }
 
-/// The phase-2 answer for `ids` given the index's by-id lookup result, in
-/// request order; an id the index does not hold fails the whole fetch.
-fn objects_response(ids: &[u64], entries: Vec<Option<IndexEntry>>) -> Response {
+/// The phase-2 answer for `ids` given the index's by-id lookup of sealed
+/// payloads, in request order; an id the index does not hold fails the
+/// whole fetch.
+fn objects_response(ids: &[u64], payloads: Vec<Option<Vec<u8>>>) -> Response {
     let mut objects = Vec::with_capacity(ids.len());
-    for (id, entry) in ids.iter().zip(entries) {
-        match entry {
-            Some(e) => objects.push(FetchedObject {
-                id: *id,
-                payload: e.payload,
-            }),
+    for (id, payload) in ids.iter().zip(payloads) {
+        match payload {
+            Some(payload) => objects.push(FetchedObject { id: *id, payload }),
             None => return Response::Error(format!("unknown object id {id}")),
         }
     }
@@ -651,10 +664,14 @@ impl<I: SearchIndex> SharedRequestHandler for ServerEngine<I> {
         let mut trace = self.telemetry.trace();
         let decoded = {
             let _decode = trace.span("decode", self.telemetry.decode_hist());
-            Request::decode(request)
+            RequestView::parse(request)
         };
         let bytes = match decoded {
-            Ok(req) => {
+            Ok(RequestView::Insert(insert)) => {
+                trace.set_label("insert");
+                self.answer_insert(&insert, &mut trace)
+            }
+            Ok(RequestView::Other(req)) => {
                 trace.set_label(request_label(&req));
                 self.respond(req, &mut trace)
             }

@@ -542,9 +542,9 @@ fn budget_inlining(candidates: u64, payload_len: usize, inline: u64) -> usize {
 fn batch_boundary_at_early_exit_is_exact() {
     let full = build(200, 3, 6, 77, RoutingStrategy::Distances);
     let payload_len = {
-        let entries = full.server.index().all_entries().unwrap();
-        let len = entries[0].payload.len();
-        assert!(entries.iter().all(|e| e.payload.len() == len));
+        let objects = full.server.index().all_entries().unwrap();
+        let len = objects[0].1.len();
+        assert!(objects.iter().all(|(_, payload)| payload.len() == len));
         len
     };
     let mut eager = client(

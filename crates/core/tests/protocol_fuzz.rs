@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use simcloud_core::protocol::{
-    Candidate, CandidateHeader, CandidateList, CandidateListView, FetchedObject, Request, Response,
-    SearchAnswerView,
+    Candidate, CandidateHeader, CandidateList, CandidateListView, FetchedObject, InsertView,
+    Request, RequestView, Response, SearchAnswerView,
 };
 use simcloud_mindex::{IndexEntry, Routing};
 
@@ -48,6 +48,28 @@ fn views_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The borrowed parser a server reads request frames through
+/// (`RequestView` over `InsertView`) must accept and reject exactly what
+/// `Request::decode` does — same error, and on success the same request
+/// once each insert entry is copied out of the frame.
+fn request_views_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let copied = |insert: InsertView<'_>| {
+        let entries = insert.entries();
+        Request::Insert(
+            entries
+                .iter()
+                .map(|(id, body)| body.to_entry(*id))
+                .collect(),
+        )
+    };
+    let viewed = RequestView::parse(bytes).map(|view| match view {
+        RequestView::Insert(insert) => copied(insert),
+        RequestView::Other(request) => request,
+    });
+    prop_assert_eq!(viewed, Request::decode(bytes));
+    Ok(())
+}
+
 /// A response round-trips, and the view parser agrees with the owned
 /// decoder on it, on every truncation of it and with a trailing byte.
 fn response_round_trips(resp: &Response) -> Result<(), TestCaseError> {
@@ -66,6 +88,25 @@ proptest! {
     #[test]
     fn request_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = Request::decode(&bytes);
+        request_views_agree(&bytes)?;
+    }
+
+    /// Arbitrary bytes behind the insert tag, so the insert parser (entry
+    /// counts and lengths, routing headers, payload lengths) sees hostile
+    /// input on every case.
+    #[test]
+    fn insert_parsers_agree_on_garbage(
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        small in any::<bool>(),
+    ) {
+        if small {
+            // Plausible little-endian counts and lengths.
+            for b in bytes.iter_mut().skip(1).step_by(2) {
+                *b = 0;
+            }
+        }
+        bytes.insert(0, 0x01);
+        request_views_agree(&bytes)?;
     }
 
     #[test]
@@ -96,7 +137,13 @@ proptest! {
     #[test]
     fn insert_request_round_trips(entries in proptest::collection::vec(arb_entry(), 0..8)) {
         let req = Request::Insert(entries);
-        prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        let mut bytes = req.encode();
+        prop_assert_eq!(Request::decode(&bytes).unwrap(), req);
+        for cut in 0..=bytes.len() {
+            request_views_agree(&bytes[..cut])?;
+        }
+        bytes.push(0);
+        request_views_agree(&bytes)?;
     }
 
     #[test]

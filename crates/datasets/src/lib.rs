@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod csvio;
 pub mod generators;
 pub mod ground_truth;
 pub mod workload;

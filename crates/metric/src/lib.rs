@@ -30,7 +30,6 @@
 
 pub mod analysis;
 pub mod counting;
-pub mod extra;
 mod kernel;
 pub mod metrics;
 pub mod permutation;
@@ -39,8 +38,7 @@ pub mod table;
 pub mod vector;
 
 pub use counting::CountingMetric;
-pub use extra::{Angular, Hamming, Scaled};
-pub use metrics::{CombinedMetric, DescriptorBlock, EditDistance, Linf, Lp, Metric, L1, L2};
+pub use metrics::{CombinedMetric, DescriptorBlock, Linf, Lp, Metric, L1, L2};
 pub use permutation::{permutation_from_distances, PivotPermutation};
 pub use pivots::{select_pivots, PivotSelection};
 pub use table::{PivotTable, TableScratch};

@@ -1,4 +1,4 @@
-//! Distance functions (metrics) over [`Vector`]s and strings.
+//! Distance functions (metrics) over [`Vector`]s.
 //!
 //! The paper treats the data space as a metric space `(D, d)` with `d`
 //! satisfying non-negativity, identity, symmetry and the triangle inequality
@@ -8,9 +8,9 @@
 //! * a weighted **combination of Lp distances** over five MPEG-7 descriptor
 //!   blocks for CoPhIR ([`CombinedMetric`]).
 //!
-//! [`EditDistance`] is included to demonstrate that nothing in the index is
-//! specific to vectors (the paper stresses generality of the metric
-//! approach: "gene sequences or other biomedical data").
+//! Nothing in the index is specific to vectors: [`Metric`] is generic over
+//! the object type, and the server only ever sees the distances or
+//! permutations a metric produces.
 
 use std::borrow::Borrow;
 
@@ -345,49 +345,6 @@ impl Metric<Vector> for CombinedMetric {
     }
 }
 
-/// Levenshtein edit distance over strings — demonstrates the index on
-/// non-vector data (sequences), as the paper's generality claim requires.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EditDistance;
-
-impl Metric<str> for EditDistance {
-    fn distance(&self, a: &str, b: &str) -> f64 {
-        let a: Vec<char> = a.chars().collect();
-        let b: Vec<char> = b.chars().collect();
-        if a.is_empty() {
-            return b.len() as f64;
-        }
-        if b.is_empty() {
-            return a.len() as f64;
-        }
-        // Single-row dynamic program; O(|a|·|b|) time, O(|b|) space.
-        let mut prev: Vec<usize> = (0..=b.len()).collect();
-        let mut cur = vec![0usize; b.len() + 1];
-        for (i, ca) in a.iter().enumerate() {
-            cur[0] = i + 1;
-            for (j, cb) in b.iter().enumerate() {
-                let sub = prev[j] + usize::from(ca != cb);
-                cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        prev[b.len()] as f64
-    }
-
-    fn name(&self) -> String {
-        "Edit".into()
-    }
-}
-
-impl Metric<String> for EditDistance {
-    fn distance(&self, a: &String, b: &String) -> f64 {
-        Metric::<str>::distance(self, a.as_str(), b.as_str())
-    }
-    fn name(&self) -> String {
-        "Edit".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,16 +494,6 @@ mod tests {
             p: 1.0,
             weight: 1.0,
         }]);
-    }
-
-    #[test]
-    fn edit_distance_known_values() {
-        let m = EditDistance;
-        assert_eq!(Metric::<str>::distance(&m, "kitten", "sitting"), 3.0);
-        assert_eq!(Metric::<str>::distance(&m, "", "abc"), 3.0);
-        assert_eq!(Metric::<str>::distance(&m, "abc", ""), 3.0);
-        assert_eq!(Metric::<str>::distance(&m, "same", "same"), 0.0);
-        assert_eq!(Metric::<str>::distance(&m, "flaw", "lawn"), 2.0);
     }
 
     #[test]

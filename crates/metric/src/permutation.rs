@@ -121,13 +121,17 @@ impl PivotPermutation {
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
         let (len_bytes, rest) = buf.split_first_chunk::<2>()?;
         let n = u16::from_le_bytes(*len_bytes) as usize;
-        let mut body = rest.get(..2 * n)?;
-        let mut order = Vec::with_capacity(n);
-        while let Some((c, tail)) = body.split_first_chunk::<2>() {
-            order.push(u16::from_le_bytes(*c));
-            body = tail;
+        let (le, _) = rest.get(..2 * n)?.as_chunks::<2>();
+        Some((Self::from_le(le), 2 + 2 * n))
+    }
+
+    /// The permutation whose entries are `le`, two little-endian bytes
+    /// each — the body [`PivotPermutation::encode`] writes after the count.
+    /// Like [`PivotPermutation::decode`], it takes the entries as they are.
+    pub fn from_le(le: &[[u8; 2]]) -> Self {
+        Self {
+            order: le.iter().map(|c| u16::from_le_bytes(*c)).collect(),
         }
-        Some((Self { order }, 2 + 2 * n))
     }
 }
 

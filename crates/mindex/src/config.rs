@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::entry::{IndexEntry, Routing};
+use crate::entry::RoutingView;
 use crate::index::MIndexError;
 
 /// Which routing information records and queries carry (paper Alg. 1 lines
@@ -67,16 +67,16 @@ impl MIndexConfig {
         Ok(())
     }
 
-    /// Validates an entry's routing information against this configuration
+    /// Validates a record's routing header against this configuration
     /// **without** an index instance — the check is a pure function of the
     /// config (strategy, pivot count, max level). The index's insert path
-    /// delegates here, and a sharded deployment validates entries lock-free
+    /// delegates here, and a sharded deployment validates records lock-free
     /// before reserving them in its shard-ownership map, with the same
     /// error precedence a direct insert has (shape errors are reported
     /// ahead of duplicate-id errors).
-    pub fn validate_entry(&self, entry: &IndexEntry) -> Result<(), MIndexError> {
-        match (&entry.routing, self.strategy) {
-            (Routing::Distances(d), RoutingStrategy::Distances) => {
+    pub fn validate_routing(&self, routing: &RoutingView<'_>) -> Result<(), MIndexError> {
+        match (routing, self.strategy) {
+            (RoutingView::Distances(d), RoutingStrategy::Distances) => {
                 if d.len() != self.num_pivots {
                     return Err(MIndexError::DimensionMismatch {
                         expected: self.num_pivots,
@@ -84,7 +84,7 @@ impl MIndexConfig {
                     });
                 }
             }
-            (Routing::Permutation(p), RoutingStrategy::Permutation) => {
+            (RoutingView::Permutation(p), RoutingStrategy::Permutation) => {
                 if p.len() < self.max_level {
                     return Err(MIndexError::PrefixTooShort {
                         required: self.max_level,

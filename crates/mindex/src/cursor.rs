@@ -64,7 +64,7 @@ use std::cmp::Ordering;
 
 use simcloud_storage::{Record, StorageError};
 
-use crate::entry::{IndexEntry, Routing, RoutingView};
+use crate::entry::{IndexEntry, RecordBody, Routing, RoutingView};
 use crate::index::MIndexError;
 use crate::stats::SearchStats;
 
@@ -99,46 +99,13 @@ pub fn owned_entries(views: &[CandidateView<'_>]) -> Result<Vec<(IndexEntry, f64
     views.iter().map(|v| Ok((v.to_entry()?, v.bound))).collect()
 }
 
-/// A stored record body, validated in place: `routing ‖ u32 len ‖ payload`.
-pub(crate) struct StoredRecord<'a> {
-    routing: RoutingView<'a>,
-    routing_len: u32,
-    payload_len: u32,
-}
-
-impl<'a> StoredRecord<'a> {
-    /// Validates a stored record body without copying or decoding any of
-    /// it. Accepts exactly the encodings [`IndexEntry::decode_payload`]
-    /// accepts (routing header, `u32` payload length, payload in range),
-    /// so open-time corruption errors fire on the same records the eager
-    /// scan errored on.
-    pub(crate) fn parse(record: &'a [u8]) -> Option<Self> {
-        let (routing, used) = RoutingView::decode(record)?;
-        let len_bytes: [u8; 4] = record.get(used..used.checked_add(4)?)?.try_into().ok()?;
-        let payload_len = u32::from_le_bytes(len_bytes);
-        if record.len() < (used + 4).checked_add(payload_len as usize)? {
-            return None;
-        }
-        Some(Self {
-            routing,
-            routing_len: u32::try_from(used).ok()?,
-            payload_len,
-        })
-    }
-
-    /// The record's routing, decoded.
-    pub(crate) fn into_routing(self) -> Routing {
-        self.routing.into_routing()
-    }
-
-    /// The record's stored object–pivot distances, still as the bytes the
-    /// store lent — what the open phase computes the bound from. `None`
-    /// under permutation routing.
-    pub(crate) fn stored_distances(&self) -> Option<&'a [[u8; 4]]> {
-        match self.routing {
-            RoutingView::Distances(le) => Some(le),
-            RoutingView::Permutation(_) => None,
-        }
+/// The record's stored object–pivot distances, still as the bytes the
+/// store lent — what the open phase computes the bound from. `None` under
+/// permutation routing.
+fn stored_distances<'a>(routing: &RoutingView<'a>) -> Option<&'a [[u8; 4]]> {
+    match *routing {
+        RoutingView::Distances(le) => Some(le),
+        RoutingView::Permutation(_) => None,
     }
 }
 
@@ -183,7 +150,7 @@ impl Staging {
     /// the arena copy. Returns the number of records staged.
     ///
     /// The stream must hold exactly the reported number of whole records,
-    /// each with a body [`StoredRecord::parse`] accepts; anything else is
+    /// each with a body [`RecordBody::parse`] accepts; anything else is
     /// [`MIndexError::Corrupt`] and leaves the staging as it was.
     pub(crate) fn stage_cell(
         &mut self,
@@ -214,14 +181,13 @@ impl Staging {
         let mut stream = Record::stream(self.arena.get(from..).unwrap_or(&[]));
         for _ in 0..records {
             let record = stream.next().and_then(Result::ok).ok_or_else(miscounted)?;
-            let parsed =
-                StoredRecord::parse(record.payload).ok_or_else(|| undecodable(record.id))?;
+            let body = RecordBody::parse(record.payload).ok_or_else(|| undecodable(record.id))?;
             self.slots.push(Slot {
                 id: record.id,
-                bound: bound_of(parsed.stored_distances()),
+                bound: bound_of(stored_distances(body.routing())),
                 start: from + record.payload_at,
-                routing_len: parsed.routing_len,
-                payload_len: parsed.payload_len,
+                routing_len: body.routing_len,
+                payload_len: body.payload_len,
             });
         }
         if stream.next().is_some() {
@@ -253,20 +219,20 @@ impl Staging {
         }
         let start = self.arena.len();
         self.arena.extend_from_slice(record);
-        let Some(parsed) = self.arena.get(start..).and_then(StoredRecord::parse) else {
+        let Some(body) = self.arena.get(start..).and_then(RecordBody::parse) else {
             self.arena.truncate(start);
             return Err(undecodable(id));
         };
         let slot = Slot {
             id,
-            bound: bound_of(parsed.stored_distances()),
+            bound: bound_of(stored_distances(body.routing())),
             start,
-            routing_len: parsed.routing_len,
-            payload_len: parsed.payload_len,
+            routing_len: body.routing_len,
+            payload_len: body.payload_len,
         };
         // Nothing past the payload stays in the arena.
-        self.arena
-            .truncate(start + slot.routing_len as usize + 4 + slot.payload_len as usize);
+        let extent = body.bytes().len();
+        self.arena.truncate(start + extent);
         self.slots.push(slot);
         Ok(true)
     }
@@ -453,16 +419,18 @@ mod tests {
         );
     }
 
+    /// The cursor stages records through the one body parser the owned
+    /// decode is built on: a whole body parses, every truncation of it is
+    /// refused.
     #[test]
     fn parse_rejects_what_decode_payload_rejects() {
         let entry = IndexEntry::new(9, Routing::from_distances(&[1.0, 2.0]), vec![7; 10]);
         let bytes = entry.encode_payload();
-        assert!(StoredRecord::parse(&bytes).is_some());
+        assert_eq!(RecordBody::parse(&bytes).unwrap().to_entry(9), entry);
         for cut in [0, 1, 3, bytes.len() - 1] {
-            assert_eq!(
-                StoredRecord::parse(&bytes[..cut]).is_some(),
-                IndexEntry::decode_payload(9, &bytes[..cut]).is_some(),
-                "cursor parse and eager decode must agree at cut {cut}"
+            assert!(
+                RecordBody::parse(&bytes[..cut]).is_none(),
+                "truncation at {cut} must be refused"
             );
         }
     }
@@ -472,9 +440,8 @@ mod tests {
         let entry = IndexEntry::new(9, Routing::from_distances(&[1.0, 2.5]), vec![7; 64]);
         let mut raw = entry.encode_payload();
         raw.extend_from_slice(b"slack a store may leave after the payload");
-        let parsed = StoredRecord::parse(&raw).unwrap();
-        let stored: Vec<f32> = parsed
-            .stored_distances()
+        let parsed = RecordBody::parse(&raw).unwrap();
+        let stored: Vec<f32> = stored_distances(parsed.routing())
             .unwrap()
             .iter()
             .map(|c| f32::from_le_bytes(*c))

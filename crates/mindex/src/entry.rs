@@ -31,18 +31,6 @@ impl Routing {
         Routing::Permutation(p)
     }
 
-    /// The permutation this routing induces (full order for distances,
-    /// stored prefix otherwise).
-    pub fn permutation(&self) -> PivotPermutation {
-        match self {
-            Routing::Distances(d) => {
-                let dd: Vec<f64> = d.iter().map(|&x| x as f64).collect();
-                permutation_from_distances(&dd)
-            }
-            Routing::Permutation(p) => p.clone(),
-        }
-    }
-
     /// Distances if present.
     pub fn distances(&self) -> Option<&[f32]> {
         match self {
@@ -83,16 +71,17 @@ impl Routing {
     }
 }
 
-/// An encoded routing header, validated but not materialised: distance
-/// routing stays the record's own little-endian `f32` bytes. This is what
-/// a cursor's open phase bounds a scanned record from — a [`Routing`]
-/// (one `Vec<f32>` per record) is built only for entries actually pulled.
-#[derive(Debug, Clone, PartialEq)]
+/// An encoded routing header, validated but not materialised: both kinds
+/// stay the record's own little-endian bytes. This is what a cursor's open
+/// phase bounds a scanned record from and what the index places a record
+/// by — a [`Routing`] (one `Vec` per record) is built only by the owned
+/// adapters.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RoutingView<'a> {
     /// Object–pivot distances, four little-endian bytes each.
     Distances(&'a [[u8; 4]]),
-    /// Pivot-permutation prefix.
-    Permutation(PivotPermutation),
+    /// Pivot-permutation prefix, two little-endian bytes per pivot index.
+    Permutation(&'a [[u8; 2]]),
 }
 
 impl<'a> RoutingView<'a> {
@@ -102,7 +91,22 @@ impl<'a> RoutingView<'a> {
             RoutingView::Distances(le) => {
                 Routing::Distances(le.iter().map(|c| f32::from_le_bytes(*c)).collect())
             }
-            RoutingView::Permutation(p) => Routing::Permutation(p),
+            RoutingView::Permutation(le) => Routing::Permutation(PivotPermutation::from_le(le)),
+        }
+    }
+
+    /// The permutation this routing induces: the full order of the stored
+    /// distances (widened to `f64`), or the stored prefix.
+    pub fn permutation(&self) -> PivotPermutation {
+        match self {
+            RoutingView::Distances(le) => {
+                let dd: Vec<f64> = le
+                    .iter()
+                    .map(|c| f64::from(f32::from_le_bytes(*c)))
+                    .collect();
+                permutation_from_distances(&dd)
+            }
+            RoutingView::Permutation(le) => PivotPermutation::from_le(le),
         }
     }
 
@@ -111,23 +115,81 @@ impl<'a> RoutingView<'a> {
     /// accepts (that function is built on this one).
     pub fn decode(buf: &'a [u8]) -> Option<(Self, usize)> {
         let (tag, rest) = buf.split_first()?;
+        let (len_bytes, rest) = rest.split_first_chunk::<2>()?;
+        let n = u16::from_le_bytes(*len_bytes) as usize;
         match tag {
             1 => {
-                let (len_bytes, rest) = rest.split_first_chunk::<2>()?;
-                let n = u16::from_le_bytes(*len_bytes) as usize;
                 let (le, _) = rest.get(..4 * n)?.as_chunks::<4>();
                 Some((RoutingView::Distances(le), 3 + 4 * n))
             }
             2 => {
-                let (p, used) = PivotPermutation::decode(rest)?;
-                Some((RoutingView::Permutation(p), 1 + used))
+                let (le, _) = rest.get(..2 * n)?.as_chunks::<2>();
+                Some((RoutingView::Permutation(le), 3 + 2 * n))
             }
             _ => None,
         }
     }
 }
 
-/// One indexed entry: external id, routing info, opaque payload.
+/// A stored record body, validated in place: `routing ‖ u32 len ‖
+/// payload`, the bytes [`IndexEntry::encode_payload`] writes. This is the
+/// one form in which the index receives, places, moves and serves an
+/// object: an insert frame's entries, a split's moved records and a
+/// rebuild's stored streams are parsed into it, and nothing of it is
+/// copied or decoded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordBody<'a> {
+    /// Exactly the parsed extent: routing, length and payload.
+    bytes: &'a [u8],
+    routing: RoutingView<'a>,
+    pub(crate) routing_len: u32,
+    pub(crate) payload_len: u32,
+}
+
+impl<'a> RecordBody<'a> {
+    /// Validates the record body at the front of `buf` without copying or
+    /// decoding any of it: a routing header, a `u32` payload length and
+    /// that many payload bytes. Bytes past the payload are not part of the
+    /// body.
+    pub fn parse(buf: &'a [u8]) -> Option<Self> {
+        let (routing, used) = RoutingView::decode(buf)?;
+        let (len_bytes, _) = buf.get(used..)?.split_first_chunk::<4>()?;
+        let payload_len = u32::from_le_bytes(*len_bytes);
+        let extent = (used + 4).checked_add(payload_len as usize)?;
+        Some(Self {
+            bytes: buf.get(..extent)?,
+            routing,
+            routing_len: u32::try_from(used).ok()?,
+            payload_len,
+        })
+    }
+
+    /// The body's bytes, exactly its parsed extent — what the store keeps.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The routing header, borrowed.
+    pub fn routing(&self) -> &RoutingView<'a> {
+        &self.routing
+    }
+
+    /// The opaque payload (sealed object / encoded vector), borrowed.
+    pub fn payload(&self) -> &'a [u8] {
+        self.bytes
+            .get(self.routing_len as usize + 4..)
+            .unwrap_or(&[])
+    }
+
+    /// The owned entry with external id `id`: the routing decoded, the
+    /// payload copied.
+    pub fn to_entry(&self, id: u64) -> IndexEntry {
+        IndexEntry::new(id, self.routing.into_routing(), self.payload().to_vec())
+    }
+}
+
+/// One indexed entry: external id, routing info, opaque payload — the
+/// owned form a client builds and the owned adapters return.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
     /// External object id.
@@ -167,20 +229,6 @@ impl IndexEntry {
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.payload);
     }
-
-    /// Reconstructs an entry from a storage record.
-    pub fn decode_payload(id: u64, buf: &[u8]) -> Option<Self> {
-        let (routing, used) = Routing::decode(buf)?;
-        let rest = buf.get(used..)?;
-        let (len_bytes, rest) = rest.split_first_chunk::<4>()?;
-        let len = u32::from_le_bytes(*len_bytes) as usize;
-        let payload = rest.get(..len)?.to_vec();
-        Some(Self {
-            id,
-            routing,
-            payload,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +265,10 @@ mod tests {
     #[test]
     fn permutation_from_distance_routing() {
         let r = Routing::from_distances(&[0.9, 0.1, 0.5]);
-        assert_eq!(r.permutation().order(), &[1, 2, 0]);
+        let mut buf = Vec::new();
+        r.encode(&mut buf);
+        let (view, _) = RoutingView::decode(&buf).unwrap();
+        assert_eq!(view.permutation().order(), &[1, 2, 0]);
     }
 
     #[test]
@@ -229,7 +280,7 @@ mod tests {
         );
         let bytes = e.encode_payload();
         assert_eq!(bytes.len(), e.encoded_len());
-        let back = IndexEntry::decode_payload(77, &bytes).unwrap();
+        let back = RecordBody::parse(&bytes).unwrap().to_entry(77);
         assert_eq!(back, e);
     }
 
@@ -238,7 +289,7 @@ mod tests {
         let e = IndexEntry::new(1, Routing::from_distances(&[1.0]), vec![7; 10]);
         let bytes = e.encode_payload();
         for cut in [0, 1, 3, bytes.len() - 1] {
-            assert!(IndexEntry::decode_payload(1, &bytes[..cut]).is_none());
+            assert!(RecordBody::parse(&bytes[..cut]).is_none());
         }
     }
 
@@ -268,7 +319,44 @@ mod tests {
     fn empty_payload_entry() {
         let e = IndexEntry::new(5, Routing::permutation_prefix(&[0.2, 0.1], 2), vec![]);
         let bytes = e.encode_payload();
-        let back = IndexEntry::decode_payload(5, &bytes).unwrap();
+        let back = RecordBody::parse(&bytes).unwrap().to_entry(5);
         assert_eq!(back.payload, Vec::<u8>::new());
+    }
+
+    /// A body is its parsed extent: bytes after the payload are not part
+    /// of it, and routing and payload are slices of the input.
+    #[test]
+    fn record_body_is_its_parsed_extent() {
+        let e = IndexEntry::new(3, Routing::from_distances(&[0.5, 0.25]), vec![1, 2, 3]);
+        let mut bytes = e.encode_payload();
+        let extent = bytes.len();
+        bytes.extend_from_slice(&[0xEE; 7]);
+        let body = RecordBody::parse(&bytes).unwrap();
+        assert_eq!(body.bytes(), &bytes[..extent]);
+        assert_eq!(body.payload(), &[1, 2, 3]);
+        assert_eq!(body.to_entry(3), e);
+    }
+
+    /// A view's permutation: the distances' full order (ties to the lower
+    /// pivot), or the stored prefix as it is.
+    #[test]
+    fn view_permutation_of_both_kinds() {
+        let ds = [0.9, 0.1, 0.5, 0.1];
+        for (r, want) in [
+            (
+                Routing::from_distances(&ds),
+                permutation_from_distances(&ds),
+            ),
+            (
+                Routing::permutation_prefix(&ds, 3),
+                PivotPermutation::new(vec![1, 3, 2]),
+            ),
+        ] {
+            let mut buf = Vec::new();
+            r.encode(&mut buf);
+            let (view, _) = RoutingView::decode(&buf).unwrap();
+            assert_eq!(view.permutation(), want);
+            assert_eq!(view.into_routing(), r);
+        }
     }
 }

@@ -13,8 +13,8 @@ use std::collections::{BinaryHeap, HashMap};
 use simcloud_storage::{BucketId, BucketStore, Record, StorageError};
 
 use crate::config::{MIndexConfig, RoutingStrategy};
-use crate::cursor::{CandidateCursor, Staging, StoredRecord};
-use crate::entry::{IndexEntry, Routing};
+use crate::cursor::{CandidateCursor, Staging};
+use crate::entry::{IndexEntry, RecordBody, RoutingView};
 use crate::promise::PromiseEvaluator;
 use crate::pruning::{
     hyperplane_may_intersect, pivot_filter_keep, pivot_filter_safe_lower_bound,
@@ -149,36 +149,41 @@ impl<S: BucketStore> MIndex<S> {
     /// Rebuilds an index over a store that already holds records — the
     /// crash-recovery path. [`DiskStore::open`] replays its write-ahead
     /// log and hands back the last durable snapshot of the buckets; this
-    /// constructor re-derives the in-memory cell tree from those records
-    /// by reading every bucket, discarding the old bucket layout, and
-    /// re-inserting each entry through the normal routing path (splits
-    /// replay deterministically because they depend only on the entries
-    /// and the configuration). Undecodable payloads or duplicate ids in
-    /// the store surface as errors, never panics.
+    /// constructor re-derives the in-memory cell tree from those records.
+    /// It bulk-reads every bucket's record stream in bucket order and
+    /// validates every body, then deletes the buckets and re-places each
+    /// body, as the bytes it is, through the checked insert path (splits
+    /// replay deterministically because they depend only on the records
+    /// and the configuration). Undecodable bodies, bodies of the wrong
+    /// shape or duplicate ids in the store surface as errors, never
+    /// panics; an undecodable body is found before any bucket is deleted.
     ///
-    /// [`DiskStore::open`]: https://docs.rs/simcloud-storage
+    /// [`DiskStore::open`]: simcloud_storage::DiskStore::open
     pub fn rebuild(config: MIndexConfig, store: S) -> Result<Self, MIndexError> {
         let mut index = Self::new(config, store)?;
-        let mut ids = index.store.bucket_ids();
-        ids.sort();
-        let mut entries = Vec::new();
-        for b in &ids {
-            for rec in index.store.read_bucket(*b)? {
-                entries.push(IndexEntry::decode_payload(rec.id, &rec.payload).ok_or_else(
-                    || {
-                        MIndexError::Corrupt(format!(
-                            "record {} undecodable during rebuild",
-                            rec.id
-                        ))
-                    },
-                )?);
-            }
+        let mut buckets = index.store.bucket_ids();
+        buckets.sort();
+        let mut stream = Vec::new();
+        let mut stored = 0;
+        for b in &buckets {
+            stored += index.store.read_bucket_into(*b, &mut stream)?;
         }
-        for b in ids {
+        let corrupt = |what: String| MIndexError::Corrupt(format!("{what} during rebuild"));
+        let mut records = Vec::with_capacity(stored);
+        for record in Record::stream(&stream) {
+            let record = record.map_err(|_| corrupt("truncated record stream".into()))?;
+            let body = RecordBody::parse(record.payload)
+                .ok_or_else(|| corrupt(format!("record {} undecodable", record.id)))?;
+            records.push((record.id, body));
+        }
+        if records.len() != stored {
+            return Err(corrupt("miscounted record stream".into()));
+        }
+        for b in buckets {
             index.store.delete_bucket(b)?;
         }
-        for entry in entries {
-            index.insert(entry)?;
+        for (id, body) in &records {
+            index.insert_record(*id, body)?;
         }
         Ok(index)
     }
@@ -221,54 +226,55 @@ impl<S: BucketStore> MIndex<S> {
         self.tree.render(true)
     }
 
-    fn check_entry(&self, entry: &IndexEntry) -> Result<(), MIndexError> {
-        self.config.validate_entry(entry)
-    }
-
-    /// Inserts one entry (paper Alg. 1, server part: "locate node, store
-    /// encrypted object, split if necessary"). External ids must be unique
-    /// (see [`MIndexError::DuplicateId`]); splits re-insert through the
-    /// unchecked path, so moving an entry between cells is unaffected.
-    pub fn insert(&mut self, entry: IndexEntry) -> Result<(), MIndexError> {
-        self.check_entry(&entry)?;
-        if self.id_map.contains_key(&entry.id) {
-            return Err(MIndexError::DuplicateId(entry.id));
+    /// Inserts one record body (paper Alg. 1, server part: "locate node,
+    /// store encrypted object, split if necessary"). The body's routing
+    /// must fit the configuration, and external ids must be unique (see
+    /// [`MIndexError::DuplicateId`]); the body's bytes are stored as they
+    /// are.
+    pub fn insert_record(&mut self, id: u64, body: &RecordBody<'_>) -> Result<(), MIndexError> {
+        self.config.validate_routing(body.routing())?;
+        if self.id_map.contains_key(&id) {
+            return Err(MIndexError::DuplicateId(id));
         }
-        self.insert_unchecked(entry)
+        self.place(id, body.routing(), body.bytes())
     }
 
-    fn insert_unchecked(&mut self, entry: IndexEntry) -> Result<(), MIndexError> {
-        self.place(entry.id, &entry.routing, entry.encoded_len(), &mut |out| {
-            entry.encode_payload_into(out);
-        })
+    /// Inserts an owned entry: [`MIndex::insert_record`] over its encoded
+    /// body.
+    pub fn insert(&mut self, entry: IndexEntry) -> Result<(), MIndexError> {
+        let bytes = entry.encode_payload();
+        let body = RecordBody::parse(&bytes)
+            .ok_or_else(|| MIndexError::Corrupt(format!("entry {} does not encode", entry.id)))?;
+        self.insert_record(entry.id, &body)
     }
 
-    /// Routes one record to its leaf and appends it there; `write_body`
-    /// writes the `body_len`-byte record body (`routing ‖ u32 len ‖
-    /// payload`) once, into the store's own bytes.
+    /// Routes one record to its leaf and appends its body (`routing ‖ u32
+    /// len ‖ payload`) there, copied once into the store's own bytes —
+    /// the one placement path of insert, split and rebuild.
     fn place(
         &mut self,
         id: u64,
-        routing: &Routing,
-        body_len: usize,
-        write_body: &mut dyn FnMut(&mut Vec<u8>),
+        routing: &RoutingView<'_>,
+        body: &[u8],
     ) -> Result<(), MIndexError> {
         let perm = routing.permutation();
         let prefix: Vec<u16> = perm.prefix(self.config.max_level).to_vec();
         let (level, needs_split) = {
             let leaf = self.tree.locate_mut(&prefix);
-            if let Routing::Distances(ds) = routing {
+            if let RoutingView::Distances(ds) = routing {
                 let pd: Vec<f64> = prefix[..leaf.level]
                     .iter()
-                    .map(|&i| ds[i as usize] as f64)
+                    .map(|&i| f64::from(f32::from_le_bytes(ds[i as usize])))
                     .collect();
                 leaf.update_bounds(&pd);
             }
             self.store
-                .append_with(leaf.bucket, id, body_len, write_body)?;
+                .append_with(leaf.bucket, id, body.len(), &mut |out| {
+                    out.extend_from_slice(body);
+                })?;
             self.id_map.insert(id, leaf.bucket);
             leaf.count += 1;
-            leaf.stream_bytes += Record::HEADER_LEN + body_len;
+            leaf.stream_bytes += Record::HEADER_LEN + body.len();
             let needs_split =
                 leaf.count > self.config.bucket_capacity && leaf.level < self.config.max_level;
             (leaf.level, needs_split)
@@ -296,14 +302,10 @@ impl<S: BucketStore> MIndex<S> {
         let mut moved = 0;
         for record in Record::stream(&stream) {
             let record = record.map_err(|_| corrupt("truncated stream"))?;
-            let body = record.payload;
-            let routing = StoredRecord::parse(body)
-                .ok_or_else(|| corrupt(&format!("undecodable record {}", record.id)))?
-                .into_routing();
+            let body = RecordBody::parse(record.payload)
+                .ok_or_else(|| corrupt(&format!("undecodable record {}", record.id)))?;
             // Depth of recursion is bounded by max_level.
-            self.place(record.id, &routing, body.len(), &mut |out| {
-                out.extend_from_slice(body);
-            })?;
+            self.place(record.id, body.routing(), body.bytes())?;
             moved += 1;
         }
         if moved != records {
@@ -567,10 +569,11 @@ impl<S: BucketStore> MIndex<S> {
         Ok(CandidateCursor::new(staging, stats))
     }
 
-    /// Re-reads the stored entries with the given external ids — the server
-    /// side of the two-phase candidate fetch (phase 2). Returns one slot per
-    /// requested id, in request order; `None` marks ids the index does not
-    /// hold.
+    /// Re-reads the sealed payloads of the given external ids — the server
+    /// side of the two-phase candidate fetch (phase 2). Returns one slot
+    /// per requested id, in request order; `None` marks ids the index does
+    /// not hold. Each payload is copied out of its stored body; no routing
+    /// is decoded.
     ///
     /// Stateless and shared-read (`&self`): nothing is pinned per query —
     /// the ids are resolved through the id→bucket map and each distinct
@@ -578,9 +581,8 @@ impl<S: BucketStore> MIndex<S> {
     /// cell (candidate ids do: they come from few promising cells), so a
     /// fetch costs `O(distinct cells)` bucket reads under the same read
     /// lock discipline as a search.
-    pub fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<IndexEntry>>, MIndexError> {
-        let mut out: Vec<Option<IndexEntry>> = Vec::with_capacity(ids.len());
-        out.resize_with(ids.len(), || None);
+    pub fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<Vec<u8>>>, MIndexError> {
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
         // Group request positions by bucket so each bucket is read once.
         let mut by_bucket: HashMap<BucketId, Vec<usize>> = HashMap::new();
         for (pos, id) in ids.iter().enumerate() {
@@ -601,12 +603,10 @@ impl<S: BucketStore> MIndex<S> {
                 let Some(positions) = wanted.get(&rec.id) else {
                     continue;
                 };
-                let entry = IndexEntry::decode_payload(rec.id, &rec.payload).ok_or_else(|| {
-                    MIndexError::Corrupt(format!("record {} undecodable", rec.id))
-                })?;
+                let sealed = sealed_payload(rec.id, &rec.payload)?;
                 for &pos in positions {
                     if out[pos].is_none() {
-                        out[pos] = Some(entry.clone());
+                        out[pos] = Some(sealed.to_vec());
                     }
                 }
             }
@@ -614,28 +614,42 @@ impl<S: BucketStore> MIndex<S> {
         Ok(out)
     }
 
-    /// Reads all entries (diagnostics / the trivial baseline's "download
-    /// everything" path).
-    pub fn all_entries(&self) -> Result<Vec<IndexEntry>, MIndexError> {
-        let mut ids: Vec<_> = self.store.bucket_ids();
-        ids.sort();
+    /// Every stored object as `(id, sealed payload)`, bucket by bucket in
+    /// bucket order (the export path, and the plain deployment's
+    /// brute-force oracle). Each bucket is one bulk read; each payload is
+    /// copied out of its stored body, and no routing is decoded.
+    pub fn all_entries(&self) -> Result<Vec<(u64, Vec<u8>)>, MIndexError> {
+        let mut buckets = self.store.bucket_ids();
+        buckets.sort();
         let mut out = Vec::with_capacity(self.entries as usize);
-        for b in ids {
-            for rec in self.store.read_bucket(b)? {
-                out.push(
-                    IndexEntry::decode_payload(rec.id, &rec.payload).ok_or_else(|| {
-                        MIndexError::Corrupt(format!("record {} undecodable", rec.id))
-                    })?,
-                );
+        let mut stream = Vec::new();
+        for b in buckets {
+            stream.clear();
+            self.store.read_bucket_into(b, &mut stream)?;
+            for record in Record::stream(&stream) {
+                let record = record
+                    .map_err(|_| MIndexError::Corrupt(format!("bucket {b} stream truncated")))?;
+                out.push((
+                    record.id,
+                    sealed_payload(record.id, record.payload)?.to_vec(),
+                ));
             }
         }
         Ok(out)
     }
 }
 
+/// The sealed payload of the stored body of record `id`.
+fn sealed_payload(id: u64, body: &[u8]) -> Result<&[u8], MIndexError> {
+    RecordBody::parse(body)
+        .map(|body| body.payload())
+        .ok_or_else(|| MIndexError::Corrupt(format!("record {id} undecodable")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::Routing;
     use simcloud_storage::MemoryStore;
 
     fn cfg(pivots: usize, level: usize, cap: usize) -> MIndexConfig {
@@ -922,9 +936,9 @@ mod tests {
             idx.insert(entry_d(x, &[x as f64, 6.0 - x as f64])).unwrap();
         }
         let mut all = idx.all_entries().unwrap();
-        all.sort_by_key(|e| e.id);
+        all.sort_by_key(|&(id, _)| id);
         assert_eq!(all.len(), 6);
-        assert_eq!(all[3].payload, vec![3u8]);
+        assert_eq!(all[3], (3, vec![3u8]));
     }
 
     /// Phase-2 lookups return entries in request order, `None` for unknown
@@ -938,12 +952,10 @@ mod tests {
                 .unwrap();
         }
         let got = idx.fetch_entries(&[7, 0, 99, 3]).unwrap();
-        assert_eq!(got.len(), 4);
-        assert_eq!(got[0].as_ref().unwrap().id, 7);
-        assert_eq!(got[0].as_ref().unwrap().payload, vec![7u8]);
-        assert_eq!(got[1].as_ref().unwrap().id, 0);
-        assert!(got[2].is_none(), "unknown id yields None");
-        assert_eq!(got[3].as_ref().unwrap().id, 3);
+        assert_eq!(
+            got,
+            vec![Some(vec![7u8]), Some(vec![0]), None, Some(vec![3])]
+        );
     }
 
     /// Duplicate ids in one fetch each get their own filled slot, and ids
@@ -956,9 +968,7 @@ mod tests {
         }
         let reads_before = idx.store().stats().records_read;
         let got = idx.fetch_entries(&[2, 2, 5]).unwrap();
-        assert_eq!(got[0].as_ref().unwrap().id, 2);
-        assert_eq!(got[1].as_ref().unwrap().id, 2);
-        assert_eq!(got[2].as_ref().unwrap().id, 5);
+        assert_eq!(got, vec![Some(vec![2u8]), Some(vec![2]), Some(vec![5])]);
         let reads = idx.store().stats().records_read - reads_before;
         assert_eq!(
             reads, 2,
@@ -994,9 +1004,24 @@ mod tests {
         assert!(idx.fetch_entries(&[]).unwrap().is_empty());
     }
 
+    /// Every bucket's record stream, in bucket order.
+    fn bucket_streams<S: BucketStore>(idx: &MIndex<S>) -> Vec<(BucketId, Vec<u8>)> {
+        let mut buckets = idx.store().bucket_ids();
+        buckets.sort();
+        buckets
+            .into_iter()
+            .map(|b| {
+                let mut stream = Vec::new();
+                idx.store().read_bucket_into(b, &mut stream).unwrap();
+                (b, stream)
+            })
+            .collect()
+    }
+
     /// `rebuild` over a store with an arbitrary bucket layout (here: every
     /// record piled into one bucket) re-derives the same tree a fresh
-    /// index would build from the same entries, and queries still work.
+    /// index would build from the same entries — same render, same record
+    /// stream in every bucket — and queries still work.
     #[test]
     fn rebuild_rederives_tree_from_store_records() {
         let mut reference = MIndex::new(cfg(2, 2, 3), MemoryStore::new()).unwrap();
@@ -1010,13 +1035,12 @@ mod tests {
         let rebuilt = MIndex::rebuild(cfg(2, 2, 3), raw).unwrap();
         assert_eq!(rebuilt.len(), reference.len());
         assert_eq!(rebuilt.shape(), reference.shape());
+        assert_eq!(rebuilt.render_tree(), reference.render_tree());
+        assert_eq!(bucket_streams(&rebuilt), bucket_streams(&reference));
         let (cands, _) = range_list(&rebuilt, &[7.0, 3.0], 0.0).unwrap();
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].0.id, 7);
-        assert_eq!(
-            rebuilt.fetch_entries(&[4]).unwrap()[0].as_ref().unwrap().id,
-            4
-        );
+        assert_eq!(rebuilt.fetch_entries(&[4]).unwrap(), vec![Some(vec![4u8])]);
     }
 
     /// Corrupt records in the store surface from `rebuild` as a typed
@@ -1029,6 +1053,41 @@ mod tests {
         assert!(matches!(
             MIndex::rebuild(cfg(2, 2, 3), raw),
             Err(MIndexError::Corrupt(_))
+        ));
+    }
+
+    /// A store whose records decode but do not fit the index — one id in
+    /// two buckets, the other routing strategy, the wrong pivot count —
+    /// fails `rebuild` with the error an insert of that record gets.
+    #[test]
+    fn rebuild_rejects_records_the_index_would_not_take() {
+        let store_of = |records: &[(u64, u64, IndexEntry)]| {
+            let mut raw = MemoryStore::new();
+            for (bucket, id, e) in records {
+                raw.append(BucketId(*bucket), Record::new(*id, e.encode_payload()))
+                    .unwrap();
+            }
+            raw
+        };
+        let good = |id| entry_d(id, &[1.0, 2.0]);
+        let twice = store_of(&[(0, 4, good(4)), (1, 5, good(5)), (2, 4, good(4))]);
+        assert!(matches!(
+            MIndex::rebuild(cfg(2, 2, 3), twice),
+            Err(MIndexError::DuplicateId(4))
+        ));
+        let permutation = IndexEntry::new(6, Routing::permutation_prefix(&[0.1, 0.2], 2), vec![]);
+        let wrong_strategy = store_of(&[(0, 1, good(1)), (0, 6, permutation)]);
+        assert!(matches!(
+            MIndex::rebuild(cfg(2, 2, 3), wrong_strategy),
+            Err(MIndexError::WrongStrategy { .. })
+        ));
+        let wrong_pivots = store_of(&[(1, 7, entry_d(7, &[1.0, 2.0, 3.0]))]);
+        assert!(matches!(
+            MIndex::rebuild(cfg(2, 2, 3), wrong_pivots),
+            Err(MIndexError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            })
         ));
     }
 

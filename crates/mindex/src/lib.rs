@@ -33,7 +33,6 @@ pub mod config;
 pub mod cursor;
 pub mod entry;
 pub mod index;
-pub mod keys;
 pub mod plain;
 pub mod promise;
 pub mod pruning;
@@ -42,7 +41,7 @@ pub mod tree;
 
 pub use config::{MIndexConfig, RoutingStrategy};
 pub use cursor::{owned_entries, CandidateCursor, CandidateView};
-pub use entry::{IndexEntry, Routing};
+pub use entry::{IndexEntry, RecordBody, Routing};
 pub use index::{knn_cap, MIndex, MIndexError, FIRST_CELL_ONLY};
 pub use plain::{recall, Neighbor, PlainMIndex};
 pub use promise::PromiseEvaluator;

@@ -194,11 +194,11 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
 
     /// Brute-force k-NN (test oracle and the recall ground truth).
     pub fn brute_force_knn(&self, q: &Vector, k: usize) -> Result<Vec<Neighbor>, MIndexError> {
-        let entries = self.index.all_entries()?;
-        let mut scored = Vec::with_capacity(entries.len());
-        for entry in &entries {
-            let v = Self::decode(entry.id, &entry.payload)?;
-            scored.push((ObjectId(entry.id), self.metric.distance(q, &v)));
+        let objects = self.index.all_entries()?;
+        let mut scored = Vec::with_capacity(objects.len());
+        for (id, payload) in &objects {
+            let v = Self::decode(*id, payload)?;
+            scored.push((ObjectId(*id), self.metric.distance(q, &v)));
         }
         scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
@@ -207,13 +207,13 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
 
     /// Brute-force range query (test oracle).
     pub fn brute_force_range(&self, q: &Vector, radius: f64) -> Result<Vec<Neighbor>, MIndexError> {
-        let entries = self.index.all_entries()?;
+        let objects = self.index.all_entries()?;
         let mut result = Vec::new();
-        for entry in &entries {
-            let v = Self::decode(entry.id, &entry.payload)?;
+        for (id, payload) in &objects {
+            let v = Self::decode(*id, payload)?;
             let d = self.metric.distance(q, &v);
             if d <= radius {
-                result.push((ObjectId(entry.id), d));
+                result.push((ObjectId(*id), d));
             }
         }
         result.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));

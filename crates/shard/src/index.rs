@@ -26,7 +26,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use simcloud_core::{insert_until_error, IndexShape, SearchIndex};
 use simcloud_mindex::{
     knn_cap, owned_entries, CandidateCursor, CandidateView, IndexEntry, MIndex, MIndexConfig,
-    MIndexError, PromiseEvaluator, SearchStats, FIRST_CELL_ONLY,
+    MIndexError, PromiseEvaluator, RecordBody, SearchStats, FIRST_CELL_ONLY,
 };
 use simcloud_storage::{BucketStore, IoStats};
 use simcloud_telemetry::Registry;
@@ -153,18 +153,17 @@ impl<S: BucketStore> ShardedMIndex<S> {
         total
     }
 
-    /// Inserts one entry into the shard the router assigns it to. Only that
-    /// shard's write lock is taken, so inserts to distinct shards proceed
-    /// in parallel; the global ownership map is updated under its own brief
-    /// lock. Error precedence matches a single `MIndex`: shape validation
-    /// first, then the (now global) duplicate-id check.
-    pub fn insert(&self, entry: IndexEntry) -> Result<(), MIndexError> {
-        let shard = self.router.route(&entry, self.shards.len());
+    /// Inserts one record body into the shard the router assigns it to.
+    /// Only that shard's write lock is taken, so inserts to distinct shards
+    /// proceed in parallel; the global ownership map is updated under its
+    /// own brief lock. Error precedence matches a single `MIndex`: shape
+    /// validation first, then the (now global) duplicate-id check.
+    pub fn insert(&self, id: u64, body: &RecordBody<'_>) -> Result<(), MIndexError> {
+        let shard = self.router.route(id, body.routing(), self.shards.len());
         // Lock-free shape validation (the config is shard-invariant): a
-        // malformed entry is rejected before any lock is touched, and a
+        // malformed record is rejected before any lock is touched, and a
         // well-formed one pays exactly one shard-lock acquisition.
-        self.config.validate_entry(&entry)?;
-        let id = entry.id;
+        self.config.validate_routing(body.routing())?;
         {
             let mut owners = self.owners.write();
             if owners.contains_key(&id) {
@@ -184,7 +183,7 @@ impl<S: BucketStore> ShardedMIndex<S> {
         // Bind the result so the shard write guard (a scrutinee temporary
         // would outlive the match) is released before the ownership map is
         // touched again — the documented order is map before shard.
-        let result = slot.write().insert(entry);
+        let result = slot.write().insert_record(id, body);
         match result {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -282,13 +281,13 @@ impl<S: BucketStore> ShardedMIndex<S> {
     }
 
     /// Phase 2 of the two-phase fetch, shard-routed: each requested id is
-    /// resolved to its owning shard through the ownership map and fetched
-    /// there; ids no shard owns come back as `None`. One slot per requested
-    /// id, in request order, duplicates included — the contract the
-    /// client's fetch-mismatch detection relies on.
-    pub fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<IndexEntry>>, MIndexError> {
-        let mut out: Vec<Option<IndexEntry>> = Vec::with_capacity(ids.len());
-        out.resize_with(ids.len(), || None);
+    /// resolved to its owning shard through the ownership map and its
+    /// sealed payload fetched there; ids no shard owns come back as
+    /// `None`. One slot per requested id, in request order, duplicates
+    /// included — the contract the client's fetch-mismatch detection
+    /// relies on.
+    pub fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<Vec<u8>>>, MIndexError> {
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
         // Group by owning shard into a flat per-shard vec — shard indices
         // are small and dense, so indexing beats hashing on the phase-2
         // hot path.
@@ -321,9 +320,9 @@ impl<S: BucketStore> ShardedMIndex<S> {
             };
             let sub: Vec<u64> = items.iter().map(|&(_, id)| id).collect();
             let got = slot.read().fetch_entries(&sub)?;
-            for (&(p, _), e) in items.iter().zip(got) {
+            for (&(p, _), payload) in items.iter().zip(got) {
                 if let Some(dest) = out.get_mut(p) {
-                    *dest = e;
+                    *dest = payload;
                 }
             }
         }
@@ -441,18 +440,18 @@ impl<S: BucketStore> SearchIndex for ShardedMIndex<S> {
     /// the deliberate price of removing the global write lock;
     /// deployments needing bulk atomicity against readers must quiesce
     /// searches around the bulk.
-    fn insert_bulk(&self, entries: Vec<IndexEntry>) -> (u32, Option<MIndexError>) {
-        insert_until_error(entries, |e| self.insert(e))
+    fn insert_bulk(&self, entries: &[(u64, RecordBody<'_>)]) -> (u32, Option<MIndexError>) {
+        insert_until_error(entries, |id, body| self.insert(id, body))
     }
 
-    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<IndexEntry>>, MIndexError> {
+    fn fetch_entries(&self, ids: &[u64]) -> Result<Vec<Option<Vec<u8>>>, MIndexError> {
         // The inherent, shard-routed lookup (inherent methods win the path).
         ShardedMIndex::fetch_entries(self, ids)
     }
 
     /// Shard by shard: order is per-shard storage order; callers that need
     /// a global order sort.
-    fn all_entries(&self) -> Result<Vec<IndexEntry>, MIndexError> {
+    fn all_entries(&self) -> Result<Vec<(u64, Vec<u8>)>, MIndexError> {
         let mut out = Vec::with_capacity(self.len() as usize);
         for s in &self.shards {
             out.extend(s.read().all_entries()?);
@@ -535,6 +534,12 @@ mod tests {
         IndexEntry::new(id, Routing::from_distances(ds), vec![id as u8; 3])
     }
 
+    /// Inserts `e` as the record body it encodes.
+    fn insert(idx: &ShardedMIndex<MemoryStore>, e: IndexEntry) -> Result<(), MIndexError> {
+        let bytes = e.encode_payload();
+        idx.insert(e.id, &RecordBody::parse(&bytes).unwrap())
+    }
+
     #[test]
     fn no_stores_rejected() {
         assert!(matches!(
@@ -546,9 +551,9 @@ mod tests {
     #[test]
     fn inserts_land_on_router_chosen_shards() {
         let idx = sharded(3, Box::new(PivotRouter));
-        idx.insert(entry(1, &[0.1, 0.5, 0.9])).unwrap(); // pivot 0
-        idx.insert(entry(2, &[0.9, 0.1, 0.5])).unwrap(); // pivot 1
-        idx.insert(entry(3, &[0.9, 0.5, 0.1])).unwrap(); // pivot 2
+        insert(&idx, entry(1, &[0.1, 0.5, 0.9])).unwrap(); // pivot 0
+        insert(&idx, entry(2, &[0.9, 0.1, 0.5])).unwrap(); // pivot 1
+        insert(&idx, entry(3, &[0.9, 0.5, 0.1])).unwrap(); // pivot 2
         assert_eq!(idx.len(), 3);
         for i in 0..3 {
             assert_eq!(idx.shard(i).map_or(0, |s| s.len()), 1, "shard {i}");
@@ -560,9 +565,9 @@ mod tests {
         // Pivot routing: the same id with different routing would land on a
         // *different* shard — only a global check catches the duplicate.
         let idx = sharded(3, Box::new(PivotRouter));
-        idx.insert(entry(7, &[0.1, 0.5, 0.9])).unwrap(); // shard 0
+        insert(&idx, entry(7, &[0.1, 0.5, 0.9])).unwrap(); // shard 0
         assert!(matches!(
-            idx.insert(entry(7, &[0.9, 0.1, 0.5])), // would be shard 1
+            insert(&idx, entry(7, &[0.9, 0.1, 0.5])), // would be shard 1
             Err(MIndexError::DuplicateId(7))
         ));
         assert_eq!(idx.len(), 1);
@@ -576,20 +581,20 @@ mod tests {
     #[test]
     fn shape_error_beats_duplicate_and_reservation_rolls_back() {
         let idx = sharded(2, Box::new(HashRouter));
-        idx.insert(entry(1, &[0.1, 0.5, 0.9])).unwrap();
+        insert(&idx, entry(1, &[0.1, 0.5, 0.9])).unwrap();
         // Same id *and* wrong dimension: single-index precedence reports
         // the shape problem.
         assert!(matches!(
-            idx.insert(entry(1, &[0.1, 0.5])),
+            insert(&idx, entry(1, &[0.1, 0.5])),
             Err(MIndexError::DimensionMismatch { .. })
         ));
         // Wrong dimension on a fresh id: the ownership reservation must be
         // rolled back so a corrected retry succeeds.
         assert!(matches!(
-            idx.insert(entry(2, &[0.1])),
+            insert(&idx, entry(2, &[0.1])),
             Err(MIndexError::DimensionMismatch { .. })
         ));
-        idx.insert(entry(2, &[0.2, 0.6, 0.8])).unwrap();
+        insert(&idx, entry(2, &[0.2, 0.6, 0.8])).unwrap();
         assert_eq!(idx.len(), 2);
     }
 
@@ -597,8 +602,7 @@ mod tests {
     fn knn_merges_across_shards_sorted_and_capped() {
         let idx = sharded(2, Box::new(HashRouter));
         for x in 0..=10u64 {
-            idx.insert(entry(x, &[x as f64, 10.0 - x as f64, 5.0]))
-                .unwrap();
+            insert(&idx, entry(x, &[x as f64, 10.0 - x as f64, 5.0])).unwrap();
         }
         let ev = PromiseEvaluator::from_distances(vec![3.0, 7.0, 5.0]);
         let (cands, stats) = knn(&idx, &ev, 5);
@@ -616,8 +620,7 @@ mod tests {
     fn range_returns_union_of_shard_supersets() {
         let idx = sharded(3, Box::new(HashRouter));
         for x in 0..=10u64 {
-            idx.insert(entry(x, &[x as f64, 10.0 - x as f64, 5.0]))
-                .unwrap();
+            insert(&idx, entry(x, &[x as f64, 10.0 - x as f64, 5.0])).unwrap();
         }
         let (cands, stats) = range(&idx, &[2.0, 8.0, 5.0], 1.5);
         let mut ids: Vec<u64> = cands.iter().map(|(e, _)| e.id).collect();
@@ -641,8 +644,7 @@ mod tests {
         )
         .unwrap();
         for x in 0..20u64 {
-            idx.insert(entry(x, &[x as f64, 20.0 - x as f64, 10.0]))
-                .unwrap();
+            insert(&idx, entry(x, &[x as f64, 20.0 - x as f64, 10.0])).unwrap();
         }
         let (_, stats) = range(&idx, &[10.0, 10.0, 10.0], 30.0);
         assert_eq!(
@@ -658,17 +660,15 @@ mod tests {
     fn fetch_entries_routes_to_owning_shards() {
         let idx = sharded(3, Box::new(HashRouter));
         for x in 0..12u64 {
-            idx.insert(entry(x, &[x as f64, 12.0 - x as f64, 6.0]))
-                .unwrap();
+            insert(&idx, entry(x, &[x as f64, 12.0 - x as f64, 6.0])).unwrap();
         }
         let got = idx.fetch_entries(&[7, 0, 99, 3, 7]).unwrap();
-        assert_eq!(got.len(), 5);
-        assert_eq!(got[0].as_ref().unwrap().id, 7);
-        assert_eq!(got[0].as_ref().unwrap().payload, vec![7u8; 3]);
-        assert_eq!(got[1].as_ref().unwrap().id, 0);
-        assert!(got[2].is_none(), "unknown id yields None");
-        assert_eq!(got[3].as_ref().unwrap().id, 3);
-        assert_eq!(got[4].as_ref().unwrap().id, 7, "duplicates each answered");
+        let payload = |id: u8| Some(vec![id; 3]);
+        assert_eq!(
+            got,
+            vec![payload(7), payload(0), None, payload(3), payload(7)],
+            "unknown ids yield None, duplicates are each answered"
+        );
         assert!(idx.fetch_entries(&[]).unwrap().is_empty());
     }
 
@@ -676,7 +676,7 @@ mod tests {
     fn first_cell_only_unions_shard_first_cells() {
         let idx = sharded(2, Box::new(HashRouter));
         for i in 0..6u64 {
-            idx.insert(entry(i, &[0.1, 0.5, 0.9])).unwrap(); // all pivot 0
+            insert(&idx, entry(i, &[0.1, 0.5, 0.9])).unwrap(); // all pivot 0
         }
         let ev = PromiseEvaluator::from_distances(vec![0.1, 0.5, 0.9]);
         let (cands, _) = knn(&idx, &ev, FIRST_CELL_ONLY);
@@ -696,8 +696,7 @@ mod tests {
         let build = |parallel: bool| {
             let idx = sharded(3, Box::new(HashRouter)).with_parallel_fanout(parallel);
             for x in 0..=15u64 {
-                idx.insert(entry(x, &[x as f64, 15.0 - x as f64, 7.5]))
-                    .unwrap();
+                insert(&idx, entry(x, &[x as f64, 15.0 - x as f64, 7.5])).unwrap();
             }
             idx
         };
@@ -720,24 +719,22 @@ mod tests {
     fn shape_and_export_aggregate() {
         let idx = sharded(2, Box::new(HashRouter));
         for x in 0..8u64 {
-            idx.insert(entry(x, &[x as f64, 8.0 - x as f64, 4.0]))
-                .unwrap();
+            insert(&idx, entry(x, &[x as f64, 8.0 - x as f64, 4.0])).unwrap();
         }
         let shape = idx.shape();
         assert_eq!(shape.entries, 8);
         assert!(shape.leaves >= 2);
         let mut all = idx.all_entries().unwrap();
-        all.sort_by_key(|e| e.id);
+        all.sort_by_key(|&(id, _)| id);
         assert_eq!(all.len(), 8);
-        assert_eq!(all[5].payload, vec![5u8; 3]);
+        assert_eq!(all[5], (5, vec![5u8; 3]));
     }
 
     #[test]
     fn concurrent_inserts_to_distinct_shards_and_searches() {
         let idx = std::sync::Arc::new(sharded(4, Box::new(HashRouter)));
         for x in 0..8u64 {
-            idx.insert(entry(x, &[x as f64, 8.0 - x as f64, 4.0]))
-                .unwrap();
+            insert(&idx, entry(x, &[x as f64, 8.0 - x as f64, 4.0])).unwrap();
         }
         std::thread::scope(|scope| {
             for t in 0..4u64 {
@@ -745,7 +742,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..25u64 {
                         let id = 100 + t * 100 + i;
-                        idx.insert(entry(id, &[(id % 9) as f64, 4.0, 2.0])).unwrap();
+                        insert(&idx, entry(id, &[(id % 9) as f64, 4.0, 2.0])).unwrap();
                     }
                 });
             }

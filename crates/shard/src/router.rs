@@ -14,16 +14,17 @@
 //! Routers see only what the untrusted server already sees — ids and
 //! routing information — so sharding adds no leakage.
 
-use simcloud_mindex::IndexEntry;
+use simcloud_mindex::entry::RoutingView;
 
-/// Assigns entries to shards. Implementations must be **pure functions of
-/// the entry**: a re-inserted entry with identical routing must land on
-/// the same shard (the ownership map assumes it), and routing must not
-/// depend on mutable state (it runs outside the shard locks).
+/// Assigns records to shards. Implementations must be **pure functions of
+/// the record's id and routing**: a re-inserted record with identical
+/// routing must land on the same shard (the ownership map assumes it), and
+/// routing must not depend on mutable state (it runs outside the shard
+/// locks).
 pub trait ShardRouter: Send + Sync {
-    /// Shard index in `0..shards` that must hold `entry`. `shards` is
-    /// always ≥ 1.
-    fn route(&self, entry: &IndexEntry, shards: usize) -> usize;
+    /// Shard index in `0..shards` that must hold the record with external
+    /// id `id` and routing header `routing`. `shards` is always ≥ 1.
+    fn route(&self, id: u64, routing: &RoutingView<'_>, shards: usize) -> usize;
 
     /// Human-readable router name (appears in benches and reports).
     fn name(&self) -> &'static str;
@@ -35,8 +36,8 @@ pub trait ShardRouter: Send + Sync {
 pub struct HashRouter;
 
 impl ShardRouter for HashRouter {
-    fn route(&self, entry: &IndexEntry, shards: usize) -> usize {
-        (entry.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % shards
+    fn route(&self, id: u64, _routing: &RoutingView<'_>, shards: usize) -> usize {
+        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % shards
     }
 
     fn name(&self) -> &'static str {
@@ -45,15 +46,15 @@ impl ShardRouter for HashRouter {
 }
 
 /// Nearest-global-pivot (Voronoi) routing: shard = first permutation
-/// element mod shard count. Entries whose routing information is too short
+/// element mod shard count. Records whose routing information is too short
 /// to name a nearest pivot fall back to shard 0 — the shard's own index
 /// then rejects them with its usual validation error.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PivotRouter;
 
 impl ShardRouter for PivotRouter {
-    fn route(&self, entry: &IndexEntry, shards: usize) -> usize {
-        match entry.routing.permutation().closest() {
+    fn route(&self, _id: u64, routing: &RoutingView<'_>, shards: usize) -> usize {
+        match routing.permutation().closest() {
             Some(p) => p as usize % shards,
             None => 0,
         }
@@ -67,10 +68,19 @@ impl ShardRouter for PivotRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcloud_mindex::Routing;
+    use simcloud_mindex::{IndexEntry, Routing};
 
     fn entry(id: u64, ds: &[f64]) -> IndexEntry {
         IndexEntry::new(id, Routing::from_distances(ds), vec![])
+    }
+
+    /// Where `router` puts `entry` among `shards`, routed by its encoded
+    /// header.
+    fn route(router: &dyn ShardRouter, entry: &IndexEntry, shards: usize) -> usize {
+        let mut header = Vec::new();
+        entry.routing.encode(&mut header);
+        let (routing, _) = RoutingView::decode(&header).unwrap();
+        router.route(entry.id, &routing, shards)
     }
 
     #[test]
@@ -78,7 +88,7 @@ mod tests {
         let r = HashRouter;
         let mut counts = [0usize; 4];
         for id in 0..400u64 {
-            counts[r.route(&entry(id, &[0.0]), 4)] += 1;
+            counts[route(&r, &entry(id, &[0.0]), 4)] += 1;
         }
         for (shard, &c) in counts.iter().enumerate() {
             assert!(
@@ -92,19 +102,19 @@ mod tests {
     fn hash_router_is_deterministic() {
         let r = HashRouter;
         let e = entry(17, &[0.5]);
-        assert_eq!(r.route(&e, 4), r.route(&e, 4));
-        assert!(r.route(&e, 1) == 0);
+        assert_eq!(route(&r, &e, 4), route(&r, &e, 4));
+        assert!(route(&r, &e, 1) == 0);
     }
 
     #[test]
     fn pivot_router_follows_nearest_pivot() {
         let r = PivotRouter;
         // Nearest pivot = index of the smallest distance.
-        assert_eq!(r.route(&entry(1, &[0.9, 0.1, 0.5]), 4), 1);
-        assert_eq!(r.route(&entry(2, &[0.1, 0.9, 0.5]), 4), 0);
-        assert_eq!(r.route(&entry(3, &[0.9, 0.5, 0.1]), 4), 2);
+        assert_eq!(route(&r, &entry(1, &[0.9, 0.1, 0.5]), 4), 1);
+        assert_eq!(route(&r, &entry(2, &[0.1, 0.9, 0.5]), 4), 0);
+        assert_eq!(route(&r, &entry(3, &[0.9, 0.5, 0.1]), 4), 2);
         // Modulo wraps pivot indexes beyond the shard count.
-        assert_eq!(r.route(&entry(3, &[0.9, 0.5, 0.1]), 2), 0);
+        assert_eq!(route(&r, &entry(3, &[0.9, 0.5, 0.1]), 2), 0);
     }
 
     #[test]
@@ -115,8 +125,8 @@ mod tests {
             simcloud_mindex::Routing::permutation_prefix(&[0.4, 0.2, 0.9], 2),
             vec![],
         );
-        assert_eq!(r.route(&p, 4), 1);
+        assert_eq!(route(&r, &p, 4), 1);
         let empty = IndexEntry::new(5, Routing::from_distances(&[]), vec![]);
-        assert_eq!(r.route(&empty, 4), 0, "short routing falls back to 0");
+        assert_eq!(route(&r, &empty, 4), 0, "short routing falls back to 0");
     }
 }

@@ -3,7 +3,6 @@
 //! real datasets generators) — plus the security properties §4.3 claims.
 
 use simcloud::prelude::*;
-use simcloud_metric::Metric;
 
 fn objects(data: &[Vector]) -> Vec<(ObjectId, Vector)> {
     data.iter()
@@ -349,38 +348,6 @@ fn forged_length_headers_are_rejected_cheaply() {
         simcloud_core::EncryptedClient::new(key, L1, transport, ClientConfig::distances())
             .with_rng_seed(43);
     assert!(client.knn_approx(&data[0], 5, 20).is_err());
-}
-
-/// The index works for non-vector data too (the metric approach is
-/// generic): edit distance over strings through the plain M-Index layer.
-#[test]
-fn mindex_routing_supports_any_metric() {
-    use simcloud_metric::{permutation_from_distances, EditDistance};
-    let words = [
-        "similarity",
-        "similarly",
-        "simulator",
-        "cloud",
-        "clouds",
-        "cloudy",
-        "metric",
-        "matric",
-    ];
-    let pivots = ["similar", "cloud"];
-    let m = EditDistance;
-    // Permutations derived from edit distances route exactly like vector
-    // permutations — this is all the server ever needs.
-    for w in &words {
-        let ds: Vec<f64> = pivots
-            .iter()
-            .map(|p| Metric::<str>::distance(&m, w, p))
-            .collect();
-        let perm = permutation_from_distances(&ds);
-        assert_eq!(perm.len(), 2);
-        if Metric::<str>::distance(&m, w, "similar") < Metric::<str>::distance(&m, w, "cloud") {
-            assert_eq!(perm.closest(), Some(0), "{w}");
-        }
-    }
 }
 
 /// Generated datasets + workload + ground truth compose: recall of exact
