@@ -5,18 +5,26 @@
 //! concrete byte format the workspace uses:
 //!
 //! ```text
-//! sealed := mode(1) || iv(16) || ct_len(u32 LE) || ciphertext || tag(32)
+//! sealed := mode(1) || iv(16) || ct_len(u32 LE) || ciphertext || tag(16)
 //! ```
 //!
-//! * encryption: AES-128-CTR (`mode` is `1`, the only mode; any other
-//!   byte is refused before the MAC is checked),
-//! * integrity: HMAC-SHA-256 over
-//!   `mode || iv || ct_len || ciphertext || aad_len || aad`
-//!   (encrypt-then-MAC), truncated to the full 32 bytes; the *associated
-//!   data* is authenticated but **never stored** — the verifier supplies it
-//!   (the index binds each sealed object to its external id this way);
-//! * keys: independent encryption and MAC keys derived from one master key
-//!   via PBKDF2 with domain-separating salts.
+//! * encryption: AES-128-CTR (`mode` is `3`, the only mode; any other
+//!   byte is refused before the MAC is checked, among them the retired
+//!   `1`, CTR with an HMAC-SHA-256 tag, and `2`, CBC);
+//! * integrity: Poly1305-AES (encrypt-then-MAC), with the IV as its nonce:
+//!   `tag = Poly1305_r(m) + AES_kmac(iv) mod 2^128` over
+//!   `m = mode || iv || ct_len || ciphertext || aad_len || aad`. The
+//!   *associated data* is authenticated but **never stored** — the verifier
+//!   supplies it (the index binds each sealed object to its external id
+//!   this way);
+//! * keys: the CTR key and the MAC's `r || kmac` are derived from one
+//!   master key via PBKDF2 with domain-separating salts. `kmac` is never
+//!   the CTR key: sharing it would make `AES_k(iv)` the first keystream
+//!   block.
+//!
+//! The tag's integrity rests on an IV never repeating under one key, which
+//! CTR already needs: a repeated IV, the only case that opens Poly1305
+//! forgeries, already leaks the XOR of two plaintexts.
 //!
 //! Integrity matters in the threat model: a compromised server could
 //! otherwise swap candidate objects between cells undetected (§4.3 considers
@@ -27,9 +35,9 @@ use rand::RngCore;
 
 use crate::aes::Aes;
 use crate::ct_eq;
-use crate::hmac::HmacSha256;
 use crate::kdf::pbkdf2_hmac_sha256;
 use crate::modes::ctr_apply;
+use crate::poly1305::Poly1305;
 
 /// Cipher mode selector for the envelope — it has one mode, kept as a
 /// parameter of every `seal*` entry point.
@@ -39,8 +47,13 @@ pub enum EnvelopeMode {
     Ctr,
 }
 
-/// The mode byte of a CTR envelope.
-const CTR_BYTE: u8 = 1;
+/// The mode byte of a CTR + Poly1305-AES envelope. A retired byte is
+/// never reused: `1` was CTR + HMAC-SHA-256, `2` was CBC.
+const CTR_BYTE: u8 = 3;
+/// `mode || iv || ct_len`.
+const HEADER_LEN: usize = 1 + 16 + 4;
+/// The Poly1305-AES tag.
+const TAG_LEN: usize = 16;
 
 /// Errors unsealing an envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,17 +82,17 @@ impl std::error::Error for SealError {}
 /// Symmetric key material for sealing MS objects: an AES-128 key and an
 /// independent MAC key, both derived from a master secret.
 ///
-/// Both the AES key schedule and the HMAC pad state are expanded **once**
-/// here and reused by every `seal`/`unseal` — the search hot path unseals
-/// hundreds of candidates per query, so per-candidate re-derivation (two
-/// extra SHA-256 compressions per MAC, a full key expansion per cipher)
-/// would be pure waste.
+/// Both AES key schedules and the clamped Poly1305 `r` are expanded
+/// **once** here and reused by every `seal`/`unseal` — the search hot path
+/// unseals hundreds of candidates per query, so per-candidate
+/// re-derivation (a full key expansion per cipher) would be pure waste.
 #[derive(Clone)]
 pub struct CipherKey {
     enc: Aes,
-    /// HMAC context with both pad blocks already absorbed; cloned per MAC
-    /// instead of re-hashing the padded key every time.
-    mac: HmacSha256,
+    /// Poly1305 keyed with the clamped `r`; cloned per MAC.
+    mac: Poly1305,
+    /// AES under `kmac`: encrypts the IV into the tag's pad.
+    mac_pad: Aes,
     fingerprint: [u8; 8],
 }
 
@@ -101,13 +114,21 @@ impl CipherKey {
         // Iteration count is low because the master secret is high-entropy
         // key material, not a human password.
         let enc_bytes = pbkdf2_hmac_sha256(master, b"simcloud/enc/v1", 64, 16);
-        let mac_bytes = pbkdf2_hmac_sha256(master, b"simcloud/mac/v1", 64, 32);
+        let mac_bytes = pbkdf2_hmac_sha256(master, b"simcloud/mac/v2", 64, 32);
         let fp_bytes = pbkdf2_hmac_sha256(master, b"simcloud/fp/v1", 64, 8);
+        let (mut r, mut kmac) = ([0u8; 16], [0u8; 16]);
+        for (slot, byte) in r.iter_mut().chain(&mut kmac).zip(&mac_bytes) {
+            *slot = *byte;
+        }
         let mut fingerprint = [0u8; 8];
         fingerprint.copy_from_slice(&fp_bytes);
+        let (enc, mac_pad) = Aes::new(&enc_bytes)
+            .zip(Aes::new(&kmac))
+            .expect("16-byte keys");
         Self {
-            enc: Aes::new(&enc_bytes).expect("16-byte key"),
-            mac: HmacSha256::new(&mac_bytes),
+            enc,
+            mac: Poly1305::new(&r),
+            mac_pad,
             fingerprint,
         }
     }
@@ -167,31 +188,32 @@ impl CipherKey {
         out.push(CTR_BYTE);
         out.extend_from_slice(iv);
         out.extend_from_slice(&(plaintext.len() as u32).to_le_bytes());
-        let header_len = out.len();
         out.extend_from_slice(plaintext);
-        ctr_apply(&self.enc, iv, out.split_at_mut(header_len).1);
-        let tag = self.tag(&out, aad);
+        ctr_apply(&self.enc, iv, out.split_at_mut(HEADER_LEN).1);
+        let tag = self.tag(&out, aad, iv);
         out.extend_from_slice(&tag);
         out
     }
 
-    /// MAC over `body || aad_len(u32 LE) || aad`. The explicit length makes
-    /// the (body, aad) split unambiguous even though both are
-    /// variable-length — without it, moving bytes between the ciphertext
-    /// tail and the aad head would forge a colliding input.
-    fn tag(&self, body: &[u8], aad: &[u8]) -> [u8; 32] {
+    /// Poly1305-AES over `body || aad_len(u32 LE) || aad` with nonce `iv`.
+    /// The explicit length makes the (body, aad) split unambiguous even
+    /// though both are variable-length — without it, moving bytes between
+    /// the ciphertext tail and the aad head would forge a colliding input.
+    fn tag(&self, body: &[u8], aad: &[u8], iv: &[u8; 16]) -> [u8; TAG_LEN] {
         let mut mac = self.mac.clone();
         mac.update(body);
         mac.update(&(aad.len() as u32).to_le_bytes());
         mac.update(aad);
-        mac.finalize()
+        let mut pad = *iv;
+        self.mac_pad.encrypt_block(&mut pad);
+        mac.finalize(&pad)
     }
 
     /// Size of the sealed form for a given plaintext length — used by the
     /// communication-cost accounting before actually sealing.
     pub fn sealed_len(plaintext_len: usize, mode: EnvelopeMode) -> usize {
         let EnvelopeMode::Ctr = mode;
-        1 + 16 + 4 + plaintext_len + 32
+        HEADER_LEN + plaintext_len + TAG_LEN
     }
 
     /// Verifies integrity and decrypts.
@@ -204,24 +226,23 @@ impl CipherKey {
     /// the bytes the envelope was sealed with — the id-binding check the
     /// two-phase candidate fetch relies on.
     pub fn unseal_with_aad(&self, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, SealError> {
-        if sealed.len() < 1 + 16 + 4 + 32 {
+        let Some((body, tag)) = sealed.split_last_chunk::<TAG_LEN>() else {
             return Err(SealError::Malformed);
-        }
-        if sealed[0] != CTR_BYTE {
+        };
+        let Some((header, ciphertext)) = body.split_first_chunk::<HEADER_LEN>() else {
+            return Err(SealError::Malformed);
+        };
+        let [mode, iv @ .., l0, l1, l2, l3] = *header;
+        if mode != CTR_BYTE {
             return Err(SealError::UnknownMode);
         }
-        let ct_len = u32::from_le_bytes([sealed[17], sealed[18], sealed[19], sealed[20]]) as usize;
-        let body_end = 21 + ct_len;
-        if sealed.len() != body_end + 32 {
+        if u32::from_le_bytes([l0, l1, l2, l3]) as usize != ciphertext.len() {
             return Err(SealError::Malformed);
         }
-        let (body, tag) = sealed.split_at(body_end);
-        if !ct_eq(&self.tag(body, aad), tag) {
+        if !ct_eq(&self.tag(body, aad, &iv), tag) {
             return Err(SealError::IntegrityFailure);
         }
-        let mut iv = [0u8; 16];
-        iv.copy_from_slice(&sealed[1..17]);
-        let mut data = body[21..].to_vec();
+        let mut data = ciphertext.to_vec();
         ctr_apply(&self.enc, &iv, &mut data);
         Ok(data)
     }
@@ -331,7 +352,7 @@ mod tests {
         assert_eq!(k2.unseal(&sealed).unwrap(), b"hello");
     }
 
-    /// The cached HMAC ipad state must behave exactly like a fresh MAC on
+    /// The keyed Poly1305 state must behave exactly like a fresh MAC on
     /// every clone: sealing on a clone and unsealing on the original (and
     /// vice versa) round-trips, and repeated unseals of one key see no
     /// state bleed-through.

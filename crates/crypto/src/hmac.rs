@@ -1,7 +1,7 @@
 //! HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
 //!
-//! Used by the [`crate::envelope`] for encrypt-then-MAC integrity and by
-//! [`crate::kdf`] for key derivation. Validated against RFC 4231 test cases.
+//! Used by [`crate::kdf`] for key derivation (the envelope's MAC is
+//! [`crate::poly1305`]). Validated against RFC 4231 test cases.
 
 use crate::sha256::Sha256;
 

@@ -9,12 +9,17 @@
 //!   validated against the FIPS-197 and NIST AESAVS known-answer vectors;
 //! * [`modes`] — CTR mode;
 //! * [`sha256`] — SHA-256 (FIPS 180-4), validated against NIST vectors;
-//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), validated against RFC 4231;
+//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), validated against RFC 4231; it
+//!   serves the key derivation only;
 //! * [`kdf`] — PBKDF2-HMAC-SHA-256 (RFC 2898), validated against the RFC 7914
 //!   published vectors;
+//! * [`poly1305`] — the Poly1305 one-time authenticator (RFC 8439 §2.5),
+//!   validated against RFC 8439, Bernstein's Poly1305-AES example and a
+//!   big-integer reference;
 //! * [`envelope`] — the encrypt-then-MAC envelope ([`Envelope`]) the
-//!   similarity cloud uses for MS objects: AES-128-CTR + HMAC-SHA-256 with a
-//!   random per-object IV and integrity over header+ciphertext.
+//!   similarity cloud uses for MS objects: AES-128-CTR + Poly1305-AES with a
+//!   random per-object IV as the nonce and integrity over
+//!   header+ciphertext.
 //!
 //! ## Security caveat
 //!
@@ -30,6 +35,7 @@ pub mod envelope;
 pub mod hmac;
 pub mod kdf;
 pub mod modes;
+pub mod poly1305;
 pub mod sha256;
 
 pub use aes::Aes;

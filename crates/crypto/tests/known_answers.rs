@@ -1,5 +1,5 @@
 //! Byte-exact pins of what the similarity cloud stores: the sealed
-//! envelope (AES-128-CTR + HMAC-SHA-256) under a fixed master, IV and
+//! envelope (AES-128-CTR + Poly1305-AES) under a fixed master, IV and
 //! associated data, and the CTR counter's carry at the edge of its low 32
 //! bits. Any rewrite of the cipher, the mode or the MAC (a lane-parallel
 //! CTR, a vectorised AES) must reproduce these bytes exactly, or objects
@@ -7,7 +7,7 @@
 
 use simcloud_crypto::envelope::EnvelopeMode;
 use simcloud_crypto::modes::ctr_apply;
-use simcloud_crypto::{Aes, CipherKey, Sha256};
+use simcloud_crypto::{Aes, CipherKey, SealError, Sha256};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -23,25 +23,17 @@ fn envelope_bytes_are_pinned() {
     let key = CipherKey::derive_from_master(MASTER);
     let iv: [u8; 16] = std::array::from_fn(|i| 0xa0 + i as u8);
     let aad = 1132u64.to_le_bytes();
-    let head = "01a0a1a2a3a4a5a6a7a8a9aaabacadaeaf";
+    let head = "03a0a1a2a3a4a5a6a7a8a9aaabacadaeaf";
     let short = [
-        (
-            0,
-            "000000006a0e46d81489342a6ab5ae817acc700cec30080934d48f421f859ceab1e42c55",
-        ),
-        (
-            1,
-            "010000005900e55a9574fcfe5140be6e620a371771e68bc3a6e97e0b7bc487b079e75bb10c",
-        ),
+        (0, "00000000a03541cdf21fe7e52344356c2f2b8fe9"),
+        (1, "010000005965b9469a8647a7f0f5594583c0b8fde9"),
         (
             16,
-            "10000000595a0495dc433b0ff4514f2734d03ae91048012d72ecc3693e0522324e2f84aa\
-             20ea06f2de75dc4d2f28701eafffdc52",
+            "10000000595a0495dc433b0ff4514f2734d03ae97e7869f81c9b36c281b04b88b354754c",
         ),
         (
             17,
-            "11000000595a0495dc433b0ff4514f2734d03ae95f6a3db952c4eb7149ba031986e3e864\
-             baa990623ec9155ef3dd2124fe7971e010",
+            "11000000595a0495dc433b0ff4514f2734d03ae95f3fd9607345e2168ab99a8fd146492058",
         ),
     ];
     let plain = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 31 + 7) as u8).collect() };
@@ -51,12 +43,30 @@ fn envelope_bytes_are_pinned() {
         assert_eq!(key.unseal_with_aad(&sealed, &aad).unwrap(), plain(len));
     }
     let sealed = key.seal_with_iv_aad(&plain(1132), &aad, EnvelopeMode::Ctr, &iv);
-    assert_eq!(sealed.len(), 1 + 16 + 4 + 1132 + 32);
+    assert_eq!(sealed.len(), 1 + 16 + 4 + 1132 + 16);
     assert_eq!(
         hex(&Sha256::digest(&sealed)),
-        "faaad0c8ae8f40dcb284fee0a94508247c2518bf473e6edcd80a997094fd44dc"
+        "d2d99bd81b3d21a12ad9b853f4e766d1c1006e1200326cfe9c2ebb9b2247139a"
     );
     assert_eq!(key.unseal_with_aad(&sealed, &aad).unwrap(), plain(1132));
+}
+
+/// The 0-byte envelope earlier versions sealed with mode byte 1 (CTR with
+/// an HMAC-SHA-256 tag) under the same master, IV and associated data is
+/// refused by its mode byte, before any MAC work.
+#[test]
+fn hmac_envelope_is_refused() {
+    let key = CipherKey::derive_from_master(MASTER);
+    let hmac_envelope = "01a0a1a2a3a4a5a6a7a8a9aaabacadaeaf\
+        000000006a0e46d81489342a6ab5ae817acc700cec30080934d48f421f859ceab1e42c55";
+    let bytes: Vec<u8> = (0..hmac_envelope.len() / 2)
+        .map(|i| u8::from_str_radix(&hmac_envelope[2 * i..2 * i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(bytes.len(), 1 + 16 + 4 + 32);
+    assert_eq!(
+        key.unseal_with_aad(&bytes, &1132u64.to_le_bytes()),
+        Err(SealError::UnknownMode)
+    );
 }
 
 /// The counter is the IV's low 32 bits, big-endian: from `…ff ff ff fe` it

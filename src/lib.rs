@@ -36,7 +36,7 @@ pub use simcloud_telemetry as telemetry;
 /// Metric-space toolkit (vectors, metrics, pivots, permutations).
 pub use simcloud_metric as metric;
 
-/// Symmetric crypto stack (AES, SHA-256, HMAC, envelopes).
+/// Symmetric crypto stack (AES, SHA-256, HMAC, Poly1305, envelopes).
 pub use simcloud_crypto as crypto;
 
 /// Bucket storage (memory + paged disk).
