@@ -24,7 +24,7 @@ use simcloud_core::protocol::Request;
 use simcloud_core::{ClientConfig, CloudServer, EncryptedClient, SecretKey};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, Routing, RoutingStrategy};
-use simcloud_shard::{memory_stores, HashRouter, ShardedCloudServer};
+use simcloud_shard::{HashRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{
     RequestClass, SharedRequestHandler, Transport, TransportError, TransportStats,
@@ -82,8 +82,14 @@ fn deploy() -> Deployment {
         strategy: RoutingStrategy::Distances,
     };
     let server = Arc::new(CloudServer::new(config, MemoryStore::new()).unwrap());
-    let sharded =
-        Arc::new(ShardedCloudServer::new(config, Box::new(HashRouter), memory_stores(4)).unwrap());
+    let sharded = Arc::new(
+        ShardedCloudServer::new(
+            config,
+            Box::new(HashRouter),
+            (0..4).map(|_| MemoryStore::new()).collect(),
+        )
+        .unwrap(),
+    );
     let objects: Vec<(ObjectId, Vector)> = vectors
         .into_iter()
         .enumerate()

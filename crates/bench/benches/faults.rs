@@ -28,15 +28,13 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simcloud_core::{
-    client_for, ClientConfig, CloudServer, EncryptedClient, SecretKey, ServerConfig,
-};
+use simcloud_core::{ClientConfig, CloudServer, EncryptedClient, SecretKey, ServerConfig};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{
-    serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript, RetryPolicy,
-    ServeOptions, TcpClientConfig, TcpTransport, Transport,
+    serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript, InProcessTransport,
+    RetryPolicy, ServeOptions, TcpClientConfig, TcpTransport, Transport,
 };
 
 struct Config {
@@ -135,10 +133,10 @@ fn main() {
         )
         .expect("server"),
     );
-    let mut owner = client_for(
+    let mut owner = EncryptedClient::new(
         key.clone(),
         L2,
-        Arc::clone(&server),
+        InProcessTransport::new(Arc::clone(&server)),
         ClientConfig::distances(),
     )
     .with_rng_seed(1);

@@ -16,7 +16,7 @@
 //!   demands them.
 //!
 //! Each lazy row is additionally measured over a **real TCP loopback
-//! socket** (`serve_tcp_shared` + `connect_tcp`), so the extra phase-2
+//! socket** (`serve_tcp_shared` + `TcpTransport::connect`), so the extra phase-2
 //! round trips pay their true syscall latency. The binary asserts that the
 //! two-phase row fetches fewer objects than it has candidates and that its
 //! response bytes undercut the one-phase wire.

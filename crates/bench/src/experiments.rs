@@ -5,12 +5,15 @@
 
 use std::time::{Duration, Instant};
 
-use simcloud_core::{costs::timed, in_process, ClientConfig, CostReport, SecretKey};
+use simcloud_core::{
+    costs::timed, ClientConfig, CloudServer, CostReport, EncryptedClient, SecretKey,
+};
 use simcloud_datasets::{parallel_knn_ground_truth, Dataset, QueryWorkload};
 use simcloud_metric::{Metric, ObjectId, PivotSelection, Vector};
 use simcloud_mindex::{MIndexConfig, PlainMIndex, RoutingStrategy, FIRST_CELL_ONLY};
+use simcloud_shard::ShardedCloudServer;
 use simcloud_storage::MemoryStore;
-use simcloud_transport::NetworkModel;
+use simcloud_transport::{InProcessTransport, NetworkModel};
 
 use simcloud_baselines::{
     ehi::EhiConfig, fdh::FdhConfig, mpt::MptConfig, EhiScheme, FdhScheme, MptScheme, SecureScheme,
@@ -116,14 +119,14 @@ pub fn construction_encrypted(ds: &Dataset, seed: u64) -> CostReport {
         PivotSelection::Random,
         seed,
     );
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         key,
         ds.metric.clone(),
-        dataset_config(ds),
-        MemoryStore::new(),
+        InProcessTransport::new(
+            CloudServer::new(dataset_config(ds), MemoryStore::new()).expect("valid config"),
+        ),
         ClientConfig::distances(),
     )
-    .expect("valid config")
     .with_rng_seed(seed ^ 1);
     let objects = id_objects(&ds.vectors);
     let mut total = CostReport::default();
@@ -269,20 +272,28 @@ pub fn search_encrypted(
     let metric = ds.metric.clone();
     let client_config = ClientConfig::distances();
     if shards <= 1 {
-        let mut cloud = in_process(key, metric, cfg, MemoryStore::new(), client_config)
-            .expect("config")
-            .with_rng_seed(seed ^ 2);
-        encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
-    } else {
-        let mut cloud = simcloud_shard::sharded_in_process(
+        let mut cloud = EncryptedClient::new(
             key,
             metric,
-            cfg,
-            Box::new(simcloud_shard::HashRouter),
-            simcloud_shard::memory_stores(shards),
+            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
             client_config,
         )
-        .expect("config")
+        .with_rng_seed(seed ^ 2);
+        encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
+    } else {
+        let mut cloud = EncryptedClient::new(
+            key,
+            metric,
+            InProcessTransport::new(
+                ShardedCloudServer::new(
+                    cfg,
+                    Box::new(simcloud_shard::HashRouter),
+                    (0..shards).map(|_| MemoryStore::new()).collect(),
+                )
+                .expect("config"),
+            ),
+            client_config,
+        )
         .with_rng_seed(seed ^ 2);
         encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
     }
@@ -397,14 +408,12 @@ pub fn comparison_1nn(ds: &Dataset, queries: usize, seed: u64) -> Vec<Comparison
             PivotSelection::Random,
             seed,
         );
-        let mut cloud = in_process(
+        let mut cloud = EncryptedClient::new(
             key,
             ds.metric.clone(),
-            cfg,
-            MemoryStore::new(),
+            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
             ClientConfig::distances(),
         )
-        .expect("config")
         .with_rng_seed(seed ^ 41);
         let mut build = CostReport::default();
         for chunk in indexed.chunks(BULK) {
@@ -514,14 +523,12 @@ pub fn ablation_pivots(
         cfg.max_level = cfg.max_level.min(np);
         let (key, _) =
             SecretKey::generate(&ds.vectors, np, &ds.metric, PivotSelection::Random, seed);
-        let mut cloud = in_process(
+        let mut cloud = EncryptedClient::new(
             key,
             ds.metric.clone(),
-            cfg,
-            MemoryStore::new(),
+            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
             ClientConfig::distances(),
         )
-        .expect("config")
         .with_rng_seed(seed ^ 61);
         for chunk in id_objects(&ds.vectors).chunks(BULK) {
             cloud.insert_bulk(chunk).expect("insert");
@@ -584,9 +591,13 @@ pub fn ablation_strategy(
             PivotSelection::Random,
             seed,
         );
-        let mut cloud = in_process(key, ds.metric.clone(), cfg, MemoryStore::new(), client_cfg)
-            .expect("config")
-            .with_rng_seed(seed ^ 71);
+        let mut cloud = EncryptedClient::new(
+            key,
+            ds.metric.clone(),
+            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
+            client_cfg,
+        )
+        .with_rng_seed(seed ^ 71);
         for chunk in id_objects(&ds.vectors).chunks(BULK) {
             cloud.insert_bulk(chunk).expect("insert");
         }
@@ -631,23 +642,19 @@ pub fn ablation_transform(
     let d_max = hist.stats().max * 1.5;
     let transform = DistanceTransform::from_seed(seed ^ 81, d_max, 8);
 
-    let mut base = in_process(
+    let mut base = EncryptedClient::new(
         key.clone(),
         ds.metric.clone(),
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
         ClientConfig::distances(),
     )
-    .expect("config")
     .with_rng_seed(seed ^ 82);
-    let mut transformed = in_process(
+    let mut transformed = EncryptedClient::new(
         key,
         ds.metric.clone(),
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
         ClientConfig::distances().with_transform(transform),
     )
-    .expect("config")
     .with_rng_seed(seed ^ 83);
     let objects = id_objects(&ds.vectors);
     for chunk in objects.chunks(BULK) {
@@ -697,14 +704,12 @@ pub fn ablation_k(
         PivotSelection::Random,
         seed,
     );
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         key,
         ds.metric.clone(),
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
         ClientConfig::distances(),
     )
-    .expect("config")
     .with_rng_seed(seed ^ 90);
     for chunk in id_objects(&ds.vectors).chunks(BULK) {
         cloud.insert_bulk(chunk).expect("insert");
@@ -738,7 +743,6 @@ pub fn ablation_network(
     k: usize,
     seed: u64,
 ) -> Vec<(&'static str, Duration, Duration)> {
-    use simcloud_core::in_process_with_model;
     let cfg = dataset_config(ds);
     let (key, _) = SecretKey::generate(
         &ds.vectors,
@@ -754,15 +758,15 @@ pub fn ablation_network(
         ("lan", NetworkModel::lan()),
         ("wan", NetworkModel::wan()),
     ] {
-        let mut cloud = in_process_with_model(
+        let mut cloud = EncryptedClient::new(
             key.clone(),
             ds.metric.clone(),
-            cfg,
-            MemoryStore::new(),
+            InProcessTransport::with_model(
+                CloudServer::new(cfg, MemoryStore::new()).expect("config"),
+                model,
+            ),
             ClientConfig::distances(),
-            model,
         )
-        .expect("config")
         .with_rng_seed(seed ^ 96);
         for chunk in id_objects(&ds.vectors).chunks(BULK) {
             cloud.insert_bulk(chunk).expect("insert");

@@ -23,14 +23,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simcloud_core::{
-    client_for, connect_tcp, ClientConfig, CloudServer, CostReport, EncryptedClient, SecretKey,
-    ServerConfig, ServerTelemetry, SharedCloud,
+    ClientConfig, CloudServer, CostReport, EncryptedClient, SecretKey, ServerConfig,
+    ServerTelemetry,
 };
 use simcloud_datasets::{Dataset, DatasetMetric, QueryWorkload};
 use simcloud_metric::PivotSelection;
 use simcloud_shard::{HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{serve_tcp_shared, SharedRequestHandler, Transport};
+use simcloud_transport::{
+    serve_tcp_shared, InProcessTransport, SharedRequestHandler, TcpTransport, Transport,
+};
 
 use crate::experiments::BULK;
 
@@ -176,8 +178,13 @@ impl SteadyServer {
         key: SecretKey,
         metric: DatasetMetric,
         config: ClientConfig,
-    ) -> SharedCloud<DatasetMetric, SteadyServer> {
-        client_for(key, metric, Arc::new(self.clone()), config)
+    ) -> EncryptedClient<DatasetMetric, InProcessTransport<Arc<SteadyServer>>> {
+        EncryptedClient::new(
+            key,
+            metric,
+            InProcessTransport::new(Arc::new(self.clone())),
+            config,
+        )
     }
 
     /// The server's telemetry (same type on either variant).
@@ -311,7 +318,7 @@ pub fn prebuild_sharded(
             cfg,
             server_config,
             router.build(),
-            simcloud_shard::memory_stores(shards),
+            (0..shards).map(|_| MemoryStore::new()).collect(),
         )
         .expect("valid config"),
     ));
@@ -402,13 +409,12 @@ pub fn steady_state_encrypted_tcp(
     rounds: usize,
 ) -> SteadyState {
     let handle = serve_tcp_shared(Arc::new(pre.server.clone())).expect("tcp server");
-    let mut client = connect_tcp(
+    let mut client = EncryptedClient::new(
         pre.key.clone(),
         pre.dataset.metric.clone(),
-        handle.addr(),
+        TcpTransport::connect(handle.addr()).expect("tcp client"),
         config.clone(),
-    )
-    .expect("tcp client");
+    );
     let start = Instant::now();
     let costs = knn_rounds(&mut client, &pre.workload, rounds, k, cand_size);
     let elapsed = start.elapsed();

@@ -27,7 +27,9 @@
 //! The server half is one request engine ([`ServerEngine`]) over a
 //! [`SearchIndex`]; [`CloudServer`] is the engine over a single M-Index.
 //! It implements the byte [`protocol`] and can run in-process or behind
-//! TCP ([`cloud`]).
+//! TCP: a client is [`EncryptedClient::new`] over either transport
+//! (`simcloud_transport::{InProcessTransport, TcpTransport}`), and a server
+//! is exposed with `simcloud_transport::serve_tcp_shared`.
 //! [`CostReport`] captures the paper's cost decomposition (client /
 //! encryption / decryption / distance / server / communication) for every
 //! operation.
@@ -43,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod cloud;
 pub mod costs;
 pub mod key;
 pub mod protocol;
@@ -52,10 +53,6 @@ pub mod telemetry;
 pub mod transform;
 
 pub use client::{ClientConfig, ClientError, EncryptedClient, LazyRefine, Neighbor, ServerHealth};
-pub use cloud::{
-    client_for, connect_tcp, connect_tcp_with, in_process, in_process_rebuilt,
-    in_process_with_model, over_tcp, InProcessCloud, SharedCloud,
-};
 pub use costs::CostReport;
 pub use key::SecretKey;
 pub use server::{

@@ -10,11 +10,11 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{KnnQuery, Request, Response};
-use simcloud_core::{client_for, connect_tcp, ClientConfig, CloudServer, SecretKey};
+use simcloud_core::{ClientConfig, CloudServer, EncryptedClient, SecretKey};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, Routing, RoutingStrategy};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{serve_tcp_shared, TcpTransport, Transport};
+use simcloud_transport::{serve_tcp_shared, InProcessTransport, TcpTransport, Transport};
 
 const PIVOTS: usize = 4;
 
@@ -36,10 +36,10 @@ fn deployment(n: usize, seed: u64) -> (Arc<CloudServer<MemoryStore>>, SecretKey,
         )
         .unwrap(),
     );
-    let mut owner = client_for(
+    let mut owner = EncryptedClient::new(
         key.clone(),
         L2,
-        Arc::clone(&server),
+        InProcessTransport::new(Arc::clone(&server)),
         ClientConfig::distances(),
     )
     .with_rng_seed(seed ^ 1);
@@ -155,7 +155,12 @@ fn client_batch_api_isolates_server_side_slot_failures() {
     // The normal client's batch API on the same server: all slots healthy,
     // results refine, and a deliberately failing slot would surface as
     // ClientError::Server (shape checked via the raw probe above).
-    let mut client = connect_tcp(key, L2, handle.addr(), ClientConfig::distances()).unwrap();
+    let mut client = EncryptedClient::new(
+        key,
+        L2,
+        TcpTransport::connect(handle.addr()).unwrap(),
+        ClientConfig::distances(),
+    );
     let queries: Vec<Vector> = vectors.iter().take(3).cloned().collect();
     let (results, costs) = client.knn_approx_batch(&queries, 2, 12).unwrap();
     assert_eq!(results.len(), 3);

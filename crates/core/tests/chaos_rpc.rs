@@ -20,14 +20,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response};
 use simcloud_core::{
-    client_for, ClientConfig, ClientError, CloudServer, EncryptedClient, SecretKey, ServerConfig,
+    ClientConfig, ClientError, CloudServer, EncryptedClient, SecretKey, ServerConfig,
 };
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{
     serve_tcp_shared, serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript,
-    RetryPolicy, ServeOptions, SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
+    InProcessTransport, RetryPolicy, ServeOptions, SharedRequestHandler, TcpClientConfig,
+    TcpTransport, Transport,
 };
 
 const PIVOTS: usize = 4;
@@ -68,10 +69,10 @@ fn loaded_server(key: &SecretKey, objects: &[(ObjectId, Vector)]) -> Arc<CloudSe
         )
         .unwrap(),
     );
-    let mut owner = client_for(
+    let mut owner = EncryptedClient::new(
         key.clone(),
         L2,
-        Arc::clone(&server),
+        InProcessTransport::new(Arc::clone(&server)),
         ClientConfig::distances(),
     )
     .with_rng_seed(1);

@@ -9,11 +9,11 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{KnnQuery, Request, Response};
-use simcloud_core::{client_for, ClientConfig, ClientError, CloudServer, SecretKey};
+use simcloud_core::{ClientConfig, ClientError, CloudServer, EncryptedClient, SecretKey};
 use simcloud_metric::{Metric, ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{IndexEntry, MIndexConfig, Routing, RoutingStrategy};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{SharedRequestHandler, Transport};
+use simcloud_transport::{InProcessTransport, SharedRequestHandler, Transport};
 
 /// `request`'s answer, through the byte path every server answers on.
 fn ask(server: &impl SharedRequestHandler, request: Request) -> Response {
@@ -164,10 +164,10 @@ fn shared_server_answers_match_single_client() {
     let (key, _) = SecretKey::generate(&data, 8, &L2, PivotSelection::Random, 6);
     let server = Arc::new(CloudServer::new(config(8), MemoryStore::new()).unwrap());
 
-    let mut owner = client_for(
+    let mut owner = EncryptedClient::new(
         key.clone(),
         L2,
-        Arc::clone(&server),
+        InProcessTransport::new(Arc::clone(&server)),
         ClientConfig::distances(),
     )
     .with_rng_seed(7);
@@ -186,8 +186,13 @@ fn shared_server_answers_match_single_client() {
                 scope.spawn({
                     let data = &data;
                     move || {
-                        let mut client =
-                            client_for(key, L2, server, ClientConfig::distances()).with_rng_seed(8);
+                        let mut client = EncryptedClient::new(
+                            key,
+                            L2,
+                            InProcessTransport::new(server),
+                            ClientConfig::distances(),
+                        )
+                        .with_rng_seed(8);
                         (0..20)
                             .map(|qi| client.knn_approx(&data[qi * 13], 10, 60).unwrap().0)
                             .collect::<Vec<_>>()
@@ -211,10 +216,10 @@ fn batch_knn_matches_sequential_in_one_round_trip() {
     let data = random_data(250, 4, 15);
     let (key, _) = SecretKey::generate(&data, 8, &L2, PivotSelection::Random, 16);
     let server = Arc::new(CloudServer::new(config(8), MemoryStore::new()).unwrap());
-    let mut client = client_for(
+    let mut client = EncryptedClient::new(
         key.clone(),
         L2,
-        Arc::clone(&server),
+        InProcessTransport::new(Arc::clone(&server)),
         ClientConfig::distances(),
     )
     .with_rng_seed(17);
@@ -306,7 +311,13 @@ fn range_radius_exactly_at_object_distance() {
         .collect();
     let (key, _) = SecretKey::generate(&data, 6, &L2, PivotSelection::Random, 24);
     let server = Arc::new(CloudServer::new(config(6), MemoryStore::new()).unwrap());
-    let mut client = client_for(key, L2, server, ClientConfig::distances()).with_rng_seed(25);
+    let mut client = EncryptedClient::new(
+        key,
+        L2,
+        InProcessTransport::new(server),
+        ClientConfig::distances(),
+    )
+    .with_rng_seed(25);
     client.insert_bulk(&objects(&data)).unwrap();
 
     for (qi, oi) in [(0usize, 77usize), (10, 150), (33, 34), (50, 50)] {
@@ -360,10 +371,10 @@ fn nan_distance_candidate_rejected_not_panicking() {
         other => panic!("unexpected {other:?}"),
     }
 
-    let mut client = client_for(
+    let mut client = EncryptedClient::new(
         key.clone(),
         L2,
-        Arc::clone(&server),
+        InProcessTransport::new(Arc::clone(&server)),
         ClientConfig::distances(),
     )
     .with_rng_seed(33);
@@ -438,10 +449,10 @@ fn partial_insert_error_reaches_client() {
         )
         .unwrap(),
     );
-    let mut wrong = client_for(
+    let mut wrong = EncryptedClient::new(
         SecretKey::generate(&data, 3, &L2, PivotSelection::Random, 44).0,
         L2,
-        mismatched,
+        InProcessTransport::new(mismatched),
         ClientConfig::distances(),
     )
     .with_rng_seed(45);

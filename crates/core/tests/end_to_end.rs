@@ -6,10 +6,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simcloud_core::{in_process, recall, ClientConfig, SecretKey};
+use simcloud_core::{recall, ClientConfig, CloudServer, EncryptedClient, SecretKey};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, PlainMIndex, RoutingStrategy};
 use simcloud_storage::MemoryStore;
+use simcloud_transport::InProcessTransport;
 
 fn random_data(n: usize, dim: usize, seed: u64) -> Vec<Vector> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -31,14 +32,14 @@ fn config(pivots: usize, strategy: RoutingStrategy) -> MIndexConfig {
 fn encrypted_range_equals_brute_force() {
     let data = random_data(300, 4, 1);
     let (key, _) = SecretKey::generate(&data, 8, &L2, PivotSelection::Random, 2);
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         key.clone(),
         L2,
-        config(8, RoutingStrategy::Distances),
-        MemoryStore::new(),
+        InProcessTransport::new(
+            CloudServer::new(config(8, RoutingStrategy::Distances), MemoryStore::new()).unwrap(),
+        ),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(3);
     let objs: Vec<(ObjectId, Vector)> = data
         .iter()
@@ -87,14 +88,12 @@ fn encrypted_knn_matches_plain_mindex_candidates() {
     let (key, _) = SecretKey::generate(&data, 10, &L2, PivotSelection::Random, 12);
     let cfg = config(10, RoutingStrategy::Distances);
 
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         key.clone(),
         L2,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(13);
     let mut plain = PlainMIndex::new(cfg, key.pivots().to_vec(), L2, MemoryStore::new()).unwrap();
 
@@ -126,14 +125,14 @@ fn encrypted_knn_matches_plain_mindex_candidates() {
 fn encrypted_precise_knn_is_exact() {
     let data = random_data(250, 3, 21);
     let (key, _) = SecretKey::generate(&data, 6, &L2, PivotSelection::Random, 22);
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         key,
         L2,
-        config(6, RoutingStrategy::Distances),
-        MemoryStore::new(),
+        InProcessTransport::new(
+            CloudServer::new(config(6, RoutingStrategy::Distances), MemoryStore::new()).unwrap(),
+        ),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(23);
     let objs: Vec<(ObjectId, Vector)> = data
         .iter()
@@ -167,17 +166,20 @@ fn encrypted_precise_knn_is_exact() {
 fn loaded_cloud(
     n: usize,
     seed: u64,
-) -> (Vec<Vector>, simcloud_core::InProcessCloud<L2, MemoryStore>) {
+) -> (
+    Vec<Vector>,
+    EncryptedClient<L2, InProcessTransport<CloudServer<MemoryStore>>>,
+) {
     let data = random_data(n, 3, seed);
     let (key, _) = SecretKey::generate(&data, 6, &L2, PivotSelection::Random, seed + 1);
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         key,
         L2,
-        config(6, RoutingStrategy::Distances),
-        MemoryStore::new(),
+        InProcessTransport::new(
+            CloudServer::new(config(6, RoutingStrategy::Distances), MemoryStore::new()).unwrap(),
+        ),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(seed + 2);
     let objs: Vec<(ObjectId, Vector)> = data
         .iter()
@@ -229,14 +231,14 @@ fn oversized_cand_size_is_refused_not_wrapped() {
 fn permutation_strategy_full_candidates_reach_full_recall() {
     let data = random_data(200, 4, 31);
     let (key, _) = SecretKey::generate(&data, 8, &L2, PivotSelection::Random, 32);
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         key,
         L2,
-        config(8, RoutingStrategy::Permutation),
-        MemoryStore::new(),
+        InProcessTransport::new(
+            CloudServer::new(config(8, RoutingStrategy::Permutation), MemoryStore::new()).unwrap(),
+        ),
         ClientConfig::permutations(),
     )
-    .unwrap()
     .with_rng_seed(33);
     let objs: Vec<(ObjectId, Vector)> = data
         .iter()
@@ -279,23 +281,19 @@ fn transformed_distances_stay_exact_with_larger_candidates() {
     let transform = DistanceTransform::from_seed(99, 40.0, 6);
     let cfg = config(8, RoutingStrategy::Distances);
 
-    let mut enc_plainrt = in_process(
+    let mut enc_plainrt = EncryptedClient::new(
         key.clone(),
         L2,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(43);
-    let mut enc_transformed = in_process(
+    let mut enc_transformed = EncryptedClient::new(
         key.clone(),
         L2,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances().with_transform(transform),
     )
-    .unwrap()
     .with_rng_seed(44);
 
     let objs: Vec<(ObjectId, Vector)> = data
@@ -332,14 +330,12 @@ fn unauthorized_client_gets_garbage() {
     let data = random_data(150, 4, 51);
     let (owner_key, _) = SecretKey::generate(&data, 6, &L2, PivotSelection::Random, 52);
     let cfg = config(6, RoutingStrategy::Distances);
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         owner_key.clone(),
         L2,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(53);
     let objs: Vec<(ObjectId, Vector)> = data
         .iter()
@@ -365,14 +361,12 @@ fn unauthorized_client_gets_garbage() {
     use simcloud_transport::SharedRequestHandler;
     let probe = simcloud_core::CloudServer::new(cfg, MemoryStore::new()).unwrap();
     // fill the probe server with owner-sealed entries
-    let mut owner_cloud = in_process(
+    let mut owner_cloud = EncryptedClient::new(
         owner_key.clone(),
         L2,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(55);
     owner_cloud.insert_bulk(&objs).unwrap();
     // copy entries through the protocol (as a compromised-server attacker

@@ -11,12 +11,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::{
-    client_for, ClientConfig, CloudServer, LazyRefine, Neighbor, SecretKey, ServerConfig,
-    SharedCloud,
+    ClientConfig, CloudServer, EncryptedClient, LazyRefine, Neighbor, SecretKey, ServerConfig,
 };
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
 use simcloud_storage::MemoryStore;
+use simcloud_transport::InProcessTransport;
 
 /// Random data with deliberate duplicates: every fourth point is a copy of
 /// an earlier one, so k-th-distance ties are common, exercising the strict
@@ -77,7 +77,13 @@ fn build_with(
         RoutingStrategy::Distances => ClientConfig::distances(),
         RoutingStrategy::Permutation => ClientConfig::permutations(),
     };
-    let mut owner = client_for(key.clone(), L2, Arc::clone(&server), base).with_rng_seed(seed ^ 1);
+    let mut owner = EncryptedClient::new(
+        key.clone(),
+        L2,
+        InProcessTransport::new(Arc::clone(&server)),
+        base,
+    )
+    .with_rng_seed(seed ^ 1);
     let objects: Vec<(ObjectId, Vector)> = data
         .iter()
         .enumerate()
@@ -91,8 +97,14 @@ fn client(
     dep: &Deployment,
     config: ClientConfig,
     seed: u64,
-) -> SharedCloud<L2, CloudServer<MemoryStore>> {
-    client_for(dep.key.clone(), L2, Arc::clone(&dep.server), config).with_rng_seed(seed)
+) -> EncryptedClient<L2, InProcessTransport<Arc<CloudServer<MemoryStore>>>> {
+    EncryptedClient::new(
+        dep.key.clone(),
+        L2,
+        InProcessTransport::new(Arc::clone(&dep.server)),
+        config,
+    )
+    .with_rng_seed(seed)
 }
 
 /// Bit-exact comparison: same ids in the same order, same distance bits.

@@ -1,6 +1,6 @@
 //! Ops surface over real TCP: `Health` and `MetricsSnapshot` must be
-//! answered by the single and the sharded server (and by whatever
-//! `over_tcp` starts) while an insert holds the index write lock — the whole point of serving them from pre-aggregated
+//! answered by the single and the sharded server while an insert holds
+//! the index write lock — the whole point of serving them from pre-aggregated
 //! atomics. A store whose `append` blocks on a condvar pins the write
 //! lock mid-insert; probe clients carry a short read timeout so a
 //! regression fails as `TimedOut` instead of hanging the suite. Also
@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response, PROTOCOL_VERSION};
 use simcloud_core::{
-    client_for, ClientConfig, CloudServer, SecretKey, ServerConfig, ServerEngine, ServerTelemetry,
-    SLOW_LOG_CAPACITY,
+    ClientConfig, CloudServer, EncryptedClient, SecretKey, ServerConfig, ServerEngine,
+    ServerTelemetry, SLOW_LOG_CAPACITY,
 };
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{IndexEntry, MIndex, MIndexConfig, Routing, RoutingStrategy};
@@ -26,7 +26,8 @@ use simcloud_storage::{
 };
 use simcloud_telemetry::Registry;
 use simcloud_transport::{
-    serve_tcp_shared, RetryPolicy, SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
+    serve_tcp_shared, InProcessTransport, RetryPolicy, SharedRequestHandler, TcpClientConfig,
+    TcpTransport, Transport,
 };
 
 /// `request`'s answer, through the byte path every server answers on.
@@ -263,10 +264,11 @@ fn single_server_answers_ops_requests_during_blocked_insert() {
     handle.shutdown();
 }
 
-/// `over_tcp` serves through the shared-read path too: the first
-/// connection (the client `over_tcp` returns) is stuck mid-insert inside
-/// the store, and a `Health` on a second connection still answers — a
-/// handler mutex in front of the server would make this probe time out.
+/// An encrypted client's connection goes through the shared-read path
+/// too: the first connection (the owner's `EncryptedClient`) is stuck
+/// mid-insert inside the store, and a `Health` on a second connection still
+/// answers — a handler mutex in front of the server would make this probe
+/// time out.
 #[test]
 fn over_tcp_server_answers_health_on_a_second_connection_during_blocked_insert() {
     let gate = Arc::new(Gate::default());
@@ -274,14 +276,14 @@ fn over_tcp_server_answers_health_on_a_second_connection_during_blocked_insert()
         .map(|i| Vector::new(vec![i as f32, (i % 5) as f32, 1.0]))
         .collect();
     let (key, _) = SecretKey::generate(&vectors, 4, &L2, PivotSelection::Random, 3);
-    let (mut client, handle) = simcloud_core::over_tcp(
+    let server = CloudServer::new(config(4), SlowStore::gated(Arc::clone(&gate))).unwrap();
+    let handle = serve_tcp_shared(Arc::new(server)).unwrap();
+    let mut client = EncryptedClient::new(
         key,
         L2,
-        config(4),
-        SlowStore::gated(Arc::clone(&gate)),
+        TcpTransport::connect(handle.addr()).unwrap(),
         ClientConfig::distances(),
-    )
-    .unwrap();
+    );
     let objects: Vec<(ObjectId, Vector)> = vectors
         .iter()
         .enumerate()
@@ -416,7 +418,12 @@ fn slow_query_log_captures_a_slow_knn_with_phases() {
         .enumerate()
         .map(|(i, v)| (ObjectId(i as u64), v.clone()))
         .collect();
-    let mut client = client_for(key, L2, Arc::clone(&server), ClientConfig::distances());
+    let mut client = EncryptedClient::new(
+        key,
+        L2,
+        InProcessTransport::new(Arc::clone(&server)),
+        ClientConfig::distances(),
+    );
     client.insert_bulk(&objects).unwrap();
     let (res, _) = client.knn_approx(&vectors[3], 3, 12).unwrap();
     assert_eq!(res[0].0, ObjectId(3));

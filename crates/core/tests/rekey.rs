@@ -4,10 +4,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simcloud_core::{in_process, ClientConfig, SecretKey};
+use simcloud_core::{ClientConfig, CloudServer, EncryptedClient, SecretKey};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
 use simcloud_storage::MemoryStore;
+use simcloud_transport::InProcessTransport;
 
 fn data(n: usize, seed: u64) -> Vec<Vector> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -26,14 +27,12 @@ fn rekey_revokes_old_key_and_preserves_answers() {
         strategy: RoutingStrategy::Distances,
     };
     let (old_key, _) = SecretKey::generate(&data, 6, &L2, PivotSelection::Random, 2);
-    let mut old_cloud = in_process(
+    let mut old_cloud = EncryptedClient::new(
         old_key.clone(),
         L2,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(3);
     let objects: Vec<(ObjectId, Vector)> = data
         .iter()
@@ -51,14 +50,12 @@ fn rekey_revokes_old_key_and_preserves_answers() {
 
     // Rotate: fresh key (same pivots, new cipher), fresh server.
     let (new_key, new_master) = SecretKey::generate(&data, 6, &L2, PivotSelection::Random, 99);
-    let mut new_cloud = in_process(
+    let mut new_cloud = EncryptedClient::new(
         new_key.clone(),
         L2,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(4);
     old_cloud.rekey_into(&mut new_cloud, 64).unwrap();
 

@@ -26,10 +26,11 @@
 //!   or [`PivotRouter`] (nearest global pivot — a coarse Voronoi partition
 //!   of the metric space, cf. distributed metric indexes like DIMS).
 //!
-//! Only construction has sharded helpers ([`sharded_in_process`],
-//! [`over_tcp_sharded`], [`memory_stores`]); clients attach and servers
-//! are exposed with the same `simcloud_core::client_for` / `connect_tcp` /
-//! `simcloud_transport::serve_tcp_shared` as a single server.
+//! Only the server's constructor differs from a single server's
+//! (`ShardedCloudServer::new(config, router, stores)`): clients attach
+//! with the same `EncryptedClient::new` over an `InProcessTransport` or a
+//! `TcpTransport`, and the server is exposed with the same
+//! `simcloud_transport::serve_tcp_shared`.
 //!
 //! **Exactness.** Range queries return byte-identical answers to a single
 //! index: each true result lives in exactly one shard and survives that
@@ -44,14 +45,12 @@
 
 #![warn(missing_docs)]
 
-pub mod deploy;
 pub mod index;
 pub mod merge;
 pub mod router;
 pub mod server;
 pub mod telemetry;
 
-pub use deploy::{memory_stores, over_tcp_sharded, sharded_in_process, ShardedInProcessCloud};
 pub use index::ShardedMIndex;
 pub use router::{HashRouter, PivotRouter, ShardRouter};
 pub use server::ShardedCloudServer;

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{KnnQuery, Request, Response, MAX_CANDIDATE_HEADERS};
 use simcloud_core::{evaluator_for, stage_candidates, CloudServer, SearchIndex, ServerConfig};
 use simcloud_mindex::{knn_cap, IndexEntry, MIndexConfig, Routing, RoutingStrategy};
-use simcloud_shard::{memory_stores, HashRouter, ShardedCloudServer};
+use simcloud_shard::{HashRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::SharedRequestHandler;
 
@@ -84,7 +84,7 @@ fn deploy(n: usize, seed: u64, budget: Option<usize>) -> Deployments {
         config(),
         server_config,
         Box::new(HashRouter),
-        memory_stores(4),
+        (0..4).map(|_| MemoryStore::new()).collect(),
     )
     .unwrap();
     let insert = Request::Insert(entries(n, seed));
@@ -243,7 +243,7 @@ fn one_shard_case(
         config(),
         server_config,
         Box::new(HashRouter),
-        memory_stores(1),
+        vec![MemoryStore::new()],
     )
     .unwrap();
     let mut rng = StdRng::seed_from_u64(seed ^ 13);

@@ -22,7 +22,7 @@ use simcloud_core::protocol::{Request, Response};
 use simcloud_core::CloudServer;
 use simcloud_metric::permutation_from_distances;
 use simcloud_mindex::{IndexEntry, MIndex, MIndexConfig, MIndexError, Routing, RoutingStrategy};
-use simcloud_shard::{memory_stores, HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
+use simcloud_shard::{HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
 use simcloud_storage::{BucketId, BucketStore, MemoryStore};
 use simcloud_transport::SharedRequestHandler;
 
@@ -173,7 +173,12 @@ impl Deployment {
                 Deployment::Single(CloudServer::new(config, MemoryStore::new()).unwrap())
             }
             _ => Deployment::Sharded(
-                ShardedCloudServer::new(config, placement.router(), memory_stores(SHARDS)).unwrap(),
+                ShardedCloudServer::new(
+                    config,
+                    placement.router(),
+                    (0..SHARDS).map(|_| MemoryStore::new()).collect(),
+                )
+                .unwrap(),
             ),
         }
     }

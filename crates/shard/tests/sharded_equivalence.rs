@@ -20,12 +20,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::{
-    client_for, ClientConfig, CloudServer, Neighbor, SecretKey, ServerConfig, SharedCloud,
+    ClientConfig, CloudServer, EncryptedClient, Neighbor, SecretKey, ServerConfig,
 };
 use simcloud_metric::{Metric, ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
-use simcloud_shard::{memory_stores, HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
+use simcloud_shard::{HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
+use simcloud_transport::InProcessTransport;
 
 /// Random data with deliberate duplicates so k-th-distance ties are common
 /// (the early exit's strict comparison and the merge's tie-breaking both
@@ -75,26 +76,31 @@ fn build_twins(
     let single =
         Arc::new(CloudServer::with_config(config, server_config, MemoryStore::new()).unwrap());
     let sharded = Arc::new(
-        ShardedCloudServer::with_config(config, server_config, router, memory_stores(shards))
-            .unwrap(),
+        ShardedCloudServer::with_config(
+            config,
+            server_config,
+            router,
+            (0..shards).map(|_| MemoryStore::new()).collect(),
+        )
+        .unwrap(),
     );
     let objects: Vec<(ObjectId, Vector)> = data
         .iter()
         .enumerate()
         .map(|(i, v)| (ObjectId(i as u64), v.clone()))
         .collect();
-    let mut owner_single = client_for(
+    let mut owner_single = EncryptedClient::new(
         key.clone(),
         L2,
-        Arc::clone(&single),
+        InProcessTransport::new(Arc::clone(&single)),
         ClientConfig::distances(),
     )
     .with_rng_seed(seed ^ 1);
     owner_single.insert_bulk(&objects).unwrap();
-    let mut owner_sharded = client_for(
+    let mut owner_sharded = EncryptedClient::new(
         key.clone(),
         L2,
-        Arc::clone(&sharded),
+        InProcessTransport::new(Arc::clone(&sharded)),
         ClientConfig::distances(),
     )
     .with_rng_seed(seed ^ 1);
@@ -107,21 +113,27 @@ fn build_twins(
     }
 }
 
-fn single_client(t: &Twins, seed: u64) -> SharedCloud<L2, CloudServer<MemoryStore>> {
-    client_for(
+fn single_client(
+    t: &Twins,
+    seed: u64,
+) -> EncryptedClient<L2, InProcessTransport<Arc<CloudServer<MemoryStore>>>> {
+    EncryptedClient::new(
         t.key.clone(),
         L2,
-        Arc::clone(&t.single),
+        InProcessTransport::new(Arc::clone(&t.single)),
         ClientConfig::distances(),
     )
     .with_rng_seed(seed)
 }
 
-fn sharded_client(t: &Twins, seed: u64) -> SharedCloud<L2, ShardedCloudServer<MemoryStore>> {
-    client_for(
+fn sharded_client(
+    t: &Twins,
+    seed: u64,
+) -> EncryptedClient<L2, InProcessTransport<Arc<ShardedCloudServer<MemoryStore>>>> {
+    EncryptedClient::new(
         t.key.clone(),
         L2,
-        Arc::clone(&t.sharded),
+        InProcessTransport::new(Arc::clone(&t.sharded)),
         ClientConfig::distances(),
     )
     .with_rng_seed(seed)
@@ -318,8 +330,13 @@ fn export_all_and_rekey_from_sharded() {
         )
         .unwrap(),
     );
-    let mut new_owner =
-        client_for(new_key, L2, Arc::clone(&fresh), ClientConfig::distances()).with_rng_seed(5);
+    let mut new_owner = EncryptedClient::new(
+        new_key,
+        L2,
+        InProcessTransport::new(Arc::clone(&fresh)),
+        ClientConfig::distances(),
+    )
+    .with_rng_seed(5);
     owner.rekey_into(&mut new_owner, 16).unwrap();
     let (back, _) = new_owner.export_all().unwrap();
     assert_eq!(back.len(), t.data.len());

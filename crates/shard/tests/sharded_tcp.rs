@@ -6,11 +6,12 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simcloud_core::{connect_tcp, ClientConfig, SecretKey};
+use simcloud_core::{ClientConfig, EncryptedClient, SecretKey};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
-use simcloud_shard::{memory_stores, over_tcp_sharded, HashRouter, ShardedCloudServer};
-use simcloud_transport::serve_tcp_shared;
+use simcloud_shard::{HashRouter, ShardedCloudServer};
+use simcloud_storage::MemoryStore;
+use simcloud_transport::{serve_tcp_shared, TcpTransport};
 
 fn data(n: usize, dim: usize, seed: u64) -> Vec<Vector> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -32,15 +33,15 @@ fn config(pivots: usize) -> MIndexConfig {
 fn sharded_over_tcp_round_trip() {
     let vectors = data(60, 3, 42);
     let (key, _) = SecretKey::generate(&vectors, 4, &L2, PivotSelection::Random, 7);
-    let (mut client, handle) = over_tcp_sharded(
+    let stores = (0..4).map(|_| MemoryStore::new()).collect();
+    let server = ShardedCloudServer::new(config(4), Box::new(HashRouter), stores).unwrap();
+    let handle = serve_tcp_shared(Arc::new(server)).unwrap();
+    let mut client = EncryptedClient::new(
         key,
         L2,
-        config(4),
-        Box::new(HashRouter),
-        memory_stores(4),
+        TcpTransport::connect(handle.addr()).unwrap(),
         ClientConfig::distances(),
-    )
-    .unwrap();
+    );
     let objects: Vec<(ObjectId, Vector)> = vectors
         .iter()
         .enumerate()
@@ -67,13 +68,23 @@ fn concurrent_tcp_inserts_and_searches_against_shards() {
     let vectors = data(40, 3, 43);
     let (key, _) = SecretKey::generate(&vectors, 4, &L2, PivotSelection::Random, 11);
     let server = Arc::new(
-        ShardedCloudServer::new(config(4), Box::new(HashRouter), memory_stores(4)).unwrap(),
+        ShardedCloudServer::new(
+            config(4),
+            Box::new(HashRouter),
+            (0..4).map(|_| MemoryStore::new()).collect(),
+        )
+        .unwrap(),
     );
     let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
     let addr = handle.addr();
 
     // Seed the index so searches always have data.
-    let mut seeder = connect_tcp(key.clone(), L2, addr, ClientConfig::distances()).unwrap();
+    let mut seeder = EncryptedClient::new(
+        key.clone(),
+        L2,
+        TcpTransport::connect(addr).unwrap(),
+        ClientConfig::distances(),
+    );
     let objects: Vec<(ObjectId, Vector)> = vectors
         .iter()
         .enumerate()
@@ -86,7 +97,12 @@ fn concurrent_tcp_inserts_and_searches_against_shards() {
             let key = key.clone();
             let extra = data(25, 3, 100 + t);
             scope.spawn(move || {
-                let mut c = connect_tcp(key, L2, addr, ClientConfig::distances()).unwrap();
+                let mut c = EncryptedClient::new(
+                    key,
+                    L2,
+                    TcpTransport::connect(addr).unwrap(),
+                    ClientConfig::distances(),
+                );
                 for (i, v) in extra.iter().enumerate() {
                     let id = ObjectId(1000 + t * 1000 + i as u64);
                     c.insert(id, v).unwrap();
@@ -96,7 +112,12 @@ fn concurrent_tcp_inserts_and_searches_against_shards() {
         let key = key.clone();
         let q = vectors[3].clone();
         scope.spawn(move || {
-            let mut c = connect_tcp(key, L2, addr, ClientConfig::distances()).unwrap();
+            let mut c = EncryptedClient::new(
+                key,
+                L2,
+                TcpTransport::connect(addr).unwrap(),
+                ClientConfig::distances(),
+            );
             for _ in 0..30 {
                 let (res, _) = c.knn_approx(&q, 3, 20).unwrap();
                 assert!(!res.is_empty());
@@ -131,10 +152,20 @@ fn sharded_batch_with_malformed_subquery_over_tcp() {
     let vectors = data(30, 3, 44);
     let (key, _) = SecretKey::generate(&vectors, 4, &L2, PivotSelection::Random, 13);
     let server = Arc::new(
-        ShardedCloudServer::new(config(4), Box::new(HashRouter), memory_stores(3)).unwrap(),
+        ShardedCloudServer::new(
+            config(4),
+            Box::new(HashRouter),
+            (0..3).map(|_| MemoryStore::new()).collect(),
+        )
+        .unwrap(),
     );
     let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
-    let mut owner = connect_tcp(key, L2, handle.addr(), ClientConfig::distances()).unwrap();
+    let mut owner = EncryptedClient::new(
+        key,
+        L2,
+        TcpTransport::connect(handle.addr()).unwrap(),
+        ClientConfig::distances(),
+    );
     let objects: Vec<(ObjectId, Vector)> = vectors
         .iter()
         .enumerate()

@@ -212,20 +212,6 @@ impl DiskStore {
         Self::create_opts(path, DiskStoreOptions::default())
     }
 
-    /// Creates a new store with an explicit buffer-pool capacity in pages.
-    pub fn create_with_pool<P: AsRef<Path>>(
-        path: P,
-        pool_capacity: usize,
-    ) -> Result<Self, StorageError> {
-        Self::create_opts(
-            path,
-            DiskStoreOptions {
-                pool_pages: pool_capacity,
-                ..DiskStoreOptions::default()
-            },
-        )
-    }
-
     /// Creates a new store with explicit options.
     pub fn create_opts<P: AsRef<Path>>(
         path: P,
@@ -238,20 +224,6 @@ impl DiskStore {
     /// shutdown was unclean.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StorageError> {
         Self::open_opts(path, DiskStoreOptions::default())
-    }
-
-    /// Opens with an explicit buffer-pool capacity.
-    pub fn open_with_pool<P: AsRef<Path>>(
-        path: P,
-        pool_capacity: usize,
-    ) -> Result<Self, StorageError> {
-        Self::open_opts(
-            path,
-            DiskStoreOptions {
-                pool_pages: pool_capacity,
-                ..DiskStoreOptions::default()
-            },
-        )
     }
 
     /// Opens with explicit options.
@@ -1040,7 +1012,14 @@ mod tests {
     #[test]
     fn small_pool_still_correct() {
         let path = tmp("smallpool");
-        let mut s = DiskStore::create_with_pool(&path, 2).unwrap();
+        let mut s = DiskStore::create_opts(
+            &path,
+            DiskStoreOptions {
+                pool_pages: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         for b in 0..8u64 {
             for i in 0..10u64 {
                 s.append(BucketId(b), rec(b * 10 + i, 500)).unwrap();
@@ -1068,7 +1047,14 @@ mod tests {
     #[test]
     fn flush_trims_the_pool_back_to_capacity() {
         let path = tmp("trim");
-        let mut s = DiskStore::create_with_pool(&path, 8).unwrap();
+        let mut s = DiskStore::create_opts(
+            &path,
+            DiskStoreOptions {
+                pool_pages: 8,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         for b in 0..6u64 {
             for i in 0..20u64 {
                 s.append(BucketId(b), rec(b * 100 + i, 3500)).unwrap();

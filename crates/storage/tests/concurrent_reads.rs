@@ -19,7 +19,9 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_storage::pagefmt::PAGE_CAP;
-use simcloud_storage::{BucketId, BucketStore, DiskStore, FileEnv, IoStats, Record};
+use simcloud_storage::{
+    BucketId, BucketStore, DiskStore, DiskStoreOptions, FileEnv, IoStats, Record,
+};
 
 const THREADS: u64 = 4;
 const OPS_PER_THREAD: usize = 2_000;
@@ -53,7 +55,14 @@ struct Bucket {
 /// page and allocates new ones.
 fn build(path: &std::path::Path, pool: usize) -> (DiskStore, BTreeMap<u64, Bucket>) {
     let mut rng = StdRng::seed_from_u64(pool as u64);
-    let mut store = DiskStore::create_with_pool(path, pool).unwrap();
+    let mut store = DiskStore::create_opts(
+        path,
+        DiskStoreOptions {
+            pool_pages: pool,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let mut model = BTreeMap::new();
     let mut next_id = 0u64;
     for b in 0..BUCKETS {

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use simcloud_storage::{BucketId, BucketStore, DiskStore, Record};
+use simcloud_storage::{BucketId, BucketStore, DiskStore, DiskStoreOptions, Record};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -41,7 +41,8 @@ proptest! {
             std::process::id(),
             rand_suffix(&ops)
         ));
-        let mut store = DiskStore::create_with_pool(&path, pool).unwrap();
+        let opts = DiskStoreOptions { pool_pages: pool, ..Default::default() };
+        let mut store = DiskStore::create_opts(&path, opts).unwrap();
         let mut model: HashMap<BucketId, Vec<Record>> = HashMap::new();
         let mut next_id = 0u64;
 
@@ -79,7 +80,7 @@ proptest! {
                 Op::Reopen => {
                     store.flush().unwrap();
                     drop(store);
-                    store = DiskStore::open_with_pool(&path, pool).unwrap();
+                    store = DiskStore::open_opts(&path, opts).unwrap();
                 }
             }
             prop_assert_eq!(
@@ -104,9 +105,13 @@ proptest! {
 #[test]
 fn corrupted_file_errors_instead_of_panicking() {
     let path = std::env::temp_dir().join(format!("simcloud-corrupt-{}.db", std::process::id(),));
+    let opts = DiskStoreOptions {
+        pool_pages: 4,
+        ..Default::default()
+    };
     // Build a store with a few pages of real data, flushed to disk.
     {
-        let mut store = DiskStore::create_with_pool(&path, 4).unwrap();
+        let mut store = DiskStore::create_opts(&path, opts).unwrap();
         for i in 0..40u64 {
             let body: Vec<u8> = (0..200u16)
                 .map(|j| ((i + u64::from(j)) % 256) as u8)
@@ -122,7 +127,7 @@ fn corrupted_file_errors_instead_of_panicking() {
     // header parse or directory/chain walk must return an error.
     for keep in [0usize, 7, 24, 4095, 4096, 4097, full.len() / 2] {
         std::fs::write(&path, &full[..keep.min(full.len())]).unwrap();
-        match DiskStore::open_with_pool(&path, 4) {
+        match DiskStore::open_opts(&path, opts) {
             Err(_) => {}
             Ok(reopened) => {
                 // A truncated tail can leave the header intact; the damage
@@ -140,7 +145,7 @@ fn corrupted_file_errors_instead_of_panicking() {
         bytes[off] ^= 0xff;
         bytes[off + 1] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        if let Ok(reopened) = DiskStore::open_with_pool(&path, 4) {
+        if let Ok(reopened) = DiskStore::open_opts(&path, opts) {
             for b in 0..3u64 {
                 let _ = reopened.read_bucket(BucketId(b));
             }

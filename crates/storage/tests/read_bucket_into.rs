@@ -14,7 +14,8 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use simcloud_storage::{
-    BucketId, BucketStore, DiskStore, FileEnv, IoStats, MemoryStore, Record, StorageError,
+    BucketId, BucketStore, DiskStore, DiskStoreOptions, FileEnv, IoStats, MemoryStore, Record,
+    StorageError,
 };
 
 /// A store written against the trait as it was before the borrowed and
@@ -115,7 +116,16 @@ fn disk_store_bulk_read_equals_read_under_small_and_roomy_pools() {
             "simcloud-bulk-read-{pool}-{}.db",
             std::process::id()
         ));
-        into_equals_read(DiskStore::create_with_pool(&path, pool).unwrap());
+        into_equals_read(
+            DiskStore::create_opts(
+                &path,
+                DiskStoreOptions {
+                    pool_pages: pool,
+                    ..Default::default()
+                },
+            )
+            .unwrap(),
+        );
         FileEnv::remove_sidecars(&path);
         let _ = std::fs::remove_file(&path);
     }

@@ -7,7 +7,8 @@
 //! implements only the required methods and so inherits the provided body.
 
 use simcloud_storage::{
-    BucketId, BucketStore, DiskStore, FileEnv, IoStats, MemoryStore, Record, StorageError,
+    BucketId, BucketStore, DiskStore, DiskStoreOptions, FileEnv, IoStats, MemoryStore, Record,
+    StorageError,
 };
 
 /// A store written against the trait as it was before `scan_bucket`
@@ -96,7 +97,16 @@ fn provided_scan_equals_read_for_a_read_bucket_only_store() {
 #[test]
 fn disk_store_scan_equals_read() {
     let path = std::env::temp_dir().join(format!("simcloud-scan-{}.db", std::process::id()));
-    scan_equals_read(DiskStore::create_with_pool(&path, 4).unwrap());
+    scan_equals_read(
+        DiskStore::create_opts(
+            &path,
+            DiskStoreOptions {
+                pool_pages: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap(),
+    );
     FileEnv::remove_sidecars(&path);
     let _ = std::fs::remove_file(&path);
 }

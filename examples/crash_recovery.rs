@@ -35,11 +35,11 @@ fn owner_setup() -> (Vec<Vector>, SecretKey, MIndexConfig) {
 fn run_child(store_path: &std::path::Path) {
     let (data, key, cfg) = owner_setup();
     let store = DiskStore::create(store_path).expect("create store");
-    let server = std::sync::Arc::new(simcloud::core::CloudServer::new(cfg, store).expect("server"));
-    let mut cloud = simcloud::core::client_for(
+    let server = std::sync::Arc::new(CloudServer::new(cfg, store).expect("server"));
+    let mut cloud = EncryptedClient::new(
         key,
         L1,
-        std::sync::Arc::clone(&server),
+        InProcessTransport::new(std::sync::Arc::clone(&server)),
         ClientConfig::distances(),
     );
 
@@ -107,15 +107,15 @@ fn main() {
 
     // The restarted server keeps the configuration it ran with (the child
     // used the default: no inline budget).
-    let mut cloud = simcloud::core::in_process_rebuilt(
+    let mut cloud = EncryptedClient::new(
         key,
         L1,
-        cfg,
-        simcloud::core::ServerConfig::default(),
-        store,
+        InProcessTransport::new(
+            CloudServer::rebuilt(cfg, simcloud::core::ServerConfig::default(), store)
+                .expect("rebuild index from recovered records"),
+        ),
         ClientConfig::distances(),
-    )
-    .expect("rebuild index from recovered records");
+    );
     let (entries, leaves, depth) = cloud.server_info().expect("info");
     let committed = (CRASH_AT_BATCH / FLUSH_EVERY) * FLUSH_EVERY * BATCH;
     println!(

@@ -24,14 +24,12 @@ fn main() {
     let (key, _master) = SecretKey::generate(data, 50, &L1, PivotSelection::Random, 99);
     let mut cfg = MIndexConfig::human();
     cfg.num_pivots = 50;
-    let mut cloud = simcloud::core::in_process(
+    let mut cloud = EncryptedClient::new(
         key.clone(),
         L1,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
         ClientConfig::distances(),
-    )
-    .expect("config");
+    );
 
     let objects: Vec<(ObjectId, Vector)> = data
         .iter()

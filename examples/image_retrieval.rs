@@ -29,14 +29,12 @@ fn main() {
     let store_path =
         std::env::temp_dir().join(format!("simcloud-images-{}.db", std::process::id()));
     let store = DiskStore::create(&store_path).expect("disk store");
-    let mut cloud = simcloud::core::in_process(
+    let mut cloud = EncryptedClient::new(
         key,
         metric.clone(),
-        MIndexConfig::cophir(),
-        store,
+        InProcessTransport::new(CloudServer::new(MIndexConfig::cophir(), store).expect("config")),
         ClientConfig::distances(),
-    )
-    .expect("config");
+    );
 
     println!(
         "indexing {n} image descriptors (this computes 100 distances per image on the client)…"

@@ -23,10 +23,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use simcloud::core::connect_tcp;
 use simcloud::core::protocol::{Request, Response};
 use simcloud::prelude::*;
-use simcloud::transport::{serve_tcp_shared, TcpTransport, Transport};
+use simcloud::transport::Transport;
 
 /// Keyless monitoring connection: short deadlines, no retries — an ops
 /// probe should report "down" fast, not mask an outage by retrying.
@@ -94,7 +93,12 @@ fn main() {
     cfg.num_pivots = 30;
 
     let server = Arc::new(
-        ShardedCloudServer::new(cfg, Box::new(HashRouter), memory_stores(2)).expect("valid config"),
+        ShardedCloudServer::new(
+            cfg,
+            Box::new(HashRouter),
+            (0..2).map(|_| MemoryStore::new()).collect(),
+        )
+        .expect("valid config"),
     );
     let handle = serve_tcp_shared(Arc::clone(&server)).expect("tcp server");
     let addr = handle.addr();
@@ -106,9 +110,13 @@ fn main() {
     let owner_done = Arc::clone(&done);
     let owner_data = data.clone();
     let owner = std::thread::spawn(move || {
-        let mut client = connect_tcp(key, L1, addr, ClientConfig::distances())
-            .expect("owner connect")
-            .with_rng_seed(4);
+        let mut client = EncryptedClient::new(
+            key,
+            L1,
+            TcpTransport::connect(addr).expect("owner connect"),
+            ClientConfig::distances(),
+        )
+        .with_rng_seed(4);
         let objects: Vec<(ObjectId, Vector)> = owner_data
             .iter()
             .cloned()

@@ -67,9 +67,12 @@ fn main() {
     // ---- Level 3: the Encrypted M-Index ------------------------------------
     {
         let (key, _) = SecretKey::generate(data, 30, &L1, PivotSelection::Random, 2);
-        let mut cloud =
-            simcloud::core::in_process(key, L1, cfg, MemoryStore::new(), ClientConfig::distances())
-                .expect("config");
+        let mut cloud = EncryptedClient::new(
+            key,
+            L1,
+            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
+            ClientConfig::distances(),
+        );
         for chunk in objects.chunks(1000) {
             cloud.insert_bulk(chunk).expect("insert");
         }
@@ -95,14 +98,12 @@ fn main() {
             "  transform   : piecewise-linear, slopes in [0.5, 2.0], inflation ≤ {:.1}x",
             transform.inflation_bound()
         );
-        let mut cloud = simcloud::core::in_process(
+        let mut cloud = EncryptedClient::new(
             key,
             L1,
-            cfg,
-            MemoryStore::new(),
+            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
             ClientConfig::distances().with_transform(transform),
-        )
-        .expect("config");
+        );
         for chunk in objects.chunks(1000) {
             cloud.insert_bulk(chunk).expect("insert");
         }

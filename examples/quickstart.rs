@@ -28,13 +28,18 @@ fn main() {
     );
 
     // --- Deploy the similarity cloud ---------------------------------------
-    // In-process server with a modelled loopback network; `over_tcp` gives
-    // the real two-process deployment instead.
+    // In-process server with a modelled loopback network; a `TcpTransport`
+    // to a `serve_tcp_shared` server gives the real two-process deployment.
     let mut cfg = MIndexConfig::yeast();
     cfg.num_pivots = 30;
-    let mut cloud =
-        simcloud::core::in_process(key, L1, cfg, MemoryStore::new(), ClientConfig::distances())
-            .expect("valid configuration");
+    let mut cloud = EncryptedClient::new(
+        key,
+        L1,
+        InProcessTransport::new(
+            CloudServer::new(cfg, MemoryStore::new()).expect("valid configuration"),
+        ),
+        ClientConfig::distances(),
+    );
 
     // --- Construction phase (Alg. 1, Fig. 4) -------------------------------
     // Client computes object-pivot distances, encrypts each object, ships

@@ -17,10 +17,7 @@
 
 use std::sync::Arc;
 
-use simcloud::core::{connect_tcp, CloudServer};
 use simcloud::prelude::*;
-use simcloud::shard::memory_stores;
-use simcloud::transport::serve_tcp_shared;
 
 fn main() {
     let dataset = simcloud::datasets::yeast_like(17, Some(1200));
@@ -31,7 +28,12 @@ fn main() {
 
     // The sharded similarity cloud: 4 shards, each its own store + lock.
     let sharded = Arc::new(
-        ShardedCloudServer::new(cfg, Box::new(HashRouter), memory_stores(4)).expect("valid config"),
+        ShardedCloudServer::new(
+            cfg,
+            Box::new(HashRouter),
+            (0..4).map(|_| MemoryStore::new()).collect(),
+        )
+        .expect("valid config"),
     );
     let handle = serve_tcp_shared(Arc::clone(&sharded)).expect("tcp server");
     println!(
@@ -53,9 +55,13 @@ fn main() {
         for c in 0..4usize {
             let key = key.clone();
             scope.spawn(move || {
-                let mut owner = connect_tcp(key, L1, addr, ClientConfig::distances())
-                    .expect("connect")
-                    .with_rng_seed(4 + c as u64);
+                let mut owner = EncryptedClient::new(
+                    key,
+                    L1,
+                    TcpTransport::connect(addr).expect("connect"),
+                    ClientConfig::distances(),
+                )
+                .with_rng_seed(4 + c as u64);
                 let objects: Vec<(ObjectId, Vector)> = data[c * quarter..(c + 1) * quarter]
                     .iter()
                     .cloned()
@@ -75,13 +81,12 @@ fn main() {
     }
 
     // Build the single-index twin (one connection suffices).
-    let mut single_owner = connect_tcp(
+    let mut single_owner = EncryptedClient::new(
         key.clone(),
         L1,
-        single_handle.addr(),
+        TcpTransport::connect(single_handle.addr()).expect("connect"),
         ClientConfig::distances(),
     )
-    .expect("connect")
     .with_rng_seed(9);
     let objects: Vec<(ObjectId, Vector)> = data[..quarter * 4]
         .iter()
@@ -97,9 +102,13 @@ fn main() {
     // byte-for-byte against the single-index answer (collection-covering
     // candidate budget = the provably-identical regime).
     println!("\n— 30-NN through the unmodified client, sharded vs single —");
-    let mut sharded_client = connect_tcp(key.clone(), L1, addr, ClientConfig::distances())
-        .expect("connect")
-        .with_rng_seed(11);
+    let mut sharded_client = EncryptedClient::new(
+        key.clone(),
+        L1,
+        TcpTransport::connect(addr).expect("connect"),
+        ClientConfig::distances(),
+    )
+    .with_rng_seed(11);
     let n = quarter * 4;
     let mut identical = 0;
     for qi in 0..10 {

@@ -18,7 +18,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use simcloud::core::{connect_tcp, connect_tcp_with, CloudServer};
 use simcloud::prelude::*;
 use simcloud::transport::{serve_tcp_shared_with, Transport};
 
@@ -62,14 +61,12 @@ fn main() {
         retry: RetryPolicy::default(),
         ..TcpClientConfig::default()
     };
-    let mut owner = connect_tcp_with(
+    let mut owner = EncryptedClient::new(
         key.clone(),
         L1,
-        handle.addr(),
+        TcpTransport::connect_with(handle.addr(), tcp_config).expect("connect"),
         ClientConfig::distances(),
-        tcp_config,
     )
-    .expect("connect")
     .with_rng_seed(4);
     let objects: Vec<(ObjectId, Vector)> = data
         .iter()
@@ -92,9 +89,13 @@ fn main() {
         for c in 0..3usize {
             let key = key.clone();
             scope.spawn(move || {
-                let mut client = connect_tcp(key, L1, addr, ClientConfig::distances())
-                    .expect("connect")
-                    .with_rng_seed(5 + c as u64);
+                let mut client = EncryptedClient::new(
+                    key,
+                    L1,
+                    TcpTransport::connect(addr).expect("connect"),
+                    ClientConfig::distances(),
+                )
+                .with_rng_seed(5 + c as u64);
                 let mut total = CostReport::default();
                 for qi in 0..10 {
                     let (_, costs) = client

@@ -17,9 +17,9 @@
 //! let (key, _master) = SecretKey::generate(&data, 30, &L1, PivotSelection::Random, 42);
 //!
 //! // Deploy an in-process similarity cloud and outsource the collection.
-//! let mut cloud = simcloud::core::in_process(
-//!     key, L1, MIndexConfig::yeast(), MemoryStore::new(), ClientConfig::distances(),
-//! ).unwrap();
+//! let server = CloudServer::new(MIndexConfig::yeast(), MemoryStore::new()).unwrap();
+//! let mut cloud =
+//!     EncryptedClient::new(key, L1, InProcessTransport::new(server), ClientConfig::distances());
 //! let objects: Vec<(ObjectId, Vector)> = data.iter().cloned().enumerate()
 //!     .map(|(i, v)| (ObjectId(i as u64), v)).collect();
 //! cloud.insert_bulk(&objects).unwrap();
@@ -63,18 +63,19 @@ pub use simcloud_datasets as datasets;
 /// Convenience prelude with the most common types.
 pub mod prelude {
     pub use simcloud_core::{
-        client_for, connect_tcp_with, in_process, over_tcp, ClientConfig, ClientError, CostReport,
-        DistanceTransform, EncryptedClient, SecretKey,
+        ClientConfig, ClientError, CloudServer, CostReport, DistanceTransform, EncryptedClient,
+        SecretKey,
     };
     pub use simcloud_metric::{
         CombinedMetric, Lp, Metric, ObjectId, PivotSelection, Vector, L1, L2,
     };
     pub use simcloud_mindex::{recall, MIndexConfig, PlainMIndex, RoutingStrategy};
-    pub use simcloud_shard::{
-        memory_stores, sharded_in_process, HashRouter, PivotRouter, ShardedCloudServer,
-    };
+    pub use simcloud_shard::{HashRouter, PivotRouter, ShardedCloudServer};
     pub use simcloud_storage::{DiskStore, DiskStoreOptions, MemoryStore};
-    pub use simcloud_transport::{RetryPolicy, ServeOptions, TcpClientConfig, TransportError};
+    pub use simcloud_transport::{
+        serve_tcp_shared, InProcessTransport, RetryPolicy, ServeOptions, TcpClientConfig,
+        TcpTransport, TransportError,
+    };
 }
 
 #[cfg(test)]
@@ -89,8 +90,12 @@ mod tests {
         let (key, _) = SecretKey::generate(&data, 4, &L2, PivotSelection::Random, 1);
         let mut cfg = MIndexConfig::yeast();
         cfg.num_pivots = 4;
-        let mut cloud =
-            in_process(key, L2, cfg, MemoryStore::new(), ClientConfig::distances()).unwrap();
+        let mut cloud = EncryptedClient::new(
+            key,
+            L2,
+            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
+            ClientConfig::distances(),
+        );
         let objects: Vec<(ObjectId, Vector)> = data
             .iter()
             .cloned()

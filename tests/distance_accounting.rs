@@ -42,14 +42,12 @@ fn run<M: Metric<Vector>>(metric: M, seen: Option<&AtomicU64>) -> Vec<Vec<(Objec
     let mut cfg = MIndexConfig::cophir();
     cfg.num_pivots = PIVOTS;
     cfg.bucket_capacity = 40;
-    let mut cloud = in_process(
+    let mut cloud = EncryptedClient::new(
         key,
         metric,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(1);
     let observed = || seen.map(|s| s.swap(0, Ordering::Relaxed));
 

@@ -22,18 +22,23 @@ fn tcp_and_in_process_deployments_agree() {
     let mut cfg = MIndexConfig::yeast();
     cfg.num_pivots = 10;
 
-    let mut local = simcloud::core::in_process(
+    let mut local = EncryptedClient::new(
         key.clone(),
         L1,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(5);
-    let (mut remote, server) =
-        simcloud::core::over_tcp(key, L1, cfg, MemoryStore::new(), ClientConfig::distances())
-            .unwrap();
+    let server = serve_tcp_shared(std::sync::Arc::new(
+        CloudServer::new(cfg, MemoryStore::new()).unwrap(),
+    ))
+    .unwrap();
+    let mut remote = EncryptedClient::new(
+        key,
+        L1,
+        TcpTransport::connect(server.addr()).unwrap(),
+        ClientConfig::distances(),
+    );
 
     let objs = objects(data);
     local.insert_bulk(&objs).unwrap();
@@ -96,18 +101,23 @@ fn total_costs_book_every_operation() {
     let (key, _) = SecretKey::generate(data, 8, &L1, PivotSelection::Random, 62);
     let mut cfg = MIndexConfig::yeast();
     cfg.num_pivots = 8;
-    let mut local = simcloud::core::in_process(
+    let mut local = EncryptedClient::new(
         key.clone(),
         L1,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
-    )
-    .unwrap();
+    );
     mix(&mut local, data);
-    let (mut remote, server) =
-        simcloud::core::over_tcp(key, L1, cfg, MemoryStore::new(), ClientConfig::distances())
-            .unwrap();
+    let server = serve_tcp_shared(std::sync::Arc::new(
+        CloudServer::new(cfg, MemoryStore::new()).unwrap(),
+    ))
+    .unwrap();
+    let mut remote = EncryptedClient::new(
+        key,
+        L1,
+        TcpTransport::connect(server.addr()).unwrap(),
+        ClientConfig::distances(),
+    );
     mix(&mut remote, data);
     drop(remote);
     server.shutdown();
@@ -124,9 +134,12 @@ fn failed_operations_book_nothing() {
     let (key, _) = SecretKey::generate(data, 4, &L1, PivotSelection::Random, 72);
     let mut cfg = MIndexConfig::yeast();
     cfg.num_pivots = 4;
-    let mut client =
-        simcloud::core::in_process(key, L1, cfg, MemoryStore::new(), ClientConfig::distances())
-            .unwrap();
+    let mut client = EncryptedClient::new(
+        key,
+        L1,
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
+        ClientConfig::distances(),
+    );
     client.insert_bulk(&objects(data)).unwrap();
     let (total, requests) = (client.total_costs(), client.transport().stats().requests);
     let oversized = simcloud_core::protocol::MAX_CANDIDATE_HEADERS + 1;
@@ -151,15 +164,95 @@ fn disk_backed_cloud_survives_data_volume() {
     cfg.bucket_capacity = 100;
     let path = std::env::temp_dir().join(format!("simcloud-int-{}.db", std::process::id()));
     let store = DiskStore::create(&path).unwrap();
-    let mut cloud =
-        simcloud::core::in_process(key, metric.clone(), cfg, store, ClientConfig::distances())
-            .unwrap()
-            .with_rng_seed(11);
+    let mut cloud = EncryptedClient::new(
+        key,
+        metric.clone(),
+        InProcessTransport::new(CloudServer::new(cfg, store).unwrap()),
+        ClientConfig::distances(),
+    )
+    .with_rng_seed(11);
     cloud.insert_bulk(&objects(&dataset.vectors)).unwrap();
     let q = &dataset.vectors[5];
     let (res, _) = cloud.knn_approx(q, 10, 200).unwrap();
     assert_eq!(res[0].0, ObjectId(5));
     assert!(res[0].1.abs() < 1e-6);
+    simcloud::storage::FileEnv::remove_sidecars(&path);
+    let _ = std::fs::remove_file(path);
+}
+
+/// The restart path: a budgeted disk-backed server is flushed, dropped,
+/// reopened from its store file and rebuilt (`CloudServer::rebuilt`), and
+/// the same key then gets the same answers as before the restart — range,
+/// precise k-NN and collection-covering approximate k-NN, every distance
+/// included — with phase-2 fetches still running under the kept budget.
+#[test]
+fn restarted_disk_cloud_answers_as_before() {
+    let dataset = simcloud::datasets::yeast_like(31, Some(600));
+    let data = &dataset.vectors;
+    let n = data.len();
+    let (key, _) = SecretKey::generate(data, 20, &L1, PivotSelection::Random, 32);
+    let mut cfg = MIndexConfig::yeast();
+    cfg.num_pivots = 20;
+    cfg.bucket_capacity = 50;
+    let budget = simcloud::core::ServerConfig::budgeted(2048);
+    let path = std::env::temp_dir().join(format!("simcloud-restart-{}.db", std::process::id()));
+
+    /// Per query: range, precise 10-NN and collection-covering approximate
+    /// 10-NN answers; then the server's entry count and the summed costs.
+    fn answers<T: simcloud::transport::Transport>(
+        cloud: &mut EncryptedClient<L1, T>,
+        data: &[Vector],
+    ) -> (Vec<[Vec<simcloud::core::Neighbor>; 3]>, u64, CostReport) {
+        let n = data.len();
+        let mut costs = CostReport::default();
+        let mut out = Vec::new();
+        for qi in [3usize, 150, 420, 599] {
+            let q = &data[qi];
+            let radius = Metric::<Vector>::distance(&L1, q, &data[(qi + 7) % n]);
+            let (range, c) = cloud.range(q, radius).unwrap();
+            costs.merge(&c);
+            let (precise, c) = cloud.knn_precise(q, 10).unwrap();
+            costs.merge(&c);
+            let (approx, c) = cloud.knn_approx(q, 10, n).unwrap();
+            costs.merge(&c);
+            out.push([range, precise, approx]);
+        }
+        (out, cloud.server_info().unwrap().0, costs)
+    }
+
+    let server = std::sync::Arc::new(
+        CloudServer::with_config(cfg, budget, DiskStore::create(&path).unwrap()).unwrap(),
+    );
+    let mut cloud = EncryptedClient::new(
+        key.clone(),
+        L1,
+        InProcessTransport::new(std::sync::Arc::clone(&server)),
+        ClientConfig::distances(),
+    )
+    .with_rng_seed(33);
+    cloud.insert_bulk(&objects(data)).unwrap();
+    server.flush().unwrap();
+    let (before, entries_before, _) = answers(&mut cloud, data);
+    assert_eq!(entries_before, n as u64);
+    drop(cloud);
+    drop(server);
+
+    let store = DiskStore::open(&path).unwrap();
+    let server = CloudServer::rebuilt(cfg, budget, store).unwrap();
+    let mut cloud = EncryptedClient::new(
+        key,
+        L1,
+        InProcessTransport::new(server),
+        ClientConfig::distances(),
+    );
+    let (after, entries_after, costs) = answers(&mut cloud, data);
+    assert_eq!(entries_after, entries_before);
+    assert_eq!(after, before);
+    assert!(
+        costs.fetch_requests > 0,
+        "the budget must force phase-2 fetches"
+    );
+    drop(cloud);
     simcloud::storage::FileEnv::remove_sidecars(&path);
     let _ = std::fs::remove_file(path);
 }
@@ -175,14 +268,12 @@ fn encrypted_and_plain_recall_parity_on_yeast() {
     cfg.num_pivots = 30;
     let (key, _) = SecretKey::generate(data, 30, &L1, PivotSelection::Random, 22);
 
-    let mut cloud = simcloud::core::in_process(
+    let mut cloud = EncryptedClient::new(
         key.clone(),
         L1,
-        cfg,
-        MemoryStore::new(),
+        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).unwrap()),
         ClientConfig::distances(),
     )
-    .unwrap()
     .with_rng_seed(23);
     cloud.insert_bulk(&objects(data)).unwrap();
 
