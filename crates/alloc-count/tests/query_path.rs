@@ -7,9 +7,9 @@
 //!
 //! * one `ApproxKnn` through the server's byte handler costs fewer than 64
 //!   allocations whether it ships 100, 1000 or 5000 candidates — on the
-//!   single server, and on the coordinating thread of a 4-shard one (which
-//!   opens shard 0 itself, spawns the other shard workers, merges and
-//!   encodes; the workers' own opens are the single server's, per shard);
+//!   single server, and on a 4-shard one, whose whole search runs on the
+//!   calling thread: the figure covers all four shards' walks, their one
+//!   arena and ranking, and the encode;
 //! * one `knn_approx` on the client costs a constant plus a few
 //!   allocations per candidate it actually *unseals* — independent of how
 //!   many payloads the server inlined.
@@ -178,6 +178,6 @@ fn query_path_allocations_do_not_scale_with_the_candidate_set() {
     }
     println!("allocations per query at cand_size {CAND_SIZES:?}:");
     println!("  server (handle_shared): {server_allocs:?}");
-    println!("  4-shard server, coordinating thread: {sharded_allocs:?}");
+    println!("  4-shard server (all four opens): {sharded_allocs:?}");
     println!("  client (knn_approx; allocations, unsealed): {client_allocs:?}");
 }

@@ -12,18 +12,20 @@
 //! 3. calling `stage_candidates` (or the `.stage(` helper) while *any*
 //!    lock guard is held.
 //!
-//! The frontier refactor added candidate **cursors** (`.knn_cursor(` /
-//! `.range_cursor(`), which are tracked like guards and bring two more
-//! rules:
+//! Candidate **cursors** (`.knn_cursor(` / `.range_cursor(` and the
+//! multi-shard `::knn_cursor_over(` / `::range_cursor_over(`) are tracked
+//! like guards and bring two more rules:
 //!
 //! 4. acquiring a **shard write lock** while a cursor is live — a cursor
 //!    must own all its staged data before writers run, otherwise the
 //!    stream could observe a half-mutated shard;
-//! 5. pulling a cursor (`.views(`, `.select_up_to(`, `.collect_up_to(` or
-//!    the sharded `merge_frontier(`) while **two or more shard guards** are
-//!    held — the coordinator's merge is lock-free by design, and holding a
+//! 5. pulling a cursor (`.views(`, `.select_up_to(` or `.collect_up_to(`)
+//!    while **two or more shard guards** are held — a search's selection
+//!    runs after its open has dropped every shard guard, and holding a
 //!    guard pair across a pull reintroduces the pairwise-deadlock shape
-//!    rule 2 exists to prevent.
+//!    rule 2 exists to prevent. A collected guard set
+//!    (`let set = … .map(|shard| shard.read()).collect();`, the sharded
+//!    open's every-shard guard) counts as two or more shard guards.
 //!
 //! A cursor binding dies at its block's end, at `drop(name)`, or when it
 //! is consumed by `name.collect_up_to(`.
@@ -80,6 +82,9 @@ enum Class {
 struct Guard {
     class: Class,
     write: bool,
+    /// A collected set of guards (`.map(|s| s.read()).collect()`), which
+    /// stands for two or more of its class.
+    set: bool,
     name: Option<String>,
     /// Brace depth whose closing `}` kills this guard.
     depth: usize,
@@ -175,9 +180,11 @@ fn walk_body(
             ';' => {
                 let trimmed = stmt.trim_start();
                 if let Some(name) = let_binding_name(trimmed) {
+                    let collected = trimmed.contains(".collect");
                     for mut g in pending.drain(..) {
                         g.name = Some(name.clone());
                         g.depth = depth;
+                        g.set = collected;
                         guards.push(g);
                     }
                 } else {
@@ -224,11 +231,15 @@ fn has_keyword(stmt: &str, kw: &str) -> bool {
 }
 
 /// The calls that read a cursor's ranked views (rule 5).
-const CURSOR_PULLS: [&str; 4] = [
-    ".views(",
-    ".select_up_to(",
-    ".collect_up_to(",
-    "merge_frontier(",
+const CURSOR_PULLS: [&str; 3] = [".views(", ".select_up_to(", ".collect_up_to("];
+
+/// The calls that open a cursor (the leading `.` / `::` excludes the
+/// `fn …(` definitions themselves).
+const CURSOR_OPENS: [&str; 4] = [
+    ".knn_cursor(",
+    ".range_cursor(",
+    "::knn_cursor_over(",
+    "::range_cursor_over(",
 ];
 
 /// Examines the growing statement buffer for guard acquisitions and
@@ -289,42 +300,48 @@ fn check_events(
         pending.push(Guard {
             class,
             write,
+            set: false,
             name: None,
             depth: 0,
             line,
         });
         return;
     }
-    // Opening a cursor starts a tracked lifetime (leading dot excludes the
-    // `fn knn_cursor(` definitions themselves).
-    if stmt.ends_with(".knn_cursor(") || stmt.ends_with(".range_cursor(") {
+    // Opening a cursor starts a tracked lifetime.
+    if CURSOR_OPENS.iter().any(|open| stmt.ends_with(open)) {
         pending.push(Guard {
             class: Class::Cursor,
             write: false,
+            set: false,
             name: None,
             depth: 0,
             line,
         });
         return;
     }
-    // The coordinator's merge must be lock-free: pulling a cursor with a
-    // pair of shard guards held reintroduces the deadlock shape that the
-    // double-write rule exists to prevent.
+    // A selection runs with no shard guard pair live: pulling a cursor
+    // with two shard guards (or a guard set) held reintroduces the
+    // deadlock shape that the double-write rule exists to prevent.
     if CURSOR_PULLS.iter().any(|pull| stmt.ends_with(pull)) {
         let shard_guards: Vec<&Guard> = guards
             .iter()
             .chain(pending.iter())
             .filter(|g| g.class == Class::Shard)
             .collect();
-        if let (2.., Some(first)) = (shard_guards.len(), shard_guards.first()) {
+        let held: usize = shard_guards.iter().map(|g| if g.set { 2 } else { 1 }).sum();
+        if let (2.., Some(first)) = (held, shard_guards.first()) {
+            let what = if first.set {
+                "a shard guard set is".to_owned()
+            } else {
+                format!("{} shard guards are", shard_guards.len())
+            };
             out.push(LockViolation {
                 path: path.to_owned(),
                 line: line + 1,
                 function: fn_name.to_owned(),
                 message: format!(
-                    "cursor pulled while {} shard guards are held (first at line {}); \
-                     the coordinator merge must be lock-free",
-                    shard_guards.len(),
+                    "cursor pulled while {what} held (first at line {}); \
+                     a selection must be lock-free",
                     first.line + 1
                 ),
             });

@@ -306,6 +306,24 @@ fn compact(&self, ev: &PromiseEvaluator) {
         "write-under-cursor not caught: {:?}",
         lock_violations(&bad)
     );
+    // The same with the multi-shard open.
+    let bad_over = SourceFile::from_source(
+        "crates/shard/src/fixture.rs",
+        r#"
+fn compact(&self, shards: &[Guard], ev: &PromiseEvaluator) {
+    let cursor = MIndex::knn_cursor_over(shards, ev, 32);
+    let guard = self.shards[1].write();
+    drop(cursor);
+}
+"#,
+    );
+    assert!(
+        lock_violations(&bad_over)
+            .iter()
+            .any(|v| v.message.contains("candidate cursor")),
+        "write-under-cursor_over not caught: {:?}",
+        lock_violations(&bad_over)
+    );
 
     // Compliant twin: the cursor is consumed (collect_up_to takes self)
     // before the writer runs.
@@ -372,6 +390,51 @@ fn drain(&self, cursor: CandidateCursor) {
 fn drain(&self, cursor: CandidateCursor) {
     let a = self.shards[0].read();
     let head = cursor.views();
+}
+"#,
+    );
+    assert!(
+        lock_violations(&good).is_empty(),
+        "false positive: {:?}",
+        lock_violations(&good)
+    );
+}
+
+/// Seeded violation: selecting from a cursor while the sharded open's
+/// guard set (every shard's read guard, collected) is still live — the
+/// set is two or more shard guards, and a selection must be lock-free.
+#[test]
+fn seeded_cursor_pull_under_guard_set_is_found() {
+    let bad = SourceFile::from_source(
+        "crates/shard/src/fixture.rs",
+        r#"
+fn search(&self, ev: &PromiseEvaluator, cap: Option<usize>) -> usize {
+    let shards: Vec<_> = self.shards.iter().map(|shard| shard.read()).collect();
+    let cursor = MIndex::knn_cursor_over(&shards, ev, 10).unwrap();
+    let (views, _) = cursor.select_up_to(cap);
+    views.len()
+}
+"#,
+    );
+    assert!(
+        lock_violations(&bad)
+            .iter()
+            .any(|v| v.message.contains("guard set") && v.message.contains("lock-free")),
+        "pull-under-guard-set not caught: {:?}",
+        lock_violations(&bad)
+    );
+
+    // Compliant twin: the guard set drops with the open, before the pull.
+    let good = SourceFile::from_source(
+        "crates/shard/src/fixture.rs",
+        r#"
+fn search(&self, ev: &PromiseEvaluator, cap: Option<usize>) -> usize {
+    let cursor = {
+        let shards: Vec<_> = self.shards.iter().map(|shard| shard.read()).collect();
+        MIndex::knn_cursor_over(&shards, ev, 10).unwrap()
+    };
+    let (views, _) = cursor.select_up_to(cap);
+    views.len()
 }
 "#,
     );

@@ -5,7 +5,7 @@
 //! one `fetch_add` per record, and spans read the clock twice. This bench
 //! pins that claim: steady-state encrypted 30-NN throughput is measured
 //! with span timing **off** and **on** against the same pre-built server
-//! (single index and 4-shard scatter-gather), interleaved best-of-N so a
+//! (single index and 4 shards), interleaved best-of-N so a
 //! noisy neighbour can't masquerade as telemetry cost, and the on/off
 //! ratio must stay ≥ 0.95 (≤ 5 % overhead).
 //!

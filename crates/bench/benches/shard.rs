@@ -15,12 +15,11 @@
 //!    work must show sub-linear amplification (< 1.5× the single index's;
 //!    it would be ~N× if every shard walked the whole budget). The
 //!    summed `candidates_generated` is printed beside it but is no gate:
-//!    the merge selects exactly the single server's list length, so it
+//!    the selection takes exactly the single server's list length, so it
 //!    reads 1.00× whatever the shards staged. The 4-shard / single
 //!    throughput ratio is **reported, not asserted**: it is a wall-clock
-//!    ratio of two windows on a shared machine, and at CI scale (YEAST
-//!    n = 400) the fixed cost of opening four best-first walks exceeds the
-//!    query itself — 0.48–0.56× on a 2-vCPU runner with nothing wrong.
+//!    ratio of two windows on a shared machine; at CI scale (YEAST
+//!    n = 400) it read 1.07× (hash) / 0.86× (pivot) on a 2-vCPU runner.
 //! 3. **Insert throughput** — 4 concurrent connections streaming inserts
 //!    against 1/2/4 shards over a latency-modelled store (fixed write delay
 //!    inside the index write lock). Per-shard locks must overlap the
@@ -205,14 +204,13 @@ fn main() {
                 router.label()
             ));
             if shards == 4 && router == RouterKind::Hash {
-                // The frontier contract, asserted as an exact count at
+                // The budget split, asserted as an exact count at
                 // both scales: each shard walks only its ceil(cand / N)
                 // share of the budget, so the summed staging work shows
                 // sub-linear amplification (4 shards would be ~2.5x here
                 // if every shard walked the whole budget). The
                 // throughput ratio printed above is not a gate: two
-                // wall-clock windows on a shared box, and at --quick scale
-                // four fixed per-shard opens outweigh the query.
+                // wall-clock windows on a shared box.
                 assert!(
                     scan_amp < 1.5,
                     "4-shard entries_scanned amplification {scan_amp:.2}x >= 1.5x \

@@ -167,7 +167,7 @@ pub fn shards_suffix(shards: usize) -> String {
 pub enum SteadyServer {
     /// The classic single `CloudServer`.
     Single(Arc<CloudServer<MemoryStore>>),
-    /// A `ShardedCloudServer` (scatter-gather).
+    /// A `ShardedCloudServer` (one open over every shard).
     Sharded(Arc<ShardedCloudServer<MemoryStore>>),
 }
 

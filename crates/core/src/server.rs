@@ -8,8 +8,8 @@
 //! monomorphised over the index, so nothing is boxed or dispatched
 //! dynamically on the query path. Two indexes implement the trait: the
 //! lock-wrapped `MIndex` here ([`CloudServer`] is the engine over it — the
-//! 1-shard case) and `simcloud_shard::ShardedMIndex` (N shards,
-//! scatter-gather).
+//! 1-shard case) and `simcloud_shard::ShardedMIndex` (N shards, one
+//! open over all of them).
 //!
 //! The engine implements the transport layer's one handler trait,
 //! [`SharedRequestHandler`], over `&self`, so one `Arc`'d server answers any
@@ -86,14 +86,15 @@ pub struct IndexShape {
 }
 
 /// What the request engine needs from an index — everything else about a
-/// deployment (one index or N shards, which locks, which fan-out) stays
-/// behind this trait.
+/// deployment (one index or N shards, which locks) stays behind this
+/// trait.
 ///
-/// A search is two steps so that no lock is ever held across staging:
-/// `open_*` walks the index under whatever guards it needs and returns an
-/// **owned, guard-free** [`SearchIndex::Opened`] cursor set;
-/// [`SearchIndex::select`] then ranks and caps it into borrowed
-/// [`CandidateView`]s with no guard live.
+/// A search opens under whatever guards the index needs and returns one
+/// **owned, guard-free** [`CandidateCursor`] — the single index's own,
+/// or one cursor over every shard's cells for the sharded index. The
+/// guards drop with the open, so the engine selects and stages the
+/// cursor's capped views ([`CandidateCursor::select_up_to`]) with no
+/// guard live, the same way for every index.
 ///
 /// A stored object crosses this trait only as bytes: an insert hands the
 /// index `(id, RecordBody)` pairs borrowed from the request frame, and a
@@ -108,21 +109,20 @@ pub struct IndexShape {
 /// may see a partially applied bulk; that is the price of having no global
 /// write lock).
 pub trait SearchIndex: Send + Sync {
-    /// One opened search: the owned cursor(s) a [`SearchIndex::select`]
-    /// ranks. Borrows nothing from the index and holds no guard.
-    type Opened;
-
     /// Opens an approximate k-NN search (promise-ordered cell walk with a
     /// `cand_size` candidate budget).
     fn open_knn(
         &self,
         evaluator: &PromiseEvaluator,
         cand_size: usize,
-    ) -> Result<Self::Opened, MIndexError>;
+    ) -> Result<CandidateCursor, MIndexError>;
 
     /// Opens a precise range search.
-    fn open_range(&self, query_distances: &[f64], radius: f64)
-        -> Result<Self::Opened, MIndexError>;
+    fn open_range(
+        &self,
+        query_distances: &[f64],
+        radius: f64,
+    ) -> Result<CandidateCursor, MIndexError>;
 
     /// Opens a whole k-NN batch in one pass over the index's guards: one
     /// slot per query in request order, a failing query occupying only its
@@ -130,16 +130,7 @@ pub trait SearchIndex: Send + Sync {
     fn open_batch_knn(
         &self,
         queries: &[(PromiseEvaluator, usize)],
-    ) -> Vec<Result<Self::Opened, MIndexError>>;
-
-    /// The `cap` best-bounded candidates of an opened search (`None` =
-    /// all) in ascending bound order, borrowed from its cursors' arenas,
-    /// plus the statistics of a consumer that takes exactly those.
-    fn select<'o>(
-        &self,
-        opened: &'o Self::Opened,
-        cap: Option<usize>,
-    ) -> (Vec<CandidateView<'o>>, SearchStats);
+    ) -> Vec<Result<CandidateCursor, MIndexError>>;
 
     /// Inserts `entries` — ids and record bodies, as an insert frame
     /// carries them — in order until the first failure. Returns how many
@@ -186,8 +177,6 @@ pub fn insert_until_error(
 /// share the read guard and run in parallel; an insert bulk, a flush take
 /// the write guard.
 impl<S: BucketStore> SearchIndex for RwLock<MIndex<S>> {
-    type Opened = CandidateCursor;
-
     fn open_knn(
         &self,
         evaluator: &PromiseEvaluator,
@@ -215,14 +204,6 @@ impl<S: BucketStore> SearchIndex for RwLock<MIndex<S>> {
             .iter()
             .map(|(evaluator, cand_size)| index.knn_cursor(evaluator, *cand_size))
             .collect()
-    }
-
-    fn select<'o>(
-        &self,
-        opened: &'o CandidateCursor,
-        cap: Option<usize>,
-    ) -> (Vec<CandidateView<'o>>, SearchStats) {
-        opened.select_up_to(cap)
     }
 
     fn insert_bulk(&self, entries: &[(u64, RecordBody<'_>)]) -> (u32, Option<MIndexError>) {
@@ -372,28 +353,28 @@ impl<I: SearchIndex> ServerEngine<I> {
 
     /// Selects an opened search's capped candidates and stages them for
     /// the phase-1 wire under this server's inline budget — the shared
-    /// tail of every search. The opened cursors own their arenas, so no
+    /// tail of every search. The opened cursor owns its arena, so no
     /// index guard is live here.
     fn select_and_stage<'o>(
         &self,
-        opened: &'o I::Opened,
+        opened: &'o CandidateCursor,
         cap: Option<usize>,
         trace: &mut Trace,
     ) -> (StagedList<'o>, SearchStats) {
         let (views, stats) = {
             let _pull = trace.span("pull", self.telemetry.pull_hist());
-            self.index.select(opened, cap)
+            opened.select_up_to(cap)
         };
         let _stage = trace.span("stage", self.telemetry.stage_hist());
         let list = stage_views(views, self.config.max_inline_response_bytes);
         (list, stats)
     }
 
-    /// Answers a single-list search from its opened cursors. A failed
+    /// Answers a single-list search from its opened cursor. A failed
     /// search did no accountable work and records nothing.
     fn answer_search(
         &self,
-        opened: Result<I::Opened, MIndexError>,
+        opened: Result<CandidateCursor, MIndexError>,
         cap: Option<usize>,
         trace: &mut Trace,
     ) -> Vec<u8> {

@@ -255,7 +255,7 @@ impl ServerTelemetry {
         &self.open_hist
     }
 
-    /// Phase histogram: frontier pull (lazy candidate decode).
+    /// Phase histogram: the capped selection of an opened cursor's views.
     pub fn pull_hist(&self) -> &Histogram {
         &self.pull_hist
     }

@@ -5,15 +5,17 @@
 //! [`crate::MIndex::range_cursor`] decide which cells are walked, which
 //! records survive and in which order they are ranked. Everything that
 //! reads a search reads the cursor's ranked views: the server's request
-//! engine writes them straight into its response frame, the sharded merge
-//! interleaves several cursors' views, [`crate::PlainMIndex`] decodes its
-//! vectors from them, and [`CandidateCursor::collect_up_to`] copies them
-//! out for callers that want owned entries.
+//! engine writes them straight into its response frame,
+//! [`crate::PlainMIndex`] decodes its vectors from them, and
+//! [`CandidateCursor::collect_up_to`] copies them out for callers that
+//! want owned entries. A sharded search is one cursor too:
+//! [`crate::MIndex::knn_cursor_over`] / [`crate::MIndex::range_cursor_over`]
+//! stage every shard's cells into one arena, in shard order.
 //!
 //! A search moves each candidate's sealed bytes **once** on the server
 //! before they reach the response frame: from the bucket store into the
-//! cursor's arena. Everything after that — ranking, the sharded merge,
-//! the cap, the inline budget — works on borrowed [`CandidateView`]s.
+//! cursor's arena. Everything after that — ranking, the cap, the inline
+//! budget — works on borrowed [`CandidateView`]s.
 //!
 //! * **Open** — the cell walk: promise order with a `cand_size` stop
 //!   condition for k-NN (the last cell is staged whole), double-pivot /
@@ -41,7 +43,8 @@
 //!     (`Staging::stage_filtered`).
 //!
 //!   A stable sort by bound then fixes the rank order (ties keep
-//!   cell-visit order); the cursor never changes after that.
+//!   staging order: index order in a multi-index open, then cell-visit
+//!   order); the cursor never changes after that.
 //! * **Read** — [`CandidateCursor::views`] hands out
 //!   `CandidateView { id, bound, payload }` in ascending bound order, the
 //!   payload a slice of the arena. Nothing is decoded and nothing is
@@ -55,12 +58,9 @@
 //! takes and nothing else.
 //!
 //! Because every consumer reads the same ranked views, single and
-//! sharded servers, borrowed and owned paths agree byte for byte: the
-//! sharded merge over per-shard cursors reproduces a single cursor's
-//! order wire for wire (same bounds from the same `f32` bits, same stable
-//! comparator, lower shard wins ties).
-
-use std::cmp::Ordering;
+//! sharded servers, borrowed and owned paths agree byte for byte: a
+//! sharded cursor ranks with the single cursor's stable sort over the
+//! same bounds from the same `f32` bits, and the lower shard wins ties.
 
 use simcloud_storage::{Record, StorageError};
 
@@ -242,12 +242,11 @@ impl Staging {
 ///
 /// Owned and lock-free: the open phase copies the staged records out of
 /// the bucket store into the cursor's arena, so the cursor borrows
-/// nothing from the index — a coordinator may hold many cursors from many
-/// shards with **no** shard guard live (the lock-discipline lint enforces
-/// this).
+/// nothing from the index and is selected from with **no** index guard
+/// live (the lock-discipline lint enforces this).
 ///
-/// Views come in nondecreasing bound order; ties keep the staging
-/// (cell-visit) order via the stable sort.
+/// Views come in nondecreasing bound order; ties keep the staging order
+/// (index, then cell-visit) via the stable sort.
 pub struct CandidateCursor {
     arena: Vec<u8>,
     /// The staged records in rank order (stably sorted by bound).
@@ -260,11 +259,11 @@ impl CandidateCursor {
     pub(crate) fn new(staging: Staging, stats: SearchStats) -> Self {
         let Staging { arena, slots } = staging;
         // Rank 16-byte `(bound, staging index)` keys, then move each slot
-        // once. Identical permutation to the eager `sort_by` over
-        // `(entry, bound)` pairs: same comparator, same stable sort,
-        // same initial (staging) order.
+        // once. A bound is never NaN nor -0.0 (the lower bound is a
+        // running max from 0.0 that skips NaN terms, the penalty a sum of
+        // `max(0.0)` steps), so `total_cmp` ranks as `<` does.
         let mut rank: Vec<(f64, usize)> = slots.iter().map(|s| s.bound).zip(0..).collect();
-        rank.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+        rank.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut ranked = Vec::with_capacity(slots.len());
         ranked.extend(rank.iter().filter_map(|&(_, staged)| slots.get(staged)));
         Self {

@@ -8,7 +8,8 @@
 //! the "payload" is just the un-encrypted vector) are built on it.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
+use std::ops::{Deref, Range};
 
 use simcloud_storage::{BucketId, BucketStore, Record, StorageError};
 
@@ -333,6 +334,37 @@ impl<S: BucketStore> MIndex<S> {
         query_distances: &[f64],
         radius: f64,
     ) -> Result<CandidateCursor, MIndexError> {
+        Self::range_cursor_over(std::slice::from_ref(&self), query_distances, radius)
+    }
+
+    /// [`MIndex::range_cursor`] over several indexes at once — the shards
+    /// of one deployment, read through whatever guards the caller holds.
+    /// Each index is pruned and filtered exactly as on its own; the
+    /// survivors of all of them are staged, in index order, into one
+    /// cursor, whose stable sort breaks bound ties by index order, then by
+    /// cell-visit order. The statistics are the indexes' sums.
+    pub fn range_cursor_over<I: Deref<Target = Self>>(
+        indexes: &[I],
+        query_distances: &[f64],
+        radius: f64,
+    ) -> Result<CandidateCursor, MIndexError> {
+        let mut stats = SearchStats::default();
+        let mut staging = Staging::default();
+        for index in indexes {
+            index.stage_range(query_distances, radius, &mut staging, &mut stats)?;
+        }
+        Ok(CandidateCursor::new(staging, stats))
+    }
+
+    /// One index's part of a range open: validates the query, walks the
+    /// tree and stages the survivors behind what `staging` already holds.
+    fn stage_range(
+        &self,
+        query_distances: &[f64],
+        radius: f64,
+        staging: &mut Staging,
+        stats: &mut SearchStats,
+    ) -> Result<(), MIndexError> {
         if self.config.strategy != RoutingStrategy::Distances {
             return Err(MIndexError::WrongStrategy {
                 required: RoutingStrategy::Distances,
@@ -345,8 +377,6 @@ impl<S: BucketStore> MIndex<S> {
                 got: query_distances.len(),
             });
         }
-        let mut stats = SearchStats::default();
-        let mut staging = Staging::default();
         // Iterative DFS carrying (node, prefix, used-pivot mask).
         let tree = &self.tree;
         let store = &self.store;
@@ -434,7 +464,7 @@ impl<S: BucketStore> MIndex<S> {
                 }
             }
         }
-        Ok(CandidateCursor::new(staging, stats))
+        Ok(())
     }
 
     /// Approximate k-NN candidates (paper Alg. 4): enumerates Voronoi cells
@@ -451,9 +481,8 @@ impl<S: BucketStore> MIndex<S> {
     ///
     /// The cursor may hold more than `cand_size` entries (the last cell is
     /// staged whole); a consumer trims with
-    /// `select_up_to(knn_cap(cand_size))` (Alg. 4 line 5), and a
-    /// scatter-gather coordinator's *global* cap makes the per-shard excess
-    /// unreachable. `cand_size == FIRST_CELL_ONLY (0)` reproduces the
+    /// `select_up_to(knn_cap(cand_size))` (Alg. 4 line 5).
+    /// `cand_size == FIRST_CELL_ONLY (0)` reproduces the
     /// paper's §5.4 setting: "the server-side M-Index was limited to access
     /// only one M-Index Voronoi cell which then forms the candidate set" —
     /// the whole most-promising leaf, untrimmed.
@@ -462,101 +491,49 @@ impl<S: BucketStore> MIndex<S> {
         evaluator: &PromiseEvaluator,
         cand_size: usize,
     ) -> Result<CandidateCursor, MIndexError> {
-        // A distance evaluator must cover every pivot: the tree may hold a
-        // root cell for any pivot index, and ranking it would read past the
-        // end of a short query vector (a remote caller could crash the
-        // server). Permutation evaluators are total by construction —
-        // missing pivots rank with maximal displacement.
-        if let PromiseEvaluator::Distances { distances, .. } = evaluator {
-            if distances.len() != self.config.num_pivots {
-                return Err(MIndexError::DimensionMismatch {
-                    expected: self.config.num_pivots,
-                    got: distances.len(),
-                });
-            }
-        }
-        let mut stats = SearchStats::default();
-        let mut staging = Staging::default();
-        let tree = &self.tree;
-        let store = &self.store;
+        Self::knn_cursor_over(std::slice::from_ref(&self), evaluator, cand_size)
+    }
 
-        struct Item<'a> {
-            penalty: f64,
-            prefix: Vec<u16>,
-            node: &'a Node,
-        }
-        impl PartialEq for Item<'_> {
-            fn eq(&self, other: &Self) -> bool {
-                self.penalty == other.penalty && self.prefix == other.prefix
-            }
-        }
-        impl Eq for Item<'_> {}
-        impl PartialOrd for Item<'_> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Item<'_> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // BinaryHeap is a max-heap; invert for min-penalty-first.
-                other
-                    .penalty
-                    .partial_cmp(&self.penalty)
-                    .unwrap_or(Ordering::Equal)
-                    .then_with(|| other.prefix.cmp(&self.prefix))
-            }
-        }
-
-        let mut heap = BinaryHeap::new();
-        for (&k, node) in tree.roots() {
-            heap.push(Item {
-                penalty: evaluator.step(k, 0),
-                prefix: vec![k],
-                node,
-            });
-        }
+    /// [`MIndex::knn_cursor`] over several indexes at once — the shards of
+    /// one deployment, read through whatever guards the caller holds.
+    ///
+    /// `cand_size` is **each index's** budget: every index walks its own
+    /// tree in promise order until its own picked cells hold `cand_size`
+    /// records (only its first non-empty cell under [`FIRST_CELL_ONLY`]),
+    /// exactly as on its own. Then one arena is reserved, once, for every
+    /// picked cell; the cells are staged into it in index order, and one
+    /// stable sort ranks them, so bound ties fall in index order, then in
+    /// cell-visit order. The statistics are the indexes' sums.
+    pub fn knn_cursor_over<I: Deref<Target = Self>>(
+        indexes: &[I],
+        evaluator: &PromiseEvaluator,
+        cand_size: usize,
+    ) -> Result<CandidateCursor, MIndexError> {
         // Pick the cells first: the stop rule reads leaf counts only, never
         // a record, so the arena is reserved once, for exactly what the
         // picked cells hold, before the first byte is read.
-        let first_cell_only = cand_size == FIRST_CELL_ONLY;
-        let mut cells: Vec<(&LeafCell, f64)> = Vec::new();
-        let (mut gathered, mut stream_bytes) = (0usize, 0usize);
-        while let Some(item) = heap.pop() {
-            match item.node {
-                Node::Internal { children } => {
-                    for (&k, child) in children {
-                        heap.push(Item {
-                            penalty: item.penalty + evaluator.step(k, item.prefix.len()),
-                            prefix: {
-                                let mut p = item.prefix.clone();
-                                p.push(k);
-                                p
-                            },
-                            node: child,
-                        });
-                    }
-                }
-                Node::Leaf(leaf) => {
-                    if leaf.count == 0 {
-                        continue;
-                    }
-                    cells.push((leaf, item.penalty));
-                    gathered += leaf.count;
-                    stream_bytes += leaf.stream_bytes;
-                    if first_cell_only || gathered >= cand_size {
-                        break;
-                    }
-                }
-            }
+        let mut walk = PromiseWalk::default();
+        let mut cells: Vec<(&Self, &LeafCell, f64)> = Vec::new();
+        let (mut records, mut stream_bytes) = (0usize, 0usize);
+        for index in indexes {
+            let index = &**index;
+            index.check_evaluator(evaluator)?;
+            walk.pick_cells(&index.tree, evaluator, cand_size, |leaf, penalty| {
+                records += leaf.count;
+                stream_bytes += leaf.stream_bytes;
+                cells.push((index, leaf, penalty));
+            });
         }
-        staging.reserve(gathered, stream_bytes);
-        for (leaf, penalty) in cells {
+        let mut stats = SearchStats::default();
+        let mut staging = Staging::default();
+        staging.reserve(records, stream_bytes);
+        for (index, leaf, penalty) in cells {
             stats.cells_visited += 1;
             // Rank = wire-safe pivot-filter lower bound when distances are
             // available on both sides; the cell penalty (heuristic)
             // otherwise.
             let staged = staging.stage_cell(
-                |arena| store.read_bucket_into(leaf.bucket, arena),
+                |arena| index.store.read_bucket_into(leaf.bucket, arena),
                 |stored| match (stored, evaluator) {
                     (Some(ds), PromiseEvaluator::Distances { distances, .. }) => {
                         pivot_filter_safe_lower_bound(distances, ds)
@@ -567,6 +544,25 @@ impl<S: BucketStore> MIndex<S> {
             stats.entries_scanned += staged as u64;
         }
         Ok(CandidateCursor::new(staging, stats))
+    }
+
+    /// A distance evaluator must cover every pivot: the tree may hold a
+    /// root cell for any pivot index, and ranking it would read past the
+    /// end of a short query vector (a remote caller could crash the
+    /// server). Permutation evaluators are total by construction —
+    /// missing pivots rank with maximal displacement.
+    fn check_evaluator(&self, evaluator: &PromiseEvaluator) -> Result<(), MIndexError> {
+        match evaluator {
+            PromiseEvaluator::Distances { distances, .. }
+                if distances.len() != self.config.num_pivots =>
+            {
+                Err(MIndexError::DimensionMismatch {
+                    expected: self.config.num_pivots,
+                    got: distances.len(),
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Re-reads the sealed payloads of the given external ids — the server
@@ -636,6 +632,124 @@ impl<S: BucketStore> MIndex<S> {
             }
         }
         Ok(out)
+    }
+}
+
+/// One cell on a promise walk's frontier: its promise penalty and where
+/// its permutation prefix lies in the walk's prefix arena.
+struct Frontier<'t> {
+    penalty: f64,
+    prefix_at: usize,
+    prefix_len: usize,
+    node: &'t Node,
+}
+
+/// The promise-ordered cell walk of a k-NN open (paper Alg. 4): a binary
+/// min-heap of frontier cells ordered by penalty, ties broken by the
+/// lexicographically smaller permutation prefix. The prefixes live in one
+/// arena — a pushed child appends its parent's prefix and its own pivot —
+/// so no frontier cell owns an allocation, and one walk serves every tree
+/// of a multi-index open.
+#[derive(Default)]
+struct PromiseWalk<'t> {
+    heap: Vec<Frontier<'t>>,
+    prefixes: Vec<u16>,
+}
+
+impl<'t> PromiseWalk<'t> {
+    /// Walks `tree` in promise order and hands `pick` each non-empty leaf
+    /// with its penalty, until the picked leaves hold `cand_size` records
+    /// (just the first one under [`FIRST_CELL_ONLY`]).
+    fn pick_cells(
+        &mut self,
+        tree: &'t CellTree,
+        evaluator: &PromiseEvaluator,
+        cand_size: usize,
+        mut pick: impl FnMut(&'t LeafCell, f64),
+    ) {
+        self.heap.clear();
+        self.prefixes.clear();
+        for (&k, node) in tree.roots() {
+            self.push(0..0, k, evaluator.step(k, 0), node);
+        }
+        let mut gathered = 0usize;
+        while let Some(cell) = self.pop() {
+            match cell.node {
+                Node::Internal { children } => {
+                    let parent = cell.prefix_at..cell.prefix_at + cell.prefix_len;
+                    for (&k, child) in children {
+                        let penalty = cell.penalty + evaluator.step(k, cell.prefix_len);
+                        self.push(parent.clone(), k, penalty, child);
+                    }
+                }
+                Node::Leaf(leaf) => {
+                    if leaf.count == 0 {
+                        continue;
+                    }
+                    pick(leaf, cell.penalty);
+                    gathered += leaf.count;
+                    if cand_size == FIRST_CELL_ONLY || gathered >= cand_size {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    fn prefix(&self, cell: &Frontier<'_>) -> &[u16] {
+        self.prefixes
+            .get(cell.prefix_at..cell.prefix_at + cell.prefix_len)
+            .unwrap_or_default()
+    }
+
+    /// Whether heap slot `a` pops before heap slot `b`.
+    fn precedes(&self, a: usize, b: usize) -> bool {
+        let (Some(a), Some(b)) = (self.heap.get(a), self.heap.get(b)) else {
+            return false;
+        };
+        a.penalty
+            .partial_cmp(&b.penalty)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| self.prefix(a).cmp(self.prefix(b)))
+            == Ordering::Less
+    }
+
+    /// Pushes the child `key` of the cell whose prefix sits at `parent`.
+    fn push(&mut self, parent: Range<usize>, key: u16, penalty: f64, node: &'t Node) {
+        let prefix_at = self.prefixes.len();
+        self.prefixes.extend_from_within(parent);
+        self.prefixes.push(key);
+        self.heap.push(Frontier {
+            penalty,
+            prefix_at,
+            prefix_len: self.prefixes.len() - prefix_at,
+            node,
+        });
+        let mut slot = self.heap.len() - 1;
+        while slot > 0 && self.precedes(slot, (slot - 1) / 2) {
+            self.heap.swap(slot, (slot - 1) / 2);
+            slot = (slot - 1) / 2;
+        }
+    }
+
+    fn pop(&mut self) -> Option<Frontier<'t>> {
+        let last = self.heap.len().checked_sub(1)?;
+        self.heap.swap(0, last);
+        let top = self.heap.pop();
+        let mut slot = 0;
+        loop {
+            let mut first = slot;
+            for child in [2 * slot + 1, 2 * slot + 2] {
+                if child < self.heap.len() && self.precedes(child, first) {
+                    first = child;
+                }
+            }
+            if first == slot {
+                return top;
+            }
+            self.heap.swap(slot, first);
+            slot = first;
+        }
     }
 }
 

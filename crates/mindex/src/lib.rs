@@ -12,10 +12,11 @@
 //!   part), precise range candidates with double-pivot / range-pivot
 //!   pruning and object pivot filtering (Alg. 3), and pre-ranked
 //!   approximate k-NN candidates by cell promise (Alg. 4);
-//! * [`CandidateCursor`] — the lazy, bound-ordered streaming form of both
-//!   candidate searches: open walks the same cells and ranks the staged
-//!   records, yield decodes payloads on demand — a scatter-gather
-//!   coordinator pulls the global frontier and stops at the budget;
+//! * [`CandidateCursor`] — the ranked form of both candidate searches:
+//!   open walks the cells and ranks the staged records, readers borrow
+//!   views and decode nothing; [`MIndex::knn_cursor_over`] /
+//!   [`MIndex::range_cursor_over`] open one cursor over several indexes
+//!   (the shards of a deployment);
 //! * [`PlainMIndex`] — the non-encrypted deployment used as the paper's
 //!   efficiency baseline (Tables 4, 7, 8): the server owns pivots, metric
 //!   and plaintext objects and refines results itself;

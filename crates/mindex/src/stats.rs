@@ -1,7 +1,7 @@
 //! Search statistics.
 //!
-//! [`SearchStats`] is a plain value: a cursor or a fan-out reports one per
-//! search, and the server adds it to its `search.*` telemetry counters.
+//! [`SearchStats`] is a plain value: a cursor reports one per search, and
+//! the server adds it to its `search.*` telemetry counters.
 //! There is no per-request slot on the server; a request's own stats are
 //! the [`SearchStats::since`] delta of the server's totals around it.
 

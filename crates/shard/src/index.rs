@@ -1,19 +1,20 @@
-//! The sharded M-Index: N fully independent shards, scatter-gather reads.
+//! The sharded M-Index: N fully independent shards, one open per search.
 //!
 //! Each shard is a complete [`MIndex`] with its **own** bucket store and its
 //! own reader–writer lock, so an insert takes the write lock of exactly one
-//! shard — 1/N of the key space blocks while searches and inserts on every
-//! other shard proceed. Searches fan out to all shards (scoped threads over
-//! `&self`, the shared-read path): each shard **opens** a lazy
-//! [`CandidateCursor`] under its read guard, the guards drop with the
-//! fan-out, and the coordinator then drains the merged bound-ordered
-//! frontier lock-free until the global budget is met (see
-//! [`crate::merge::merge_frontier`]) — shards never materialize candidates
-//! the merge would discard.
+//! shard — 1/N of the key space blocks while inserts on every other shard
+//! proceed. A search is **one open** on the calling thread: it takes every
+//! shard's read guard in shard order, walks each shard's tree with that
+//! shard's budget, stages every picked cell into one arena and ranks it
+//! with one stable sort ([`MIndex::knn_cursor_over`] /
+//! [`MIndex::range_cursor_over`]), then drops the guards. The opened
+//! search is a single [`CandidateCursor`], exactly what the single index
+//! returns, so the request engine selects from both the same way.
 //!
-//! The index plugs into the one request engine of `simcloud_core` through
-//! its [`SearchIndex`] impl: open = the fan-out, select = the frontier
-//! merge, bulk insert = one shard guard per entry.
+//! The price is that a search holds every shard's read guard for its open:
+//! an insert on any shard waits for the opens in flight. Writers hold one
+//! shard lock at a time and readers acquire in shard order, so this cannot
+//! deadlock.
 //!
 //! A shard-aware ownership map (`id → shard`) backs the two operations that
 //! address entries by external id: duplicate-id rejection at insert and the
@@ -25,13 +26,12 @@ use std::collections::HashMap;
 use parking_lot::{RwLock, RwLockReadGuard};
 use simcloud_core::{insert_until_error, IndexShape, SearchIndex};
 use simcloud_mindex::{
-    knn_cap, owned_entries, CandidateCursor, CandidateView, IndexEntry, MIndex, MIndexConfig,
-    MIndexError, PromiseEvaluator, RecordBody, SearchStats, FIRST_CELL_ONLY,
+    knn_cap, CandidateCursor, IndexEntry, MIndex, MIndexConfig, MIndexError, PromiseEvaluator,
+    RecordBody, SearchStats, FIRST_CELL_ONLY,
 };
 use simcloud_storage::{BucketStore, IoStats};
 use simcloud_telemetry::Registry;
 
-use crate::merge::merge_frontier;
 use crate::router::ShardRouter;
 use crate::telemetry::ShardTiming;
 
@@ -39,7 +39,13 @@ use crate::telemetry::ShardTiming;
 /// statistics — what the owned adapters return.
 type RankedCandidates = (Vec<(IndexEntry, f64)>, SearchStats);
 
-/// N independent M-Index shards behind one scatter-gather facade.
+/// Every shard's read guard, taken in shard order — what one open holds.
+/// Shard order is the one acquisition order of every multi-shard reader,
+/// and a writer holds one shard lock at a time, so no wait can close a
+/// cycle.
+type GuardSet<'a, S> = Vec<RwLockReadGuard<'a, MIndex<S>>>;
+
+/// N independent M-Index shards behind one index facade.
 pub struct ShardedMIndex<S: BucketStore> {
     /// The (shard-invariant) index configuration — kept here so the insert
     /// path validates entries lock-free instead of taking a shard lock.
@@ -50,14 +56,8 @@ pub struct ShardedMIndex<S: BucketStore> {
     /// for each other's index write locks.
     owners: RwLock<HashMap<u64, usize>>,
     router: Box<dyn ShardRouter>,
-    /// Whether searches fan out on scoped threads (one per shard) or walk
-    /// the shards sequentially on the calling thread. Defaults to the
-    /// machine: with a single core the spawns are pure overhead (~tens of
-    /// µs per query) and sequential scatter-gather computes the identical
-    /// answer.
-    parallel_fanout: bool,
     /// Optional shard-layer timing (see [`ShardTiming`]); bound by the
-    /// server so opens, pulls and merges land in its registry.
+    /// server so opens land in its registry.
     telemetry: Option<ShardTiming>,
 }
 
@@ -94,25 +94,15 @@ impl<S: BucketStore> ShardedMIndex<S> {
             shards,
             owners: RwLock::new(HashMap::new()),
             router,
-            parallel_fanout: std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-                > 1,
             telemetry: None,
         })
     }
 
-    /// Binds shard-layer timing (`shard.open` / `shard.pull` /
-    /// `shard.merge` histograms) into `registry`. Timing follows the
-    /// registry's enabled switch; an unbound index reads no clocks.
+    /// Binds shard-layer timing (the `shard.open` histogram) into
+    /// `registry`. Timing follows the registry's enabled switch; an
+    /// unbound index reads no clocks.
     pub fn bind_telemetry(&mut self, registry: &Registry) {
         self.telemetry = Some(ShardTiming::bind(registry));
-    }
-
-    /// Overrides the fan-out mode (default: parallel iff the machine has
-    /// more than one core) so the tests run both paths on any host.
-    #[cfg(test)]
-    fn with_parallel_fanout(mut self, parallel: bool) -> Self {
-        self.parallel_fanout = parallel;
-        self
     }
 
     /// Number of shards.
@@ -193,91 +183,54 @@ impl<S: BucketStore> ShardedMIndex<S> {
         }
     }
 
-    /// Runs `f` against every shard — concurrently on scoped threads over
-    /// the shared-read path (shard 0 on the calling thread) when parallel
-    /// fan-out is on, sequentially otherwise. Results come back in shard
-    /// order either way.
-    fn fan_out<R, F>(&self, f: F) -> Vec<Result<R, MIndexError>>
-    where
-        R: Send,
-        F: Fn(&MIndex<S>) -> Result<R, MIndexError> + Sync,
-    {
-        if self.shards.len() == 1 || !self.parallel_fanout {
-            return self.shards.iter().map(|s| f(&s.read())).collect();
-        }
-        std::thread::scope(|scope| {
-            let mut shards = self.shards.iter();
-            let first = shards.next();
-            let handles: Vec<_> = shards
-                .map(|s| {
-                    let f = &f;
-                    scope.spawn(move || f(&s.read()))
-                })
-                .collect();
-            let mut out = Vec::with_capacity(self.shards.len());
-            if let Some(s) = first {
-                out.push(f(&s.read()));
-            }
-            out.extend(handles.into_iter().map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(MIndexError::Corrupt("shard worker panicked".into())))
-            }));
-            out
-        })
-    }
-
-    /// Per-shard promise-walk budget for a k-NN cursor open.
+    /// Per-shard promise-walk budget for a k-NN open, from the shards the
+    /// open holds.
     ///
     /// When the global candidate budget covers the whole collection, every
     /// shard must walk to exhaustion — that is the regime where sharded
     /// and single-index candidate sets provably coincide, and the
-    /// byte-identity the equivalence suite pins. Below it the frontier
-    /// contract applies instead: the coordinator stops after draining
-    /// `cand_size` entries globally, so each shard stages only its
-    /// `ceil(cand_size / N)` share of the budget in promise order. This is
-    /// where the `~N·cand_size` gather-everything amplification actually
-    /// fell: staging (walk + routing parse + bound computation), not just
-    /// the decode the lazy yield already avoids.
-    fn shard_open_budget(&self, cand_size: usize) -> usize {
+    /// byte-identity the equivalence suite pins. Below it each shard
+    /// stages only its `ceil(cand_size / N)` share of the budget in
+    /// promise order, and the engine's `cand_size` cap selects from the
+    /// union. The collection is what the held guards hold: an id an
+    /// in-flight insert has reserved in the ownership map but no shard
+    /// holds yet is not part of it.
+    fn shard_open_budget(shards: &[RwLockReadGuard<'_, MIndex<S>>], cand_size: usize) -> usize {
         if cand_size == FIRST_CELL_ONLY {
             return cand_size;
         }
-        let total = self.owners.read().len();
-        if cand_size >= total {
+        let total: u64 = shards.iter().map(|shard| shard.len()).sum();
+        if cand_size as u64 >= total {
             cand_size
         } else {
-            cand_size.div_ceil(self.shards.len().max(1))
+            cand_size.div_ceil(shards.len().max(1))
         }
     }
 
-    /// The scatter half of a scatter-gather approximate k-NN
-    /// ([`SearchIndex::open_knn`]) together with the query's global drain
-    /// cap, ready for [`Self::drain`] — so an outside caller can time the
-    /// open and the drain as distinct phases. Every shard *opens* a cursor
-    /// over its own cells in promise order (staging its share of the global
-    /// budget without decoding payloads); the drain keeps the `cand_size`
-    /// globally smallest wire lower bounds, and entries past the global
-    /// stopping point are never materialized. `FIRST_CELL_ONLY` yields the
-    /// union of every shard's most promising cell, untrimmed (each shard's
-    /// "first cell" is a fragment of the global one under pivot routing,
-    /// and an independent sample under hash routing).
+    /// An approximate k-NN open ([`SearchIndex::open_knn`]) together with
+    /// the query's cap, ready for [`Self::drain`] — so an outside caller
+    /// can time the open and the selection as distinct phases. The cursor
+    /// holds every shard's share of the budget; the cap keeps the
+    /// `cand_size` smallest wire lower bounds of it. `FIRST_CELL_ONLY`
+    /// yields the union of every shard's most promising cell, untrimmed
+    /// (each shard's "first cell" is a fragment of the global one under
+    /// pivot routing, and an independent sample under hash routing).
     pub fn open_knn_cursors(
         &self,
         evaluator: &PromiseEvaluator,
         cand_size: usize,
-    ) -> Result<(Vec<CandidateCursor>, Option<usize>), MIndexError> {
+    ) -> Result<(CandidateCursor, Option<usize>), MIndexError> {
         Ok((self.open_knn(evaluator, cand_size)?, knn_cap(cand_size)))
     }
 
-    /// The gather half as owned entries ([`SearchIndex::select`] followed
-    /// by [`owned_entries`]) — the eager list shape.
+    /// The selection as owned entries
+    /// ([`CandidateCursor::collect_up_to`]) — the eager list shape.
     pub fn drain(
         &self,
-        cursors: Vec<CandidateCursor>,
+        cursor: CandidateCursor,
         cap: Option<usize>,
     ) -> Result<RankedCandidates, MIndexError> {
-        let (views, stats) = self.select(&cursors, cap);
-        Ok((owned_entries(&views)?, stats))
+        cursor.collect_up_to(cap)
     }
 
     /// Phase 2 of the two-phase fetch, shard-routed: each requested id is
@@ -331,108 +284,54 @@ impl<S: BucketStore> ShardedMIndex<S> {
 }
 
 /// The sharded index behind the request engine. An opened search is one
-/// owned cursor per shard: every shard guard is released with the fan-out
-/// that opened them, so [`SearchIndex::select`] runs lock-free.
+/// owned cursor over every shard: the guard set drops with the open, so
+/// the engine selects from it lock-free.
 impl<S: BucketStore> SearchIndex for ShardedMIndex<S> {
-    type Opened = Vec<CandidateCursor>;
-
-    /// Fans the open out to every shard, each staging its share of the
-    /// global budget; fails on the first failing shard (in shard order,
+    /// One open over every shard, each staging its share of the global
+    /// budget; fails on the first failing shard (in shard order,
     /// deterministic).
     fn open_knn(
         &self,
         evaluator: &PromiseEvaluator,
         cand_size: usize,
-    ) -> Result<Vec<CandidateCursor>, MIndexError> {
-        let budget = self.shard_open_budget(cand_size);
-        self.fan_out(|ix| {
-            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
-            ix.knn_cursor(evaluator, budget)
-        })
-        .into_iter()
-        .collect()
+    ) -> Result<CandidateCursor, MIndexError> {
+        let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
+        let shards: GuardSet<'_, S> = self.shards.iter().map(|shard| shard.read()).collect();
+        let budget = Self::shard_open_budget(&shards, cand_size);
+        MIndex::knn_cursor_over(&shards, evaluator, budget)
     }
 
-    /// Every shard's range candidate superset; drained uncapped, their
-    /// union is a superset of the true results — every true result lives
-    /// in exactly one shard and survives that shard's (triangle-inequality-
-    /// safe) pruning, so client refinement returns exactly what a single
-    /// index would.
+    /// Every shard's range candidate superset in one cursor; selected
+    /// uncapped, it is a superset of the true results — every true result
+    /// lives in exactly one shard and survives that shard's (triangle-
+    /// inequality-safe) pruning, so client refinement returns exactly what
+    /// a single index would.
     fn open_range(
         &self,
         query_distances: &[f64],
         radius: f64,
-    ) -> Result<Vec<CandidateCursor>, MIndexError> {
-        self.fan_out(|ix| {
-            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
-            ix.range_cursor(query_distances, radius)
-        })
-        .into_iter()
-        .collect()
+    ) -> Result<CandidateCursor, MIndexError> {
+        let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
+        let shards: GuardSet<'_, S> = self.shards.iter().map(|shard| shard.read()).collect();
+        MIndex::range_cursor_over(&shards, query_distances, radius)
     }
 
-    /// One fan-out pass for the whole batch: each shard worker opens every
-    /// query's cursor under a single guard acquisition (instead of
-    /// `batch × shards` lock crossings). A failing query (first failing
-    /// shard, deterministic) occupies only its own slot.
+    /// The guard set is taken once for the whole batch (instead of once
+    /// per query); each query then opens its own cursor over it. A failing
+    /// query occupies only its own slot.
     fn open_batch_knn(
         &self,
         queries: &[(PromiseEvaluator, usize)],
-    ) -> Vec<Result<Vec<CandidateCursor>, MIndexError>> {
-        // Per shard: one cursor per query. The closure itself cannot fail —
-        // per-query errors stay in their slots — so a fan-out-level error
-        // only arises from a worker panic and poisons the whole batch.
-        let budgets: Vec<usize> = queries
+    ) -> Vec<Result<CandidateCursor, MIndexError>> {
+        let shards: GuardSet<'_, S> = self.shards.iter().map(|shard| shard.read()).collect();
+        queries
             .iter()
-            .map(|&(_, cand_size)| self.shard_open_budget(cand_size))
-            .collect();
-        let per_shard = self.fan_out(|ix| {
-            let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
-            Ok(queries
-                .iter()
-                .zip(&budgets)
-                .map(|((evaluator, _), &budget)| ix.knn_cursor(evaluator, budget))
-                .collect::<Vec<Result<CandidateCursor, MIndexError>>>())
-        });
-        // Transpose shard-major cursors into one slot per query. A slot
-        // keeps its first failure in shard order (deterministic).
-        let mut slots: Vec<Result<Vec<CandidateCursor>, MIndexError>> = queries
-            .iter()
-            .map(|_| Ok(Vec::with_capacity(self.shards.len())))
-            .collect();
-        for shard in per_shard {
-            let cursors = match shard {
-                Ok(cursors) => cursors,
-                Err(e) => {
-                    let msg = e.to_string();
-                    return queries
-                        .iter()
-                        .map(|_| Err(MIndexError::Corrupt(msg.clone())))
-                        .collect();
-                }
-            };
-            for (slot, cursor) in slots.iter_mut().zip(cursors) {
-                match (slot.as_mut(), cursor) {
-                    (Ok(opened), Ok(c)) => opened.push(c),
-                    (Ok(_), Err(e)) => *slot = Err(e),
-                    (Err(_), _) => {}
-                }
-            }
-        }
-        slots
-    }
-
-    /// The gather half of every search: merges the cursors' frontiers
-    /// lock-free into borrowed views (see [`merge_frontier`]), timing the
-    /// coordinator's merge and its pull runs when telemetry is bound.
-    fn select<'o>(
-        &self,
-        opened: &'o Vec<CandidateCursor>,
-        cap: Option<usize>,
-    ) -> (Vec<CandidateView<'o>>, SearchStats) {
-        let _merge = self.telemetry.as_ref().map(ShardTiming::merge_timer);
-        let pull = self.telemetry.as_ref().and_then(ShardTiming::pull_hist);
-        merge_frontier(opened, cap, pull)
+            .map(|(evaluator, cand_size)| {
+                let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
+                let budget = Self::shard_open_budget(&shards, *cand_size);
+                MIndex::knn_cursor_over(&shards, evaluator, budget)
+            })
+            .collect()
     }
 
     /// One shard guard per entry (see [`ShardedMIndex::insert`]): a
@@ -497,7 +396,7 @@ mod tests {
     use simcloud_mindex::{Routing, RoutingStrategy};
     use simcloud_storage::MemoryStore;
 
-    /// A k-NN scatter-gather, drained to owned entries.
+    /// A k-NN open over every shard, drained to owned entries.
     fn knn(
         idx: &ShardedMIndex<MemoryStore>,
         ev: &PromiseEvaluator,
@@ -507,7 +406,7 @@ mod tests {
         idx.drain(cursors, cap).unwrap()
     }
 
-    /// A drained, uncapped range scatter-gather.
+    /// A range open over every shard, drained uncapped.
     fn range(idx: &ShardedMIndex<MemoryStore>, q: &[f64], radius: f64) -> RankedCandidates {
         idx.drain(idx.open_range(q, radius).unwrap(), None).unwrap()
     }
@@ -688,31 +587,189 @@ mod tests {
         );
     }
 
-    /// Parallel and sequential fan-out must compute identical answers —
-    /// forced explicitly so both paths run regardless of the host's core
-    /// count.
+    /// The one open equals the per-shard opens it replaced, run one
+    /// after another: each shard's own `knn_cursor` / `range_cursor` at
+    /// the shard budget, concatenated in shard order and stably ranked by
+    /// bound, then capped — same entries, same bounds, same statistics.
     #[test]
-    fn parallel_and_sequential_fanout_agree() {
-        let build = |parallel: bool| {
-            let idx = sharded(3, Box::new(HashRouter)).with_parallel_fanout(parallel);
-            for x in 0..=15u64 {
-                insert(&idx, entry(x, &[x as f64, 15.0 - x as f64, 7.5])).unwrap();
-            }
-            idx
-        };
-        let par = build(true);
-        let seq = build(false);
+    fn one_open_equals_per_shard_opens() {
+        let idx = sharded(3, Box::new(HashRouter));
+        for x in 0..=15u64 {
+            insert(&idx, entry(x, &[x as f64, 15.0 - x as f64, 7.5])).unwrap();
+        }
         let ev = PromiseEvaluator::from_distances(vec![4.0, 11.0, 7.5]);
-        let (a, sa) = knn(&par, &ev, 6);
-        let (b, sb) = knn(&seq, &ev, 6);
-        assert_eq!(
-            a.iter().map(|(e, _)| e.id).collect::<Vec<_>>(),
-            b.iter().map(|(e, _)| e.id).collect::<Vec<_>>()
+        let per_shard = |open: &dyn Fn(&MIndex<MemoryStore>) -> CandidateCursor,
+                         cap: Option<usize>| {
+            let mut all = Vec::new();
+            let mut stats = SearchStats::default();
+            for i in 0..idx.shard_count() {
+                let cursor = open(&idx.shard(i).unwrap());
+                stats.merge(&cursor.stats());
+                all.extend(cursor.collect_up_to(None).unwrap().0);
+            }
+            all.sort_by(|a, b| a.1.total_cmp(&b.1));
+            all.truncate(cap.unwrap_or(usize::MAX));
+            stats.candidates = all.len() as u64;
+            stats.candidates_generated = all.len() as u64;
+            (all, stats)
+        };
+        for cand in [1usize, 4, 6, 16, 40] {
+            let budget = if cand >= 16 { cand } else { cand.div_ceil(3) };
+            let reference = per_shard(&|ix| ix.knn_cursor(&ev, budget).unwrap(), Some(cand));
+            assert_eq!(knn(&idx, &ev, cand), reference, "cand {cand}");
+        }
+        let q = [4.0, 11.0, 7.5];
+        let reference = per_shard(&|ix| ix.range_cursor(&q, 2.0).unwrap(), None);
+        assert_eq!(range(&idx, &q, 2.0), reference);
+    }
+
+    /// A router that places id `i` on shard `i / 100` — the ported merge
+    /// cases pick each entry's shard.
+    struct ByHundreds;
+
+    impl ShardRouter for ByHundreds {
+        fn route(&self, id: u64, _: &simcloud_mindex::entry::RoutingView<'_>, n: usize) -> usize {
+            (id / 100) as usize % n
+        }
+
+        fn name(&self) -> &'static str {
+            "by-hundreds"
+        }
+    }
+
+    /// `shards` one-pivot shards holding `(id, distance)` points, placed by
+    /// [`ByHundreds`]: the wire bound for query distance 0 is the distance
+    /// minus its `f32` slack, so ranks follow the distances.
+    fn one_pivot(shards: usize, points: &[(u64, f64)]) -> ShardedMIndex<MemoryStore> {
+        let config = MIndexConfig {
+            num_pivots: 1,
+            max_level: 1,
+            bucket_capacity: 1000,
+            strategy: RoutingStrategy::Distances,
+        };
+        let stores = (0..shards).map(|_| MemoryStore::new()).collect();
+        let idx = ShardedMIndex::new(config, Box::new(ByHundreds), stores).unwrap();
+        for &(id, d) in points {
+            insert(
+                &idx,
+                IndexEntry::new(id, Routing::from_distances(&[d]), vec![id as u8]),
+            )
+            .unwrap();
+        }
+        idx
+    }
+
+    fn ids(list: &[(IndexEntry, f64)]) -> Vec<u64> {
+        list.iter().map(|(e, _)| e.id).collect()
+    }
+
+    fn at_zero() -> PromiseEvaluator {
+        PromiseEvaluator::from_distances(vec![0.0])
+    }
+
+    #[test]
+    fn merges_cursor_frontiers_ascending() {
+        let idx = one_pivot(
+            4,
+            &[
+                (1, 1.0),
+                (2, 5.0),
+                (3, 9.0),
+                (101, 2.0),
+                (102, 6.0),
+                (301, 0.5),
+            ],
         );
-        assert_eq!(sa, sb);
-        let (ra, _) = range(&par, &[4.0, 11.0, 7.5], 2.0);
-        let (rb, _) = range(&seq, &[4.0, 11.0, 7.5], 2.0);
-        assert_eq!(ra.len(), rb.len());
+        let (merged, stats) = knn(&idx, &at_zero(), 6);
+        assert_eq!(ids(&merged), vec![301, 1, 101, 2, 102, 3]);
+        assert!(merged.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert_eq!(stats.candidates, 6);
+    }
+
+    #[test]
+    fn cap_keeps_globally_smallest_bounds() {
+        let idx = one_pivot(2, &[(1, 3.0), (2, 4.0), (101, 1.0), (102, 2.0), (103, 2.5)]);
+        let (merged, stats) = knn(&idx, &at_zero(), 3);
+        assert_eq!(ids(&merged), vec![101, 102, 103]);
+        assert_eq!(stats.candidates, 3);
+    }
+
+    #[test]
+    fn ties_resolve_by_shard_order_deterministically() {
+        let make = || one_pivot(2, &[(101, 0.5), (1, 0.5)]);
+        let (a, _) = knn(&make(), &at_zero(), 2);
+        let (b, _) = knn(&make(), &at_zero(), 2);
+        assert_eq!(a[0].0.id, 1, "earlier shard wins the tie");
+        assert_eq!(ids(&a), ids(&b));
+    }
+
+    #[test]
+    fn empty_and_zero_cap() {
+        let (merged, _) = knn(&one_pivot(3, &[]), &at_zero(), 5);
+        assert!(merged.is_empty());
+        let idx = one_pivot(2, &[(1, 0.1)]);
+        let cursor = idx.open_knn(&at_zero(), 1).unwrap();
+        let (merged, stats) = idx.drain(cursor, Some(0)).unwrap();
+        assert!(merged.is_empty());
+        assert_eq!(stats.candidates, 0);
+    }
+
+    /// A capped open stages little more than the cap in total, not
+    /// `shards × cap`: each shard walks only its `ceil(cap / N)` share.
+    #[test]
+    fn capped_drain_generates_sublinearly() {
+        let config = MIndexConfig {
+            num_pivots: 8,
+            max_level: 3,
+            bucket_capacity: 4,
+            strategy: RoutingStrategy::Distances,
+        };
+        let stores = (0..4).map(|_| MemoryStore::new()).collect();
+        let idx = ShardedMIndex::new(config, Box::new(ByHundreds), stores).unwrap();
+        let spread = |id: u64, p: u64| ((id * (2 * p + 3) + p * p) % 17) as f64;
+        for shard in 0..4u64 {
+            for i in 0..60 {
+                let id = shard * 100 + i;
+                let ds: Vec<f64> = (0..8).map(|p| spread(id, p)).collect();
+                insert(&idx, entry(id, &ds)).unwrap();
+            }
+        }
+        let ev = PromiseEvaluator::from_distances((0..8).map(|p| spread(7, p)).collect());
+        let (merged, stats) = knn(&idx, &ev, 40);
+        assert_eq!(merged.len(), 40);
+        assert_eq!(stats.candidates_generated, 40);
+        assert!(
+            stats.entries_scanned < 2 * 40,
+            "scanned {} for a cap of 40 over 4 shards — every shard must \
+             stage only its share of the budget",
+            stats.entries_scanned
+        );
+    }
+
+    /// The covering test counts what the held shards hold: an id an
+    /// in-flight insert has reserved in the ownership map, but no shard
+    /// holds yet, must not turn a collection-covering `cand_size` into
+    /// `ceil(cand / N)` budgets that drop entries.
+    #[test]
+    fn covering_budget_counts_only_what_the_shards_hold() {
+        let idx = ShardedMIndex::new(
+            cfg(3),
+            Box::new(ByHundreds),
+            (0..2).map(|_| MemoryStore::new()).collect(),
+        )
+        .unwrap();
+        for x in 0..12u64 {
+            let t = x as f64;
+            insert(&idx, entry(x, &[t, 12.0 - t, (t * 5.0) % 12.0])).unwrap();
+        }
+        insert(&idx, entry(100, &[6.0, 6.0, 6.0])).unwrap();
+        // What `insert` does before the shard write: reserve the id.
+        idx.owners.write().insert(999, 1);
+        let held: u64 = (0..2).map(|i| idx.shard(i).map_or(0, |s| s.len())).sum();
+        assert_eq!(held, 13);
+        let ev = PromiseEvaluator::from_distances(vec![0.0, 12.0, 0.0]);
+        let (cands, _) = knn(&idx, &ev, held as usize);
+        assert_eq!(cands.len(), 13, "every held entry comes back");
     }
 
     #[test]

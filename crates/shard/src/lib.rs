@@ -1,22 +1,22 @@
-//! # simcloud-shard — sharded M-Index, scatter-gather similarity cloud
+//! # simcloud-shard — sharded M-Index, one open over every shard
 //!
 //! A single M-Index keeps everything behind one reader–writer lock:
-//! searches share it, but **every insert takes the one write lock**, and
-//! every search walks one index. This crate removes both ceilings with a
-//! second implementation of `simcloud_core`'s `SearchIndex` trait — the
-//! request engine, the wire and the client are the single server's,
-//! unchanged (the single index is simply the 1-shard case):
+//! searches share it, but **every insert takes the one write lock**. This
+//! crate removes that ceiling with a second implementation of
+//! `simcloud_core`'s `SearchIndex` trait — the request engine, the wire
+//! and the client are the single server's, unchanged (the single index is
+//! simply the 1-shard case):
 //!
 //! * [`ShardedMIndex`] — N fully independent M-Index shards, each with its
 //!   own `BucketStore` and its own write lock. An insert blocks 1/N of the
-//!   key space; searches fan out to all shards (scoped threads over
-//!   `&self`, reusing the shared-read path), each shard *opening* a lazy
-//!   `CandidateCursor`, and the coordinator drains the merged frontier by
-//!   wire lower bound until `cand_size` candidates are pulled globally
-//!   ([`merge::merge_frontier`]) — per-shard generation work drops toward
-//!   `cand_size / N` instead of every shard materializing a full list.
-//!   Phase-2 fetches are routed to the owning shard through a shard-aware
-//!   id map.
+//!   key space. A search is one open on the calling thread: it takes every
+//!   shard's read guard in shard order, walks each shard's tree to that
+//!   shard's `⌈cand_size / N⌉` budget (the whole shard when `cand_size`
+//!   covers the collection), stages every picked cell into one arena and
+//!   ranks it with one stable sort, and drops the guards. The result is
+//!   one `CandidateCursor`, as a single index answers, so the engine
+//!   selects `cand_size` candidates from it the same way. Phase-2 fetches
+//!   are routed to the owning shard through a shard-aware id map.
 //! * [`ShardedCloudServer`] — `simcloud_core::ServerEngine` over a
 //!   `ShardedMIndex`: construction from `(config, router, stores)` and the
 //!   shard-layer telemetry binding, nothing else. The unmodified
@@ -34,19 +34,19 @@
 //!
 //! **Exactness.** Range queries return byte-identical answers to a single
 //! index: each true result lives in exactly one shard and survives that
-//! shard's triangle-inequality-safe pruning, so the merged candidate list
-//! is a superset of the true results and client refinement does the rest.
-//! Approximate k-NN merges each shard's locally best `cand_size`
-//! candidates; when `cand_size` covers the collection the candidate sets
-//! coincide with the single index's and answers are byte-identical (the
-//! property test pins this), otherwise the sharded set draws from at least
-//! as many promising cells. With one shard every response frame equals the
+//! shard's triangle-inequality-safe pruning, so the candidate list is a
+//! superset of the true results and client refinement does the rest.
+//! Approximate k-NN keeps the `cand_size` best bounds of the shards'
+//! budgeted cells; when `cand_size` covers the collection the candidate
+//! sets coincide with the single index's and answers are byte-identical
+//! (the property test pins this), otherwise the sharded set draws from at
+//! least as many promising cells. Bound ties rank in shard order, then in
+//! cell-visit order. With one shard every response frame equals the
 //! single server's at any `cand_size`.
 
 #![warn(missing_docs)]
 
 pub mod index;
-pub mod merge;
 pub mod router;
 pub mod server;
 pub mod telemetry;

@@ -8,8 +8,8 @@
 //! single server's by construction — an unmodified `EncryptedClient` works
 //! against either byte for byte. What differs is entirely behind the
 //! [`simcloud_core::SearchIndex`] trait: inserts take one shard's write
-//! lock instead of a global one and searches scatter-gather across all
-//! shards.
+//! lock instead of a global one, and a search opens one cursor over every
+//! shard's cells.
 
 use simcloud_core::{ServerConfig, ServerEngine, ServerTelemetry};
 use simcloud_mindex::{MIndexConfig, MIndexError, SearchStats};
@@ -183,7 +183,7 @@ mod tests {
         );
         match resp {
             Response::CandidateList(list) => {
-                assert_eq!(list.headers.len(), 3, "merged list capped at cand_size");
+                assert_eq!(list.headers.len(), 3, "list capped at cand_size");
                 assert!(list
                     .headers
                     .windows(2)
@@ -283,7 +283,7 @@ mod tests {
 
     /// The sharded server applies the same `cand_size` clamp as the single
     /// server: oversized solo requests are refused and add nothing to the
-    /// search totals, oversized batch slots never reach the fan-out while
+    /// search totals, oversized batch slots never reach the open while
     /// their siblings still answer.
     #[test]
     fn oversized_cand_size_refused_before_fanout() {

@@ -14,14 +14,22 @@
 //! impls, so over the same inserts every frame — at any `cand_size`, not
 //! only collection-covering ones — and the search totals after every
 //! request (hence every request's stats delta) must be equal.
+//!
+//! A sharded search is one open over every shard. Its frames are pinned
+//! to a reference merge written out here: each shard's own cursor at its
+//! budget, merged by (bound, shard) with each shard's own order kept —
+//! for 2–4 shards, both routers, every inline budget and every
+//! `cand_size` from `FIRST_CELL_ONLY` to past the collection.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{KnnQuery, Request, Response, MAX_CANDIDATE_HEADERS};
 use simcloud_core::{evaluator_for, stage_candidates, CloudServer, SearchIndex, ServerConfig};
-use simcloud_mindex::{knn_cap, IndexEntry, MIndexConfig, Routing, RoutingStrategy};
-use simcloud_shard::{HashRouter, ShardedCloudServer};
+use simcloud_mindex::{
+    knn_cap, CandidateCursor, IndexEntry, MIndex, MIndexConfig, Routing, RoutingStrategy,
+};
+use simcloud_shard::{HashRouter, PivotRouter, ShardRouter, ShardedCloudServer, ShardedMIndex};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::SharedRequestHandler;
 
@@ -215,6 +223,72 @@ proptest! {
     }
 
     #[test]
+    fn sharded_frames_equal_the_reference_merge(
+        n in 0usize..100,
+        seed in 0u64..10_000,
+        shards in 2usize..5,
+        pivot_routed in any::<bool>(),
+        cand_size in 1usize..140,
+        radius in 0.0f64..12.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 17);
+        let routing = Routing::from_distances(&distances(&mut rng));
+        let evaluator = evaluator_for(routing.clone());
+        let range_query = distances(&mut rng);
+        // First cell only, the drawn size, exactly covering, past it.
+        let cand_sizes = [0, cand_size, n, n + 1];
+        for budget_choice in 0..4 {
+            let budget = budget(budget_choice, n.min(cand_size));
+            let router: Box<dyn ShardRouter> =
+                if pivot_routed { Box::new(PivotRouter) } else { Box::new(HashRouter) };
+            let server = ShardedCloudServer::with_config(
+                config(),
+                ServerConfig { max_inline_response_bytes: budget },
+                router,
+                (0..shards).map(|_| MemoryStore::new()).collect(),
+            )
+            .unwrap();
+            let inserted = ask(&server, Request::Insert(entries(n, seed)));
+            prop_assert_eq!(inserted, Response::Inserted(n as u32));
+            let staged = |ranked| stage_candidates(ranked, budget);
+            let mut sets = Vec::new();
+            for cand in cand_sizes {
+                let shard_budget = knn_budget(cand, shards, n);
+                let ranked = reference_merge(
+                    server.index(),
+                    |ix| ix.knn_cursor(&evaluator, shard_budget).unwrap(),
+                    knn_cap(cand),
+                );
+                let expected = Response::CandidateList(staged(ranked));
+                let request = Request::ApproxKnn { routing: routing.clone(), cand_size: cand as u32 };
+                prop_assert_eq!(server.handle_shared(&request.encode()), expected.encode());
+                let Response::CandidateList(list) = expected else { unreachable!() };
+                sets.push(Ok(list));
+            }
+            let batch = Request::BatchKnn(
+                cand_sizes
+                    .iter()
+                    .map(|&cand| KnnQuery { routing: routing.clone(), cand_size: cand as u32 })
+                    .collect(),
+            );
+            prop_assert_eq!(
+                server.handle_shared(&batch.encode()),
+                Response::CandidateSets(sets).encode()
+            );
+            let ranked = reference_merge(
+                server.index(),
+                |ix| ix.range_cursor(&range_query, radius).unwrap(),
+                None,
+            );
+            let range = Request::Range { distances: range_query.clone(), radius };
+            prop_assert_eq!(
+                server.handle_shared(&range.encode()),
+                Response::CandidateList(staged(ranked)).encode()
+            );
+        }
+    }
+
+    #[test]
     fn one_shard_frames_equal_the_single_server(
         n in 0usize..120,
         seed in 0u64..10_000,
@@ -307,4 +381,37 @@ fn one_shard_case(
         health(sharded.handle_shared(&wire))
     );
     Ok(())
+}
+
+/// A shard's k-NN walk budget: everything when `cand_size` covers the
+/// collection (or is `FIRST_CELL_ONLY`), `ceil(cand_size / N)` below it.
+fn knn_budget(cand_size: usize, shards: usize, total: usize) -> usize {
+    if cand_size == 0 || cand_size >= total {
+        cand_size
+    } else {
+        cand_size.div_ceil(shards)
+    }
+}
+
+/// The merge a sharded search ran before it was one open: every shard's
+/// own cursor, in full, merged by (bound, shard) with each shard's own
+/// order kept inside equal bounds, then capped.
+fn reference_merge(
+    index: &ShardedMIndex<MemoryStore>,
+    open: impl Fn(&MIndex<MemoryStore>) -> CandidateCursor,
+    cap: Option<usize>,
+) -> Vec<(IndexEntry, f64)> {
+    let mut merged = Vec::new();
+    for shard in 0..index.shard_count() {
+        let cursor = open(&index.shard(shard).unwrap());
+        let (list, _) = cursor.collect_up_to(None).unwrap();
+        merged.extend(list.into_iter().map(|(entry, bound)| (shard, entry, bound)));
+    }
+    // A stable sort: the shard's own order survives inside one (bound, shard).
+    merged.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
+    merged.truncate(cap.unwrap_or(usize::MAX));
+    merged
+        .into_iter()
+        .map(|(_, entry, bound)| (entry, bound))
+        .collect()
 }

@@ -7,9 +7,8 @@
 //!
 //! 1. inserts from concurrent connections land on different shards and
 //!    only block 1/N of the key space (each shard has its own write lock);
-//! 2. searches scatter to all shards and gather into one candidate list —
-//!    with answers identical to a single-index deployment over the same
-//!    data.
+//! 2. a search opens one candidate list over every shard's cells — with
+//!    answers identical to a single-index deployment over the same data.
 //!
 //! ```sh
 //! cargo run --release --example sharded_deployment
@@ -98,7 +97,7 @@ fn main() {
         single_owner.insert_bulk(chunk).expect("insert");
     }
 
-    // Scatter-gather search through the unmodified client, checked
+    // Sharded search through the unmodified client, checked
     // byte-for-byte against the single-index answer (collection-covering
     // candidate budget = the provably-identical regime).
     println!("\n— 30-NN through the unmodified client, sharded vs single —");

@@ -51,7 +51,7 @@ pub use simcloud_mindex as mindex;
 /// The Encrypted M-Index (the paper's contribution).
 pub use simcloud_core as core;
 
-/// Sharded scatter-gather deployment of the Encrypted M-Index.
+/// Sharded deployment of the Encrypted M-Index (N shards, one open).
 pub use simcloud_shard as shard;
 
 /// Comparison baselines (trivial, EHI, MPT, FDH).
