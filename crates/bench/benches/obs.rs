@@ -15,9 +15,8 @@
 //! ```
 
 use simcloud_bench::{
-    prebuild, prebuild_sharded, steady_state_encrypted, PreBuilt, RouterKind, SteadyServer, Which,
+    prebuild, prebuild_sharded, steady_state_encrypted, PreBuilt, SteadyServer, Which,
 };
-use simcloud_core::ServerConfig;
 
 struct Config {
     n: usize,
@@ -51,7 +50,7 @@ fn measure(pre: &PreBuilt, cfg: &Config, pairs: usize) -> (f64, f64) {
     let k = 30;
     // One untimed pass warms caches and the bucket store before timing.
     set_enabled(&pre.server, true);
-    std::hint::black_box(steady_state_encrypted(pre, cfg.cand, k, 1, 1, 5));
+    std::hint::black_box(steady_state_encrypted(pre, cfg.cand, k, 1, 5));
     let (mut best_off, mut best_on) = (0.0f64, 0.0f64);
     // A CPU-steal burst during the wrong window can fake an "overhead"
     // no code change explains, so when the ratio lands under the budget
@@ -65,7 +64,7 @@ fn measure(pre: &PreBuilt, cfg: &Config, pairs: usize) -> (f64, f64) {
             let on = (round + step) % 2 == 0;
             set_enabled(&pre.server, on);
             let qps =
-                steady_state_encrypted(pre, cfg.cand, k, 1, cfg.rounds, seed).queries_per_second();
+                steady_state_encrypted(pre, cfg.cand, k, cfg.rounds, seed).queries_per_second();
             if on {
                 best_on = best_on.max(qps);
             } else {
@@ -109,14 +108,7 @@ fn main() {
         let pre = if shards == 1 {
             prebuild(ds.clone(), cfg.queries, 3)
         } else {
-            prebuild_sharded(
-                ds.clone(),
-                cfg.queries,
-                3,
-                ServerConfig::default(),
-                shards,
-                RouterKind::Hash,
-            )
+            prebuild_sharded(ds.clone(), cfg.queries, 3, shards)
         };
         let (off_qps, on_qps) = measure(&pre, &cfg, pairs);
         let ratio = on_qps / off_qps;

@@ -11,21 +11,19 @@
 //! cargo run --release -p simcloud-bench --bin repro -- --scale paper --table 6
 //! ```
 //!
-//! Criterion micro/meso benches live in `benches/` (one per cost center:
-//! crypto, construction, search, baselines, components).
+//! Two benches live in `benches/`: `components` (ns-scale primitives:
+//! distance kernels, pivot filters, the page and query data paths, the
+//! client's crypto) and `obs` (telemetry overhead on the steady-state
+//! query path of [`steady`]).
 
 pub mod experiments;
 pub mod scale;
-pub mod shardperf;
 pub mod steady;
 pub mod tables;
 
 pub use experiments::*;
 pub use scale::Scale;
-pub use shardperf::{concurrent_insert_throughput, InsertThroughput, LatencyStore};
 pub use steady::{
-    prebuild, prebuild_sharded, prebuild_with, shards_arg, shards_suffix, steady_state_batch,
-    steady_state_encrypted, steady_state_encrypted_tcp, steady_state_encrypted_with, PreBuilt,
-    RouterKind, SteadyServer, SteadyState,
+    prebuild, prebuild_sharded, steady_state_encrypted, PreBuilt, SteadyServer, SteadyState,
 };
 pub use tables::Table;

@@ -6,6 +6,8 @@
 //! * a query with retries enabled returns the **byte-identical** answer of
 //!   an undisturbed run, or a typed error — never a hang, never a wrong
 //!   answer;
+//! * under periodic delay, drop and cut profiles every query answers, and
+//!   only drops and cuts are retried;
 //! * an interrupted bulk insert is **exactly-once** after
 //!   [`EncryptedClient::insert_bulk_resume`] — no lost and no duplicated
 //!   entries, whichever frame the cut tore;
@@ -222,6 +224,62 @@ fn delays_are_retried_only_when_they_breach_the_read_timeout() {
     assert_eq!(got, expected);
     assert_eq!(client.transport().stats().retries, 0);
     drop(client);
+    handle.shutdown();
+}
+
+/// Periodic fault profiles over a run of two-phase k-NN queries, each on a
+/// fresh faulty connection to the same budget-0 server: a quiet wire, a
+/// stall under the read timeout on every 10th response read, every 15th
+/// socket op dropped in each direction, and a cut on every 40th response
+/// read. No query may fail; the quiet wire and the short stalls must not
+/// retry, and drops and cuts must have been retried.
+#[test]
+fn periodic_fault_profiles_answer_every_query() {
+    let (key, objects) = dataset(31);
+    let server = loaded_server(&key, &objects);
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let profiles = [
+        ("quiet", vec![], false),
+        (
+            "delay",
+            vec![FaultRule::every(
+                Direction::Recv,
+                10,
+                FaultAction::Delay(Duration::from_millis(30)),
+            )],
+            false,
+        ),
+        (
+            "drop",
+            vec![
+                FaultRule::every(Direction::Send, 15, FaultAction::Drop),
+                FaultRule::every(Direction::Recv, 15, FaultAction::Drop),
+            ],
+            true,
+        ),
+        (
+            "cut",
+            vec![FaultRule::every(Direction::Recv, 40, FaultAction::Cut)],
+            true,
+        ),
+    ];
+    for (name, rules, retries_expected) in profiles {
+        let script = FaultScript::new(rules);
+        let mut client = faulty_client(&key, handle.addr(), Arc::clone(&script));
+        for (i, (_, q)) in objects.iter().enumerate() {
+            if let Err(e) = client.knn_approx(q, 5, 12) {
+                panic!("{name}: query {i} failed with retries enabled: {e}");
+            }
+        }
+        let retries = client.transport().stats().retries;
+        assert_eq!(
+            retries > 0,
+            retries_expected,
+            "{name}: {retries} retries over {} queries",
+            objects.len()
+        );
+        assert_eq!(script.injected() > 0, name != "quiet", "{name} must bite");
+    }
     handle.shutdown();
 }
 

@@ -612,12 +612,15 @@ fn batch_boundary_at_early_exit_is_exact() {
 
 /// Lazy-vs-lazy across budgets: the early exit decrypts the *same*
 /// candidates whether payloads came inlined or fetched — the exit decision
-/// never looks at payload availability.
+/// never looks at payload availability. And phase 2 pays for itself on
+/// the wire: whenever it runs, the response bytes undercut the one-phase
+/// (fully inlined) answer, because only the payloads refinement asks for
+/// ever ship.
 #[test]
 fn decrypted_count_is_budget_invariant() {
     let full = build(160, 3, 6, 91, RoutingStrategy::Distances);
     let budgets = [0usize, 300, 1500, 6000];
-    let mut counts = Vec::new();
+    let mut runs = Vec::new();
     for &b in &budgets {
         let dep = build_with(
             160,
@@ -629,13 +632,26 @@ fn decrypted_count_is_budget_invariant() {
         );
         let mut c = client(&dep, ClientConfig::distances(), 92);
         let (res, costs) = c.knn_approx(&dep.data[33], 8, 80).unwrap();
-        counts.push((res, costs.decrypted));
+        runs.push((b, res, costs));
     }
     let mut reference = client(&full, ClientConfig::distances(), 93);
     let (ref_res, ref_costs) = reference.knn_approx(&full.data[33], 8, 80).unwrap();
-    for (res, decrypted) in counts {
+    for (budget, res, costs) in runs {
         assert_eq!(res, ref_res);
-        assert_eq!(decrypted, ref_costs.decrypted);
+        assert_eq!(costs.decrypted, ref_costs.decrypted);
+        if budget == 0 {
+            assert!(costs.fetched > 0, "a budget-0 server must run phase 2");
+        }
+        if costs.fetched > 0 {
+            assert!(
+                costs.bytes_received < ref_costs.bytes_received,
+                "budget {budget}: the two-phase wire ({} B, {} fetched) must \
+                 undercut the one-phase wire ({} B)",
+                costs.bytes_received,
+                costs.fetched,
+                ref_costs.bytes_received
+            );
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Liveness of the all-shards open.
+//! Liveness of the all-shards open, and of inserts on distinct shards.
 //!
 //! A sharded search holds every shard's read guard for its open; an
 //! insert holds one shard's write guard at a time. Writer threads insert
@@ -8,15 +8,22 @@
 //! test after 30 s without progress. Every answer must rank its bounds
 //! ascending and name only ids that were inserted, and at the end the
 //! server holds exactly the inserted ids.
+//!
+//! An insert takes only its own shard's write lock, so two inserts routed
+//! to different shards hold their locks at the same time. That is checked
+//! by structure, not by wall clock: each shard's store makes its append
+//! wait for the other shard's append, which can only arrive while the
+//! first insert still holds its lock.
 
 use std::collections::BTreeSet;
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use simcloud_core::protocol::{KnnQuery, Request, Response};
 use simcloud_mindex::{IndexEntry, MIndexConfig, Routing, RoutingStrategy};
 use simcloud_shard::{HashRouter, ShardedCloudServer};
-use simcloud_storage::MemoryStore;
+use simcloud_storage::{BucketId, BucketStore, IoStats, MemoryStore, Record, StorageError};
 use simcloud_transport::SharedRequestHandler;
 
 const SHARDS: usize = 4;
@@ -63,16 +70,21 @@ fn writer_id(writer: u64, i: u64) -> u64 {
     PRELOADED + writer * PER_WRITER + i
 }
 
-#[test]
-fn searches_and_inserts_on_every_shard_make_progress() {
-    let config = MIndexConfig {
+/// Four pivots, matching [`distances`]; buckets of four entries split
+/// early.
+fn config() -> MIndexConfig {
+    MIndexConfig {
         num_pivots: 4,
         max_level: 3,
         bucket_capacity: 4,
         strategy: RoutingStrategy::Distances,
-    };
+    }
+}
+
+#[test]
+fn searches_and_inserts_on_every_shard_make_progress() {
     let stores = (0..SHARDS).map(|_| MemoryStore::new()).collect();
-    let server = Arc::new(ShardedCloudServer::new(config, Box::new(HashRouter), stores).unwrap());
+    let server = Arc::new(ShardedCloudServer::new(config(), Box::new(HashRouter), stores).unwrap());
     let preload = Request::Insert((0..PRELOADED).map(entry).collect());
     assert_eq!(
         ask(&*server, &preload),
@@ -167,4 +179,108 @@ fn searches_and_inserts_on_every_shard_make_progress() {
         }
         other => panic!("expected the export, got {other:?}"),
     }
+}
+
+/// How long an append waits for the other party before giving up: a
+/// serialising regression fails the test after this, instead of hanging.
+const RENDEZVOUS_WAIT: Duration = Duration::from_secs(5);
+
+/// A two-party meeting point shared by two stores.
+#[derive(Default)]
+struct Rendezvous {
+    arrived: Mutex<usize>,
+    changed: Condvar,
+    /// Parties that saw the other one arrive before their wait ran out.
+    met: AtomicUsize,
+}
+
+impl Rendezvous {
+    fn arrive(&self) {
+        let mut arrived = self.arrived.lock().unwrap();
+        *arrived += 1;
+        self.changed.notify_all();
+        let (_arrived, wait) = self
+            .changed
+            .wait_timeout_while(arrived, RENDEZVOUS_WAIT, |arrived| *arrived < 2)
+            .unwrap();
+        if !wait.timed_out() {
+            self.met.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// A memory store whose appends wait at the rendezvous, that is, inside
+/// the write lock of the shard that owns the store.
+struct RendezvousStore {
+    inner: MemoryStore,
+    rendezvous: Arc<Rendezvous>,
+}
+
+impl BucketStore for RendezvousStore {
+    fn append(&mut self, bucket: BucketId, record: Record) -> Result<(), StorageError> {
+        self.rendezvous.arrive();
+        self.inner.append(bucket, record)
+    }
+
+    fn read_bucket(&self, bucket: BucketId) -> Result<Vec<Record>, StorageError> {
+        self.inner.read_bucket(bucket)
+    }
+
+    fn bucket_len(&self, bucket: BucketId) -> usize {
+        self.inner.bucket_len(bucket)
+    }
+
+    fn delete_bucket(&mut self, bucket: BucketId) -> Result<(), StorageError> {
+        self.inner.delete_bucket(bucket)
+    }
+
+    fn bucket_ids(&self) -> Vec<BucketId> {
+        self.inner.bucket_ids()
+    }
+
+    fn total_records(&self) -> u64 {
+        self.inner.total_records()
+    }
+
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.inner.flush()
+    }
+
+    fn stats(&self) -> IoStats {
+        self.inner.stats()
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "Rendezvous memory storage"
+    }
+}
+
+#[test]
+fn inserts_on_two_shards_hold_their_write_locks_at_once() {
+    let rendezvous = Arc::new(Rendezvous::default());
+    let stores = (0..2)
+        .map(|_| RendezvousStore {
+            inner: MemoryStore::new(),
+            rendezvous: Arc::clone(&rendezvous),
+        })
+        .collect();
+    let server = Arc::new(ShardedCloudServer::new(config(), Box::new(HashRouter), stores).unwrap());
+    // The hash router puts id 0 on shard 0 and id 2 on shard 1 (checked
+    // below), so each insert takes a different shard's write lock.
+    let inserts = [0, 2].map(|id| {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || ask(&*server, &Request::Insert(vec![entry(id)])))
+    });
+    for insert in inserts {
+        assert_eq!(insert.join().unwrap(), Response::Inserted(1));
+    }
+    for shard in 0..2 {
+        assert_eq!(server.index().shard(shard).unwrap().len(), 1);
+    }
+    assert_eq!(
+        rendezvous.met.load(Ordering::SeqCst),
+        2,
+        "one insert waited {RENDEZVOUS_WAIT:?} for the other: inserts to distinct \
+         shards are serialising"
+    );
 }

@@ -341,3 +341,48 @@ fn export_all_and_rekey_from_sharded() {
     let (back, _) = new_owner.export_all().unwrap();
     assert_eq!(back.len(), t.data.len());
 }
+
+/// The per-shard budget split as an exact count. Below a
+/// collection-covering budget each of N shards stages only its
+/// `ceil(cand / N)` share in promise order, so over the same queries a
+/// 4-shard hash-routed open scans barely more entries than the single
+/// index does; it would scan about N times as many if every shard walked
+/// the whole budget.
+#[test]
+fn four_shard_opens_scan_their_share_of_the_budget() {
+    let t = build_twins(
+        400,
+        4,
+        8,
+        5,
+        4,
+        Box::new(HashRouter),
+        ServerConfig::default(),
+    );
+    let single_before = t.single.telemetry().total_search_stats();
+    let sharded_before = t.sharded.telemetry().total_search_stats();
+    let mut s1 = single_client(&t, 2);
+    let mut s2 = sharded_client(&t, 3);
+    for q in t.data.iter().step_by(25) {
+        s1.knn_approx(q, 30, 150).unwrap();
+        s2.knn_approx(q, 30, 150).unwrap();
+    }
+    let single = t
+        .single
+        .telemetry()
+        .total_search_stats()
+        .since(&single_before);
+    let sharded = t
+        .sharded
+        .telemetry()
+        .total_search_stats()
+        .since(&sharded_before);
+    let amplification = sharded.entries_scanned as f64 / single.entries_scanned as f64;
+    assert!(
+        amplification < 1.5,
+        "4 shards scanned {} entries against the single index's {} ({amplification:.2}x): \
+         shards are staging past their share of the candidate budget",
+        sharded.entries_scanned,
+        single.entries_scanned
+    );
+}

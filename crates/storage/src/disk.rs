@@ -92,19 +92,11 @@ pub struct DiskStoreOptions {
     /// Buffer-pool capacity in pages (minimum 2). Dirty pages are pinned,
     /// so the pool can temporarily exceed this between flushes.
     pub pool_pages: usize,
-    /// Whether flushes are write-ahead logged. With the WAL off a crash
-    /// *during* `flush()` can corrupt the store (the data-before-meta
-    /// ordering still protects every other instant); the durability bench
-    /// measures what the log costs.
-    pub wal: bool,
 }
 
 impl Default for DiskStoreOptions {
     fn default() -> Self {
-        DiskStoreOptions {
-            pool_pages: 1024,
-            wal: true,
-        }
+        DiskStoreOptions { pool_pages: 1024 }
     }
 }
 
@@ -182,7 +174,6 @@ pub struct DiskStore {
     dir_head: u32,
     /// Last committed batch; the next flush commits `lsn + 1`.
     lsn: u64,
-    wal_enabled: bool,
     directory: HashMap<BucketId, BucketMeta>,
     /// The one latch: pool bookkeeping only, never held across I/O.
     pool: Mutex<Pool>,
@@ -207,7 +198,7 @@ impl std::fmt::Debug for DiskStore {
 
 impl DiskStore {
     /// Creates a new store file (truncating any existing content) with
-    /// default options (1024-page pool, WAL on).
+    /// default options (a 1024-page pool).
     pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, StorageError> {
         Self::create_opts(path, DiskStoreOptions::default())
     }
@@ -241,7 +232,6 @@ impl DiskStore {
             free_head: meta.free_head,
             dir_head: meta.dir_head,
             lsn: meta.lsn,
-            wal_enabled: opts.wal,
             directory: HashMap::new(),
             pool: Mutex::new(Pool::new(opts.pool_pages.max(2))),
             stats: IoCounters::default(),
@@ -812,18 +802,18 @@ impl BucketStore for DiskStore {
             clean: false,
         };
         let timing = self.telemetry.as_ref();
-        if self.wal_enabled {
-            {
-                let _append = timing.map(StorageTiming::wal_append_timer);
-                let wal_backend = self.env.wal();
-                let mut off = 0u64;
-                for &page in &dirty {
-                    let image = pool.peek(page).ok_or_else(|| vanished(page))?;
-                    off = wal::append_page_frame(&mut *wal_backend, off, next_lsn, page, image)?;
-                }
-                wal::append_commit_frame(&mut *wal_backend, off, next_lsn, &new_meta.encode())?;
-                bump(&self.stats.wal_appends, dirty.len() as u64 + 1);
+        {
+            let _append = timing.map(StorageTiming::wal_append_timer);
+            let wal_backend = self.env.wal();
+            let mut off = 0u64;
+            for &page in &dirty {
+                let image = pool.peek(page).ok_or_else(|| vanished(page))?;
+                off = wal::append_page_frame(&mut *wal_backend, off, next_lsn, page, image)?;
             }
+            wal::append_commit_frame(&mut *wal_backend, off, next_lsn, &new_meta.encode())?;
+            bump(&self.stats.wal_appends, dirty.len() as u64 + 1);
+        }
+        {
             // The batch is durable from here: any later crash replays it.
             let _fsync = timing.map(StorageTiming::wal_fsync_timer);
             self.env.wal().sync()?;
@@ -848,10 +838,8 @@ impl BucketStore for DiskStore {
                 }
                 .encode(),
             )?;
-            if self.wal_enabled {
-                self.env.wal().set_len(0)?;
-                self.env.wal().sync()?;
-            }
+            self.env.wal().set_len(0)?;
+            self.env.wal().sync()?;
         }
         pool.commit();
         self.lsn = next_lsn;
@@ -1012,14 +1000,7 @@ mod tests {
     #[test]
     fn small_pool_still_correct() {
         let path = tmp("smallpool");
-        let mut s = DiskStore::create_opts(
-            &path,
-            DiskStoreOptions {
-                pool_pages: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut s = DiskStore::create_opts(&path, DiskStoreOptions { pool_pages: 2 }).unwrap();
         for b in 0..8u64 {
             for i in 0..10u64 {
                 s.append(BucketId(b), rec(b * 10 + i, 500)).unwrap();
@@ -1047,14 +1028,7 @@ mod tests {
     #[test]
     fn flush_trims_the_pool_back_to_capacity() {
         let path = tmp("trim");
-        let mut s = DiskStore::create_opts(
-            &path,
-            DiskStoreOptions {
-                pool_pages: 8,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut s = DiskStore::create_opts(&path, DiskStoreOptions { pool_pages: 8 }).unwrap();
         for b in 0..6u64 {
             for i in 0..20u64 {
                 s.append(BucketId(b), rec(b * 100 + i, 3500)).unwrap();
@@ -1169,29 +1143,6 @@ mod tests {
             );
             assert_eq!(s.stats().pages_recovered, 0, "nothing to replay");
             assert_eq!(s.total_records(), 1);
-            s.verify().unwrap();
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn wal_off_store_works_and_skips_the_log() {
-        let path = tmp("waloff");
-        let opts = DiskStoreOptions {
-            wal: false,
-            ..DiskStoreOptions::default()
-        };
-        {
-            let mut s = DiskStore::create_opts(&path, opts).unwrap();
-            for i in 0..30u64 {
-                s.append(BucketId(1), rec(i, 400)).unwrap();
-            }
-            s.flush().unwrap();
-            assert_eq!(s.stats().wal_appends, 0);
-        }
-        {
-            let s = DiskStore::open_opts(&path, opts).unwrap();
-            assert_eq!(s.total_records(), 30);
             s.verify().unwrap();
         }
         cleanup(&path);

@@ -55,14 +55,7 @@ struct Bucket {
 /// page and allocates new ones.
 fn build(path: &std::path::Path, pool: usize) -> (DiskStore, BTreeMap<u64, Bucket>) {
     let mut rng = StdRng::seed_from_u64(pool as u64);
-    let mut store = DiskStore::create_opts(
-        path,
-        DiskStoreOptions {
-            pool_pages: pool,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mut store = DiskStore::create_opts(path, DiskStoreOptions { pool_pages: pool }).unwrap();
     let mut model = BTreeMap::new();
     let mut next_id = 0u64;
     for b in 0..BUCKETS {

@@ -41,7 +41,7 @@ proptest! {
             std::process::id(),
             rand_suffix(&ops)
         ));
-        let opts = DiskStoreOptions { pool_pages: pool, ..Default::default() };
+        let opts = DiskStoreOptions { pool_pages: pool };
         let mut store = DiskStore::create_opts(&path, opts).unwrap();
         let mut model: HashMap<BucketId, Vec<Record>> = HashMap::new();
         let mut next_id = 0u64;
@@ -105,10 +105,7 @@ proptest! {
 #[test]
 fn corrupted_file_errors_instead_of_panicking() {
     let path = std::env::temp_dir().join(format!("simcloud-corrupt-{}.db", std::process::id(),));
-    let opts = DiskStoreOptions {
-        pool_pages: 4,
-        ..Default::default()
-    };
+    let opts = DiskStoreOptions { pool_pages: 4 };
     // Build a store with a few pages of real data, flushed to disk.
     {
         let mut store = DiskStore::create_opts(&path, opts).unwrap();

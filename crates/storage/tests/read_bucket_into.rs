@@ -117,14 +117,7 @@ fn disk_store_bulk_read_equals_read_under_small_and_roomy_pools() {
             std::process::id()
         ));
         into_equals_read(
-            DiskStore::create_opts(
-                &path,
-                DiskStoreOptions {
-                    pool_pages: pool,
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
+            DiskStore::create_opts(&path, DiskStoreOptions { pool_pages: pool }).unwrap(),
         );
         FileEnv::remove_sidecars(&path);
         let _ = std::fs::remove_file(&path);

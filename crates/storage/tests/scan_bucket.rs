@@ -97,16 +97,7 @@ fn provided_scan_equals_read_for_a_read_bucket_only_store() {
 #[test]
 fn disk_store_scan_equals_read() {
     let path = std::env::temp_dir().join(format!("simcloud-scan-{}.db", std::process::id()));
-    scan_equals_read(
-        DiskStore::create_opts(
-            &path,
-            DiskStoreOptions {
-                pool_pages: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap(),
-    );
+    scan_equals_read(DiskStore::create_opts(&path, DiskStoreOptions { pool_pages: 4 }).unwrap());
     FileEnv::remove_sidecars(&path);
     let _ = std::fs::remove_file(&path);
 }
