@@ -133,8 +133,8 @@ fn main() {
         );
         if shards == 4 {
             assert!(
-                text.contains("histogram shard.open count="),
-                "sharded run produced no shard histograms:\n{text}"
+                text.contains("histogram server.phase_open count="),
+                "sharded run produced no open histogram:\n{text}"
             );
         }
         assert!(slow > 0, "enabled run retained no slow queries");

@@ -9,8 +9,6 @@
 //! repro --shards 4 --table 5     encrypted searches against a sharded server
 //! ```
 
-use std::time::Duration;
-
 use simcloud_bench::tables::{kb, millis, secs, Table};
 use simcloud_bench::{
     ablation_k, ablation_network, ablation_pivots, ablation_strategy, ablation_transform,
@@ -535,7 +533,3 @@ fn table9(ds: &Dataset, queries: usize) {
     );
     println!("{}", t.render());
 }
-
-// keep Duration import used in all cfg paths
-#[allow(dead_code)]
-fn _unused(_: Duration) {}

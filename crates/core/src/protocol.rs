@@ -451,9 +451,47 @@ fn encode_list_parts<'p>(
 }
 
 /// Encoded size of a candidate list with `headers` headers and the given
-/// inline payload lengths (the layout [`encode_list_parts`] writes).
+/// inline payload lengths (the layout [`encode_list_parts`] writes), after
+/// each payload in turn: the first item counts no payload inline.
+fn list_encoded_lens(
+    headers: usize,
+    payload_lens: impl Iterator<Item = usize>,
+) -> impl Iterator<Item = usize> {
+    let empty = 4 + 16 * headers + 4;
+    std::iter::once(empty).chain(payload_lens.scan(empty, |n, len| {
+        *n += 4 + len;
+        Some(*n)
+    }))
+}
+
+/// Encoded size of a whole candidate list (see [`list_encoded_lens`]).
 fn list_encoded_len(headers: usize, payload_lens: impl Iterator<Item = usize>) -> usize {
-    payload_lens.fold(4 + 16 * headers + 4, |n, len| n + 4 + len)
+    list_encoded_lens(headers, payload_lens)
+        .last()
+        .unwrap_or_default()
+}
+
+/// The inline-budget rule of the phase-1 wire: **every** header ships
+/// (they are the ranked answer), and sealed payloads are inlined in bound
+/// order while the encoded response — its tag byte and the list — stays
+/// within `budget`; the client decrypts in exactly that order, so the
+/// inlined prefix is the part it is most likely to need. Inlining stops at
+/// the first candidate that would overflow the budget (the wire carries a
+/// positional prefix, not a best-fit subset); `None` inlines everything.
+/// Returns how many leading payloads ship, given every candidate's payload
+/// length in rank order.
+pub(crate) fn inline_prefix(
+    payload_lens: impl ExactSizeIterator<Item = usize>,
+    budget: Option<usize>,
+) -> usize {
+    let Some(budget) = budget else {
+        return payload_lens.len();
+    };
+    // `<`, not `<=`: the response's tag byte precedes the list.
+    list_encoded_lens(payload_lens.len(), payload_lens)
+        .skip(1)
+        .take_while(|&len| len < budget)
+        .count()
 }
 
 fn encode_candidate_list(out: &mut Vec<u8>, list: &CandidateList) {

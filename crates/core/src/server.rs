@@ -32,8 +32,8 @@ use simcloud_telemetry::Trace;
 use simcloud_transport::SharedRequestHandler;
 
 use crate::protocol::{
-    Candidate, CandidateHeader, CandidateList, FetchedObject, InsertView, Request, RequestView,
-    Response, StagedList, StagedResponse, MAX_CANDIDATE_HEADERS,
+    inline_prefix, Candidate, CandidateHeader, CandidateList, FetchedObject, InsertView, Request,
+    RequestView, Response, StagedList, StagedResponse, MAX_CANDIDATE_HEADERS,
 };
 use crate::telemetry::{request_label, ServerTelemetry};
 
@@ -305,9 +305,9 @@ impl<S: BucketStore> CloudServer<S> {
 
 impl<I: SearchIndex> ServerEngine<I> {
     /// The one constructor every server is built through: an already-built
-    /// index, the server configuration and the telemetry the index may
-    /// already be bound to (the sharded index registers its `shard.*`
-    /// histograms before it is handed over).
+    /// index, the server configuration and the telemetry whose registry
+    /// the index's store may already be bound to (a `DiskStore`'s `wal.*`
+    /// timings join the server's exposition that way).
     pub fn from_index(index: I, config: ServerConfig, telemetry: ServerTelemetry) -> Self {
         // Seed the ops-surface gauge: Health answers from this atomic,
         // never from an index lock.
@@ -543,35 +543,6 @@ impl<I: SearchIndex> ServerEngine<I> {
         self.telemetry
             .encode_response(&StagedResponse::Other(response), trace)
     }
-}
-
-/// The inline-budget rule of the phase-1 wire: **every** header ships
-/// (they are the ranked answer), and sealed payloads are inlined in bound
-/// order while the encoded response stays within `budget` — the client
-/// decrypts in exactly that order, so the inlined prefix is the part it is
-/// most likely to need. Inlining stops at the first candidate that would
-/// overflow the budget (the wire carries a positional prefix, not a
-/// best-fit subset); `None` inlines everything. Returns how many leading
-/// payloads ship, given every candidate's payload length in rank order.
-fn inline_prefix(
-    payload_lens: impl ExactSizeIterator<Item = usize>,
-    budget: Option<usize>,
-) -> usize {
-    let Some(budget) = budget else {
-        return payload_lens.len();
-    };
-    // Encoded list size so far: tag + header count + 16 per header +
-    // payload count; each inline payload adds 4 + len.
-    let mut used = 1 + 4 + 16 * payload_lens.len() + 4;
-    let mut inline = 0;
-    for len in payload_lens {
-        if used + 4 + len > budget {
-            break;
-        }
-        used += 4 + len;
-        inline += 1;
-    }
-    inline
 }
 
 /// Stages ranked candidate views for the phase-1 wire under the

@@ -354,8 +354,8 @@ fn sharded_server_answers_ops_requests_during_blocked_insert() {
     let text = metrics_of(&mut t);
     assert!(text.contains("counter server.requests"), "{text}");
     assert!(
-        text.contains("histogram shard.open"),
-        "sharded exposition must carry shard histograms: {text}"
+        text.contains("histogram server.phase_open"),
+        "sharded exposition must carry the open histogram: {text}"
     );
 
     gate.release();

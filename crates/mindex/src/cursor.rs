@@ -17,9 +17,12 @@
 //! cursor's arena. Everything after that — ranking, the cap, the inline
 //! budget — works on borrowed [`CandidateView`]s.
 //!
-//! * **Open** — the cell walk: promise order with a `cand_size` stop
-//!   condition for k-NN (the last cell is staged whole), double-pivot /
-//!   range-pivot tree pruning plus per-object pivot filtering for range,
+//! * **Open** — the cell walk, one promise-ordered walk for both
+//!   searches: k-NN keeps every child cell and stops once its picked cells
+//!   hold `cand_size` records (the last cell is staged whole); range keeps
+//!   a child only where the double-pivot rule lets the query ball reach
+//!   it, walks to the end, drops a picked leaf by the range-pivot rule and
+//!   filters each record by the per-object pivot filter. Everything is
 //!   counted into [`SearchStats`]. What survives is copied, once, into one
 //!   `Vec<u8>` **arena** owned by the cursor and described by a 32-byte
 //!   slot `{id, bound, offset, lengths}`; no per-record buffer exists at

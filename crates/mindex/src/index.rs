@@ -8,7 +8,7 @@
 //! the "payload" is just the un-encrypted vector) are built on it.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, Range};
 
 use simcloud_storage::{BucketId, BucketStore, Record, StorageError};
@@ -339,132 +339,98 @@ impl<S: BucketStore> MIndex<S> {
 
     /// [`MIndex::range_cursor`] over several indexes at once — the shards
     /// of one deployment, read through whatever guards the caller holds.
-    /// Each index is pruned and filtered exactly as on its own; the
-    /// survivors of all of them are staged, in index order, into one
-    /// cursor, whose stable sort breaks bound ties by index order, then by
-    /// cell-visit order. The statistics are the indexes' sums.
+    ///
+    /// The k-NN open's promise walk, with the double-pivot rule as its
+    /// child filter and no budget: every index walks its whole tree in
+    /// promise order, a picked leaf is dropped by the range-pivot rule,
+    /// and each kept cell's survivors of the per-object pivot filter are
+    /// staged, in index order, into one cursor, whose stable sort breaks
+    /// bound ties by index order, then by cell-visit order. The statistics
+    /// are the indexes' sums.
     pub fn range_cursor_over<I: Deref<Target = Self>>(
         indexes: &[I],
         query_distances: &[f64],
         radius: f64,
     ) -> Result<CandidateCursor, MIndexError> {
+        let evaluator = PromiseEvaluator::from_distances(query_distances.to_vec());
+        let mut walk = PromiseWalk::default();
         let mut stats = SearchStats::default();
-        let mut staging = Staging::default();
+        let mut cells: Vec<(&Self, &LeafCell)> = Vec::new();
         for index in indexes {
-            index.stage_range(query_distances, radius, &mut staging, &mut stats)?;
+            let index = &**index;
+            if index.config.strategy != RoutingStrategy::Distances {
+                return Err(MIndexError::WrongStrategy {
+                    required: RoutingStrategy::Distances,
+                    configured: index.config.strategy,
+                });
+            }
+            index.check_evaluator(&evaluator)?;
+            let pruned = walk.pick_cells(
+                &index.tree,
+                &evaluator,
+                usize::MAX,
+                |parent| {
+                    // The pivots still available below `parent`: all but
+                    // its prefix's (NaN distances never win the minimum).
+                    let available_min = query_distances
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| !parent.iter().any(|&p| usize::from(p) == i))
+                        .fold(f64::INFINITY, |min, (_, &d)| min.min(d));
+                    move |key| {
+                        query_distances
+                            .get(usize::from(key))
+                            .is_none_or(|&d| hyperplane_may_intersect(d, available_min, radius))
+                    }
+                },
+                |prefix, leaf, _| {
+                    if leaf.dist_bounds.is_empty()
+                        || range_pivot_may_intersect(
+                            prefix,
+                            query_distances,
+                            &leaf.dist_bounds,
+                            radius,
+                        )
+                    {
+                        cells.push((index, leaf));
+                    } else {
+                        stats.pruned_range_pivot += 1;
+                    }
+                },
+            );
+            stats.pruned_hyperplane += pruned;
+        }
+        let mut staging = Staging::default();
+        for (index, leaf) in cells {
+            stats.cells_visited += 1;
+            // Filtered: look, then copy the survivors (the rule is written
+            // out in `cursor.rs`). How many survive is not known, so the
+            // arena grows as they come.
+            let mut failed = None;
+            index.store.scan_bucket(leaf.bucket, &mut |id, record| {
+                if failed.is_some() {
+                    return;
+                }
+                stats.entries_scanned += 1;
+                let staged = staging.stage_filtered(
+                    id,
+                    record,
+                    &|stored| pivot_filter_keep(query_distances, stored, radius),
+                    |stored| {
+                        stored.map_or(0.0, |ds| pivot_filter_safe_lower_bound(query_distances, ds))
+                    },
+                );
+                match staged {
+                    Ok(true) => {}
+                    Ok(false) => stats.entries_filtered += 1,
+                    Err(e) => failed = Some(e),
+                }
+            })?;
+            if let Some(e) = failed {
+                return Err(e);
+            }
         }
         Ok(CandidateCursor::new(staging, stats))
-    }
-
-    /// One index's part of a range open: validates the query, walks the
-    /// tree and stages the survivors behind what `staging` already holds.
-    fn stage_range(
-        &self,
-        query_distances: &[f64],
-        radius: f64,
-        staging: &mut Staging,
-        stats: &mut SearchStats,
-    ) -> Result<(), MIndexError> {
-        if self.config.strategy != RoutingStrategy::Distances {
-            return Err(MIndexError::WrongStrategy {
-                required: RoutingStrategy::Distances,
-                configured: self.config.strategy,
-            });
-        }
-        if query_distances.len() != self.config.num_pivots {
-            return Err(MIndexError::DimensionMismatch {
-                expected: self.config.num_pivots,
-                got: query_distances.len(),
-            });
-        }
-        // Iterative DFS carrying (node, prefix, used-pivot mask).
-        let tree = &self.tree;
-        let store = &self.store;
-        let mut stack: Vec<(&Node, Vec<u16>)> = Vec::new();
-        {
-            let available_min = query_distances
-                .iter()
-                .cloned()
-                .fold(f64::INFINITY, f64::min);
-            for (&k, node) in tree.roots() {
-                if hyperplane_may_intersect(query_distances[k as usize], available_min, radius) {
-                    stack.push((node, vec![k]));
-                } else {
-                    stats.pruned_hyperplane += 1;
-                }
-            }
-        }
-        while let Some((node, prefix)) = stack.pop() {
-            match node {
-                Node::Internal { children } => {
-                    // Available pivots exclude the prefix.
-                    let mut available_min = f64::INFINITY;
-                    for (i, &d) in query_distances.iter().enumerate() {
-                        if !prefix.contains(&(i as u16)) && d < available_min {
-                            available_min = d;
-                        }
-                    }
-                    for (&k, child) in children {
-                        if hyperplane_may_intersect(
-                            query_distances[k as usize],
-                            available_min,
-                            radius,
-                        ) {
-                            let mut p = prefix.clone();
-                            p.push(k);
-                            stack.push((child, p));
-                        } else {
-                            stats.pruned_hyperplane += 1;
-                        }
-                    }
-                }
-                Node::Leaf(leaf) => {
-                    if leaf.count == 0 {
-                        continue;
-                    }
-                    let prefix_ds: Vec<f64> = prefix
-                        .iter()
-                        .map(|&i| query_distances[i as usize])
-                        .collect();
-                    if !leaf.dist_bounds.is_empty()
-                        && !range_pivot_may_intersect(&prefix_ds, &leaf.dist_bounds, radius)
-                    {
-                        stats.pruned_range_pivot += 1;
-                        continue;
-                    }
-                    stats.cells_visited += 1;
-                    // Filtered: look, then copy the survivors (the rule is
-                    // written out in `cursor.rs`). How many survive is not
-                    // known, so the arena grows as they come.
-                    let mut failed = None;
-                    store.scan_bucket(leaf.bucket, &mut |id, record| {
-                        if failed.is_some() {
-                            return;
-                        }
-                        stats.entries_scanned += 1;
-                        let staged = staging.stage_filtered(
-                            id,
-                            record,
-                            &|stored| pivot_filter_keep(query_distances, stored, radius),
-                            |stored| {
-                                stored.map_or(0.0, |ds| {
-                                    pivot_filter_safe_lower_bound(query_distances, ds)
-                                })
-                            },
-                        );
-                        match staged {
-                            Ok(true) => {}
-                            Ok(false) => stats.entries_filtered += 1,
-                            Err(e) => failed = Some(e),
-                        }
-                    })?;
-                    if let Some(e) = failed {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Approximate k-NN candidates (paper Alg. 4): enumerates Voronoi cells
@@ -518,11 +484,17 @@ impl<S: BucketStore> MIndex<S> {
         for index in indexes {
             let index = &**index;
             index.check_evaluator(evaluator)?;
-            walk.pick_cells(&index.tree, evaluator, cand_size, |leaf, penalty| {
-                records += leaf.count;
-                stream_bytes += leaf.stream_bytes;
-                cells.push((index, leaf, penalty));
-            });
+            walk.pick_cells(
+                &index.tree,
+                evaluator,
+                cand_size,
+                |_: &[u16]| |_| true,
+                |_, leaf, penalty| {
+                    records += leaf.count;
+                    stream_bytes += leaf.stream_bytes;
+                    cells.push((index, leaf, penalty));
+                },
+            );
         }
         let mut stats = SearchStats::default();
         let mut staging = Staging::default();
@@ -644,7 +616,8 @@ struct Frontier<'t> {
     node: &'t Node,
 }
 
-/// The promise-ordered cell walk of a k-NN open (paper Alg. 4): a binary
+/// The one cell walk of both opens — k-NN (paper Alg. 4) and range
+/// (Alg. 3, whose double-pivot rule is its child filter): a binary
 /// min-heap of frontier cells ordered by penalty, ties broken by the
 /// lexicographically smaller permutation prefix. The prefixes live in one
 /// arena — a pushed child appends its parent's prefix and its own pivot —
@@ -658,42 +631,68 @@ struct PromiseWalk<'t> {
 
 impl<'t> PromiseWalk<'t> {
     /// Walks `tree` in promise order and hands `pick` each non-empty leaf
-    /// with its penalty, until the picked leaves hold `cand_size` records
-    /// (just the first one under [`FIRST_CELL_ONLY`]).
-    fn pick_cells(
+    /// with its prefix and penalty, until the picked leaves hold
+    /// `cand_size` records (so just the first one under
+    /// [`FIRST_CELL_ONLY`]). Each expanded cell's children are filtered:
+    /// `keep(parent_prefix)` is asked once per cell (the roots' parent
+    /// prefix is empty) and answers which child pivots are pushed. Returns
+    /// how many children the filter rejected.
+    fn pick_cells<K: Fn(u16) -> bool>(
         &mut self,
         tree: &'t CellTree,
         evaluator: &PromiseEvaluator,
         cand_size: usize,
-        mut pick: impl FnMut(&'t LeafCell, f64),
-    ) {
+        mut keep: impl FnMut(&[u16]) -> K,
+        mut pick: impl FnMut(&[u16], &'t LeafCell, f64),
+    ) -> u64 {
         self.heap.clear();
         self.prefixes.clear();
-        for (&k, node) in tree.roots() {
-            self.push(0..0, k, evaluator.step(k, 0), node);
-        }
+        let mut rejected = self.expand(tree.roots(), None, evaluator, &mut keep);
         let mut gathered = 0usize;
         while let Some(cell) = self.pop() {
             match cell.node {
                 Node::Internal { children } => {
-                    let parent = cell.prefix_at..cell.prefix_at + cell.prefix_len;
-                    for (&k, child) in children {
-                        let penalty = cell.penalty + evaluator.step(k, cell.prefix_len);
-                        self.push(parent.clone(), k, penalty, child);
-                    }
+                    rejected += self.expand(children, Some(&cell), evaluator, &mut keep);
                 }
-                Node::Leaf(leaf) => {
-                    if leaf.count == 0 {
-                        continue;
-                    }
-                    pick(leaf, cell.penalty);
+                Node::Leaf(leaf) if leaf.count > 0 => {
+                    pick(self.prefix(&cell), leaf, cell.penalty);
                     gathered += leaf.count;
-                    if cand_size == FIRST_CELL_ONLY || gathered >= cand_size {
+                    if gathered >= cand_size {
                         break;
                     }
                 }
+                Node::Leaf(_) => {}
             }
         }
+        rejected
+    }
+
+    /// Pushes the children of `parent` (the root cells when `None`) whose
+    /// pivot `keep` keeps; returns how many it rejected. A root's penalty
+    /// is its step itself, not `0.0 + step`, which would turn a `-0.0`
+    /// step into `0.0` and change a bound's bits.
+    fn expand<K: Fn(u16) -> bool>(
+        &mut self,
+        children: &'t BTreeMap<u16, Node>,
+        parent: Option<&Frontier<'t>>,
+        evaluator: &PromiseEvaluator,
+        keep: &mut impl FnMut(&[u16]) -> K,
+    ) -> u64 {
+        let (at, level, base) = parent.map_or((0..0, 0, None), |cell| {
+            let at = cell.prefix_at..cell.prefix_at + cell.prefix_len;
+            (at, cell.prefix_len, Some(cell.penalty))
+        });
+        let keep = keep(self.prefixes.get(at.clone()).unwrap_or_default());
+        let mut rejected = 0;
+        for (&k, child) in children {
+            if keep(k) {
+                let step = evaluator.step(k, level);
+                self.push(at.clone(), k, base.map_or(step, |p| p + step), child);
+            } else {
+                rejected += 1;
+            }
+        }
+        rejected
     }
 
     fn prefix(&self, cell: &Frontier<'_>) -> &[u16] {
@@ -764,7 +763,11 @@ fn sealed_payload(id: u64, body: &[u8]) -> Result<&[u8], MIndexError> {
 mod tests {
     use super::*;
     use crate::entry::Routing;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use simcloud_storage::MemoryStore;
+    use std::collections::BTreeSet;
 
     fn cfg(pivots: usize, level: usize, cap: usize) -> MIndexConfig {
         MIndexConfig {
@@ -1215,5 +1218,121 @@ mod tests {
         let (cands, _) = range_list(&idx, &[7.0, 3.0], 0.0).unwrap();
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].0.id, 7);
+    }
+
+    /// A range open's statistics and its `(bound bits, id)` list, sorted.
+    type RangeOutcome = (SearchStats, Vec<(u64, u64)>);
+
+    /// Paper Alg. 3 by the book, the reference a range open must match:
+    /// every leaf of `for_each_leaf` against the three rules of
+    /// `pruning.rs`. A leaf below a hyperplane-pruned cell is skipped, and
+    /// each pruned cell is counted once, however many leaves lie below it.
+    fn reference_range(idx: &MIndex<MemoryStore>, qd: &[f64], radius: f64) -> RangeOutcome {
+        let mut stats = SearchStats::default();
+        let mut pruned = BTreeSet::new();
+        let mut found = Vec::new();
+        idx.tree.for_each_leaf(|prefix, leaf| {
+            let cut = (1..=prefix.len()).find(|&len| {
+                let parent = &prefix[..len - 1];
+                let available_min = (0..qd.len())
+                    .filter(|&i| !parent.contains(&(i as u16)))
+                    .map(|i| qd[i])
+                    .fold(f64::INFINITY, f64::min);
+                !hyperplane_may_intersect(qd[prefix[len - 1] as usize], available_min, radius)
+            });
+            if let Some(len) = cut {
+                pruned.insert(prefix[..len].to_vec());
+                return;
+            }
+            if leaf.count == 0 {
+                return;
+            }
+            if !leaf.dist_bounds.is_empty()
+                && !range_pivot_may_intersect(prefix, qd, &leaf.dist_bounds, radius)
+            {
+                stats.pruned_range_pivot += 1;
+                return;
+            }
+            stats.cells_visited += 1;
+            let mut stream = Vec::new();
+            idx.store
+                .read_bucket_into(leaf.bucket, &mut stream)
+                .unwrap();
+            for record in Record::stream(&stream) {
+                let record = record.unwrap();
+                stats.entries_scanned += 1;
+                let body = RecordBody::parse(record.payload).unwrap();
+                let RoutingView::Distances(ds) = body.routing() else {
+                    panic!("a distance index stores distances");
+                };
+                if pivot_filter_keep(qd, ds, radius) {
+                    let bound = pivot_filter_safe_lower_bound(qd, ds);
+                    found.push((bound.to_bits(), record.id));
+                } else {
+                    stats.entries_filtered += 1;
+                }
+            }
+        });
+        stats.pruned_hyperplane = pruned.len() as u64;
+        found.sort();
+        (stats, found)
+    }
+
+    fn range_outcome(idx: &MIndex<MemoryStore>, qd: &[f64], radius: f64) -> RangeOutcome {
+        let cursor = idx.range_cursor(qd, radius).unwrap();
+        let mut found: Vec<(u64, u64)> =
+            cursor.views().map(|v| (v.bound.to_bits(), v.id)).collect();
+        found.sort();
+        (cursor.stats(), found)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The range open — the promise walk with the double-pivot rule as
+        /// its child filter, then the range-pivot rule and the object pivot
+        /// filter — counts and keeps exactly what the reference does, on
+        /// random trees of every split depth. Points sit on a small integer
+        /// grid, so distances tie and the drawn radii land exactly on rule
+        /// boundaries: 0, a query–object distance, half a gap between two
+        /// query–pivot distances, a stored bound's distance to the query,
+        /// and one radius that covers everything.
+        #[test]
+        fn range_open_matches_the_reference_walk(
+            seed in 0u64..1_000_000,
+            n in 0usize..60,
+            dim in 1usize..3,
+            pivots in 2usize..6,
+            max_level in 1usize..4,
+            cap in 1usize..5,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut point = || -> Vec<f64> { (0..dim).map(|_| f64::from(rng.gen_range(0..8u32))).collect() };
+            let dist = |a: &[f64], b: &[f64]| {
+                a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+            };
+            let pivot_points: Vec<Vec<f64>> = (0..pivots).map(|_| point()).collect();
+            let routing_of = |p: &[f64]| -> Vec<f64> { pivot_points.iter().map(|c| dist(p, c)).collect() };
+            let mut idx =
+                MIndex::new(cfg(pivots, max_level.min(pivots), cap), MemoryStore::new()).unwrap();
+            let objects: Vec<Vec<f64>> = (0..n).map(|_| point()).collect();
+            for (id, o) in objects.iter().enumerate() {
+                idx.insert(entry_d(id as u64, &routing_of(o))).unwrap();
+            }
+            let mut q = point();
+            q[0] += f64::from(rng.gen_range(0..2u32)) / 2.0;
+            let qd = routing_of(&q);
+            let (i, j) = (rng.gen_range(0..pivots), rng.gen_range(0..pivots));
+            let mut radii = vec![0.0, 1e6, (qd[i] - qd[j]).abs() / 2.0, rng.gen_range(0.0..4.0)];
+            if let Some(o) = objects.get(rng.gen_range(0..n.max(1))) {
+                radii.push(dist(&q, o));
+                radii.push(f64::from(dist(o, &pivot_points[i]) as f32) - qd[i]);
+                radii.push(qd[i] - f64::from(dist(o, &pivot_points[i]) as f32));
+            }
+            for radius in radii {
+                let (got, want) = (range_outcome(&idx, &qd, radius), reference_range(&idx, &qd, radius));
+                prop_assert!(got == want, "radius {radius}: {got:?} != {want:?}");
+            }
+        }
     }
 }

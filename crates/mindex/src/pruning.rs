@@ -42,17 +42,26 @@ pub fn hyperplane_may_intersect(d_q_pivot: f64, available_min: f64, radius: f64)
     d_q_pivot <= available_min + 2.0 * radius + f32_slack(d_q_pivot.max(available_min))
 }
 
-/// Range-pivot constraint over a leaf's stored per-level bounds. `ds` are
-/// the query–pivot distances for the leaf's prefix pivots, `bounds` the
-/// corresponding `(r_min, r_max)` pairs. Returns `false` when prunable.
+/// Range-pivot constraint over a leaf's stored per-level bounds: `bounds`
+/// are the `(r_min, r_max)` pairs of the leaf's `prefix` pivots, whose
+/// query–pivot distances are read from `query_distances`. Returns `false`
+/// when prunable.
 ///
 /// Bounds were folded from `f32`-quantized stored distances, so the
 /// comparison is padded by a small `f32`-aware slack — without it, a query at an exact
 /// boundary radius (e.g. the precise-k-NN completion radius `ρ_k`) can
 /// prune the leaf holding the true neighbor.
 #[inline]
-pub fn range_pivot_may_intersect(ds: &[f64], bounds: &[(f64, f64)], radius: f64) -> bool {
-    for (d, (lo, hi)) in ds.iter().zip(bounds) {
+pub fn range_pivot_may_intersect(
+    prefix: &[u16],
+    query_distances: &[f64],
+    bounds: &[(f64, f64)],
+    radius: f64,
+) -> bool {
+    for (&pivot, (lo, hi)) in prefix.iter().zip(bounds) {
+        let Some(d) = query_distances.get(usize::from(pivot)) else {
+            continue;
+        };
         if d - radius > *hi + f32_slack(*hi) || d + radius < *lo - f32_slack(*lo) {
             return false;
         }
@@ -315,17 +324,20 @@ mod tests {
     #[test]
     fn range_pivot_prunes_annulus_misses() {
         let bounds = [(2.0, 4.0)];
-        assert!(!range_pivot_may_intersect(&[6.0], &bounds, 1.0)); // 5 > 4
-        assert!(!range_pivot_may_intersect(&[0.5], &bounds, 1.0)); // 1.5 < 2
-        assert!(range_pivot_may_intersect(&[4.5], &bounds, 1.0));
-        assert!(range_pivot_may_intersect(&[3.0], &bounds, 0.0));
+        let may = |d: f64, r| range_pivot_may_intersect(&[1], &[9.0, d], &bounds, r);
+        assert!(!may(6.0, 1.0)); // 5 > 4
+        assert!(!may(0.5, 1.0)); // 1.5 < 2
+        assert!(may(4.5, 1.0));
+        assert!(may(3.0, 0.0));
     }
 
     #[test]
     fn range_pivot_multi_level_any_miss_prunes() {
         let bounds = [(0.0, 10.0), (2.0, 3.0)];
-        assert!(range_pivot_may_intersect(&[5.0, 2.5], &bounds, 0.1));
-        assert!(!range_pivot_may_intersect(&[5.0, 9.0], &bounds, 0.1));
+        // prefix (2, 0): level 1 reads pivot 2, level 2 pivot 0
+        let may = |ds: &[f64]| range_pivot_may_intersect(&[2, 0], ds, &bounds, 0.1);
+        assert!(may(&[2.5, 0.0, 5.0]));
+        assert!(!may(&[9.0, 0.0, 5.0]));
     }
 
     #[test]

@@ -30,10 +30,8 @@ use simcloud_mindex::{
     RecordBody, SearchStats, FIRST_CELL_ONLY,
 };
 use simcloud_storage::{BucketStore, IoStats};
-use simcloud_telemetry::Registry;
 
 use crate::router::ShardRouter;
-use crate::telemetry::ShardTiming;
 
 /// A ranked `(entry, lower_bound)` candidate list plus its search's
 /// statistics — what the owned adapters return.
@@ -56,9 +54,6 @@ pub struct ShardedMIndex<S: BucketStore> {
     /// for each other's index write locks.
     owners: RwLock<HashMap<u64, usize>>,
     router: Box<dyn ShardRouter>,
-    /// Optional shard-layer timing (see [`ShardTiming`]); bound by the
-    /// server so opens land in its registry.
-    telemetry: Option<ShardTiming>,
 }
 
 impl<S: BucketStore> std::fmt::Debug for ShardedMIndex<S> {
@@ -94,15 +89,7 @@ impl<S: BucketStore> ShardedMIndex<S> {
             shards,
             owners: RwLock::new(HashMap::new()),
             router,
-            telemetry: None,
         })
-    }
-
-    /// Binds shard-layer timing (the `shard.open` histogram) into
-    /// `registry`. Timing follows the registry's enabled switch; an
-    /// unbound index reads no clocks.
-    pub fn bind_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = Some(ShardTiming::bind(registry));
     }
 
     /// Number of shards.
@@ -295,7 +282,6 @@ impl<S: BucketStore> SearchIndex for ShardedMIndex<S> {
         evaluator: &PromiseEvaluator,
         cand_size: usize,
     ) -> Result<CandidateCursor, MIndexError> {
-        let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
         let shards: GuardSet<'_, S> = self.shards.iter().map(|shard| shard.read()).collect();
         let budget = Self::shard_open_budget(&shards, cand_size);
         MIndex::knn_cursor_over(&shards, evaluator, budget)
@@ -311,7 +297,6 @@ impl<S: BucketStore> SearchIndex for ShardedMIndex<S> {
         query_distances: &[f64],
         radius: f64,
     ) -> Result<CandidateCursor, MIndexError> {
-        let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
         let shards: GuardSet<'_, S> = self.shards.iter().map(|shard| shard.read()).collect();
         MIndex::range_cursor_over(&shards, query_distances, radius)
     }
@@ -327,7 +312,6 @@ impl<S: BucketStore> SearchIndex for ShardedMIndex<S> {
         queries
             .iter()
             .map(|(evaluator, cand_size)| {
-                let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
                 let budget = Self::shard_open_budget(&shards, *cand_size);
                 MIndex::knn_cursor_over(&shards, evaluator, budget)
             })

@@ -18,10 +18,10 @@
 //!   selects `cand_size` candidates from it the same way. Phase-2 fetches
 //!   are routed to the owning shard through a shard-aware id map.
 //! * [`ShardedCloudServer`] — `simcloud_core::ServerEngine` over a
-//!   `ShardedMIndex`: construction from `(config, router, stores)` and the
-//!   shard-layer telemetry binding, nothing else. The unmodified
-//!   `EncryptedClient` (including lazy refinement and phase-2
-//!   `FetchObjects`) works against it byte for byte.
+//!   `ShardedMIndex`: construction from `(config, router, stores)`,
+//!   nothing else. The unmodified `EncryptedClient` (including lazy
+//!   refinement and phase-2 `FetchObjects`) works against it byte for
+//!   byte.
 //! * [`ShardRouter`] — pluggable placement: [`HashRouter`] (uniform by id)
 //!   or [`PivotRouter`] (nearest global pivot — a coarse Voronoi partition
 //!   of the metric space, cf. distributed metric indexes like DIMS).
@@ -49,9 +49,7 @@
 pub mod index;
 pub mod router;
 pub mod server;
-pub mod telemetry;
 
 pub use index::ShardedMIndex;
 pub use router::{HashRouter, PivotRouter, ShardRouter};
 pub use server::ShardedCloudServer;
-pub use telemetry::ShardTiming;

@@ -3,10 +3,9 @@
 //!
 //! There is one request dispatch in the repository
 //! ([`simcloud_core::ServerEngine`]); this module only builds the engine
-//! over N shards and binds the shard-layer telemetry. Wire protocol,
-//! candidate staging, statistics and the ops surface are therefore the
-//! single server's by construction — an unmodified `EncryptedClient` works
-//! against either byte for byte. What differs is entirely behind the
+//! over N shards. Wire protocol, candidate staging, statistics, telemetry
+//! and the ops surface are therefore the single server's by construction
+//! — an unmodified `EncryptedClient` works against either byte for byte. What differs is entirely behind the
 //! [`simcloud_core::SearchIndex`] trait: inserts take one shard's write
 //! lock instead of a global one, and a search opens one cursor over every
 //! shard's cells.
@@ -48,15 +47,10 @@ impl<S: BucketStore> ShardedCloudServer<S> {
         router: Box<dyn ShardRouter>,
         stores: Vec<S>,
     ) -> Result<Self, MIndexError> {
-        let telemetry = ServerTelemetry::new();
-        let mut index = ShardedMIndex::new(config, router, stores)?;
-        // Shard-layer timings land in the server's registry, so one
-        // MetricsSnapshot answer carries the whole picture.
-        index.bind_telemetry(telemetry.registry());
         Ok(Self(ServerEngine::from_index(
-            index,
+            ShardedMIndex::new(config, router, stores)?,
             server_config,
-            telemetry,
+            ServerTelemetry::new(),
         )))
     }
 
@@ -80,8 +74,7 @@ impl<S: BucketStore> ShardedCloudServer<S> {
         self.0.total_search_stats()
     }
 
-    /// The server's telemetry — the engine's, plus the `shard.*`
-    /// histograms bound at construction.
+    /// The server's telemetry (see [`ServerEngine::telemetry`]).
     pub fn telemetry(&self) -> &ServerTelemetry {
         self.0.telemetry()
     }
