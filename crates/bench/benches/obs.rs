@@ -7,34 +7,29 @@
 //! with span timing **off** and **on** against the same pre-built server
 //! (single index and 4 shards), interleaved best-of-N so a
 //! noisy neighbour can't masquerade as telemetry cost, and the on/off
-//! ratio must stay ≥ 0.95 (≤ 5 % overhead).
+//! ratio must stay ≥ 0.95 (≤ 5 % overhead). The bench builds each
+//! `CloudServer` / `ShardedCloudServer` itself, outsources the data into
+//! it with `prebuild`, and switches and reads that server's own
+//! `ServerTelemetry`.
 //!
 //! ```text
 //! cargo bench -p simcloud-bench --bench obs            # full scale
 //! cargo bench -p simcloud-bench --bench obs -- --quick # CI scale
 //! ```
 
-use simcloud_bench::{
-    prebuild, prebuild_sharded, steady_state_encrypted, PreBuilt, SteadyServer, Which,
-};
+use std::sync::Arc;
+
+use simcloud_bench::{dataset_config, prebuild, steady_state_encrypted, PreBuilt, Which};
+use simcloud_core::{CloudServer, ServerTelemetry};
+use simcloud_shard::{HashRouter, ShardedCloudServer};
+use simcloud_storage::MemoryStore;
+use simcloud_transport::SharedRequestHandler;
 
 struct Config {
     n: usize,
     queries: usize,
     rounds: usize,
     cand: usize,
-}
-
-fn set_enabled(server: &SteadyServer, on: bool) {
-    server.telemetry().set_enabled(on);
-}
-
-fn metrics_text(server: &SteadyServer) -> String {
-    server.telemetry().metrics_text()
-}
-
-fn slow_entries(server: &SteadyServer) -> usize {
-    server.telemetry().slow_queries().len()
 }
 
 /// Best-of-`pairs` interleaved throughput, in queries/second.
@@ -46,10 +41,15 @@ fn slow_entries(server: &SteadyServer) -> usize {
 /// mode keeps its *best* window — external stalls only ever subtract
 /// throughput, so the fastest window is the tightest bound on what the
 /// code itself can do.
-fn measure(pre: &PreBuilt, cfg: &Config, pairs: usize) -> (f64, f64) {
+fn measure(
+    pre: &PreBuilt<dyn SharedRequestHandler>,
+    telemetry: &ServerTelemetry,
+    cfg: &Config,
+    pairs: usize,
+) -> (f64, f64) {
     let k = 30;
     // One untimed pass warms caches and the bucket store before timing.
-    set_enabled(&pre.server, true);
+    telemetry.set_enabled(true);
     std::hint::black_box(steady_state_encrypted(pre, cfg.cand, k, 1, 5));
     let (mut best_off, mut best_on) = (0.0f64, 0.0f64);
     // A CPU-steal burst during the wrong window can fake an "overhead"
@@ -62,7 +62,7 @@ fn measure(pre: &PreBuilt, cfg: &Config, pairs: usize) -> (f64, f64) {
         let seed = 7 ^ round as u64;
         for step in 0..2 {
             let on = (round + step) % 2 == 0;
-            set_enabled(&pre.server, on);
+            telemetry.set_enabled(on);
             let qps =
                 steady_state_encrypted(pre, cfg.cand, k, cfg.rounds, seed).queries_per_second();
             if on {
@@ -104,16 +104,22 @@ fn main() {
     let ds = Which::Yeast.dataset(cfg.n, 11);
     let mut json = String::from("{\n");
 
-    for shards in [1usize, 4] {
-        let pre = if shards == 1 {
-            prebuild(ds.clone(), cfg.queries, 3)
-        } else {
-            prebuild_sharded(ds.clone(), cfg.queries, 3, shards)
-        };
-        let (off_qps, on_qps) = measure(&pre, &cfg, pairs);
+    let table2 = dataset_config(&ds);
+    let single = Arc::new(CloudServer::new(table2, MemoryStore::new()).expect("valid config"));
+    let stores = (0..4).map(|_| MemoryStore::new()).collect();
+    let sharded = Arc::new(
+        ShardedCloudServer::new(table2, Box::new(HashRouter), stores).expect("valid config"),
+    );
+    let deployments: [(usize, Arc<dyn SharedRequestHandler>, &ServerTelemetry); 2] = [
+        (1, single.clone(), single.telemetry()),
+        (4, sharded.clone(), sharded.telemetry()),
+    ];
+    for (shards, server, telemetry) in deployments {
+        let pre = prebuild(ds.clone(), cfg.queries, 3, server);
+        let (off_qps, on_qps) = measure(&pre, telemetry, &cfg, pairs);
         let ratio = on_qps / off_qps;
-        let text = metrics_text(&pre.server);
-        let slow = slow_entries(&pre.server);
+        let text = telemetry.metrics_text();
+        let slow = telemetry.slow_queries().len();
         println!(
             "  shards={shards}  off {off_qps:>8.1} q/s  on {on_qps:>8.1} q/s  ({ratio:.3}x, \
              exposition {} B, {slow} slow-log entries)",

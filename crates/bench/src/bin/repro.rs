@@ -107,78 +107,28 @@ fn main() {
             2 => table2(),
             3 => table3_4(&[yeast(), human(), cophir()], true),
             4 => table3_4(&[yeast(), human(), cophir()], false),
-            5 => {
-                let ds = yeast();
-                let rows = search_encrypted(
-                    &ds,
-                    &args.scale.yeast_cand_sizes(),
-                    sizes.queries,
-                    sizes.k,
-                    SEED,
-                    args.shards,
-                );
-                print_search_table(
-                    &format!(
-                        "Table 5: Approximate {}-NN, Encrypted M-Index (YEAST{})",
-                        sizes.k,
-                        shard_note(args.shards)
-                    ),
-                    &rows,
-                    true,
-                );
-            }
-            6 => {
-                let ds = cophir();
-                let rows = search_encrypted(
-                    &ds,
-                    &args.scale.cophir_cand_sizes(sizes.cophir_n),
-                    sizes.queries,
-                    sizes.k,
-                    SEED,
-                    args.shards,
-                );
-                print_search_table(
-                    &format!(
-                        "Table 6: Approximate {}-NN, Encrypted M-Index (CoPhIR{})",
-                        sizes.k,
-                        shard_note(args.shards)
-                    ),
-                    &rows,
-                    true,
-                );
-            }
-            7 => {
-                let ds = yeast();
-                let rows = search_plain(
-                    &ds,
-                    &args.scale.yeast_cand_sizes(),
-                    sizes.queries,
-                    sizes.k,
-                    SEED,
-                );
-                print_search_table(
-                    &format!("Table 7: Approximate {}-NN, basic M-Index (YEAST)", sizes.k),
-                    &rows,
-                    false,
-                );
-            }
-            8 => {
-                let ds = cophir();
-                let rows = search_plain(
-                    &ds,
-                    &args.scale.cophir_cand_sizes(sizes.cophir_n),
-                    sizes.queries,
-                    sizes.k,
-                    SEED,
-                );
-                print_search_table(
-                    &format!(
-                        "Table 8: Approximate {}-NN, basic M-Index (CoPhIR)",
-                        sizes.k
-                    ),
-                    &rows,
-                    false,
-                );
+            // Tables 5 and 6 are encrypted, 7 and 8 basic; odd ones run on
+            // YEAST, even ones on CoPhIR.
+            5..=8 => {
+                let encrypted = *t <= 6;
+                let (ds, cands) = if t % 2 == 1 {
+                    (yeast(), args.scale.yeast_cand_sizes())
+                } else {
+                    (cophir(), args.scale.cophir_cand_sizes(sizes.cophir_n))
+                };
+                let (rows, title) = if encrypted {
+                    (
+                        search_encrypted(&ds, &cands, sizes.queries, sizes.k, SEED, args.shards),
+                        format!("Encrypted M-Index ({}{})", ds.name, shard_note(args.shards)),
+                    )
+                } else {
+                    (
+                        search_plain(&ds, &cands, sizes.queries, sizes.k, SEED),
+                        format!("basic M-Index ({})", ds.name),
+                    )
+                };
+                let title = format!("Table {t}: Approximate {}-NN, {title}", sizes.k);
+                print_search_table(&title, &rows, encrypted);
             }
             9 => table9(&yeast(), sizes.queries),
             other => eprintln!("no table {other} in the paper"),
@@ -186,119 +136,76 @@ fn main() {
     }
 
     for a in &args.ablations {
+        let ds = yeast();
+        let (q, k) = (sizes.queries, sizes.k);
         match a.as_str() {
             "pivots" => {
-                let ds = yeast();
-                let rows =
-                    ablation_pivots(&ds, &[10, 30, 50, 100], 600, sizes.queries, sizes.k, SEED);
+                let rows = ablation_pivots(&ds, &[10, 30, 50, 100], 600, q, k, SEED);
                 let mut t = Table::new(
                     "Ablation: pivot count (YEAST, CandSize 600)",
                     rows.iter().map(|(n, _)| n.to_string()).collect(),
                 );
-                t.row(
-                    "Recall [%]",
-                    rows.iter()
-                        .map(|(_, r)| format!("{:.2}", r.recall))
-                        .collect(),
-                );
-                t.row(
-                    "Client time [s]",
-                    rows.iter().map(|(_, r)| secs(r.costs.client)).collect(),
-                );
-                t.row(
-                    "Dist. comp. / query",
-                    rows.iter()
-                        .map(|(_, r)| r.costs.distance_computations.to_string())
-                        .collect(),
-                );
-                t.row(
-                    "Communication cost [kB]",
-                    rows.iter()
-                        .map(|(_, r)| kb(r.costs.bytes_sent + r.costs.bytes_received))
-                        .collect(),
-                );
+                t.row_map("Recall [%]", &rows, |(_, r)| format!("{:.2}", r.recall));
+                t.row_map("Client time [s]", &rows, |(_, r)| secs(r.costs.client));
+                t.row_map("Dist. comp. / query", &rows, |(_, r)| {
+                    r.costs.distance_computations.to_string()
+                });
+                t.row_map("Communication cost [kB]", &rows, |(_, r)| {
+                    kb(r.costs.bytes_sent + r.costs.bytes_received)
+                });
                 println!("{}", t.render());
             }
             "strategy" => {
-                let ds = yeast();
-                let rows = ablation_strategy(&ds, 600, sizes.queries, sizes.k, SEED);
+                let rows = ablation_strategy(&ds, 600, q, k, SEED);
                 let mut t = Table::new(
                     "Ablation: routing strategy (YEAST, CandSize 600) — privacy/efficiency trade of §4.2",
                     rows.iter().map(|(l, _)| l.to_string()).collect(),
                 );
-                t.row(
-                    "Recall [%]",
-                    rows.iter()
-                        .map(|(_, r)| format!("{:.2}", r.recall))
-                        .collect(),
-                );
-                t.row(
-                    "Bytes sent / query",
-                    rows.iter()
-                        .map(|(_, r)| r.costs.bytes_sent.to_string())
-                        .collect(),
-                );
-                t.row(
-                    "Overall time [s]",
-                    rows.iter().map(|(_, r)| secs(r.costs.overall())).collect(),
-                );
+                t.row_map("Recall [%]", &rows, |(_, r)| format!("{:.2}", r.recall));
+                t.row_map("Bytes sent / query", &rows, |(_, r)| {
+                    r.costs.bytes_sent.to_string()
+                });
+                t.row_map("Overall time [s]", &rows, |(_, r)| secs(r.costs.overall()));
                 println!("{}", t.render());
                 println!(
                     "(permutation routing leaks no distance values; distances enable pivot\n filtering and precise range queries — paper §2.3, Alg. 3)\n"
                 );
             }
             "transform" => {
-                let ds = yeast();
-                let rows = ablation_transform(&ds, &[0.05, 0.1, 0.2], sizes.queries.min(20), SEED);
+                let rows = ablation_transform(&ds, &[0.05, 0.1, 0.2], q.min(20), SEED);
                 let mut t = Table::new(
                     "Ablation: level-4 distance transformation (YEAST range queries)",
                     rows.iter().map(|(r, _, _)| format!("r={r:.1}")).collect(),
                 );
-                t.row(
-                    "Candidates (plain routing)",
-                    rows.iter().map(|(_, b, _)| b.to_string()).collect(),
-                );
-                t.row(
-                    "Candidates (transformed)",
-                    rows.iter().map(|(_, _, tr)| tr.to_string()).collect(),
-                );
-                t.row(
-                    "Inflation",
-                    rows.iter()
-                        .map(|(_, b, tr)| format!("{:.2}x", *tr as f64 / (*b).max(1) as f64))
-                        .collect(),
-                );
+                t.row_map("Candidates (plain routing)", &rows, |(_, b, _)| {
+                    b.to_string()
+                });
+                t.row_map("Candidates (transformed)", &rows, |(_, _, tr)| {
+                    tr.to_string()
+                });
+                t.row_map("Inflation", &rows, |(_, b, tr)| {
+                    format!("{:.2}x", *tr as f64 / (*b).max(1) as f64)
+                });
                 println!("{}", t.render());
                 println!("(results verified identical; inflation is the price of hiding the\n distance distribution — paper §6 future work)\n");
             }
             "k" => {
-                let ds = yeast();
-                let rows = ablation_k(&ds, &[1, 10, 30, 50], 600, sizes.queries, SEED);
+                let rows = ablation_k(&ds, &[1, 10, 30, 50], 600, q, SEED);
                 let mut t = Table::new(
                     "Ablation: k sweep (YEAST, CandSize 600) — paper §5.3 \"results were similar\"",
                     rows.iter().map(|(k, _)| k.to_string()).collect(),
                 );
-                t.row(
-                    "Recall [%]",
-                    rows.iter().map(|(_, r)| format!("{r:.2}")).collect(),
-                );
+                t.row_map("Recall [%]", &rows, |(_, r)| format!("{r:.2}"));
                 println!("{}", t.render());
             }
             "network" => {
-                let ds = yeast();
-                let rows = ablation_network(&ds, 600, sizes.queries, sizes.k, SEED);
+                let rows = ablation_network(&ds, 600, q, k, SEED);
                 let mut t = Table::new(
                     "Ablation: network model (YEAST, CandSize 600)",
                     rows.iter().map(|(l, _, _)| l.to_string()).collect(),
                 );
-                t.row(
-                    "Encrypted overall [s]",
-                    rows.iter().map(|(_, e, _)| secs(*e)).collect(),
-                );
-                t.row(
-                    "Plain overall [s]",
-                    rows.iter().map(|(_, _, p)| secs(*p)).collect(),
-                );
+                t.row_map("Encrypted overall [s]", &rows, |(_, e, _)| secs(*e));
+                t.row_map("Plain overall [s]", &rows, |(_, _, p)| secs(*p));
                 println!("{}", t.render());
                 println!("(the encrypted variant's candidate transfer dominates as latency and\n bandwidth degrade — the paper's loopback setting is its best case)\n");
             }
@@ -395,32 +302,16 @@ fn table3_4(datasets: &[Dataset], encrypted: bool) {
             }
         })
         .collect();
-    t.row(
-        "Client time [s]",
-        reports.iter().map(|r| secs(r.client)).collect(),
-    );
+    t.row_map("Client time [s]", &reports, |r| secs(r.client));
     if encrypted {
-        t.row(
-            "Encryption time [s]",
-            reports.iter().map(|r| secs(r.encryption)).collect(),
-        );
+        t.row_map("Encryption time [s]", &reports, |r| secs(r.encryption));
     }
-    t.row(
-        "Dist. comp. time [s]",
-        reports.iter().map(|r| secs(r.distance)).collect(),
-    );
-    t.row(
-        "Server time [s]",
-        reports.iter().map(|r| secs(r.server)).collect(),
-    );
-    t.row(
-        "Communication time [s]",
-        reports.iter().map(|r| secs(r.communication)).collect(),
-    );
-    t.row(
-        "Overall time [s]",
-        reports.iter().map(|r| secs(r.overall())).collect(),
-    );
+    t.row_map("Dist. comp. time [s]", &reports, |r| secs(r.distance));
+    t.row_map("Server time [s]", &reports, |r| secs(r.server));
+    t.row_map("Communication time [s]", &reports, |r| {
+        secs(r.communication)
+    });
+    t.row_map("Overall time [s]", &reports, |r| secs(r.overall()));
     println!("{}", t.render());
 }
 
@@ -430,54 +321,23 @@ fn print_search_table(title: &str, rows: &[SearchRow], encrypted: bool) {
         rows.iter().map(|r| r.cand_size.to_string()).collect(),
     );
     if encrypted {
-        t.row(
-            "Client time [s]",
-            rows.iter().map(|r| secs(r.costs.client)).collect(),
-        );
-        t.row(
-            "Decryption time [s]",
-            rows.iter().map(|r| secs(r.costs.decryption)).collect(),
-        );
-        t.row(
-            "Dist. comp. time [s]",
-            rows.iter().map(|r| secs(r.costs.distance)).collect(),
-        );
-        t.row(
-            "Server time [s]",
-            rows.iter().map(|r| secs(r.costs.server)).collect(),
-        );
+        t.row_map("Client time [s]", rows, |r| secs(r.costs.client));
+        t.row_map("Decryption time [s]", rows, |r| secs(r.costs.decryption));
+        t.row_map("Dist. comp. time [s]", rows, |r| secs(r.costs.distance));
+        t.row_map("Server time [s]", rows, |r| secs(r.costs.server));
     } else {
-        t.row(
-            "Client time [s]",
-            rows.iter().map(|_| "–".to_string()).collect(),
-        );
-        t.row(
-            "Server time [s]",
-            rows.iter().map(|r| secs(r.costs.server)).collect(),
-        );
-        t.row(
-            "Dist. comp. time [s]",
-            rows.iter().map(|r| secs(r.costs.distance)).collect(),
-        );
+        t.row_map("Client time [s]", rows, |_| "–".to_string());
+        t.row_map("Server time [s]", rows, |r| secs(r.costs.server));
+        t.row_map("Dist. comp. time [s]", rows, |r| secs(r.costs.distance));
     }
-    t.row(
-        "Communication time [s]",
-        rows.iter().map(|r| secs(r.costs.communication)).collect(),
-    );
-    t.row(
-        "Overall time [s]",
-        rows.iter().map(|r| secs(r.costs.overall())).collect(),
-    );
-    t.row(
-        "Recall [%]",
-        rows.iter().map(|r| format!("{:.2}", r.recall)).collect(),
-    );
-    t.row(
-        "Communication cost [kB]",
-        rows.iter()
-            .map(|r| kb(r.costs.bytes_sent + r.costs.bytes_received))
-            .collect(),
-    );
+    t.row_map("Communication time [s]", rows, |r| {
+        secs(r.costs.communication)
+    });
+    t.row_map("Overall time [s]", rows, |r| secs(r.costs.overall()));
+    t.row_map("Recall [%]", rows, |r| format!("{:.2}", r.recall));
+    t.row_map("Communication cost [kB]", rows, |r| {
+        kb(r.costs.bytes_sent + r.costs.bytes_received)
+    });
     println!("{}", t.render());
 }
 
@@ -487,49 +347,23 @@ fn table9(ds: &Dataset, queries: usize) {
         "Table 9: Approximate 1-NN comparison (YEAST, held-out queries)",
         rows.iter().map(|r| r.name.to_string()).collect(),
     );
-    t.row(
-        "Client time [ms]",
-        rows.iter().map(|r| millis(r.costs.client)).collect(),
-    );
-    t.row(
-        "Decryption time [ms]",
-        rows.iter().map(|r| millis(r.costs.decryption)).collect(),
-    );
-    t.row(
-        "Dist. comp. time [ms]",
-        rows.iter().map(|r| millis(r.costs.distance)).collect(),
-    );
-    t.row(
-        "Server time [ms]",
-        rows.iter().map(|r| millis(r.costs.server)).collect(),
-    );
-    t.row(
-        "Communication time [ms]",
-        rows.iter().map(|r| millis(r.costs.communication)).collect(),
-    );
-    t.row(
-        "Overall time [ms]",
-        rows.iter().map(|r| millis(r.costs.overall())).collect(),
-    );
-    t.row(
-        "Recall [%]",
-        rows.iter().map(|r| format!("{:.1}", r.recall)).collect(),
-    );
-    t.row(
-        "Communication cost [kB]",
-        rows.iter()
-            .map(|r| kb(r.costs.bytes_sent + r.costs.bytes_received))
-            .collect(),
-    );
-    t.row(
-        "Exact?",
-        rows.iter()
-            .map(|r| if r.exact { "yes" } else { "approx" }.into())
-            .collect(),
-    );
-    t.row(
-        "Construction time [s]",
-        rows.iter().map(|r| secs(r.build.overall())).collect(),
-    );
+    t.row_map("Client time [ms]", &rows, |r| millis(r.costs.client));
+    t.row_map("Decryption time [ms]", &rows, |r| {
+        millis(r.costs.decryption)
+    });
+    t.row_map("Dist. comp. time [ms]", &rows, |r| millis(r.costs.distance));
+    t.row_map("Server time [ms]", &rows, |r| millis(r.costs.server));
+    t.row_map("Communication time [ms]", &rows, |r| {
+        millis(r.costs.communication)
+    });
+    t.row_map("Overall time [ms]", &rows, |r| millis(r.costs.overall()));
+    t.row_map("Recall [%]", &rows, |r| format!("{:.1}", r.recall));
+    t.row_map("Communication cost [kB]", &rows, |r| {
+        kb(r.costs.bytes_sent + r.costs.bytes_received)
+    });
+    t.row_map("Exact?", &rows, |r| {
+        if r.exact { "yes" } else { "approx" }.into()
+    });
+    t.row_map("Construction time [s]", &rows, |r| secs(r.build.overall()));
     println!("{}", t.render());
 }

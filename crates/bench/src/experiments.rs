@@ -2,18 +2,26 @@
 //!
 //! Every function returns structured rows; the `repro` binary renders them
 //! in the paper's table layout. Seeds are fixed so runs are reproducible.
+//!
+//! Every encrypted deployment is built by [`outsource`], every encrypted
+//! k-NN column is one query loop averaged into a [`SearchRow`], and every
+//! exact answer set is one ground-truth pass on every core: experiments
+//! differ only in the server, the client configuration and the seeds.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simcloud_core::{
     costs::timed, ClientConfig, CloudServer, CostReport, EncryptedClient, SecretKey,
 };
-use simcloud_datasets::{parallel_knn_ground_truth, Dataset, QueryWorkload};
+use simcloud_datasets::{
+    parallel_knn_ground_truth, Dataset, DatasetMetric, GroundTruth, QueryWorkload,
+};
 use simcloud_metric::{Metric, ObjectId, PivotSelection, Vector};
 use simcloud_mindex::{MIndexConfig, PlainMIndex, RoutingStrategy, FIRST_CELL_ONLY};
-use simcloud_shard::ShardedCloudServer;
+use simcloud_shard::{HashRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{InProcessTransport, NetworkModel};
+use simcloud_transport::{InProcessTransport, NetworkModel, SharedRequestHandler, Transport};
 
 use simcloud_baselines::{
     ehi::EhiConfig, fdh::FdhConfig, mpt::MptConfig, EhiScheme, FdhScheme, MptScheme, SecureScheme,
@@ -92,9 +100,9 @@ impl<M: Metric<Vector>> Metric<Vector> for TimedMetric<M> {
 }
 
 /// Pairs each vector with its zero-based [`ObjectId`] — the id assignment
-/// every experiment and bench uses, defined once so cross-bench runs index
-/// identically.
-pub(crate) fn id_objects(vectors: &[Vector]) -> Vec<(ObjectId, Vector)> {
+/// of every deployment in the harness, defined once so every experiment
+/// indexes identically.
+fn id_objects(vectors: &[Vector]) -> Vec<(ObjectId, Vector)> {
     vectors
         .iter()
         .enumerate()
@@ -105,6 +113,46 @@ pub(crate) fn id_objects(vectors: &[Vector]) -> Vec<(ObjectId, Vector)> {
 /// Bulk size of the paper's construction phase (§5.2).
 pub const BULK: usize = 1000;
 
+/// Outsources `vectors` the one way every encrypted deployment of the
+/// harness is built: a key of `num_pivots` random pivots drawn with
+/// `key_seed`, a client over `transport` whose IV stream is seeded with
+/// `iv_seed`, and bulk inserts of [`BULK`] objects with ids `0..n`.
+/// Returns the client and the summed cost of the construction.
+pub fn outsource<T: Transport>(
+    vectors: &[Vector],
+    metric: &DatasetMetric,
+    num_pivots: usize,
+    transport: T,
+    config: ClientConfig,
+    (key_seed, iv_seed): (u64, u64),
+) -> (EncryptedClient<DatasetMetric, T>, CostReport) {
+    let (key, _) = SecretKey::generate(
+        vectors,
+        num_pivots,
+        metric,
+        PivotSelection::Random,
+        key_seed,
+    );
+    let mut cloud =
+        EncryptedClient::new(key, metric.clone(), transport, config).with_rng_seed(iv_seed);
+    let mut build = CostReport::default();
+    for chunk in id_objects(vectors).chunks(BULK) {
+        build.merge(&cloud.insert_bulk(chunk).expect("insert"));
+    }
+    (cloud, build)
+}
+
+/// An in-process transport to a fresh single-index server.
+fn in_memory(cfg: MIndexConfig) -> InProcessTransport<CloudServer<MemoryStore>> {
+    InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("valid config"))
+}
+
+/// Exact k-NN of every query over `data`, on every core.
+fn truth(data: &[Vector], queries: &[Vector], metric: &DatasetMetric, k: usize) -> GroundTruth {
+    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
+    parallel_knn_ground_truth(data, queries, metric, k, threads)
+}
+
 // ---------------------------------------------------------------------
 // Tables 3 & 4: index construction
 // ---------------------------------------------------------------------
@@ -112,28 +160,16 @@ pub const BULK: usize = 1000;
 /// Encrypted M-Index construction (Table 3): bulk inserts of 1000 through
 /// the encryption client.
 pub fn construction_encrypted(ds: &Dataset, seed: u64) -> CostReport {
-    let (key, _) = SecretKey::generate(
+    let cfg = dataset_config(ds);
+    let (_, build) = outsource(
         &ds.vectors,
-        dataset_config(ds).num_pivots,
         &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
-    let mut cloud = EncryptedClient::new(
-        key,
-        ds.metric.clone(),
-        InProcessTransport::new(
-            CloudServer::new(dataset_config(ds), MemoryStore::new()).expect("valid config"),
-        ),
+        cfg.num_pivots,
+        in_memory(cfg),
         ClientConfig::distances(),
-    )
-    .with_rng_seed(seed ^ 1);
-    let objects = id_objects(&ds.vectors);
-    let mut total = CostReport::default();
-    for chunk in objects.chunks(BULK) {
-        total.merge(&cloud.insert_bulk(chunk).expect("insert"));
-    }
-    total
+        (seed, seed ^ 1),
+    );
+    build
 }
 
 /// Basic (non-encrypted) M-Index construction (Table 4): the client ships
@@ -182,12 +218,16 @@ pub fn construction_plain(ds: &Dataset, seed: u64) -> CostReport {
 
 /// The paper's M-Index parameters for a generated dataset (Table 2),
 /// matched by name.
+///
+/// # Panics
+///
+/// If `ds` is not one of the three generated datasets.
 pub fn dataset_config(ds: &Dataset) -> MIndexConfig {
     match ds.name.as_str() {
         "YEAST" => MIndexConfig::yeast(),
         "HUMAN" => MIndexConfig::human(),
         "CoPhIR" => MIndexConfig::cophir(),
-        _ => MIndexConfig::yeast(),
+        other => panic!("no Table 2 parameters for dataset {other:?}"),
     }
 }
 
@@ -206,45 +246,27 @@ pub struct SearchRow {
     pub recall: f64,
 }
 
-/// The shared measurement body of the encrypted-search tables: outsources
-/// the collection through `cloud`, then sweeps `cand_sizes` over the member
-/// workload against exact ground truth.
-fn encrypted_search_sweep<T: simcloud_transport::Transport>(
-    cloud: &mut simcloud_core::EncryptedClient<simcloud_datasets::DatasetMetric, T>,
-    ds: &Dataset,
-    cand_sizes: &[usize],
-    queries: usize,
+/// Runs every query as an encrypted approximate k-NN at `cand_size` and
+/// averages the costs and the recall against `truth`.
+fn knn_row<T: Transport>(
+    cloud: &mut EncryptedClient<DatasetMetric, T>,
+    queries: &[Vector],
+    truth: &GroundTruth,
     k: usize,
-    seed: u64,
-) -> Vec<SearchRow> {
-    let objects = id_objects(&ds.vectors);
-    for chunk in objects.chunks(BULK) {
-        cloud.insert_bulk(chunk).expect("insert");
+    cand_size: usize,
+) -> SearchRow {
+    let mut total = CostReport::default();
+    let mut answers = Vec::with_capacity(queries.len());
+    for q in queries {
+        let (res, costs) = cloud.knn_approx(q, k, cand_size).expect("search");
+        total.merge(&costs);
+        answers.push(res);
     }
-    let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 3);
-    let truth = parallel_knn_ground_truth(
-        &ds.vectors,
-        &workload.queries,
-        &ds.metric,
-        k,
-        std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
-    );
-    let mut rows = Vec::new();
-    for &cand in cand_sizes {
-        let mut total = CostReport::default();
-        let mut answers = Vec::with_capacity(workload.len());
-        for q in &workload.queries {
-            let (res, costs) = cloud.knn_approx(q, k, cand).expect("search");
-            total.merge(&costs);
-            answers.push(res);
-        }
-        rows.push(SearchRow {
-            cand_size: cand,
-            costs: total.averaged(workload.len() as u32),
-            recall: truth.mean_recall(&answers),
-        });
+    SearchRow {
+        cand_size,
+        costs: total.averaged(queries.len() as u32),
+        recall: truth.mean_recall(&answers),
     }
-    rows
 }
 
 /// Encrypted M-Index approximate k-NN sweep (Tables 5 and 6) against a
@@ -262,41 +284,26 @@ pub fn search_encrypted(
     shards: usize,
 ) -> Vec<SearchRow> {
     let cfg = dataset_config(ds);
-    let (key, _) = SecretKey::generate(
-        &ds.vectors,
-        cfg.num_pivots,
-        &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
-    let metric = ds.metric.clone();
-    let client_config = ClientConfig::distances();
-    if shards <= 1 {
-        let mut cloud = EncryptedClient::new(
-            key,
-            metric,
-            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
-            client_config,
-        )
-        .with_rng_seed(seed ^ 2);
-        encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
+    let server: Arc<dyn SharedRequestHandler> = if shards <= 1 {
+        Arc::new(CloudServer::new(cfg, MemoryStore::new()).expect("valid config"))
     } else {
-        let mut cloud = EncryptedClient::new(
-            key,
-            metric,
-            InProcessTransport::new(
-                ShardedCloudServer::new(
-                    cfg,
-                    Box::new(simcloud_shard::HashRouter),
-                    (0..shards).map(|_| MemoryStore::new()).collect(),
-                )
-                .expect("config"),
-            ),
-            client_config,
-        )
-        .with_rng_seed(seed ^ 2);
-        encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
-    }
+        let stores = (0..shards).map(|_| MemoryStore::new()).collect();
+        Arc::new(ShardedCloudServer::new(cfg, Box::new(HashRouter), stores).expect("valid config"))
+    };
+    let (mut cloud, _) = outsource(
+        &ds.vectors,
+        &ds.metric,
+        cfg.num_pivots,
+        InProcessTransport::new(server),
+        ClientConfig::distances(),
+        (seed, seed ^ 2),
+    );
+    let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 3);
+    let truth = truth(&ds.vectors, &workload.queries, &ds.metric, k);
+    cand_sizes
+        .iter()
+        .map(|&cand| knn_row(&mut cloud, &workload.queries, &truth, k, cand))
+        .collect()
 }
 
 /// Basic (non-encrypted) M-Index approximate k-NN sweep (Tables 7 and 8):
@@ -323,13 +330,7 @@ pub fn search_plain(
         index.insert(ObjectId(i as u64), v).expect("insert");
     }
     let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 3);
-    let truth = parallel_knn_ground_truth(
-        &ds.vectors,
-        &workload.queries,
-        &ds.metric,
-        k,
-        std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
-    );
+    let truth = truth(&ds.vectors, &workload.queries, &ds.metric, k);
     let model = NetworkModel::loopback();
     let per_obj_bytes = ds.vectors[0].encoded_len() as u64 + 8; // object + id
     let mut rows = Vec::new();
@@ -388,56 +389,29 @@ pub struct ComparisonRow {
 /// baselines.
 pub fn comparison_1nn(ds: &Dataset, queries: usize, seed: u64) -> Vec<ComparisonRow> {
     let workload = QueryWorkload::held_out(&ds.vectors, queries, seed ^ 40);
-    let indexed = id_objects(&workload.indexed);
-    let truth = parallel_knn_ground_truth(
-        &workload.indexed,
-        &workload.queries,
-        &ds.metric,
-        1,
-        std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
-    );
-    let mut rows = Vec::new();
+    let truth = truth(&workload.indexed, &workload.queries, &ds.metric, 1);
 
     // --- Encrypted M-Index, single-cell candidate sets -----------------
-    {
-        let cfg = dataset_config(ds);
-        let (key, _) = SecretKey::generate(
-            &workload.indexed,
-            cfg.num_pivots,
-            &ds.metric,
-            PivotSelection::Random,
-            seed,
-        );
-        let mut cloud = EncryptedClient::new(
-            key,
-            ds.metric.clone(),
-            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
-            ClientConfig::distances(),
-        )
-        .with_rng_seed(seed ^ 41);
-        let mut build = CostReport::default();
-        for chunk in indexed.chunks(BULK) {
-            build.merge(&cloud.insert_bulk(chunk).expect("insert"));
-        }
-        let mut total = CostReport::default();
-        let mut hits = 0usize;
-        for (qi, q) in workload.queries.iter().enumerate() {
-            let (res, costs) = cloud.knn_approx(q, 1, FIRST_CELL_ONLY).expect("search");
-            total.merge(&costs);
-            if truth.recall(qi, &res) >= 100.0 {
-                hits += 1;
-            }
-        }
-        rows.push(ComparisonRow {
-            name: "Encrypted M-Index",
-            costs: total.averaged(workload.len() as u32),
-            build,
-            recall: 100.0 * hits as f64 / workload.len() as f64,
-            exact: false,
-        });
-    }
+    let cfg = dataset_config(ds);
+    let (mut cloud, build) = outsource(
+        &workload.indexed,
+        &ds.metric,
+        cfg.num_pivots,
+        in_memory(cfg),
+        ClientConfig::distances(),
+        (seed, seed ^ 41),
+    );
+    let row = knn_row(&mut cloud, &workload.queries, &truth, 1, FIRST_CELL_ONLY);
+    let mut rows = vec![ComparisonRow {
+        name: "Encrypted M-Index",
+        costs: row.costs,
+        build,
+        recall: row.recall,
+        exact: false,
+    }];
 
     // --- Baselines -------------------------------------------------------
+    let indexed = id_objects(&workload.indexed);
     let schemes: Vec<Box<dyn SecureScheme>> = {
         let mk_key = |s: u64| {
             SecretKey::generate(&workload.indexed, 2, &ds.metric, PivotSelection::Random, s).0
@@ -476,19 +450,17 @@ pub fn comparison_1nn(ds: &Dataset, queries: usize, seed: u64) -> Vec<Comparison
     for mut scheme in schemes {
         let build = scheme.build(&indexed).expect("build");
         let mut total = CostReport::default();
-        let mut hits = 0usize;
-        for (qi, q) in workload.queries.iter().enumerate() {
+        let mut answers = Vec::with_capacity(workload.len());
+        for q in &workload.queries {
             let (res, costs) = scheme.knn(q, 1).expect("search");
             total.merge(&costs);
-            if truth.recall(qi, &res) >= 100.0 {
-                hits += 1;
-            }
+            answers.push(res);
         }
         rows.push(ComparisonRow {
             name: scheme.name(),
             costs: total.averaged(workload.len() as u32),
             build,
-            recall: 100.0 * hits as f64 / workload.len() as f64,
+            recall: truth.mean_recall(&answers),
             exact: scheme.is_exact(),
         });
     }
@@ -509,47 +481,25 @@ pub fn ablation_pivots(
     seed: u64,
 ) -> Vec<(usize, SearchRow)> {
     let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 60);
-    let truth = parallel_knn_ground_truth(
-        &ds.vectors,
-        &workload.queries,
-        &ds.metric,
-        k,
-        std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
-    );
-    let mut out = Vec::new();
-    for &np in pivot_counts {
-        let mut cfg = dataset_config(ds);
-        cfg.num_pivots = np;
-        cfg.max_level = cfg.max_level.min(np);
-        let (key, _) =
-            SecretKey::generate(&ds.vectors, np, &ds.metric, PivotSelection::Random, seed);
-        let mut cloud = EncryptedClient::new(
-            key,
-            ds.metric.clone(),
-            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
-            ClientConfig::distances(),
-        )
-        .with_rng_seed(seed ^ 61);
-        for chunk in id_objects(&ds.vectors).chunks(BULK) {
-            cloud.insert_bulk(chunk).expect("insert");
-        }
-        let mut total = CostReport::default();
-        let mut answers = Vec::new();
-        for q in &workload.queries {
-            let (res, costs) = cloud.knn_approx(q, k, cand_size).expect("search");
-            total.merge(&costs);
-            answers.push(res);
-        }
-        out.push((
-            np,
-            SearchRow {
-                cand_size,
-                costs: total.averaged(workload.len() as u32),
-                recall: truth.mean_recall(&answers),
-            },
-        ));
-    }
-    out
+    let truth = truth(&ds.vectors, &workload.queries, &ds.metric, k);
+    pivot_counts
+        .iter()
+        .map(|&np| {
+            let mut cfg = dataset_config(ds);
+            cfg.num_pivots = np;
+            cfg.max_level = cfg.max_level.min(np);
+            let (mut cloud, _) = outsource(
+                &ds.vectors,
+                &ds.metric,
+                np,
+                in_memory(cfg),
+                ClientConfig::distances(),
+                (seed, seed ^ 61),
+            );
+            let row = knn_row(&mut cloud, &workload.queries, &truth, k, cand_size);
+            (np, row)
+        })
+        .collect()
 }
 
 /// Distances-vs-permutation routing comparison (privacy/efficiency trade of
@@ -562,15 +512,8 @@ pub fn ablation_strategy(
     seed: u64,
 ) -> Vec<(&'static str, SearchRow)> {
     let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 70);
-    let truth = parallel_knn_ground_truth(
-        &ds.vectors,
-        &workload.queries,
-        &ds.metric,
-        k,
-        std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
-    );
-    let mut out = Vec::new();
-    for (label, strategy, client_cfg) in [
+    let truth = truth(&ds.vectors, &workload.queries, &ds.metric, k);
+    [
         (
             "distances",
             RoutingStrategy::Distances,
@@ -581,43 +524,23 @@ pub fn ablation_strategy(
             RoutingStrategy::Permutation,
             ClientConfig::permutations(),
         ),
-    ] {
+    ]
+    .into_iter()
+    .map(|(label, strategy, client_cfg)| {
         let mut cfg = dataset_config(ds);
         cfg.strategy = strategy;
-        let (key, _) = SecretKey::generate(
+        let (mut cloud, _) = outsource(
             &ds.vectors,
-            cfg.num_pivots,
             &ds.metric,
-            PivotSelection::Random,
-            seed,
-        );
-        let mut cloud = EncryptedClient::new(
-            key,
-            ds.metric.clone(),
-            InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
+            cfg.num_pivots,
+            in_memory(cfg),
             client_cfg,
-        )
-        .with_rng_seed(seed ^ 71);
-        for chunk in id_objects(&ds.vectors).chunks(BULK) {
-            cloud.insert_bulk(chunk).expect("insert");
-        }
-        let mut total = CostReport::default();
-        let mut answers = Vec::new();
-        for q in &workload.queries {
-            let (res, costs) = cloud.knn_approx(q, k, cand_size).expect("search");
-            total.merge(&costs);
-            answers.push(res);
-        }
-        out.push((
-            label,
-            SearchRow {
-                cand_size,
-                costs: total.averaged(workload.len() as u32),
-                recall: truth.mean_recall(&answers),
-            },
-        ));
-    }
-    out
+            (seed, seed ^ 71),
+        );
+        let row = knn_row(&mut cloud, &workload.queries, &truth, k, cand_size);
+        (label, row)
+    })
+    .collect()
 }
 
 /// Level-4 distance-transformation ablation: candidate inflation on range
@@ -631,36 +554,26 @@ pub fn ablation_transform(
     use simcloud_core::DistanceTransform;
     use simcloud_metric::analysis::DistanceHistogram;
     let cfg = dataset_config(ds);
-    let (key, _) = SecretKey::generate(
-        &ds.vectors,
-        cfg.num_pivots,
-        &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
     let hist = DistanceHistogram::sample(&ds.vectors, &ds.metric, 2000, 64, seed ^ 80);
     let d_max = hist.stats().max * 1.5;
     let transform = DistanceTransform::from_seed(seed ^ 81, d_max, 8);
-
-    let mut base = EncryptedClient::new(
-        key.clone(),
-        ds.metric.clone(),
-        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
-        ClientConfig::distances(),
-    )
-    .with_rng_seed(seed ^ 82);
-    let mut transformed = EncryptedClient::new(
-        key,
-        ds.metric.clone(),
-        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
+    let deploy = |config, iv_seed| {
+        let seeds = (seed, iv_seed);
+        outsource(
+            &ds.vectors,
+            &ds.metric,
+            cfg.num_pivots,
+            in_memory(cfg),
+            config,
+            seeds,
+        )
+        .0
+    };
+    let mut base = deploy(ClientConfig::distances(), seed ^ 82);
+    let mut transformed = deploy(
         ClientConfig::distances().with_transform(transform),
-    )
-    .with_rng_seed(seed ^ 83);
-    let objects = id_objects(&ds.vectors);
-    for chunk in objects.chunks(BULK) {
-        base.insert_bulk(chunk).expect("insert");
-        transformed.insert_bulk(chunk).expect("insert");
-    }
+        seed ^ 83,
+    );
     let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 84);
     let mut out = Vec::new();
     for &quant in radii_quantiles {
@@ -697,41 +610,22 @@ pub fn ablation_k(
     seed: u64,
 ) -> Vec<(usize, f64)> {
     let cfg = dataset_config(ds);
-    let (key, _) = SecretKey::generate(
+    let (mut cloud, _) = outsource(
         &ds.vectors,
-        cfg.num_pivots,
         &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
-    let mut cloud = EncryptedClient::new(
-        key,
-        ds.metric.clone(),
-        InProcessTransport::new(CloudServer::new(cfg, MemoryStore::new()).expect("config")),
+        cfg.num_pivots,
+        in_memory(cfg),
         ClientConfig::distances(),
-    )
-    .with_rng_seed(seed ^ 90);
-    for chunk in id_objects(&ds.vectors).chunks(BULK) {
-        cloud.insert_bulk(chunk).expect("insert");
-    }
+        (seed, seed ^ 90),
+    );
     let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 91);
-    let mut out = Vec::new();
-    for &k in ks {
-        let truth = parallel_knn_ground_truth(
-            &ds.vectors,
-            &workload.queries,
-            &ds.metric,
-            k,
-            std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
-        );
-        let mut answers = Vec::new();
-        for q in &workload.queries {
-            let (res, _) = cloud.knn_approx(q, k, cand_size).expect("search");
-            answers.push(res);
-        }
-        out.push((k, truth.mean_recall(&answers)));
-    }
-    out
+    ks.iter()
+        .map(|&k| {
+            let truth = truth(&ds.vectors, &workload.queries, &ds.metric, k);
+            let row = knn_row(&mut cloud, &workload.queries, &truth, k, cand_size);
+            (k, row.recall)
+        })
+        .collect()
 }
 
 /// Network-model ablation: overall time of encrypted vs plain search when
@@ -744,45 +638,54 @@ pub fn ablation_network(
     seed: u64,
 ) -> Vec<(&'static str, Duration, Duration)> {
     let cfg = dataset_config(ds);
-    let (key, _) = SecretKey::generate(
-        &ds.vectors,
-        cfg.num_pivots,
-        &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
     let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 95);
-    let mut out = Vec::new();
-    for (label, model) in [
+    let truth = truth(&ds.vectors, &workload.queries, &ds.metric, k);
+    [
         ("loopback", NetworkModel::loopback()),
         ("lan", NetworkModel::lan()),
         ("wan", NetworkModel::wan()),
-    ] {
-        let mut cloud = EncryptedClient::new(
-            key.clone(),
-            ds.metric.clone(),
-            InProcessTransport::with_model(
-                CloudServer::new(cfg, MemoryStore::new()).expect("config"),
-                model,
-            ),
+    ]
+    .into_iter()
+    .map(|(label, model)| {
+        let server = CloudServer::new(cfg, MemoryStore::new()).expect("valid config");
+        let (mut cloud, _) = outsource(
+            &ds.vectors,
+            &ds.metric,
+            cfg.num_pivots,
+            InProcessTransport::with_model(server, model),
             ClientConfig::distances(),
-        )
-        .with_rng_seed(seed ^ 96);
-        for chunk in id_objects(&ds.vectors).chunks(BULK) {
-            cloud.insert_bulk(chunk).expect("insert");
-        }
-        let mut enc_total = CostReport::default();
-        for q in &workload.queries {
-            let (_, costs) = cloud.knn_approx(q, k, cand_size).expect("search");
-            enc_total.merge(&costs);
-        }
-        let enc = enc_total.averaged(queries as u32).overall();
+            (seed, seed ^ 96),
+        );
+        let costs = knn_row(&mut cloud, &workload.queries, &truth, k, cand_size).costs;
         // Plain comparison: k objects over the same model.
         let per_obj = ds.vectors[0].encoded_len() as u64 + 8;
         let plain_comm = model.transfer_time(ds.vectors[0].encoded_len() as u64 + 16)
             + model.transfer_time(k as u64 * per_obj + 4);
-        let plain = enc_total.averaged(queries as u32).server + plain_comm;
-        out.push((label, enc, plain));
+        (label, costs.overall(), costs.server + plain_comm)
+    })
+    .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dataset_config_maps_the_generated_datasets_to_table_2() {
+        for (which, cfg) in [
+            (Which::Yeast, MIndexConfig::yeast()),
+            (Which::Human, MIndexConfig::human()),
+            (Which::Cophir, MIndexConfig::cophir()),
+        ] {
+            assert_eq!(dataset_config(&which.dataset(50, 1)), cfg);
+        }
     }
-    out
+
+    #[test]
+    #[should_panic(expected = "no Table 2 parameters for dataset \"SIFT\"")]
+    fn dataset_config_refuses_an_unknown_dataset() {
+        let mut ds = Which::Yeast.dataset(50, 1);
+        ds.name = "SIFT".into();
+        dataset_config(&ds);
+    }
 }

@@ -11,10 +11,16 @@
 //! cargo run --release -p simcloud-bench --bin repro -- --scale paper --table 6
 //! ```
 //!
+//! Every encrypted deployment of the harness is built by one function,
+//! [`outsource`] (key, client over any transport, bulk inserts of
+//! [`BULK`]); the experiments differ only in the server and the client
+//! configuration they hand it. `tests/harness.rs` runs every experiment
+//! twice at tiny scale and checks that the counts and recall repeat.
+//!
 //! Two benches live in `benches/`: `components` (ns-scale primitives:
 //! distance kernels, pivot filters, the page and query data paths, the
 //! client's crypto) and `obs` (telemetry overhead on the steady-state
-//! query path of [`steady`]).
+//! query path of [`steady`], against a server the bench builds itself).
 
 pub mod experiments;
 pub mod scale;
@@ -23,7 +29,5 @@ pub mod tables;
 
 pub use experiments::*;
 pub use scale::Scale;
-pub use steady::{
-    prebuild, prebuild_sharded, steady_state_encrypted, PreBuilt, SteadyServer, SteadyState,
-};
+pub use steady::{prebuild, steady_state_encrypted, PreBuilt, SteadyState};
 pub use tables::Table;

@@ -33,6 +33,17 @@ impl Table {
         self
     }
 
+    /// Adds a row whose value in each column is `value` of the matching
+    /// item.
+    pub fn row_map<T>(
+        &mut self,
+        label: impl Into<String>,
+        items: &[T],
+        value: impl FnMut(&T) -> String,
+    ) -> &mut Self {
+        self.row(label, items.iter().map(value).collect())
+    }
+
     /// Renders the table.
     pub fn render(&self) -> String {
         let label_w = self

@@ -62,5 +62,5 @@ pub use server::{
 pub use telemetry::{request_label, ServerTelemetry, SLOW_LOG_CAPACITY};
 pub use transform::DistanceTransform;
 
-/// Recall measure re-exported from the index layer (paper §4.1).
-pub use simcloud_mindex::recall;
+/// Recall measure re-exported from the metric layer (paper §4.1).
+pub use simcloud_metric::recall;

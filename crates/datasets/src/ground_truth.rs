@@ -20,13 +20,7 @@ pub struct GroundTruth {
 impl GroundTruth {
     /// Recall (%) of an approximate answer for query `q` (paper §4.1).
     pub fn recall(&self, q: usize, approx: &[(ObjectId, f64)]) -> f64 {
-        let precise = &self.answers[q];
-        if precise.is_empty() {
-            return 100.0;
-        }
-        let set: std::collections::HashSet<ObjectId> = precise.iter().map(|(id, _)| *id).collect();
-        let hits = approx.iter().filter(|(id, _)| set.contains(id)).count();
-        100.0 * hits as f64 / precise.len() as f64
+        simcloud_metric::recall(approx, &self.answers[q])
     }
 
     /// Mean recall over all queries for per-query approximate answers.

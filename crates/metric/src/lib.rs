@@ -22,7 +22,9 @@
 //!   variance-greedy) and [`PivotPermutation`] (the ordering of pivots by
 //!   distance that the M-Index uses as its only indexing information);
 //! * distance-distribution [`analysis`] utilities (histograms, intrinsic
-//!   dimensionality) used when calibrating synthetic datasets.
+//!   dimensionality) used when calibrating synthetic datasets;
+//! * [`recall`] — the paper's result-quality measure (§4.1), the one copy
+//!   the index, the ground truth and the harness all use.
 //!
 //! Everything is deterministic given explicit seeds; no global RNG state.
 
@@ -62,6 +64,22 @@ impl From<u64> for ObjectId {
     fn from(v: u64) -> Self {
         ObjectId(v)
     }
+}
+
+/// Recall (%) of an approximate answer w.r.t. the precise one (paper
+/// §4.1): `|A ∩ A_P| / |A_P| · 100%`, matched by id. An empty precise
+/// answer has nothing to miss, so its recall is 100.
+pub fn recall(approx: &[(ObjectId, f64)], precise: &[(ObjectId, f64)]) -> f64 {
+    if precise.is_empty() {
+        return 100.0;
+    }
+    let precise_ids: std::collections::HashSet<ObjectId> =
+        precise.iter().map(|(id, _)| *id).collect();
+    let hits = approx
+        .iter()
+        .filter(|(id, _)| precise_ids.contains(id))
+        .count();
+    100.0 * hits as f64 / precise.len() as f64
 }
 
 #[cfg(test)]

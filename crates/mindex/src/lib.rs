@@ -20,7 +20,8 @@
 //! * [`PlainMIndex`] — the non-encrypted deployment used as the paper's
 //!   efficiency baseline (Tables 4, 7, 8): the server owns pivots, metric
 //!   and plaintext objects and refines results itself;
-//! * [`recall`] — the paper's result-quality measure.
+//! * [`recall`] — the paper's result-quality measure (re-exported from
+//!   `simcloud_metric`).
 //!
 //! The crucial property the Encrypted M-Index exploits (§4.2): **nothing in
 //! [`MIndex`] ever evaluates the metric** — insertion and candidate
@@ -44,6 +45,7 @@ pub use config::{MIndexConfig, RoutingStrategy};
 pub use cursor::{owned_entries, CandidateCursor, CandidateView};
 pub use entry::{IndexEntry, RecordBody, Routing};
 pub use index::{knn_cap, MIndex, MIndexError, FIRST_CELL_ONLY};
-pub use plain::{recall, Neighbor, PlainMIndex};
+pub use plain::{Neighbor, PlainMIndex};
 pub use promise::PromiseEvaluator;
+pub use simcloud_metric::recall;
 pub use stats::SearchStats;

@@ -221,28 +221,13 @@ impl<M: Metric<Vector>, S: BucketStore> PlainMIndex<M, S> {
     }
 }
 
-/// Recall of an approximate answer w.r.t. the precise one (paper §4.1):
-/// `|A ∩ A_P| / |A_P| · 100%`.
-pub fn recall(approx: &[Neighbor], precise: &[Neighbor]) -> f64 {
-    if precise.is_empty() {
-        return 100.0;
-    }
-    let precise_ids: std::collections::HashSet<ObjectId> =
-        precise.iter().map(|(id, _)| *id).collect();
-    let hits = approx
-        .iter()
-        .filter(|(id, _)| precise_ids.contains(id))
-        .count();
-    100.0 * hits as f64 / precise.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RoutingStrategy;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use simcloud_metric::{select_pivots, PivotSelection, L2};
+    use simcloud_metric::{recall, select_pivots, PivotSelection, L2};
     use simcloud_storage::MemoryStore;
 
     fn random_data(n: usize, dim: usize, seed: u64) -> Vec<Vector> {

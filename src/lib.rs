@@ -67,9 +67,9 @@ pub mod prelude {
         SecretKey,
     };
     pub use simcloud_metric::{
-        CombinedMetric, Lp, Metric, ObjectId, PivotSelection, Vector, L1, L2,
+        recall, CombinedMetric, Lp, Metric, ObjectId, PivotSelection, Vector, L1, L2,
     };
-    pub use simcloud_mindex::{recall, MIndexConfig, PlainMIndex, RoutingStrategy};
+    pub use simcloud_mindex::{MIndexConfig, PlainMIndex, RoutingStrategy};
     pub use simcloud_shard::{HashRouter, PivotRouter, ShardedCloudServer};
     pub use simcloud_storage::{DiskStore, DiskStoreOptions, MemoryStore};
     pub use simcloud_transport::{
